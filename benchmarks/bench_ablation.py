@@ -35,7 +35,7 @@ def _key(alignments):
 def run_baseline(seq, exchange, gaps):
     """The full algorithm: queue + cache."""
     state = TopAlignmentState(seq, exchange, gaps)
-    tops, stats = find_top_alignments(seq, K, exchange, gaps, state=state)
+    tops, stats = find_top_alignments(seq, K, exchange, gaps, state=state, group=1)
     return tops, stats.alignments
 
 

@@ -1,6 +1,6 @@
 """Speculative lane-batched driver — throughput and waste vs batch width.
 
-The batched driver (``repro.core.batched``) realigns the heap's top G
+The best-first driver (``repro.core.session``) realigns the heap's top G
 stale tasks per lockstep engine batch.  This bench measures what that
 buys on one host: cells/second across G ∈ {1, 4, 8} with the lane
 engine, against the sequential vector baseline, asserting bit-identical

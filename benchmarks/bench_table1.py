@@ -32,7 +32,7 @@ def test_new_algorithm(benchmark, scoring, length):
     seq = bench_sequence(length)
     benchmark.group = f"table1-len{length}"
     tops = benchmark.pedantic(
-        lambda: find_top_alignments(seq, K, exchange, gaps)[0],
+        lambda: find_top_alignments(seq, K, exchange, gaps, group=1)[0],
         rounds=2,
         iterations=1,
     )

@@ -1,6 +1,8 @@
 """Alignment engines: the Equation 1 recurrence at three "instruction tiers"."""
 
 from .base import (
+    DEFAULT_ENGINE,
+    DEFAULT_GROUP,
     NEG_INF,
     AlignmentEngine,
     AlignmentProblem,
@@ -27,6 +29,8 @@ from .traceback import (
 from .vector import VectorEngine, iter_rows
 
 __all__ = [
+    "DEFAULT_ENGINE",
+    "DEFAULT_GROUP",
     "NEG_INF",
     "INT16_MAX",
     "AlignmentEngine",

@@ -35,6 +35,8 @@ from .profile import ProfileView
 from .pruning import PruneGate
 
 __all__ = [
+    "DEFAULT_ENGINE",
+    "DEFAULT_GROUP",
     "NEG_INF",
     "OverrideProvider",
     "AlignmentProblem",
@@ -43,6 +45,15 @@ __all__ = [
     "get_engine",
     "available_engines",
 ]
+
+#: The default execution configuration of every entry point
+#: (``RepeatFinder``, ``find_top_alignments``, ``TopAlignmentSession``,
+#: ``JobSpec``, ``load_checkpoint``, the CLI): the lockstep lane engine
+#: fed batches of eight stale tasks — the paper's SSE2 grain (§4.1) on
+#: top of its best-first queue (§3).  Paper-figure code (``parallel/``,
+#: ``simulate/``, ``bench/harness.py``) names its engines explicitly.
+DEFAULT_ENGINE = "lanes"
+DEFAULT_GROUP = 8
 
 #: Sentinel for "no gap possible yet" in the running maxima.  Matrix
 #: values are always >= 0, so any sufficiently negative value works; we
@@ -58,7 +69,9 @@ class OverrideProvider(Protocol):
     boolean array over the local columns ``1..cols`` where ``True``
     forces the corresponding matrix entry to zero — or ``None`` when no
     entry of that row is overridden (the overwhelmingly common case,
-    since the triangle is sparse).
+    since the triangle is sparse).  A provider may also offer
+    ``row_masks()`` — every non-``None`` mask keyed by row — which the
+    lane engine prefers to one call per lane per row.
     """
 
     def row_mask(self, y: int) -> np.ndarray | None: ...
@@ -188,7 +201,7 @@ def register_engine(name: str, factory: Callable[[], AlignmentEngine]) -> None:
     _ENGINES[name] = factory
 
 
-def get_engine(name: str | AlignmentEngine = "vector") -> AlignmentEngine:
+def get_engine(name: str | AlignmentEngine = DEFAULT_ENGINE) -> AlignmentEngine:
     """Instantiate a registered engine, or pass an instance through."""
     if isinstance(name, AlignmentEngine):
         return name

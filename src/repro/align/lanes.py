@@ -2,29 +2,54 @@
 
 Instead of vectorising *inside* one matrix (hard, because of the
 ``MaxX`` dependency), the paper computes 4 (SSE) or 8 (SSE2)
-*neighbouring* matrices in lockstep, with corresponding entries
-interleaved in memory (Figure 7).  This engine reproduces that design
-with numpy: a group of G alignment problems is evaluated together, the
-working rows shaped ``(columns, G)`` so that the G lane values of one
-cell are adjacent in memory — exactly the interleaving of Figure 7.
+*neighbouring* matrices in lockstep (Figure 7).  This engine reproduces
+that design with numpy: a group of G alignment problems is evaluated
+together, one numpy call per recurrence step for all lanes at once, so
+the interpreter overhead of a row is paid once per group instead of
+once per matrix.  It is the default engine (``DEFAULT_ENGINE``), fed
+batches of ``DEFAULT_GROUP`` tasks by the best-first driver.
+
+**Layout and packing.**  Figure 7 interleaves the G lane values of one
+cell because an SSE register holds exactly G shorts and no padding is
+ever computed twice.  numpy's "register" is the whole working row, and
+its cost per row is a fixed interpreter overhead plus a per-element
+cost over the *padded rectangle* ``lanes x max_cols`` — for every row
+up to ``max_rows``.  A literal interleave of whatever G problems the
+heap yields therefore pays for a ``max_rows x max_cols`` rectangle per
+lane: a 20x380 split next to a 380x20 one fills 19x the cells either
+needs.  So this engine
+
+* keeps each lane's row contiguous (working rows are shaped ``(lanes,
+  columns)``), which makes the prefix-max scan and the per-lane row
+  maximum unit-stride;
+* sorts a batch by row count and cuts it into *shape-compatible
+  sub-batches*, contiguous in that order, minimising the modelled cost
+  ``sum(max_rows * (ROW_OVERHEAD + max_cols * lanes))`` — near-equal
+  shapes (neighbouring splits) share a sub-batch, a left-edge and a
+  right-edge split do not;
+* runs a one-lane sub-batch through the row-vectorised kernel of
+  :mod:`repro.align.vector` (float64 mode), so a batch of one costs
+  what ``vector`` costs.
 
 Each lane processes its own matrix in its own local coordinates; lanes
-shorter than the group maximum simply ignore the padded garbage at
-their right/bottom borders, which never contaminates valid cells
-because data dependencies flow left-to-right and top-to-bottom (the
-paper's "corrections for the left and bottom borders").
+smaller than the sub-batch maximum ignore the padded garbage at their
+right/bottom borders, which never contaminates valid cells because data
+dependencies flow left-to-right and top-to-bottom (the paper's
+"corrections for the left and bottom borders").
 
-Two per-call overheads are amortised away on the batched hot path:
+Per-call overheads amortised away on the batched hot path:
 
-* **Query profiles** — problems that carry a
-  :class:`~repro.align.profile.ProfileView` contribute a zero-copy
-  slice of a precomputed substitution gather instead of a fresh
-  ``E[:, seq2]`` fancy index per lane per call;
-* **Scratch reuse** — the interleaved working rows, per-lane
-  substitution block and decay offsets are kept in a per-thread cache
-  keyed by group shape, so back-to-back batches of similar shape
-  (exactly what the speculative batched driver issues) skip
-  reallocation entirely.
+* **One shared query profile** — when every lane splits the same
+  sequence (the top-alignment workload), row ``y`` has the same residue
+  in every lane, so its exchange values are *one* row of the shared
+  :class:`~repro.align.profile.QueryProfile` gathered at per-lane column
+  offsets; nothing is copied per batch.  Unrelated problems fall back
+  to a per-batch substitution table.
+* **One scratch block** per thread, grown to the widest batch seen and
+  carved into the working rows of each sub-batch.
+* **One prune compare per row** — the lanes' :class:`PruneGate` cutoffs
+  form a ``(rows, lanes)`` matrix (:meth:`PruneGate.lane_cutoffs`); a
+  batch whose gates cannot fire runs ungated.
 
 Three value modes mirror the instruction tiers:
 
@@ -37,12 +62,13 @@ Three value modes mirror the instruction tiers:
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 
 import numpy as np
 
 from ..obs import get_registry
-from .base import AlignmentEngine, AlignmentProblem, register_engine
+from .base import AlignmentEngine, AlignmentProblem, OverrideProvider, register_engine
+from .pruning import PruneGate
+from .vector import VectorEngine
 
 __all__ = ["LanesEngine", "INT16_MAX"]
 
@@ -59,52 +85,45 @@ _NEG = {
     "int16": -(2**30),  # internal arithmetic is int64; only values saturate
 }
 
+#: Fixed cost of one lockstep row (a dozen numpy calls) in units of one
+#: cell's per-element cost — what :func:`_partition` trades against
+#: padding.  Measured here at ~8 µs per row against ~9 ns per cell.
+ROW_OVERHEAD = 900
 
-class _LaneScratch:
-    """Reusable working buffers for one ``(group, n_symbols, dtype)`` family.
+_VECTOR = VectorEngine()
 
-    Capacities only grow; each :meth:`ensure` call returns views sized
-    to the current batch.  Values left behind by a previous batch are
-    confined to each lane's padded right/bottom border (the same
-    argument that lets short lanes ignore padding), except for the
-    buffers reinitialised below.
+
+def _partition(shapes: list[tuple[int, int]]) -> list[int]:
+    """Cut row-sorted ``(rows, cols)`` shapes into sub-batches.
+
+    Returns the end index of every sub-batch of the cheapest contiguous
+    partition under ``max_rows * (ROW_OVERHEAD + max_cols * lanes)``
+    (``shapes`` ascending in rows, so ``max_rows`` is the last member's).
     """
+    n = len(shapes)
+    best = [0.0] + [np.inf] * n
+    cut = [0] * (n + 1)
+    for stop in range(1, n + 1):
+        rows = shapes[stop - 1][0]
+        widest = 0
+        for start in range(stop - 1, -1, -1):
+            widest = max(widest, shapes[start][1])
+            cost = best[start] + rows * (ROW_OVERHEAD + widest * (stop - start))
+            if cost < best[stop]:
+                best[stop], cut[stop] = cost, start
+    ends = []
+    while n:
+        ends.append(n)
+        n = cut[n]
+    return ends[::-1]
 
-    __slots__ = (
-        "group", "nsym", "work",
-        "rows_cap", "cols_cap",
-        "subs", "codes1", "prev", "curr", "max_y", "inner", "b", "ext_ramp",
-    )
 
-    def __init__(self, group: int, nsym: int, work: np.dtype) -> None:
-        self.group = group
-        self.nsym = nsym
-        self.work = work
-        self.rows_cap = 0
-        self.cols_cap = 0
-
-    def ensure(self, max_rows: int, max_cols: int) -> None:
-        """Grow the buffers to cover a ``max_rows x max_cols`` batch."""
-        if max_cols > self.cols_cap:
-            cols = max(max_cols, 2 * self.cols_cap)
-            self.cols_cap = cols
-            group, work = self.group, self.work
-            # subs starts (and stays) finite: zero-initialised, and every
-            # later write stores real exchange scores — so stale values in
-            # a lane's padded border can never be inf/NaN.
-            self.subs = np.zeros((group, self.nsym, cols), dtype=work)
-            self.prev = np.empty((cols + 1, group), dtype=work)
-            self.curr = np.empty((cols + 1, group), dtype=work)
-            self.max_y = np.empty((cols, group), dtype=work)
-            self.inner = np.empty((cols, group), dtype=work)
-            self.b = np.empty((cols, group), dtype=work)
-            self.ext_ramp = np.arange(1, cols + 2, dtype=work)[:, None]
-        if max_rows > self.rows_cap:
-            rows = max(max_rows, 2 * self.rows_cap)
-            self.rows_cap = rows
-            # Zero-initialised for the same reason: every entry is always
-            # a valid residue code, so padded rows gather safely.
-            self.codes1 = np.zeros((rows, self.group), dtype=np.int64)
+def _row_masks(override: OverrideProvider, rows: int) -> dict[int, np.ndarray]:
+    """The provider's non-empty row masks, gathered once per lane."""
+    if hasattr(override, "row_masks"):
+        return override.row_masks()
+    masks = {y: override.row_mask(y) for y in range(1, rows + 1)}
+    return {y: mask for y, mask in masks.items() if mask is not None}
 
 
 class LanesEngine(AlignmentEngine):
@@ -115,7 +134,7 @@ class LanesEngine(AlignmentEngine):
     lanes:
         Preferred group width (4 for "SSE", 8 for "SSE2").  Groups of
         any size are accepted; this is the width schedulers should aim
-        for and the width :meth:`last_row` pads single problems to.
+        for.
     dtype:
         ``"float64"`` (default), ``"int32"`` or ``"int16"`` (saturating).
     """
@@ -129,31 +148,22 @@ class LanesEngine(AlignmentEngine):
             raise ValueError(f"dtype must be one of {sorted(_NEG)}")
         self.lanes = lanes
         self.dtype = dtype
-        # Scratch buffers are mutable shared state; keep them per-thread
-        # so the threaded runner's workers never race on them.
+        # The scratch block is mutable shared state; keep one per thread
+        # so the threaded runner's workers never race on it.
         self._tls = threading.local()
-        # Cached (registry, hits, misses, occupancy) instrument handles;
-        # revalidated against the live registry each batch so tests that
-        # swap registries see fresh instruments.
+        # Cached (registry, occupancy) instrument handle; revalidated
+        # against the live registry each batch so tests that swap
+        # registries see fresh instruments.
         self._obs_handles: tuple | None = None
 
-    def _metrics(self) -> tuple | None:
-        """Instrument handles when collection is on, else None."""
+    def _observe_occupancy(self, lanes: int) -> None:
         registry = get_registry()
         if not registry.collecting:
-            return None
+            return
         handles = self._obs_handles
         if handles is None or handles[0] is not registry:
             handles = (
                 registry,
-                registry.counter(
-                    "repro_scratch_hits_total",
-                    help="Lane-engine batches served from a cached scratch block",
-                ),
-                registry.counter(
-                    "repro_scratch_misses_total",
-                    help="Lane-engine batches that allocated a fresh scratch block",
-                ),
                 registry.histogram(
                     "repro_lane_occupancy",
                     buckets=_OCCUPANCY_BUCKETS,
@@ -161,7 +171,7 @@ class LanesEngine(AlignmentEngine):
                 ),
             )
             self._obs_handles = handles
-        return handles
+        handles[1].observe(lanes)
 
     def __repr__(self) -> str:
         return f"LanesEngine(lanes={self.lanes}, dtype={self.dtype!r})"
@@ -174,34 +184,6 @@ class LanesEngine(AlignmentEngine):
     def last_row(self, problem: AlignmentProblem) -> np.ndarray:
         return self.last_rows_batch([problem])[0]
 
-    # -- scratch cache -----------------------------------------------------
-
-    #: Per-thread bound on live scratch shapes.  A long-lived process
-    #: (the service worker pool) cycles through many batch shapes; an
-    #: unbounded cache would pin one scratch block per shape forever.
-    _SCRATCH_CACHE_MAX = 8
-
-    def _scratch_for(self, group: int, nsym: int, work: np.dtype) -> _LaneScratch:
-        cache: OrderedDict | None = getattr(self._tls, "cache", None)
-        if cache is None:
-            cache = OrderedDict()
-            self._tls.cache = cache
-        key = (group, nsym, np.dtype(work).str)
-        scratch = cache.get(key)
-        metrics = self._metrics()
-        if scratch is None:
-            if metrics is not None:
-                metrics[2].inc()
-            scratch = _LaneScratch(group, nsym, work)
-            cache[key] = scratch
-            while len(cache) > self._SCRATCH_CACHE_MAX:
-                cache.popitem(last=False)
-        else:
-            if metrics is not None:
-                metrics[1].inc()
-            cache.move_to_end(key)
-        return scratch
-
     # -- the lockstep batch ----------------------------------------------
 
     def last_rows_batch(self, problems: list[AlignmentProblem]) -> list[np.ndarray]:
@@ -209,13 +191,13 @@ class LanesEngine(AlignmentEngine):
 
         All problems must share the same gap penalties and exchange
         matrix (true for the top-alignment workload, where neighbouring
-        matrices split the same sequence).
+        matrices split the same sequence).  Any mix of shapes is
+        accepted; the batch is packed as the module docstring describes
+        and rows come back in input order.
         """
         if not problems:
             return []
-        metrics = self._metrics()
-        if metrics is not None:
-            metrics[3].observe(len(problems))
+        self._observe_occupancy(len(problems))
         gaps = problems[0].gaps
         exchange = problems[0].exchange
         for p in problems[1:]:
@@ -224,128 +206,199 @@ class LanesEngine(AlignmentEngine):
             if p.exchange is not exchange and p.exchange.name != exchange.name:
                 raise ValueError("lane group must share the exchange matrix")
 
-        group = len(problems)
-        rows_l = np.array([p.rows for p in problems])
-        cols_l = np.array([p.cols for p in problems])
-        max_rows = int(rows_l.max())
-        max_cols = int(cols_l.max())
-        results: list[np.ndarray | None] = [None] * group
-        for lane, p in enumerate(problems):
+        results: list[np.ndarray | None] = [None] * len(problems)
+        live = []
+        for i, p in enumerate(problems):
             if p.rows == 0 or p.cols == 0:
-                results[lane] = np.zeros(p.cols + 1, dtype=np.float64)
-        if max_rows == 0 or max_cols == 0:
-            return [r if r is not None else np.zeros(1, dtype=np.float64) for r in results]
+                results[i] = np.zeros(p.cols + 1, dtype=np.float64)
+            else:
+                live.append(i)
+        live.sort(key=lambda i: problems[i].rows)
+        start = 0
+        for stop in _partition([(problems[i].rows, problems[i].cols) for i in live]):
+            members = live[start:stop]
+            start = stop
+            if len(members) == 1 and self.dtype == "float64":
+                results[members[0]] = _VECTOR.last_row(problems[members[0]])
+                continue
+            rows = self._fill([problems[i] for i in members])
+            for i, row in zip(members, rows):
+                results[i] = row
+        return results
 
+    def _scratch(self, count: int, cells: int) -> np.ndarray:
+        """``count`` buffers of ``cells`` values from the thread's one block."""
+        need = count * cells
+        block: np.ndarray | None = getattr(self._tls, "block", None)
+        if block is None or block.size < need:
+            # float64 and int64 are both 8 bytes: one block serves every
+            # value mode (and the int64 gather indices) through views.
+            block = np.empty(need, dtype=np.float64)
+            self._tls.block = block
+        return block[:need].reshape(count, cells)
+
+    def _fill(self, problems: list[AlignmentProblem]) -> list[np.ndarray]:
+        """One shape-compatible sub-batch, rows ascending, none empty."""
+        group = len(problems)
+        rows_l = [p.rows for p in problems]
+        cols_l = [p.cols for p in problems]
+        max_rows, width = rows_l[-1], max(cols_l) + 1
         is_float = self.dtype == "float64"
+        clamp = self.dtype == "int16"
         work = np.float64 if is_float else np.int64
         neg = _NEG[self.dtype]
-        if is_float:
-            open_, ext = gaps.open_, gaps.extend
+        gaps = problems[0].gaps
+        open_, ext = (gaps.open_, gaps.extend) if is_float else gaps.as_integers()
+
+        # Working rows are (lanes, width) grids with column 0 the zero
+        # boundary of Equation 1.  Each is carved with one leading slot,
+        # so ``shifted(k)`` — the same memory one element earlier — is
+        # the grid moved one column right (cell x reads cell x-1) while
+        # staying contiguous, which numpy needs to run a whole grid as
+        # one loop.  A lane's column 0 then reads its neighbour's last
+        # cell: garbage that stays in column 0 (MaxY is per column, the
+        # MaxX scan restarts at -inf there) and is zeroed every row.
+        bufs = self._scratch(10, group * width + 1)
+        bufs[:, 0] = 0
+        index = bufs[:2].view(np.int64)
+        if not is_float:
+            bufs = bufs.view(np.int64)
+
+        def grid(buffers: np.ndarray, k: int) -> np.ndarray:
+            return buffers[k, 1:].reshape(group, width)
+
+        def shifted(buffers: np.ndarray, k: int) -> np.ndarray:
+            return buffers[k, :-1].reshape(group, width)
+
+        idx, flat = grid(index, 0), grid(index, 1)
+        bufs[2:4].fill(0)
+        prev, curr = (grid(bufs, 2), shifted(bufs, 2)), (grid(bufs, 3), shifted(bufs, 3))
+        b, b_left = grid(bufs, 4), shifted(bufs, 4)
+        max_y, inner, tmp, erow, valid = (grid(bufs, k) for k in range(5, 10))
+        max_y.fill(neg)
+        x_dn = ext * np.arange(width, dtype=work)  # ext * x for x = 0..cols
+        k_up = x_dn.copy()  # ext * k for k = 1..cols; the scan restarts at 0
+        k_up[0] = -np.inf if is_float else -(2**40)
+
+        # Exchange values of row y for all lanes: erow[g, x] =
+        # E[seq1_g[y], seq2_g[x]].  When the lanes split one sequence
+        # they share the row residue and the query profile, so it is one
+        # profile row gathered at per-lane offsets (``idx``); otherwise a
+        # per-batch table of the lanes' substitution rows side by side,
+        # addressed by per-lane residue.  Padded columns clip onto
+        # finite neighbours.
+        deepest = problems[-1]
+        views = [p.profile for p in problems]
+        shared = all(
+            v is not None
+            and v.profile is views[0].profile
+            and np.array_equal(p.seq1, deepest.seq1[: p.rows])
+            for p, v in zip(problems, views)
+        )
+        if shared:
+            profile = views[0].profile
+            table = profile.scores if is_float else profile.integer_scores()
+            codes = deepest.seq1.tolist()
+            starts = [v.start for v in views]
         else:
-            open_, ext = gaps.as_integers()
-
-        nsym = exchange.size
-        scratch = self._scratch_for(group, nsym, work)
-        scratch.ensure(max_rows, max_cols)
-
-        # Per-lane substitution blocks for the horizontal sequences:
-        # subs[lane, code, x] = E[code, seq2_lane[x]].  Problems carrying
-        # a query profile contribute a precomputed slice (a memcpy);
-        # profile-less problems fall back to the per-call fancy gather.
-        # One fancy-index per row then fetches all lanes' rows at once.
-        subs = scratch.subs[:, :, :max_cols]
-        codes1 = scratch.codes1[:max_rows]
-        for lane, p in enumerate(problems):
-            if p.profile is not None:
-                lane_sub = p.profile.scores if is_float else p.profile.integer_scores()
-            else:
-                lane_sub = (
+            starts = np.concatenate(([0], np.cumsum(cols_l))).tolist()
+            table = np.empty((problems[0].exchange.size, starts[-1]), dtype=work)
+            codes1 = np.zeros((max_rows, group, 1), dtype=np.int64)
+            for g, p in enumerate(problems):
+                table[:, starts[g] : starts[g + 1]] = (
                     p.substitution_rows() if is_float else p.substitution_rows_int()
                 )
-            subs[lane, :, : p.cols] = lane_sub
-            codes1[: p.rows, lane] = p.seq1
-        lane_idx = np.arange(group)
+                codes1[: p.rows, g, 0] = p.seq1
+            codes1 *= table.shape[1]
+            table = table.ravel()
+        np.add(np.array(starts[:group])[:, None], np.arange(-1, width - 1), out=idx)
 
-        # Per-lane prune gates (repro.align.pruning): lanes whose score
-        # upper bound sinks below the floor stop being harvested, and
-        # the batch ends early once every lane is harvested or pruned.
+        results: list[np.ndarray | None] = [None] * group
+        pending = group
+        done_at: dict[int, list[int]] = {}
+        for g, rows in enumerate(rows_l):
+            done_at.setdefault(rows, []).append(g)
+        masks_at: dict[int, list[tuple[int, np.ndarray]]] = {}
+        for g, p in enumerate(problems):
+            if p.override is not None:
+                for y, mask in _row_masks(p.override, p.rows).items():
+                    masks_at.setdefault(y, []).append((g, mask))
+
+        # Prune gates (repro.align.pruning): one cutoff column per lane;
+        # a lane whose running best sinks to its cutoff is never
+        # harvested, and the batch ends once every lane is harvested or
+        # pruned.  Padded columns hold stale garbage (harmless for
+        # results, see module docstring) — mask them out so per-lane
+        # maxima, and therefore the recorded bounds, stay exact.
         gates = [p.prune for p in problems]
-        has_gates = any(g is not None for g in gates)
-        pending = {lane for lane in range(group) if results[lane] is None}
-        if has_gates:
-            # Padded columns carry stale scratch garbage (harmless for
-            # results, see class docstring) — mask them out so per-lane
-            # row maxima, and therefore bounds, stay exact.
-            col_valid = np.zeros((max_cols, group), dtype=bool)
-            for lane, p in enumerate(problems):
-                col_valid[: p.cols, lane] = True
+        cutoffs = PruneGate.lane_cutoffs(gates, max_rows)
+        if cutoffs is not None:
+            best = np.zeros(group, dtype=work)
+            lane_max = np.empty(group, dtype=work)
+            valid.fill(0)
+            for g, cols in enumerate(cols_l):
+                valid[g, 1 : cols + 1] = 1
 
-        # Interleaved working rows, Figure 7 style: shape (cols, lanes),
-        # C-contiguous, so one cell's lane values are adjacent.
-        prev = scratch.prev[: max_cols + 1]
-        curr = scratch.curr[: max_cols + 1]
-        prev.fill(0)  # boundary row/column of Equation 1
-        curr.fill(0)
-        max_y = scratch.max_y[:max_cols]
-        max_y.fill(neg)
-        k_up = ext * scratch.ext_ramp[:max_cols]  # ext * k for k = 1..cols
-        x_dn = ext * scratch.ext_ramp[1:max_cols]  # ext * x for x = 2..cols
-        inner = scratch.inner[:max_cols]
-        b = scratch.b[:max_cols]
+        y = 0
+        while y < max_rows:
+            y += 1
+            diag = prev[1]  # diag[x] = M[y-1][x-1]
+            row = curr[0]
+            if shared:
+                table[codes[y - 1]].take(idx, out=erow, mode="clip")
+            else:
+                np.add(idx, codes1[y - 1], out=flat)
+                table.take(flat, out=erow, mode="clip")
 
-        for y in range(1, max_rows + 1):
-            diag = prev[:max_cols]
-            erow = subs[lane_idx, codes1[y - 1]].T  # (cols, lanes)
-
+            # MaxX via prefix max of B[k] = diag[k] - open + ext*k.
             np.add(diag, k_up, out=b)
             b -= open_
-            np.maximum.accumulate(b, axis=0, out=b)
+            np.maximum.accumulate(b, axis=1, out=b)
+            # inner = max(MaxX, MaxY, diag), assembled in place.
             np.maximum(max_y, diag, out=inner)
-            if max_cols > 1:
-                np.maximum(inner[1:], b[:-1] - x_dn, out=inner[1:])
+            np.subtract(b_left, x_dn, out=tmp)
+            np.maximum(inner, tmp, out=inner)
 
-            np.add(inner, erow, out=curr[1:])
-            np.maximum(curr, 0, out=curr)
-            if self.dtype == "int16":
-                np.minimum(curr, INT16_MAX, out=curr)
-            for lane, p in enumerate(problems):
-                if p.override is not None and y <= p.rows:
-                    mask = p.override.row_mask(y)
-                    if mask is not None:
-                        curr[1 : p.cols + 1, lane][mask] = 0
+            np.add(inner, erow, out=row)
+            np.maximum(row, 0, out=row)
+            if clamp:
+                np.minimum(row, INT16_MAX, out=row)
+            row[:, 0] = 0
+            for g, mask in masks_at.get(y, ()):
+                row[g, 1 : mask.size + 1][mask] = 0
 
-            np.maximum(max_y, diag - open_, out=max_y)
+            # MaxY[x] <- max(diag - open, MaxY[x]) - ext, for the next row.
+            np.subtract(diag, open_, out=tmp)
+            np.maximum(max_y, tmp, out=max_y)
             max_y -= ext
 
-            # Harvest lanes whose matrix ends at this row.
-            for lane in np.flatnonzero(rows_l == y):
-                p = problems[lane]
-                out = np.zeros(p.cols + 1, dtype=np.float64)
-                out[1:] = curr[1 : p.cols + 1, lane]
-                results[lane] = out
-                pending.discard(lane)
+            for g in done_at.get(y, ()):
+                if results[g] is None:
+                    results[g] = row[g, : cols_l[g] + 1].astype(np.float64)
+                    pending -= 1
 
-            if has_gates and pending:
-                lane_best = np.where(col_valid, curr[1:], 0).max(axis=0)
-                for lane in tuple(pending):
-                    gate = gates[lane]
-                    if (
-                        gate is not None
-                        and y < problems[lane].rows
-                        and gate.check_row(y, float(lane_best[lane]))
-                    ):
-                        # Lane provably below the floor: never harvested;
-                        # the driver records gate.bound for its task.
-                        results[lane] = np.zeros(
-                            problems[lane].cols + 1, dtype=np.float64
-                        )
-                        pending.discard(lane)
-                if not pending:
-                    break  # all lanes harvested or pruned — skip the tail
+            if cutoffs is not None and pending:
+                np.multiply(row, valid, out=tmp)
+                tmp.max(axis=1, out=lane_max)
+                np.maximum(best, lane_max, out=best)
+                hit = best <= cutoffs[y]
+                if hit.any():
+                    for g in np.flatnonzero(hit).tolist():
+                        # Provably below the floor: never harvested; the
+                        # driver records gate.bound for the lane's task.
+                        gates[g].record_row_prune(y, float(best[g]))
+                        results[g] = np.zeros(cols_l[g] + 1, dtype=np.float64)
+                        cutoffs[:, g] = -np.inf
+                        pending -= 1
+                    # Skip the tail no surviving lane needs.
+                    max_rows = max(
+                        (rows_l[g] for g in range(group) if results[g] is None),
+                        default=0,
+                    )
 
             prev, curr = curr, prev
 
-        return [r for r in results]  # every lane harvested or pruned
+        return results  # every lane harvested or pruned
 
 
 def _sse() -> LanesEngine:

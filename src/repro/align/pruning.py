@@ -19,8 +19,12 @@ Appendix A shadow test only ever lower scores, so profile-level bounds
 dominate both):
 
 * **lane bound** (before any cell is filled):
-  ``B0 = min(sum of per-row gains, col_suffix[r], cap)`` where ``cap``
-  is the task's previous heap score — itself a valid upper bound;
+  ``B0 = min(sum of per-row gains, col_suffix[r])``.  It depends on
+  nothing but the split, so it is computed for every split at once
+  (:attr:`PruneContext.lane_bounds`) and enters the search as each
+  task's *starting heap score* — exactly like an index seed bound: a
+  split whose ``B0`` never tops the heap is never aligned, one at or
+  below ``min_score`` is retired by the exhaustion test unaligned;
 * **row bound** (after filling row ``y``):
   ``best-so-far + rem[y]`` where ``rem[y]`` sums the per-row gains of
   the unfilled rows ``y+1..r`` (induction over the recurrence: every
@@ -35,20 +39,12 @@ it records its upper bound ``B`` as the task's heap score and leaves
 the task *stale* (``aligned_with`` untouched, no bottom row cached), so
 acceptance — which requires a fresh alignment — can never fire on a
 bound.  Accepted tops therefore stay bit-identical by the same argument
-that covers stale heap scores.  Two prune levels with different
-thresholds keep the search loop-free:
-
-* the **lane** level prunes against the *live* acceptance threshold
-  (the next-best heap score): a deferred task re-enters the heap at
-  ``B0`` strictly below that score, so the next pop makes progress, and
-  when the task eventually tops the heap again the threshold has sunk
-  to ``<= B0`` and it aligns for real — at most one deferral per
-  (task, triangle version);
-* the **row/column** levels prune only against the static ``floor``
-  (the run's ``min_score``): such prunes are *terminal* (the task sinks
-  below the acceptance cut-off and the loop's exhaustion test retires
-  it), so a partially filled matrix is never refilled from scratch in a
-  defer/refill ping-pong.
+that covers stale heap scores.  The row/column bounds prune only
+against the static ``floor`` (the run's ``min_score``): such prunes are
+*terminal* (the task sinks below the acceptance cut-off and the loop's
+exhaustion test retires it), so a partially filled matrix is never
+refilled from scratch; with a floor of zero nothing can sink that far
+and no gates are made at all.
 
 Saturating integer engines stay covered: clamping values at
 ``INT16_MAX`` only lowers them, and the induction above holds verbatim
@@ -70,13 +66,12 @@ __all__ = ["PruneContext", "PruneGate"]
 
 
 class PruneContext:
-    """Per-sequence bound tables plus the live acceptance threshold.
+    """Per-sequence bound tables plus the run's score floor.
 
     One context is built per :class:`~repro.core.topalign.TopAlignmentState`
-    (O(n_symbols · m)); the best-first drivers thread the live
-    ``threshold`` through it and hand per-split :class:`PruneGate`
-    objects to the engines via
-    :attr:`~repro.align.base.AlignmentProblem.prune`.
+    (O(n_symbols · m)); the state seeds its tasks from
+    :attr:`lane_bounds` and hands per-split :class:`PruneGate` objects
+    to the engines via :attr:`~repro.align.base.AlignmentProblem.prune`.
 
     Parameters
     ----------
@@ -87,7 +82,9 @@ class PruneContext:
         reported, so bounds at or below it prune terminally.
     """
 
-    __slots__ = ("profile", "floor", "threshold", "gain", "col_suffix", "sufmax")
+    __slots__ = (
+        "profile", "floor", "gain", "col_suffix", "sufmax", "codes", "lane_bounds",
+    )
 
     def __init__(self, profile: QueryProfile, *, floor: float = 0.0) -> None:
         self.profile = profile
@@ -106,16 +103,21 @@ class PruneContext:
         np.maximum.accumulate(positive[:, ::-1], axis=1, out=sufmax[:, :m][:, ::-1])
         #: ``sufmax[a, j] = max_{x >= j} max(P[a, x], 0)``.
         self.sufmax = sufmax
+        #: Residue codes as gather indices (shared by every gate).
+        self.codes = profile.codes.astype(np.int64)
+        # Split r's rows hold residues codes[:r]; summing their gains
+        # sufmax[code, r] by residue needs only how often each residue
+        # occurs in the prefix — one cumulative count table.
+        counts = np.zeros_like(sufmax)
+        counts[self.codes, np.arange(1, m + 1)] = 1.0
+        np.cumsum(counts, axis=1, out=counts)
+        #: ``lane_bounds[r] = B0`` of split ``r`` (length m + 1).
+        self.lane_bounds = np.minimum((counts * sufmax).sum(axis=0), col_suffix)
         self.floor = float(floor)
-        #: Live acceptance threshold — the best score any *other* task
-        #: could still realise (drivers keep it at
-        #: ``max(floor, next-best heap score)``).
-        self.threshold = float(floor)
 
     def configure(self, min_score: float) -> None:
-        """Reset ``floor``/``threshold`` for a run with ``min_score``."""
+        """Set ``floor`` for a run with ``min_score``."""
         self.floor = float(max(min_score, 0.0))
-        self.threshold = self.floor
 
     def gate_for(self, r: int, *, cap: float = np.inf) -> "PruneGate":
         """A fresh per-fill gate for split ``r`` (rows 1..r, cols r+1..m).
@@ -130,19 +132,19 @@ class PruneContext:
 class PruneGate:
     """One fill's pruning state: bound tables sliced to split ``r``.
 
-    Engines call :meth:`check_row` (row-major fills) or
+    Engines consult :meth:`row_cutoffs` / :meth:`lane_cutoffs` (row-major
+    fills, recording a hit through :meth:`record_row_prune`) or
     :meth:`check_columns` (the striped engine) and stop filling the
-    moment a call returns ``True``; drivers call
-    :meth:`prune_before_fill` to skip whole lanes without touching the
-    engine.  After a prune, :attr:`bound` carries the provable upper
-    bound the driver records as the task's (stale) heap score, and
-    :attr:`cells_filled`/:attr:`pruned_cells` split the matrix area
-    into evaluated and skipped work for ``RunStats``.
+    moment the bound sinks to the floor.  After a prune, :attr:`bound`
+    carries the provable upper bound the driver records as the task's
+    (stale) heap score, and :attr:`cells_filled`/:attr:`pruned_cells`
+    split the matrix area into evaluated and skipped work for
+    ``RunStats``.
     """
 
     __slots__ = (
         "context", "r", "rows", "cols", "cap", "rem",
-        "best", "pruned", "bound", "cells_filled", "pruned_cells",
+        "pruned", "bound", "cells_filled", "pruned_cells",
     )
 
     #: Tail fraction below which :meth:`row_cutoffs` reports "not worth
@@ -161,24 +163,15 @@ class PruneGate:
         self.cap = float(cap)
         # Per-row gains for rows 1..r: row y holds residue codes[y-1]
         # and may only match columns >= r of the profile.
-        codes = context.profile.codes[:r].astype(np.int64)
-        rowgain = context.sufmax[codes, r]
+        rowgain = context.sufmax[context.codes[:r], r]
         rem = np.zeros(r + 1, dtype=np.float64)
         np.cumsum(rowgain[::-1], out=rem[:r][::-1])
         #: ``rem[y] = sum of gains of the unfilled rows y+1..r``.
         self.rem = rem
-        self.best = 0.0
         self.pruned = False
         self.bound = 0.0
         self.cells_filled = 0
         self.pruned_cells = 0
-
-    # -- bound arithmetic --------------------------------------------------
-
-    @property
-    def upfront_bound(self) -> float:
-        """``B0``: the tightest pre-fill upper bound on the task score."""
-        return min(float(self.rem[0]), float(self.context.col_suffix[self.r]), self.cap)
 
     def _record_prune(self, bound: float, cells_filled: int) -> bool:
         # The recorded bound must stay a non-negative upper bound that
@@ -189,33 +182,25 @@ class PruneGate:
         self.pruned_cells = self.rows * self.cols - cells_filled
         return True
 
-    # -- driver-level (lane) prune -----------------------------------------
-
-    def prune_before_fill(self) -> bool:
-        """Skip the whole fill when its bound provably cannot win *now*.
-
-        ``B0 < threshold`` defers the task below the next-best heap
-        score (it realigns if it ever tops the heap again);
-        ``B0 <= floor`` retires it outright.  Either way the prune must
-        *strictly* lower the task's heap score — a prune that leaves
-        the score unchanged could repeat on every pop, so it falls
-        through to a real fill instead (progress guarantee).
-        """
-        b0 = self.upfront_bound
-        if b0 >= self.cap:
-            return False
-        if b0 <= self.context.floor or b0 < self.context.threshold:
-            return self._record_prune(b0, 0)
-        return False
-
     # -- in-fill prunes (floor-only, therefore terminal) -------------------
+
+    def _cutoff_array(self) -> np.ndarray | None:
+        floor = self.context.floor
+        # rem is non-increasing, so the prunable tail starts at the
+        # first y with rem[y] <= floor (best >= 0 always).
+        first = int(np.searchsorted(-self.rem, -floor))
+        if self.rows - first < self.rows * self.MIN_PRUNABLE_TAIL:
+            return None
+        cutoffs = floor - self.rem
+        cutoffs[self.rows] = -np.inf
+        return cutoffs
 
     def row_cutoffs(self) -> list[float] | None:
         """Per-row prune cutoffs for tight fill loops, or ``None``.
 
         ``cutoffs[y] = floor - rem[y]``: after filling row ``y`` the
         fill may stop iff its running best cell value is ``<=
-        cutoffs[y]`` — the plain-float restatement of :meth:`check_row`
+        cutoffs[y]`` — the plain-float restatement of the row bound
         (``best + rem[y] <= floor``), so engines can keep the per-row
         work to one reduction and one comparison.  ``cutoffs[rows]`` is
         ``-inf`` (a completed fill is returned, never pruned).  Returns
@@ -224,44 +209,43 @@ class PruneGate:
         the bookkeeping (:data:`MIN_PRUNABLE_TAIL`); callers then run
         ungated.
         """
-        floor = self.context.floor
-        # rem is non-increasing, so the prunable tail starts at the
-        # first y with rem[y] <= floor (best >= 0 always).
-        first = int(np.searchsorted(-self.rem, -floor))
-        if self.rows - first < self.rows * self.MIN_PRUNABLE_TAIL:
-            return None
-        cutoffs = (floor - self.rem).tolist()
-        cutoffs[self.rows] = float("-inf")
-        return cutoffs
+        cutoffs = self._cutoff_array()
+        return None if cutoffs is None else cutoffs.tolist()
+
+    @staticmethod
+    def lane_cutoffs(
+        gates: "list[PruneGate | None]", max_rows: int
+    ) -> np.ndarray | None:
+        """:meth:`row_cutoffs` of a lockstep batch as one matrix, or ``None``.
+
+        Column ``g`` of the ``(max_rows + 1, len(gates))`` result holds
+        gate ``g``'s cutoffs; lanes without a gate, lanes whose own
+        :meth:`row_cutoffs` is ``None`` and rows past a lane's last hold
+        ``-inf`` (a running best is never below zero, so they never
+        fire).  The batch then needs one running-best compare per row
+        for all lanes together; ``None`` — run the batch ungated — when
+        no lane can fire at all.
+        """
+        matrix = None
+        for lane, gate in enumerate(gates):
+            cutoffs = None if gate is None else gate._cutoff_array()
+            if cutoffs is None:
+                continue
+            if matrix is None:
+                matrix = np.full(
+                    (max_rows + 1, len(gates)), -np.inf, dtype=np.float64
+                )
+            matrix[: cutoffs.size, lane] = cutoffs
+        return matrix
 
     def record_row_prune(self, y: int, best: float) -> None:
         """Record an in-fill prune decided via :meth:`row_cutoffs`."""
-        if best > self.best:
-            self.best = best
         self._record_prune(max(best, 0.0) + float(self.rem[y]), y * self.cols)
-
-    def check_row(self, y: int, row_max: float) -> bool:
-        """After filling row ``y`` (best cell value ``row_max``): stop?
-
-        Returns ``True`` — and marks the gate pruned — when not even
-        the per-row gains of the unfilled rows can lift the running
-        best above the floor.  Terminal by construction (see module
-        docstring), so engines never refill a pruned matrix.
-        """
-        if row_max > self.best:
-            self.best = row_max
-        self.cells_filled = y * self.cols
-        if y >= self.rows:
-            return False  # fill complete; nothing left to prune
-        bound = max(self.best, 0.0) + float(self.rem[y])
-        if min(bound, self.cap) <= self.context.floor:
-            return self._record_prune(bound, y * self.cols)
-        return False
 
     def check_columns(self, cols_done: int, filled_max: float) -> bool:
         """After filling all rows of the first ``cols_done`` columns: stop?
 
-        The striped engine's column-major analogue of :meth:`check_row`:
+        The striped engine's column-major analogue of the row bound:
         every path ending in an unfilled column crosses the filled
         region (moves only go right/down), so ``filled_max`` plus the
         remaining columns' gains bounds every remaining bottom-row cell

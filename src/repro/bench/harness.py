@@ -125,7 +125,9 @@ def table1_rows(
             lambda: old_find_top_alignments(seq, k, exchange, gaps, engine=engine)
         )
         t_new, (new, new_stats) = _timed(
-            lambda: find_top_alignments(seq, k, exchange, gaps, engine=engine)
+            lambda: find_top_alignments(
+                seq, k, exchange, gaps, engine=engine, group=1
+            )
         )
         if [(a.r, a.score) for a in old] != [(a.r, a.score) for a in new]:
             raise AssertionError(
@@ -365,7 +367,9 @@ def realignment_rows(
     for length in lengths:
         seq = bench_sequence(length, seed=seed)
         exchange, gaps = default_scoring()
-        _, stats = find_top_alignments(seq, k, exchange, gaps)
+        _, stats = find_top_alignments(
+            seq, k, exchange, gaps, engine="vector", group=1
+        )
         naive = (k - 1) * (len(seq) - 1)
         avoided = 100.0 * (1.0 - stats.realignments / naive) if naive else 0.0
         table.add(length, k, stats.realignments, naive, avoided)
@@ -556,6 +560,7 @@ def pruning_report(
                 exchange,
                 gaps,
                 engine=engine,
+                group=1,
                 min_score=min_score,
                 prune=prune,
             )

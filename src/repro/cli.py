@@ -26,6 +26,7 @@ import sys
 from typing import Sequence as Seq
 
 from . import __version__
+from .align.base import DEFAULT_ENGINE, DEFAULT_GROUP
 from .core.api import find_repeats
 from .scoring.blosum import blosum50, blosum62
 from .scoring.exchange import match_mismatch
@@ -67,12 +68,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     find.add_argument("--gap-open", type=float, default=8.0)
     find.add_argument("--gap-extend", type=float, default=1.0)
-    find.add_argument("--engine", default="vector")
+    find.add_argument("--engine", default=DEFAULT_ENGINE)
     find.add_argument(
         "--group",
         type=int,
-        default=1,
-        help="speculative batch width G (1 = sequential best-first)",
+        default=DEFAULT_GROUP,
+        help="stale tasks realigned per engine batch (1 = sequential best-first)",
     )
     find.add_argument(
         "--algorithm", default="new", choices=["new", "old"],
@@ -142,12 +143,12 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--alphabet", default="protein", choices=["protein", "dna", "rna"])
     scan.add_argument("--mask", action="store_true", help="mask low-complexity tracts")
     scan.add_argument("--min-length", type=int, default=10)
-    scan.add_argument("--engine", default="vector")
+    scan.add_argument("--engine", default=DEFAULT_ENGINE)
     scan.add_argument(
         "--group",
         type=int,
-        default=1,
-        help="speculative batch width G (1 = sequential best-first)",
+        default=DEFAULT_GROUP,
+        help="stale tasks realigned per engine batch (1 = sequential best-first)",
     )
     scan.add_argument(
         "--prune",
@@ -227,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--mask", action="store_true", help="mask low-complexity tracts"
     )
     annotate.add_argument("--min-length", type=int, default=10)
-    annotate.add_argument("--engine", default="vector")
+    annotate.add_argument("--engine", default=DEFAULT_ENGINE)
 
     align = sub.add_parser("align", help="align two sequences and render them")
     align.add_argument("seq1", help="first sequence (text, vertical)")
@@ -394,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cscan.add_argument("--mask", action="store_true", help="mask low-complexity tracts")
     cscan.add_argument("--min-length", type=int, default=10)
-    cscan.add_argument("--engine", default="vector")
+    cscan.add_argument("--engine", default=DEFAULT_ENGINE)
     cscan.add_argument(
         "--index",
         action=argparse.BooleanOptionalAction,
@@ -418,8 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument("--gap-open", type=float, default=8.0)
     submit.add_argument("--gap-extend", type=float, default=1.0)
-    submit.add_argument("--engine", default="vector")
-    submit.add_argument("--group", type=int, default=1)
+    submit.add_argument("--engine", default=DEFAULT_ENGINE)
+    submit.add_argument("--group", type=int, default=DEFAULT_GROUP)
     submit.add_argument("--algorithm", default="new", choices=["new", "old"])
     submit.add_argument("--min-score", type=float, default=0.0)
     submit.add_argument("--max-gap", type=int, default=0)

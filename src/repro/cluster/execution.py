@@ -19,8 +19,8 @@ Bit-identity is the contract of this module, in both shard kinds:
     and ship them back bit-exact (dtype + raw bytes).
     :func:`finish_from_rows` then seeds a fresh state with the rows —
     tasks carry ``score = row.max(), aligned_with = 0``, precisely the
-    state the sequential loop reaches after its first pass — and runs
-    the identical best-first loop, so the acceptance order, alignments
+    state a single-node run reaches after its first pass — and runs
+    the same best-first driver, so the acceptance order, alignments
     and families match the single-node run exactly.  Work counters
     legitimately differ (the checkpoint-resume contract).
 """
@@ -33,7 +33,7 @@ import numpy as np
 
 from ..core.result import RepeatResult
 from ..core.scan import DatabaseScanner
-from ..core.tasks import Task, TaskQueue
+from ..core.session import TopAlignmentSession
 from ..core.topalign import TopAlignmentState
 from ..sequences.sequence import Sequence
 from ..service.protocol import JobSpec
@@ -185,14 +185,16 @@ def finish_from_rows(
     """Finish a sharded single-sequence job from its version-0 rows.
 
     Seeds a fresh :class:`TopAlignmentState` with the node-computed
-    bottom rows and runs the best-first loop of
-    :func:`~repro.core.topalign.find_top_alignments` verbatim.  Seeding
-    is sound because in the sequential loop every task (score ``+inf``)
+    bottom rows and runs the one best-first driver
+    (:class:`~repro.core.session.TopAlignmentSession`) over it.  Seeding
+    is sound because in a single-node run every task (score ``+inf``)
     is aligned exactly once at triangle version 0 before the first
-    acceptance: a task with ``score = row.max(), aligned_with = 0`` and
-    its row cached in ``bottom_rows`` is byte-for-byte the state those
-    first alignments leave behind, so the deterministic ``(score, -r)``
-    heap replays the identical acceptance order.
+    acceptance: the cached rows are byte-for-byte what those first
+    alignments leave behind, and
+    :meth:`~repro.core.topalign.TopAlignmentState.make_tasks` starts
+    each task at ``score = row.max(), aligned_with = 0`` — so the
+    deterministic ``(score, -r)`` heap replays the identical acceptance
+    order.
     """
     finder = build_finder(spec)
     sequence = Sequence(spec.normalized_sequence(), spec.alphabet, id=spec.seq_id)
@@ -201,25 +203,12 @@ def finish_from_rows(
     missing = [r for r in range(1, state.m) if r not in rows]
     if missing:
         raise ValueError(f"missing version-0 rows for split(s) {missing[:8]}")
-
-    checker = state.invariants
-    queue = TaskQueue(guard=checker.guard_task if checker is not None else None)
     for r in range(1, state.m):
-        row = np.asarray(rows[r], dtype=np.float64)
-        state.bottom_rows.put(r, row)
-        queue.insert(Task(r, score=float(row.max()), aligned_with=0))
+        state.bottom_rows.put(r, np.asarray(rows[r], dtype=np.float64))
     state.stats.alignments += state.m - 1  # the rows the nodes computed
-
-    k = spec.top_alignments
-    while state.n_found < k and queue:
-        task = queue.pop_highest()
-        if task.score <= spec.min_score:
-            break
-        if task.is_current(state.n_found):
-            state.accept_task(task)
-        else:
-            state.align_task(task)
-        queue.insert(task)
+    TopAlignmentSession.from_state(
+        state, group=spec.group, min_score=spec.min_score
+    ).extend(spec.top_alignments)
 
     alignments = list(state.found)
     repeats = finder.delineate(alignments, len(sequence))

@@ -1,7 +1,6 @@
 """The paper's contribution: the O(n³) top-alignment algorithm and Repro."""
 
 from .api import RepeatFinder, find_repeats
-from .batched import BatchedTopAlignmentRunner, find_top_alignments_batched
 from .bottomrows import BottomRowStore
 from .consensus import (
     UnitChoice,
@@ -33,7 +32,7 @@ from .scan import (
     scan_fasta,
     scan_to_payload,
 )
-from .session import TopAlignmentSession
+from .session import BatchedTopAlignmentRunner, TopAlignmentSession
 from .significance import (
     NullDistribution,
     estimate_null,
@@ -42,6 +41,10 @@ from .significance import (
 )
 from .tasks import NEVER_ALIGNED, Task, TaskQueue
 from .topalign import TopAlignmentState, find_top_alignments
+
+#: The name lane batching had while it was opt-in; batching is the default
+#: of :func:`find_top_alignments` now, so this is the same function.
+find_top_alignments_batched = find_top_alignments
 
 __all__ = [
     "find_top_alignments",

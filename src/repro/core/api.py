@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..align.base import AlignmentEngine, get_engine
+from ..align.base import DEFAULT_ENGINE, DEFAULT_GROUP, AlignmentEngine, get_engine
 from ..scoring.blosum import blosum62
 from ..scoring.exchange import ExchangeMatrix, match_mismatch
 from ..scoring.gaps import GapPenalties
@@ -50,16 +50,21 @@ class RepeatFinder:
         How many nonoverlapping top alignments to compute — "typically
         10–30, some more for large sequences" (§3).
     engine:
-        Alignment engine name (``"vector"``, ``"scalar"``, ``"lanes"``,
-        ``"striped"``, ...).
+        Alignment engine name (``"lanes"``, ``"vector"``, ``"scalar"``,
+        ``"striped"``, ...).  The default is the lockstep lane engine
+        (:data:`~repro.align.base.DEFAULT_ENGINE`).
     algorithm:
         ``"new"`` (the paper's O(n³) algorithm) or ``"old"`` (the 1993
         O(n⁴) baseline) — both return identical alignments.
     group:
-        Scheduling group width for the new algorithm: 1 (default) runs
-        the sequential best-first loop, larger values the speculative
-        lane-batched driver (:mod:`repro.core.batched`).  Results are
-        identical either way.
+        Stale tasks realigned per engine batch by the best-first driver
+        (:mod:`repro.core.session`): 8 by default
+        (:data:`~repro.align.base.DEFAULT_GROUP`, the paper's SSE2
+        grain), 1 for the strictly sequential loop.  The default pair —
+        ``lanes`` at ``group=8`` with ``prune=True`` — is within 10 % of
+        the fastest knob setting on every benchmark workload (a CI
+        gate); results are identical for every setting.  Ignored by
+        the old algorithm.
     min_score:
         Alignments scoring at or below this are not reported.
     prune:
@@ -75,9 +80,9 @@ class RepeatFinder:
     exchange: ExchangeMatrix | None = None
     gaps: GapPenalties = field(default_factory=GapPenalties)
     top_alignments: int = 20
-    engine: str = "vector"
+    engine: str = DEFAULT_ENGINE
     algorithm: str = "new"
-    group: int = 1
+    group: int = DEFAULT_GROUP
     min_score: float = 0.0
     prune: bool = True
     min_copy_length: int = 2
@@ -91,10 +96,8 @@ class RepeatFinder:
             raise ValueError("top_alignments must be >= 1")
         if self.group < 1:
             raise ValueError("group must be >= 1")
-        if self.group > 1 and self.algorithm != "new":
-            raise ValueError("group > 1 requires the new algorithm")
         # Shared across records of a scan: one engine instance (so its
-        # lane scratch buffers persist) and one exchange per alphabet.
+        # lane scratch block persists) and one exchange per alphabet.
         self._engine_instance: AlignmentEngine | None = None
         self._exchange_cache: dict[str, ExchangeMatrix] = {}
 
@@ -181,9 +184,9 @@ def find_repeats(
     *,
     exchange: ExchangeMatrix | None = None,
     gaps: GapPenalties | None = None,
-    engine: str = "vector",
+    engine: str = DEFAULT_ENGINE,
     algorithm: str = "new",
-    group: int = 1,
+    group: int = DEFAULT_GROUP,
     min_score: float = 0.0,
     prune: bool = True,
     min_copy_length: int = 2,

@@ -20,6 +20,7 @@ import os
 
 import numpy as np
 
+from ..align.base import DEFAULT_ENGINE
 from ..scoring.exchange import ExchangeMatrix
 from ..scoring.gaps import GapPenalties
 from ..sequences.sequence import Sequence
@@ -86,7 +87,7 @@ def load_checkpoint(
     exchange: ExchangeMatrix,
     gaps: GapPenalties = GapPenalties(),
     *,
-    engine: str = "vector",
+    engine: str = DEFAULT_ENGINE,
     triangle: str = "dense",
 ) -> TopAlignmentState:
     """Rebuild a state ready to continue exactly where it stopped."""

@@ -10,7 +10,7 @@ future work.  This module implements the core of that phase:
    positions *i* and *j* occupy the same column of the repeat's
    implicit multiple alignment.  The transitive closure of those
    assertions — connected components of the pair graph — yields the
-   *column classes* (networkx does the closure).
+   *column classes*.
 2. Positions covered by column classes are scanned left to right.
    Copies are maximal runs of covered positions whose column *rank*
    (classes ordered by first occurrence) strictly increases — every
@@ -26,8 +26,6 @@ produces the conserved cores, which is what Repro reports.
 """
 
 from __future__ import annotations
-
-import networkx as nx
 
 from .result import Repeat, TopAlignment
 
@@ -199,22 +197,30 @@ def delineate_repeats(
         return []
 
     # Group runs into families: runs sharing any column class are copies
-    # of the same repeat.
-    family_graph = nx.Graph()
-    family_graph.add_nodes_from(range(len(runs)))
+    # of the same repeat (connected components, by union-find).
+    parent = list(range(len(runs)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
     class_to_runs: dict[int, list[int]] = {}
     for idx, (_, _, cls) in enumerate(runs):
         for cid in cls:
             class_to_runs.setdefault(cid, []).append(idx)
     for members in class_to_runs.values():
         for a, b in zip(members, members[1:]):
-            family_graph.add_edge(a, b)
+            parent[find(a)] = find(b)
+    components: dict[int, list[int]] = {}
+    for idx in range(len(runs)):
+        components.setdefault(find(idx), []).append(idx)
 
     repeats: list[Repeat] = []
-    for fam_id, component in enumerate(
-        sorted(nx.connected_components(family_graph), key=min)
-    ):
-        members = sorted(component)
+    # Member lists are ascending by construction; order families by
+    # their first copy.
+    for fam_id, members in enumerate(sorted(components.values(), key=min)):
         if len(members) < 2:
             continue  # a family needs at least two copies
         copies = tuple((runs[i][0], runs[i][1]) for i in members)

@@ -26,6 +26,7 @@ import time
 
 import numpy as np
 
+from ..align.base import DEFAULT_ENGINE, AlignmentProblem, get_engine
 from ..align.matrix import full_matrix
 from ..align.traceback import traceback
 from ..scoring.exchange import ExchangeMatrix
@@ -43,7 +44,7 @@ def old_find_top_alignments(
     exchange: ExchangeMatrix,
     gaps: GapPenalties = GapPenalties(),
     *,
-    engine: str = "vector",
+    engine: str = DEFAULT_ENGINE,
     min_score: float = 0.0,
 ) -> tuple[list[TopAlignment], RunStats]:
     """Old-algorithm equivalent of :func:`find_top_alignments`.
@@ -52,8 +53,6 @@ def old_find_top_alignments(
     the per-alignment kernel so that Table 1 compares algorithms, not
     instruction tiers.
     """
-    from ..align.base import AlignmentProblem, get_engine
-
     if k < 1:
         raise ValueError("k must be >= 1")
     if len(sequence) < 2:

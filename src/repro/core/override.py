@@ -62,6 +62,10 @@ class OverrideTriangle(ABC):
         """
 
     @abstractmethod
+    def rows_marked_beyond(self, row_hi: int, col_lo: int) -> list[int]:
+        """Rows ``i <= row_hi`` holding a marked pair ``(i, j >= col_lo)``."""
+
+    @abstractmethod
     def __iter__(self) -> Iterator[tuple[int, int]]:
         """Iterate all marked pairs."""
 
@@ -107,6 +111,10 @@ class DenseOverrideTriangle(OverrideTriangle):
         mask = self._flags[i, col_lo : col_hi + 1]
         return mask if mask.any() else None
 
+    def rows_marked_beyond(self, row_hi: int, col_lo: int) -> list[int]:
+        block = self._flags[1 : row_hi + 1, col_lo:]
+        return (np.flatnonzero(block.any(axis=1)) + 1).tolist()
+
     def __iter__(self) -> Iterator[tuple[int, int]]:
         for i, j in zip(*np.nonzero(self._flags)):
             yield int(i), int(j)
@@ -142,6 +150,13 @@ class SparseOverrideTriangle(OverrideTriangle):
         mask[np.asarray(hits) - col_lo] = True
         return mask
 
+    def rows_marked_beyond(self, row_hi: int, col_lo: int) -> list[int]:
+        return sorted(
+            i
+            for i, cols in self._rows.items()
+            if i <= row_hi and any(j >= col_lo for j in cols)
+        )
+
     def __iter__(self) -> Iterator[tuple[int, int]]:
         for i in sorted(self._rows):
             for j in sorted(self._rows[i]):
@@ -171,3 +186,13 @@ class SplitOverrideView:
 
     def row_mask(self, y: int) -> np.ndarray | None:
         return self._triangle.row_mask(y, self._r + 1, self._m)
+
+    def row_masks(self) -> dict[int, np.ndarray]:
+        """Every non-empty :meth:`row_mask` of the split, keyed by row.
+
+        What a lockstep engine wants: one pass over the triangle per
+        lane instead of one call per lane per row.
+        """
+        lo, hi = self._r + 1, self._m
+        rows = self._triangle.rows_marked_beyond(self._r, lo)
+        return {y: self._triangle.row_mask(y, lo, hi) for y in rows}

@@ -1,29 +1,85 @@
-"""Incremental top-alignment sessions.
+"""The best-first driver: one resumable, lane-batched Figure 5 loop.
 
-"Some tens of top alignments are required; more top alignments increase
-Repro's sensitivity" (§2.2) — so a common workflow is: compute a few,
-inspect, ask for more.  Restarting :func:`find_top_alignments` from
-scratch would repay the full first pass every time.
-:class:`TopAlignmentSession` keeps the live queue, override triangle and
-bottom-row store between requests, so asking for ``k`` more alignments
-costs only the incremental realignments the paper's queue heuristic
-would have performed anyway.
+:class:`TopAlignmentSession` is the only best-first loop in
+:mod:`repro.core`.  :func:`~repro.core.topalign.find_top_alignments`
+runs it to ``k`` and returns; the service worker keeps one alive across
+checkpoints; "compute a few, inspect, ask for more" (§2.2: "more top
+alignments increase Repro's sensitivity") calls :meth:`extend` again.
+The live heap, override triangle and bottom-row store survive between
+calls, so ``extend(1)`` k times performs the alignments of one
+``extend(k)``.
+
+The loop merges the two ideas the paper combines for its headline
+speedup:
+
+* **best-first queue** (§3) — stale scores are upper bounds, so the
+  heap's head is accepted the moment its score is current;
+* **lockstep lane batches** (§4.1) — when the head is *stale* it is
+  realigned together with up to ``group - 1`` further stale tasks in
+  one engine batch.  ``group=1`` is the strictly sequential loop: a
+  batch of one.
+
+**Which lane-mates.**  The lockstep kernel pays for the padded
+rectangle around a batch, so the head's mates are chosen for *shape*:
+from a window of the (at most ``2 * group``) leading stale tasks the
+driver takes the ``group - 1`` whose split points lie nearest the
+head's — neighbouring splits have near-equal matrices (the paper's
+"neighbouring matrices", Figure 7) — and returns the rest to the heap.
+The window never looks past the first current (or exhausted) task: a
+current task above the remaining heap is the next acceptance candidate,
+and anything below it is work the sequential loop may never reach.
+
+**Speculation and waste.**  The extra lanes are speculative in exactly
+the paper's §5 sense.  When the head ``X`` is accepted at score ``A``,
+a sequential loop continuing from the same heap would have realigned
+precisely the tasks whose stale heap key preceded ``(A, X.r)`` — so a
+speculatively realigned lane whose stale key did *not* precede it was
+wasted work, and ``RunStats.speculative_waste`` counts exactly those.
+With mates taken in strict score order every lane of an earlier batch
+precedes the current head, hence the accepted key: waste is at most
+``group - 1`` per acceptance.  Picking by adjacency can skip a window
+task ``U`` for a lower-scored mate ``T``; ``T`` is wasted only if the
+acceptance lands between them, which needs fewer than ``2 * group``
+useful stale tasks left above ``A`` — and at most ``group - 1`` such
+mates per remaining batch (``tests/core/test_batched.py`` holds the
+measured total under ``(group - 1)`` per acceptance and the extra
+cells under a third of the sequential run's).
+
+**Equivalence guarantee.**  Accepted top alignments are *bit-identical*
+for every ``group`` and every mate choice:
+
+* acceptance fires only when the popped head is current, i.e. its score
+  is exact under the current triangle and dominates every queued score
+  — each of which is an upper bound on its own fresh score.  The
+  accepted task therefore attains the maximum fresh score, and the heap
+  key ``(-score, r)`` resolves ties to the smallest split point;
+* speculative realignment only *refreshes* scores earlier than the
+  sequential schedule would — it never changes what any score converges
+  to, because a task's fresh score is a pure function of its split and
+  the triangle version.
 """
 
 from __future__ import annotations
 
+from ..align.base import DEFAULT_ENGINE, DEFAULT_GROUP
+from ..obs import get_registry
+from ..obs import span as obs_span
 from ..scoring.exchange import ExchangeMatrix
 from ..scoring.gaps import GapPenalties
 from ..sequences.sequence import Sequence
 from .result import RunStats, TopAlignment
-from .tasks import TaskQueue
+from .tasks import Task, TaskQueue
 from .topalign import TopAlignmentState
 
-__all__ = ["TopAlignmentSession"]
+__all__ = ["TopAlignmentSession", "BatchedTopAlignmentRunner"]
+
+#: Bucket boundaries for the driver-level batch-width histogram —
+#: powers-of-two lane groups up to the paper's SSE2 width and beyond.
+_BATCH_BUCKETS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0)
 
 
 class TopAlignmentSession:
-    """A resumable Figure 5 loop.
+    """A resumable, lane-batched Figure 5 loop.
 
     Usage::
 
@@ -31,6 +87,9 @@ class TopAlignmentSession:
         first_ten = session.extend(10)
         more = session.extend(5)          # continues, no recomputation
         all_so_far = session.alignments   # 15 alignments
+
+    ``group`` is the maximum number of stale tasks realigned per engine
+    batch (the paper's G: 4 for SSE, 8 for SSE2; 1 = sequential).
     """
 
     def __init__(
@@ -39,39 +98,54 @@ class TopAlignmentSession:
         exchange: ExchangeMatrix,
         gaps: GapPenalties = GapPenalties(),
         *,
-        engine: str = "vector",
+        engine: str = DEFAULT_ENGINE,
+        group: int = DEFAULT_GROUP,
         triangle: str = "dense",
         min_score: float = 0.0,
     ) -> None:
-        self._state = TopAlignmentState(
+        state = TopAlignmentState(
             sequence, exchange, gaps, engine=engine, triangle=triangle
         )
-        self._queue = TaskQueue()
-        for task in self._state.make_tasks():
-            self._queue.insert(task)
-        self.min_score = min_score
-        self._exhausted = False
+        self._attach(state, group, min_score)
 
     @classmethod
     def from_state(
-        cls, state: TopAlignmentState, *, min_score: float = 0.0
+        cls,
+        state: TopAlignmentState,
+        *,
+        group: int = DEFAULT_GROUP,
+        min_score: float = 0.0,
     ) -> "TopAlignmentSession":
         """Wrap an existing (e.g. checkpoint-restored) search state.
 
-        The fresh task queue starts with every split's score stale, but
-        stale scores are upper bounds under the restored triangle, so
+        The fresh task queue holds upper bounds under the restored
+        triangle (:meth:`TopAlignmentState.make_tasks`), so
         :meth:`extend` continues exactly where the original run stopped
         — this is what lets a service worker resume a killed job from
         its last checkpoint instead of restarting it.
         """
         session = cls.__new__(cls)
-        session._state = state
-        session._queue = TaskQueue()
-        for task in state.make_tasks():
-            session._queue.insert(task)
-        session.min_score = min_score
-        session._exhausted = False
+        session._attach(state, group, min_score)
         return session
+
+    def _attach(self, state: TopAlignmentState, group: int, min_score: float) -> None:
+        if group < 1:
+            raise ValueError("group must be >= 1")
+        self._state = state
+        self.group = group
+        self.min_score = min_score
+        state.stats.group = group
+        checker = state.invariants
+        self._queue = TaskQueue(guard=checker.guard_task if checker is not None else None)
+        for task in state.make_tasks():
+            self._queue.insert(task)
+        self._exhausted = False
+        #: Realignments issued on non-head lanes (all speculation, wasted
+        #: or not); first passes are excluded — every mode performs them.
+        self.speculative_lanes = 0
+        # Stale heap keys of the lanes speculatively realigned at the
+        # current triangle version (see "Speculation and waste").
+        self._speculated: dict[int, tuple[float, int]] = {}
 
     # -- inspection --------------------------------------------------------
 
@@ -100,6 +174,38 @@ class TopAlignmentSession:
 
     # -- the resumable loop --------------------------------------------------
 
+    def _gather(self, head: Task) -> list[Task]:
+        """The stale ``head`` plus its lane-mates (see module docstring)."""
+        queue, n_found = self._queue, self._state.n_found
+        window: list[Task] = []
+        while len(window) < 2 * (self.group - 1) and queue:
+            candidate = queue.pop_highest()
+            if candidate.score <= self.min_score or candidate.is_current(n_found):
+                queue.insert(candidate)
+                break
+            window.append(candidate)
+        if len(window) >= self.group:
+            # Stable sort: equally distant tasks keep their score order.
+            window.sort(key=lambda task: abs(task.r - head.r))
+            for task in window[self.group - 1 :]:
+                queue.insert(task)
+            del window[self.group - 1 :]
+        return [head, *window]
+
+    def _accept(self, head: Task) -> None:
+        state = self._state
+        with obs_span("accept", r=head.r, index=state.n_found):
+            state.accept_task(head)
+        # Lanes the sequential schedule would not have reached before
+        # this acceptance were wasted; the rest (and the head) were
+        # realignments it performs too.
+        self._speculated.pop(head.r, None)
+        accepted = (-head.score, head.r)
+        state.stats.speculative_waste += sum(
+            key > accepted for key in self._speculated.values()
+        )
+        self._speculated.clear()
+
     def extend(self, k: int) -> list[TopAlignment]:
         """Accept up to ``k`` *additional* top alignments; returns the new ones.
 
@@ -107,24 +213,63 @@ class TopAlignmentSession:
         """
         if k < 1:
             raise ValueError("k must be >= 1")
+        state, queue = self._state, self._queue
+        start = state.n_found
         if self._exhausted:
             return []
-        state = self._state
-        target = state.n_found + k
-        while state.n_found < target and self._queue:
-            task = self._queue.pop_highest()
-            if task.score <= self.min_score:
-                self._queue.insert(task)
-                self._exhausted = True
-                break
-            if task.is_current(state.n_found):
-                state.accept_task(task)
-            else:
-                state.align_task(task)
-            self._queue.insert(task)
-        if not self._queue:
-            self._exhausted = True
-        return list(state.found[target - k :])
+        prune_ctx = state.prune_context
+        if prune_ctx is not None:
+            prune_ctx.configure(self.min_score)
+        checker = state.invariants
+        registry = get_registry()
+        if registry.collecting:
+            heap_gauge = registry.gauge(
+                "repro_heap_depth",
+                help="Best-first task-heap size observed at the last acceptance",
+            )
+            batch_histogram = registry.histogram(
+                "repro_driver_batch_lanes",
+                buckets=_BATCH_BUCKETS,
+                help="Stale tasks realigned per engine batch",
+            )
+        else:
+            heap_gauge = batch_histogram = None
+
+        with obs_span("best_first", k=k, group=self.group, m=state.m):
+            while state.n_found < start + k:
+                head = queue.pop_highest()
+                if head.score <= self.min_score:
+                    # Stale scores are upper bounds, so nothing in the queue
+                    # can still beat min_score: the sequence is exhausted.
+                    queue.insert(head)
+                    self._exhausted = True
+                    break
+                if head.is_current(state.n_found):
+                    self._accept(head)
+                    queue.insert(head)
+                    if heap_gauge is not None:
+                        heap_gauge.set(len(queue))
+                    if checker is not None and checker.mode == "full":
+                        # Every queued upper bound must still dominate its
+                        # fresh score under the just-grown triangle.
+                        checker.verify_upper_bounds(queue.tasks())
+                    continue
+
+                batch = self._gather(head)
+                if batch_histogram is not None:
+                    batch_histogram.observe(len(batch))
+                stale_keys = [(-task.score, task.r) for task in batch]
+                state.align_tasks_batch(batch)
+                for task, key in zip(batch[1:], stale_keys[1:]):
+                    # Speculation = a non-head lane that really realigned
+                    # (version stamp fresh; pruned lanes stay stale, first
+                    # passes are stamped 0 and are every mode's work).
+                    if task.aligned_with == state.n_found and state.n_found:
+                        self.speculative_lanes += 1
+                        self._speculated[task.r] = key
+                for task in batch:
+                    queue.insert(task)
+        return list(state.found[start:])
 
     def extend_until(self, min_score: float, *, max_alignments: int = 10_000) -> list[TopAlignment]:
         """Accept alignments while they score above ``min_score``.
@@ -134,12 +279,50 @@ class TopAlignmentSession:
         """
         start = len(self)
         saved = self.min_score
-        self.min_score = max(self.min_score, min_score)
+        raised = min_score > saved and not self._exhausted
+        self.min_score = max(saved, min_score)
         try:
-            while not self._exhausted and len(self) - start < max_alignments:
-                got = self.extend(1)
-                if not got:
-                    break
+            self.extend(max_alignments)
         finally:
             self.min_score = saved
+            if raised:
+                # Exhausted above the raised bar only: weaker alignments
+                # may remain reachable at the restored threshold.
+                self._exhausted = False
         return list(self._state.found[start:])
+
+
+class BatchedTopAlignmentRunner:
+    """Run-to-``k`` wrapper of :class:`TopAlignmentSession` over a state.
+
+    Kept for callers that build the state themselves (tests, benches);
+    ``runner.session.speculative_lanes`` exposes the speculation count.
+    """
+
+    def __init__(
+        self,
+        state: TopAlignmentState,
+        k: int,
+        *,
+        group: int = DEFAULT_GROUP,
+        min_score: float = 0.0,
+    ) -> None:
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        self.session = TopAlignmentSession.from_state(
+            state, group=group, min_score=min_score
+        )
+        self.state = state
+        self.k = k
+        self.group = group
+
+    @property
+    def speculative_lanes(self) -> int:
+        return self.session.speculative_lanes
+
+    def run(self) -> tuple[list[TopAlignment], RunStats]:
+        """Execute and return ``(top_alignments, stats)``."""
+        missing = self.k - self.state.n_found
+        if missing > 0:
+            self.session.extend(missing)
+        return list(self.state.found), self.state.stats

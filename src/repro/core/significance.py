@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..align.base import DEFAULT_ENGINE
 from ..scoring.exchange import ExchangeMatrix
 from ..scoring.gaps import GapPenalties
 from ..sequences.sequence import Sequence
@@ -70,7 +71,7 @@ def estimate_null(
     *,
     shuffles: int = 30,
     seed: int = 0,
-    engine: str = "vector",
+    engine: str = DEFAULT_ENGINE,
 ) -> NullDistribution:
     """Estimate the null distribution of the best self-alignment score.
 
@@ -99,7 +100,7 @@ def score_pvalue(
     *,
     shuffles: int = 30,
     seed: int = 0,
-    engine: str = "vector",
+    engine: str = DEFAULT_ENGINE,
 ) -> tuple[float, float, NullDistribution]:
     """Best self-alignment score of ``sequence`` with its p-value.
 

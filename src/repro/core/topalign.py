@@ -4,19 +4,21 @@
 needs — the split tasks, override triangle, bottom-row store and
 engine — and exposes the two operations of Figure 5's loop:
 
-* :meth:`TopAlignmentState.align_task` — ``AlignWithoutTraceback``:
-  score a split under the current triangle, with shadow-alignment
-  rejection against the cached first-pass bottom row;
+* :meth:`TopAlignmentState.align_tasks_batch` (one task:
+  :meth:`~TopAlignmentState.align_task`) — ``AlignWithoutTraceback``:
+  score splits under the current triangle, with shadow-alignment
+  rejection against the cached first-pass bottom rows;
 * :meth:`TopAlignmentState.accept_task` — lines 13–14: recompute the
   winning matrix, trace the alignment back, and mark its pairs in the
   override triangle.
 
-:func:`find_top_alignments` runs the sequential best-first loop on top
-of this state.  The shared-memory scheduler, the distributed
-master/slave driver and the cluster simulator reuse the same state
-object with their own scheduling policies, which is how the paper's
-"exactly the same top alignments" guarantee carries over to every
-execution mode.
+:func:`find_top_alignments` runs the best-first loop
+(:class:`repro.core.session.TopAlignmentSession`, lane-batched by
+default) on top of this state.  The shared-memory scheduler, the
+distributed master/slave driver and the cluster simulator reuse the
+same state object with their own scheduling policies, which is how the
+paper's "exactly the same top alignments" guarantee carries over to
+every execution mode.
 """
 
 from __future__ import annotations
@@ -26,20 +28,18 @@ import time
 
 import numpy as np
 
-from ..align.base import AlignmentProblem, get_engine
+from ..align.base import DEFAULT_ENGINE, DEFAULT_GROUP, AlignmentProblem, get_engine
 from ..align.matrix import full_matrix
 from ..align.profile import QueryProfile
 from ..align.pruning import PruneContext, PruneGate
 from ..align.traceback import traceback
-from ..obs import get_registry
-from ..obs import span as obs_span
 from ..scoring.exchange import ExchangeMatrix
 from ..scoring.gaps import GapPenalties
 from ..sequences.sequence import Sequence
 from .bottomrows import BottomRowStore
 from .override import DenseOverrideTriangle, OverrideTriangle, SparseOverrideTriangle
 from .result import RunStats, TopAlignment
-from .tasks import Task, TaskQueue
+from .tasks import Task
 
 __all__ = ["TopAlignmentState", "find_top_alignments"]
 
@@ -57,7 +57,9 @@ class TopAlignmentState:
         is exact in float64 only for integral values (the paper's
         implementation used short integers throughout).
     engine:
-        Alignment engine name or instance (default ``"vector"``).
+        Alignment engine name or instance (default
+        :data:`~repro.align.base.DEFAULT_ENGINE`, the lockstep lane
+        engine).
     triangle:
         ``"dense"`` (default) or ``"sparse"`` override-triangle storage.
     memory:
@@ -88,7 +90,7 @@ class TopAlignmentState:
         exchange: ExchangeMatrix,
         gaps: GapPenalties = GapPenalties(),
         *,
-        engine: str = "vector",
+        engine: str = DEFAULT_ENGINE,
         triangle: str = "dense",
         memory: str = "full",
         linear_capacity: int = 32,
@@ -189,59 +191,55 @@ class TopAlignmentState:
     # -- Figure 5 operations ----------------------------------------------
 
     def make_tasks(self) -> list[Task]:
-        """Fresh never-aligned tasks for every split point (lines 2–7).
+        """One task per split point, at its best known upper bound.
 
-        With :attr:`seed_bounds` set, tasks start at their finite upper
-        bound instead of ``+inf`` — still never-aligned (acceptance
-        requires a fresh alignment first), but sortable below already
-        aligned work, so hopeless splits sink in the heap unaligned.
+        A fresh search starts every task never-aligned at ``+inf``
+        (lines 2–7) — or, with :attr:`seed_bounds` and/or pruning's
+        per-split lane bounds available, at the tighter of those: still
+        never-aligned (acceptance requires a fresh alignment first),
+        but sortable below already aligned work, so hopeless splits
+        sink in the heap unaligned.  A split whose first-pass row is
+        already cached (a restored checkpoint, node-computed rows)
+        starts where that pass left it — the row's maximum, stamped
+        version 0 — which is an upper bound under any later triangle,
+        so resuming repays no first pass.
         """
-        if self.seed_bounds is None:
-            return [Task(r) for r in range(1, self.m)]
-        return [
-            Task(r, score=float(self.seed_bounds[r - 1]))
-            for r in range(1, self.m)
-        ]
+        bounds = self.seed_bounds
+        if self.prune_context is not None:
+            lane = self.prune_context.lane_bounds[1 : self.m]
+            bounds = lane if bounds is None else np.minimum(bounds, lane)
+        tasks = []
+        for r in range(1, self.m):
+            if r in self.bottom_rows:
+                score = float(self.bottom_rows.get(r).max())
+                tasks.append(Task(r, score=score, aligned_with=0))
+            elif bounds is not None:
+                tasks.append(Task(r, score=float(bounds[r - 1])))
+            else:
+                tasks.append(Task(r))
+        return tasks
 
     def align_task(self, task: Task) -> float:
         """``AlignWithoutTraceback``: score split ``task.r`` now.
 
-        Caches the bottom row on the task's first alignment; on
-        realignments applies the Appendix A shadow-validity rule.  The
-        task's ``score`` and ``aligned_with`` are updated in place and
-        the new score returned.
-
-        A task's *first* alignment is always computed under the empty
-        triangle, whatever the current version: the cached row is the
-        shadow-validity reference, and the Appendix A rule is defined
-        against the version-0 row.  Without heap seeding this is moot
-        (every first pass happens before the first acceptance); with
-        finite seed bounds a task may be popped for the first time
-        after acceptances, and the override view must be withheld so
-        later shadow decisions — and therefore the accepted tops —
-        stay bit-identical to an unseeded run.
+        A batch of one (see :meth:`align_tasks_batch`).  The task's
+        ``score`` and ``aligned_with`` are updated in place and the new
+        score returned.
         """
-        first = task.r not in self.bottom_rows
-        gate = self._gate_for(task)
-        if gate is not None and gate.prune_before_fill():
-            return self._record_pruned(task, gate)
-        row = self._engine_row(
-            self.problem_for(task.r, with_override=not first, prune=gate)
-        )
-        if gate is not None and gate.pruned:
-            return self._record_pruned(task, gate)
-        return self._record_row(task, row)
+        return self.align_tasks_batch([task])[0]
 
     def _gate_for(self, task: Task) -> PruneGate | None:
-        """A per-fill prune gate for ``task``, or ``None`` (pruning off).
+        """A per-fill prune gate for ``task``, or ``None``.
 
-        Tasks at or below the floor get no gate: they are about to be
+        In-fill prunes compare against the floor only, so without one
+        (pruning off, ``min_score`` 0) there is nothing to gate.  Tasks
+        at or below the floor get no gate either: they are about to be
         retired by the drivers' exhaustion test, and an unprunable full
         fill is the only transition guaranteed to make progress on them
         (a prune could leave their score unchanged).
         """
         ctx = self.prune_context
-        if ctx is None or task.score <= ctx.floor:
+        if ctx is None or task.score <= ctx.floor or ctx.floor <= 0.0:
             return None
         return ctx.gate_for(task.r, cap=task.score)
 
@@ -334,54 +332,47 @@ class TopAlignmentState:
             self.invariants.after_accept(alignment)
         return alignment
 
-    # -- engine plumbing ----------------------------------------------------
-
-    def _engine_row(self, problem: AlignmentProblem) -> np.ndarray:
-        start = time.perf_counter()
-        row = self.engine.last_row(problem)
-        self.stats.engine_seconds += time.perf_counter() - start
-        self.stats.alignments += 1
-        gate = problem.prune
-        if gate is not None and gate.pruned:
-            # The fill stopped early; only the evaluated rows count.
-            self.stats.cells += gate.cells_filled
-        else:
-            self.stats.cells += problem.cells
-        return row
-
     def align_tasks_batch(self, tasks: list[Task]) -> list[float]:
         """Score several tasks in one engine batch (lane groups, §4.1).
 
-        Semantically identical to calling :meth:`align_task` on each;
-        engines with a true batched implementation (the lane engine)
-        compute them in lockstep.
+        Caches the bottom row on a task's first alignment; on
+        realignments applies the Appendix A shadow-validity rule.  Each
+        task's ``score`` and ``aligned_with`` are updated in place and
+        the new scores returned.  Engines with a true batched
+        implementation (the lane engine) compute the fills in lockstep.
+
+        A task's *first* alignment is always computed under the empty
+        triangle, whatever the current version: the cached row is the
+        shadow-validity reference, and the Appendix A rule is defined
+        against the version-0 row.  Without heap seeding this is moot
+        (every first pass happens before the first acceptance); with
+        finite seed bounds a task may be popped for the first time
+        after acceptances, and the override view must be withheld so
+        later shadow decisions — and therefore the accepted tops —
+        stay bit-identical to an unseeded run.
         """
-        scores = [0.0] * len(tasks)
-        fill: list[tuple[int, Task, AlignmentProblem]] = []
-        for i, task in enumerate(tasks):
-            gate = self._gate_for(task)
-            if gate is not None and gate.prune_before_fill():
-                # Lane-level prune: the split never reaches the engine.
-                scores[i] = self._record_pruned(task, gate)
-                continue
-            problem = self.problem_for(
-                task.r, with_override=task.r in self.bottom_rows, prune=gate
+        problems = [
+            self.problem_for(
+                task.r,
+                with_override=task.r in self.bottom_rows,
+                prune=self._gate_for(task),
             )
-            fill.append((i, task, problem))
-        if fill:
-            problems = [problem for _, _, problem in fill]
-            start = time.perf_counter()
-            rows = self.engine.last_rows_batch(problems)
-            self.stats.engine_seconds += time.perf_counter() - start
-            self.stats.alignments += len(problems)
-            for (i, task, problem), row in zip(fill, rows):
-                gate = problem.prune
-                if gate is not None and gate.pruned:
-                    self.stats.cells += gate.cells_filled
-                    scores[i] = self._record_pruned(task, gate)
-                else:
-                    self.stats.cells += problem.cells
-                    scores[i] = self._record_row(task, row)
+            for task in tasks
+        ]
+        start = time.perf_counter()
+        rows = self.engine.last_rows_batch(problems)
+        self.stats.engine_seconds += time.perf_counter() - start
+        self.stats.alignments += len(problems)
+        scores = []
+        for task, problem, row in zip(tasks, problems, rows):
+            gate = problem.prune
+            if gate is not None and gate.pruned:
+                # The fill stopped early; only the evaluated rows count.
+                self.stats.cells += gate.cells_filled
+                scores.append(self._record_pruned(task, gate))
+            else:
+                self.stats.cells += problem.cells
+                scores.append(self._record_row(task, row))
         return scores
 
 
@@ -391,10 +382,10 @@ def find_top_alignments(
     exchange: ExchangeMatrix,
     gaps: GapPenalties = GapPenalties(),
     *,
-    engine: str = "vector",
+    engine: str = DEFAULT_ENGINE,
     triangle: str = "dense",
     min_score: float = 0.0,
-    group: int = 1,
+    group: int = DEFAULT_GROUP,
     state: TopAlignmentState | None = None,
     seed_bounds: np.ndarray | None = None,
     prune: bool = True,
@@ -406,25 +397,26 @@ def find_top_alignments(
     the sequence is exhausted (the best remaining score would be
     ``<= min_score``).
 
-    ``group`` selects the scheduling grain: 1 (default) runs the
-    sequential best-first loop below; larger values delegate to the
-    speculative batched driver (:mod:`repro.core.batched`), which
-    realigns the heap's top ``group`` stale tasks per lockstep engine
-    batch and returns bit-identical top alignments.
+    The defaults are the fast path: the lockstep ``lanes`` engine fed
+    batches of ``group=8`` stale tasks, pruning on.  ``group`` selects
+    the scheduling grain of the one best-first driver
+    (:class:`~repro.core.session.TopAlignmentSession`): 1 realigns one
+    task per engine call (the strictly sequential loop), larger values
+    realign the head with its nearest stale neighbours in one lockstep
+    batch.  Accepted alignments are bit-identical for every engine,
+    ``group`` and ``prune`` setting.
 
     Passing a pre-built ``state`` lets callers (tests, the simulator)
-    inspect internals afterwards; otherwise one is created.
-    ``seed_bounds`` (ignored when ``state`` is passed) seeds the heap
-    with finite per-split upper bounds — see
-    :class:`TopAlignmentState`.  ``prune`` (also ignored when ``state``
-    is passed, which carries its own context) toggles the exact in-fill
-    pruning bounds of :mod:`repro.align.pruning`; accepted tops are
-    bit-identical either way.
+    inspect internals afterwards — and continue a partial search: the
+    run accepts until ``state`` holds ``k`` alignments.  ``seed_bounds``
+    (ignored when ``state`` is passed) seeds the heap with finite
+    per-split upper bounds — see :class:`TopAlignmentState`.  ``prune``
+    (also ignored when ``state`` is passed, which carries its own
+    context) toggles the exact in-fill pruning bounds of
+    :mod:`repro.align.pruning`.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if group < 1:
-        raise ValueError("group must be >= 1")
+    from .session import BatchedTopAlignmentRunner
+
     if state is None:
         state = TopAlignmentState(
             sequence,
@@ -435,53 +427,4 @@ def find_top_alignments(
             seed_bounds=seed_bounds,
             prune=prune,
         )
-    if group > 1:
-        from .batched import BatchedTopAlignmentRunner
-
-        runner = BatchedTopAlignmentRunner(state, k, group=group, min_score=min_score)
-        return runner.run()
-    checker = state.invariants
-    queue = TaskQueue(guard=checker.guard_task if checker is not None else None)
-    for task in state.make_tasks():
-        queue.insert(task)
-    prune_ctx = state.prune_context
-    if prune_ctx is not None:
-        prune_ctx.configure(min_score)
-    registry = get_registry()
-    heap_gauge = (
-        registry.gauge(
-            "repro_heap_depth",
-            help="Best-first task-heap size observed at the last acceptance",
-        )
-        if registry.collecting
-        else None
-    )
-
-    with obs_span("best_first", driver="sequential", k=k, m=state.m):
-        while state.n_found < k and queue:
-            task = queue.pop_highest()
-            if task.score <= min_score:
-                # Stale scores are upper bounds, so nothing in the queue can
-                # still beat min_score: the sequence is exhausted.
-                break
-            if task.is_current(state.n_found):
-                with obs_span("accept", r=task.r, index=state.n_found):
-                    state.accept_task(task)
-                if heap_gauge is not None:
-                    heap_gauge.set(len(queue))
-                if checker is not None and checker.mode == "full":
-                    # Every queued upper bound must still dominate its fresh
-                    # score under the just-grown triangle.
-                    checker.verify_upper_bounds(queue.tasks())
-            else:
-                if prune_ctx is not None:
-                    # Live acceptance threshold: the next-best heap score
-                    # is what this fill must beat to stay at the head.
-                    prune_ctx.threshold = max(
-                        prune_ctx.floor,
-                        queue.peek_score() if queue else prune_ctx.floor,
-                    )
-                state.align_task(task)
-            queue.insert(task)
-
-    return list(state.found), state.stats
+    return BatchedTopAlignmentRunner(state, k, group=group, min_score=min_score).run()

@@ -48,7 +48,9 @@ def find_top_alignments_distributed(
     if threads_per_slave < 1:
         raise ValueError("threads_per_slave must be >= 1")
 
-    state = TopAlignmentState(sequence, exchange, gaps, engine=engine)
+    # Paper-figure schedulers: every split gets its version-0 first pass
+    # (§4.2/§4.3), so the profile-derived bounds stay switched off.
+    state = TopAlignmentState(sequence, exchange, gaps, engine=engine, prune=False)
     config = SlaveConfig(
         codes=sequence.codes.tobytes(),
         m=len(sequence),

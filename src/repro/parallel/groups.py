@@ -132,7 +132,9 @@ def find_top_alignments_grouped(
     ``group_size=4`` with the int16 lane engine mirrors the paper's SSE
     configuration, ``group_size=8`` its SSE2 configuration.
     """
-    state = TopAlignmentState(sequence, exchange, gaps, engine=engine)
+    # Paper-figure schedulers: every split gets its version-0 first pass
+    # (§4.2/§4.3), so the profile-derived bounds stay switched off.
+    state = TopAlignmentState(sequence, exchange, gaps, engine=engine, prune=False)
     runner = GroupedTopAlignmentRunner(
         state, k, group_size=group_size, min_score=min_score
     )

@@ -209,7 +209,9 @@ def find_top_alignments_threaded(
     min_score: float = 0.0,
 ) -> tuple[list[TopAlignment], RunStats]:
     """Threaded drop-in for :func:`repro.core.find_top_alignments`."""
-    state = TopAlignmentState(sequence, exchange, gaps, engine=engine)
+    # Paper-figure schedulers: every split gets its version-0 first pass
+    # (§4.2/§4.3), so the profile-derived bounds stay switched off.
+    state = TopAlignmentState(sequence, exchange, gaps, engine=engine, prune=False)
     runner = ThreadedTopAlignmentRunner(
         state, k, n_threads=n_threads, min_score=min_score
     )

@@ -25,6 +25,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
+from ..align.base import DEFAULT_ENGINE, DEFAULT_GROUP
 from ..core.result import RepeatResult
 from ..sequences.alphabet import alphabet_for
 
@@ -90,8 +91,8 @@ class JobSpec:
     matrix: str | None = None
     gap_open: float = 8.0
     gap_extend: float = 1.0
-    engine: str = "vector"
-    group: int = 1
+    engine: str = DEFAULT_ENGINE
+    group: int = DEFAULT_GROUP
     algorithm: str = "new"
     min_score: float = 0.0
     min_copy_length: int = 2
@@ -122,8 +123,6 @@ class JobSpec:
             raise SpecError("top_alignments must be >= 1")
         if self.group < 1:
             raise SpecError("group must be >= 1")
-        if self.group > 1 and self.algorithm != "new":
-            raise SpecError("group > 1 requires the new algorithm")
         if self.gap_open < 0 or self.gap_extend < 0:
             raise SpecError("gap penalties must be non-negative")
         if self.index_k < 0:

@@ -39,7 +39,7 @@ from ..core.checkpoint import load_checkpoint
 from ..obs import span as obs_span
 from ..core.result import RepeatResult
 from ..core.session import TopAlignmentSession
-from ..core.topalign import TopAlignmentState, find_top_alignments
+from ..core.topalign import TopAlignmentState
 from ..scoring.blosum import blosum50, blosum62
 from ..scoring.exchange import match_mismatch
 from ..scoring.gaps import GapPenalties
@@ -317,37 +317,21 @@ def _run_incremental(
             seed_bounds=seed_bounds,
         )
 
-    # group == 1 keeps one live session (queue survives across chunks);
-    # the speculative batched driver rebuilds its heap per chunk, which
-    # costs a little repaid bookkeeping but no realignment work.
-    session = (
-        TopAlignmentSession.from_state(state, min_score=spec.min_score)
-        if spec.group == 1
-        else None
+    # One live session for the whole job: the heap, with every stale
+    # bound the search has earned, survives across chunks, so
+    # checkpointing after every acceptance costs no realignment work.
+    session = TopAlignmentSession.from_state(
+        state, group=spec.group, min_score=spec.min_score
     )
     k = spec.top_alignments
-    exhausted = False
-    while state.n_found < k and not exhausted:
+    while state.n_found < k and not session.exhausted:
         if store.cancel_requested(job_id) or should_stop():
             store.save_job_checkpoint(job_id, state)
             store.update(job_id, found=state.n_found)
             return None
         target = min(k, state.n_found + checkpoint_every)
         with obs_span("chunk", job=job_id, target=target):
-            if session is not None:
-                session.extend(target - state.n_found)
-                exhausted = session.exhausted
-            else:
-                find_top_alignments(
-                    sequence,
-                    target,
-                    exchange,
-                    finder.gaps,
-                    state=state,
-                    group=spec.group,
-                    min_score=spec.min_score,
-                )
-                exhausted = state.n_found < target
+            session.extend(target - state.n_found)
         store.save_job_checkpoint(job_id, state)
         store.update(job_id, found=state.n_found)
         store.append_event(

@@ -112,27 +112,34 @@ class TestLaneBatches:
         assert LanesEngine().last_rows_batch([]) == []
 
     def test_scratch_cache_is_bounded(self, dna_scoring):
-        """Cycling batch shapes must not pin one scratch block per shape."""
+        """Cycling batch shapes must keep exactly one scratch block per
+        thread, sized for the widest batch — not one per shape."""
         ex, gaps = dna_scoring
         engine = LanesEngine(lanes=2, dtype="float64")
-        for group in range(1, engine._SCRATCH_CACHE_MAX + 5):
+        sizes = []
+        for group in (2, 9, 3, 12, 5):
             problems = [
                 AlignmentProblem(DNA.encode("ACGT"), DNA.encode("ACGT"), ex, gaps)
                 for _ in range(group)
             ]
             engine.last_rows_batch(problems)
-        assert len(engine._tls.cache) <= engine._SCRATCH_CACHE_MAX
+            sizes.append(engine._tls.block.size)
+        assert sizes == sorted(sizes)  # grow-only
+        assert sizes[-1] == sizes[-2]  # the 12-lane block serves 5 lanes
 
     def test_scratch_cache_reuses_recent_shape(self, dna_scoring):
         ex, gaps = dna_scoring
-        engine = LanesEngine(lanes=4, dtype="float64")
         problems = [
             AlignmentProblem(DNA.encode("ACGT"), DNA.encode("ACGT"), ex, gaps)
+            for _ in range(3)
         ]
-        engine.last_rows_batch(problems)
-        scratch = next(iter(engine._tls.cache.values()))
-        engine.last_rows_batch(problems)
-        assert next(iter(engine._tls.cache.values())) is scratch
+        # One block serves every value mode (float64 and int64 views).
+        for dtype in ("float64", "int32"):
+            engine = LanesEngine(lanes=4, dtype=dtype)
+            engine.last_rows_batch(problems)
+            block = engine._tls.block
+            engine.last_rows_batch(problems)
+            assert engine._tls.block is block
 
     def test_mismatched_gaps_rejected(self, dna_scoring):
         ex, _ = dna_scoring

@@ -1,0 +1,153 @@
+"""The lane engine as the default path: packing, gates, batch of one.
+
+``LanesEngine.last_rows_batch`` may sort, partition and pad a batch any
+way it likes; what it returns must not depend on any of it.  The oracle
+is the row-vectorised engine run on each problem alone, gate and all.
+"""
+
+import time
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.align import (
+    DEFAULT_ENGINE,
+    AlignmentProblem,
+    LanesEngine,
+    PruneContext,
+    QueryProfile,
+    VectorEngine,
+    get_engine,
+)
+from repro.align.lanes import _partition
+from repro.scoring import GapPenalties, blosum62, match_mismatch
+from repro.sequences import DNA, RepeatSpec, implant_repeats, pseudo_titin
+
+
+def _split_problems(codes, exchange, gaps, profile, context, splits, caps):
+    """Fresh problems (gates are per-fill state) for ``splits``."""
+    return [
+        AlignmentProblem(
+            codes[:r],
+            codes[r:],
+            exchange,
+            gaps,
+            profile=None if profile is None else profile.suffix(r),
+            prune=None if context is None else context.gate_for(r, cap=cap),
+        )
+        for r, cap in zip(splits, caps)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    dtype=st.sampled_from(["float64", "int16"]),
+    gated=st.booleans(),
+    with_profile=st.booleans(),
+    floor=st.sampled_from([10.0, 30.0, 60.0]),
+)
+def test_any_subset_of_splits_matches_vector(data, dtype, gated, with_profile, floor):
+    """Rows byte-equal to per-problem ``vector.last_row`` — and the same
+    gate outcomes — for any subset/permutation of one sequence's splits:
+    mixed shapes, with and without gates and shared profile."""
+    sequence = implant_repeats(
+        90,
+        RepeatSpec(unit_length=25, copies=2, substitution_rate=0.05),
+        DNA,
+        seed=data.draw(st.integers(0, 5)),
+    ).sequence
+    exchange, gaps = match_mismatch(DNA, 2.0, -1.0), GapPenalties(2.0, 1.0)
+    codes = sequence.codes
+    m = codes.size
+    splits = data.draw(
+        st.lists(st.integers(1, m - 1), min_size=1, max_size=12, unique=True)
+    )
+    caps = [
+        data.draw(st.sampled_from([np.inf, floor + 1.0, 4.0 * floor])) for _ in splits
+    ]
+    profile = QueryProfile(codes, exchange) if with_profile or gated else None
+    context = None
+    if gated:
+        context = PruneContext(profile)
+        context.configure(floor)
+    make = lambda: _split_problems(  # noqa: E731
+        codes, exchange, gaps, profile if with_profile else None, context, splits, caps
+    )
+
+    expected, vector = make(), VectorEngine()
+    expected_rows = [vector.last_row(p) for p in expected]
+    got = make()
+    got_rows = LanesEngine(lanes=8, dtype=dtype).last_rows_batch(got)
+
+    for want, row, p_want, p_got in zip(expected_rows, got_rows, expected, got):
+        assert row.dtype == np.float64
+        assert row.tobytes() == want.tobytes()
+        if gated:
+            g_want, g_got = p_want.prune, p_got.prune
+            assert (g_got.pruned, g_got.bound, g_got.cells_filled) == (
+                g_want.pruned, g_want.bound, g_want.cells_filled,
+            )
+
+
+def test_gates_fire_in_a_mixed_batch():
+    """The property above is not vacuous: on this input gates do prune."""
+    sequence = implant_repeats(
+        120, RepeatSpec(unit_length=30, copies=2, substitution_rate=0.05), DNA, seed=1
+    ).sequence
+    exchange, gaps = match_mismatch(DNA, 2.0, -1.0), GapPenalties(2.0, 1.0)
+    profile = QueryProfile(sequence.codes, exchange)
+    context = PruneContext(profile)
+    context.configure(40.0)
+    splits = [5, 30, 31, 60, 61, 62, 90, 115]
+    problems = _split_problems(
+        sequence.codes, exchange, gaps, profile, context, splits, [np.inf] * 8
+    )
+    LanesEngine(lanes=8).last_rows_batch(problems)
+    pruned = [p.prune.pruned for p in problems]
+    assert any(pruned) and not all(pruned)
+
+
+def test_partition_separates_incompatible_shapes():
+    # Left-edge and right-edge splits of one 400-residue sequence: one
+    # rectangle would be 19x the cells either side needs.
+    left = [(20 + i, 380 - i) for i in range(4)]
+    right = [(377 + i, 23 - i) for i in range(4)]
+    assert _partition(left + right) == [4, 8]
+    # Neighbouring middle splits share one sub-batch.
+    assert _partition([(196 + i, 204 - i) for i in range(8)]) == [8]
+    assert _partition([]) == []
+
+
+def test_batch_of_one_costs_what_vector_costs():
+    """``RecomputingBottomRowStore``, cluster first-pass shards and the
+    significance shuffles call ``last_row`` singly: through the default
+    engine that must stay within 10 % of ``vector.last_row`` (same-run
+    ratio of best-of-N times, so machine phases cancel)."""
+    sequence = pseudo_titin(400, seed=7)
+    exchange, gaps = blosum62(), GapPenalties(8, 1)
+    profile = QueryProfile(sequence.codes, exchange)
+    problems = [
+        AlignmentProblem(
+            sequence.codes[:r], sequence.codes[r:], exchange, gaps,
+            profile=profile.suffix(r),
+        )
+        for r in (150, 200, 250)
+    ]
+    default, vector = get_engine(DEFAULT_ENGINE), VectorEngine()
+
+    def best_of(engine, rounds=7):
+        times = []
+        for _ in range(rounds):
+            started = time.perf_counter()
+            for problem in problems:
+                engine.last_row(problem)
+            times.append(time.perf_counter() - started)
+        return min(times)
+
+    best_of(default, 2), best_of(vector, 2)  # warm both
+    ratios = [best_of(default) / best_of(vector) for _ in range(3)]
+    assert min(ratios) <= 1.10, ratios
+    for problem in problems:
+        assert default.last_row(problem).tobytes() == vector.last_row(problem).tobytes()

@@ -125,7 +125,7 @@ class TestSaturation:
         ctx = state.prune_context
         ctx.configure(INT16_MAX + 1.0)
         gate = ctx.gate_for(r)
-        assert gate.upfront_bound >= truth.max()
+        assert ctx.lane_bounds[r] >= truth.max()
         row = state.engine.last_row(
             state.problem_for(r, with_override=False, prune=gate)
         )
@@ -198,29 +198,49 @@ class TestGateMechanics:
         with pytest.raises(ValueError, match="split"):
             ctx.gate_for(12)
 
-    def test_prune_requires_strict_progress(self):
-        # A prune that would not lower the task's heap score must fall
-        # through to a real fill (livelock guard), no matter how high
-        # the live threshold is.
-        ctx = self._context()
-        ctx.configure(0.0)
-        ctx.threshold = float("inf")
-        gate = ctx.gate_for(6)
-        gate_at_bound = ctx.gate_for(6, cap=gate.upfront_bound)
-        assert gate_at_bound.prune_before_fill() is False
-        assert not gate_at_bound.pruned
+    def test_lane_bounds_seed_the_tasks(self):
+        # B0 depends on the split alone, so it is every task's starting
+        # heap score (never-aligned, like an index seed bound) instead
+        # of a per-pop deferral against a live threshold.
+        seq = Sequence("ATGCATGCATGC", DNA)
+        exchange = match_mismatch(DNA, 2.0, -1.0)
+        state = TopAlignmentState(seq, exchange, GapPenalties(2.0, 1.0))
+        ctx = state.prune_context
+        for task in state.make_tasks():
+            gate = ctx.gate_for(task.r)
+            assert task.aligned_with == -1
+            assert task.score == ctx.lane_bounds[task.r]
+            assert task.score == min(gate.rem[0], ctx.col_suffix[task.r])
+        # Index seeds only ever tighten them.
+        seeded = TopAlignmentState(
+            seq, exchange, GapPenalties(2.0, 1.0), seed_bounds=np.full(11, 5.0)
+        )
+        assert [t.score for t in seeded.make_tasks()] == [
+            min(5.0, b) for b in ctx.lane_bounds[1:12]
+        ]
+        unpruned = TopAlignmentState(seq, exchange, GapPenalties(2.0, 1.0), prune=False)
+        assert all(t.score == float("inf") for t in unpruned.make_tasks())
 
-    def test_lane_prune_defers_below_threshold(self):
-        ctx = self._context()
-        ctx.configure(0.0)
-        gate = ctx.gate_for(6)
-        ctx.threshold = gate.upfront_bound + 1.0
-        gate = ctx.gate_for(6)  # cap=inf > bound: strict progress holds
-        assert gate.prune_before_fill() is True
-        assert gate.pruned
-        assert gate.bound == gate.upfront_bound
-        assert gate.cells_filled == 0
-        assert gate.pruned_cells == gate.rows * gate.cols
+    def test_prune_requires_strict_progress(self):
+        # A prune may never leave a task's heap score where it was (the
+        # search would repeat it forever): a recorded bound is capped by
+        # the previous score, and a task already at or below the floor
+        # gets no gate at all — only a full fill is sure to move it.
+        from repro.core import Task
+
+        seq = Sequence("ATGCATGCATGC", DNA)
+        state = TopAlignmentState(
+            seq, match_mismatch(DNA, 2.0, -1.0), GapPenalties(2.0, 1.0)
+        )
+        ctx = state.prune_context
+        ctx.configure(10.0)
+        gate = ctx.gate_for(6, cap=7.0)
+        gate.record_row_prune(2, 1.0)
+        assert gate.bound <= 7.0
+        assert state._gate_for(Task(6, score=10.0)) is None
+        assert state._gate_for(Task(6, score=10.5)) is not None
+        ctx.configure(0.0)  # nothing can sink to a zero floor: no gates
+        assert state._gate_for(Task(6, score=10.5)) is None
 
     def test_row_cutoffs_opt_out_at_zero_floor(self):
         # floor=0 makes every cutoff negative (best >= 0 always), so
@@ -268,7 +288,7 @@ def test_every_bound_dominates_the_true_score(codes, r_frac, match, mismatch):
     matrix = np.stack(filled)  # matrix[y - 1] is row y, cols 0..m-r
     true_score = float(matrix[r - 1].max())
 
-    assert gate.upfront_bound >= true_score - 1e-9
+    assert ctx.lane_bounds[r] >= true_score - 1e-9
 
     best = 0.0
     for y in range(1, r + 1):

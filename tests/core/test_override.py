@@ -171,3 +171,50 @@ class TestOverrideSemantics:
             assert np.array_equal(
                 ScalarEngine().last_row(pd), ScalarEngine().last_row(ps)
             )
+
+    @pytest.mark.parametrize("cls", [DenseOverrideTriangle, SparseOverrideTriangle])
+    def test_row_masks_collects_every_nonempty_row_mask(self, cls):
+        m = 16
+        triangle = cls(m)
+        triangle.mark([(2, 7), (3, 9), (5, 16), (1, 10), (9, 12)])
+        for r in (1, 4, 8, 12, 15):
+            view = triangle.view_for_split(r)
+            expected = {
+                y: view.row_mask(y)
+                for y in range(1, r + 1)
+                if view.row_mask(y) is not None
+            }
+            got = view.row_masks()
+            assert sorted(got) == sorted(expected)
+            for y, mask in got.items():
+                assert np.array_equal(mask, expected[y])
+
+    def test_lanes_accept_a_provider_with_row_mask_only(self, dna_scoring):
+        """``row_masks()`` is optional in the OverrideProvider protocol."""
+        from repro.align import LanesEngine
+
+        class RowMaskOnly:
+            def __init__(self, view):
+                self.row_mask = view.row_mask
+
+        ex, gaps = dna_scoring
+        rng = np.random.default_rng(2)
+        m = 20
+        codes = rng.integers(0, 4, m).astype(np.int8)
+        triangle = DenseOverrideTriangle(m)
+        triangle.mark([(2, 12), (3, 13), (4, 14), (7, 19)])
+        splits = (8, 9, 10)
+        fast = [
+            AlignmentProblem(codes[:r], codes[r:], ex, gaps, triangle.view_for_split(r))
+            for r in splits
+        ]
+        slow = [
+            AlignmentProblem(
+                codes[:r], codes[r:], ex, gaps, RowMaskOnly(triangle.view_for_split(r))
+            )
+            for r in splits
+        ]
+        engine = LanesEngine(lanes=4)
+        for a, b, p in zip(engine.last_rows_batch(fast), engine.last_rows_batch(slow), fast):
+            assert np.array_equal(a, b)
+            assert np.array_equal(a, ScalarEngine().last_row(p))

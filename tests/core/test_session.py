@@ -4,7 +4,14 @@ import pytest
 
 from repro.core import find_top_alignments
 from repro.core.session import TopAlignmentSession
-from repro.sequences import tandem_repeat_sequence
+from repro.scoring import GapPenalties, blosum62
+from repro.sequences import (
+    DNA,
+    RepeatSpec,
+    implant_repeats,
+    pseudo_titin,
+    tandem_repeat_sequence,
+)
 
 
 def _key(alignments):
@@ -80,3 +87,63 @@ class TestSession:
         got = session.extend(10)
         assert len(got) == 3
         assert session.exhausted
+
+
+class TestOneDriver:
+    """The session *is* the driver: chunking and entry point change nothing."""
+
+    @pytest.mark.parametrize("group", [1, 8])
+    def test_chunked_extend_repays_no_alignments(self, group):
+        """extend(1) x k keeps its heap, so it aligns exactly what one
+        extend(k) aligns (the service checkpoints per acceptance)."""
+        seq = pseudo_titin(80, seed=3)
+        ex, gaps = blosum62(), GapPenalties(8, 1)
+        one_shot = TopAlignmentSession(seq, ex, gaps, group=group)
+        one_shot.extend(5)
+        chunked = TopAlignmentSession(seq, ex, gaps, group=group)
+        for _ in range(5):
+            chunked.extend(1)
+        assert _key(chunked.alignments) == _key(one_shot.alignments)
+        assert chunked.stats.alignments <= one_shot.stats.alignments
+        assert chunked.stats.cells == one_shot.stats.cells
+
+    @pytest.mark.parametrize("group", [1, 8])
+    def test_session_prunes_against_min_score(self, group, dna_scoring):
+        """A session configures the prune floor and keeps the live
+        threshold exactly as a one-shot run does: same cells, same
+        pruned lanes (it used to prune against floor 0)."""
+        ex, gaps = dna_scoring
+        seq = implant_repeats(
+            260,
+            RepeatSpec(unit_length=90, copies=2, substitution_rate=0.04),
+            DNA,
+            seed=5,
+        ).sequence
+        expected, one_shot = find_top_alignments(
+            seq, 4, ex, gaps, engine="vector", group=group, min_score=140.0
+        )
+        session = TopAlignmentSession(
+            seq, ex, gaps, engine="vector", group=group, min_score=140.0
+        )
+        got = session.extend(4)
+        assert _key(got) == _key(expected) and expected
+        assert one_shot.pruned_lanes > 0
+        assert session.stats.pruned_lanes == one_shot.pruned_lanes
+        assert session.stats.cells == one_shot.cells
+
+    def test_extend_until_leaves_weaker_alignments_reachable(self):
+        seq = pseudo_titin(80, seed=3)
+        ex, gaps = blosum62(), GapPenalties(8, 1)
+        expected, _ = find_top_alignments(seq, 4, ex, gaps)
+        bar = expected[1].score  # strictly above: only the first clears it
+        session = TopAlignmentSession(seq, ex, gaps)
+        strong = session.extend_until(bar)
+        assert 1 <= len(strong) < 4 and all(a.score > bar for a in strong)
+        assert not session.exhausted
+        session.extend(4 - len(strong))
+        assert _key(session.alignments) == _key(expected)
+
+    def test_group_validation(self, tandem_dna, dna_scoring):
+        ex, gaps = dna_scoring
+        with pytest.raises(ValueError, match="group"):
+            TopAlignmentSession(tandem_dna, ex, gaps, group=0)

@@ -99,16 +99,18 @@ class TestInvariants:
         assert tops[0].score == best
 
     def test_stats_counters(self, run):
-        seq, _, _, tops, stats, _ = run
+        seq, _, _, tops, stats, state = run
         m = len(seq)
         assert stats.tracebacks == len(tops)
-        # alignments/realignments count *executed* fills; a pruned fill
-        # (first pass or realignment) increments pruned_lanes instead.
-        # Every split still gets a first look: executed first passes plus
-        # prunes cover all m-1 splits, and never exceed them.
+        # alignments/realignments count *executed* fills.  A split is
+        # first-aligned at most once, and only a split whose lane bound
+        # never topped the heap — it cannot beat the last accepted
+        # score — is never aligned at all.
         first_pass = stats.alignments - stats.realignments
-        assert first_pass <= m - 1
-        assert first_pass + stats.pruned_lanes >= m - 1
+        assert first_pass == len(state.bottom_rows) <= m - 1
+        for r in range(1, m):
+            if r not in state.bottom_rows:
+                assert state.prune_context.lane_bounds[r] <= tops[-1].score
         assert len(stats.realignments_per_top) == len(tops) + 1
         assert stats.cells > 0 and stats.engine_seconds > 0
 

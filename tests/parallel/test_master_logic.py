@@ -70,7 +70,9 @@ class FakeSlaveComm:
 @pytest.fixture()
 def setup(small_repeat_protein, protein_scoring):
     ex, gaps = protein_scoring
-    state = TopAlignmentState(small_repeat_protein, ex, gaps)
+    # prune=False, as parallel.driver builds it: the paper's master hands
+    # out every split's version-0 first pass before anything else.
+    state = TopAlignmentState(small_repeat_protein, ex, gaps, prune=False)
     comm = FakeSlaveComm(small_repeat_protein.codes, ex, gaps, n_slaves=3)
     return small_repeat_protein, ex, gaps, state, comm
 

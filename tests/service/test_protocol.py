@@ -37,9 +37,11 @@ class TestSpecValidation:
         with pytest.raises(SpecError):
             JobSpec(sequence="ACGT" * 5, alphabet="dna", matrix="blosum62")
 
-    def test_rejects_group_on_old_algorithm(self):
-        with pytest.raises(SpecError):
-            _spec(algorithm="old", group=4)
+    def test_old_algorithm_ignores_group(self):
+        # ``group`` defaults to the lane width, so a spec that only says
+        # algorithm="old" must stay valid; the baseline has no batches.
+        assert _spec(algorithm="old").group == _spec().group
+        assert _spec(algorithm="old", group=4).algorithm == "old"
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(SpecError, match="unknown"):
@@ -62,9 +64,13 @@ class TestDigest:
 
     def test_execution_knobs_do_not_fragment_cache(self):
         base = _spec()
+        # Flipping the default engine/group (vector/1 -> lanes/8) moved
+        # no digest: cache entries and idempotent replays carry over.
         for knob in (
             {"engine": "lanes"},
+            {"engine": "vector"},
             {"group": 8},
+            {"group": 1},
             {"priority": 5},
             {"seq_id": "other-name"},
         ):

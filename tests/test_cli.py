@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.align import DEFAULT_ENGINE, DEFAULT_GROUP
 from repro.cli import build_parser, main
 from repro.sequences import DNA, Sequence, write_fasta
 
@@ -27,9 +28,10 @@ class TestParser:
     def test_find_defaults(self):
         args = build_parser().parse_args(["find", "x.fasta"])
         assert args.top_alignments == 20
-        assert args.engine == "vector"
+        assert args.engine == DEFAULT_ENGINE == "lanes"
         assert args.algorithm == "new"
-        assert args.group == 1
+        assert args.group == DEFAULT_GROUP == 8
+        assert args.prune is True
 
     def test_scan_engine_knobs(self):
         args = build_parser().parse_args(

@@ -142,8 +142,9 @@ class TestStatsConsistency:
         assert [(a.r, a.score, a.pairs) for a in tops_on] == [
             (a.r, a.score, a.pairs) for a in tops_off
         ]
+        # Splits whose lane bound never tops the heap are never aligned.
         assert stats.cells < first_pass_area
-        assert stats.pruned_cells > 0
+        assert stats.alignments < m - 1
 
     def test_realignments_per_top_sums(self, small_repeat_protein, protein_scoring):
         ex, gaps = protein_scoring
