@@ -16,13 +16,46 @@ import pytest
 
 from repro.bench import bench_sequence, default_scoring
 from repro.core import TopAlignmentState, find_top_alignments
-from repro.parallel import GroupedTopAlignmentRunner
 from repro.simulate import AlignmentOracle, ClusterConfig, ClusterSimulator
 
 from conftest import save_table
 
 LENGTH = 300
 K = 8
+
+
+def static_group_schedule(state, k, group_size, *, min_score=0.0):
+    """Figure 5 at the granularity of §5.1's static neighbour groups.
+
+    Matrices are grouped in fixed, consecutive groups of ``group_size``
+    split points ("group 1 contains matrices 1–4, group 2 contains
+    matrices 5–8"); a group's score is its best member's, ties going to
+    the smaller split.  When the best group's best member is current it
+    is accepted; otherwise *all* members are realigned in one lane
+    batch, including those whose score is already current — "the odds
+    are that they have to be computed anyway".  Returns how many such
+    already-current members were realigned (the paper's < 0.70 %).
+
+    Figure code: the product's lane batches are chosen dynamically by
+    :class:`repro.core.session.TopAlignmentSession`.  The tops are the
+    sequential algorithm's all the same — group scores are upper bounds
+    exactly like task scores, and acceptance still only fires for the
+    globally dominant current task (``tests/parallel/test_groups.py``).
+    """
+    tasks = state.make_tasks()
+    wasted = 0
+    while state.n_found < k:
+        best = min(tasks, key=lambda t: (-t.score, t.r))
+        if best.score <= min_score:
+            break
+        if best.is_current(state.n_found):
+            state.accept_task(best)
+            continue
+        first = (best.r - 1) // group_size * group_size
+        group = tasks[first : first + group_size]
+        wasted += sum(t.is_current(state.n_found) for t in group)
+        state.align_tasks_batch(group)
+    return wasted
 
 
 @pytest.fixture(scope="module")
@@ -40,12 +73,11 @@ def test_lane_group_speculation(benchmark, sequential_alignments, results_dir):
 
     def run():
         state = TopAlignmentState(seq, exchange, gaps, engine="lanes")
-        runner = GroupedTopAlignmentRunner(state, K, group_size=4)
-        runner.run()
-        return runner, state
+        static_group_schedule(state, K, 4)
+        return state
 
     benchmark.group = "speculation"
-    runner, state = benchmark.pedantic(run, rounds=1, iterations=1)
+    state = benchmark.pedantic(run, rounds=1, iterations=1)
     overhead = (state.stats.alignments - sequential_alignments) / sequential_alignments
     save_table(
         results_dir,
@@ -100,7 +132,7 @@ def test_static_speculation_cheaper_than_dynamic(
 
     def both():
         state = TopAlignmentState(seq, exchange, gaps, engine="lanes")
-        GroupedTopAlignmentRunner(state, K, group_size=4).run()
+        static_group_schedule(state, K, 4)
         oracle = AlignmentOracle(seq, exchange, gaps)
         wide = ClusterSimulator(
             oracle, ClusterConfig(processors=32, tier="sse")

@@ -1,36 +1,52 @@
 #!/usr/bin/env python
-"""CI ratio gate: the default configuration is the fast one.
+"""CI ratio gate: the defaults are the fast setting; index and prune fire.
 
 Runs the end-to-end benchmark's traced pass on the two workloads that
 pin the kernel from both sides — ``titin_find`` (nothing can prune) and
-``dna_scan_dense`` (the prune gates fire) — and checks same-run ratios,
+``dna_scan_dense`` (the prune gates fire) — and on ``dna_scan_sparse``
+(index routing skips records), and checks same-run ratios and shares,
 which hold on any machine where an absolute cells/s baseline does not:
 
 * ``core.lattice.best_over_default >= 0.90`` — no knob setting beats the
   defaults by more than 10 %;
 * ``align.gate_overhead.lanes_g8 <= 1.15`` — prune gates that cannot
   fire cost the lockstep kernel (almost) nothing;
-* the run itself is ``correct`` (golden keys, self-checks, no failures).
+* ``dna_scan_sparse``: ``index.route_skip_share > 0`` — routing skips;
+* ``dna_scan_dense``: ``core.find.pruned_lanes > 0`` and
+  ``core.find.cells_avoided_share > 0`` — gates stop fills early;
+* every run is ``correct`` (tops byte-equal to the golden keys with the
+  tiers on, self-checks, no failures).
 
     python benchmarks/check_ratios.py [--seconds 5] [--workload W ...]
 """
 
 import argparse
 import json
+import operator
 import subprocess
 import sys
 from pathlib import Path
 
 RUN = Path(__file__).resolve().parent / "e2e" / "run.py"
-WORKLOADS = ("titin_find", "dna_scan_dense")
-#: metric -> (comparison, bound)
-GATES = {
+_KERNEL = {
     "core.lattice.best_over_default": (">=", 0.90),
     "align.gate_overhead.lanes_g8": ("<=", 1.15),
 }
+#: workload -> metric -> (comparison, bound)
+GATES = {
+    "titin_find": _KERNEL,
+    "dna_scan_sparse": {"index.route_skip_share": (">", 0.0)},
+    "dna_scan_dense": {
+        **_KERNEL,
+        "core.find.pruned_lanes": (">", 0.0),
+        "core.find.cells_avoided_share": (">", 0.0),
+    },
+}
+WORKLOADS = tuple(GATES)
+_COMPARE = {">=": operator.ge, "<=": operator.le, ">": operator.gt}
 
 
-def check(result: dict) -> list[str]:
+def check(workload: str, result: dict) -> list[str]:
     """Failure messages for one workload's ``--trace 1`` result line."""
     failures = []
     if not result.get("correct") or result.get("failed"):
@@ -38,10 +54,9 @@ def check(result: dict) -> list[str]:
             f"run not correct ({result.get('failed')} of "
             f"{result.get('attempted')} failed)"
         )
-    for name, (op, bound) in GATES.items():
+    for name, (op, bound) in GATES[workload].items():
         value = result["metrics"][name]["value"]
-        ok = value >= bound if op == ">=" else value <= bound
-        if not ok:
+        if not _COMPARE[op](value, bound):
             failures.append(f"{name} = {value:.3f}, want {op} {bound}")
     return failures
 
@@ -67,8 +82,8 @@ def main(argv: list[str] | None = None) -> int:
             failed = True
             continue
         result = json.loads(lines[-1])
-        failures = check(result)
-        for name in GATES:
+        failures = check(workload, result)
+        for name in GATES[workload]:
             print(f"{workload}: {name} = {result['metrics'][name]['value']:.3f}")
         for failure in failures:
             print(f"{workload}: FAIL {failure}")

@@ -2,15 +2,9 @@
 
 from .harness import (
     BenchTable,
-    batched_report,
-    batched_rows,
     bench_sequence,
     default_scoring,
     figure8_series,
-    index_report,
-    index_rows,
-    pruning_report,
-    pruning_rows,
     realignment_rows,
     table1_rows,
     table2_rows,
@@ -24,10 +18,4 @@ __all__ = [
     "table2_rows",
     "figure8_series",
     "realignment_rows",
-    "batched_report",
-    "batched_rows",
-    "index_report",
-    "index_rows",
-    "pruning_report",
-    "pruning_rows",
 ]

@@ -118,17 +118,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="regenerate a paper artifact")
     bench.add_argument(
         "artifact",
-        choices=["table1", "table2", "figure8", "realign", "batched", "index", "pruning"],
+        choices=["table1", "table2", "figure8", "realign"],
     )
     bench.add_argument("--length", type=int, default=None)
     bench.add_argument("-k", "--top-alignments", type=int, default=None)
-    bench.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help="also write the artifact's raw numbers as JSON "
-        "(batched/index/pruning only)",
-    )
     bench.add_argument(
         "--emit-metrics",
         default=None,
@@ -421,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--gap-extend", type=float, default=1.0)
     submit.add_argument("--engine", default=DEFAULT_ENGINE)
     submit.add_argument("--group", type=int, default=DEFAULT_GROUP)
-    submit.add_argument("--algorithm", default="new", choices=["new", "old"])
     submit.add_argument("--min-score", type=float, default=0.0)
     submit.add_argument("--max-gap", type=int, default=0)
     submit.add_argument("--priority", type=int, default=0, help="higher runs earlier")
@@ -570,13 +562,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     from .bench.harness import (
-        batched_report,
-        batched_rows,
         figure8_series,
-        index_report,
-        index_rows,
-        pruning_report,
-        pruning_rows,
         realignment_rows,
         table1_rows,
         table2_rows,
@@ -587,49 +573,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
         obs.enable()
 
-    if args.artifact == "batched":
-        kwargs = {}
-        if args.length:
-            kwargs["length"] = args.length
-        if args.top_alignments:
-            kwargs["k"] = args.top_alignments
-        report = batched_report(**kwargs)
-        print(batched_rows(report=report).render())
-        if args.json:
-            import json
-
-            with open(args.json, "w", encoding="utf-8") as fh:
-                json.dump(report, fh, indent=2)
-            print(f"wrote {args.json}")
-    elif args.artifact == "index":
-        kwargs = {}
-        if args.length:
-            kwargs["length"] = args.length
-        if args.top_alignments:
-            kwargs["k"] = args.top_alignments
-        report = index_report(**kwargs)
-        print(index_rows(report=report).render())
-        if args.json:
-            import json
-
-            with open(args.json, "w", encoding="utf-8") as fh:
-                json.dump(report, fh, indent=2)
-            print(f"wrote {args.json}")
-    elif args.artifact == "pruning":
-        kwargs = {}
-        if args.length:
-            kwargs["length"] = args.length
-        if args.top_alignments:
-            kwargs["k"] = args.top_alignments
-        report = pruning_report(**kwargs)
-        print(pruning_rows(report=report).render())
-        if args.json:
-            import json
-
-            with open(args.json, "w", encoding="utf-8") as fh:
-                json.dump(report, fh, indent=2)
-            print(f"wrote {args.json}")
-    elif args.artifact == "table1":
+    if args.artifact == "table1":
         kwargs = {}
         if args.top_alignments:
             kwargs["k"] = args.top_alignments
@@ -1119,7 +1063,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             "gap_extend": args.gap_extend,
             "engine": args.engine,
             "group": args.group,
-            "algorithm": args.algorithm,
             "min_score": args.min_score,
             "max_gap": args.max_gap,
             "priority": args.priority,

@@ -3,9 +3,9 @@
 The distributed-memory story of §4, lifted from in-process message
 passing to TCP: a coordinator with a node registry and lease-based
 shard scheduling (:mod:`coordinator`, :mod:`registry`, :mod:`shards`),
-worker node agents (:mod:`node`), a socket transport reproducing the
-``parallel.msgpass`` envelope semantics so the paper's master/slave
-protocol runs across machines (:mod:`transport`), and the bit-identity
+worker node agents (:mod:`node`), the framed socket transport
+(:mod:`transport`, which ``parallel.msgpass`` — the paper's master/slave
+envelope layer — runs over as well), and the bit-identity
 execution/merge helpers (:mod:`execution`).
 
 Failure model: a node may die at any moment (SIGKILL included).  Its
@@ -21,7 +21,6 @@ from .execution import finish_from_rows, merge_scan_reports, run_rows_shard, run
 from .node import NodeAgent, NodeConfig, node_main
 from .registry import NodeInfo, NodeRegistry
 from .shards import Lease, Shard, ShardScheduler, plan_record_shards, plan_row_shards
-from .transport import SocketCommunicator, SocketWorld
 
 __all__ = [
     "ClusterClient",
@@ -36,8 +35,6 @@ __all__ = [
     "NodeRegistry",
     "Shard",
     "ShardScheduler",
-    "SocketCommunicator",
-    "SocketWorld",
     "finish_from_rows",
     "merge_scan_reports",
     "node_main",

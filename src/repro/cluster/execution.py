@@ -17,12 +17,12 @@ Bit-identity is the contract of this module, in both shard kinds:
     Those version-0 bottom rows are embarrassingly parallel; nodes
     compute them with the same engine call the sequential loop makes
     and ship them back bit-exact (dtype + raw bytes).
-    :func:`finish_from_rows` then seeds a fresh state with the rows —
-    tasks carry ``score = row.max(), aligned_with = 0``, precisely the
-    state a single-node run reaches after its first pass — and runs
-    the same best-first driver, so the acceptance order, alignments
-    and families match the single-node run exactly.  Work counters
-    legitimately differ (the checkpoint-resume contract).
+    :func:`finish_from_rows` then opens the finder's session over the
+    rows — tasks carry ``score = row.max(), aligned_with = 0``,
+    precisely the state a single-node run reaches after its first pass
+    — and runs the same best-first driver, so the acceptance order,
+    alignments and families match the single-node run exactly.  Work
+    counters legitimately differ (the checkpoint-resume contract).
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ import numpy as np
 
 from ..core.result import RepeatResult
 from ..core.scan import DatabaseScanner
-from ..core.session import TopAlignmentSession
-from ..core.topalign import TopAlignmentState
 from ..sequences.sequence import Sequence
 from ..service.protocol import JobSpec
 from ..service.workers import build_finder
@@ -112,19 +110,20 @@ def run_scan_shard(payload: dict[str, Any]) -> dict[str, Any]:
     }
 
 
+def _spec_sequence(spec: JobSpec) -> Sequence:
+    return Sequence(spec.normalized_sequence(), spec.alphabet, id=spec.seq_id)
+
+
 def run_rows_shard(payload: dict[str, Any]) -> dict[str, Any]:
     """Execute one ``rows`` shard: version-0 bottom rows for a split range.
 
-    Uses the same state/engine construction and the same
+    Uses the finder's own session state and the same
     ``engine.last_row(problem_for(r))`` call the sequential first pass
     makes, so each row is bit-identical to the one the single-node loop
     would have cached.
     """
     spec = JobSpec.from_dict(payload["spec"])
-    finder = build_finder(spec)
-    sequence = Sequence(spec.normalized_sequence(), spec.alphabet, id=spec.seq_id)
-    exchange = finder.resolve_exchange(sequence)
-    state = TopAlignmentState(sequence, exchange, finder.gaps, engine=spec.engine)
+    state = build_finder(spec).session(_spec_sequence(spec)).state
     rows = []
     for r in range(int(payload["r_start"]), int(payload["r_stop"])):
         row = state.engine.last_row(state.problem_for(r))
@@ -184,34 +183,22 @@ def finish_from_rows(
 ) -> RepeatResult:
     """Finish a sharded single-sequence job from its version-0 rows.
 
-    Seeds a fresh :class:`TopAlignmentState` with the node-computed
-    bottom rows and runs the one best-first driver
-    (:class:`~repro.core.session.TopAlignmentSession`) over it.  Seeding
-    is sound because in a single-node run every task (score ``+inf``)
-    is aligned exactly once at triangle version 0 before the first
-    acceptance: the cached rows are byte-for-byte what those first
-    alignments leave behind, and
+    Opens the finder's session over the node-computed bottom rows and
+    runs it to ``spec.top_alignments``.  Seeding is sound because in a
+    single-node run every task (score ``+inf``) is aligned exactly once
+    at triangle version 0 before the first acceptance: the cached rows
+    are byte-for-byte what those first alignments leave behind, and
     :meth:`~repro.core.topalign.TopAlignmentState.make_tasks` starts
     each task at ``score = row.max(), aligned_with = 0`` — so the
     deterministic ``(score, -r)`` heap replays the identical acceptance
     order.
     """
     finder = build_finder(spec)
-    sequence = Sequence(spec.normalized_sequence(), spec.alphabet, id=spec.seq_id)
-    exchange = finder.resolve_exchange(sequence)
-    state = TopAlignmentState(sequence, exchange, finder.gaps, engine=spec.engine)
-    missing = [r for r in range(1, state.m) if r not in rows]
+    sequence = _spec_sequence(spec)
+    missing = [r for r in range(1, len(sequence)) if r not in rows]
     if missing:
         raise ValueError(f"missing version-0 rows for split(s) {missing[:8]}")
-    for r in range(1, state.m):
-        state.bottom_rows.put(r, np.asarray(rows[r], dtype=np.float64))
-    state.stats.alignments += state.m - 1  # the rows the nodes computed
-    TopAlignmentSession.from_state(
-        state, group=spec.group, min_score=spec.min_score
-    ).extend(spec.top_alignments)
-
-    alignments = list(state.found)
-    repeats = finder.delineate(alignments, len(sequence))
-    return RepeatResult(
-        top_alignments=alignments, repeats=repeats, stats=state.stats
-    )
+    session = finder.session(sequence, rows=rows)
+    session.stats.alignments += len(sequence) - 1  # the rows the nodes computed
+    session.extend(spec.top_alignments)
+    return finder.result(session)

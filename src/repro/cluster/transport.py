@@ -1,4 +1,4 @@
-"""Socket transport: length-prefixed JSON frames + msgpass semantics.
+"""Socket transport: length-prefixed JSON frames over framed channels.
 
 This is the **only** module in :mod:`repro.cluster` that touches raw
 sockets (lint rule RPR012 enforces that); everything above it speaks
@@ -13,50 +13,35 @@ carry the objects the paper's master/slave protocol actually exchanges
 — numpy bottom rows, byte strings, tuples of pairs — without pickle on
 the wire (a cluster port must not be a remote-code-execution port).
 
-msgpass lift
-------------
-:class:`SocketCommunicator` reproduces the envelope semantics of
-:class:`repro.parallel.msgpass.Communicator` — tagged point-to-point
-``send``/``recv`` with source/tag filtering and buffering of
-non-matching messages — over real TCP connections, in a star topology
-with rank 0 as the hub (which is the only shape §4.3's master/slave
-protocol uses: slaves never talk to each other).  FIFO order per
-(sender, receiver) pair falls out of TCP byte-stream ordering plus one
-dedicated reader thread per connection.  :class:`SocketWorld` mirrors
-:class:`repro.parallel.msgpass.World`, so ``MasterRunner`` and
-``slave_main`` run unchanged across real processes on real sockets.
+Envelopes
+---------
+The tagged ``send``/``recv`` envelope layer of §4.3's master/slave
+protocol (:class:`repro.parallel.msgpass.Communicator`) runs over these
+channels too; the coordinator and node agents speak :class:`Channel`
+directly.
 """
 
 from __future__ import annotations
 
 import base64
 import json
-import multiprocessing as mp
-import queue as queue_mod
 import socket
 import struct
 import threading
 import time
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
 __all__ = [
-    "ANY",
     "DEFAULT_TIMEOUT",
     "Channel",
     "FrameError",
     "Listener",
-    "Message",
-    "SocketCommunicator",
-    "SocketWorld",
     "connect",
     "decode_payload",
     "encode_payload",
 ]
-
-#: Wildcard for ``recv`` source/tag filters (mirrors msgpass.ANY).
-ANY = -1
 
 #: Every socket this package creates carries an explicit timeout — a
 #: silent distributed hang is worse than a loud failure (RPR012).
@@ -262,201 +247,3 @@ def connect(
             if attempt + 1 < attempts:
                 time.sleep(retry_delay * (attempt + 1))
     raise ConnectionError(f"cannot connect to {host}:{port}: {last}")
-
-
-# ---------------------------------------------------------------------------
-# msgpass over sockets
-# ---------------------------------------------------------------------------
-
-
-class Message:
-    """A received envelope (same shape as msgpass.Message)."""
-
-    __slots__ = ("source", "tag", "payload")
-
-    def __init__(self, source: int, tag: int, payload: Any) -> None:
-        self.source = source
-        self.tag = tag
-        self.payload = payload
-
-
-class SocketCommunicator:
-    """Tagged send/recv with envelope matching, over TCP channels.
-
-    Star topology: rank 0 (the hub) holds one channel per peer rank;
-    every other rank holds a single channel to the hub and may only
-    address rank 0.  The guarantees §4.3's protocol relies on hold by
-    construction:
-
-    * FIFO per (sender, receiver) pair — each pair shares one TCP
-      connection, and the hub drains each connection with a dedicated
-      reader thread into one inbox queue;
-    * ``recv`` buffers non-matching envelopes for later calls, in
-      arrival order (MPI envelope-matching semantics).
-    """
-
-    def __init__(self, rank: int, size: int, channels: dict[int, Channel]) -> None:
-        self.rank = rank
-        self.size = size
-        self._channels = channels
-        self._pending: list[Message] = []
-        self._inbox: queue_mod.Queue = queue_mod.Queue()
-        self._readers: list[threading.Thread] = []
-        for peer, channel in channels.items():
-            thread = threading.Thread(
-                target=self._drain,
-                args=(peer, channel),
-                name=f"sockcomm-{rank}-reader-{peer}",
-                daemon=True,
-            )
-            thread.start()
-            self._readers.append(thread)
-
-    def _drain(self, peer: int, channel: Channel) -> None:
-        while True:
-            try:
-                frame = channel.recv(timeout=3600.0)
-            except (FrameError, TimeoutError, OSError):
-                return  # peer is gone; recv() reports the silence as a timeout
-            self._inbox.put((frame["source"], frame["tag"], frame["payload"]))
-
-    def send(self, payload: Any, dest: int, tag: int = 0) -> None:
-        """Deliver ``payload`` to rank ``dest`` (buffered by the kernel)."""
-        if not 0 <= dest < self.size:
-            raise ValueError(f"destination rank {dest} outside 0..{self.size - 1}")
-        channel = self._channels.get(dest)
-        if channel is None:
-            raise ValueError(
-                f"rank {self.rank} has no channel to rank {dest} "
-                "(socket communicators are a star around rank 0)"
-            )
-        channel.send({"source": self.rank, "tag": tag, "payload": payload})
-
-    def recv(
-        self, source: int = ANY, tag: int = ANY, timeout: float | None = 120.0
-    ) -> Message:
-        """Blocking receive with envelope matching (see msgpass.recv)."""
-        for idx, msg in enumerate(self._pending):
-            if self._matches(msg, source, tag):
-                return self._pending.pop(idx)
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            remaining = None if deadline is None else deadline - time.monotonic()
-            if remaining is not None and remaining <= 0:
-                raise TimeoutError(
-                    f"rank {self.rank}: no message matching source={source} "
-                    f"tag={tag} within {timeout}s"
-                )
-            try:
-                src, msg_tag, payload = self._inbox.get(timeout=remaining)
-            except queue_mod.Empty:
-                raise TimeoutError(
-                    f"rank {self.rank}: no message matching source={source} "
-                    f"tag={tag} within {timeout}s"
-                ) from None
-            msg = Message(src, msg_tag, payload)
-            if self._matches(msg, source, tag):
-                return msg
-            self._pending.append(msg)
-
-    def bcast_from(self, payload: Any, tag: int = 0) -> None:
-        """Send ``payload`` to every connected peer."""
-        for dest in self._channels:
-            self.send(payload, dest, tag)
-
-    def close(self) -> None:
-        for channel in self._channels.values():
-            channel.close()
-
-    @staticmethod
-    def _matches(msg: Message, source: int, tag: int) -> bool:
-        return (source == ANY or msg.source == source) and (
-            tag == ANY or msg.tag == tag
-        )
-
-
-def _socket_child_main(
-    rank: int,
-    size: int,
-    host: str,
-    port: int,
-    entry: Callable[[SocketCommunicator, Any], None],
-    payload: Any,
-) -> None:
-    channel = connect(host, port, attempts=50, retry_delay=0.05)
-    channel.send({"source": rank, "tag": 0, "payload": {"hello_rank": rank}})
-    comm = SocketCommunicator(rank, size, {0: channel})
-    try:
-        entry(comm, payload)
-    finally:
-        comm.close()
-
-
-class SocketWorld:
-    """Drop-in for :class:`repro.parallel.msgpass.World` over TCP.
-
-    Rank 0 lives in the caller; ranks ``1..size-1`` are spawned
-    processes that connect back over loopback sockets.  The same
-    ``start(entry, payload) / comm / shutdown()`` contract lets the
-    distributed master/slave protocol run unchanged on a real network
-    transport.
-    """
-
-    def __init__(self, size: int, *, host: str = "127.0.0.1") -> None:
-        if size < 1:
-            raise ValueError("world size must be >= 1")
-        self.size = size
-        self._listener = Listener(host, 0)
-        self._procs: list[mp.process.BaseProcess] = []
-        self.comm: SocketCommunicator | None = None
-
-    def start(
-        self, entry: Callable[[SocketCommunicator, Any], None], payload: Any
-    ) -> None:
-        """Spawn ranks ``1..size-1`` and wire up the hub communicator."""
-        if self._procs or self.comm is not None:
-            raise RuntimeError("world already started")
-        ctx = mp.get_context("fork")
-        for rank in range(1, self.size):
-            proc = ctx.Process(
-                target=_socket_child_main,
-                args=(
-                    rank,
-                    self.size,
-                    self._listener.host,
-                    self._listener.port,
-                    entry,
-                    payload,
-                ),
-                name=f"repro-sockrank-{rank}",
-                daemon=True,
-            )
-            proc.start()
-            self._procs.append(proc)
-        channels: dict[int, Channel] = {}
-        deadline = time.monotonic() + DEFAULT_TIMEOUT
-        while len(channels) < self.size - 1:
-            channel = self._listener.accept(timeout=max(0.1, deadline - time.monotonic()))
-            hello = channel.recv(timeout=DEFAULT_TIMEOUT)
-            rank = int(hello["payload"]["hello_rank"])
-            channels[rank] = channel
-        self.comm = SocketCommunicator(0, self.size, channels)
-
-    def shutdown(self, timeout: float = 30.0) -> None:
-        """Join all children; terminate stragglers after ``timeout``."""
-        for proc in self._procs:
-            proc.join(timeout=timeout)
-            if proc.is_alive():  # pragma: no cover - protocol bug escape hatch
-                proc.terminate()
-                proc.join(timeout=5.0)
-        self._procs.clear()
-        if self.comm is not None:
-            self.comm.close()
-            self.comm = None
-        self._listener.close()
-
-    def __enter__(self) -> "SocketWorld":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()

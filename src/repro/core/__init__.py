@@ -32,7 +32,7 @@ from .scan import (
     scan_fasta,
     scan_to_payload,
 )
-from .session import BatchedTopAlignmentRunner, TopAlignmentSession
+from .session import TopAlignmentSession
 from .significance import (
     NullDistribution,
     estimate_null,
@@ -42,15 +42,9 @@ from .significance import (
 from .tasks import NEVER_ALIGNED, Task, TaskQueue
 from .topalign import TopAlignmentState, find_top_alignments
 
-#: The name lane batching had while it was opt-in; batching is the default
-#: of :func:`find_top_alignments` now, so this is the same function.
-find_top_alignments_batched = find_top_alignments
-
 __all__ = [
     "find_top_alignments",
-    "find_top_alignments_batched",
     "old_find_top_alignments",
-    "BatchedTopAlignmentRunner",
     "TopAlignmentState",
     "find_repeats",
     "RepeatFinder",

@@ -18,10 +18,12 @@ from ..scoring.blosum import blosum62
 from ..scoring.exchange import ExchangeMatrix, match_mismatch
 from ..scoring.gaps import GapPenalties
 from ..sequences.sequence import Sequence
+from .checkpoint import restore_checkpoint
 from .delineate import delineate_repeats
 from .oldalgo import old_find_top_alignments
 from .result import RepeatResult
-from .topalign import find_top_alignments
+from .session import TopAlignmentSession
+from .topalign import TopAlignmentState
 
 __all__ = ["RepeatFinder", "find_repeats"]
 
@@ -111,10 +113,8 @@ class RepeatFinder:
 
         Explicit configuration wins; otherwise the per-alphabet default
         (cached per alphabet, so a scan over mixed records builds each
-        matrix once).  Exposed for callers that drive the search state
-        directly — the incremental service executor checkpoints and
-        resumes runs, and must score them under exactly the matrix
-        :meth:`find` would have used.
+        matrix once).  Public for callers that need the matrix without
+        a search — index routing, shard priorities.
         """
         if self.exchange is not None:
             return self.exchange
@@ -128,9 +128,8 @@ class RepeatFinder:
     def delineate(self, alignments, length: int):
         """Phase 2 under this finder's knobs (see :func:`delineate_repeats`).
 
-        Split out of :meth:`find` so external drivers (the service
-        worker resuming from a checkpoint) turn independently-computed
-        top alignments into the identical :class:`RepeatResult` families.
+        Its own method so a subclass can observe or replace the phase
+        (the benchmark times it); :meth:`result` is the caller.
         """
         return delineate_repeats(
             alignments,
@@ -138,6 +137,54 @@ class RepeatFinder:
             min_copy_length=self.min_copy_length,
             max_gap=self.max_gap,
             min_score_fraction=self.min_score_fraction,
+        )
+
+    def session(
+        self,
+        sequence: Sequence | str,
+        *,
+        seed_bounds=None,
+        rows=None,
+        checkpoint=None,
+    ) -> TopAlignmentSession:
+        """A live best-first search over ``sequence`` under this finder.
+
+        The one place a configured finder becomes a search: scoring
+        model, the cached engine instance, ``group``, ``prune`` and
+        ``min_score`` all come from here, so every executor —
+        :meth:`find`, the checkpointing service worker, the cluster's
+        row shards — searches exactly what :meth:`find` would.
+
+        ``seed_bounds`` seeds the heap (see :meth:`find`).
+        ``checkpoint`` is a :func:`~repro.core.checkpoint.save_checkpoint`
+        file to continue from (:class:`ValueError` when it is unusable);
+        ``rows`` maps split → already-computed version-0 bottom row.
+        """
+        if isinstance(sequence, str):
+            sequence = Sequence(sequence, "protein")
+        state = TopAlignmentState(
+            sequence,
+            self.resolve_exchange(sequence),
+            self.gaps,
+            engine=self._engine_for_run(),
+            seed_bounds=seed_bounds,
+            prune=self.prune,
+        )
+        if checkpoint is not None:
+            restore_checkpoint(state, checkpoint)
+        if rows is not None:
+            state.restore(rows=rows)
+        return TopAlignmentSession.from_state(
+            state, group=self.group, min_score=self.min_score
+        )
+
+    def result(self, session: TopAlignmentSession) -> RepeatResult:
+        """Phase 2 over what ``session`` has accepted so far."""
+        alignments = session.alignments
+        return RepeatResult(
+            top_alignments=alignments,
+            repeats=self.delineate(alignments, session.state.m),
+            stats=session.stats,
         )
 
     def find(self, sequence: Sequence | str, *, seed_bounds=None) -> RepeatResult:
@@ -149,31 +196,20 @@ class RepeatFinder:
         identical, low-promise splits are just never aligned.  Ignored
         by the old O(n⁴) algorithm, which has no heap to seed.
         """
+        if self.algorithm == "new":
+            session = self.session(sequence, seed_bounds=seed_bounds)
+            session.extend(self.top_alignments)
+            return self.result(session)
         if isinstance(sequence, str):
             sequence = Sequence(sequence, "protein")
-        exchange = self.resolve_exchange(sequence)
-        engine = self._engine_for_run()
-        if self.algorithm == "new":
-            alignments, stats = find_top_alignments(
-                sequence,
-                self.top_alignments,
-                exchange,
-                self.gaps,
-                engine=engine,
-                min_score=self.min_score,
-                group=self.group,
-                seed_bounds=seed_bounds,
-                prune=self.prune,
-            )
-        else:
-            alignments, stats = old_find_top_alignments(
-                sequence,
-                self.top_alignments,
-                exchange,
-                self.gaps,
-                engine=engine,
-                min_score=self.min_score,
-            )
+        alignments, stats = old_find_top_alignments(
+            sequence,
+            self.top_alignments,
+            self.resolve_exchange(sequence),
+            self.gaps,
+            engine=self._engine_for_run(),
+            min_score=self.min_score,
+        )
         repeats = self.delineate(alignments, len(sequence))
         return RepeatResult(top_alignments=alignments, repeats=repeats, stats=stats)
 

@@ -27,7 +27,7 @@ from ..sequences.sequence import Sequence
 from .result import TopAlignment
 from .topalign import TopAlignmentState
 
-__all__ = ["save_checkpoint", "load_checkpoint"]
+__all__ = ["save_checkpoint", "load_checkpoint", "restore_checkpoint"]
 
 _FORMAT_VERSION = 1
 
@@ -81,6 +81,54 @@ def save_checkpoint(state: TopAlignmentState, path: str | os.PathLike) -> None:
             os.unlink(tmp)
 
 
+def restore_checkpoint(state: TopAlignmentState, path: str | os.PathLike) -> None:
+    """Load the checkpoint at ``path`` into the freshly built ``state``.
+
+    Raises :class:`ValueError` for anything that is not a complete
+    checkpoint of ``state``'s own sequence and scoring model — an
+    unreadable, truncated or bit-flipped file included — and leaves
+    ``state`` untouched in that case, so the caller can start over.
+    """
+    try:
+        with np.load(os.fspath(path)) as data:
+            if int(data["format"][0]) != _FORMAT_VERSION:
+                raise ValueError(
+                    f"unsupported checkpoint format {int(data['format'][0])}"
+                )
+            if not np.array_equal(data["codes"], state.codes):
+                raise ValueError("checkpoint was written for a different sequence")
+            expected = _fingerprint((state.sequence, state.exchange, state.gaps))
+            if not np.allclose(data["fingerprint"], expected):
+                raise ValueError(
+                    "checkpoint was written under a different scoring model"
+                )
+            meta = data["alignment_meta"].reshape(-1, 2)
+            # Plain-int pairs: a restored alignment must be
+            # indistinguishable from a freshly computed one (which uses
+            # Python ints), down to JSON serialisability of downstream
+            # result payloads.
+            alignments = [
+                TopAlignment(
+                    index=int(index),
+                    r=int(r),
+                    score=float(score),
+                    pairs=tuple(
+                        (int(i), int(j)) for i, j in data[f"pairs_{int(index)}"]
+                    ),
+                )
+                for (index, r), score in zip(meta, data["alignment_scores"])
+            ]
+            rows = {int(r): data[f"row_{int(r)}"] for r in data["stored_rows"]}
+    except ValueError:
+        raise
+    except Exception as exc:  # noqa: BLE001 - see below
+        # A damaged archive fails in whichever layer meets the bad byte
+        # first — zipfile, zlib, numpy's header parser, a missing key —
+        # each with its own exception type; they all mean the same thing.
+        raise ValueError(f"unreadable checkpoint: {exc!r}") from exc
+    state.restore(alignments, rows)
+
+
 def load_checkpoint(
     path: str | os.PathLike,
     sequence: Sequence,
@@ -91,37 +139,8 @@ def load_checkpoint(
     triangle: str = "dense",
 ) -> TopAlignmentState:
     """Rebuild a state ready to continue exactly where it stopped."""
-    data = np.load(os.fspath(path))
-    if int(data["format"][0]) != _FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported checkpoint format {int(data['format'][0])}"
-        )
-    if not np.array_equal(data["codes"], sequence.codes):
-        raise ValueError("checkpoint was written for a different sequence")
-    expected = _fingerprint((sequence, exchange, gaps))
-    if not np.allclose(data["fingerprint"], expected):
-        raise ValueError(
-            "checkpoint was written under a different scoring model"
-        )
-
     state = TopAlignmentState(
         sequence, exchange, gaps, engine=engine, triangle=triangle
     )
-    meta = data["alignment_meta"].reshape(-1, 2)
-    scores = data["alignment_scores"]
-    for (index, r), score in zip(meta, scores):
-        # Plain-int pairs: a restored alignment must be indistinguishable
-        # from a freshly computed one (which uses Python ints), down to
-        # JSON serialisability of downstream result payloads.
-        pairs = tuple(
-            (int(i), int(j)) for i, j in data[f"pairs_{int(index)}"]
-        )
-        alignment = TopAlignment(
-            index=int(index), r=int(r), score=float(score), pairs=pairs
-        )
-        state.triangle.mark(pairs)
-        state.found.append(alignment)
-        state.stats.realignments_per_top.append(0)
-    for r in data["stored_rows"]:
-        state.bottom_rows.put(int(r), data[f"row_{int(r)}"])
+    restore_checkpoint(state, path)
     return state

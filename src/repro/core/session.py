@@ -1,13 +1,57 @@
 """The best-first driver: one resumable, lane-batched Figure 5 loop.
 
-:class:`TopAlignmentSession` is the only best-first loop in
-:mod:`repro.core`.  :func:`~repro.core.topalign.find_top_alignments`
-runs it to ``k`` and returns; the service worker keeps one alive across
+:class:`TopAlignmentSession` is the only best-first loop in the
+package.  :func:`~repro.core.topalign.find_top_alignments` runs it to
+``k`` and returns; the service worker keeps one alive across
 checkpoints; "compute a few, inspect, ask for more" (§2.2: "more top
 alignments increase Repro's sensitivity") calls :meth:`extend` again.
 The live heap, override triangle and bottom-row store survive between
 calls, so ``extend(1)`` k times performs the alignments of one
 ``extend(k)``.
+
+**Checkout and absorb.**  Every execution mode of the paper is the same
+queue with a different way of getting an alignment computed, so the
+loop is split where they differ:
+
+* :meth:`~TopAlignmentSession.checkout` pops the head.  While it is
+  current it is accepted; once it is stale it is handed out, with its
+  lane-mates, as a :class:`Checkout` stamped with the triangle version
+  its fills will observe, and its tasks are *in flight* until
+* :meth:`~TopAlignmentSession.absorb` folds the bottom rows back in
+  (put-or-shadow bookkeeping under the stamped version, speculation
+  accounting) and reinserts the tasks.
+
+:meth:`~TopAlignmentSession.extend` is checkout → engine batch → absorb
+in the calling thread, so nothing else is ever in flight.  The §4.2
+thread scheduler (:mod:`repro.parallel.shared`) is N threads doing the
+same with the engine call outside one condition variable, the §4.3
+master (:mod:`repro.parallel.master`) the same with a message to a
+slave in between.  Neither owns a queue or any bookkeeping.
+
+**Acceptance with work in flight.**  As in the paper, that parallelism
+is speculative: when one task turns into a new top alignment, work in
+flight on other tasks is not of interest any more — but it is not
+wasted either, because the lowered scores push those tasks far back in
+the queue.  The output stays the sequential algorithm's exactly:
+
+* a current head is accepted only when it *dominates* every task in
+  flight (higher score, or equal score and smaller split) — precisely
+  the condition under which the sequential loop would have accepted it.
+  Otherwise ``checkout`` returns ``None`` and the caller waits for an
+  ``absorb``; that idleness is the load imbalance the paper reports
+  around acceptances ("there is not enough parallelism to keep all
+  processors busy");
+* the search is exhausted only when the head cannot beat ``min_score``
+  *and* no in-flight upper bound can;
+* an alignment racing with an acceptance may observe a partially
+  marked triangle; it is recorded under the version stamped at
+  checkout, so its score remains a valid *upper bound* (more overrides
+  never raise scores) and the task is realigned before it could ever
+  be accepted;
+* first-pass bottom rows are computed under the empty triangle
+  (:meth:`~repro.core.topalign.TopAlignmentState.problems_for`), so they
+  are the same rows whatever is accepted while they are in flight — and
+  nothing can be while one is in flight at an unseeded ``+inf``.
 
 The loop merges the two ideas the paper combines for its headline
 speedup:
@@ -43,16 +87,19 @@ acceptance lands between them, which needs fewer than ``2 * group``
 useful stale tasks left above ``A`` — and at most ``group - 1`` such
 mates per remaining batch (``tests/core/test_batched.py`` holds the
 measured total under ``(group - 1)`` per acceptance and the extra
-cells under a third of the sequential run's).
+cells under a third of the sequential run's).  With other batches in
+flight the head lane is speculation too, judged by the same rule, and a
+realignment absorbed after the triangle moved on is waste outright.
 
 **Equivalence guarantee.**  Accepted top alignments are *bit-identical*
-for every ``group`` and every mate choice:
+for every ``group``, every mate choice and every dispatch policy:
 
 * acceptance fires only when the popped head is current, i.e. its score
-  is exact under the current triangle and dominates every queued score
-  — each of which is an upper bound on its own fresh score.  The
-  accepted task therefore attains the maximum fresh score, and the heap
-  key ``(-score, r)`` resolves ties to the smallest split point;
+  is exact under the current triangle and dominates every queued and
+  in-flight score — each of which is an upper bound on its own fresh
+  score.  The accepted task therefore attains the maximum fresh score,
+  and the heap key ``(-score, r)`` resolves ties to the smallest split
+  point;
 * speculative realignment only *refreshes* scores earlier than the
   sequential schedule would — it never changes what any score converges
   to, because a task's fresh score is a pure function of its split and
@@ -61,7 +108,11 @@ for every ``group`` and every mate choice:
 
 from __future__ import annotations
 
-from ..align.base import DEFAULT_ENGINE, DEFAULT_GROUP
+from dataclasses import dataclass
+
+import numpy as np
+
+from ..align.base import DEFAULT_ENGINE, DEFAULT_GROUP, AlignmentProblem
 from ..obs import get_registry
 from ..obs import span as obs_span
 from ..scoring.exchange import ExchangeMatrix
@@ -71,11 +122,30 @@ from .result import RunStats, TopAlignment
 from .tasks import Task, TaskQueue
 from .topalign import TopAlignmentState
 
-__all__ = ["TopAlignmentSession", "BatchedTopAlignmentRunner"]
+__all__ = ["Checkout", "TopAlignmentSession"]
 
 #: Bucket boundaries for the driver-level batch-width histogram —
 #: powers-of-two lane groups up to the paper's SSE2 width and beyond.
 _BATCH_BUCKETS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0)
+
+
+@dataclass
+class Checkout:
+    """One batch of stale tasks handed out for (re)alignment.
+
+    ``problems[i]`` is the alignment problem of ``tasks[i]`` under
+    triangle ``version``; whoever computes their bottom rows — this
+    thread, another thread, a slave rebuilding them from ``task.r`` and
+    ``problem.override is not None`` — returns them through
+    :meth:`TopAlignmentSession.absorb`.
+    """
+
+    tasks: list[Task]
+    problems: list[AlignmentProblem]
+    version: int
+    #: Lanes from this index on are speculation: 1 when nothing else was
+    #: in flight (the head is the sequential schedule's own next step).
+    speculative_from: int
 
 
 class TopAlignmentSession:
@@ -140,11 +210,15 @@ class TopAlignmentSession:
         for task in state.make_tasks():
             self._queue.insert(task)
         self._exhausted = False
-        #: Realignments issued on non-head lanes (all speculation, wasted
-        #: or not); first passes are excluded — every mode performs them.
+        # Stale heap keys ``(-score, r)`` of the tasks checked out and
+        # not yet absorbed.
+        self._inflight: dict[int, tuple[float, int]] = {}
+        #: Realignments issued as speculation (see :class:`Checkout`),
+        #: wasted or not; first passes are excluded — every mode
+        #: performs them.
         self.speculative_lanes = 0
-        # Stale heap keys of the lanes speculatively realigned at the
-        # current triangle version (see "Speculation and waste").
+        # Stale heap keys of the lanes realigned at the current triangle
+        # version (see "Speculation and waste").
         self._speculated: dict[int, tuple[float, int]] = {}
 
     # -- inspection --------------------------------------------------------
@@ -172,6 +246,10 @@ class TopAlignmentSession:
     def __len__(self) -> int:
         return len(self._state.found)
 
+    def finished(self, target: int) -> bool:
+        """True when ``target`` alignments are held or none remain."""
+        return self._state.n_found >= target or self._exhausted
+
     # -- the resumable loop --------------------------------------------------
 
     def _gather(self, head: Task) -> list[Task]:
@@ -193,7 +271,7 @@ class TopAlignmentSession:
         return [head, *window]
 
     def _accept(self, head: Task) -> None:
-        state = self._state
+        state, queue = self._state, self._queue
         with obs_span("accept", r=head.r, index=state.n_found):
             state.accept_task(head)
         # Lanes the sequential schedule would not have reached before
@@ -205,6 +283,82 @@ class TopAlignmentSession:
             key > accepted for key in self._speculated.values()
         )
         self._speculated.clear()
+        queue.insert(head)
+        registry = get_registry()
+        if registry.collecting:
+            registry.gauge(
+                "repro_heap_depth",
+                help="Best-first task-heap size observed at the last acceptance",
+            ).set(len(queue))
+        checker = state.invariants
+        if checker is not None and checker.mode == "full":
+            # Every queued upper bound must still dominate its fresh
+            # score under the just-grown triangle.
+            checker.verify_upper_bounds(queue.tasks())
+
+    def checkout(self, target: int) -> Checkout | None:
+        """Accept while the head allows it, then hand out the next batch.
+
+        Returns ``None`` when there is nothing to hand out *now*: the
+        session is :meth:`finished` for ``target``, or it waits for an
+        :meth:`absorb` (the head does not dominate the work in flight,
+        or everything is in flight).
+        """
+        state, queue, inflight = self._state, self._queue, self._inflight
+        if state.prune_context is not None:
+            state.prune_context.configure(self.min_score)
+        while queue and not self.finished(target):
+            head = queue.pop_highest()
+            if head.score <= self.min_score:
+                # Stale scores are upper bounds, so nothing queued can
+                # still beat min_score: the sequence is exhausted unless
+                # an in-flight bound can.
+                queue.insert(head)
+                self._exhausted = all(
+                    -key[0] <= self.min_score for key in inflight.values()
+                )
+                return None
+            key = (-head.score, head.r)
+            if head.is_current(state.n_found):
+                if any(other < key for other in inflight.values()):
+                    queue.insert(head)
+                    return None
+                self._accept(head)
+                continue
+            tasks = self._gather(head)
+            batch = Checkout(
+                tasks, state.problems_for(tasks), state.n_found, 0 if inflight else 1
+            )
+            for task in tasks:
+                inflight[task.r] = (-task.score, task.r)
+            registry = get_registry()
+            if registry.collecting:
+                registry.histogram(
+                    "repro_driver_batch_lanes",
+                    buckets=_BATCH_BUCKETS,
+                    help="Stale tasks realigned per engine batch",
+                ).observe(len(tasks))
+            return batch
+        return None
+
+    def absorb(self, batch: Checkout, rows: list[np.ndarray], seconds: float) -> None:
+        """Fold the bottom rows of a checked-out batch back in."""
+        state = self._state
+        state.record_rows(batch.tasks, batch.problems, rows, batch.version, seconds)
+        for lane, task in enumerate(batch.tasks):
+            key = self._inflight.pop(task.r)  # the stale key it went out with
+            self._queue.insert(task)
+            # Speculation concerns lanes that really realigned: pruned
+            # lanes keep their old stamp, first passes are stamped 0 and
+            # are every mode's work.
+            if task.aligned_with != batch.version or not batch.version:
+                continue
+            if lane >= batch.speculative_from:
+                self.speculative_lanes += 1
+            if batch.version == state.n_found:
+                self._speculated[task.r] = key
+            else:
+                state.stats.speculative_waste += 1
 
     def extend(self, k: int) -> list[TopAlignment]:
         """Accept up to ``k`` *additional* top alignments; returns the new ones.
@@ -213,62 +367,11 @@ class TopAlignmentSession:
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        state, queue = self._state, self._queue
+        state = self._state
         start = state.n_found
-        if self._exhausted:
-            return []
-        prune_ctx = state.prune_context
-        if prune_ctx is not None:
-            prune_ctx.configure(self.min_score)
-        checker = state.invariants
-        registry = get_registry()
-        if registry.collecting:
-            heap_gauge = registry.gauge(
-                "repro_heap_depth",
-                help="Best-first task-heap size observed at the last acceptance",
-            )
-            batch_histogram = registry.histogram(
-                "repro_driver_batch_lanes",
-                buckets=_BATCH_BUCKETS,
-                help="Stale tasks realigned per engine batch",
-            )
-        else:
-            heap_gauge = batch_histogram = None
-
         with obs_span("best_first", k=k, group=self.group, m=state.m):
-            while state.n_found < start + k:
-                head = queue.pop_highest()
-                if head.score <= self.min_score:
-                    # Stale scores are upper bounds, so nothing in the queue
-                    # can still beat min_score: the sequence is exhausted.
-                    queue.insert(head)
-                    self._exhausted = True
-                    break
-                if head.is_current(state.n_found):
-                    self._accept(head)
-                    queue.insert(head)
-                    if heap_gauge is not None:
-                        heap_gauge.set(len(queue))
-                    if checker is not None and checker.mode == "full":
-                        # Every queued upper bound must still dominate its
-                        # fresh score under the just-grown triangle.
-                        checker.verify_upper_bounds(queue.tasks())
-                    continue
-
-                batch = self._gather(head)
-                if batch_histogram is not None:
-                    batch_histogram.observe(len(batch))
-                stale_keys = [(-task.score, task.r) for task in batch]
-                state.align_tasks_batch(batch)
-                for task, key in zip(batch[1:], stale_keys[1:]):
-                    # Speculation = a non-head lane that really realigned
-                    # (version stamp fresh; pruned lanes stay stale, first
-                    # passes are stamped 0 and are every mode's work).
-                    if task.aligned_with == state.n_found and state.n_found:
-                        self.speculative_lanes += 1
-                        self._speculated[task.r] = key
-                for task in batch:
-                    queue.insert(task)
+            while (batch := self.checkout(start + k)) is not None:
+                self.absorb(batch, *state.fill(batch.problems))
         return list(state.found[start:])
 
     def extend_until(self, min_score: float, *, max_alignments: int = 10_000) -> list[TopAlignment]:
@@ -290,39 +393,3 @@ class TopAlignmentSession:
                 # may remain reachable at the restored threshold.
                 self._exhausted = False
         return list(self._state.found[start:])
-
-
-class BatchedTopAlignmentRunner:
-    """Run-to-``k`` wrapper of :class:`TopAlignmentSession` over a state.
-
-    Kept for callers that build the state themselves (tests, benches);
-    ``runner.session.speculative_lanes`` exposes the speculation count.
-    """
-
-    def __init__(
-        self,
-        state: TopAlignmentState,
-        k: int,
-        *,
-        group: int = DEFAULT_GROUP,
-        min_score: float = 0.0,
-    ) -> None:
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        self.session = TopAlignmentSession.from_state(
-            state, group=group, min_score=min_score
-        )
-        self.state = state
-        self.k = k
-        self.group = group
-
-    @property
-    def speculative_lanes(self) -> int:
-        return self.session.speculative_lanes
-
-    def run(self) -> tuple[list[TopAlignment], RunStats]:
-        """Execute and return ``(top_alignments, stats)``."""
-        missing = self.k - self.state.n_found
-        if missing > 0:
-            self.session.extend(missing)
-        return list(self.state.found), self.state.stats

@@ -7,18 +7,22 @@ engine — and exposes the two operations of Figure 5's loop:
 * :meth:`TopAlignmentState.align_tasks_batch` (one task:
   :meth:`~TopAlignmentState.align_task`) — ``AlignWithoutTraceback``:
   score splits under the current triangle, with shadow-alignment
-  rejection against the cached first-pass bottom rows;
+  rejection against the cached first-pass bottom rows.  It is
+  :meth:`~TopAlignmentState.problems_for` → one engine batch →
+  :meth:`~TopAlignmentState.record_rows`; a driver that runs the engine
+  elsewhere (another thread, another process) calls the two halves
+  itself;
 * :meth:`TopAlignmentState.accept_task` — lines 13–14: recompute the
   winning matrix, trace the alignment back, and mark its pairs in the
   override triangle.
 
 :func:`find_top_alignments` runs the best-first loop
 (:class:`repro.core.session.TopAlignmentSession`, lane-batched by
-default) on top of this state.  The shared-memory scheduler, the
-distributed master/slave driver and the cluster simulator reuse the
-same state object with their own scheduling policies, which is how the
-paper's "exactly the same top alignments" guarantee carries over to
-every execution mode.
+default) on top of this state.  The shared-memory scheduler and the
+distributed master/slave driver are dispatch policies of that same
+session, and the cluster simulator reuses the state object, which is
+how the paper's "exactly the same top alignments" guarantee carries
+over to every execution mode.
 """
 
 from __future__ import annotations
@@ -259,18 +263,20 @@ class TopAlignmentState:
             self.invariants.after_prune(task, gate, prev_score=prev_score)
         return task.score
 
-    def _record_row(self, task: Task, row: np.ndarray) -> float:
-        """Put-or-shadow-score bookkeeping shared by both alignment paths.
+    def _record_row(self, task: Task, row: np.ndarray, version: int) -> float:
+        """Put-or-shadow-score bookkeeping of one completed fill.
 
         First alignments cache the bottom row; realignments apply the
-        Appendix A shadow-validity rule.  The task's ``score`` and
-        ``aligned_with`` are updated in place, the invariant checker (if
-        armed) validates the transition, and the new score is returned.
+        Appendix A shadow-validity rule and are stamped with ``version``,
+        the triangle version the fill observed.  The task's ``score``
+        and ``aligned_with`` are updated in place, the invariant checker
+        (if armed) validates the transition, and the new score is
+        returned.
         """
         prev_score, prev_version = task.score, task.aligned_with
         if task.r not in self.bottom_rows:
             # First pass: ``row`` was computed under the empty triangle
-            # (see align_task), so it is scored — and versioned — as the
+            # (see problems_for), so it is scored — and versioned — as the
             # canonical version-0 alignment even when acceptances have
             # already happened.  A late first pass therefore never
             # satisfies ``is_current`` directly; the task must realign
@@ -283,7 +289,6 @@ class TopAlignmentState:
             self.stats.realignments += 1
             self.stats.realignments_per_top[-1] += 1
             score = self.bottom_rows.score_of(task.r, row)
-            version = self.n_found
         task.score = score
         task.aligned_with = version
         if self.invariants is not None:
@@ -335,11 +340,25 @@ class TopAlignmentState:
     def align_tasks_batch(self, tasks: list[Task]) -> list[float]:
         """Score several tasks in one engine batch (lane groups, §4.1).
 
-        Caches the bottom row on a task's first alignment; on
-        realignments applies the Appendix A shadow-validity rule.  Each
-        task's ``score`` and ``aligned_with`` are updated in place and
-        the new scores returned.  Engines with a true batched
+        Each task's ``score`` and ``aligned_with`` are updated in place
+        and the new scores returned.  Engines with a true batched
         implementation (the lane engine) compute the fills in lockstep.
+        """
+        problems = self.problems_for(tasks)
+        rows, seconds = self.fill(problems)
+        return self.record_rows(tasks, problems, rows, self.n_found, seconds)
+
+    def fill(self, problems: list[AlignmentProblem]) -> tuple[list[np.ndarray], float]:
+        """One timed engine batch: ``(bottom rows, seconds)``.
+
+        Touches nothing but the engine — safe outside a driver's lock.
+        """
+        start = time.perf_counter()
+        rows = self.engine.last_rows_batch(problems)
+        return rows, time.perf_counter() - start
+
+    def problems_for(self, tasks: list[Task]) -> list[AlignmentProblem]:
+        """The (gated) alignment problems of ``tasks``, as of now.
 
         A task's *first* alignment is always computed under the empty
         triangle, whatever the current version: the cached row is the
@@ -351,7 +370,7 @@ class TopAlignmentState:
         later shadow decisions — and therefore the accepted tops —
         stay bit-identical to an unseeded run.
         """
-        problems = [
+        return [
             self.problem_for(
                 task.r,
                 with_override=task.r in self.bottom_rows,
@@ -359,9 +378,27 @@ class TopAlignmentState:
             )
             for task in tasks
         ]
-        start = time.perf_counter()
-        rows = self.engine.last_rows_batch(problems)
-        self.stats.engine_seconds += time.perf_counter() - start
+
+    def record_rows(
+        self,
+        tasks: list[Task],
+        problems: list[AlignmentProblem],
+        rows: list[np.ndarray],
+        version: int,
+        seconds: float,
+    ) -> list[float]:
+        """Fold the bottom rows of one engine batch into the search state.
+
+        ``problems`` are the :meth:`problems_for` of ``tasks`` and
+        ``version`` the triangle version they were built under — the
+        current one for an inline call, an older one when acceptances
+        happened while the fills ran elsewhere (the score is then a
+        stale upper bound, exactly like any other).  Caches the bottom
+        row on a first alignment, applies the Appendix A shadow-validity
+        rule on realignments, records a stopped fill's bound, and
+        returns the new scores.
+        """
+        self.stats.engine_seconds += seconds
         self.stats.alignments += len(problems)
         scores = []
         for task, problem, row in zip(tasks, problems, rows):
@@ -372,8 +409,24 @@ class TopAlignmentState:
                 scores.append(self._record_pruned(task, gate))
             else:
                 self.stats.cells += problem.cells
-                scores.append(self._record_row(task, row))
+                scores.append(self._record_row(task, row, version))
         return scores
+
+    def restore(self, alignments=(), rows=None) -> None:
+        """Adopt the durable products of an earlier or remote run.
+
+        ``alignments`` are re-accepted in order (marking the triangle);
+        ``rows`` maps split → version-0 bottom row.  :meth:`make_tasks`
+        then starts every restored split at its row's maximum, so the
+        continuation is exactly the original run's — a checkpoint
+        resume, or a search finished from node-computed first passes.
+        """
+        for alignment in alignments:
+            self.triangle.mark(alignment.pairs)
+            self.found.append(alignment)
+            self.stats.realignments_per_top.append(0)
+        for r, row in (rows or {}).items():
+            self.bottom_rows.put(int(r), np.asarray(row, dtype=np.float64))
 
 
 def find_top_alignments(
@@ -415,8 +468,10 @@ def find_top_alignments(
     context) toggles the exact in-fill pruning bounds of
     :mod:`repro.align.pruning`.
     """
-    from .session import BatchedTopAlignmentRunner
+    from .session import TopAlignmentSession
 
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if state is None:
         state = TopAlignmentState(
             sequence,
@@ -427,4 +482,7 @@ def find_top_alignments(
             seed_bounds=seed_bounds,
             prune=prune,
         )
-    return BatchedTopAlignmentRunner(state, k, group=group, min_score=min_score).run()
+    session = TopAlignmentSession.from_state(state, group=group, min_score=min_score)
+    if k > state.n_found:
+        session.extend(k - state.n_found)
+    return list(state.found), state.stats

@@ -1,11 +1,6 @@
-"""Parallel execution: lane groups, threads, and distributed master/slave."""
+"""Parallel execution: thread and master/slave dispatch of the one search session."""
 
 from .driver import find_top_alignments_distributed
-from .groups import (
-    GroupedTopAlignmentRunner,
-    TaskGroup,
-    find_top_alignments_grouped,
-)
 from .master import MasterRunner
 from .msgpass import ANY, Communicator, Message, World
 from .shared import ThreadedTopAlignmentRunner, find_top_alignments_threaded
@@ -13,11 +8,8 @@ from .slave import SlaveConfig, slave_main
 
 __all__ = [
     "find_top_alignments_threaded",
-    "find_top_alignments_grouped",
     "find_top_alignments_distributed",
     "ThreadedTopAlignmentRunner",
-    "GroupedTopAlignmentRunner",
-    "TaskGroup",
     "MasterRunner",
     "SlaveConfig",
     "slave_main",

@@ -15,7 +15,7 @@ exhibit 128-way scaling.
 from __future__ import annotations
 
 from ..core.result import RunStats, TopAlignment
-from ..core.topalign import TopAlignmentState
+from ..core.session import TopAlignmentSession
 from ..scoring.exchange import ExchangeMatrix
 from ..scoring.gaps import GapPenalties
 from ..sequences.sequence import Sequence
@@ -48,9 +48,9 @@ def find_top_alignments_distributed(
     if threads_per_slave < 1:
         raise ValueError("threads_per_slave must be >= 1")
 
-    # Paper-figure schedulers: every split gets its version-0 first pass
-    # (§4.2/§4.3), so the profile-derived bounds stay switched off.
-    state = TopAlignmentState(sequence, exchange, gaps, engine=engine, prune=False)
+    session = TopAlignmentSession(
+        sequence, exchange, gaps, engine=engine, group=1, min_score=min_score
+    )
     config = SlaveConfig(
         codes=sequence.codes.tobytes(),
         m=len(sequence),
@@ -62,10 +62,6 @@ def find_top_alignments_distributed(
     with World(n_slaves + 1) as world:
         world.start(slave_main, config)
         runner = MasterRunner(
-            world.comm,
-            state,
-            k,
-            slave_capacity=threads_per_slave,
-            min_score=min_score,
+            world.comm, session, k, slave_capacity=threads_per_slave
         )
         return runner.run()

@@ -1,36 +1,41 @@
 """The distributed master (§4.3).
 
-One rank — the master — is sacrificed to manage the task queue, the
-bottom-row store and the override triangle, and to hand tasks to idle
-slaves.  Slaves request nothing; the master pushes ``ALIGN`` work
-whenever a slave has spare capacity and reabsorbs ``ROW`` replies.
+One rank — the master — is sacrificed to own the search
+(:class:`~repro.core.session.TopAlignmentSession`: task queue,
+bottom-row store, override triangle) and to hand its checked-out
+batches to idle slaves.  Slaves request nothing; the master pushes
+``ALIGN`` work whenever a slave has spare capacity and absorbs the
+``ROW`` replies.  When a head may be accepted while replies are
+outstanding is the session's rule (see :mod:`repro.core.session`).
 
-Protocol (all payloads picklable):
+Protocol (payloads are what :mod:`repro.cluster.transport` can frame):
 
 ===========  ==========  ==================================================
 tag          direction   payload
 ===========  ==========  ==================================================
-``T_ALIGN``  m -> s      ``(r, version)`` — align split r; the slave's
-                         triangle replica must already be at ``version``
-``T_ROW``    s -> m      ``(r, version, bottom_row)``
+``T_ALIGN``  m -> s      ``(version, ((r, with_override), ...))`` — align
+                         these splits in one engine batch; the slave's
+                         triangle replica is already at ``version``.  A
+                         first pass runs without the override view
+``T_ROW``    s -> m      ``(r_head, bottom_rows, engine_seconds)``
 ``T_MARK``   m -> s      ``tuple[pair, ...]`` — a newly accepted top
                          alignment; sent to *every* slave, FIFO order
                          guarantees it precedes any task that assumes it
 ``T_STOP``   m -> s      ``None`` — shut down
 ===========  ==========  ==================================================
 
-Because the master tags each assignment with the triangle version in
-force when it was sent, and per-slave FIFO ordering means the slave's
-replica is at exactly that version while computing, every returned
-score is attributed to the right version — the distributed run is
-*deterministic* and produces the sequential algorithm's alignments.
+Because the session stamps each batch with the triangle version in
+force when it was checked out, and per-slave FIFO ordering means the
+slave's replica has seen exactly the marks of that version before it
+computes, every returned score is attributed to the right version — the
+distributed run is *deterministic* and produces the sequential
+algorithm's alignments.
 """
 
 from __future__ import annotations
 
 from ..core.result import RunStats, TopAlignment
-from ..core.tasks import Task, TaskQueue
-from ..core.topalign import TopAlignmentState
+from ..core.session import Checkout, TopAlignmentSession
 from .msgpass import ANY, Communicator
 
 __all__ = ["T_ALIGN", "T_ROW", "T_MARK", "T_STOP", "MasterRunner"]
@@ -42,130 +47,69 @@ T_STOP = 4
 
 
 class MasterRunner:
-    """Drives the distributed search from rank 0."""
+    """Drives ``session`` to ``k`` alignments from rank 0."""
 
     def __init__(
         self,
         comm: Communicator,
-        state: TopAlignmentState,
+        session: TopAlignmentSession,
         k: int,
         *,
         slave_capacity: int = 1,
-        min_score: float = 0.0,
     ) -> None:
         if comm.size < 2:
             raise ValueError("need at least one slave rank")
         if k < 1:
             raise ValueError("k must be >= 1")
         self.comm = comm
-        self.state = state
+        self.session = session
         self.k = k
-        self.min_score = min_score
         self.slave_capacity = slave_capacity
-        checker = state.invariants
-        self._queue = TaskQueue(
-            guard=checker.guard_task if checker is not None else None
-        )
-        self._inflight: dict[int, Task] = {}  # r -> checked-out task
+        # Batches sent out and not yet answered, by head split.
+        self._pending: dict[int, Checkout] = {}
         self._load = {rank: 0 for rank in range(1, comm.size)}
-        #: Per-slave message/byte counters (the paper's "each slave
-        #: sends up to 64 KB/s" observation).
+        self._marked = 0  # accepted alignments already broadcast
+        #: Bottom-row bytes shipped back (the paper's "each slave sends
+        #: up to 64 KB/s" observation).
         self.bytes_received = 0
-
-    # -- helpers -----------------------------------------------------------
-
-    def _dominates_inflight(self, score: float, r: int) -> bool:
-        return all(
-            t.score < score or (t.score == score and t.r > r)
-            for t in self._inflight.values()
-        )
 
     def _idle_slave(self) -> int | None:
         best = min(self._load, key=lambda rank: (self._load[rank], rank))
         return best if self._load[best] < self.slave_capacity else None
 
-    # -- main loop -----------------------------------------------------------
-
     def run(self) -> tuple[list[TopAlignment], RunStats]:
         """Execute the search and stop all slaves before returning."""
-        state = self.state
-        for task in state.make_tasks():
-            self._queue.insert(task)
-
+        session = self.session
         try:
             while True:
-                made_progress = self._schedule()
-                if state.n_found >= self.k or self._exhausted():
-                    break
-                if not made_progress and not self._inflight:
-                    break  # nothing runnable and nothing pending
-                if self._inflight:
-                    self._absorb_result()
+                self._assign()
+                if not self._pending:
+                    break  # nothing to hand out and nothing in flight: finished
+                msg = self.comm.recv(source=ANY, tag=T_ROW)
+                head_r, rows, seconds = msg.payload
+                batch = self._pending.pop(head_r)
+                self._load[msg.source] -= 1
+                self.bytes_received += sum(row.nbytes for row in rows)
+                session.absorb(batch, rows, seconds)
         finally:
-            for rank in range(1, self.comm.size):
-                self.comm.send(None, rank, T_STOP)
-        return list(state.found), state.stats
+            self.comm.bcast_from(None, T_STOP)
+        return session.alignments, session.stats
 
-    def _schedule(self) -> bool:
-        """Assign tasks / accept alignments until blocked.  True if any."""
-        state = self.state
-        progressed = False
-        while state.n_found < self.k and self._queue:
-            head_score = self._queue.peek_score()
-            if head_score <= self.min_score:
-                break
-            task = self._queue.pop_highest()
-            if task.is_current(state.n_found):
-                if not self._dominates_inflight(task.score, task.r):
-                    self._queue.insert(task)
-                    break  # must wait for in-flight upper bounds
-                # Acceptance — traceback runs on the master, sequentially.
-                state.accept_task(task)
-                self._queue.insert(task)
-                for rank in range(1, self.comm.size):
-                    self.comm.send(state.found[-1].pairs, rank, T_MARK)
-                progressed = True
-                continue
-            slave = self._idle_slave()
-            if slave is None:
-                self._queue.insert(task)
-                break
-            self.comm.send((task.r, state.n_found), slave, T_ALIGN)
-            task.aligned_with = state.n_found  # version the slave will use
-            self._inflight[task.r] = task
-            self._load[slave] += 1
-            progressed = True
-        return progressed
-
-    def _absorb_result(self) -> None:
-        """Receive one ROW reply and fold it into the search state."""
-        state = self.state
-        msg = self.comm.recv(source=ANY, tag=T_ROW)
-        r, version, row = msg.payload
-        task = self._inflight.pop(r)
-        self._load[msg.source] -= 1
-        self.bytes_received += row.nbytes
-        state.stats.alignments += 1
-        state.stats.cells += r * (state.m - r)
-        prev_score, prev_version = task.score, task.aligned_with
-        if r not in state.bottom_rows:
-            state.bottom_rows.put(r, row)
-            score = float(row.max())
-        else:
-            state.stats.realignments += 1
-            state.stats.realignments_per_top[-1] += 1
-            score = state.bottom_rows.score_of(r, row)
-        task.score = score
-        task.aligned_with = version
-        if state.invariants is not None:
-            state.invariants.after_align(
-                task, row, prev_score=prev_score, prev_version=prev_version
+    def _assign(self) -> None:
+        """Hand batches to slaves with spare capacity until blocked."""
+        session = self.session
+        while (slave := self._idle_slave()) is not None:
+            # Acceptance — traceback runs here, on the master, sequentially.
+            batch = session.checkout(self.k)
+            for alignment in session.state.found[self._marked :]:
+                self.comm.bcast_from(alignment.pairs, T_MARK)
+            self._marked = session.state.n_found
+            if batch is None:
+                return
+            splits = tuple(
+                (task.r, problem.override is not None)
+                for task, problem in zip(batch.tasks, batch.problems)
             )
-        self._queue.insert(task)
-
-    def _exhausted(self) -> bool:
-        if self._inflight:
-            return False
-        if not self._queue:
-            return True
-        return self._queue.peek_score() <= self.min_score
+            self.comm.send((batch.version, splits), slave, T_ALIGN)
+            self._pending[batch.tasks[0].r] = batch
+            self._load[slave] += 1

@@ -1,21 +1,23 @@
 """The distributed slave (§4.3).
 
 A slave replicates the override triangle (cheap: read often, updated
-only on acceptances), services ``ALIGN`` requests with its local
-alignment engine, and ships bottom rows back to the master.  With
-``n_threads > 1`` it models one SMP node: a small thread pool computes
-several assignments concurrently while a receiver loop keeps applying
-triangle updates — and, echoing the paper's MPI-without-thread-support
-workaround, all sends go through a mutex.
+only on acceptances), services ``ALIGN`` requests — one engine batch
+each — with its local alignment engine, and ships the bottom rows back
+to the master.  With ``n_threads > 1`` it models one SMP node: a small
+thread pool computes several assignments concurrently while a receiver
+loop keeps applying triangle updates — and, echoing the paper's
+MPI-without-thread-support workaround, all sends go through a mutex.
 """
 
 from __future__ import annotations
 
 import queue as queue_mod
 import threading
+import time
 from dataclasses import dataclass
 
 from ..align.base import AlignmentProblem, get_engine
+from ..align.profile import QueryProfile
 from ..core.override import DenseOverrideTriangle
 from ..scoring.exchange import ExchangeMatrix
 from ..scoring.gaps import GapPenalties
@@ -43,21 +45,28 @@ def slave_main(comm: Communicator, config: SlaveConfig) -> None:
 
     codes = np.frombuffer(config.codes, dtype=np.int8)
     engine = get_engine(config.engine)
+    profile = QueryProfile(codes, config.exchange)
     triangle = DenseOverrideTriangle(config.m)
     send_lock = threading.Lock()  # "we protect all MPI calls with a mutex"
     work: queue_mod.Queue = queue_mod.Queue()
 
-    def compute(r: int, version: int) -> None:
-        problem = AlignmentProblem(
-            codes[:r],
-            codes[r:],
-            config.exchange,
-            config.gaps,
-            triangle.view_for_split(r),
-        )
-        row = engine.last_row(problem)
+    def compute(_version: int, splits: tuple[tuple[int, bool], ...]) -> None:
+        problems = [
+            AlignmentProblem(
+                codes[:r],
+                codes[r:],
+                config.exchange,
+                config.gaps,
+                triangle.view_for_split(r) if with_override else None,
+                profile=profile.suffix(r),
+            )
+            for r, with_override in splits
+        ]
+        start = time.perf_counter()
+        rows = engine.last_rows_batch(problems)
+        seconds = time.perf_counter() - start
         with send_lock:
-            comm.send((r, version, row), 0, T_ROW)
+            comm.send((splits[0][0], rows, seconds), 0, T_ROW)
 
     def worker() -> None:
         while True:

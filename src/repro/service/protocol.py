@@ -49,7 +49,6 @@ ALGORITHM_VERSION = 1
 MATRIX_NAMES = ("blosum62", "blosum50", "pam250", "pam120", "simple")
 
 _ALPHABETS = ("protein", "dna", "rna")
-_ALGORITHMS = ("new", "old")
 
 
 class JobState:
@@ -113,8 +112,10 @@ class JobSpec:
             raise SpecError("sequence must be a non-empty string")
         if self.alphabet not in _ALPHABETS:
             raise SpecError(f"alphabet must be one of {_ALPHABETS}")
-        if self.algorithm not in _ALGORITHMS:
-            raise SpecError(f"algorithm must be one of {_ALGORITHMS}")
+        if self.algorithm != "new":
+            # The O(n⁴) Table 1 baseline cannot checkpoint, cancel or
+            # drain; it stays a library/CLI option (`repro find`).
+            raise SpecError("algorithm must be 'new' (the service runs no other)")
         if self.matrix is not None and self.matrix not in MATRIX_NAMES:
             raise SpecError(f"matrix must be one of {MATRIX_NAMES} or null")
         if self.matrix not in (None, "simple") and self.alphabet != "protein":
@@ -171,7 +172,7 @@ class JobSpec:
             "gap_open": float(self.gap_open),
             "gap_extend": float(self.gap_extend),
             "top_alignments": int(self.top_alignments),
-            "algorithm": self.algorithm,
+            "algorithm": "new",  # the literal keeps pre-existing digests valid
             "min_score": float(self.min_score),
             "min_copy_length": int(self.min_copy_length),
             "max_gap": int(self.max_gap),

@@ -35,11 +35,8 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 from ..core.api import RepeatFinder
-from ..core.checkpoint import load_checkpoint
 from ..obs import span as obs_span
 from ..core.result import RepeatResult
-from ..core.session import TopAlignmentSession
-from ..core.topalign import TopAlignmentState
 from ..scoring.blosum import blosum50, blosum62
 from ..scoring.exchange import match_mismatch
 from ..scoring.gaps import GapPenalties
@@ -98,7 +95,6 @@ def build_finder(spec: JobSpec) -> RepeatFinder:
         gaps=GapPenalties(spec.gap_open, spec.gap_extend),
         top_alignments=spec.top_alignments,
         engine=spec.engine,
-        algorithm=spec.algorithm,
         group=spec.group,
         min_score=spec.min_score,
         min_copy_length=spec.min_copy_length,
@@ -222,25 +218,18 @@ def execute_job(
         sequence = Sequence(
             spec.normalized_sequence(), spec.alphabet, id=spec.seq_id
         )
-        with obs_span(
-            "execute_job", job=job_id, algorithm=spec.algorithm, k=spec.top_alignments
-        ):
-            if spec.algorithm == "old":
-                # The quartic baseline has no incremental state to
-                # checkpoint; it runs one-shot (identical results, §3).
-                result = finder.find(sequence)
-            else:
-                result = _run_incremental(
-                    store,
-                    finder,
-                    sequence,
-                    spec,
-                    job_id,
-                    should_stop=should_stop,
-                    checkpoint_every=max(1, checkpoint_every),
-                    chunk_delay=chunk_delay,
-                    stats=stats,
-                )
+        with obs_span("execute_job", job=job_id, k=spec.top_alignments):
+            result = _run_incremental(
+                store,
+                finder,
+                sequence,
+                spec,
+                job_id,
+                should_stop=should_stop,
+                checkpoint_every=max(1, checkpoint_every),
+                chunk_delay=chunk_delay,
+                stats=stats,
+            )
             if result is None:
                 outcome = "cancelled" if store.cancel_requested(job_id) else "suspended"
                 if outcome == "cancelled":
@@ -286,18 +275,15 @@ def _run_incremental(
     Returns ``None`` when interrupted (cancel / graceful stop) — the
     checkpoint then holds everything accepted so far.
     """
-    exchange = finder.resolve_exchange(sequence)
-    state: TopAlignmentState | None = None
+    session = None
     ckpt = store.checkpoint_path(job_id)
     if ckpt.exists():
         try:
-            state = load_checkpoint(
-                ckpt, sequence, exchange, finder.gaps, engine=spec.engine
-            )
-            store.append_event(job_id, "resumed", found=state.n_found)
-        except (ValueError, OSError) as exc:
+            session = finder.session(sequence, checkpoint=ckpt)
+            store.append_event(job_id, "resumed", found=len(session))
+        except ValueError as exc:
             store.append_event(job_id, "checkpoint-invalid", error=str(exc))
-    if state is None:
+    if session is None:
         seed_bounds = None
         if spec.index:
             # Execution knob, not a result knob: seeded heap bounds keep
@@ -306,43 +292,33 @@ def _run_incremental(
             # path deliberately has no skip class.
             from ..index.bounds import seed_score_bounds
 
-            seed_bounds = seed_score_bounds(sequence, exchange)
+            seed_bounds = seed_score_bounds(
+                sequence, finder.resolve_exchange(sequence)
+            )
             if stats is not None:
                 stats.index_seeded += 1
-        state = TopAlignmentState(
-            sequence,
-            exchange,
-            finder.gaps,
-            engine=spec.engine,
-            seed_bounds=seed_bounds,
-        )
+        session = finder.session(sequence, seed_bounds=seed_bounds)
 
     # One live session for the whole job: the heap, with every stale
     # bound the search has earned, survives across chunks, so
     # checkpointing after every acceptance costs no realignment work.
-    session = TopAlignmentSession.from_state(
-        state, group=spec.group, min_score=spec.min_score
-    )
     k = spec.top_alignments
-    while state.n_found < k and not session.exhausted:
+    while not session.finished(k):
         if store.cancel_requested(job_id) or should_stop():
-            store.save_job_checkpoint(job_id, state)
-            store.update(job_id, found=state.n_found)
+            store.save_job_checkpoint(job_id, session.state)
+            store.update(job_id, found=len(session))
             return None
-        target = min(k, state.n_found + checkpoint_every)
+        target = min(k, len(session) + checkpoint_every)
         with obs_span("chunk", job=job_id, target=target):
-            session.extend(target - state.n_found)
-        store.save_job_checkpoint(job_id, state)
-        store.update(job_id, found=state.n_found)
+            session.extend(target - len(session))
+        store.save_job_checkpoint(job_id, session.state)
+        store.update(job_id, found=len(session))
         store.append_event(
-            job_id, "progress", found=state.n_found, target=k, checkpointed=True
+            job_id, "progress", found=len(session), target=k, checkpointed=True
         )
         if chunk_delay > 0:
             time.sleep(chunk_delay)
-
-    alignments = list(state.found)
-    repeats = finder.delineate(alignments, len(sequence))
-    return RepeatResult(top_alignments=alignments, repeats=repeats, stats=state.stats)
+    return finder.result(session)
 
 
 def worker_main(

@@ -1,4 +1,5 @@
-"""The socket transport: codec, framed channels, envelope matching."""
+"""The socket transport: codec, framed channels, and the envelope
+matching ``repro.parallel.msgpass`` layers on a channel pair."""
 
 import threading
 
@@ -6,15 +7,14 @@ import numpy as np
 import pytest
 
 from repro.cluster.transport import (
-    ANY,
     Channel,
     FrameError,
     Listener,
-    SocketCommunicator,
     connect,
     decode_payload,
     encode_payload,
 )
+from repro.parallel.msgpass import ANY, Communicator
 
 
 def _roundtrip(obj):
@@ -128,10 +128,11 @@ class TestChannel:
 
 @pytest.fixture()
 def comm_pair(channel_pair):
-    """Two connected communicators: rank 0 (hub) and rank 1."""
+    """Two connected communicators of a three-rank world: rank 0 (the
+    hub) and rank 1; rank 2 is not wired."""
     hub_channel, peer_channel = channel_pair
-    hub = SocketCommunicator(0, 2, {1: hub_channel})
-    peer = SocketCommunicator(1, 2, {0: peer_channel})
+    hub = Communicator(0, 3, {1: hub_channel})
+    peer = Communicator(1, 3, {0: peer_channel})
     yield hub, peer
 
 
@@ -163,12 +164,12 @@ class TestSocketCommunicator:
     def test_send_outside_world_rejected(self, comm_pair):
         hub, _ = comm_pair
         with pytest.raises(ValueError, match="outside"):
-            hub.send("x", dest=2)
+            hub.send("x", dest=3)
 
     def test_peer_without_channel_rejected(self, comm_pair):
         _, peer = comm_pair
         with pytest.raises(ValueError, match="star"):
-            peer.send("x", dest=1)
+            peer.send("x", dest=2)
 
     def test_recv_timeout(self, comm_pair):
         hub, _ = comm_pair

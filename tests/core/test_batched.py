@@ -6,12 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.align import INT16_MAX, LanesEngine
-from repro.core import (
-    BatchedTopAlignmentRunner,
-    TopAlignmentState,
-    find_top_alignments,
-    find_top_alignments_batched,
-)
+from repro.core import TopAlignmentSession, TopAlignmentState, find_top_alignments
 from repro.scoring import GapPenalties, match_mismatch
 from repro.scoring.blosum import blosum62
 from repro.sequences import PROTEIN, Sequence, pseudo_titin, tandem_repeat_sequence
@@ -42,7 +37,7 @@ class TestEquivalence:
         exchange, gaps = blosum62(), GapPenalties(8, 1)
         expected, _ = _reference(seq, 8, exchange, gaps)
         engine = LanesEngine(lanes=group, dtype=dtype)
-        got, stats = find_top_alignments_batched(
+        got, stats = find_top_alignments(
             seq, 8, exchange, gaps, group=group, engine=engine
         )
         assert _key(got) == _key(expected)
@@ -63,7 +58,7 @@ class TestEquivalence:
         seq = pseudo_titin(120, seed=3)
         exchange, gaps = blosum62(), GapPenalties(8, 1)
         expected, _ = _reference(seq, 30, exchange, gaps, min_score=25.0)
-        got, _ = find_top_alignments_batched(
+        got, _ = find_top_alignments(
             seq, 30, exchange, gaps, group=8, min_score=25.0
         )
         assert _key(got) == _key(expected)
@@ -83,7 +78,7 @@ class TestEquivalence:
         gaps = GapPenalties(2.0, 1.0)
         expected, _ = _reference(seq, k, exchange, gaps)
         engine = LanesEngine(lanes=group, dtype=dtype)
-        got, _ = find_top_alignments_batched(
+        got, _ = find_top_alignments(
             seq, k, exchange, gaps, group=group, engine=engine
         )
         assert _key(got) == _key(expected)
@@ -100,7 +95,7 @@ class TestEquivalence:
         assert (len(seq) // 2) * match < INT16_MAX
         expected, _ = _reference(seq, 3, exchange, gaps)
         engine = LanesEngine(lanes=4, dtype="int16")
-        got, _ = find_top_alignments_batched(
+        got, _ = find_top_alignments(
             seq, 3, exchange, gaps, group=4, engine=engine
         )
         assert _key(got) == _key(expected)
@@ -130,10 +125,11 @@ class TestWasteAccounting:
         exchange, gaps = blosum62(), GapPenalties(8, 1)
         _, sequential = _reference(seq, 8, exchange, gaps)
         state = TopAlignmentState(seq, exchange, gaps, engine="lanes")
-        runner = BatchedTopAlignmentRunner(state, 8, group=8)
-        _, stats = runner.run()
-        assert 0 < stats.speculative_waste <= runner.speculative_lanes
-        assert stats.speculative_waste <= (runner.group - 1) * stats.tracebacks
+        session = TopAlignmentSession.from_state(state, group=8)
+        session.extend(8)
+        stats = session.stats
+        assert 0 < stats.speculative_waste <= session.speculative_lanes
+        assert stats.speculative_waste <= (session.group - 1) * stats.tracebacks
         assert stats.waste_ratio == stats.speculative_waste / stats.alignments
         # Wasted lanes are the only alignments the sequential run lacks
         # (and some of them tighten bounds that save later work).
@@ -145,7 +141,7 @@ class TestWasteAccounting:
         """k=1 does first passes only — zero realignments, zero waste."""
         seq = pseudo_titin(100, seed=5)
         exchange, gaps = blosum62(), GapPenalties(8, 1)
-        _, stats = find_top_alignments_batched(seq, 1, exchange, gaps, group=8)
+        _, stats = find_top_alignments(seq, 1, exchange, gaps, group=8)
         assert stats.realignments == 0
         assert stats.speculative_waste == 0
 
@@ -155,22 +151,20 @@ class TestValidation:
         seq = pseudo_titin(50, seed=1)
         exchange, gaps = blosum62(), GapPenalties(8, 1)
         with pytest.raises(ValueError, match="group"):
-            find_top_alignments_batched(seq, 2, exchange, gaps, group=0)
-        with pytest.raises(ValueError, match="group"):
             find_top_alignments(seq, 2, exchange, gaps, group=0)
 
     def test_bad_k(self):
         seq = pseudo_titin(50, seed=1)
         exchange, gaps = blosum62(), GapPenalties(8, 1)
         with pytest.raises(ValueError, match="k"):
-            find_top_alignments_batched(seq, 0, exchange, gaps)
+            find_top_alignments(seq, 0, exchange, gaps)
 
     def test_group_one_matches_sequential_stats(self):
         """The degenerate G=1 batched run performs the exact same work."""
         seq = pseudo_titin(100, seed=9)
         exchange, gaps = blosum62(), GapPenalties(8, 1)
         expected, seq_stats = _reference(seq, 5, exchange, gaps)
-        got, stats = find_top_alignments_batched(
+        got, stats = find_top_alignments(
             seq, 5, exchange, gaps, group=1, engine="vector"
         )
         assert _key(got) == _key(expected)

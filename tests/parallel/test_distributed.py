@@ -1,53 +1,25 @@
 """End-to-end tests of the distributed master/slave driver.
 
 Kept small: each test spawns real processes on what may be a
-single-core machine.
+single-core machine.  Equality with the sequential tops (two slaves,
+SMP slaves, exhaustion) is in ``tests/core/test_policies.py`` with the
+other dispatch policies.
 """
 
 import pytest
 
-from repro.core import find_top_alignments
 from repro.parallel import find_top_alignments_distributed
-from repro.scoring import GapPenalties
-from repro.sequences import tandem_repeat_sequence
-
-
-def _key(alignments):
-    return [(a.index, a.r, a.score, a.pairs) for a in alignments]
 
 
 class TestDistributed:
-    def test_matches_sequential_two_slaves(self, tandem_dna, dna_scoring):
-        ex, gaps = dna_scoring
-        expected, _ = find_top_alignments(tandem_dna, 3, ex, gaps)
-        got, _ = find_top_alignments_distributed(
-            tandem_dna, 3, ex, gaps, n_slaves=2
-        )
-        assert _key(got) == _key(expected)
-
-    def test_smp_slaves(self, small_repeat_protein, protein_scoring):
-        """Cluster-of-SMPs mode: threads inside each slave process."""
-        ex, gaps = protein_scoring
-        expected, _ = find_top_alignments(small_repeat_protein, 4, ex, gaps)
-        got, _ = find_top_alignments_distributed(
-            small_repeat_protein, 4, ex, gaps, n_slaves=2, threads_per_slave=2
-        )
-        assert _key(got) == _key(expected)
-
-    def test_exhaustion(self, dna_scoring):
-        ex, gaps = dna_scoring
-        seq = tandem_repeat_sequence("ACG", 3)
-        expected, _ = find_top_alignments(seq, 50, ex, gaps)
-        got, _ = find_top_alignments_distributed(seq, 50, ex, gaps, n_slaves=2)
-        assert _key(got) == _key(expected)
-
     def test_stats_counters(self, tandem_dna, dna_scoring):
         ex, gaps = dna_scoring
         tops, stats = find_top_alignments_distributed(
             tandem_dna, 2, ex, gaps, n_slaves=2
         )
-        assert stats.alignments >= len(tandem_dna) - 1
         assert stats.tracebacks == len(tops) == 2
+        # Fill time is measured on the slaves and shipped back.
+        assert stats.alignments > 0 and stats.engine_seconds > 0
 
     def test_validation(self, tandem_dna, dna_scoring):
         ex, gaps = dna_scoring

@@ -1,84 +1,77 @@
-"""Tests for static neighbour-group scheduling (the SSE/SSE2 mode)."""
+"""Static neighbour-group scheduling (the paper's SSE/SSE2 mode, §5.1).
+
+The schedule is figure code — ``static_group_schedule`` in
+``benchmarks/bench_speculation.py``, its only user — but its claim is
+the repo-wide one: the tops are the sequential algorithm's.
+"""
+
+import importlib
+import pathlib
+import sys
 
 import pytest
 
-from repro.core import Task, TopAlignmentState, find_top_alignments
-from repro.parallel import (
-    GroupedTopAlignmentRunner,
-    TaskGroup,
-    find_top_alignments_grouped,
-)
+from repro.core import TopAlignmentState, find_top_alignments
+
+_BENCHMARKS = str(pathlib.Path(__file__).resolve().parents[2] / "benchmarks")
+
+
+@pytest.fixture(scope="module")
+def schedule():
+    # The bench modules import their own ``conftest`` by bare name.
+    sys.path.append(_BENCHMARKS)
+    try:
+        return importlib.import_module("bench_speculation").static_group_schedule
+    finally:
+        sys.path.remove(_BENCHMARKS)
 
 
 def _key(alignments):
     return [(a.index, a.r, a.score, a.pairs) for a in alignments]
 
 
-class TestTaskGroup:
-    def test_score_is_member_max(self):
-        group = TaskGroup([Task(1, 3.0, 0), Task(2, 9.0, 0), Task(3, 5.0, 0)])
-        assert group.score == 9.0
-        assert group.best_member().r == 2
-
-    def test_best_member_tie_prefers_smaller_r(self):
-        group = TaskGroup([Task(4, 9.0, 0), Task(2, 9.0, 0)])
-        assert group.best_member().r == 2
-
-    def test_first_r(self):
-        assert TaskGroup([Task(5), Task(6)]).first_r == 5
-
-    def test_stale_members(self):
-        group = TaskGroup([Task(1, 3.0, 0), Task(2, 9.0, 1)])
-        assert [t.r for t in group.stale_members(1)] == [1]
-
-    def test_empty_group_rejected(self):
-        with pytest.raises(ValueError):
-            TaskGroup([])
+def _grouped(schedule, sequence, k, exchange, gaps, *, engine="lanes", **kwargs):
+    state = TopAlignmentState(sequence, exchange, gaps, engine=engine)
+    wasted = schedule(state, k, **kwargs)
+    return state, wasted
 
 
 class TestGroupedEquivalence:
     @pytest.mark.parametrize("group_size", [1, 2, 4, 8])
     def test_matches_sequential(
-        self, group_size, small_repeat_protein, protein_scoring
+        self, schedule, group_size, small_repeat_protein, protein_scoring
     ):
         ex, gaps = protein_scoring
         expected, _ = find_top_alignments(small_repeat_protein, 6, ex, gaps)
-        got, _ = find_top_alignments_grouped(
-            small_repeat_protein, 6, ex, gaps, group_size=group_size
+        state, _ = _grouped(
+            schedule, small_repeat_protein, 6, ex, gaps, group_size=group_size
         )
-        assert _key(got) == _key(expected)
+        assert _key(state.found) == _key(expected)
 
     @pytest.mark.parametrize("engine", ["lanes", "lanes-sse", "lanes-sse2", "vector"])
-    def test_matches_sequential_any_engine(self, engine, tandem_dna, dna_scoring):
+    def test_matches_sequential_any_engine(
+        self, schedule, engine, tandem_dna, dna_scoring
+    ):
         ex, gaps = dna_scoring
         expected, _ = find_top_alignments(tandem_dna, 3, ex, gaps)
-        got, _ = find_top_alignments_grouped(
-            tandem_dna, 3, ex, gaps, group_size=4, engine=engine
+        state, _ = _grouped(
+            schedule, tandem_dna, 3, ex, gaps, group_size=4, engine=engine
         )
-        assert _key(got) == _key(expected)
+        assert _key(state.found) == _key(expected)
 
-    def test_speculation_counter(self, small_repeat_protein, protein_scoring):
+    def test_speculation_counter(self, schedule, small_repeat_protein, protein_scoring):
         """Groups recompute already-current members — counted as waste."""
         ex, gaps = protein_scoring
-        state = TopAlignmentState(small_repeat_protein, ex, gaps, engine="lanes")
-        runner = GroupedTopAlignmentRunner(state, 6, group_size=4)
-        _, stats = runner.run()
+        state, wasted = _grouped(
+            schedule, small_repeat_protein, 6, ex, gaps, group_size=4
+        )
         # Waste exists but is a small fraction of total work (§5.1's
         # <0.70 % holds only at titin scale; here we just bound it).
-        assert runner.wasted_alignments >= 0
-        assert runner.wasted_alignments < stats.alignments
+        assert 0 <= wasted < state.stats.alignments
 
-    def test_validation(self, tandem_dna, dna_scoring):
+    def test_min_score(self, schedule, tandem_dna, dna_scoring):
         ex, gaps = dna_scoring
-        state = TopAlignmentState(tandem_dna, ex, gaps)
-        with pytest.raises(ValueError):
-            GroupedTopAlignmentRunner(state, 0)
-        with pytest.raises(ValueError):
-            GroupedTopAlignmentRunner(state, 1, group_size=0)
-
-    def test_min_score(self, tandem_dna, dna_scoring):
-        ex, gaps = dna_scoring
-        got, _ = find_top_alignments_grouped(
-            tandem_dna, 10, ex, gaps, group_size=4, min_score=5.0
+        state, _ = _grouped(
+            schedule, tandem_dna, 10, ex, gaps, group_size=4, min_score=5.0
         )
-        assert len(got) == 3
+        assert len(state.found) == 3

@@ -1,11 +1,16 @@
-"""Unit tests of the master's scheduling logic with an in-process fake
-communicator (no processes: deterministic, fast, failure-injectable)."""
+"""Unit tests of the master's dispatch with an in-process fake
+communicator (no processes: deterministic, fast, failure-injectable).
+
+That the master policy returns the sequential tops, and that it stops
+its slaves on every exit path, is asserted with every other policy in
+``tests/core/test_policies.py`` (which borrows :class:`FakeSlaveComm`).
+"""
 
 import numpy as np
 import pytest
 
 from repro.align import AlignmentProblem, VectorEngine
-from repro.core import DenseOverrideTriangle, TopAlignmentState, find_top_alignments
+from repro.core import DenseOverrideTriangle, TopAlignmentSession, TopAlignmentState
 from repro.parallel.master import T_ALIGN, T_MARK, T_ROW, T_STOP, MasterRunner
 from repro.parallel.msgpass import ANY, Message
 
@@ -37,19 +42,21 @@ class FakeSlaveComm:
 
     def send(self, payload, dest, tag=0):
         if tag == T_ALIGN:
-            r, version = payload
-            self.align_requests.append((dest, r, version))
+            version, splits = payload
             triangle = self._triangles[dest]
             assert triangle.version == version, "slave replica out of sync"
-            problem = AlignmentProblem(
-                self._codes[:r],
-                self._codes[r:],
-                self._exchange,
-                self._gaps,
-                triangle.view_for_split(r),
-            )
-            row = self._engine.last_row(problem)
-            self._pending.append(Message(dest, T_ROW, (r, version, row)))
+            rows = []
+            for r, with_override in splits:
+                self.align_requests.append((dest, r, version))
+                problem = AlignmentProblem(
+                    self._codes[:r],
+                    self._codes[r:],
+                    self._exchange,
+                    self._gaps,
+                    triangle.view_for_split(r) if with_override else None,
+                )
+                rows.append(np.array(self._engine.last_row(problem)))
+            self._pending.append(Message(dest, T_ROW, (splits[0][0], rows, 0.0)))
         elif tag == T_MARK:
             self._triangles[dest].mark(payload)
             self.marks_sent += 1
@@ -57,6 +64,10 @@ class FakeSlaveComm:
             self.stops += 1
         else:  # pragma: no cover
             raise AssertionError(f"unexpected tag {tag}")
+
+    def bcast_from(self, payload, tag=0):
+        for dest in range(1, self.size):
+            self.send(payload, dest, tag)
 
     def recv(self, source=ANY, tag=ANY, timeout=None):
         for idx, msg in enumerate(self._pending):
@@ -70,41 +81,28 @@ class FakeSlaveComm:
 @pytest.fixture()
 def setup(small_repeat_protein, protein_scoring):
     ex, gaps = protein_scoring
-    # prune=False, as parallel.driver builds it: the paper's master hands
-    # out every split's version-0 first pass before anything else.
+    # prune=False, group=1: the paper's master hands out every split's
+    # version-0 first pass, one split per message, before anything else.
     state = TopAlignmentState(small_repeat_protein, ex, gaps, prune=False)
+    session = TopAlignmentSession.from_state(state, group=1)
     comm = FakeSlaveComm(small_repeat_protein.codes, ex, gaps, n_slaves=3)
-    return small_repeat_protein, ex, gaps, state, comm
+    return small_repeat_protein, session, comm
 
 
 class TestMasterLogic:
-    def test_results_equal_sequential(self, setup):
-        seq, ex, gaps, state, comm = setup
-        runner = MasterRunner(comm, state, 5)
-        tops, _ = runner.run()
-        expected, _ = find_top_alignments(seq, 5, ex, gaps)
-        assert [(a.r, a.score, a.pairs) for a in tops] == [
-            (a.r, a.score, a.pairs) for a in expected
-        ]
-
     def test_every_slave_gets_work(self, setup):
-        _, _, _, state, comm = setup
-        MasterRunner(comm, state, 3).run()
+        _, session, comm = setup
+        MasterRunner(comm, session, 3).run()
         assert {slave for slave, _, _ in comm.align_requests} == {1, 2, 3}
 
     def test_marks_broadcast_to_all_slaves(self, setup):
-        _, _, _, state, comm = setup
-        tops, _ = MasterRunner(comm, state, 4).run()
+        _, session, comm = setup
+        tops, _ = MasterRunner(comm, session, 4).run()
         assert comm.marks_sent == len(tops) * 3
 
-    def test_all_slaves_stopped(self, setup):
-        _, _, _, state, comm = setup
-        MasterRunner(comm, state, 2).run()
-        assert comm.stops == 3
-
     def test_first_pass_assignments_at_version_zero(self, setup):
-        seq, _, _, state, comm = setup
-        MasterRunner(comm, state, 2).run()
+        seq, session, comm = setup
+        MasterRunner(comm, session, 2).run()
         m = len(seq)
         first_pass = comm.align_requests[: m - 1]
         assert all(version == 0 for _, _, version in first_pass)
@@ -112,38 +110,49 @@ class TestMasterLogic:
 
     def test_capacity_respected(self, setup):
         """With capacity c, a slave never holds more than c outstanding
-        tasks; verified by replaying the request/reply interleaving."""
-        seq, ex, gaps, state, comm = setup
-        runner = MasterRunner(comm, state, 3, slave_capacity=2)
+        batches, and every one of them is absorbed before the run ends."""
+        _, session, comm = setup
+        loads = []
+        real_send = comm.send
+
+        def send(payload, dest, tag=0):
+            real_send(payload, dest, tag)
+            loads.append(max(runner._load.values()))
+
+        comm.send = send
+        runner = MasterRunner(comm, session, 3, slave_capacity=2)
         runner.run()
-        # The master may stop with replies still outstanding (k reached),
-        # but the load accounting must stay within capacity and agree
-        # with the in-flight set.
-        assert all(0 <= load <= 2 for load in runner._load.values())
-        assert sum(runner._load.values()) == len(runner._inflight)
+        assert max(loads) <= 2
+        assert not runner._pending and not any(runner._load.values())
+
+    def test_lane_batches_travel_as_one_message(self, small_repeat_protein, protein_scoring):
+        """``group`` works under the master policy: a batch is one ALIGN."""
+        ex, gaps = protein_scoring
+        session = TopAlignmentSession(small_repeat_protein, ex, gaps, group=4)
+        comm = FakeSlaveComm(small_repeat_protein.codes, ex, gaps, n_slaves=2)
+        sizes = []
+        real_send = comm.send
+
+        def send(payload, dest, tag=0):
+            if tag == T_ALIGN:
+                sizes.append(len(payload[1]))
+            real_send(payload, dest, tag)
+
+        comm.send = send
+        MasterRunner(comm, session, 3).run()
+        assert max(sizes) == 4
 
     def test_bytes_accounted(self, setup):
-        _, _, _, state, comm = setup
-        runner = MasterRunner(comm, state, 2)
+        _, session, comm = setup
+        runner = MasterRunner(comm, session, 2)
         runner.run()
         assert runner.bytes_received > 0
+        assert session.stats.alignments == len(comm.align_requests)
 
     def test_validation(self, setup):
-        _, _, _, state, comm = setup
+        _, session, comm = setup
         with pytest.raises(ValueError):
-            MasterRunner(comm, state, 0)
+            MasterRunner(comm, session, 0)
         comm.size = 1
         with pytest.raises(ValueError):
-            MasterRunner(comm, state, 1)
-
-    def test_exhaustion_stops_cleanly(self, dna_scoring):
-        from repro.sequences import tandem_repeat_sequence
-
-        ex, gaps = dna_scoring
-        seq = tandem_repeat_sequence("ACG", 3)
-        state = TopAlignmentState(seq, ex, gaps)
-        comm = FakeSlaveComm(seq.codes, ex, gaps, n_slaves=2)
-        tops, _ = MasterRunner(comm, state, 50).run()
-        expected, _ = find_top_alignments(seq, 50, ex, gaps)
-        assert len(tops) == len(expected) < 50
-        assert comm.stops == 2
+            MasterRunner(comm, session, 1)

@@ -21,38 +21,28 @@ def _worker_sum(comm, payload):
 
 
 class TestCommunicatorLocal:
-    """Single-rank loopback semantics (no processes)."""
+    """Single-rank loopback semantics (no processes, no sockets)."""
 
     def test_self_send_recv(self):
-        import multiprocessing as mp
-
-        inboxes = [mp.get_context("fork").Queue()]
-        comm = Communicator(0, inboxes)
+        comm = Communicator(0, 1, {})
         comm.send("hello", 0, tag=7)
         msg = comm.recv(timeout=5.0)
         assert (msg.source, msg.tag, msg.payload) == (0, 7, "hello")
 
     def test_tag_filtering_buffers_mismatches(self):
-        import multiprocessing as mp
-
-        inboxes = [mp.get_context("fork").Queue()]
-        comm = Communicator(0, inboxes)
+        comm = Communicator(0, 1, {})
         comm.send("a", 0, tag=1)
         comm.send("b", 0, tag=2)
         assert comm.recv(tag=2, timeout=5.0).payload == "b"
         assert comm.recv(tag=1, timeout=5.0).payload == "a"
 
     def test_invalid_destination(self):
-        import multiprocessing as mp
-
-        comm = Communicator(0, [mp.get_context("fork").Queue()])
+        comm = Communicator(0, 1, {})
         with pytest.raises(ValueError):
             comm.send("x", 5)
 
     def test_timeout_raises(self):
-        import multiprocessing as mp
-
-        comm = Communicator(0, [mp.get_context("fork").Queue()])
+        comm = Communicator(0, 1, {})
         with pytest.raises(TimeoutError):
             comm.recv(timeout=0.05)
 

@@ -1,36 +1,25 @@
-"""Envelope semantics both backends must share, under concurrent senders.
+"""Envelope semantics under concurrent senders.
 
 §4.3's master/slave protocol relies on exactly two properties of the
 message layer: messages from one sender arrive in the order sent
 (FIFO per (sender, receiver) pair), and ``recv`` filtering by source
 or tag buffers — never drops or reorders — non-matching envelopes.
-The multiprocessing-queue backend (:mod:`repro.parallel.msgpass`) and
-the TCP backend (:mod:`repro.cluster.transport`) are interchangeable
-only because both uphold them; this suite runs the same assertions
-against each.
 """
 
 import threading
 
 import pytest
 
-from repro.cluster.transport import Listener, SocketCommunicator, connect
+from repro.cluster.transport import Listener, connect
 from repro.parallel import ANY, Communicator
 
 N_SENDERS = 2  # ranks 1..N_SENDERS send to rank 0
 PER_SENDER = 50
 
 
-def _queue_world():
-    import multiprocessing as mp
-
-    context = mp.get_context("fork")
-    inboxes = [context.Queue() for _ in range(N_SENDERS + 1)]
-    comms = [Communicator(rank, inboxes) for rank in range(N_SENDERS + 1)]
-    return comms, lambda: None
-
-
-def _socket_world():
+@pytest.fixture()
+def world():
+    """A hub and ``N_SENDERS`` peers, wired over loopback sockets."""
     listener = Listener("127.0.0.1", 0, timeout=5.0)
     hub_channels, peer_channels = {}, []
 
@@ -44,24 +33,14 @@ def _socket_world():
         peer_channels.append(connect("127.0.0.1", listener.port, timeout=5.0))
     thread.join(5)
     listener.close()
-    comms = [SocketCommunicator(0, N_SENDERS + 1, hub_channels)]
+    comms = [Communicator(0, N_SENDERS + 1, hub_channels)]
     for rank, channel in enumerate(peer_channels, start=1):
-        comms.append(SocketCommunicator(rank, N_SENDERS + 1, {0: channel}))
-
-    def _close():
-        for comm in comms:
-            comm.close()
-
-    return comms, _close
-
-
-@pytest.fixture(params=["queues", "sockets"])
-def world(request):
-    comms, close = _queue_world() if request.param == "queues" else _socket_world()
+        comms.append(Communicator(rank, N_SENDERS + 1, {0: channel}))
     try:
         yield comms
     finally:
-        close()
+        for comm in comms:
+            comm.close()
 
 
 def _blast(comm, tag=0):

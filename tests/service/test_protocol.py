@@ -37,11 +37,12 @@ class TestSpecValidation:
         with pytest.raises(SpecError):
             JobSpec(sequence="ACGT" * 5, alphabet="dna", matrix="blosum62")
 
-    def test_old_algorithm_ignores_group(self):
-        # ``group`` defaults to the lane width, so a spec that only says
-        # algorithm="old" must stay valid; the baseline has no batches.
-        assert _spec(algorithm="old").group == _spec().group
-        assert _spec(algorithm="old", group=4).algorithm == "old"
+    def test_old_algorithm_rejected(self):
+        # The O(n^4) baseline cannot checkpoint, cancel or drain: it is a
+        # library/CLI option, never a job.  Saying "new" stays legal.
+        with pytest.raises(SpecError, match="algorithm"):
+            _spec(algorithm="old")
+        assert _spec(algorithm="new") == _spec()
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(SpecError, match="unknown"):
@@ -76,6 +77,17 @@ class TestDigest:
         ):
             assert job_digest(_spec(**knob)) == job_digest(base), knob
 
+    def test_digests_of_earlier_releases_still_address_the_same_job(self):
+        # Computed at the commit that still served algorithm="old": the
+        # digest payload keeps its literal "algorithm": "new" entry.
+        assert _spec().digest_fields()["algorithm"] == "new"
+        assert job_digest(JobSpec(sequence="ACDE" * 10)) == (
+            "613511afde1c12908e275e4d9a7239e1f0b604375b87da1ae9730944020436bf"
+        )
+        assert job_digest(
+            JobSpec(sequence="ACGT" * 10, alphabet="dna", top_alignments=3, min_score=5.0)
+        ) == "cbbed475cda809ccb18625f72f32e6458c95168fc40b3a53873e4ec3636a5b86"
+
     def test_result_affecting_knobs_change_digest(self):
         base = _spec()
         for knob in (
@@ -86,7 +98,6 @@ class TestDigest:
             {"min_score": 5.0},
             {"max_gap": 3},
             {"min_score_fraction": 0.5},
-            {"algorithm": "old"},
         ):
             assert job_digest(_spec(**knob)) != job_digest(base), knob
 

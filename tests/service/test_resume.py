@@ -112,6 +112,38 @@ class TestSuspendResume:
         baseline = _baseline_payload(spec, record.digest)
         assert payload["top_alignments"] == baseline["top_alignments"]
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(lambda raw: raw[: len(raw) // 2], id="truncated"),
+            pytest.param(
+                lambda raw: raw[:100] + bytes([raw[100] ^ 0x40]) + raw[101:],
+                id="bit-flipped",
+            ),
+            pytest.param(lambda raw: b"", id="empty"),
+        ],
+    )
+    def test_damaged_checkpoint_restarts_the_job(self, tmp_path, damage):
+        """A real checkpoint torn by the disk (zipfile/zlib/EOF errors,
+        not ValueError) must restart the job, not fail it."""
+        store, queue, cache = open_stores(tmp_path / "data")
+        spec = _spec(k=3, length=60, seed=2)
+        record = _submit(store, queue, spec)
+        outcome = execute_job(
+            store, cache, record, should_stop=self._stop_after(1), checkpoint_every=1
+        )
+        assert outcome == "suspended"
+        path = store.checkpoint_path(record.id)
+        path.write_bytes(damage(path.read_bytes()))
+
+        assert execute_job(store, cache, store.get(record.id)) == "done"
+        events = [e["event"] for e in store.read_events(record.id)]
+        assert "checkpoint-invalid" in events and "resumed" not in events
+        payload = cache.get(record.digest)
+        baseline = _baseline_payload(spec, record.digest)
+        assert payload["top_alignments"] == baseline["top_alignments"]
+        assert payload["repeats"] == baseline["repeats"]
+
 
 class TestKilledWorker:
     def test_sigkilled_worker_loses_at_most_one_chunk(self, tmp_path, monkeypatch):

@@ -124,16 +124,14 @@ class TestExecuteJob:
         assert second["repeats"] == first["repeats"]
         assert stats.index_seeded == 1
 
-    def test_old_algorithm_runs_one_shot(self, stores):
+    def test_old_algorithm_record_fails_cleanly(self, stores):
+        """A record spooled by a release that still served the O(n^4)
+        baseline is failed with the reason, not run and not crashed on."""
         store, queue, cache = stores
-        spec = JobSpec(
-            sequence=pseudo_titin(40, seed=3).text,
-            top_alignments=2,
-            algorithm="old",
-        )
-        record = _submit(store, queue, spec)
-        assert execute_job(store, cache, record) == "done"
-        assert cache.get(record.digest)["stats"]["alignments"] > 0
+        record = _submit(store, queue, _titin_spec())
+        record.spec["algorithm"] = "old"
+        assert execute_job(store, cache, record) == "failed"
+        assert "algorithm" in store.get(record.id).error
 
     def test_duplicate_served_from_cache_with_zero_work(self, stores):
         store, queue, cache = stores

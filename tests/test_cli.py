@@ -49,9 +49,15 @@ class TestParser:
         assert scan_args.index_threshold == 0.0
         assert scan_args.index_cache is None
 
-    def test_bench_accepts_index_artifact(self):
-        args = build_parser().parse_args(["bench", "index", "--json", "o.json"])
-        assert args.artifact == "index"
+    @pytest.mark.parametrize("artifact", ["batched", "index", "pruning"])
+    def test_bench_layer_artifacts_are_retired(self, artifact):
+        # Superseded by benchmarks/e2e (one harness, every layer).
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench", artifact])
+
+    def test_submit_has_no_algorithm_choice(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["submit", "x.fasta", "--algorithm", "old"])
 
 
 class TestEnginesCommand:
@@ -346,27 +352,6 @@ class TestBenchCommand:
         assert main(["bench", "realign", "-k", "3"]) == 0
         out = capsys.readouterr().out
         assert "realignments avoided" in out
-
-    def test_batched_artifact_with_json(self, tmp_path, capsys):
-        import json
-
-        out_path = tmp_path / "BENCH_batched.json"
-        assert main(
-            ["bench", "batched", "--length", "90", "-k", "3",
-             "--json", str(out_path)]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "Speculative batched driver" in out
-        payload = json.loads(out_path.read_text())
-        assert payload["identical_tops"] is True
-        groups = [r["group"] for r in payload["rows"]]
-        assert groups == [1, 1, 4, 8]  # vector baseline + lanes G sweep
-        for row in payload["rows"]:
-            assert set(row) >= {
-                "engine", "group", "seconds", "alignments", "cells",
-                "cells_per_second", "speculative_waste", "waste_ratio",
-                "speedup_vs_g1",
-            }
 
 
 class TestAnnotate:
