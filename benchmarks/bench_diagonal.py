@@ -14,9 +14,10 @@ import time
 
 import pytest
 
-from repro.align import AlignmentProblem, DiagonalEngine, LanesEngine, VectorEngine
+from repro.align import AlignmentProblem, LanesEngine, VectorEngine
 from repro.bench import bench_sequence, default_scoring
 
+from comparators import DiagonalEngine
 from conftest import save_table
 
 SIZE = 300

@@ -20,9 +20,10 @@ import time
 import numpy as np
 import pytest
 
-from repro.align import AlignmentProblem, StripedEngine, VectorEngine
+from repro.align import AlignmentProblem, VectorEngine
 from repro.bench import bench_sequence, default_scoring
 
+from comparators import StripedEngine
 from conftest import save_table
 
 SIZE = 700  # rows of the test matrix; columns likewise

@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from repro.align import AlignmentProblem, LanesEngine, get_engine
+from repro.align import ENGINE_NAMES, AlignmentProblem, LanesEngine, get_engine
 from repro.scoring import GapPenalties, blosum62
 from repro.sequences import pseudo_titin
 from repro.simulate import PENTIUM3, PENTIUM4, calibrate_local
@@ -32,10 +32,11 @@ def correctness_demo(size: int) -> None:
     problem = AlignmentProblem(
         seq.codes[:size], seq.codes[size:], blosum62(), GapPenalties(8, 1)
     )
-    rows = {
-        name: get_engine(name).last_row(problem)
-        for name in ("scalar", "vector", "striped", "lanes", "lanes-sse2")
-    }
+    # The closed engine table by name, plus the SSE2 configuration of
+    # the lane engine (8 lanes of saturating int16) as an instance.
+    engines = {name: get_engine(name) for name in ENGINE_NAMES}
+    engines["lanes x8 int16"] = LanesEngine(lanes=8, dtype="int16")
+    rows = {name: engine.last_row(problem) for name, engine in engines.items()}
     reference = rows.pop("scalar")
     for name, row in rows.items():
         assert np.array_equal(row, reference), name

@@ -23,8 +23,8 @@ Engines only ever *score*; traceback lives in
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from dataclasses import dataclass
+from typing import Protocol
 
 import numpy as np
 
@@ -41,9 +41,8 @@ __all__ = [
     "OverrideProvider",
     "AlignmentProblem",
     "AlignmentEngine",
-    "register_engine",
+    "ENGINE_NAMES",
     "get_engine",
-    "available_engines",
 ]
 
 #: The default execution configuration of every entry point
@@ -164,7 +163,8 @@ class AlignmentProblem:
 class AlignmentEngine(ABC):
     """Computes Equation 1 scores for alignment problems."""
 
-    #: Registry key, e.g. ``"vector"``.
+    #: Name in stats and reports; the table key for the three engines
+    #: of :data:`ENGINE_NAMES`.
     name: str = "abstract"
 
     def describe(self) -> str:
@@ -193,27 +193,23 @@ class AlignmentEngine(ABC):
         return [self.last_row(p) for p in problems]
 
 
-_ENGINES: dict[str, Callable[[], AlignmentEngine]] = {}
-
-
-def register_engine(name: str, factory: Callable[[], AlignmentEngine]) -> None:
-    """Register an engine factory under ``name`` (last write wins)."""
-    _ENGINES[name] = factory
+#: The closed engine table: the three tiers of the module docstring.
+#: Every surface that takes an engine name (``get_engine``,
+#: ``RepeatFinder.engine``, ``JobSpec.engine``, each ``--engine`` flag)
+#: accepts exactly these.
+ENGINE_NAMES = ("scalar", "vector", "lanes")
 
 
 def get_engine(name: str | AlignmentEngine = DEFAULT_ENGINE) -> AlignmentEngine:
-    """Instantiate a registered engine, or pass an instance through."""
+    """Instantiate an engine of the closed table, or pass an instance through."""
     if isinstance(name, AlignmentEngine):
         return name
-    try:
-        factory = _ENGINES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown engine {name!r}; available: {sorted(_ENGINES)}"
-        ) from None
-    return factory()
+    # The engine modules import this one, hence the late imports.
+    from .lanes import LanesEngine
+    from .scalar import ScalarEngine
+    from .vector import VectorEngine
 
-
-def available_engines() -> list[str]:
-    """Names of all registered engines."""
-    return sorted(_ENGINES)
+    table = {"scalar": ScalarEngine, "vector": VectorEngine, "lanes": LanesEngine}
+    if name not in table:
+        raise KeyError(f"unknown engine {name!r}; available: {ENGINE_NAMES}")
+    return table[name]()

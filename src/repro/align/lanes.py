@@ -66,7 +66,7 @@ import threading
 import numpy as np
 
 from ..obs import get_registry
-from .base import AlignmentEngine, AlignmentProblem, OverrideProvider, register_engine
+from .base import AlignmentEngine, AlignmentProblem, OverrideProvider
 from .pruning import PruneGate
 from .vector import VectorEngine
 
@@ -400,15 +400,3 @@ class LanesEngine(AlignmentEngine):
 
         return results  # every lane harvested or pruned
 
-
-def _sse() -> LanesEngine:
-    return LanesEngine(lanes=4, dtype="int16")
-
-
-def _sse2() -> LanesEngine:
-    return LanesEngine(lanes=8, dtype="int16")
-
-
-register_engine("lanes", LanesEngine)
-register_engine("lanes-sse", _sse)
-register_engine("lanes-sse2", _sse2)

@@ -13,7 +13,7 @@ tables are derived once per sequence:
   columns ``>= j`` can contribute in total (each column matches at most
   one row).
 
-From these, split ``r`` gets three provable upper bounds on its task
+From these, split ``r`` gets two provable upper bounds on its task
 score (first pass *and* realignment — the override triangle and the
 Appendix A shadow test only ever lower scores, so profile-level bounds
 dominate both):
@@ -29,17 +29,14 @@ dominate both):
   ``best-so-far + rem[y]`` where ``rem[y]`` sums the per-row gains of
   the unfilled rows ``y+1..r`` (induction over the recurrence: every
   cell's predecessor lives in an earlier row, and predecessors are
-  debited non-negative gap penalties);
-* **column bound** (after filling all rows of columns ``< j``, the
-  striped engine's traversal): ``max filled cell + col_suffix[r + j]``
-  (every path into the unfilled columns crosses the filled region).
+  debited non-negative gap penalties).
 
 **Soundness of the skip.**  A pruned alignment never produces a score —
 it records its upper bound ``B`` as the task's heap score and leaves
 the task *stale* (``aligned_with`` untouched, no bottom row cached), so
 acceptance — which requires a fresh alignment — can never fire on a
 bound.  Accepted tops therefore stay bit-identical by the same argument
-that covers stale heap scores.  The row/column bounds prune only
+that covers stale heap scores.  The row bound prunes only
 against the static ``floor`` (the run's ``min_score``): such prunes are
 *terminal* (the task sinks below the acceptance cut-off and the loop's
 exhaustion test retires it), so a partially filled matrix is never
@@ -132,10 +129,9 @@ class PruneContext:
 class PruneGate:
     """One fill's pruning state: bound tables sliced to split ``r``.
 
-    Engines consult :meth:`row_cutoffs` / :meth:`lane_cutoffs` (row-major
-    fills, recording a hit through :meth:`record_row_prune`) or
-    :meth:`check_columns` (the striped engine) and stop filling the
-    moment the bound sinks to the floor.  After a prune, :attr:`bound`
+    Engines consult :meth:`row_cutoffs` / :meth:`lane_cutoffs`, record a
+    hit through :meth:`record_row_prune` and stop filling the moment
+    the bound sinks to the floor.  After a prune, :attr:`bound`
     carries the provable upper bound the driver records as the task's
     (stale) heap score, and :attr:`cells_filled`/:attr:`pruned_cells`
     split the matrix area into evaluated and skipped work for
@@ -172,15 +168,6 @@ class PruneGate:
         self.bound = 0.0
         self.cells_filled = 0
         self.pruned_cells = 0
-
-    def _record_prune(self, bound: float, cells_filled: int) -> bool:
-        # The recorded bound must stay a non-negative upper bound that
-        # never exceeds the task's previous score (heap monotonicity).
-        self.bound = max(min(bound, self.cap), 0.0)
-        self.pruned = True
-        self.cells_filled = cells_filled
-        self.pruned_cells = self.rows * self.cols - cells_filled
-        return True
 
     # -- in-fill prunes (floor-only, therefore terminal) -------------------
 
@@ -240,21 +227,10 @@ class PruneGate:
 
     def record_row_prune(self, y: int, best: float) -> None:
         """Record an in-fill prune decided via :meth:`row_cutoffs`."""
-        self._record_prune(max(best, 0.0) + float(self.rem[y]), y * self.cols)
-
-    def check_columns(self, cols_done: int, filled_max: float) -> bool:
-        """After filling all rows of the first ``cols_done`` columns: stop?
-
-        The striped engine's column-major analogue of the row bound:
-        every path ending in an unfilled column crosses the filled
-        region (moves only go right/down), so ``filled_max`` plus the
-        remaining columns' gains bounds every remaining bottom-row cell
-        — and the filled bottom-row cells are already below the floor
-        or the fill would not be prunable.
-        """
-        if cols_done >= self.cols:
-            return False
-        bound = max(filled_max, 0.0) + float(self.context.col_suffix[self.r + cols_done])
-        if min(bound, self.cap) <= self.context.floor:
-            return self._record_prune(bound, cols_done * self.rows)
-        return False
+        bound = max(best, 0.0) + float(self.rem[y])
+        # The recorded bound must stay a non-negative upper bound that
+        # never exceeds the task's previous score (heap monotonicity).
+        self.bound = max(min(bound, self.cap), 0.0)
+        self.pruned = True
+        self.cells_filled = y * self.cols
+        self.pruned_cells = (self.rows - y) * self.cols

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import NEG_INF, AlignmentEngine, AlignmentProblem, register_engine
+from .base import NEG_INF, AlignmentEngine, AlignmentProblem
 
 __all__ = ["ScalarEngine"]
 
@@ -67,6 +67,3 @@ class ScalarEngine(AlignmentEngine):
         out = np.array(prev, dtype=np.float64)
         out[0] = 0.0
         return out
-
-
-register_engine("scalar", ScalarEngine)

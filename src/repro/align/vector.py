@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import AlignmentEngine, AlignmentProblem, register_engine
+from .base import AlignmentEngine, AlignmentProblem
 
 __all__ = ["VectorEngine", "iter_rows"]
 
@@ -111,6 +111,3 @@ class VectorEngine(AlignmentEngine):
                 gate.record_row_prune(y, best)
                 return np.zeros(problem.cols + 1, dtype=np.float64)
         return row.copy()
-
-
-register_engine("vector", VectorEngine)

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 __all__ = [
     "Severity",
     "Diagnostic",
-    "diagnostic_from_dict",
     "Waivers",
     "parse_waivers",
     "HOLDS_LOCK_MARK",
@@ -88,18 +87,6 @@ class Diagnostic:
         if self.trace:
             data["trace"] = list(self.trace)
         return data
-
-
-def diagnostic_from_dict(data: dict) -> Diagnostic:
-    """Inverse of :meth:`Diagnostic.to_dict` (used by the facts cache)."""
-    return Diagnostic(
-        rule=data["rule"],
-        path=data["path"],
-        line=data["line"],
-        message=data["message"],
-        severity=Severity(data.get("severity", "error")),
-        trace=tuple(data.get("trace", ())),
-    )
 
 
 @dataclass

@@ -11,10 +11,8 @@ This module provides the two layers those interprocedural rules
 (:mod:`repro.analysis.interproc`) stand on:
 
 * :func:`extract_module_facts` — a single-pass, per-module fact
-  extractor.  Facts are plain serialisable dataclasses
-  (:class:`ModuleFacts` and friends) so the incremental cache
-  (:mod:`repro.analysis.cache`) can key them by content SHA and skip
-  re-parsing unchanged files;
+  extractor producing plain dataclasses (:class:`ModuleFacts` and
+  friends);
 * :class:`ProgramGraph` — resolves intra-package imports (including
   the ``__all__`` re-export surface RPR005 models), builds a
   name-resolution call graph plus a per-class lock-acquisition graph,
@@ -40,7 +38,6 @@ from .locks import _is_lock_factory, _self_attr
 from .rules import _is_test_file, _time_sleep_aliases
 
 __all__ = [
-    "FACTS_VERSION",
     "FunctionFacts",
     "ClassFacts",
     "ModuleFacts",
@@ -48,10 +45,6 @@ __all__ = [
     "extract_module_facts",
     "module_name_for",
 ]
-
-#: Bump when the fact schema or extraction logic changes; part of the
-#: cache key so stale cached facts can never be replayed.
-FACTS_VERSION = "repro-facts-1"
 
 #: Blocking-call sink kinds recorded in :attr:`FunctionFacts.blocking`.
 SINK_SLEEP = "time.sleep"
@@ -118,7 +111,7 @@ def module_name_for(path: str | Path) -> str:
 
 
 # ---------------------------------------------------------------------------
-# fact dataclasses (all JSON-serialisable via to_dict/from_dict)
+# fact dataclasses
 # ---------------------------------------------------------------------------
 
 
@@ -143,35 +136,6 @@ class FunctionFacts:
     #: (held attr, call expression, line) calls made while holding a lock.
     calls_under_lock: list[tuple[str, str, int]] = field(default_factory=list)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "end_line": self.end_line,
-            "params": list(self.params),
-            "calls": [list(c) for c in self.calls],
-            "local_types": dict(self.local_types),
-            "blocking": [list(b) for b in self.blocking],
-            "lock_acquires": [list(a) for a in self.lock_acquires],
-            "lock_pairs": [list(p) for p in self.lock_pairs],
-            "calls_under_lock": [list(c) for c in self.calls_under_lock],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "FunctionFacts":
-        return cls(
-            name=data["name"],
-            line=data["line"],
-            end_line=data["end_line"],
-            params=list(data["params"]),
-            calls=[tuple(c) for c in data["calls"]],
-            local_types=dict(data["local_types"]),
-            blocking=[tuple(b) for b in data["blocking"]],
-            lock_acquires=[tuple(a) for a in data["lock_acquires"]],
-            lock_pairs=[tuple(p) for p in data["lock_pairs"]],
-            calls_under_lock=[tuple(c) for c in data["calls_under_lock"]],
-        )
-
 
 @dataclass
 class ClassFacts:
@@ -188,23 +152,6 @@ class ClassFacts:
     #: required ``__init__`` args beyond self; -1 when no custom __init__.
     init_required: int = -1
     has_reduce: bool = False
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "bases": list(self.bases),
-            "methods": list(self.methods),
-            "attr_types": dict(self.attr_types),
-            "lock_attrs": list(self.lock_attrs),
-            "is_exception": self.is_exception,
-            "init_required": self.init_required,
-            "has_reduce": self.has_reduce,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ClassFacts":
-        return cls(**data)
 
 
 @dataclass
@@ -239,8 +186,8 @@ class ModuleFacts:
     tag_sends: list[dict[str, Any]] = field(default_factory=list)
     #: tag consumers (recv(tag=..) / ``.tag ==`` compares).
     tag_consumes: list[dict[str, Any]] = field(default_factory=list)
-    #: waiver state carried with the facts so cached modules can still
-    #: suppress interprocedural findings.
+    #: waiver state carried with the facts so the whole-program pass
+    #: can suppress interprocedural findings.
     waiver_lines: dict[str, list[int]] = field(default_factory=dict)
     waiver_file_rules: list[str] = field(default_factory=list)
 
@@ -250,62 +197,6 @@ class ModuleFacts:
         if rule in self.waiver_file_rules:
             return True
         return line in self.waiver_lines.get(rule, ())
-
-    # -- (de)serialisation -------------------------------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "version": FACTS_VERSION,
-            "module": self.module,
-            "path": self.path,
-            "is_test": self.is_test,
-            "msg_domain": self.msg_domain,
-            "import_aliases": dict(self.import_aliases),
-            "imported_modules": list(self.imported_modules),
-            "constants": dict(self.constants),
-            "functions": {k: v.to_dict() for k, v in self.functions.items()},
-            "classes": {k: v.to_dict() for k, v in self.classes.items()},
-            "raises": [list(r) for r in self.raises],
-            "catches": [
-                [list(types), reraises, func, line]
-                for types, reraises, func, line in self.catches
-            ],
-            "dict_kinds": self.dict_kinds,
-            "kind_compares": self.kind_compares,
-            "kind_arms": self.kind_arms,
-            "tag_sends": self.tag_sends,
-            "tag_consumes": self.tag_consumes,
-            "waiver_lines": {k: sorted(v) for k, v in self.waiver_lines.items()},
-            "waiver_file_rules": sorted(self.waiver_file_rules),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ModuleFacts":
-        facts = cls(module=data["module"], path=data["path"])
-        facts.is_test = data["is_test"]
-        facts.msg_domain = data["msg_domain"]
-        facts.import_aliases = dict(data["import_aliases"])
-        facts.imported_modules = list(data["imported_modules"])
-        facts.constants = dict(data["constants"])
-        facts.functions = {
-            k: FunctionFacts.from_dict(v) for k, v in data["functions"].items()
-        }
-        facts.classes = {
-            k: ClassFacts.from_dict(v) for k, v in data["classes"].items()
-        }
-        facts.raises = [tuple(r) for r in data["raises"]]
-        facts.catches = [
-            (list(types), reraises, func, line)
-            for types, reraises, func, line in data["catches"]
-        ]
-        facts.dict_kinds = data["dict_kinds"]
-        facts.kind_compares = data["kind_compares"]
-        facts.kind_arms = data["kind_arms"]
-        facts.tag_sends = data["tag_sends"]
-        facts.tag_consumes = data["tag_consumes"]
-        facts.waiver_lines = {k: list(v) for k, v in data["waiver_lines"].items()}
-        facts.waiver_file_rules = list(data["waiver_file_rules"])
-        return facts
 
 
 # ---------------------------------------------------------------------------
@@ -1183,6 +1074,13 @@ class ProgramGraph:
             "modules": len(self.modules),
             "functions": len(self.functions),
             "call_edges": sum(len(v) for v in self.call_edges.values()),
+            # Every class-attribute lock the facts pass identified ...
+            "locks_seen": sum(
+                len(cf.lock_attrs)
+                for mf in self.modules.values()
+                for cf in mf.classes.values()
+            ),
+            # ... of which only the endpoints of cross-class edges.
             "lock_nodes": len(
                 {n for n in self.lock_edges}
                 | {d for edges in self.lock_edges.values() for d, _ in edges}

@@ -11,10 +11,8 @@ Two analysis layers share one driver:
   the interprocedural rules RPR013..RPR016 run
   (:mod:`repro.analysis.interproc`).
 
-Per-module facts and per-file findings are cached by content SHA in
-``.repro-lint-cache/`` (:mod:`repro.analysis.cache`), so a warm run
-re-parses only changed files; the interprocedural rules re-run over the
-cached facts every time, which keeps cross-module findings sound.
+Every run is cold: all four trees lint in a few seconds, an order of
+magnitude under the CI budget, so nothing is cached between runs.
 
 Extra driver modes: ``--format sarif`` (GitHub code scanning),
 ``--graph callers|callees|locks <symbol>`` (interactive call/lock-graph
@@ -38,8 +36,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .cache import DEFAULT_CACHE_DIR, LintCache, content_digest
-from .diagnostics import Diagnostic, diagnostic_from_dict, parse_waivers
+from .diagnostics import Diagnostic, parse_waivers
 from .exports import check_exports
 from .graph import ModuleFacts, ProgramGraph, extract_module_facts
 from .interproc import run_interproc_rules
@@ -64,7 +61,6 @@ _SKIP_DIRS = {
     ".hypothesis",
     ".pytest_cache",
     ".benchmarks",
-    ".repro-lint-cache",
     "build",
     "dist",
     "fixtures",
@@ -184,72 +180,30 @@ class AnalysisResult:
 
     findings: list[Diagnostic] = field(default_factory=list)
     graph: ProgramGraph | None = None
-    #: driver counters: files, modules analysed/cached, timings.
+    #: driver counters: files, modules analysed, graph sizes, timings.
     stats: dict = field(default_factory=dict)
 
 
-def analyze_paths(
-    paths: Iterable[str | Path],
-    *,
-    use_cache: bool = False,
-    cache_dir: str | Path = DEFAULT_CACHE_DIR,
-) -> AnalysisResult:
+def analyze_paths(paths: Iterable[str | Path]) -> AnalysisResult:
     """Per-file *and* whole-program findings across ``paths``."""
     total_start = time.perf_counter()
     files = collect_files(paths)
-    cache = LintCache(cache_dir) if use_cache else None
     timings: dict[str, float] = {}
     findings: list[Diagnostic] = []
     facts_by_path: dict[str, ModuleFacts] = {}
-    n_cached = 0
     n_analyzed = 0
 
-    contents: dict[Path, bytes] = {}
     for file_path in files:
+        path = str(file_path)
         try:
-            contents[file_path] = file_path.read_bytes()
+            source = file_path.read_text(encoding="utf-8", errors="replace")
         except OSError as exc:
             findings.append(
                 Diagnostic(
-                    rule="RPR000",
-                    path=str(file_path),
-                    line=0,
-                    message=f"unreadable: {exc}",
+                    rule="RPR000", path=path, line=0, message=f"unreadable: {exc}"
                 )
             )
-
-    def digest_for(file_path: Path) -> str:
-        # An __init__'s findings depend on sibling files (the RPR005
-        # cross-module half reads their __all__), so its cache key
-        # covers every sibling's content as well as its own.
-        content = contents[file_path]
-        if file_path.name == "__init__.py":
-            parent = file_path.parent
-            sibling_salt = "\n".join(
-                content_digest(contents[p], str(p))
-                for p in files
-                if p in contents and p.parent == parent and p != file_path
-            )
-            return content_digest(content, f"{file_path}\n{sibling_salt}")
-        return content_digest(content, str(file_path))
-
-    for file_path in files:
-        if file_path not in contents:
             continue
-        path = str(file_path)
-        content = contents[file_path]
-        cacheable = cache is not None
-        digest = digest_for(file_path) if cacheable else ""
-        if cacheable:
-            payload = cache.load(digest)
-            if payload is not None:
-                facts_by_path[path] = ModuleFacts.from_dict(payload["facts"])
-                findings.extend(
-                    diagnostic_from_dict(d) for d in payload["findings"]
-                )
-                n_cached += 1
-                continue
-        source = content.decode("utf-8", errors="replace")
         try:
             tree = ast.parse(source, filename=path)
         except SyntaxError as exc:
@@ -272,14 +226,6 @@ def analyze_paths(
             time.perf_counter() - start
         )
         facts_by_path[path] = facts
-        if cacheable:
-            cache.store(
-                digest,
-                {
-                    "facts": facts.to_dict(),
-                    "findings": [d.to_dict() for d in file_findings],
-                },
-            )
 
     # -- whole-program pass ------------------------------------------------
     start = time.perf_counter()
@@ -303,9 +249,9 @@ def analyze_paths(
         "files": len(files),
         "modules": graph_stats["modules"],
         "modules_analyzed": n_analyzed,
-        "modules_cached": n_cached,
         "functions": graph_stats["functions"],
         "call_edges": graph_stats["call_edges"],
+        "locks_seen": graph_stats["locks_seen"],
         "lock_nodes": graph_stats["lock_nodes"],
         "lock_edges": graph_stats["lock_edges"],
         "findings": len(findings),
@@ -319,7 +265,7 @@ def analyze_paths(
 
 
 def lint_paths(paths: Iterable[str | Path]) -> list[Diagnostic]:
-    """Findings across every file reachable from ``paths`` (no cache)."""
+    """Findings across every file reachable from ``paths``."""
     return analyze_paths(paths).findings
 
 
@@ -451,16 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="query the program graph: callers|callees|locks <symbol> "
         "(locks accepts a class name or 'all')",
     )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the incremental facts cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        help=f"facts cache directory (default: {DEFAULT_CACHE_DIR})",
-    )
     return parser
 
 
@@ -483,9 +419,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
         return 2
     try:
-        result = analyze_paths(
-            args.paths, use_cache=not args.no_cache, cache_dir=args.cache_dir
-        )
+        result = analyze_paths(args.paths)
     except FileNotFoundError as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
@@ -513,8 +447,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(
             f"repro lint: {len(findings)} finding(s) in "
             f"{result.stats['files']} file(s), "
-            f"{len(active_rules())} rules active, "
-            f"{result.stats['modules_cached']} module(s) from cache",
+            f"{len(active_rules())} rules active",
             file=sys.stderr,
         )
     return 1 if findings else 0

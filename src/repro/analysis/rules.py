@@ -1057,8 +1057,8 @@ def rule_ad_hoc_prune_branch(tree: ast.Module, path: str) -> list[Diagnostic]:
                 message="early-terminate branch compares against a "
                 "threshold without consulting a PruneContext bound; "
                 "route the skip through a PruneGate "
-                "(row_cutoffs/lane_cutoffs/check_columns) so it is recorded "
-                "and provable, or waive with "
+                "(row_cutoffs/lane_cutoffs) so it is recorded and "
+                "provable, or waive with "
                 "`# repro-lint: allow[RPR019] reason`",
             )
         )

@@ -11,7 +11,6 @@ Subcommands
 ``bench``      regenerate one of the paper's evaluation artifacts
 ``simulate``   run the DAS-2 cluster simulator at a given processor count
 ``report``     full analysis report (alignments, families, MSA, dot plot)
-``engines``    list available alignment engines
 ``lint``       run the project's static-analysis rules (see ANALYSIS.md)
 ``serve``      run the job-queue service (HTTP JSON API + worker pool)
 ``submit``     submit FASTA records to a running service
@@ -26,8 +25,8 @@ import sys
 from typing import Sequence as Seq
 
 from . import __version__
-from .align.base import DEFAULT_ENGINE, DEFAULT_GROUP
-from .core.api import find_repeats
+from .align.base import DEFAULT_ENGINE, DEFAULT_GROUP, ENGINE_NAMES
+from .core.api import RepeatFinder
 from .scoring.blosum import blosum50, blosum62
 from .scoring.exchange import match_mismatch
 from .scoring.gaps import GapPenalties
@@ -68,16 +67,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     find.add_argument("--gap-open", type=float, default=8.0)
     find.add_argument("--gap-extend", type=float, default=1.0)
-    find.add_argument("--engine", default=DEFAULT_ENGINE)
+    find.add_argument("--engine", default=DEFAULT_ENGINE, choices=ENGINE_NAMES)
     find.add_argument(
         "--group",
         type=int,
         default=DEFAULT_GROUP,
         help="stale tasks realigned per engine batch (1 = sequential best-first)",
-    )
-    find.add_argument(
-        "--algorithm", default="new", choices=["new", "old"],
-        help="'old' runs the quartic 1993-style baseline (same results)",
     )
     find.add_argument("--min-score", type=float, default=0.0)
     find.add_argument(
@@ -136,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--alphabet", default="protein", choices=["protein", "dna", "rna"])
     scan.add_argument("--mask", action="store_true", help="mask low-complexity tracts")
     scan.add_argument("--min-length", type=int, default=10)
-    scan.add_argument("--engine", default=DEFAULT_ENGINE)
+    scan.add_argument("--engine", default=DEFAULT_ENGINE, choices=ENGINE_NAMES)
     scan.add_argument(
         "--group",
         type=int,
@@ -221,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--mask", action="store_true", help="mask low-complexity tracts"
     )
     annotate.add_argument("--min-length", type=int, default=10)
-    annotate.add_argument("--engine", default=DEFAULT_ENGINE)
+    annotate.add_argument("--engine", default=DEFAULT_ENGINE, choices=ENGINE_NAMES)
 
     align = sub.add_parser("align", help="align two sequences and render them")
     align.add_argument("seq1", help="first sequence (text, vertical)")
@@ -268,45 +263,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument("--no-dotplot", action="store_true")
 
-    sub.add_parser("engines", help="list registered alignment engines")
-
-    lint = sub.add_parser(
+    # Listed for --help only: main() hands everything after "lint" to
+    # repro.analysis.linter.main, which owns the flags.
+    sub.add_parser(
         "lint",
-        help="project-specific static analysis (invariant-guarding rules)",
-    )
-    lint.add_argument(
-        "paths",
-        nargs="*",
-        default=["src/repro"],
-        help="files or directories to lint (default: src/repro)",
-    )
-    lint.add_argument(
-        "--format", choices=["text", "json", "sarif"], default="text"
-    )
-    lint.add_argument(
-        "--list-rules", action="store_true", help="print the rule table and exit"
-    )
-    lint.add_argument(
-        "--changed",
-        action="store_true",
-        help="lint only git-changed files plus their reverse import deps",
-    )
-    lint.add_argument(
-        "--stats",
-        action="store_true",
-        help="print timing/size counters as JSON instead of findings",
-    )
-    lint.add_argument(
-        "--graph",
-        nargs=2,
-        metavar=("QUERY", "SYMBOL"),
-        help="query the program graph: callers|callees|locks <symbol>",
-    )
-    lint.add_argument(
-        "--no-cache", action="store_true", help="disable the facts cache"
-    )
-    lint.add_argument(
-        "--cache-dir", default=None, help="facts cache directory"
+        help="project-specific static analysis (invariant-guarding rules; "
+        "'repro lint --help' lists its flags)",
     )
 
     serve = sub.add_parser(
@@ -388,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cscan.add_argument("--mask", action="store_true", help="mask low-complexity tracts")
     cscan.add_argument("--min-length", type=int, default=10)
-    cscan.add_argument("--engine", default=DEFAULT_ENGINE)
+    cscan.add_argument("--engine", default=DEFAULT_ENGINE, choices=ENGINE_NAMES)
     cscan.add_argument(
         "--index",
         action=argparse.BooleanOptionalAction,
@@ -412,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument("--gap-open", type=float, default=8.0)
     submit.add_argument("--gap-extend", type=float, default=1.0)
-    submit.add_argument("--engine", default=DEFAULT_ENGINE)
+    submit.add_argument("--engine", default=DEFAULT_ENGINE, choices=ENGINE_NAMES)
     submit.add_argument("--group", type=int, default=DEFAULT_GROUP)
     submit.add_argument("--min-score", type=float, default=0.0)
     submit.add_argument("--max-gap", type=int, default=0)
@@ -478,30 +440,23 @@ def _cmd_find(args: argparse.Namespace) -> int:
     records = read_fasta(source, alphabet)
     if not records:
         raise SystemExit("no FASTA records found")
+    finder = RepeatFinder(
+        exchange=exchange,
+        gaps=GapPenalties(args.gap_open, args.gap_extend),
+        top_alignments=args.top_alignments,
+        engine=args.engine,
+        group=args.group,
+        min_score=args.min_score,
+        prune=args.prune,
+        max_gap=args.max_gap,
+    )
     for record in records:
         seed_bounds = None
         if args.index:
-            from .core.api import RepeatFinder
             from .index import seed_score_bounds
 
-            resolver = RepeatFinder(
-                exchange=exchange,
-                gaps=GapPenalties(args.gap_open, args.gap_extend),
-            )
-            seed_bounds = seed_score_bounds(record, resolver.resolve_exchange(record))
-        result = find_repeats(
-            record,
-            top_alignments=args.top_alignments,
-            exchange=exchange,
-            gaps=GapPenalties(args.gap_open, args.gap_extend),
-            engine=args.engine,
-            algorithm=args.algorithm,
-            group=args.group,
-            min_score=args.min_score,
-            prune=args.prune,
-            max_gap=args.max_gap,
-            seed_bounds=seed_bounds,
-        )
+            seed_bounds = seed_score_bounds(record, finder.resolve_exchange(record))
+        result = finder.find(record, seed_bounds=seed_bounds)
         name = record.id or "<unnamed>"
         print(f">{name} length={len(record)}")
         print(
@@ -603,7 +558,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    from .core.api import RepeatFinder
     from .core.scan import DatabaseScanner
 
     alphabet = alphabet_for(args.alphabet)
@@ -623,12 +577,12 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         finder=RepeatFinder(
             top_alignments=args.top_alignments,
             min_score=args.index_threshold,
+            engine=args.engine,
+            group=args.group,
+            prune=args.prune,
         ),
         mask=args.mask,
         min_length=args.min_length,
-        engine=args.engine,
-        group=args.group,
-        prune=args.prune,
         index=index_config,
         index_store=index_store,
     )
@@ -682,7 +636,6 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
     import json
 
     from .annot import annotate_document, annotate_scan, validate_gff3
-    from .core.api import RepeatFinder
     from .core.scan import DatabaseScanner, load_scan_payload
 
     # A scan document starts with '{'; anything else is treated as FASTA.
@@ -707,10 +660,11 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
         if not records:
             raise SystemExit("no FASTA records found")
         scanner = DatabaseScanner(
-            finder=RepeatFinder(top_alignments=args.top_alignments),
+            finder=RepeatFinder(
+                top_alignments=args.top_alignments, engine=args.engine
+            ),
             mask=args.mask,
             min_length=args.min_length,
-            engine=args.engine,
         )
         reports = scanner.scan(records)
         by_id: dict[str, list] = {}
@@ -876,35 +830,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         )
         print(report.render(dotplot=not args.no_dotplot))
     return 0
-
-
-def _cmd_engines(_: argparse.Namespace) -> int:
-    from .align.base import available_engines
-
-    for name in available_engines():
-        print(name)
-    return 0
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from .analysis.linter import main as lint_main
-
-    argv = list(args.paths)
-    if args.format != "text":
-        argv += ["--format", args.format]
-    if args.list_rules:
-        argv += ["--list-rules"]
-    if args.changed:
-        argv += ["--changed"]
-    if args.stats:
-        argv += ["--stats"]
-    if args.graph:
-        argv += ["--graph", *args.graph]
-    if args.no_cache:
-        argv += ["--no-cache"]
-    if args.cache_dir:
-        argv += ["--cache-dir", args.cache_dir]
-    return lint_main(argv)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -1164,6 +1089,11 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
 
 def main(argv: Seq[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["lint"]:
+        from .analysis.linter import main as lint_main
+
+        return lint_main(argv[1:])
     args = build_parser().parse_args(argv)
     handlers = {
         "find": _cmd_find,
@@ -1175,8 +1105,6 @@ def main(argv: Seq[str] | None = None) -> int:
         "bench": _cmd_bench,
         "simulate": _cmd_simulate,
         "report": _cmd_report,
-        "engines": _cmd_engines,
-        "lint": _cmd_lint,
         "serve": _cmd_serve,
         "cluster": _cmd_cluster,
         "submit": _cmd_submit,

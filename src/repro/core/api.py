@@ -20,7 +20,6 @@ from ..scoring.gaps import GapPenalties
 from ..sequences.sequence import Sequence
 from .checkpoint import restore_checkpoint
 from .delineate import delineate_repeats
-from .oldalgo import old_find_top_alignments
 from .result import RepeatResult
 from .session import TopAlignmentSession
 from .topalign import TopAlignmentState
@@ -52,12 +51,11 @@ class RepeatFinder:
         How many nonoverlapping top alignments to compute — "typically
         10–30, some more for large sequences" (§3).
     engine:
-        Alignment engine name (``"lanes"``, ``"vector"``, ``"scalar"``,
-        ``"striped"``, ...).  The default is the lockstep lane engine
+        One of :data:`~repro.align.base.ENGINE_NAMES` (``"lanes"``,
+        ``"vector"``, ``"scalar"``) or an
+        :class:`~repro.align.base.AlignmentEngine` instance.  The
+        default is the lockstep lane engine
         (:data:`~repro.align.base.DEFAULT_ENGINE`).
-    algorithm:
-        ``"new"`` (the paper's O(n³) algorithm) or ``"old"`` (the 1993
-        O(n⁴) baseline) — both return identical alignments.
     group:
         Stale tasks realigned per engine batch by the best-first driver
         (:mod:`repro.core.session`): 8 by default
@@ -65,15 +63,13 @@ class RepeatFinder:
         grain), 1 for the strictly sequential loop.  The default pair —
         ``lanes`` at ``group=8`` with ``prune=True`` — is within 10 % of
         the fastest knob setting on every benchmark workload (a CI
-        gate); results are identical for every setting.  Ignored by
-        the old algorithm.
+        gate); results are identical for every setting.
     min_score:
         Alignments scoring at or below this are not reported.
     prune:
         Enable the exact in-fill pruning bounds (default ``True``; see
         :mod:`repro.align.pruning`).  Reported repeats are identical
         either way — pruning only skips provably-losing fill work.
-        Ignored by the old O(n⁴) algorithm.
     min_copy_length, max_gap, min_score_fraction:
         Delineation knobs (see
         :func:`repro.core.delineate.delineate_repeats`).
@@ -82,8 +78,7 @@ class RepeatFinder:
     exchange: ExchangeMatrix | None = None
     gaps: GapPenalties = field(default_factory=GapPenalties)
     top_alignments: int = 20
-    engine: str = DEFAULT_ENGINE
-    algorithm: str = "new"
+    engine: str | AlignmentEngine = DEFAULT_ENGINE
     group: int = DEFAULT_GROUP
     min_score: float = 0.0
     prune: bool = True
@@ -92,8 +87,6 @@ class RepeatFinder:
     min_score_fraction: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.algorithm not in ("new", "old"):
-            raise ValueError("algorithm must be 'new' or 'old'")
         if self.top_alignments < 1:
             raise ValueError("top_alignments must be >= 1")
         if self.group < 1:
@@ -193,25 +186,11 @@ class RepeatFinder:
         ``seed_bounds`` optionally seeds the best-first heap with
         finite per-split upper bounds (see
         :func:`repro.index.bounds.seed_score_bounds`); results are
-        identical, low-promise splits are just never aligned.  Ignored
-        by the old O(n⁴) algorithm, which has no heap to seed.
+        identical, low-promise splits are just never aligned.
         """
-        if self.algorithm == "new":
-            session = self.session(sequence, seed_bounds=seed_bounds)
-            session.extend(self.top_alignments)
-            return self.result(session)
-        if isinstance(sequence, str):
-            sequence = Sequence(sequence, "protein")
-        alignments, stats = old_find_top_alignments(
-            sequence,
-            self.top_alignments,
-            self.resolve_exchange(sequence),
-            self.gaps,
-            engine=self._engine_for_run(),
-            min_score=self.min_score,
-        )
-        repeats = self.delineate(alignments, len(sequence))
-        return RepeatResult(top_alignments=alignments, repeats=repeats, stats=stats)
+        session = self.session(sequence, seed_bounds=seed_bounds)
+        session.extend(self.top_alignments)
+        return self.result(session)
 
 
 def find_repeats(
@@ -220,8 +199,7 @@ def find_repeats(
     *,
     exchange: ExchangeMatrix | None = None,
     gaps: GapPenalties | None = None,
-    engine: str = DEFAULT_ENGINE,
-    algorithm: str = "new",
+    engine: str | AlignmentEngine = DEFAULT_ENGINE,
     group: int = DEFAULT_GROUP,
     min_score: float = 0.0,
     prune: bool = True,
@@ -236,7 +214,6 @@ def find_repeats(
         gaps=gaps if gaps is not None else GapPenalties(),
         top_alignments=top_alignments,
         engine=engine,
-        algorithm=algorithm,
         group=group,
         min_score=min_score,
         prune=prune,

@@ -9,7 +9,6 @@ ranking, and a FASTA entry point.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable
@@ -118,11 +117,6 @@ class DatabaseScanner:
     min_length:
         Sequences shorter than this are skipped (a split needs at least
         two residues; realistic repeats need far more).
-    engine / group / prune:
-        Optional overrides applied to ``finder`` — convenience knobs so
-        callers (the CLI ``scan`` command) can pick the lane engine,
-        the speculative batch width and the exact-pruning toggle
-        without building a finder by hand.
     index:
         Optional :class:`repro.index.IndexConfig`.  When set, every
         record is profiled by the k-mer tier first: *skip*-class
@@ -142,22 +136,10 @@ class DatabaseScanner:
     mask_window: int = 12
     mask_threshold: float = 1.5
     min_length: int = 10
-    engine: str | None = None
-    group: int | None = None
-    prune: bool | None = None
     index: "IndexConfig | None" = None
     index_store: "IndexStore | None" = None
 
     def __post_init__(self) -> None:
-        overrides = {}
-        if self.engine is not None:
-            overrides["engine"] = self.engine
-        if self.group is not None:
-            overrides["group"] = self.group
-        if self.prune is not None:
-            overrides["prune"] = self.prune
-        if overrides:
-            self.finder = dataclasses.replace(self.finder, **overrides)
         #: Per-scan index-tier statistics (populated by indexed scans).
         self.index_stats: dict[str, Any] = {}
 
@@ -532,8 +514,6 @@ def scan_fasta(
     finder: RepeatFinder | None = None,
     mask: bool = False,
     min_length: int = 10,
-    engine: str | None = None,
-    group: int | None = None,
     index: "IndexConfig | None" = None,
     index_store: "IndexStore | None" = None,
 ) -> list[SequenceReport]:
@@ -542,8 +522,6 @@ def scan_fasta(
         finder=finder or RepeatFinder(),
         mask=mask,
         min_length=min_length,
-        engine=engine,
-        group=group,
         index=index,
         index_store=index_store,
     )

@@ -11,9 +11,10 @@ Two submissions that must produce bit-identical results share one
 digest: the SHA-256 of the *result-affecting* fields — sequence text,
 alphabet, scoring model, search/delineation knobs — plus
 :data:`ALGORITHM_VERSION`.  Execution knobs (``engine``, ``group``,
-``priority``) are deliberately excluded: every engine and every batch
-width returns the same alignments (the repo-wide equivalence
-guarantee), so they must not fragment the cache.  Bump
+``priority``) are deliberately excluded: every engine of the closed
+table (:data:`~repro.align.base.ENGINE_NAMES`, enforced at admission)
+and every batch width returns the same alignments (the repo-wide
+equivalence guarantee), so they must not fragment the cache.  Bump
 :data:`ALGORITHM_VERSION` whenever a change alters what any spec
 aligns to, and stale cache entries become unreachable automatically.
 """
@@ -25,7 +26,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
-from ..align.base import DEFAULT_ENGINE, DEFAULT_GROUP
+from ..align.base import DEFAULT_ENGINE, DEFAULT_GROUP, ENGINE_NAMES
 from ..core.result import RepeatResult
 from ..sequences.alphabet import alphabet_for
 
@@ -114,8 +115,12 @@ class JobSpec:
             raise SpecError(f"alphabet must be one of {_ALPHABETS}")
         if self.algorithm != "new":
             # The O(n⁴) Table 1 baseline cannot checkpoint, cancel or
-            # drain; it stays a library/CLI option (`repro find`).
+            # drain; it is a test oracle (`core.oldalgo`), not an option.
             raise SpecError("algorithm must be 'new' (the service runs no other)")
+        if self.engine not in ENGINE_NAMES:
+            # Reject at admission, not in a worker — and never cache a
+            # non-Equation-1 answer under an engine-blind digest.
+            raise SpecError(f"engine must be one of {ENGINE_NAMES}")
         if self.matrix is not None and self.matrix not in MATRIX_NAMES:
             raise SpecError(f"matrix must be one of {MATRIX_NAMES} or null")
         if self.matrix not in (None, "simple") and self.alphabet != "protein":

@@ -1,16 +1,15 @@
-"""Tests for the engine registry and AlignmentProblem plumbing."""
+"""Tests for the closed engine table and AlignmentProblem plumbing."""
 
 import numpy as np
 import pytest
 
 from repro.align import (
-    AlignmentEngine,
+    ENGINE_NAMES,
     AlignmentProblem,
+    LanesEngine,
     ScalarEngine,
     VectorEngine,
-    available_engines,
     get_engine,
-    register_engine,
 )
 from repro.scoring import GapPenalties
 from repro.sequences import DNA, Sequence
@@ -18,13 +17,13 @@ from repro.sequences import DNA, Sequence
 
 class TestRegistry:
     def test_builtins_registered(self):
-        names = available_engines()
-        for expected in ("scalar", "vector", "lanes", "lanes-sse", "lanes-sse2", "striped"):
-            assert expected in names
+        for name in ENGINE_NAMES:
+            assert get_engine(name).name == name
 
     def test_get_engine_by_name(self):
         assert isinstance(get_engine("scalar"), ScalarEngine)
         assert isinstance(get_engine("vector"), VectorEngine)
+        assert isinstance(get_engine("lanes"), LanesEngine)
 
     def test_get_engine_passthrough(self):
         engine = VectorEngine()
@@ -33,27 +32,6 @@ class TestRegistry:
     def test_unknown_engine(self):
         with pytest.raises(KeyError, match="unknown engine"):
             get_engine("quantum")
-
-    def test_sse_presets(self):
-        sse = get_engine("lanes-sse")
-        sse2 = get_engine("lanes-sse2")
-        assert (sse.lanes, sse.dtype) == (4, "int16")
-        assert (sse2.lanes, sse2.dtype) == (8, "int16")
-
-    def test_register_custom(self):
-        class Dummy(AlignmentEngine):
-            name = "dummy-test"
-
-            def last_row(self, problem):
-                return np.zeros(problem.cols + 1)
-
-        register_engine("dummy-test", Dummy)
-        try:
-            assert isinstance(get_engine("dummy-test"), Dummy)
-        finally:
-            from repro.align.base import _ENGINES
-
-            _ENGINES.pop("dummy-test")
 
 
 class TestAlignmentProblem:

@@ -1,26 +1,18 @@
-"""Tests for the anti-diagonal wavefront engine."""
+"""Tests for the anti-diagonal wavefront comparator (``benchmarks/comparators.py``)."""
 
 import numpy as np
 import pytest
+from benchmarks.comparators import DiagonalEngine
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.align import (
-    AlignmentProblem,
-    DiagonalEngine,
-    ScalarEngine,
-    full_matrix,
-    get_engine,
-)
+from repro.align import AlignmentProblem, ScalarEngine, full_matrix
 from repro.core import DenseOverrideTriangle
 from repro.scoring import GapPenalties, match_mismatch
 from repro.sequences import DNA
 
 
 class TestDiagonalEngine:
-    def test_registered(self):
-        assert isinstance(get_engine("diagonal"), DiagonalEngine)
-
     def test_figure2_matrix(self, figure2_problem):
         assert np.array_equal(
             DiagonalEngine().full_matrix(figure2_problem),
@@ -89,5 +81,5 @@ class TestDiagonalEngine:
 
         ex, gaps = dna_scoring
         base, _ = find_top_alignments(tandem_dna, 3, ex, gaps)
-        diag, _ = find_top_alignments(tandem_dna, 3, ex, gaps, engine="diagonal")
+        diag, _ = find_top_alignments(tandem_dna, 3, ex, gaps, engine=DiagonalEngine())
         assert [(a.r, a.pairs) for a in diag] == [(a.r, a.pairs) for a in base]

@@ -1,24 +1,32 @@
-"""Cross-engine equivalence: every engine must reproduce the scalar reference.
+"""The engine conformance suite: every engine reproduces the scalar reference.
 
 This is the correctness core of the SIMD reproduction — the paper's
 lane-parallel kernels compute "exactly the same" matrices as the
 conventional code, and so must ours, bit for bit on integral scores.
+:class:`TestClosedTable` is the contract of ``repro.align``'s three-name
+engine table: byte-equal bottom rows against ``scalar`` and byte-equal
+top alignments against the O(n⁴) oracle, at every batch width and lane
+value mode.  The striped comparator (figure code in
+``benchmarks/comparators.py``) is held to the same rows.
 """
 
 import numpy as np
 import pytest
+from benchmarks.comparators import StripedEngine
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.align import (
+    ENGINE_NAMES,
     AlignmentProblem,
     LanesEngine,
     ScalarEngine,
-    StripedEngine,
     VectorEngine,
+    get_engine,
 )
+from repro.core import find_top_alignments, old_find_top_alignments
 from repro.scoring import GapPenalties, blosum62, match_mismatch
-from repro.sequences import DNA, PROTEIN
+from repro.sequences import DNA, PROTEIN, Sequence
 from repro.sequences.workloads import pseudo_titin
 
 ENGINES = [
@@ -29,6 +37,31 @@ ENGINES = [
     StripedEngine(stripe=7),
     StripedEngine(stripe=64),
 ]
+
+#: A 100-nt string whose tops 2–3 differ between Equation 1 and the
+#: textbook Gotoh recurrence (``test_gotoh.py``): a sensitive probe for an
+#: engine that computes anything but Equation 1.
+REPRODUCER = (
+    "ACTGGTCGAGAGGATGACGACTATACTATGGGCTGATTGGAAACTAGTGAGGATTGACGACTATAGGCTA"
+    "TGGGCTGTGGAAACTATAGCACTCGCATAA"
+)
+
+#: The closed table x lane value mode: names resolve through
+#: ``get_engine``; the integer modes are ``LanesEngine`` configurations.
+TABLE = [(name, None) for name in ENGINE_NAMES] + [
+    ("lanes", "int32"),
+    ("lanes", "int16"),
+]
+
+
+def _table_engine(name, dtype, group):
+    if dtype is None:
+        return get_engine(name)
+    return LanesEngine(lanes=group, dtype=dtype)
+
+
+def _tops(alignments):
+    return [(a.index, a.r, a.score, a.pairs) for a in alignments]
 
 
 def _random_problem(rng, ex, gaps, max_len=40):
@@ -64,6 +97,52 @@ class TestAgainstScalar:
             np.array([], dtype=np.int8), DNA.encode("ACG"), ex, gaps
         )
         assert np.array_equal(engine.last_row(p), np.zeros(4))
+
+
+@pytest.fixture(scope="module")
+def oracle_cases(tandem_dna, small_repeat_protein, dna_scoring, protein_scoring):
+    """(sequence, k, exchange, gaps, tops) per conformance input.
+
+    The tops are the O(n⁴) oracle's, which the sequential ``scalar``
+    search must reproduce before any other engine is compared.
+    """
+    cases = {
+        "reproducer": (Sequence(REPRODUCER, DNA), 3, *dna_scoring),
+        "tandem_dna": (tandem_dna, 3, *dna_scoring),
+        "repeat_protein": (small_repeat_protein, 4, *protein_scoring),
+    }
+    oracles = {}
+    for key, case in cases.items():
+        oracle = _tops(old_find_top_alignments(*case, engine="scalar")[0])
+        scalar, _ = find_top_alignments(*case, engine="scalar", group=1)
+        assert _tops(scalar) == oracle
+        oracles[key] = (*case, oracle)
+    return oracles
+
+
+@pytest.mark.parametrize("group", [1, 4, 8])
+@pytest.mark.parametrize(
+    "name,dtype", TABLE, ids=[f"{n}-{d or 'default'}" for n, d in TABLE]
+)
+class TestClosedTable:
+    def test_bottom_rows_byte_equal_scalar(self, name, dtype, group, protein_scoring):
+        ex, gaps = protein_scoring
+        seq = pseudo_titin(64, seed=11)
+        problems = [
+            AlignmentProblem(seq.codes[:r], seq.codes[r:], ex, gaps)
+            for r in range(20, 20 + group)
+        ]
+        rows = _table_engine(name, dtype, group).last_rows_batch(problems)
+        scalar = ScalarEngine()
+        for problem, row in zip(problems, rows):
+            assert row.tobytes() == scalar.last_row(problem).tobytes()
+
+    @pytest.mark.parametrize("case", ["reproducer", "tandem_dna", "repeat_protein"])
+    def test_tops_byte_equal_oracle(self, name, dtype, group, case, oracle_cases):
+        seq, k, ex, gaps, oracle = oracle_cases[case]
+        engine = _table_engine(name, dtype, group)
+        tops, _ = find_top_alignments(seq, k, ex, gaps, engine=engine, group=group)
+        assert _tops(tops) == oracle
 
 
 class TestLaneBatches:

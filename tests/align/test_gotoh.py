@@ -1,14 +1,16 @@
-"""Tests for the Smith–Waterman–Gotoh comparator engine."""
+"""Tests for the Smith–Waterman–Gotoh comparator (``benchmarks/comparators.py``)."""
 
 import numpy as np
 import pytest
+from benchmarks.comparators import GotohEngine, gotoh_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.align import AlignmentProblem, full_matrix
-from repro.align.gotoh import GotohEngine, gotoh_matrix
 from repro.scoring import GapPenalties, match_mismatch
-from repro.sequences import DNA
+from repro.sequences import DNA, Sequence
+
+from .test_engines_equivalence import REPRODUCER
 
 
 def brute_force_gotoh(problem) -> np.ndarray:
@@ -85,13 +87,19 @@ class TestRelationToEquation1:
         p = AlignmentProblem(s1, s2, ex, gaps)
         assert gotoh_matrix(p).max() >= full_matrix(p).max()
 
+    def test_top_alignments_differ_from_equation1(self, dna_scoring):
+        """Why ``gotoh`` is not in the engine table: it is a different
+        recurrence, so as an engine it finds different top alignments."""
+        from repro.core import find_top_alignments
+
+        ex, gaps = dna_scoring
+        seq = Sequence(REPRODUCER, DNA)
+        exact, _ = find_top_alignments(seq, 3, ex, gaps)
+        gotoh, _ = find_top_alignments(seq, 3, ex, gaps, engine=GotohEngine())
+        assert [(a.r, a.score) for a in exact] != [(a.r, a.score) for a in gotoh]
+
 
 class TestEngineInterface:
-    def test_registered(self):
-        from repro.align import get_engine
-
-        assert isinstance(get_engine("gotoh"), GotohEngine)
-
     def test_last_row_shape(self, figure2_problem):
         row = GotohEngine().last_row(figure2_problem)
         assert row.shape == (figure2_problem.cols + 1,)

@@ -2,13 +2,13 @@
 
 import numpy as np
 import pytest
+from benchmarks.comparators import StripedEngine
 
 from repro.align import (
     AlignmentProblem,
     LanesEngine,
     ProfileView,
     QueryProfile,
-    StripedEngine,
     VectorEngine,
 )
 from repro.core import DenseOverrideTriangle

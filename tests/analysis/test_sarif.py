@@ -75,8 +75,11 @@ class TestCli:
         assert log["runs"][0]["results"] == []
 
     def test_stats_flag_emits_json(self, minipkg, capsys):
-        lint_main(["--stats", "--no-cache", str(minipkg)])
+        lint_main(["--stats", str(minipkg)])
         stats = json.loads(capsys.readouterr().out)
         assert stats["files"] == 7
         assert stats["rules_active"] == len(RULE_DOC)
         assert "rule_timings_ms" in stats and "total_ms" in stats
+        # Locks the facts pass identified, beside the cross-class subset.
+        assert stats["locks_seen"] == 2 and stats["lock_nodes"] == 2
+        assert "modules_cached" not in stats  # every run is cold

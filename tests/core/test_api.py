@@ -3,7 +3,7 @@
 import pytest
 
 from repro import find_repeats
-from repro.core import RepeatFinder, RepeatResult
+from repro.core import RepeatFinder, RepeatResult, old_find_top_alignments
 from repro.scoring import GapPenalties, match_mismatch
 from repro.sequences import DNA, Sequence, tandem_repeat_sequence
 
@@ -39,10 +39,10 @@ class TestFindRepeats:
 
     def test_old_algorithm_same_results(self):
         seq = tandem_repeat_sequence("ATGC", 3)
-        new = find_repeats(seq, top_alignments=3, algorithm="new")
-        old = find_repeats(seq, top_alignments=3, algorithm="old")
+        new = find_repeats(seq, top_alignments=3)
+        old, _ = old_find_top_alignments(seq, 3, match_mismatch(DNA, 2.0, -1.0))
         assert [(a.r, a.pairs) for a in new.top_alignments] == [
-            (a.r, a.pairs) for a in old.top_alignments
+            (a.r, a.pairs) for a in old
         ]
 
     def test_min_score_filters(self):
@@ -63,10 +63,6 @@ class TestRepeatFinder:
         r2 = finder.find(tandem_repeat_sequence("GGCC", 3))
         assert len(r1.top_alignments) == 2
         assert len(r2.top_alignments) == 2
-
-    def test_invalid_algorithm(self):
-        with pytest.raises(ValueError):
-            RepeatFinder(algorithm="fastest")
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):

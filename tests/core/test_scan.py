@@ -117,13 +117,6 @@ class TestPerRecordFailures:
 
 
 class TestEngineKnobs:
-    def test_overrides_applied_to_finder(self):
-        scanner = DatabaseScanner(
-            finder=RepeatFinder(top_alignments=4), engine="lanes", group=8
-        )
-        assert scanner.finder.engine == "lanes"
-        assert scanner.finder.group == 8
-
     def test_no_overrides_keeps_finder(self):
         finder = RepeatFinder(top_alignments=4)
         scanner = DatabaseScanner(finder=finder)
@@ -131,11 +124,11 @@ class TestEngineKnobs:
 
     def test_knobs_do_not_change_reports(self, mixed_records):
         baseline = DatabaseScanner(finder=RepeatFinder(top_alignments=4))
-        batched = DatabaseScanner(
-            finder=RepeatFinder(top_alignments=4), engine="lanes", group=8
+        sequential = DatabaseScanner(
+            finder=RepeatFinder(top_alignments=4, engine="vector", group=1)
         )
         expected = baseline.rank(mixed_records)
-        got = batched.rank(mixed_records)
+        got = sequential.rank(mixed_records)
         assert [r.id for r in got] == [r.id for r in expected]
         for a, b in zip(got, expected):
             assert a.best_score == b.best_score
@@ -145,7 +138,7 @@ class TestEngineKnobs:
 
     def test_scoring_objects_reused_across_records(self, mixed_records):
         scanner = DatabaseScanner(
-            finder=RepeatFinder(top_alignments=4), engine="lanes", group=4
+            finder=RepeatFinder(top_alignments=4, engine="lanes", group=4)
         )
         scanner.scan(mixed_records)
         finder = scanner.finder

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from benchmarks.comparators import StripedEngine
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -189,7 +190,10 @@ class TestValidation:
 
 
 class TestEngineAndTriangleChoices:
-    @pytest.mark.parametrize("engine", ["scalar", "vector", "lanes", "striped"])
+    @pytest.mark.parametrize(
+        "engine",
+        ["scalar", "vector", "lanes", pytest.param(StripedEngine(), id="striped")],
+    )
     def test_same_result_any_engine(self, engine, tandem_dna, dna_scoring):
         ex, gaps = dna_scoring
         base, _ = find_top_alignments(tandem_dna, 3, ex, gaps, engine="vector")

@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+from repro.align import LanesEngine
 from repro.core import TopAlignmentState, find_top_alignments
 
 _BENCHMARKS = str(pathlib.Path(__file__).resolve().parents[2] / "benchmarks")
@@ -48,7 +49,15 @@ class TestGroupedEquivalence:
         )
         assert _key(state.found) == _key(expected)
 
-    @pytest.mark.parametrize("engine", ["lanes", "lanes-sse", "lanes-sse2", "vector"])
+    @pytest.mark.parametrize(
+        "engine",
+        [
+            "lanes",
+            pytest.param(LanesEngine(lanes=4, dtype="int16"), id="lanes-sse"),
+            pytest.param(LanesEngine(lanes=8, dtype="int16"), id="lanes-sse2"),
+            "vector",
+        ],
+    )
     def test_matches_sequential_any_engine(
         self, schedule, engine, tandem_dna, dna_scoring
     ):

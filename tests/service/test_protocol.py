@@ -39,10 +39,17 @@ class TestSpecValidation:
 
     def test_old_algorithm_rejected(self):
         # The O(n^4) baseline cannot checkpoint, cancel or drain: it is a
-        # library/CLI option, never a job.  Saying "new" stays legal.
+        # test oracle, never a job.  Saying "new" stays legal.
         with pytest.raises(SpecError, match="algorithm"):
             _spec(algorithm="old")
         assert _spec(algorithm="new") == _spec()
+
+    @pytest.mark.parametrize("engine", ["bogus", "gotoh", "lanes-sse2"])
+    def test_engine_outside_the_table_rejected(self, engine):
+        with pytest.raises(SpecError, match="engine"):
+            _spec(engine=engine)
+        with pytest.raises(SpecError, match="engine"):
+            JobSpec.from_dict({"sequence": "ACDE" * 10, "engine": engine})
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(SpecError, match="unknown"):

@@ -90,6 +90,18 @@ class TestSubmission:
             client.submit({"top_alignments": 3})
         assert excinfo.value.code == 400
 
+    @pytest.mark.parametrize("engine", ["bogus", "gotoh"])
+    def test_engine_outside_the_table_400(self, service, engine):
+        """Rejected at admission, not in a worker: ``gotoh`` is not
+        Equation 1 and ``engine`` is outside the digest, so running it
+        would cache a wrong answer under the right key."""
+        svc, client = service
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(_spec(engine=engine))
+        assert excinfo.value.code == 400
+        assert "engine" in str(excinfo.value)
+        assert client.stats()["queue"]["depth"] == 0
+
     def test_backpressure_429_with_retry_after(self, service):
         svc, client = service
         for seed in range(4):

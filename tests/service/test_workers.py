@@ -132,6 +132,12 @@ class TestExecuteJob:
         record.spec["algorithm"] = "old"
         assert execute_job(store, cache, record) == "failed"
         assert "algorithm" in store.get(record.id).error
+        # Likewise a stored spec naming an engine since retired from the
+        # closed table: the cause lands in the record, no worker dies.
+        retired = _submit(store, queue, _titin_spec())
+        retired.spec["engine"] = "gotoh"
+        assert execute_job(store, cache, retired) == "failed"
+        assert "engine" in store.get(retired.id).error
 
     def test_duplicate_served_from_cache_with_zero_work(self, stores):
         store, queue, cache = stores

@@ -29,7 +29,6 @@ class TestParser:
         args = build_parser().parse_args(["find", "x.fasta"])
         assert args.top_alignments == 20
         assert args.engine == DEFAULT_ENGINE == "lanes"
-        assert args.algorithm == "new"
         assert args.group == DEFAULT_GROUP == 8
         assert args.prune is True
 
@@ -59,12 +58,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["submit", "x.fasta", "--algorithm", "old"])
 
+    def test_find_has_no_algorithm_choice(self):
+        # The O(n^4) baseline is a test oracle, not a product option.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["find", "x.fasta", "--algorithm", "old"])
 
-class TestEnginesCommand:
-    def test_lists_engines(self, capsys):
-        assert main(["engines"]) == 0
-        out = capsys.readouterr().out
-        assert "vector" in out and "scalar" in out and "lanes-sse2" in out
+    def test_engines_subcommand_is_retired(self):
+        # The table is closed: --engine's choices= list it in --help.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["engines"])
 
 
 class TestGenerateCommand:
@@ -136,13 +138,6 @@ class TestFindCommand:
         plain = capsys.readouterr().out
         assert main(base + ["--index"]) == 0
         assert results_only(capsys.readouterr().out) == results_only(plain)
-
-    def test_find_old_algorithm(self, tandem_fasta, capsys):
-        assert (
-            main(["find", tandem_fasta, "-k", "2", "--alphabet", "dna", "--algorithm", "old"])
-            == 0
-        )
-        assert "top alignments: 2" in capsys.readouterr().out
 
     def test_find_protein_matrix_choice(self, tmp_path, capsys):
         path = tmp_path / "p.fasta"

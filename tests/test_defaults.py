@@ -4,7 +4,13 @@ import inspect
 
 import pytest
 
-from repro.align import DEFAULT_ENGINE, DEFAULT_GROUP, LanesEngine, get_engine
+from repro.align import (
+    DEFAULT_ENGINE,
+    DEFAULT_GROUP,
+    ENGINE_NAMES,
+    LanesEngine,
+    get_engine,
+)
 from repro.cli import build_parser
 from repro.core import (
     RepeatFinder,
@@ -15,6 +21,7 @@ from repro.core import (
     load_checkpoint,
 )
 from repro.service import JobSpec
+from repro.service.protocol import SpecError
 
 
 def _default(func, name):
@@ -67,3 +74,20 @@ def test_cli_parsers(command):
     assert args.engine == DEFAULT_ENGINE
     if hasattr(args, "group"):
         assert args.group == DEFAULT_GROUP
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([*command, "x.fasta", "--engine", "gotoh"])
+    for name in ENGINE_NAMES:
+        parsed = build_parser().parse_args([*command, "x.fasta", "--engine", name])
+        assert parsed.engine == name
+
+
+def test_the_engine_table_is_closed():
+    """Exactly three names, on every surface that takes one."""
+    assert set(ENGINE_NAMES) == {"scalar", "vector", "lanes"}
+    for retired in ("striped", "diagonal", "gotoh", "lanes-sse", "lanes-sse2"):
+        with pytest.raises(KeyError):
+            get_engine(retired)
+        with pytest.raises(SpecError):
+            JobSpec(sequence="ACDEFGHIKL", engine=retired)
+    for func in (find_repeats, RepeatFinder):
+        assert "algorithm" not in inspect.signature(func).parameters
