@@ -11,6 +11,9 @@ which hold on any machine where an absolute cells/s baseline does not:
   defaults by more than 10 %;
 * ``align.gate_overhead.lanes_g8 <= 1.15`` — prune gates that cannot
   fire cost the lockstep kernel (almost) nothing;
+* ``align.kernel.lanes_g8.cells_per_s / align.kernel.lanes_g8_int16
+  .cells_per_s >= 0.90`` — no forced lane dtype beats the default work
+  type by more than 10 %;
 * ``dna_scan_sparse``: ``index.route_skip_share > 0`` — routing skips;
 * ``dna_scan_dense``: ``core.find.pruned_lanes > 0`` and
   ``core.find.cells_avoided_share > 0`` — gates stop fills early;
@@ -31,8 +34,12 @@ RUN = Path(__file__).resolve().parent / "e2e" / "run.py"
 _KERNEL = {
     "core.lattice.best_over_default": (">=", 0.90),
     "align.gate_overhead.lanes_g8": ("<=", 1.15),
+    "align.kernel.lanes_g8.cells_per_s / align.kernel.lanes_g8_int16.cells_per_s": (
+        ">=", 0.90,
+    ),
 }
-#: workload -> metric -> (comparison, bound)
+#: workload -> metric, or ``numerator / denominator`` of two metrics of
+#: the same run -> (comparison, bound)
 GATES = {
     "titin_find": _KERNEL,
     "dna_scan_sparse": {"index.route_skip_share": (">", 0.0)},
@@ -46,6 +53,12 @@ WORKLOADS = tuple(GATES)
 _COMPARE = {">=": operator.ge, "<=": operator.le, ">": operator.gt}
 
 
+def value_of(name: str, result: dict) -> float:
+    """A metric of ``result``, or the quotient of two (``"a / b"``)."""
+    values = [result["metrics"][part]["value"] for part in name.split(" / ")]
+    return values[0] if len(values) == 1 else values[0] / values[1]
+
+
 def check(workload: str, result: dict) -> list[str]:
     """Failure messages for one workload's ``--trace 1`` result line."""
     failures = []
@@ -55,7 +68,7 @@ def check(workload: str, result: dict) -> list[str]:
             f"{result.get('attempted')} failed)"
         )
     for name, (op, bound) in GATES[workload].items():
-        value = result["metrics"][name]["value"]
+        value = value_of(name, result)
         if not _COMPARE[op](value, bound):
             failures.append(f"{name} = {value:.3f}, want {op} {bound}")
     return failures
@@ -84,7 +97,7 @@ def main(argv: list[str] | None = None) -> int:
         result = json.loads(lines[-1])
         failures = check(workload, result)
         for name in GATES[workload]:
-            print(f"{workload}: {name} = {result['metrics'][name]['value']:.3f}")
+            print(f"{workload}: {name} = {value_of(name, result):.3f}")
         for failure in failures:
             print(f"{workload}: FAIL {failure}")
         failed = failed or bool(failures)

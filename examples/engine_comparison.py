@@ -10,7 +10,8 @@ a Table 2-style report:
 * ``sse``          — 4 neighbouring matrices per lockstep int16 batch,
 * ``sse2``         — 8 matrices per batch.
 
-Also demonstrates that all tiers produce bit-identical scores.
+Also demonstrates that all tiers produce bit-identical scores, whatever
+work type the lane engine is asked for (it reports the one it used).
 
 Usage::
 
@@ -32,17 +33,21 @@ def correctness_demo(size: int) -> None:
     problem = AlignmentProblem(
         seq.codes[:size], seq.codes[size:], blosum62(), GapPenalties(8, 1)
     )
-    # The closed engine table by name, plus the SSE2 configuration of
-    # the lane engine (8 lanes of saturating int16) as an instance.
+    # The closed engine table by name (lanes defaults to int32 work
+    # rows), plus the lane engine asked for the paper's shorts and for
+    # the float64 conformance mode, as instances.
     engines = {name: get_engine(name) for name in ENGINE_NAMES}
-    engines["lanes x8 int16"] = LanesEngine(lanes=8, dtype="int16")
+    for dtype in ("int16", "float64"):
+        engines[f"lanes x8 {dtype}"] = LanesEngine(lanes=8, dtype=dtype)
     rows = {name: engine.last_row(problem) for name, engine in engines.items()}
     reference = rows.pop("scalar")
     for name, row in rows.items():
         assert np.array_equal(row, reference), name
+    used = ", ".join(e.describe() for e in engines.values() if e.name == "lanes")
     print(
         f"correctness: all engines agree bit-for-bit on a "
-        f"{size}x{size} BLOSUM62 matrix (best score {reference.max():g})\n"
+        f"{size}x{size} BLOSUM62 matrix (best score {reference.max():g}); "
+        f"lane work types used: {used}\n"
     )
 
 

@@ -10,7 +10,7 @@ from .base import (
     OverrideProvider,
     get_engine,
 )
-from .lanes import INT16_MAX, LanesEngine
+from .lanes import LanesEngine
 from .matrix import full_matrix, matrix_for_texts
 from .profile import ProfileView, QueryProfile
 from .pruning import PruneContext, PruneGate
@@ -29,7 +29,6 @@ __all__ = [
     "DEFAULT_GROUP",
     "ENGINE_NAMES",
     "NEG_INF",
-    "INT16_MAX",
     "AlignmentEngine",
     "AlignmentProblem",
     "OverrideProvider",

@@ -55,9 +55,9 @@ DEFAULT_ENGINE = "lanes"
 DEFAULT_GROUP = 8
 
 #: Sentinel for "no gap possible yet" in the running maxima.  Matrix
-#: values are always >= 0, so any sufficiently negative value works; we
-#: use -inf in float engines and a large negative integer in the lane
-#: engine's integer modes.
+#: values are always >= 0, so any sufficiently negative value works:
+#: -inf here, a bounded negative integer per work type in the lockstep
+#: row step (``repro.align.profile.NEG``).
 NEG_INF = float("-inf")
 
 
@@ -68,9 +68,13 @@ class OverrideProvider(Protocol):
     boolean array over the local columns ``1..cols`` where ``True``
     forces the corresponding matrix entry to zero — or ``None`` when no
     entry of that row is overridden (the overwhelmingly common case,
-    since the triangle is sparse).  A provider may also offer
-    ``row_masks()`` — every non-``None`` mask keyed by row — which the
-    lane engine prefers to one call per lane per row.
+    since the triangle is sparse).  A provider that is a window onto a
+    triangle over the whole query may also expose ``triangle`` (with
+    ``m`` and ``row_flags(i)``: the boolean row over global columns
+    ``0..m``, or ``None``) and its column offset ``r``; when every
+    overridden lane of a lockstep batch windows the same triangle, the
+    row step masks the shared profile row once instead of calling each
+    lane per row.
     """
 
     def row_mask(self, y: int) -> np.ndarray | None: ...
@@ -119,14 +123,6 @@ class AlignmentProblem:
         if self.profile is not None:
             return self.profile.scores
         return self.exchange.scores[:, self.seq2.astype(np.int64)]
-
-    def substitution_rows_int(self) -> np.ndarray:
-        """Integer (int64) variant for the lane engine's int modes."""
-        if self.profile is not None:
-            return self.profile.integer_scores()
-        return self.exchange.as_integers().astype(np.int64)[
-            :, self.seq2.astype(np.int64)
-        ]
 
     @classmethod
     def from_sequences(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import AlignmentProblem
-from .vector import iter_rows
+from .rowstep import lockstep_rows
 
 __all__ = ["full_matrix", "matrix_for_texts"]
 
@@ -26,8 +26,15 @@ def full_matrix(problem: AlignmentProblem, dtype=np.float64) -> np.ndarray:
     matrix = np.zeros((rows + 1, cols + 1), dtype=dtype)
     if rows == 0 or cols == 0:
         return matrix
-    for y, row in iter_rows(problem):
-        matrix[y] = row
+    # Rows are stacked as the row step yields them (shifted, narrow) and
+    # unshifted all at once: one copy per row instead of three passes.
+    floors, stacked = [0], None
+    for y, row, floor in lockstep_rows([problem]):
+        if stacked is None:
+            stacked = np.zeros((rows + 1, cols + 1), dtype=row.dtype)
+        stacked[y] = row[0]
+        floors.append(floor)
+    np.subtract(stacked, np.array(floors)[:, None], out=matrix)
     return matrix
 
 

@@ -11,9 +11,10 @@ overhead by building a *query profile* once per query; this module is
 the row-vectorised analogue.
 
 :class:`QueryProfile` computes the full ``n_symbols x m`` gather once
-per sequence — in float64 eagerly and in integer form lazily, for the
-lane engine's ``int32``/``int16`` modes.  :class:`ProfileView` is a
-zero-copy column window ``[start, stop)`` that
+per sequence — in float64 eagerly, and lazily as the *lane table* the
+lockstep row step gathers from (:meth:`QueryProfile.lane_table`: the
+narrow work dtype, row-shifted, with a leading sentinel column).
+:class:`ProfileView` is a zero-copy column window ``[start, stop)`` that
 :class:`~repro.align.base.AlignmentProblem` carries to the engines,
 which then *slice* instead of re-gathering.  Engines that receive no
 profile fall back to the per-call gather, so standalone problems are
@@ -26,7 +27,14 @@ import numpy as np
 
 from ..scoring.exchange import ExchangeMatrix
 
-__all__ = ["QueryProfile", "ProfileView"]
+__all__ = ["QueryProfile", "ProfileView", "NEG"]
+
+#: The lockstep row step's work types, narrowest first, each with its
+#: "no predecessor" sentinel.  An integer type is exact while every
+#: intermediate of the recurrence stays inside ``(2 * NEG, -NEG)``, so
+#: ``-NEG`` is also the exclusive score bound that admits the type
+#: (``repro.align.rowstep.work_dtype``); float64 takes whatever is left.
+NEG = {"int16": -(2**14), "int32": -(2**29), "float64": -np.inf}
 
 
 class QueryProfile:
@@ -41,7 +49,7 @@ class QueryProfile:
         The exchange matrix being gathered.
     """
 
-    __slots__ = ("codes", "exchange", "scores", "_integers")
+    __slots__ = ("codes", "exchange", "scores", "_lane_tables")
 
     def __init__(self, codes: np.ndarray, exchange: ExchangeMatrix) -> None:
         self.codes = np.ascontiguousarray(codes, dtype=np.int8)
@@ -51,7 +59,7 @@ class QueryProfile:
         gathered.setflags(write=False)
         #: ``(n_symbols, len(codes))`` float64 gather, read-only.
         self.scores = gathered
-        self._integers: np.ndarray | None = None
+        self._lane_tables: dict[tuple[str, float], np.ndarray] = {}
 
     def __len__(self) -> int:
         return self.codes.size
@@ -61,19 +69,25 @@ class QueryProfile:
         """Number of residue codes the profile's exchange matrix covers."""
         return self.scores.shape[0]
 
-    def integer_scores(self) -> np.ndarray:
-        """The gather as ``int64`` (lazily built; raises if fractional).
+    def lane_table(self, dtype: str, ext: float) -> np.ndarray:
+        """``(n_symbols, len + 1)`` gather table of the lockstep row step.
 
-        The lane engine's integer modes do their arithmetic in int64 and
-        saturate values afterwards, so one integer copy serves both the
-        ``int32`` and ``int16`` modes.
+        Column ``j >= 1`` holds ``E[a, seq[j-1]] + ext`` (the row shift
+        ``M + ext*y`` moves one ``ext`` per row into the exchange term);
+        column 0 holds ``NEG[dtype]`` — gathering it forces a cell to
+        the zero floor, which is how the boundary column, padded columns
+        and overridden cells are all computed.  Built once per
+        ``(dtype, ext)`` and cached on the profile; ``dtype`` must be
+        exact for the scores (``repro.align.rowstep.work_dtype``).
         """
-        if self._integers is None:
-            ints = self.exchange.as_integers().astype(np.int64)
-            ints = np.ascontiguousarray(ints[:, self.codes.astype(np.int64)])
-            ints.setflags(write=False)
-            self._integers = ints
-        return self._integers
+        table = self._lane_tables.get((dtype, ext))
+        if table is None:
+            table = np.empty((self.n_symbols, len(self) + 1), dtype=dtype)
+            table[:, 0] = NEG[dtype]
+            np.add(self.scores, ext, out=table[:, 1:], casting="unsafe")
+            table.setflags(write=False)
+            self._lane_tables[(dtype, ext)] = table
+        return table
 
     def view(self, start: int, stop: int | None = None) -> "ProfileView":
         """Zero-copy window over query columns ``[start, stop)``."""
@@ -87,7 +101,7 @@ class QueryProfile:
 class ProfileView:
     """A column window of a :class:`QueryProfile` (what engines consume).
 
-    Slicing a float64/int64 numpy array along its last axis yields a
+    Slicing a numpy array along its last axis yields a
     view, so a :class:`ProfileView` costs O(1) memory no matter how many
     alignment problems share the underlying profile.
     """
@@ -112,7 +126,3 @@ class ProfileView:
     def scores(self) -> np.ndarray:
         """Float64 ``(n_symbols, cols)`` view — no copy, no gather."""
         return self.profile.scores[:, self.start : self.stop]
-
-    def integer_scores(self) -> np.ndarray:
-        """Int64 ``(n_symbols, cols)`` view for the integer lane modes."""
-        return self.profile.integer_scores()[:, self.start : self.stop]

@@ -43,10 +43,6 @@ exhaustion test retires it), so a partially filled matrix is never
 refilled from scratch; with a floor of zero nothing can sink that far
 and no gates are made at all.
 
-Saturating integer engines stay covered: clamping values at
-``INT16_MAX`` only lowers them, and the induction above holds verbatim
-for the clamped recurrence.
-
 The :class:`~repro.analysis.invariants.InvariantChecker` (under
 ``REPRO_CHECK_INVARIANTS``) additionally recomputes a sampled subset of
 pruned fills exhaustively and asserts each recorded bound dominated the
@@ -145,8 +141,13 @@ class PruneGate:
 
     #: Tail fraction below which :meth:`row_cutoffs` reports "not worth
     #: gating": when fewer than this fraction of rows could ever prune,
-    #: the per-row bookkeeping costs more than the skipped cells.
-    MIN_PRUNABLE_TAIL = 0.15
+    #: the per-row bookkeeping costs more than the skipped cells.  The
+    #: bookkeeping (a per-lane reduction and four small calls) is half a
+    #: lockstep row and a lane-mate that cannot prune keeps the batch
+    #: running anyway: on ``dna_scan_dense`` of ``benchmarks/e2e`` 0.15
+    #: made a pass 15-30 % slower than no gates at all, 0.7 within 5 %
+    #: (``check_ratios.py`` fails at 10 %).
+    MIN_PRUNABLE_TAIL = 0.7
 
     def __init__(self, context: PruneContext, r: int, *, cap: float = np.inf) -> None:
         m = len(context.profile)

@@ -26,7 +26,7 @@ from ..scoring.exchange import ExchangeMatrix
 from ..scoring.gaps import GapPenalties
 from ..sequences.sequence import Sequence
 from .base import AlignmentProblem
-from .lanes import LanesEngine
+from .rowstep import lockstep_rows, same_scoring
 from .vector import iter_rows
 
 __all__ = ["SearchHit", "best_local_score", "best_scores_batch", "search_database"]
@@ -44,81 +44,25 @@ def best_local_score(problem: AlignmentProblem) -> float:
     return best
 
 
-def best_scores_batch(
-    problems: list[AlignmentProblem], *, engine: LanesEngine | None = None
-) -> list[float]:
+def best_scores_batch(problems: list[AlignmentProblem]) -> list[float]:
     """Best-anywhere scores for a batch, computed in lane lockstep.
 
-    Mirrors :meth:`repro.align.lanes.LanesEngine.last_rows_batch` but
-    tracks a running per-lane maximum instead of harvesting bottom rows
-    (padding garbage never wins: padded lanes only extend rows/columns
-    whose values are ignored per lane).
+    The row step of :meth:`repro.align.lanes.LanesEngine.last_rows_batch`
+    with a running per-lane maximum instead of harvested bottom rows; a
+    lane stops contributing after its own last row.
     """
-    if not problems:
-        return []
-    engine = engine or LanesEngine(lanes=8, dtype="float64")
-    if engine.dtype != "float64":
-        raise ValueError("best_scores_batch requires the float64 lane mode")
-    gaps = problems[0].gaps
-    exchange = problems[0].exchange
-    for p in problems[1:]:
-        if p.gaps != gaps:
-            raise ValueError("lane group must share gap penalties")
-        if p.exchange is not exchange and p.exchange.name != exchange.name:
-            raise ValueError("lane group must share the exchange matrix")
-
-    group = len(problems)
-    rows_l = np.array([p.rows for p in problems])
-    cols_l = np.array([p.cols for p in problems])
-    max_rows = int(rows_l.max(initial=0))
-    max_cols = int(cols_l.max(initial=0))
-    best = np.zeros(group, dtype=np.float64)
-    if max_rows == 0 or max_cols == 0:
-        return best.tolist()
-
-    open_, ext = gaps.open_, gaps.extend
-    nsym = exchange.size
-    subs = np.zeros((group, nsym, max_cols), dtype=np.float64)
-    codes1 = np.zeros((max_rows, group), dtype=np.int64)
-    for lane, p in enumerate(problems):
-        if p.cols:
-            subs[lane, :, : p.cols] = exchange.scores[:, p.seq2.astype(np.int64)]
-        codes1[: p.rows, lane] = p.seq1
-    lane_idx = np.arange(group)
-
-    prev = np.zeros((max_cols + 1, group), dtype=np.float64)
-    curr = np.zeros((max_cols + 1, group), dtype=np.float64)
-    max_y = np.full((max_cols, group), -np.inf, dtype=np.float64)
-    k_up = (ext * np.arange(1, max_cols + 1, dtype=np.float64))[:, None]
-    x_dn = (ext * np.arange(2, max_cols + 1, dtype=np.float64))[:, None]
-    inner = np.empty((max_cols, group), dtype=np.float64)
-    b = np.empty((max_cols, group), dtype=np.float64)
-    # Mask out padded columns/rows so garbage never enters the maxima.
-    col_valid = (np.arange(max_cols)[:, None] < cols_l[None, :])
-
-    for y in range(1, max_rows + 1):
-        diag = prev[:max_cols]
-        erow = subs[lane_idx, codes1[y - 1]].T
-
-        np.add(diag, k_up, out=b)
-        b -= open_
-        np.maximum.accumulate(b, axis=0, out=b)
-        np.maximum(max_y, diag, out=inner)
-        if max_cols > 1:
-            np.maximum(inner[1:], b[:-1] - x_dn, out=inner[1:])
-
-        np.add(inner, erow, out=curr[1:])
-        np.maximum(curr, 0.0, out=curr)
-
-        np.maximum(max_y, diag - open_, out=max_y)
-        max_y -= ext
-
-        row_valid = (y <= rows_l)
-        candidates = np.where(col_valid & row_valid[None, :], curr[1:], 0.0)
-        np.maximum(best, candidates.max(axis=0), out=best)
-        prev, curr = curr, prev
-
-    return best.tolist()
+    best = [0.0] * len(problems)
+    live = [i for i, p in enumerate(problems) if p.rows and p.cols]
+    if live:
+        lanes = [problems[i] for i in live]
+        same_scoring(lanes)
+        rows_l = np.array([p.rows for p in lanes])
+        lane_best = np.zeros(len(lanes), dtype=np.float64)
+        for y, row, floor in lockstep_rows(lanes):
+            np.fmax(lane_best, row.max(axis=1) - floor, lane_best, where=y <= rows_l)
+        for i, score in zip(live, lane_best.tolist()):
+            best[i] = score
+    return best
 
 
 @dataclass(frozen=True)
@@ -150,14 +94,13 @@ def search_database(
         raise ValueError("lanes must be >= 1")
     order = sorted(range(len(database)), key=lambda i: len(database[i]))
     scores = [0.0] * len(database)
-    engine = LanesEngine(lanes=lanes, dtype="float64")
     for start in range(0, len(order), lanes):
         chunk = order[start : start + lanes]
         problems = [
             AlignmentProblem(query.codes, database[i].codes, exchange, gaps)
             for i in chunk
         ]
-        for i, score in zip(chunk, best_scores_batch(problems, engine=engine)):
+        for i, score in zip(chunk, best_scores_batch(problems)):
             scores[i] = score
     hits = [
         SearchHit(index=i, id=db.id, length=len(db), score=scores[i])

@@ -200,8 +200,8 @@ def rule_per_cell_loop(tree: ast.Module, path: str) -> list[Diagnostic]:
 def rule_implicit_dtype(tree: ast.Module, path: str) -> list[Diagnostic]:
     """RPR002: ``np.zeros``/``ones``/``empty``/``full`` without ``dtype=``.
 
-    Mixing implicit float64 with the lane engine's int16/int32 working
-    dtypes silently changes saturation behaviour (§4.1's 16-bit
+    Mixing implicit float64 into the lane engine's int16/int32 work
+    rows silently defeats the exact width choice (§4.1's 16-bit
     overflow discussion), so matrix constructors in kernel and core
     code must pin their dtype.
     """

@@ -45,11 +45,14 @@ def _sparkline(track: ProfileTrack, *, width: int = 560, height: int = 64) -> st
     values = track.values or (0.0,)
     peak = max(max(values), 1e-9)
     n = len(values)
-    points = []
-    for i, value in enumerate(values):
-        x = (i + 0.5) / n * width
-        y = height - (value / peak) * (height - 4) - 2
-        points.append(f"{x:.1f},{y:.1f}")
+    heights = [f"{height - (value / peak) * (height - 4) - 2:.1f}" for value in values]
+    # The interior of a flat run draws nothing: keep its two ends only
+    # (a track is mostly flat, and the report is held in memory whole).
+    points = [
+        f"{(i + 0.5) / n * width:.1f},{y}"
+        for i, y in enumerate(heights)
+        if not 0 < i < n - 1 or not heights[i - 1] == y == heights[i + 1]
+    ]
     baseline = (
         f"0,{height} " + " ".join(points) + f" {width},{height}"
     )
@@ -104,7 +107,7 @@ def _family_details(families: list["FamilyModel"]) -> str:
             )
         parts.append(
             "<details>"
-            f"<summary>family {model.family} — consensus &amp; "
+            f"<summary>family {model.family} &mdash; consensus &amp; "
             "alignment</summary>"
             + "".join(body)
             + "</details>"

@@ -4,9 +4,10 @@ Titin-scale runs take hours even on the cluster; a crash should not
 repay the first pass.  A checkpoint captures the durable products of a
 :class:`~repro.core.topalign.TopAlignmentState` — the accepted
 alignments (hence the override triangle) and the first-pass bottom rows
-— in a single ``.npz`` file.  Restoring rebuilds a state whose
-continuation is exactly the continuation of the original run, which the
-tests verify.
+— in a single ``.npz`` file of eight arrays whatever the length of the
+search: paths and rows are stored end to end, each next to an index of
+their sizes.  Restoring rebuilds a state whose continuation is exactly
+the continuation of the original run, which the tests verify.
 
 Scores/rows are stored losslessly (float64); the scoring model itself
 is *not* serialised — the caller must restore with the same sequence,
@@ -29,7 +30,7 @@ from .topalign import TopAlignmentState
 
 __all__ = ["save_checkpoint", "load_checkpoint", "restore_checkpoint"]
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 def _fingerprint(state_or_args) -> np.ndarray:
@@ -55,21 +56,26 @@ def save_checkpoint(state: TopAlignmentState, path: str | os.PathLike) -> None:
     checkpoint.  Unlike ``np.savez``'s path form, ``path`` is used
     verbatim — no ``.npz`` suffix is appended.
     """
+    # A handful of flat arrays, not one archive member per alignment and
+    # per bottom row: a member costs ~0.1 ms of zip bookkeeping, and a
+    # service worker checkpoints after every acceptance.
+    stored = sorted(r for r in range(1, state.m) if r in state.bottom_rows)
+    rows = [np.asarray(state.bottom_rows.get(r), dtype=np.float64) for r in stored]
+    pairs = [np.array(a.pairs, dtype=np.int64).reshape(-1, 2) for a in state.found]
     arrays: dict[str, np.ndarray] = {
         "format": np.array([_FORMAT_VERSION]),
         "codes": state.codes,
         "fingerprint": _fingerprint((state.sequence, state.exchange, state.gaps)),
         "alignment_meta": np.array(
-            [[a.index, a.r] for a in state.found], dtype=np.int64
-        ).reshape(-1, 2),
+            [[a.index, a.r, len(a.pairs)] for a in state.found], dtype=np.int64
+        ).reshape(-1, 3),
         "alignment_scores": np.array([a.score for a in state.found]),
+        "pairs": np.concatenate(pairs) if pairs else np.empty((0, 2), dtype=np.int64),
+        "stored_rows": np.array(
+            [[r, row.size] for r, row in zip(stored, rows)], dtype=np.int64
+        ).reshape(-1, 2),
+        "rows": np.concatenate(rows) if rows else np.empty(0, dtype=np.float64),
     }
-    for a in state.found:
-        arrays[f"pairs_{a.index}"] = np.array(a.pairs, dtype=np.int64)
-    stored = sorted(r for r in range(1, state.m) if r in state.bottom_rows)
-    arrays["stored_rows"] = np.array(stored, dtype=np.int64)
-    for r in stored:
-        arrays[f"row_{r}"] = np.asarray(state.bottom_rows.get(r))
     target = os.fspath(path)
     tmp = f"{target}.{os.getpid()}.tmp"
     try:
@@ -102,7 +108,8 @@ def restore_checkpoint(state: TopAlignmentState, path: str | os.PathLike) -> Non
                 raise ValueError(
                     "checkpoint was written under a different scoring model"
                 )
-            meta = data["alignment_meta"].reshape(-1, 2)
+            meta = data["alignment_meta"].reshape(-1, 3)
+            pairs = np.split(data["pairs"], np.cumsum(meta[:, 2])[:-1])
             # Plain-int pairs: a restored alignment must be
             # indistinguishable from a freshly computed one (which uses
             # Python ints), down to JSON serialisability of downstream
@@ -112,13 +119,21 @@ def restore_checkpoint(state: TopAlignmentState, path: str | os.PathLike) -> Non
                     index=int(index),
                     r=int(r),
                     score=float(score),
-                    pairs=tuple(
-                        (int(i), int(j)) for i, j in data[f"pairs_{int(index)}"]
-                    ),
+                    pairs=tuple((int(i), int(j)) for i, j in path_pairs),
                 )
-                for (index, r), score in zip(meta, data["alignment_scores"])
+                for (index, r, _), score, path_pairs in zip(
+                    meta, data["alignment_scores"], pairs
+                )
             ]
-            rows = {int(r): data[f"row_{int(r)}"] for r in data["stored_rows"]}
+            stored = data["stored_rows"].reshape(-1, 2)
+            if stored[:, 1].sum() != data["rows"].size:
+                raise ValueError("checkpoint rows do not match their index")
+            rows = dict(
+                zip(
+                    stored[:, 0].tolist(),
+                    np.split(data["rows"], np.cumsum(stored[:, 1])[:-1]),
+                )
+            )
     except ValueError:
         raise
     except Exception as exc:  # noqa: BLE001 - see below

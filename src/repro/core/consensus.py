@@ -64,12 +64,11 @@ def block_identity(codes: np.ndarray, unit: int) -> float:
     blocks = _blocks(codes, unit)
     if blocks.shape[0] < 1:
         return 0.0
-    agree = 0
-    for col in range(unit):
-        column = blocks[:, col]
-        counts = np.bincount(column)
-        agree += int(counts.max())
-    return agree / blocks.size
+    # One bincount over (column, residue) keys instead of one per column.
+    n_symbols = int(blocks.max()) + 1
+    keys = blocks + np.arange(0, unit * n_symbols, n_symbols, dtype=np.intp)
+    counts = np.bincount(keys.ravel(), minlength=unit * n_symbols)
+    return int(counts.reshape(unit, n_symbols).max(axis=1).sum()) / blocks.size
 
 
 def select_unit_length(

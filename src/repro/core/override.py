@@ -31,6 +31,7 @@ __all__ = [
     "DenseOverrideTriangle",
     "SparseOverrideTriangle",
     "SplitOverrideView",
+    "TransposedSplitView",
 ]
 
 
@@ -62,8 +63,13 @@ class OverrideTriangle(ABC):
         """
 
     @abstractmethod
-    def rows_marked_beyond(self, row_hi: int, col_lo: int) -> list[int]:
-        """Rows ``i <= row_hi`` holding a marked pair ``(i, j >= col_lo)``."""
+    def row_flags(self, i: int) -> np.ndarray | None:
+        """Row ``i`` as booleans over global columns ``0..m``, or ``None``.
+
+        ``None`` when the row holds no marked pair.  What a lockstep
+        engine wants: every lane of a batch reads its own window of the
+        one row, so the row is masked once for all of them.
+        """
 
     @abstractmethod
     def __iter__(self) -> Iterator[tuple[int, int]]:
@@ -111,9 +117,8 @@ class DenseOverrideTriangle(OverrideTriangle):
         mask = self._flags[i, col_lo : col_hi + 1]
         return mask if mask.any() else None
 
-    def rows_marked_beyond(self, row_hi: int, col_lo: int) -> list[int]:
-        block = self._flags[1 : row_hi + 1, col_lo:]
-        return (np.flatnonzero(block.any(axis=1)) + 1).tolist()
+    def row_flags(self, i: int) -> np.ndarray | None:
+        return self._flags[i] if self._row_counts[i] else None
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         for i, j in zip(*np.nonzero(self._flags)):
@@ -150,12 +155,8 @@ class SparseOverrideTriangle(OverrideTriangle):
         mask[np.asarray(hits) - col_lo] = True
         return mask
 
-    def rows_marked_beyond(self, row_hi: int, col_lo: int) -> list[int]:
-        return sorted(
-            i
-            for i, cols in self._rows.items()
-            if i <= row_hi and any(j >= col_lo for j in cols)
-        )
+    def row_flags(self, i: int) -> np.ndarray | None:
+        return self.row_mask(i, 0, self.m)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         for i in sorted(self._rows):
@@ -175,24 +176,44 @@ class SplitOverrideView:
     ``(y, x)`` is global pair ``(y, r + x)``.
     """
 
-    __slots__ = ("_triangle", "_r", "_m")
+    __slots__ = ("triangle", "r")
 
     def __init__(self, triangle: OverrideTriangle, r: int) -> None:
         if not 1 <= r < triangle.m:
             raise ValueError(f"split r={r} outside 1..{triangle.m - 1}")
-        self._triangle = triangle
-        self._r = r
-        self._m = triangle.m
+        #: The viewed triangle and the split — public so a lockstep
+        #: engine can recognise lanes that window one triangle
+        #: (``OverrideProvider``) and read ``triangle.row_flags``.
+        self.triangle = triangle
+        self.r = r
 
     def row_mask(self, y: int) -> np.ndarray | None:
-        return self._triangle.row_mask(y, self._r + 1, self._m)
+        return self.triangle.row_mask(y, self.r + 1, self.triangle.m)
 
-    def row_masks(self) -> dict[int, np.ndarray]:
-        """Every non-empty :meth:`row_mask` of the split, keyed by row.
 
-        What a lockstep engine wants: one pass over the triangle per
-        lane instead of one call per lane per row.
-        """
-        lo, hi = self._r + 1, self._m
-        rows = self._triangle.rows_marked_beyond(self._r, lo)
-        return {y: self._triangle.row_mask(y, lo, hi) for y in rows}
+class TransposedSplitView:
+    """The triangle as the *transpose* of split ``r``'s matrix meets it.
+
+    The transposed fill runs suffix positions ``r+1..r+rows`` down its
+    rows and the prefix ``1..r`` across its columns, so its local cell
+    ``(y, x)`` is global pair ``(x, r + y)``.  The masks are cut from
+    the triangle's rows once, when the view is made: it serves one fill
+    (the traceback matrix of an acceptance) and must not outlive a
+    :meth:`OverrideTriangle.mark`.
+    """
+
+    __slots__ = ("_masks", "_marked")
+
+    def __init__(self, triangle: OverrideTriangle, r: int, rows: int) -> None:
+        if not (1 <= r and 1 <= rows and r + rows <= triangle.m):
+            raise ValueError(f"split r={r} with {rows} rows outside 1..{triangle.m}")
+        block = np.zeros((r, rows), dtype=bool)
+        for i in range(1, r + 1):
+            flags = triangle.row_flags(i)
+            if flags is not None:
+                block[i - 1] = flags[r + 1 : r + rows + 1]
+        self._masks = np.ascontiguousarray(block.T)
+        self._marked = self._masks.any(axis=1).tolist()
+
+    def row_mask(self, y: int) -> np.ndarray | None:
+        return self._masks[y - 1] if self._marked[y - 1] else None

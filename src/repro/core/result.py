@@ -209,6 +209,8 @@ class RunStats:
         )
         #: Configuration tag of the engine that computed the alignments
         #: (``AlignmentEngine.describe()``; "" until a state binds one).
+        #: For ``lanes`` the bracket is the widest work type the engine
+        #: instance has used so far, this search or an earlier one.
         self.engine = engine
         #: Scheduling group width G (1 = strictly sequential best-first;
         #: set by the speculative batched driver).

@@ -41,7 +41,12 @@ from ..scoring.exchange import ExchangeMatrix
 from ..scoring.gaps import GapPenalties
 from ..sequences.sequence import Sequence
 from .bottomrows import BottomRowStore
-from .override import DenseOverrideTriangle, OverrideTriangle, SparseOverrideTriangle
+from .override import (
+    DenseOverrideTriangle,
+    OverrideTriangle,
+    SparseOverrideTriangle,
+    TransposedSplitView,
+)
 from .result import RunStats, TopAlignment
 from .tasks import Task
 
@@ -300,8 +305,9 @@ class TopAlignmentState:
     def accept_task(self, task: Task) -> TopAlignment:
         """Accept ``task`` as the next top alignment (lines 13–14).
 
-        Recomputes the split's full matrix under the *same* triangle the
-        task was last scored with, picks the best valid bottom-row cell
+        Recomputes the split's matrix under the *same* triangle the
+        task was last scored with (:meth:`_traceback_matrix`: as much of
+        it as the path can touch), picks the best valid bottom-row cell
         (ties: leftmost), traces the path back, converts it to global
         pairs and marks the override triangle.
         """
@@ -313,10 +319,10 @@ class TopAlignmentState:
         if task.score <= 0:
             raise ValueError("cannot accept a non-positive top alignment")
         problem = self.problem_for(task.r)
-        matrix = full_matrix(problem)
+        matrix = self._traceback_matrix(task, problem)
         self.stats.tracebacks += 1
         bottom = np.asarray(matrix[-1], dtype=np.float64)
-        valid = self.bottom_rows.valid_mask(task.r, bottom)
+        valid = bottom == self.bottom_rows.get(task.r)[: bottom.size]
         candidates = np.where(valid, bottom, -np.inf)
         end_x = int(np.argmax(candidates))
         best = float(candidates[end_x])
@@ -336,6 +342,34 @@ class TopAlignmentState:
         if self.invariants is not None:
             self.invariants.after_accept(alignment)
         return alignment
+
+    def _traceback_matrix(self, task: Task, problem: AlignmentProblem) -> np.ndarray:
+        """Split ``task.r``'s matrix under the current triangle, as far
+        right as the accepted path can end.
+
+        The accepted cell is a valid endpoint, so its first-pass value
+        equals the task's score, and Equation 1 only looks left and up:
+        no column past the last such cell can matter.  A fill costs one
+        row step per row almost whatever the row's length, and the
+        recurrence is symmetric (one gap model, a symmetric exchange
+        matrix): when that leaves fewer columns than rows, the transpose
+        is filled — one row step per *column* — and handed back
+        transposed.  Otherwise the whole matrix is filled as it stands.
+        """
+        r = task.r
+        ends = np.flatnonzero(self.bottom_rows.get(r) == task.score)
+        if ends.size == 0 or ends[-1] >= r:
+            return full_matrix(problem)
+        cols = int(ends[-1])
+        transposed = AlignmentProblem(
+            self.codes[r : r + cols],
+            self.codes[:r],
+            self.exchange,
+            self.gaps,
+            TransposedSplitView(self.triangle, r, cols),
+            profile=self.profile.view(0, r),
+        )
+        return full_matrix(transposed).T
 
     def align_tasks_batch(self, tasks: list[Task]) -> list[float]:
         """Score several tasks in one engine batch (lane groups, §4.1).
@@ -400,6 +434,10 @@ class TopAlignmentState:
         """
         self.stats.engine_seconds += seconds
         self.stats.alignments += len(problems)
+        # The lane engine's tag names the widest work type its fills have
+        # run in (over the engine's lifetime: a reused engine may name a
+        # type an earlier search needed).
+        self.stats.engine = self.engine.describe()
         scores = []
         for task, problem, row in zip(tasks, problems, rows):
             gate = problem.prune

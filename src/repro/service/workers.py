@@ -63,6 +63,14 @@ __all__ = [
 #: by the kill/resume tests to guarantee a mid-job signal lands).
 CHUNK_DELAY_ENV = "REPRO_SERVICE_CHUNK_DELAY"
 
+#: A worker's first sleep on an empty queue, at start and after every
+#: job; it doubles per empty claim up to ``poll_interval``.  A client
+#: that waits for one result before it submits the next arrives a few
+#: milliseconds after the worker went idle: at a flat ``poll_interval``
+#: its job waited out whatever was left of that sleep, up to 50 ms for
+#: a 30 ms job, and how much depended only on the phase of the sleep.
+_IDLE_FLOOR = 0.001
+
 _NAMED_MATRICES = {
     "blosum62": blosum62,
     "blosum50": blosum50,
@@ -352,11 +360,14 @@ def worker_main(
         store.write_worker_stats(tag, asdict(stats))
 
     publish()
+    idle = _IDLE_FLOOR
     while not stop["flag"]:
         job_id = queue.claim()
         if job_id is None:
-            time.sleep(poll_interval)
+            time.sleep(idle)
+            idle = min(poll_interval, idle * 2)
             continue
+        idle = _IDLE_FLOOR
         record = store.get(job_id)
         if record is None or record.terminal:
             queue.discard(job_id)

@@ -5,8 +5,8 @@ lane-parallel kernels compute "exactly the same" matrices as the
 conventional code, and so must ours, bit for bit on integral scores.
 :class:`TestClosedTable` is the contract of ``repro.align``'s three-name
 engine table: byte-equal bottom rows against ``scalar`` and byte-equal
-top alignments against the O(n⁴) oracle, at every batch width and lane
-value mode.  The striped comparator (figure code in
+top alignments against the O(n⁴) oracle, at every batch width and
+requested lane work type, on both sides of every width promotion.  The striped comparator (figure code in
 ``benchmarks/comparators.py``) is held to the same rows.
 """
 
@@ -24,7 +24,13 @@ from repro.align import (
     VectorEngine,
     get_engine,
 )
-from repro.core import find_top_alignments, old_find_top_alignments
+from repro.align.profile import QueryProfile
+from repro.core import (
+    DenseOverrideTriangle,
+    SparseOverrideTriangle,
+    find_top_alignments,
+    old_find_top_alignments,
+)
 from repro.scoring import GapPenalties, blosum62, match_mismatch
 from repro.sequences import DNA, PROTEIN, Sequence
 from repro.sequences.workloads import pseudo_titin
@@ -46,11 +52,13 @@ REPRODUCER = (
     "TGGGCTGTGGAAACTATAGCACTCGCATAA"
 )
 
-#: The closed table x lane value mode: names resolve through
-#: ``get_engine``; the integer modes are ``LanesEngine`` configurations.
+#: The closed table x requested lane work type: names resolve through
+#: ``get_engine`` (the default, int32); the others are ``LanesEngine``
+#: configurations.
 TABLE = [(name, None) for name in ENGINE_NAMES] + [
     ("lanes", "int32"),
     ("lanes", "int16"),
+    ("lanes", "float64"),
 ]
 
 
@@ -142,6 +150,41 @@ class TestClosedTable:
         seq, k, ex, gaps, oracle = oracle_cases[case]
         engine = _table_engine(name, dtype, group)
         tops, _ = find_top_alignments(seq, k, ex, gaps, engine=engine, group=group)
+        assert _tops(tops) == oracle
+
+    @pytest.mark.parametrize(
+        "match,used",
+        [
+            # The bound is match * (min(rows, cols) + 1) + ext * (rows +
+            # cols + 1) + open with min(rows, cols) = 12, m = 24: just
+            # under / over 2**14 for a requested int16, and past 2**29.
+            (1258, {"int16": "int16"}),
+            (1259, {"int16": "int32"}),
+            (41_300_000, {"int16": "float64", "int32": "float64", None: "float64"}),
+        ],
+        ids=["under-2^14", "over-2^14", "over-2^29"],
+    )
+    def test_width_bound_crossings(self, name, dtype, group, match, used):
+        """Scores around the width limits: the requested type is promoted
+        exactly when the bound says so, and rows and tops stay byte-equal
+        to ``scalar`` and the O(n^4) oracle on either side."""
+        seq = Sequence("ACGTTGCAACGT" * 2, DNA)
+        ex, gaps = match_mismatch(DNA, float(match), -1.0), GapPenalties(2, 1)
+        engine = _table_engine(name, dtype, group)
+        problems = [
+            AlignmentProblem(seq.codes[:r], seq.codes[r:], ex, gaps)
+            for r in range(12, 12 + group)
+        ]
+        scalar = ScalarEngine()
+        for problem, row in zip(problems, engine.last_rows_batch(problems[:1])):
+            assert row.tobytes() == scalar.last_row(problem).tobytes()
+        if name == "lanes":
+            want = used.get(dtype, dtype or "int32")
+            assert engine.describe() == f"lanes[{want}]"
+        for problem, row in zip(problems, engine.last_rows_batch(problems)):
+            assert row.tobytes() == scalar.last_row(problem).tobytes()
+        oracle = _tops(old_find_top_alignments(seq, 3, ex, gaps, engine="scalar")[0])
+        tops, _ = find_top_alignments(seq, 3, ex, gaps, engine=engine, group=group)
         assert _tops(tops) == oracle
 
 
@@ -238,23 +281,112 @@ class TestLaneBatches:
         with pytest.raises(ValueError, match="exchange"):
             LanesEngine().last_rows_batch([p1, p2])
 
-    def test_int16_mode_rejects_fractional_penalties(self, dna_scoring):
+    def test_fractional_penalties_fall_back_to_float64(self, dna_scoring):
         ex, _ = dna_scoring
         p = AlignmentProblem(
-            DNA.encode("AC"), DNA.encode("AC"), ex, GapPenalties(2.5, 1)
+            DNA.encode("ACGTAC"), DNA.encode("ACTTAC"), ex, GapPenalties(2.5, 1)
         )
-        with pytest.raises(ValueError):
-            LanesEngine(dtype="int16").last_row(p)
+        for dtype in ("int16", "int32", "float64"):
+            engine = LanesEngine(dtype=dtype)
+            assert np.array_equal(engine.last_row(p), ScalarEngine().last_row(p))
+            assert engine.describe() == "lanes[float64]"
+        assert np.array_equal(VectorEngine().last_row(p), ScalarEngine().last_row(p))
 
-    def test_int16_saturation(self):
-        """Scores clamp at 32767, mirroring SSE signed-short saturation."""
+    def test_int16_request_is_exact_beyond_32767(self):
+        """No saturation: a sub-batch whose score bound outgrows int16
+        runs one width up, and ``describe`` says so."""
         ex = match_mismatch(DNA, 30000.0, -1.0, wildcard_score=None)
         gaps = GapPenalties(2, 1)
         p = AlignmentProblem(DNA.encode("AAAA"), DNA.encode("AAAA"), ex, gaps)
-        row16 = LanesEngine(dtype="int16").last_row(p)
-        assert row16.max() == 32767
-        row64 = LanesEngine(dtype="float64").last_row(p)
-        assert row64.max() > 32767
+        engine = LanesEngine(dtype="int16")
+        assert engine.describe() == "lanes[int16]"
+        row = engine.last_row(p)
+        assert row.max() == 120000.0
+        assert np.array_equal(row, ScalarEngine().last_row(p))
+        assert engine.describe() == "lanes[int32]"
+
+
+class TestLaneOverrides:
+    """Every way a lockstep batch can meet the override triangle equals
+    ``scalar``: folded into the gather (all lanes window one triangle),
+    or per lane (mixed with first passes, foreign providers, no profile)."""
+
+    @pytest.fixture(scope="class")
+    def setup(self, protein_scoring):
+        ex, gaps = protein_scoring
+        codes = pseudo_titin(48, seed=4).codes
+        pairs = [(3, 30), (4, 31), (5, 32), (9, 40), (10, 41), (20, 44), (22, 23)]
+        return codes, ex, gaps, pairs
+
+    def _check(self, problems, dtype):
+        rows = LanesEngine(lanes=8, dtype=dtype).last_rows_batch(problems)
+        for problem, row in zip(problems, rows):
+            assert row.tobytes() == ScalarEngine().last_row(problem).tobytes()
+
+    @pytest.mark.parametrize("dtype", ["int16", "int32", "float64"])
+    @pytest.mark.parametrize("cls", [DenseOverrideTriangle, SparseOverrideTriangle])
+    @pytest.mark.parametrize("with_profile", [True, False])
+    def test_one_triangle_every_lane(self, setup, cls, dtype, with_profile):
+        codes, ex, gaps, pairs = setup
+        triangle = cls(codes.size)
+        triangle.mark(pairs)
+        profile = QueryProfile(codes, ex)
+        self._check(
+            [
+                AlignmentProblem(
+                    codes[:r], codes[r:], ex, gaps, triangle.view_for_split(r),
+                    profile=profile.suffix(r) if with_profile else None,
+                )
+                for r in (21, 22, 23, 24, 30, 8)
+            ],
+            dtype,
+        )
+
+    @pytest.mark.parametrize("dtype", ["int16", "int32", "float64"])
+    def test_first_pass_lanes_mixed_with_realigned(self, setup, dtype):
+        codes, ex, gaps, pairs = setup
+        triangle = DenseOverrideTriangle(codes.size)
+        triangle.mark(pairs)
+        profile = QueryProfile(codes, ex)
+        self._check(
+            [
+                AlignmentProblem(
+                    codes[:r], codes[r:], ex, gaps,
+                    triangle.view_for_split(r) if r % 2 else None,
+                    profile=profile.suffix(r),
+                )
+                for r in (21, 22, 23, 24, 25, 26)
+            ],
+            dtype,
+        )
+
+    def test_two_triangles_and_a_hand_written_provider(self, setup):
+        codes, ex, gaps, pairs = setup
+        one, two = DenseOverrideTriangle(codes.size), SparseOverrideTriangle(codes.size)
+        one.mark(pairs)
+        two.mark(pairs[:3])
+
+        class EveryThirdColumn:
+            def row_mask(self, y):
+                if y % 2:
+                    return None
+                mask = np.zeros(codes.size - 24, dtype=bool)
+                mask[::3] = True
+                return mask
+
+        profile = QueryProfile(codes, ex)
+        overrides = {22: one.view_for_split(22), 23: two.view_for_split(23),
+                     24: EveryThirdColumn()}
+        self._check(
+            [
+                AlignmentProblem(
+                    codes[:r], codes[r:], ex, gaps, override,
+                    profile=profile.suffix(r),
+                )
+                for r, override in overrides.items()
+            ],
+            "int32",
+        )
 
 
 class TestEngineConstruction:

@@ -11,6 +11,7 @@ from repro.align import (
     QueryProfile,
     VectorEngine,
 )
+from repro.align.profile import NEG
 from repro.core import DenseOverrideTriangle
 from repro.scoring import GapPenalties, blosum62
 from repro.sequences.workloads import pseudo_titin
@@ -55,13 +56,18 @@ class TestQueryProfile:
         assert np.array_equal(suffix.scores, profile.scores[:, 25:])
 
     def test_integer_scores_cached(self, codes, scoring):
+        """The lane table — narrow, row-shifted, sentinel column first —
+        is built once per (dtype, ext) and kept on the profile."""
         exchange, _ = scoring
         profile = QueryProfile(codes, exchange)
-        ints = profile.integer_scores()
-        assert ints.dtype == np.int64
-        assert ints is profile.integer_scores()  # computed once
-        view = profile.view(5, 20)
-        assert np.array_equal(view.integer_scores(), ints[:, 5:20])
+        ints = profile.lane_table("int16", 1)
+        assert ints.dtype == np.int16 and not ints.flags.writeable
+        assert ints is profile.lane_table("int16", 1)  # computed once
+        assert (ints[:, 0] == NEG["int16"]).all()
+        assert np.array_equal(ints[:, 1:], profile.scores + 1)
+        wide = profile.lane_table("float64", 0.5)
+        assert wide.dtype == np.float64 and np.isneginf(wide[:, 0]).all()
+        assert np.array_equal(wide[:, 1:], profile.scores + 0.5)
 
     def test_bounds_validated(self, codes, scoring):
         exchange, _ = scoring
@@ -132,6 +138,3 @@ class TestEnginesWithProfile:
         """Without a profile the problem re-gathers; results agree."""
         plain, cached = self._problem_pair(codes, scoring, 20)
         assert np.array_equal(plain.substitution_rows(), cached.substitution_rows())
-        assert np.array_equal(
-            plain.substitution_rows_int(), cached.substitution_rows_int()
-        )

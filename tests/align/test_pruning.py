@@ -2,8 +2,8 @@
 
 The contract under test is absolute: pruning may only skip work it can
 *prove* is irrelevant, so accepted top alignments must be byte-identical
-with pruning on or off — across engines, group widths, saturating
-integer modes, wildcard-bearing sequences and the linear-memory store —
+with pruning on or off — across engines, group widths, integer work
+types, wildcard-bearing sequences and the linear-memory store —
 and every bound the gate ever computes must dominate the exhaustively
 computed true score of the fill it skipped.
 """
@@ -14,11 +14,13 @@ from benchmarks.comparators import StripedEngine
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.align import INT16_MAX, LanesEngine, PruneContext, PruneGate
+from repro.align import LanesEngine, PruneContext, PruneGate, ScalarEngine
 from repro.align.vector import iter_rows
 from repro.core import TopAlignmentState, find_top_alignments
 from repro.scoring import GapPenalties, match_mismatch
 from repro.sequences import DNA, RepeatSpec, Sequence, implant_repeats, pseudo_titin
+
+INT16_MAX = 32767
 
 
 def _key(tops):
@@ -26,7 +28,8 @@ def _key(tops):
 
 
 def _sse():
-    """The paper's SSE configuration: 4 lanes of saturating int16."""
+    """The paper's SSE configuration: 4 lanes of int16 (here promoted,
+    never saturated, when a sub-batch's score bound outgrows it)."""
     return LanesEngine(lanes=4, dtype="int16")
 
 
@@ -92,14 +95,14 @@ class TestByteEquality:
 
 
 class TestSaturation:
-    """Bounds stay sound as scores approach and hit INT16_MAX."""
+    """Bounds stay sound as scores approach and pass the int16 range,
+    where the paper's SSE shorts would saturate and ours are promoted."""
 
     def test_tops_identical_near_int16_max(self):
         # +270 per match on a pure tandem pushes accepted scores to
-        # within ~10 % of the signed-short ceiling without crossing it
-        # (the accept path's exact recompute forbids clamped tops), so
-        # this drives the int16 lanes engine through the whole search
-        # at the top of its representable range.
+        # within ~10 % of the signed-short ceiling: the requested int16
+        # engine runs its narrow splits in int16 and the deep ones in
+        # int32, through the whole search.
         seq = Sequence("ATGC" * 60, DNA, id="tandem")
         exchange = match_mismatch(DNA, 270.0, -1.0)
         gaps = GapPenalties(2.0, 1.0)
@@ -114,24 +117,25 @@ class TestSaturation:
         assert _key(on) == _key(off)
         assert off and INT16_MAX * 0.8 < off[0].score < INT16_MAX
         assert on_stats.cells <= off_stats.cells
+        assert on_stats.engine == "lanes[int32]"
 
     def test_bounds_dominate_saturated_scores(self):
-        # Genuine saturation: +30000 per match clamps every deep cell
-        # at INT16_MAX.  Clamping only lowers values, so the float
-        # bound tables (computed from the unsaturated profile) must
-        # still dominate the saturated fill — a gate with the floor
-        # above the clamp prunes, and its bound covers the true row.
+        # +30000 per match: every deep cell is far past 32767.  The
+        # requested int16 is promoted, the fill is exact, and the bound
+        # tables dominate it — a gate with its floor above the true
+        # maximum prunes, and its bound covers the true row.
         exchange = match_mismatch(DNA, 30000.0, -1.0, wildcard_score=None)
         gaps = GapPenalties(2.0, 1.0)
         seq = Sequence("AAAAAAAA", DNA, id="sat")
         state = TopAlignmentState(seq, exchange, gaps, engine=_sse())
         r = 4
-        truth = LanesEngine(dtype="int16").last_row(
-            state.problem_for(r, with_override=False)
+        truth = ScalarEngine().last_row(state.problem_for(r, with_override=False))
+        assert truth.max() == 4 * 30000.0
+        assert np.array_equal(
+            state.engine.last_row(state.problem_for(r, with_override=False)), truth
         )
-        assert truth.max() == INT16_MAX  # clamp engaged
         ctx = state.prune_context
-        ctx.configure(INT16_MAX + 1.0)
+        ctx.configure(truth.max() + 1.0)
         gate = ctx.gate_for(r)
         assert ctx.lane_bounds[r] >= truth.max()
         row = state.engine.last_row(

@@ -110,3 +110,39 @@ def test_scalar_matches_brute_force(data, rows, cols, match, mismatch, open_, ex
     expected = brute_force_matrix(p)
     assert np.array_equal(full_matrix(p), expected)
     assert np.array_equal(ScalarEngine().last_row(p)[1:], expected[-1, 1:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    rows=st.integers(1, 14),
+    cols=st.integers(1, 14),
+    with_profile=st.booleans(),
+)
+def test_full_matrix_with_overrides_matches_scalar_rows(data, rows, cols, with_profile):
+    """Property: every row of ``full_matrix`` equals the scalar engine's
+    bottom row of that row-prefix, override masks included (tall, wide,
+    with and without a shared profile)."""
+    from repro.align import QueryProfile
+
+    ex = match_mismatch(DNA, 3.0, -2.0, wildcard_score=None)
+    gaps = GapPenalties(3.0, 1.0)
+    codes = np.array(
+        data.draw(st.lists(st.integers(0, 3), min_size=rows + cols, max_size=rows + cols)),
+        dtype=np.int8,
+    )
+    marks = np.array(
+        data.draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols))
+    ).reshape(rows, cols)
+
+    class Masks:
+        def row_mask(self, y):
+            return marks[y - 1] if marks[y - 1].any() else None
+
+    profile = QueryProfile(codes, ex).suffix(rows) if with_profile else None
+    p = AlignmentProblem(codes[:rows], codes[rows:], ex, gaps, Masks(), profile)
+    matrix = full_matrix(p)
+    assert matrix.shape == (rows + 1, cols + 1)
+    for y in range(1, rows + 1):
+        prefix = AlignmentProblem(codes[:y], codes[rows:], ex, gaps, Masks())
+        assert np.array_equal(matrix[y], ScalarEngine().last_row(prefix))

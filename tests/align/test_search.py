@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.align import AlignmentProblem, full_matrix
-from repro.align.lanes import LanesEngine
 from repro.align.search import (
     best_local_score,
     best_scores_batch,
@@ -56,11 +55,19 @@ class TestBatchScores:
     def test_empty_batch(self):
         assert best_scores_batch([]) == []
 
-    def test_rejects_int_modes(self, figure2_problem):
-        with pytest.raises(ValueError, match="float64"):
-            best_scores_batch(
-                [figure2_problem], engine=LanesEngine(dtype="int16")
-            )
+    def test_fractional_scoring_and_empty_lanes(self, dna_scoring):
+        """Any scoring runs (the row step picks an exact work type) and
+        empty problems score 0 without joining the lockstep."""
+        ex, _ = dna_scoring
+        gaps = GapPenalties(2.5, 0.5)
+        problems = [
+            AlignmentProblem(DNA.encode("ACGTACGT"), DNA.encode("ACTTACG"), ex, gaps),
+            AlignmentProblem(np.array([], dtype=np.int8), DNA.encode("AC"), ex, gaps),
+            AlignmentProblem(DNA.encode("GATTACA"), DNA.encode("TTAC"), ex, gaps),
+        ]
+        assert best_scores_batch(problems) == [
+            float(full_matrix(p).max()) for p in problems
+        ]
 
     def test_rejects_mixed_gaps(self, dna_scoring):
         ex, _ = dna_scoring

@@ -39,6 +39,8 @@ class TestSelfContainment:
         assert "<script" not in html_text
         assert "<link" not in html_text
         assert "@import" not in html_text
+        # One non-ASCII character doubles the storage of the whole str.
+        assert html_text.isascii()
 
     def test_single_document_with_inline_style_and_svg(self):
         html_text = render_html(_entries())
@@ -46,6 +48,29 @@ class TestSelfContainment:
         assert html_text.count("<style>") == 1
         assert "<svg" in html_text
         assert "<polyline" in html_text
+
+    def test_sparkline_keeps_the_ends_of_flat_runs_only(self):
+        """Dropping the interior of a flat run leaves the drawn line
+        unchanged: every vertex where the height changes survives, and
+        so do the first and the last point."""
+        track = build_track("s", 400, [(0, ((101, 150), (151, 200)))], window=5)
+        html_text = render_html([("s", 400, track, [_family()], None)])
+        line = re.search(r'<polyline points="([^"]*)"', html_text).group(1)
+        kept = [tuple(map(float, point.split(","))) for point in line.split()]
+        peak, n = max(track.values), len(track.values)
+        full = [
+            (round((i + 0.5) / n * 560, 1), round(64 - v / peak * 60 - 2, 1))
+            for i, v in enumerate(track.values)
+        ]
+        assert len(kept) < len(full) and set(kept) <= set(full)
+        assert (kept[0], kept[-1]) == (full[0], full[-1])
+        ys = [y for _, y in full]
+        corners = [
+            full[i]
+            for i in range(1, n - 1)
+            if not ys[i - 1] == ys[i] == ys[i + 1]
+        ]
+        assert set(corners) <= set(kept)
 
     def test_real_scan_report_is_self_contained(self):
         seqs = [Sequence("MKTAYIAKQR" * 5, id="rep")]

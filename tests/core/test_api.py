@@ -78,3 +78,35 @@ class TestRepeatFinder:
         seq = tandem_repeat_sequence("ATGC", 3)
         result = RepeatFinder(top_alignments=3, min_copy_length=5).find(seq)
         assert result.repeats == []  # copies are length 4 < 5
+
+
+def test_repeated_finds_leave_memory_flat():
+    """Nothing a ``find`` allocates may outlive it (module-level caches
+    keyed by per-call objects would): after a warm-up, 30 more calls on
+    one sequence keep traced memory within a few KB."""
+    import gc
+    import tracemalloc
+
+    from repro import obs
+    from repro.scoring import blosum62
+    from repro.sequences import pseudo_titin
+
+    seq = pseudo_titin(90, seed=5)
+    finder = RepeatFinder(exchange=blosum62(), gaps=GapPenalties(8, 1), top_alignments=4)
+    was_on = obs.enabled()
+    obs.disable()  # a collecting tracer keeps spans by design
+    try:
+        for _ in range(3):
+            finder.find(seq)
+        gc.collect()
+        tracemalloc.start()
+        before, _ = tracemalloc.get_traced_memory()
+        for _ in range(30):
+            finder.find(seq)
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        if was_on:
+            obs.enable()
+    assert after - before < 16_384, after - before

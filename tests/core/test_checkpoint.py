@@ -83,3 +83,30 @@ class TestValidation:
         tops, _ = find_top_alignments(seq, 2, ex, gaps, state=restored)
         base, _ = find_top_alignments(seq, 2, ex, gaps)
         assert [(a.r, a.pairs) for a in tops] == [(a.r, a.pairs) for a in base]
+
+    def test_other_format_version_rejected(self, halfway, tmp_path):
+        seq, ex, gaps, _, path = halfway
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays["format"] = np.array([1])
+        old = tmp_path / "old.npz"
+        np.savez_compressed(old, **arrays)
+        with pytest.raises(ValueError, match="unsupported checkpoint format 1"):
+            load_checkpoint(old, seq, ex, gaps)
+
+    def test_rows_must_match_their_index(self, halfway, tmp_path):
+        seq, ex, gaps, _, path = halfway
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays["rows"] = arrays["rows"][:-1]
+        torn = tmp_path / "torn.npz"
+        np.savez_compressed(torn, **arrays)
+        with pytest.raises(ValueError, match="do not match their index"):
+            load_checkpoint(torn, seq, ex, gaps)
+
+
+def test_archive_members_do_not_grow_with_the_search(halfway):
+    """A member per row or alignment made a 100-residue checkpoint 5 ms."""
+    *_, path = halfway
+    with np.load(path) as data:
+        assert len(data.files) == 8

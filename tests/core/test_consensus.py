@@ -31,6 +31,24 @@ class TestBlockIdentity:
         codes = rng.integers(0, 4, 4000).astype(np.int8)
         assert block_identity(codes, 5) < 0.45  # ~0.25 + majority bias
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        codes=st.lists(st.integers(0, 24), min_size=2, max_size=60),
+        extra=st.sampled_from(["half", "whole"]),
+    )
+    def test_equals_the_per_column_loop(self, codes, extra):
+        """The one-bincount form against the column loop it replaced, for
+        every unit 1..n/2 plus a single block / ``unit == size``."""
+        codes = np.array(codes, dtype=np.int8)
+        n = codes.size
+        units = list(range(1, n // 2 + 1))
+        units.append(n // 2 + 1 if extra == "half" else n)  # one block
+        for unit in units:
+            copies = n // unit
+            blocks = codes[: copies * unit].reshape(copies, unit)
+            agree = sum(int(np.bincount(blocks[:, c]).max()) for c in range(unit))
+            assert block_identity(codes, unit) == agree / blocks.size
+
 
 class TestUnitSelection:
     def test_paper_aac_question(self):

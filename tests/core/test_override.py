@@ -173,24 +173,51 @@ class TestOverrideSemantics:
             )
 
     @pytest.mark.parametrize("cls", [DenseOverrideTriangle, SparseOverrideTriangle])
-    def test_row_masks_collects_every_nonempty_row_mask(self, cls):
+    def test_row_flags_window_masks(self, cls):
+        """``row_flags(i)`` is the whole row over global columns 0..m;
+        each split's ``row_mask`` is its window ``r+1..m`` of it."""
         m = 16
         triangle = cls(m)
         triangle.mark([(2, 7), (3, 9), (5, 16), (1, 10), (9, 12)])
-        for r in (1, 4, 8, 12, 15):
-            view = triangle.view_for_split(r)
-            expected = {
-                y: view.row_mask(y)
-                for y in range(1, r + 1)
-                if view.row_mask(y) is not None
-            }
-            got = view.row_masks()
-            assert sorted(got) == sorted(expected)
-            for y, mask in got.items():
-                assert np.array_equal(mask, expected[y])
+        for i in range(1, m + 1):
+            flags = triangle.row_flags(i)
+            marked = [j for j in range(m + 1) if triangle.contains(i, j)]
+            if not marked:
+                assert flags is None
+                continue
+            assert flags.dtype == bool and flags.shape == (m + 1,)
+            assert np.flatnonzero(flags).tolist() == marked
+            for r in range(max(i, 1), m):
+                view = triangle.view_for_split(r)
+                assert (view.triangle, view.r) == (triangle, r)
+                mask = view.row_mask(i)
+                window = flags[r + 1 :]
+                assert (mask is None and not window.any()) or np.array_equal(
+                    mask, window
+                )
+
+    @pytest.mark.parametrize("cls", [DenseOverrideTriangle, SparseOverrideTriangle])
+    def test_transposed_view_is_the_split_view_transposed(self, cls):
+        """Local cell ``(y, x)`` of the transposed fill is global pair
+        ``(x, r + y)``, for any number of its rows."""
+        from repro.core.override import TransposedSplitView
+
+        m = 16
+        triangle = cls(m)
+        triangle.mark([(2, 7), (3, 9), (5, 16), (1, 10), (9, 12), (6, 7)])
+        for r in range(1, m):
+            for rows in (1, m - r):
+                view = TransposedSplitView(triangle, r, rows)
+                for y in range(1, rows + 1):
+                    want = [triangle.contains(x, r + y) for x in range(1, r + 1)]
+                    mask = view.row_mask(y)
+                    assert (mask is None and not any(want)) or mask.tolist() == want
+        with pytest.raises(ValueError):
+            TransposedSplitView(triangle, 4, m - 3)
 
     def test_lanes_accept_a_provider_with_row_mask_only(self, dna_scoring):
-        """``row_masks()`` is optional in the OverrideProvider protocol."""
+        """``row_mask`` alone is the OverrideProvider protocol; the
+        ``triangle``/``r`` a split view also exposes are optional."""
         from repro.align import LanesEngine
 
         class RowMaskOnly:

@@ -214,6 +214,33 @@ class TestEngineAndTriangleChoices:
         assert [(a.r, a.pairs) for a in other] == [(a.r, a.pairs) for a in base]
 
 
+@pytest.mark.parametrize("triangle", ["dense", "sparse"])
+def test_traceback_matrix_is_the_left_block_of_the_full_matrix(
+    triangle, small_repeat_protein, protein_scoring, monkeypatch
+):
+    """What an acceptance fills — the split's matrix up to the last
+    column its path can end in, through the transpose when that is the
+    shorter way — equals those columns of the plain full matrix, under
+    every triangle the search passes through."""
+    ex, gaps = protein_scoring
+    state = TopAlignmentState(small_repeat_protein, ex, gaps, triangle=triangle)
+    shapes = []
+    inner = TopAlignmentState._traceback_matrix
+
+    def checked(self, task, problem):
+        matrix = inner(self, task, problem)
+        whole = full_matrix(problem)
+        assert matrix.dtype == whole.dtype
+        assert np.array_equal(matrix, whole[:, : matrix.shape[1]])
+        shapes.append(matrix.shape[1] == whole.shape[1])
+        return matrix
+
+    monkeypatch.setattr(TopAlignmentState, "_traceback_matrix", checked)
+    tops, _ = find_top_alignments(small_repeat_protein, 8, ex, gaps, state=state)
+    assert len(tops) == 8
+    assert True in shapes and False in shapes  # both ways were taken
+
+
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_bottom_row_sufficiency_property(data, dna_scoring):
