@@ -81,7 +81,7 @@ def run_no_cache(seq, exchange, gaps):
         task = queue.pop_highest()
         if task.score <= 0:
             break
-        if task.is_current(state.n_found):
+        if task.aligned_with == state.n_found:
             # accept_task needs the stored rows; feed them lazily from a
             # fresh plain alignment so its machinery stays intact.
             if task.r not in state.bottom_rows:

@@ -48,12 +48,12 @@ def static_group_schedule(state, k, group_size, *, min_score=0.0):
         best = min(tasks, key=lambda t: (-t.score, t.r))
         if best.score <= min_score:
             break
-        if best.is_current(state.n_found):
+        if best.aligned_with == state.n_found:
             state.accept_task(best)
             continue
         first = (best.r - 1) // group_size * group_size
         group = tasks[first : first + group_size]
-        wasted += sum(t.is_current(state.n_found) for t in group)
+        wasted += sum(t.aligned_with == state.n_found for t in group)
         state.align_tasks_batch(group)
     return wasted
 

@@ -8,7 +8,8 @@ together by the one row step of :mod:`repro.align.rowstep`, one numpy
 call per recurrence step for all lanes at once, so the interpreter
 overhead of a row is paid once per group instead of once per matrix.
 It is the default engine (``DEFAULT_ENGINE``), fed batches of
-``DEFAULT_GROUP`` tasks by the best-first driver.
+``DEFAULT_GROUP`` stale tasks, or ``OWED_LANES`` first passes, by the
+best-first driver.
 
 **Layout and packing.**  Figure 7 interleaves the G lane values of one
 cell because an SSE register holds exactly G shorts and no padding is
@@ -23,8 +24,10 @@ are ``(lanes, columns)`` grids: the prefix-max scan and the per-lane
 row maximum are unit-stride), sorts a batch by row count and cuts it
 into *shape-compatible sub-batches*, contiguous in that order,
 minimising the modelled cost ``sum(max_rows * (ROW_OVERHEAD + max_cols *
-lanes))`` — neighbouring splits share a sub-batch, a left-edge and a
-right-edge split do not; a batch of one is simply a one-lane sub-batch.
+lanes))`` with no row wider than ``MAX_ROW_CELLS`` cells — neighbouring
+splits share a sub-batch, a left-edge and a right-edge split do not, a
+64-lane first-pass chunk of a 400-residue search becomes a handful of
+~20-lane sub-batches; a batch of one is simply a one-lane sub-batch.
 
 Each lane processes its own matrix in its own local coordinates; cells
 outside a smaller lane's own rows and columns never contaminate valid
@@ -36,7 +39,8 @@ Per sub-batch: **one work type** — ``dtype`` is the *requested* one
 conformance mode), promoted to the narrowest that is exact for the
 sub-batch's score bound (:func:`~repro.align.rowstep.work_dtype`), so
 nothing saturates and nothing reruns; **one scratch block** per thread,
-grown to the widest batch seen; **one prune compare per row** — the
+grown to the widest sub-batch seen (``MAX_ROW_CELLS`` bounds it); **one
+prune compare per row** — the
 lanes' :class:`PruneGate` cutoffs form a ``(rows, lanes)`` matrix
 (:meth:`PruneGate.lane_cutoffs`); a batch whose gates cannot fire runs
 ungated.
@@ -57,17 +61,36 @@ from .rowstep import WIDTHS, lockstep_rows, same_scoring, work_dtype
 __all__ = ["LanesEngine"]
 
 #: Lane-occupancy histogram boundaries: group widths around the paper's
-#: SSE (4) and SSE2 (8) configurations.
-_OCCUPANCY_BUCKETS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0)
+#: SSE (4) and SSE2 (8) configurations, up to ``OWED_LANES``.
+_OCCUPANCY_BUCKETS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 32.0, 64.0)
 
 #: Fixed cost of one lockstep row (ten numpy calls) in units of one
 #: cell's per-element cost (mostly the scalar ``maximum.accumulate``) —
 #: what :func:`_partition` trades against padding.  Measured here at
-#: ~5 us per row against ~3.5 ns per cell: best-of-9 seconds per row of
-#: ``LanesEngine(8)._fill`` on the eight middle splits of a 400- and a
-#: 1600-residue protein; the slope over ``8 * (cols + 1)`` is the cell
-#: cost, the intercept the fixed cost, their quotient this constant.
-ROW_OVERHEAD = 1500
+#: ~4 us per row against ~4 ns per cell (three fits: 3.5-4.1 us,
+#: 3.9-4.2 ns): best-of-9 seconds per row of ``LanesEngine()._fill`` on
+#: G = 1, 2, 4, 8, 16 and 32 neighbouring splits around r = 200, 250,
+#: 300 and 350 of a 400-residue protein; the slope of a line through
+#: all 24 points over ``G * (cols + 1)`` is the cell cost, the intercept
+#: the fixed cost, their quotient this constant.
+ROW_OVERHEAD = 1000
+
+#: Most cells (``lanes * width``) one lockstep row may hold.  Width
+#: amortises ``ROW_OVERHEAD``, but the scratch block (8 work rows) and
+#: the per-residue gather cache of
+#: :func:`~repro.align.rowstep.lockstep_rows` (one grid per alphabet
+#: letter) grow with every cell, ~120 B per cell for a protein.  A
+#: 400-residue search ran 5-9 % slower at 2048 and no faster at 8192
+#: (40 alternating in-process pairs each).  The bound is also what makes
+#: :func:`_partition` linear.
+MAX_ROW_CELLS = 4096
+
+#: Problems a scheduler should offer per batch when the work is owed
+#: whatever the order (first passes): enough for the packer to fill
+#: ``MAX_ROW_CELLS`` rows from neighbouring shapes several times over,
+#: few enough that a first pass is still several batches for threads or
+#: slaves to share.
+OWED_LANES = 64
 
 
 def _partition(shapes: list[tuple[int, int]]) -> list[int]:
@@ -75,16 +98,25 @@ def _partition(shapes: list[tuple[int, int]]) -> list[int]:
 
     Returns the end index of every sub-batch of the cheapest contiguous
     partition under ``max_rows * (ROW_OVERHEAD + max_cols * lanes)``
-    (``shapes`` ascending in rows, so ``max_rows`` is the last member's).
+    (``shapes`` ascending in rows, so ``max_rows`` is the last member's)
+    among those whose rows hold at most ``MAX_ROW_CELLS`` cells (a lane
+    wider than that runs alone).  The bound ends the look-back, so the
+    work is linear in ``len(shapes)``.
     """
     n = len(shapes)
-    best = [0.0] + [np.inf] * n
+    best = [0.0] * (n + 1)
     cut = [0] * (n + 1)
     for stop in range(1, n + 1):
-        rows = shapes[stop - 1][0]
-        widest = 0
-        for start in range(stop - 1, -1, -1):
-            widest = max(widest, shapes[start][1])
+        rows, widest = shapes[stop - 1]
+        start = stop - 1
+        best[stop], cut[stop] = best[start] + rows * (ROW_OVERHEAD + widest), start
+        while start:
+            start -= 1
+            cols = shapes[start][1]
+            if cols > widest:
+                widest = cols
+            if (widest + 1) * (stop - start) > MAX_ROW_CELLS:
+                break
             cost = best[start] + rows * (ROW_OVERHEAD + widest * (stop - start))
             if cost < best[stop]:
                 best[stop], cut[stop] = cost, start

@@ -140,8 +140,10 @@ def lockstep_rows(
     # ``idx`` points at its sentinel column.  Lanes that split one
     # sequence share the row residue and the query profile, so a row is
     # one table row gathered at per-lane offsets — once per residue of
-    # the alphabet, not per row.  Unrelated lanes get a throwaway
-    # profile of their seq2s side by side, addressed per lane residue.
+    # the alphabet, not per row (one cached grid per residue; the
+    # packer's ``MAX_ROW_CELLS`` is what bounds them).  Unrelated lanes
+    # get a throwaway profile of their seq2s side by side, addressed per
+    # lane residue.
     views = [p.profile for p in problems]
     shared = all(
         v is not None

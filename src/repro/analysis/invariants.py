@@ -18,7 +18,8 @@ The algorithm's million-fold speedup rests on three fragile claims:
 None of these fail loudly on their own — they fail as silently wrong
 top alignments.  Setting ``REPRO_CHECK_INVARIANTS=1`` (cheap checks)
 or ``REPRO_CHECK_INVARIANTS=full`` (adds O(n·cells) fresh-score
-re-verification of every queued upper bound after each acceptance)
+re-verification after each acceptance: every queued upper bound still
+dominates, and every score the span rule left current is still exact)
 makes every execution mode — sequential, lane-grouped, threaded,
 distributed — self-verifying; violations raise
 :class:`InvariantViolation`.
@@ -238,7 +239,8 @@ class InvariantChecker:
     * :meth:`after_prune` — pruned-bound dominance (sampled exhaustive
       refill of the skipped matrix);
     * :meth:`after_accept` — triangle monotonicity + non-overlap;
-    * :meth:`verify_upper_bounds` — full-mode fresh-score sweep.
+    * :meth:`verify_upper_bounds` — full-mode fresh-score sweep after
+      every acceptance: stale scores dominate, current scores are exact.
     """
 
     def __init__(self, state: "TopAlignmentState", mode: str = "cheap") -> None:
@@ -388,16 +390,27 @@ class InvariantChecker:
     # -- full-mode sweep ---------------------------------------------------
 
     def verify_upper_bounds(self, tasks: Iterable["Task"]) -> int:
-        """Re-verify every queued upper bound against a fresh score.
+        """Re-verify every queued score against a fresh realignment.
 
-        Returns the number of tasks checked.  O(n·cells); only wired
-        up in ``full`` mode.
+        A stale score must dominate it; a score the span rule
+        (:meth:`~repro.core.tasks.Task.is_current`) calls current must
+        equal it — no acceptance since touched that split's matrix, so
+        realigning it changes nothing.  Returns the number of tasks
+        checked.  O(n·cells); only wired up in ``full`` mode.
         """
         n = 0
         for task in tasks:
             if task.aligned_with == NEVER_ALIGNED:
                 continue  # +inf placeholder, trivially an upper bound
-            check_heap_upper_bound(self.state, task)
+            fresh = check_heap_upper_bound(self.state, task)
+            if task.is_current(self.state.spans) and task.score > fresh + _TOL:
+                raise InvariantViolation(
+                    "span-current",
+                    f"task r={task.r}: score {task.score} is stamped current "
+                    f"under triangle version {self.state.n_found}, but a "
+                    f"fresh realignment scores {fresh}; an acceptance the "
+                    "stamp stepped past marked a cell of this split",
+                )
             n += 1
         self.checks += n
         return n

@@ -65,7 +65,6 @@ MUTATING_METHODS = frozenset(
         "put",
         "put_nowait",
         "pop_highest",
-        "pop_highest_excluding",
         "mark",
     }
 )

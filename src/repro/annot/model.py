@@ -116,7 +116,7 @@ class Annotation:
         return payload
 
     def profile_json(self) -> str:
-        return json.dumps(self.profile_payload(), indent=2) + "\n"
+        return json.dumps(self.profile_payload()) + "\n"
 
     def html(self, *, title: str = "repro repeat annotation") -> str:
         """The self-contained single-file HTML report."""

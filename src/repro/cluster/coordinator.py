@@ -51,6 +51,11 @@ __all__ = ["ClusterJob", "Coordinator", "CoordinatorConfig"]
 #: Shard latency buckets: sub-second toy shards up to multi-minute scans.
 SHARD_BUCKETS = LATENCY_BUCKETS
 
+#: Finished jobs (done or failed) a coordinator keeps answering status
+#: and wait requests for; a job holds its merged result, so older ones
+#: are dropped when a new job is registered.
+FINISHED_JOBS_KEPT = 16
+
 
 @dataclass
 class CoordinatorConfig:
@@ -271,6 +276,11 @@ class Coordinator:
             self._job_seq += 1
             job_id = f"cj-{self._job_seq:06d}"
             job = ClusterJob(job_id, kind, scheduler, len(shards), spec, tenant)
+            finished = [
+                old_id for old_id, old in self._jobs.items() if old.state != "running"
+            ]
+            for old_id in finished[:-FINISHED_JOBS_KEPT]:
+                del self._jobs[old_id]
             self._jobs[job_id] = job
         return job
 

@@ -95,8 +95,12 @@ def select_unit_length(
         copies = codes.size // unit
         if copies < 1:
             continue
+        # identity <= 1, so a unit scores at most its copy-count factor.
+        ceiling = 1.0 - 1.0 / copies if copies > 1 else 0.0
+        if best is not None and ceiling <= best.score:
+            continue
         identity = block_identity(codes, unit)
-        score = identity * identity * (1.0 - 1.0 / copies) if copies > 1 else 0.0
+        score = identity * identity * ceiling
         choice = UnitChoice(unit, copies, identity, score)
         if best is None or choice.score > best.score:
             best = choice

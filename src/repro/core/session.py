@@ -45,9 +45,11 @@ the queue.  The output stays the sequential algorithm's exactly:
   *and* no in-flight upper bound can;
 * an alignment racing with an acceptance may observe a partially
   marked triangle; it is recorded under the version stamped at
-  checkout, so its score remains a valid *upper bound* (more overrides
-  never raise scores) and the task is realigned before it could ever
-  be accepted;
+  checkout.  If the acceptance spans its split, the score remains a
+  valid *upper bound* (more overrides never raise scores) and the task
+  is realigned before it could ever be accepted; if not, none of the
+  marks is a cell of its matrix and the score is exact either way (see
+  "Current means untouched");
 * first-pass bottom rows are computed under the empty triangle
   (:meth:`~repro.core.topalign.TopAlignmentState.problems_for`), so they
   are the same rows whatever is accepted while they are in flight — and
@@ -58,38 +60,73 @@ speedup:
 
 * **best-first queue** (§3) — stale scores are upper bounds, so the
   heap's head is accepted the moment its score is current;
-* **lockstep lane batches** (§4.1) — when the head is *stale* it is
-  realigned together with up to ``group - 1`` further stale tasks in
-  one engine batch.  ``group=1`` is the strictly sequential loop: a
-  batch of one.
+* **lockstep lane batches** (§4.1) — when the head is *not* current it
+  is aligned together with further tasks in one engine batch.
+  ``group=1`` is the strictly sequential loop: a batch of one.
 
-**Which lane-mates.**  The lockstep kernel pays for the padded
-rectangle around a batch, so the head's mates are chosen for *shape*:
-from a window of the (at most ``2 * group``) leading stale tasks the
-driver takes the ``group - 1`` whose split points lie nearest the
-head's — neighbouring splits have near-equal matrices (the paper's
-"neighbouring matrices", Figure 7) — and returns the rest to the heap.
-The window never looks past the first current (or exhausted) task: a
-current task above the remaining heap is the next acceptance candidate,
-and anything below it is work the sequential loop may never reach.
+**Current means untouched.**  A score is current when no acceptance
+since its alignment marked a cell of its matrix.  The alignment accepted
+as number ``v`` has pairs running from ``(i_min, ·)`` to ``(·, j_max)``,
+both coordinates increasing, and pair ``(i, j)`` is a cell of split
+``r`` iff ``i <= r < j`` — so it marks cells of exactly the splits
+``i_min <= r < j_max`` (:attr:`TopAlignmentState.spans`).  For every
+other split the rule is exact, not a bound: *no cell changes* (the
+recurrence reads the same exchange values and the same overrides), so
+*the bottom row is the same*, so *the shadow-validity mask* — bottom row
+against the cached first-pass row — and the score are the same.
+:meth:`Task.is_current` therefore steps a task's stamp past acceptances
+that do not span it (``aligned_with`` is "current as of"): a checkpoint's
+version-0 rows, a first pass that was late, a batch absorbed under an
+older version all get the same test.  The paper avoids 90–97 % of
+realignments by order alone; this avoids the ones order cannot — a
+score that is still exact is accepted, or bounds the mate window, without
+being recomputed.
 
-**Speculation and waste.**  The extra lanes are speculative in exactly
-the paper's §5 sense.  When the head ``X`` is accepted at score ``A``,
-a sequential loop continuing from the same heap would have realigned
-precisely the tasks whose stale heap key preceded ``(A, X.r)`` — so a
-speculatively realigned lane whose stale key did *not* precede it was
-wasted work, and ``RunStats.speculative_waste`` counts exactly those.
-With mates taken in strict score order every lane of an earlier batch
-precedes the current head, hence the accepted key: waste is at most
-``group - 1`` per acceptance.  Picking by adjacency can skip a window
-task ``U`` for a lower-scored mate ``T``; ``T`` is wasted only if the
-acceptance lands between them, which needs fewer than ``2 * group``
-useful stale tasks left above ``A`` — and at most ``group - 1`` such
-mates per remaining batch (``tests/core/test_batched.py`` holds the
-measured total under ``(group - 1)`` per acceptance and the extra
-cells under a third of the sequential run's).  With other batches in
-flight the head lane is speculation too, judged by the same rule, and a
-realignment absorbed after the triangle moved on is waste outright.
+**Which lane-mates.**  Work is either *owed* or *speculative*, and
+that decides how many mates the head takes, ``width - 1``:
+
+* *Owed*: the head has never been aligned.  The sequential schedule
+  fills every never-aligned task whose bound beats the best fresh score
+  it has seen, in some order, before it can accept anything below them —
+  so the order is free and lanes cost nothing.  The mates are
+  never-aligned tasks (stale ones met on the way go back to the heap)
+  and ``width`` is :data:`~repro.align.lanes.OWED_LANES` — a constant
+  the lane engine owns: its packer cuts the chunk into rows of at most
+  ``MAX_ROW_CELLS`` cells, and a first pass stays several checkouts for
+  threads or slaves to share.
+* *Speculative*: the head is stale; ``width`` is ``group``.
+
+The lockstep kernel pays for the padded rectangle around a batch, so
+mates are chosen for *shape*: from a window of the (at most
+``2 * (width - 1)``) leading candidates the driver takes the
+``width - 1`` whose split points lie nearest the head's — neighbouring
+splits have near-equal matrices (the paper's "neighbouring matrices",
+Figure 7) — and returns the rest to the heap.  The window never looks
+past the first current (or exhausted) task: a current task above the
+remaining heap is the next acceptance candidate — a fresh score, so a
+never-aligned bound under it is not owed — and anything below it is
+work the sequential loop may never reach.  Right after an acceptance
+most of the heap is still current, so that cut usually comes early.
+
+**Speculation and waste.**  The realignment lanes are speculative in
+exactly the paper's §5 sense.  When the head ``X`` is accepted at score
+``A``, a sequential loop continuing from the same heap would have
+realigned precisely the tasks whose stale heap key preceded
+``(A, X.r)`` — so a speculatively realigned lane whose stale key did
+*not* precede it was wasted work, and ``RunStats.speculative_waste``
+counts exactly those.  With mates taken in strict score order every lane
+of an earlier batch precedes the current head, hence the accepted key:
+waste is at most ``group - 1`` per acceptance.  Picking by adjacency can
+skip a window task ``U`` for a lower-scored mate ``T``; ``T`` is wasted
+only if the acceptance lands between them, which needs fewer than
+``2 * group`` useful stale tasks left above ``A`` — and at most
+``group - 1`` such mates per remaining batch
+(``tests/core/test_batched.py`` holds the measured total under two per
+acceptance and the extra cells under a tenth of the sequential run's).
+First passes are every schedule's work and are never counted.  With
+other batches in flight the head lane is speculation too, judged by the
+same rule, and a realignment absorbed after an acceptance that spans its
+split is waste outright.
 
 **Equivalence guarantee.**  Accepted top alignments are *bit-identical*
 for every ``group``, every mate choice and every dispatch policy:
@@ -113,25 +150,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..align.base import DEFAULT_ENGINE, DEFAULT_GROUP, AlignmentProblem
+from ..align.lanes import OWED_LANES
 from ..obs import get_registry
 from ..obs import span as obs_span
 from ..scoring.exchange import ExchangeMatrix
 from ..scoring.gaps import GapPenalties
 from ..sequences.sequence import Sequence
 from .result import RunStats, TopAlignment
-from .tasks import Task, TaskQueue
+from .tasks import NEVER_ALIGNED, Task, TaskQueue
 from .topalign import TopAlignmentState
 
 __all__ = ["Checkout", "TopAlignmentSession"]
 
 #: Bucket boundaries for the driver-level batch-width histogram —
-#: powers-of-two lane groups up to the paper's SSE2 width and beyond.
-_BATCH_BUCKETS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0)
+#: lane groups around the paper's SSE2 width, up to an owed chunk.
+_BATCH_BUCKETS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 32.0, 64.0)
 
 
 @dataclass
 class Checkout:
-    """One batch of stale tasks handed out for (re)alignment.
+    """One batch of tasks handed out for (re)alignment.
 
     ``problems[i]`` is the alignment problem of ``tasks[i]`` under
     triangle ``version``; whoever computes their bottom rows — this
@@ -159,7 +197,9 @@ class TopAlignmentSession:
         all_so_far = session.alignments   # 15 alignments
 
     ``group`` is the maximum number of stale tasks realigned per engine
-    batch (the paper's G: 4 for SSE, 8 for SSE2; 1 = sequential).
+    batch (the paper's G: 4 for SSE, 8 for SSE2; 1 = sequential, one
+    problem per engine call).  First passes are not speculation and go
+    out in chunks sized by the lane engine (see the module docstring).
     """
 
     def __init__(
@@ -253,21 +293,30 @@ class TopAlignmentSession:
     # -- the resumable loop --------------------------------------------------
 
     def _gather(self, head: Task) -> list[Task]:
-        """The stale ``head`` plus its lane-mates (see module docstring)."""
-        queue, n_found = self._queue, self._state.n_found
+        """``head`` plus its lane-mates (see module docstring)."""
+        if self.group == 1:
+            return [head]
+        queue, spans = self._queue, self._state.spans
+        owed = head.aligned_with == NEVER_ALIGNED
+        width = OWED_LANES if owed else self.group
         window: list[Task] = []
-        while len(window) < 2 * (self.group - 1) and queue:
+        passed: list[Task] = []  # popped, not taken: back to the heap
+        while len(window) < 2 * (width - 1) and queue:
             candidate = queue.pop_highest()
-            if candidate.score <= self.min_score or candidate.is_current(n_found):
-                queue.insert(candidate)
+            if candidate.score <= self.min_score or candidate.is_current(spans):
+                passed.append(candidate)
                 break
-            window.append(candidate)
-        if len(window) >= self.group:
+            if owed and candidate.aligned_with != NEVER_ALIGNED:
+                passed.append(candidate)
+            else:
+                window.append(candidate)
+        if len(window) >= width:
             # Stable sort: equally distant tasks keep their score order.
             window.sort(key=lambda task: abs(task.r - head.r))
-            for task in window[self.group - 1 :]:
-                queue.insert(task)
-            del window[self.group - 1 :]
+            passed += window[width - 1 :]
+            del window[width - 1 :]
+        for task in passed:
+            queue.insert(task)
         return [head, *window]
 
     def _accept(self, head: Task) -> None:
@@ -319,7 +368,7 @@ class TopAlignmentSession:
                 )
                 return None
             key = (-head.score, head.r)
-            if head.is_current(state.n_found):
+            if head.is_current(state.spans):
                 if any(other < key for other in inflight.values()):
                     queue.insert(head)
                     return None
@@ -336,7 +385,7 @@ class TopAlignmentSession:
                 registry.histogram(
                     "repro_driver_batch_lanes",
                     buckets=_BATCH_BUCKETS,
-                    help="Stale tasks realigned per engine batch",
+                    help="Tasks (re)aligned per engine batch",
                 ).observe(len(tasks))
             return batch
         return None
@@ -355,7 +404,7 @@ class TopAlignmentSession:
                 continue
             if lane >= batch.speculative_from:
                 self.speculative_lanes += 1
-            if batch.version == state.n_found:
+            if task.is_current(state.spans):
                 self._speculated[task.r] = key
             else:
                 state.stats.speculative_waste += 1

@@ -9,6 +9,14 @@ raise a score — stale scores are valid upper bounds, which is exactly
 what makes best-first selection safe and prunes 90–97 % of
 realignments (§3).
 
+``aligned_with`` is "current as of", not "last aligned under": an
+accepted alignment whose pairs run from ``(i_min, ·)`` to ``(·, j_max)``
+marks cells of split ``r`` only when ``i_min <= r < j_max``, and every
+other split keeps its score exactly (:mod:`repro.core.session`,
+"Current means untouched"), so :meth:`Task.is_current` steps the stamp
+past acceptances that do not span the split instead of calling the task
+stale.
+
 The queue is a binary max-heap keyed by ``(score, -r)`` so that ties
 resolve to the smallest split point, keeping the whole algorithm
 deterministic (and the old/new equivalence testable).
@@ -18,8 +26,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from dataclasses import dataclass
+from typing import Callable, Iterator, Sequence
 
 __all__ = ["Task", "TaskQueue", "NEVER_ALIGNED"]
 
@@ -40,23 +48,35 @@ class Task:
         Upper bound or exact score (see module docstring); starts at
         ``+inf`` so every task is aligned once before any acceptance.
     aligned_with:
-        Override-triangle version of the most recent alignment
-        (``NEVER_ALIGNED`` initially).
+        Override-triangle version the score is known to be exact under:
+        that of the most recent alignment, advanced past every later
+        acceptance that does not span ``r`` (``NEVER_ALIGNED``
+        initially).
     """
 
     r: int
     score: float = math.inf
     aligned_with: int = NEVER_ALIGNED
 
-    def is_current(self, n_found: int) -> bool:
-        """Whether the score was computed under the current triangle."""
-        return self.aligned_with == n_found
+    def is_current(self, spans: Sequence[tuple[int, int]]) -> bool:
+        """Whether the score is exact under the current triangle.
 
-
-@dataclass(order=True)
-class _Entry:
-    sort_key: tuple[float, int] = field(compare=True)
-    task: Task = field(compare=False)
+        ``spans[v]`` is ``(i_min, j_max)`` of the alignment accepted as
+        number ``v`` (:attr:`TopAlignmentState.spans`).  The stamp stops
+        at the first acceptance that touches this split, so a stale task
+        is re-examined in O(1).
+        """
+        version, r = self.aligned_with, self.r
+        if version < 0:
+            return False
+        n_found = len(spans)
+        while version < n_found:
+            i_min, j_max = spans[version]
+            if i_min <= r < j_max:
+                break
+            version += 1
+        self.aligned_with = version
+        return version == n_found
 
 
 class TaskQueue:
@@ -73,7 +93,9 @@ class TaskQueue:
     """
 
     def __init__(self, guard: Callable[[Task], None] | None = None) -> None:
-        self._heap: list[_Entry] = []
+        # ``(-score, r, task)``: ``r`` is unique in a queue, so the
+        # tuple comparison never reaches the task.
+        self._heap: list[tuple[float, int, Task]] = []
         self._guard = guard
 
     def __len__(self) -> int:
@@ -85,43 +107,16 @@ class TaskQueue:
     def tasks(self) -> Iterator[Task]:
         """Iterate the queued tasks in unspecified order (debug/checks)."""
         for entry in self._heap:
-            yield entry.task
+            yield entry[2]
 
     def insert(self, task: Task) -> None:
         """(Re)insert a task at the position its score dictates."""
         if self._guard is not None:
             self._guard(task)
-        heapq.heappush(self._heap, _Entry((-task.score, task.r), task))
+        heapq.heappush(self._heap, (-task.score, task.r, task))
 
     def pop_highest(self) -> Task:
         """Remove and return the task with the highest score."""
         if not self._heap:
             raise IndexError("pop from empty task queue")
-        return heapq.heappop(self._heap).task
-
-    def peek_score(self) -> float:
-        """Score of the current head without removing it."""
-        if not self._heap:
-            raise IndexError("peek on empty task queue")
-        return -self._heap[0].sort_key[0]
-
-    def pop_highest_excluding(self, taken: set[int]) -> Task | None:
-        """Highest-score task whose ``r`` is not in ``taken``.
-
-        Used by the speculative parallel schedulers (§4.2): a thread
-        skips tasks already checked out by others.  Skipped entries are
-        pushed back, preserving order.  Returns ``None`` if every
-        remaining task is taken.
-        """
-        skipped: list[_Entry] = []
-        result: Task | None = None
-        while self._heap:
-            entry = heapq.heappop(self._heap)
-            if entry.task.r in taken:
-                skipped.append(entry)
-            else:
-                result = entry.task
-                break
-        for entry in skipped:
-            heapq.heappush(self._heap, entry)
-        return result
+        return heapq.heappop(self._heap)[2]

@@ -161,6 +161,10 @@ class TopAlignmentState:
             seed_bounds = np.maximum(seed_bounds, 0.0)
         self.seed_bounds = seed_bounds
         self.found: list[TopAlignment] = []
+        #: ``spans[v] = (i_min, j_max)`` of ``found[v]``: the splits
+        #: ``i_min <= r < j_max`` are the ones whose matrices that
+        #: acceptance marked (see :meth:`Task.is_current`).
+        self.spans: list[tuple[int, int]] = []
         self.stats = RunStats(engine=self.engine.describe())
         self.stats.realignments_per_top.append(0)
         # Debug-mode invariant checking (REPRO_CHECK_INVARIANTS=1|full);
@@ -336,12 +340,17 @@ class TopAlignmentState:
         alignment = TopAlignment(
             index=self.n_found, r=task.r, score=task.score, pairs=pairs
         )
-        self.triangle.mark(pairs)
-        self.found.append(alignment)
-        self.stats.realignments_per_top.append(0)
+        self._adopt(alignment)
         if self.invariants is not None:
             self.invariants.after_accept(alignment)
         return alignment
+
+    def _adopt(self, alignment: TopAlignment) -> None:
+        """Make ``alignment`` the next triangle version."""
+        self.triangle.mark(alignment.pairs)
+        self.found.append(alignment)
+        self.spans.append((alignment.pairs[0][0], alignment.pairs[-1][1]))
+        self.stats.realignments_per_top.append(0)
 
     def _traceback_matrix(self, task: Task, problem: AlignmentProblem) -> np.ndarray:
         """Split ``task.r``'s matrix under the current triangle, as far
@@ -460,9 +469,7 @@ class TopAlignmentState:
         resume, or a search finished from node-computed first passes.
         """
         for alignment in alignments:
-            self.triangle.mark(alignment.pairs)
-            self.found.append(alignment)
-            self.stats.realignments_per_top.append(0)
+            self._adopt(alignment)
         for r, row in (rows or {}).items():
             self.bottom_rows.put(int(r), np.asarray(row, dtype=np.float64))
 
@@ -491,11 +498,12 @@ def find_top_alignments(
     The defaults are the fast path: the lockstep ``lanes`` engine fed
     batches of ``group=8`` stale tasks, pruning on.  ``group`` selects
     the scheduling grain of the one best-first driver
-    (:class:`~repro.core.session.TopAlignmentSession`): 1 realigns one
+    (:class:`~repro.core.session.TopAlignmentSession`): 1 aligns one
     task per engine call (the strictly sequential loop), larger values
     realign the head with its nearest stale neighbours in one lockstep
-    batch.  Accepted alignments are bit-identical for every engine,
-    ``group`` and ``prune`` setting.
+    batch and send first passes out in engine-sized chunks.  Accepted
+    alignments are bit-identical for every engine, ``group`` and
+    ``prune`` setting.
 
     Passing a pre-built ``state`` lets callers (tests, the simulator)
     inspect internals afterwards — and continue a partial search: the

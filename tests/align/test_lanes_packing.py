@@ -20,7 +20,7 @@ from repro.align import (
     VectorEngine,
     get_engine,
 )
-from repro.align.lanes import _partition
+from repro.align.lanes import MAX_ROW_CELLS, ROW_OVERHEAD, _partition
 from repro.scoring import GapPenalties, blosum62, match_mismatch
 from repro.sequences import DNA, RepeatSpec, implant_repeats, pseudo_titin
 
@@ -118,6 +118,71 @@ def test_partition_separates_incompatible_shapes():
     # Neighbouring middle splits share one sub-batch.
     assert _partition([(196 + i, 204 - i) for i in range(8)]) == [8]
     assert _partition([]) == []
+
+
+def _exhaustive_partition(shapes):
+    """The reference: every contiguous cut considered, no look-back bound
+    (the O(n^2) loop ``_partition`` was before it became linear)."""
+    n = len(shapes)
+    best = [0.0] + [np.inf] * n
+    cut = [0] * (n + 1)
+    for stop in range(1, n + 1):
+        rows = shapes[stop - 1][0]
+        widest = 0
+        for start in range(stop - 1, -1, -1):
+            widest = max(widest, shapes[start][1])
+            cost = best[start] + rows * (ROW_OVERHEAD + widest * (stop - start))
+            if cost < best[stop]:
+                best[stop], cut[stop] = cost, start
+    ends = []
+    while n:
+        ends.append(n)
+        n = cut[n]
+    return ends[::-1]
+
+
+_shape = st.tuples(st.integers(1, 400), st.integers(1, 300))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_shape, max_size=MAX_ROW_CELLS // 301))
+def test_partition_equals_the_exhaustive_dp_when_the_bound_cannot_bind(shapes):
+    """At most 13 lanes of at most 301 cells: no row reaches the bound."""
+    shapes.sort()
+    assert _partition(shapes) == _exhaustive_partition(shapes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 400), st.integers(1, 6000)), max_size=150))
+def test_partition_keeps_rows_within_the_cell_bound(shapes):
+    """Only a lane that is too wide on its own may exceed it, alone."""
+    shapes.sort()
+    start = 0
+    for stop in _partition(shapes):
+        lanes = stop - start
+        width = max(cols for _, cols in shapes[start:stop]) + 1
+        assert lanes == 1 or lanes * width <= MAX_ROW_CELLS
+        start = stop
+    assert start == len(shapes)
+
+
+def test_partition_is_linear_in_the_batch():
+    """Every split of a 4,001-residue sequence at once: the look-back
+    stops at the cell bound, so the shapes are read a bounded number of
+    times each (the unbounded DP reads them 8 million times)."""
+
+    class Counting(list):
+        reads = 0
+
+        def __getitem__(self, index):
+            Counting.reads += 1
+            return super().__getitem__(index)
+
+    m = 4001
+    shapes = Counting((r, m - r) for r in range(1, m))
+    ends = _partition(shapes)
+    assert ends[-1] == len(shapes)
+    assert Counting.reads <= 16 * len(shapes)
 
 
 def test_batch_of_one_costs_what_vector_costs():

@@ -209,15 +209,33 @@ def test_heap_upper_bound_catches_seeded_underestimate(tandem_state):
 
 
 def test_verify_upper_bounds_sweep(tandem_state):
-    _, state = tandem_state
+    seq, state = tandem_state
+    find_top_alignments(seq, 1, state.exchange, state.gaps, state=state)
     checker = InvariantChecker(state, mode="full")
-    fresh = check_heap_upper_bound(state, Task(r=4, score=math.inf, aligned_with=0))
-    good = Task(r=4, score=fresh + 2.0, aligned_with=0)
+    r = state.found[0].r  # spanned by the acceptance: version-0 scores are stale
+    fresh = check_heap_upper_bound(state, Task(r=r, score=math.inf, aligned_with=0))
+    good = Task(r=r, score=fresh + 2.0, aligned_with=0)
     never = Task(r=5)  # NEVER_ALIGNED +inf placeholder: skipped
     assert checker.verify_upper_bounds([good, never]) == 1
-    bad = Task(r=4, score=max(fresh - 1.0, 0.0), aligned_with=0)
+    bad = Task(r=r, score=max(fresh - 1.0, 0.0), aligned_with=0)
     with pytest.raises(InvariantViolation):
         checker.verify_upper_bounds([good, bad])
+
+
+def test_verify_upper_bounds_catches_seeded_inexact_current_score(tandem_state):
+    """A score stamped current must *equal* its fresh realignment: a
+    span rule that stepped past an acceptance touching the split would
+    leave a mere upper bound looking acceptable."""
+    seq, state = tandem_state
+    find_top_alignments(seq, 1, state.exchange, state.gaps, state=state)
+    checker = InvariantChecker(state, mode="full")
+    r = state.found[0].r
+    fresh = check_heap_upper_bound(state, Task(r=r, score=math.inf, aligned_with=0))
+    exact = Task(r=r, score=fresh, aligned_with=1)
+    assert checker.verify_upper_bounds([exact]) == 1
+    inexact = Task(r=r, score=fresh + 2.0, aligned_with=1)
+    with pytest.raises(InvariantViolation, match="span-current"):
+        checker.verify_upper_bounds([inexact])
 
 
 @pytest.mark.parametrize(

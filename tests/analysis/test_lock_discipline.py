@@ -203,6 +203,4 @@ def test_rpr003_nested_function_mutations_not_double_counted():
 def test_rpr003_knows_this_repos_container_mutators():
     # The queue/triangle mutators the schedulers actually call must be
     # in the recognised set, or real races would go unseen.
-    assert {"insert", "pop_highest", "pop_highest_excluding", "mark", "put"} <= set(
-        MUTATING_METHODS
-    )
+    assert {"insert", "pop_highest", "mark", "put"} <= set(MUTATING_METHODS)

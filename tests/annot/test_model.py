@@ -51,6 +51,17 @@ class TestAnnotateScan:
         assert parsed["format"] == "repro-profile"
         assert [r["id"] for r in parsed["sequences"]] == ["rep", "plain"]
 
+    def test_profile_json_is_one_compact_line_in_payload_key_order(self, scanned):
+        """A scan retains every record's profile; no indentation."""
+        seqs, reports = scanned
+        annotation = annotate_scan(reports, seqs)
+        text = annotation.profile_json()
+        assert text == json.dumps(annotation.profile_payload()) + "\n"
+        assert text.count("\n") == 1
+        assert list(json.loads(text)) == [
+            "format", "version", "sequences", "total_copy_residues",
+        ]
+
     def test_families_carry_consensus_and_msa(self, scanned):
         seqs, reports = scanned
         annotation = annotate_scan(reports, seqs)

@@ -169,6 +169,30 @@ class TestClusterClient:
                 client.job_status("cj-999999")
 
 
+    def test_finished_jobs_are_forgotten_past_a_bound(self, cluster):
+        """The coordinator used to keep every job (and its merged
+        reports) for life.  It keeps the running ones plus the last
+        ``FINISHED_JOBS_KEPT`` finished; the job a client just waited
+        for still answers, an evicted id is the unknown-job error."""
+        from repro.cluster import ClusterError
+        from repro.cluster.coordinator import FINISHED_JOBS_KEPT
+
+        spec = _spec()
+        records = _records(n=1, length=30)
+        with ClusterClient("127.0.0.1", cluster.port) as client:
+            job_ids = []
+            for _ in range(FINISHED_JOBS_KEPT + 4):
+                job_ids.append(client.submit_scan(spec, records))
+                client.wait_scan(job_ids[-1], timeout=60.0, poll=0.01)
+                assert client.job_status(job_ids[-1])["state"] == "done"
+            # Evicted when the next job registers: the bound, plus that job.
+            assert len(client.stats()["jobs"]) == FINISHED_JOBS_KEPT + 1
+            kept, evicted = job_ids[-FINISHED_JOBS_KEPT - 1], job_ids[-FINISHED_JOBS_KEPT - 2]
+            assert client.job_status(kept)["state"] == "done"
+            with pytest.raises(ClusterError, match="no such job"):
+                client.job_status(evicted)
+
+
 class TestFailover:
     def _spawn_node(self, port, node_id, delay=0.0):
         env = dict(os.environ)

@@ -119,8 +119,11 @@ class TestWasteAccounting:
         the acceptance (see :mod:`repro.core.session`).  In strict score
         order that is at most ``group - 1`` per acceptance; the
         adjacency window may exceed it on one acceptance but not on the
-        run, and — the number that costs time — the extra cells stay
-        under a third of the sequential run's.
+        run.  First passes go out in packer-sized chunks and are nobody's
+        speculation, and the span rule keeps every score an acceptance
+        did not touch current, so the mate window stops early: the extra
+        cells — the number that costs time — stay under a tenth of the
+        sequential run's (they were a quarter before the rule).
         """
         seq = pseudo_titin(150, seed=11)
         exchange, gaps = blosum62(), GapPenalties(8, 1)
@@ -130,13 +133,13 @@ class TestWasteAccounting:
         session.extend(8)
         stats = session.stats
         assert 0 < stats.speculative_waste <= session.speculative_lanes
-        assert stats.speculative_waste <= (session.group - 1) * stats.tracebacks
+        assert stats.speculative_waste <= 2 * stats.tracebacks
         assert stats.waste_ratio == stats.speculative_waste / stats.alignments
         # Wasted lanes are the only alignments the sequential run lacks
         # (and some of them tighten bounds that save later work).
         extra = stats.alignments - sequential.alignments
         assert 0 <= extra <= stats.speculative_waste
-        assert stats.cells <= 1.33 * sequential.cells
+        assert stats.cells <= 1.10 * sequential.cells
 
     def test_first_passes_are_not_speculation(self):
         """k=1 does first passes only — zero realignments, zero waste."""

@@ -107,6 +107,32 @@ class TestUnitSelection:
         assert choice.identity == 1.0
         assert unit % choice.unit_length == 0  # may find a sub-period of base
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        codes=st.lists(st.integers(0, 3), min_size=2, max_size=48),
+        subset=st.booleans(),
+        data=st.data(),
+    )
+    def test_skipping_hopeless_units_changes_nothing(self, codes, subset, data):
+        """Units whose ``1 - 1/copies`` ceiling cannot beat the best so
+        far are not scored; the choice is the exhaustive loop's, field
+        for field, ties to the shortest unit."""
+        codes = np.array(codes, dtype=np.int8)
+        candidates = list(range(1, codes.size // 2 + 1))
+        if subset:
+            candidates = data.draw(
+                st.lists(st.integers(1, codes.size), min_size=1, max_size=6)
+            )
+        best = None
+        for unit in sorted(set(candidates)):
+            copies = codes.size // unit
+            identity = block_identity(codes, unit)
+            score = identity * identity * (1.0 - 1.0 / copies) if copies > 1 else 0.0
+            if best is None or score > best[3]:
+                best = (unit, copies, identity, score)
+        choice = select_unit_length(codes, candidates)
+        assert (choice.unit_length, choice.copies, choice.identity, choice.score) == best
+
 
 class TestConsensus:
     def test_majority_vote(self):

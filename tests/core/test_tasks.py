@@ -17,9 +17,17 @@ class TestTask:
         assert task.aligned_with == NEVER_ALIGNED == -1
 
     def test_is_current(self):
-        task = Task(r=1, score=5.0, aligned_with=2)
-        assert task.is_current(2)
-        assert not task.is_current(3)
+        """Current = no acceptance since the stamp spans the split
+        (``i_min <= r < j_max``); the stamp stops at the first that does."""
+        spans = [(1, 9), (2, 8), (6, 9), (1, 3), (4, 6)]
+        task = Task(r=5, score=5.0, aligned_with=2)
+        assert task.is_current(spans[:2])
+        assert task.is_current(spans[:4]) and task.aligned_with == 4
+        assert not task.is_current(spans) and task.aligned_with == 4
+        edge = Task(r=6, score=5.0, aligned_with=4)  # r == j_max: untouched
+        assert edge.is_current(spans) and edge.aligned_with == 5
+        assert not Task(r=4, score=5.0, aligned_with=4).is_current(spans)  # r == i_min
+        assert not Task(r=5).is_current([])  # never aligned
 
 
 class TestQueueOrdering:
@@ -41,18 +49,10 @@ class TestQueueOrdering:
         q.insert(Task(r=2))  # inf
         assert q.pop_highest().r == 2
 
-    def test_peek_does_not_remove(self):
-        q = TaskQueue()
-        q.insert(Task(r=1, score=3.0))
-        assert q.peek_score() == 3.0
-        assert len(q) == 1
-
     def test_empty_queue_errors(self):
         q = TaskQueue()
         with pytest.raises(IndexError):
             q.pop_highest()
-        with pytest.raises(IndexError):
-            q.peek_score()
 
     def test_len_and_bool(self):
         q = TaskQueue()
@@ -79,24 +79,3 @@ class TestQueueOrdering:
         popped = [q.pop_highest() for _ in range(len(items))]
         keys = [(-t.score, t.r) for t in popped]
         assert keys == sorted(keys)
-
-
-class TestPopExcluding:
-    def test_skips_taken(self):
-        q = TaskQueue()
-        for r, s in [(1, 9.0), (2, 8.0), (3, 7.0)]:
-            q.insert(Task(r=r, score=s))
-        task = q.pop_highest_excluding({1})
-        assert task.r == 2
-        # Skipped entries are restored in order.
-        assert q.pop_highest().r == 1
-        assert q.pop_highest().r == 3
-
-    def test_all_taken_returns_none(self):
-        q = TaskQueue()
-        q.insert(Task(r=1, score=1.0))
-        assert q.pop_highest_excluding({1}) is None
-        assert len(q) == 1  # restored
-
-    def test_empty_returns_none(self):
-        assert TaskQueue().pop_highest_excluding(set()) is None

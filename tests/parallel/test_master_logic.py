@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.align import AlignmentProblem, VectorEngine
+from repro.align.lanes import OWED_LANES
 from repro.core import DenseOverrideTriangle, TopAlignmentSession, TopAlignmentState
 from repro.parallel.master import T_ALIGN, T_MARK, T_ROW, T_STOP, MasterRunner
 from repro.parallel.msgpass import ANY, Message
@@ -126,21 +127,25 @@ class TestMasterLogic:
         assert not runner._pending and not any(runner._load.values())
 
     def test_lane_batches_travel_as_one_message(self, small_repeat_protein, protein_scoring):
-        """``group`` works under the master policy: a batch is one ALIGN."""
+        """``group`` works under the master policy: a batch is one ALIGN —
+        ``group`` stale splits at most, and a packer-sized chunk of first
+        passes (owed whatever the order, so not speculation)."""
         ex, gaps = protein_scoring
         session = TopAlignmentSession(small_repeat_protein, ex, gaps, group=4)
         comm = FakeSlaveComm(small_repeat_protein.codes, ex, gaps, n_slaves=2)
-        sizes = []
+        sizes = {True: [], False: []}  # keyed by "the head is a realignment"
         real_send = comm.send
 
         def send(payload, dest, tag=0):
             if tag == T_ALIGN:
-                sizes.append(len(payload[1]))
+                splits = payload[1]
+                sizes[splits[0][1]].append(len(splits))
             real_send(payload, dest, tag)
 
         comm.send = send
         MasterRunner(comm, session, 3).run()
-        assert max(sizes) == 4
+        assert max(sizes[True]) == 4
+        assert max(sizes[False]) == OWED_LANES
 
     def test_bytes_accounted(self, setup):
         _, session, comm = setup
