@@ -19,10 +19,10 @@ import numpy as np
 import pytest
 
 from repro.align.base import AlignmentProblem
-from repro.bench import bench_sequence, default_scoring
 from repro.core import TaskQueue, TopAlignmentState, find_top_alignments
 
 from conftest import save_table
+from figures import bench_sequence, default_scoring
 
 LENGTH = 250
 K = 8
@@ -172,13 +172,18 @@ def test_ablation_index_tier(benchmark, results_dir):
     records, same accepted tops)."""
     from repro.core.api import RepeatFinder
     from repro.core.scan import DatabaseScanner
-    from repro.bench.harness import _index_database, _tops_key
     from repro.index import IndexConfig, seed_score_bounds
     from repro.sequences.alphabet import DNA
-    from repro.sequences.workloads import RepeatSpec, implant_repeats
+    from repro.sequences.workloads import RepeatSpec, implant_repeats, random_sequence
 
     benchmark.group = "ablation"
     exchange, gaps = default_scoring()
+
+    def _tops_key(reports):
+        return [
+            (rep.id, [(a.r, a.score, a.pairs) for a in rep.result.top_alignments])
+            for rep in reports
+        ]
 
     def run_all():
         # Seeding alone: one implanted DNA sequence, bounds vs none.
@@ -191,7 +196,14 @@ def test_ablation_index_tier(benchmark, results_dir):
         plain = finder.find(seq)
         seeded = finder.find(seq, seed_bounds=bounds)
         # Routing on top of seeding: a small low-repeat database.
-        database = _index_database(12, 180, 6)
+        # Mostly random DNA; every sixth record carries a tandem family.
+        repeat = RepeatSpec(unit_length=40, copies=4, substitution_rate=0.12)
+        database = [
+            implant_repeats(180, repeat, DNA, seed=i, id=f"rep{i:03d}").sequence
+            if i % 6 == 0
+            else random_sequence(180, DNA, seed=100 + i, id=f"bg{i:03d}")
+            for i in range(12)
+        ]
         def scan(index):
             scanner = DatabaseScanner(
                 finder=RepeatFinder(top_alignments=K, min_score=80.0),

@@ -15,10 +15,10 @@ import time
 import pytest
 
 from repro.align import AlignmentProblem, LanesEngine, VectorEngine
-from repro.bench import bench_sequence, default_scoring
 
 from comparators import DiagonalEngine
 from conftest import save_table
+from figures import bench_sequence, default_scoring
 
 SIZE = 300
 

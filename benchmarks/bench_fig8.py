@@ -19,11 +19,11 @@ Two complementary reproductions:
 
 import pytest
 
-from repro.bench import figure8_series
 from repro.simulate import ClusterConfig
 from repro.simulate.firstpass import simulate_first_pass
 
 from conftest import save_table
+from figures import figure8_series
 
 LENGTH = 360
 KS = (1, 2, 5, 10, 25)
@@ -53,7 +53,7 @@ def test_figure8_series(benchmark, series, results_dir):
         )
     save_table(results_dir, "figure8", "\n".join(lines))
     # Raw grid as CSV for replotting.
-    from repro.bench import bench_sequence, default_scoring
+    from figures import bench_sequence, default_scoring
     from repro.simulate.sweep import records_to_csv, sweep_cluster
 
     exchange, gaps = default_scoring()

@@ -12,10 +12,10 @@ with length, heading toward the paper's regime.
 
 import pytest
 
-from repro.bench import bench_sequence, default_scoring, realignment_rows
 from repro.core import find_top_alignments
 
 from conftest import save_table
+from figures import bench_sequence, default_scoring, realignment_rows
 
 LENGTHS = (150, 250, 400)
 K = 10

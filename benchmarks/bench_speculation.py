@@ -14,11 +14,11 @@ and reasonable magnitudes, and report the numbers for EXPERIMENTS.md.
 
 import pytest
 
-from repro.bench import bench_sequence, default_scoring
 from repro.core import TopAlignmentState, find_top_alignments
 from repro.simulate import AlignmentOracle, ClusterConfig, ClusterSimulator
 
 from conftest import save_table
+from figures import bench_sequence, default_scoring
 
 LENGTH = 300
 K = 8

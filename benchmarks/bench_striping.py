@@ -21,10 +21,10 @@ import numpy as np
 import pytest
 
 from repro.align import AlignmentProblem, VectorEngine
-from repro.bench import bench_sequence, default_scoring
 
 from comparators import StripedEngine
 from conftest import save_table
+from figures import bench_sequence, default_scoring
 
 SIZE = 700  # rows of the test matrix; columns likewise
 WIDTHS = (64, 256, 1024, 2730)

@@ -17,10 +17,10 @@ the ratio isolates the algorithm, not the instruction tier.
 
 import pytest
 
-from repro.bench import bench_sequence, table1_rows
 from repro.core import find_top_alignments, old_find_top_alignments
 
 from conftest import save_table
+from figures import bench_sequence, table1_rows
 
 K = 8
 LENGTHS = (150, 250, 350)

@@ -18,9 +18,9 @@ reports both numbers side by side.
 import pytest
 
 from repro.align import AlignmentProblem, LanesEngine, get_engine
-from repro.bench import bench_sequence, table2_rows
 
 from conftest import save_table
+from figures import bench_sequence, table2_rows
 
 SIZE = 260  # matrix side for the numpy tiers
 SCALAR_SIZE = 100  # the scalar engine is ~1000x slower; keep it feasible

@@ -12,7 +12,7 @@ import pathlib
 
 import pytest
 
-from repro.bench import bench_sequence, default_scoring
+from figures import bench_sequence, default_scoring
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 

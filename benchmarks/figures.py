@@ -1,39 +1,37 @@
-"""Experiment harness: canonical workloads, timing, table rendering.
+"""The figure runner: canonical workloads, the paper's tables, the simulator.
 
 Each function here regenerates one of the paper's evaluation artifacts
 (Table 1, Table 2, Figure 8, and the §3/§5 in-text claims) at a scale a
-CPython host can run, and returns structured rows so that both the
-pytest benchmarks and the example scripts can render or assert on them.
-Absolute numbers are host-dependent; the *shape* columns (ratios,
-monotonicity, who-wins) are what EXPERIMENTS.md compares to the paper.
+CPython host can run, and returns structured rows so that the
+``bench_*.py`` pytest benchmarks beside this file can render or assert
+on them.  Absolute numbers are host-dependent; the *shape* columns
+(ratios, monotonicity, who-wins) are what EXPERIMENTS.md compares to
+the paper.
+
+It is also the command line for them (formerly ``repro bench`` and
+``repro simulate``)::
+
+    PYTHONPATH=src python benchmarks/figures.py realign -k 3 --emit-metrics m.json
+    PYTHONPATH=src python benchmarks/figures.py simulate --length 300 -k 5 -P 16
 """
 
 from __future__ import annotations
 
+import argparse
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence as Seq
 
-from ..core.oldalgo import old_find_top_alignments
-from ..core.topalign import find_top_alignments
-from ..scoring.blosum import blosum62
-from ..scoring.exchange import ExchangeMatrix
-from ..scoring.gaps import GapPenalties
-from ..sequences.sequence import Sequence
-from ..sequences.workloads import pseudo_titin
-from ..simulate.cluster import AlignmentOracle, ClusterConfig, ClusterSimulator
-from ..simulate.machine import PENTIUM3, MachineModel
-
-__all__ = [
-    "BenchTable",
-    "default_scoring",
-    "bench_sequence",
-    "table1_rows",
-    "table2_rows",
-    "figure8_series",
-    "realignment_rows",
-]
-
+from repro.core.oldalgo import old_find_top_alignments
+from repro.core.topalign import find_top_alignments
+from repro.scoring.blosum import blosum62
+from repro.scoring.exchange import ExchangeMatrix
+from repro.scoring.gaps import GapPenalties
+from repro.sequences.sequence import Sequence
+from repro.sequences.workloads import pseudo_titin
+from repro.simulate.cluster import AlignmentOracle, ClusterConfig, ClusterSimulator
+from repro.simulate.machine import PENTIUM3, PENTIUM4, MachineModel
+from repro.simulate.trace import TraceRecorder
 
 @dataclass
 class BenchTable:
@@ -148,7 +146,7 @@ def table2_rows(size: int = 300, *, scalar_size: int | None = None) -> BenchTabl
     3.0 s/4 (6.9x); SSE2 2.2 s/8 (9.8x on a P4).  Here: pure-Python
     scalar vs numpy vector vs 4- and 8-lane int16 batches.
     """
-    from ..simulate.calibrate import calibrate_local
+    from repro.simulate.calibrate import calibrate_local
 
     report = calibrate_local(size=size, scalar_size=scalar_size or max(size // 4, 60))
     table = BenchTable(
@@ -189,41 +187,28 @@ def figure8_series(
     Figure 8 y-axis); the second ratio is against a one-CPU SSE run
     (the paper's "123x with respect to the SSE version").
     """
-    seq = bench_sequence(length, seed=seed)
-    exchange, gaps = default_scoring()
-    oracle = AlignmentOracle(seq, exchange, gaps)
-    kmax = max(ks)
-    base_conv: dict[int, float] = {}
-    base_sse: dict[int, float] = {}
-    for k in sorted(ks):
-        base_conv[k] = ClusterSimulator(
-            oracle,
-            ClusterConfig(
-                processors=1,
-                machine=machine,
-                tier="conventional",
-                dedicated_master=False,
-            ),
-        ).run(k).makespan
-        base_sse[k] = ClusterSimulator(
-            oracle,
-            ClusterConfig(
-                processors=1, machine=machine, tier="sse", dedicated_master=False
-            ),
-        ).run(k).makespan
-    del kmax
-
-    series: dict[int, list[tuple[int, float, float]]] = {k: [] for k in ks}
+    oracle = AlignmentOracle(bench_sequence(length, seed=seed), *default_scoring())
+    series: dict[int, list[tuple[int, float, float]]] = {}
     for k in ks:
+        base_conv = _sequential(oracle, k, machine, "conventional").makespan
+        base_sse = _sequential(oracle, k, machine, "sse").makespan
+        series[k] = []
         for P in processors:
             result = ClusterSimulator(
-                oracle,
-                ClusterConfig(processors=P, machine=machine, tier="sse"),
+                oracle, ClusterConfig(processors=P, machine=machine, tier="sse")
             ).run(k)
             series[k].append(
-                (P, base_conv[k] / result.makespan, base_sse[k] / result.makespan)
+                (P, base_conv / result.makespan, base_sse / result.makespan)
             )
     return series
+
+
+def _sequential(oracle: AlignmentOracle, k: int, machine: MachineModel, tier: str):
+    """The one-CPU run every speed improvement is measured against."""
+    config = ClusterConfig(
+        processors=1, machine=machine, tier=tier, dedicated_master=False
+    )
+    return ClusterSimulator(oracle, config).run(k)
 
 
 # -- §3 realignment-avoidance claim ------------------------------------------
@@ -251,3 +236,85 @@ def realignment_rows(
         table.add(length, k, stats.realignments, naive, avoided)
     table.notes.append("paper: the heuristic avoids 90-97 % of realignments")
     return table
+
+
+# -- the command line --------------------------------------------------------
+
+
+def _simulate(args: argparse.Namespace) -> None:
+    """One simulated DAS-2 run against its one-CPU baseline (Figure 8 style)."""
+    machine = PENTIUM3 if args.machine == "pentium3" else PENTIUM4
+    k = args.top_alignments or 5
+    oracle = AlignmentOracle(bench_sequence(args.length or 300), *default_scoring())
+    base = _sequential(oracle, k, machine, "conventional")
+    recorder = TraceRecorder()
+    result = ClusterSimulator(
+        oracle,
+        ClusterConfig(processors=args.processors, machine=machine, tier=args.tier),
+        trace=recorder,
+    ).run(k)
+    print(
+        f"pseudo-titin {args.length or 300} aa, k={k}, "
+        f"P={args.processors} ({machine.name}, {args.tier} tier)"
+    )
+    print(f"  simulated makespan:     {result.makespan:.4f} s")
+    print(f"  sequential baseline:    {base.makespan:.4f} s (conventional tier)")
+    print(f"  speed improvement:      {base.makespan / result.makespan:.1f}x")
+    print(f"  alignments executed:    {result.alignments_executed}")
+    report = recorder.report(result.makespan, n_workers=args.processors - 1)
+    print(f"  mean worker utilisation {report.mean_utilisation:.1%}, "
+          f"traceback share {report.traceback_fraction:.1%}")
+    if args.gantt:
+        print(report.gantt())
+
+
+def main(argv: Seq[str] | None = None) -> int:
+    """Regenerate one artifact, or run the cluster simulator once."""
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "artifact", choices=["table1", "table2", "figure8", "realign", "simulate"]
+    )
+    parser.add_argument("--length", type=int, default=None)
+    parser.add_argument("-k", "--top-alignments", type=int, default=None)
+    parser.add_argument(
+        "--emit-metrics", default=None, metavar="PATH",
+        help="enable repro.obs collection and dump the registry snapshot "
+        "+ trace trees as JSON after the run",
+    )
+    simulate = parser.add_argument_group("simulate")
+    simulate.add_argument("-P", "--processors", type=int, default=16)
+    simulate.add_argument("--machine", default="pentium3", choices=["pentium3", "pentium4"])
+    simulate.add_argument("--tier", default="sse")
+    simulate.add_argument("--gantt", action="store_true", help="print a CPU timeline")
+    args = parser.parse_args(argv)
+
+    if args.emit_metrics:
+        from repro import obs
+
+        obs.enable()
+    k = {"k": args.top_alignments} if args.top_alignments else {}
+    if args.artifact == "table1":
+        print(table1_rows(**k).render())
+    elif args.artifact == "table2":
+        print(table2_rows(size=args.length or 300).render())
+    elif args.artifact == "realign":
+        print(realignment_rows(**k).render())
+    elif args.artifact == "simulate":
+        _simulate(args)
+    else:
+        series = figure8_series(
+            length=args.length or 360,
+            ks=(args.top_alignments,) if args.top_alignments else (1, 2, 5, 10, 25),
+        )
+        print("Figure 8 — speed improvement vs processors (simulated DAS-2)")
+        for k_top, points in sorted(series.items()):
+            row = "  ".join(f"P={p}:{s:.0f}" for p, s, _ in points)
+            print(f"k={k_top:3d}  {row}")
+    if args.emit_metrics:
+        obs.write_snapshot(args.emit_metrics)
+        print(f"wrote {args.emit_metrics}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -41,7 +41,7 @@ from repro.cluster.protocol import report_to_dict
 from repro.core.scan import DatabaseScanner
 from repro.sequences import Sequence, pseudo_titin
 from repro.service import JobSpec, ServiceClient
-from repro.service.workers import build_finder
+from repro.service.protocol import finder_for
 
 RECORDS = [
     {"id": f"rec{i:02d}", "sequence": pseudo_titin(60 + 5 * i, seed=i).text}
@@ -52,7 +52,7 @@ SPEC = {"sequence": "AA", "alphabet": "protein", "top_alignments": 3}
 
 def _local_reports(options: dict) -> list[dict]:
     scanner = DatabaseScanner(
-        finder=build_finder(JobSpec.from_dict(SPEC)),
+        finder=finder_for(JobSpec.from_dict(SPEC)),
         index=index_config_from_options(options),
     )
     sequences = [
@@ -182,7 +182,7 @@ def phase_service_cluster(log_dir: Path, data_dir: Path, options: dict) -> None:
                 "submission did not route to the cluster"
             )
             spec = JobSpec.from_dict(payload)
-            expected = build_finder(spec).find(
+            expected = finder_for(spec).find(
                 Sequence(spec.normalized_sequence(), "protein")
             )
             fetched = service.result(done["id"])

@@ -52,7 +52,7 @@ from repro.service import (
     ServiceAuthError,
     ServiceClient,
 )
-from repro.service.workers import build_finder
+from repro.service.protocol import finder_for
 
 TENANTS = {
     "tenants": {
@@ -255,7 +255,7 @@ def phase_tenant_service(log_dir: Path, data_dir: Path, tenants_file: Path) -> N
 
 
 def _canon_local_scan() -> str:
-    scanner = DatabaseScanner(finder=build_finder(JobSpec.from_dict(SCAN_SPEC)))
+    scanner = DatabaseScanner(finder=finder_for(JobSpec.from_dict(SCAN_SPEC)))
     sequences = [
         Sequence(rec["sequence"], "protein", id=rec["id"]) for rec in RECORDS
     ]

@@ -34,7 +34,7 @@ from pathlib import Path
 
 from repro.sequences import Sequence, pseudo_titin
 from repro.service import JobSpec, ServiceClient
-from repro.service.workers import build_finder
+from repro.service.protocol import finder_for
 
 K = 6
 SEQUENCE = pseudo_titin(90, seed=11)
@@ -165,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
 
             payload = client.result(first["digest"])
             # The same spec, executed in-process through the library.
-            expected = build_finder(JobSpec.from_dict(spec)).find(
+            expected = finder_for(JobSpec.from_dict(spec)).find(
                 Sequence(SEQUENCE.text, "protein", id=SEQUENCE.id)
             )
             got = [(a["r"], a["score"]) for a in payload["top_alignments"]]

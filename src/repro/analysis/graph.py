@@ -35,7 +35,7 @@ from typing import Any, Iterable
 
 from .diagnostics import Waivers, parse_waivers
 from .locks import _is_lock_factory, _self_attr
-from .rules import _is_test_file, _time_sleep_aliases
+from .rules import _is_test_file, _time_aliases
 
 __all__ = [
     "FunctionFacts",
@@ -659,7 +659,7 @@ def extract_module_facts(
                     if isinstance(target, ast.Name):
                         facts.constants[target.id] = node.value.value
 
-    sleep_modules, sleep_direct = _time_sleep_aliases(tree)
+    sleep_modules, sleep_direct = _time_aliases(tree, "sleep")
     is_transport = basename == _TRANSPORT_BASENAME
 
     def scan_function(

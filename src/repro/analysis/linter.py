@@ -84,7 +84,7 @@ RULE_DOC: dict[str, str] = {
     "RPR014": "lock-order cycle across classes (potential deadlock)",
     "RPR015": "message kind/tag sent without a receiver dispatch arm, or consumer reads an unproduced field",
     "RPR016": "invariant violation caught-and-dropped / unpicklable exception in a worker path",
-    "RPR017": "repro.align import inside the repro.index layer (index routes before alignment)",
+    "RPR017": "import boundary: repro.align inside the repro.index layer (index routes before alignment); repro.simulate anywhere else in the package (figure code)",
     "RPR018": "direct spool-queue write in repro.service (bypasses gateway admission)",
     "RPR019": "ad-hoc threshold early-exit in align/ (skips must consult a PruneGate bound)",
     "RPR020": "repro.align import inside the repro.annot layer (annotation renders cached results only)",

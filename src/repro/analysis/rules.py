@@ -7,21 +7,7 @@ that need more context live in their own modules (lock discipline in
 :mod:`repro.analysis.locks`, export consistency in
 :mod:`repro.analysis.exports`).
 
-Rule ids
---------
-``RPR001`` per-cell Python loop in an ``align/`` kernel
-``RPR002`` numpy matrix constructor without an explicit ``dtype``
-``RPR004`` unseeded randomness in ``benchmarks/`` / ``simulate/``
-``RPR006`` bare ``except:``
-``RPR007`` PYTHONPATH-unsafe absolute self-import inside the package
-``RPR008`` O(n) list operation (``insert(0, ...)``, ``in``-on-list) in a loop
-``RPR010`` blocking call in a ``repro.service`` request-handling path
-``RPR011`` wall-clock ``time.time()`` in an instrumented performance path
-``RPR012`` raw socket / unbounded ``recv``/``accept`` outside ``cluster/transport``
-``RPR017`` ``repro.align`` import inside the ``repro.index`` layer
-``RPR018`` direct spool-queue write in ``repro.service`` (bypasses the gateway)
-``RPR019`` ad-hoc threshold early-exit in ``align/`` (bypasses the PruneGate)
-``RPR020`` ``repro.align`` import inside the ``repro.annot`` layer
+Rule ids and one-line descriptions: ``RULE_DOC`` in :mod:`repro.analysis.linter`.
 """
 
 from __future__ import annotations
@@ -32,7 +18,7 @@ from typing import Callable, Iterator
 
 from .diagnostics import Diagnostic
 
-__all__ = ["Rule", "FILE_RULES", "iter_file_rules"]
+__all__ = ["Rule", "FILE_RULES", "IMPORT_BOUNDARIES"]
 
 #: Signature of a per-file rule: (tree, path) -> findings.
 Rule = Callable[[ast.Module, str], list[Diagnostic]]
@@ -549,8 +535,8 @@ def _is_handler_class(node: ast.AST) -> bool:
     return False
 
 
-def _time_sleep_aliases(tree: ast.Module) -> tuple[set[str], set[str]]:
-    """(module aliases of ``time``, direct names bound to ``time.sleep``)."""
+def _time_aliases(tree: ast.Module, attr: str) -> tuple[set[str], set[str]]:
+    """(module aliases of ``time``, direct names bound to ``time.<attr>``)."""
     modules: set[str] = set()
     direct: set[str] = set()
     for node in ast.walk(tree):
@@ -560,8 +546,8 @@ def _time_sleep_aliases(tree: ast.Module) -> tuple[set[str], set[str]]:
                     modules.add(alias.asname or "time")
         elif isinstance(node, ast.ImportFrom) and node.module == "time":
             for alias in node.names:
-                if alias.name == "sleep":
-                    direct.add(alias.asname or "sleep")
+                if alias.name == attr:
+                    direct.add(alias.asname or attr)
     return modules, direct
 
 
@@ -586,7 +572,7 @@ def rule_blocking_in_handler(tree: ast.Module, path: str) -> list[Diagnostic]:
     """
     if not _in_dir(path, "service") or _is_test_file(path):
         return []
-    modules, direct = _time_sleep_aliases(tree)
+    modules, direct = _time_aliases(tree, "sleep")
     findings: list[Diagnostic] = []
 
     def check_scope(fn: ast.AST) -> None:
@@ -656,23 +642,7 @@ def rule_blocking_in_handler(tree: ast.Module, path: str) -> list[Diagnostic]:
 #: Directories whose durations feed RunStats and the repro.obs
 #: histograms.  ``service`` is deliberately absent: job records carry
 #: genuine wall-clock epoch timestamps (created/started/finished).
-_MONOTONIC_DIRS = ("align", "core", "parallel", "bench", "obs", "benchmarks")
-
-
-def _time_time_aliases(tree: ast.Module) -> tuple[set[str], set[str]]:
-    """(module aliases of ``time``, direct names bound to ``time.time``)."""
-    modules: set[str] = set()
-    direct: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == "time":
-                    modules.add(alias.asname or "time")
-        elif isinstance(node, ast.ImportFrom) and node.module == "time":
-            for alias in node.names:
-                if alias.name == "time":
-                    direct.add(alias.asname or "time")
-    return modules, direct
+_MONOTONIC_DIRS = ("align", "core", "parallel", "obs", "benchmarks")
 
 
 def rule_wall_clock_in_hot_path(tree: ast.Module, path: str) -> list[Diagnostic]:
@@ -688,7 +658,7 @@ def rule_wall_clock_in_hot_path(tree: ast.Module, path: str) -> list[Diagnostic]
     """
     if not _in_dir(path, *_MONOTONIC_DIRS) or _is_test_file(path):
         return []
-    modules, direct = _time_time_aliases(tree)
+    modules, direct = _time_aliases(tree, "time")
     findings: list[Diagnostic] = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
@@ -798,126 +768,86 @@ def rule_socket_discipline(tree: ast.Module, path: str) -> list[Diagnostic]:
 
 
 # ---------------------------------------------------------------------------
-# RPR017 — layering: the index tier must not reach into align/
+# RPR017 / RPR020 — layering: import boundaries between subpackages
 # ---------------------------------------------------------------------------
 
+#: ``(rule id, layer, banned, why)``: no module of the ``repro/<layer>/``
+#: directory (``"*"``: of any ``repro`` subpackage but ``banned`` itself)
+#: may import ``repro.<banned>``; ``why`` ends the finding's message.  A
+#: deliberate exception carries ``# repro-lint: allow[<rule id>] reason``.
+#: The index tier's seeded bounds must stay provable from the exchange
+#: matrix alone (an alignment leaking into routing would make "provably
+#: >= the true top score" a heuristic); the annotation layer renders
+#: cached results and must never be able to re-run, or drift from, the
+#: alignment it describes; ``repro.simulate`` is the Figure 8 model.
+IMPORT_BOUNDARIES: tuple[tuple[str, str, str, str], ...] = (
+    ("RPR017", "index", "align",
+     "the index tier routes work *before* any alignment runs and must depend "
+     "only on sequences/scoring — move engine-dependent logic to repro.core"),
+    ("RPR020", "annot", "align",
+     "annotation renders cached results and must consume repro.core report "
+     "models only — never the alignment kernels"),
+    ("RPR017", "*", "simulate",
+     "the cluster simulator is figure code (benchmarks/figures.py) and nothing "
+     "the package runs may depend on it"),
+)
 
-def rule_index_layer_imports(tree: ast.Module, path: str) -> list[Diagnostic]:
-    """RPR017: ``repro.align`` imports inside ``repro/index/``.
 
-    The k-mer index tier exists *below* the O(n^3) pipeline: it must be
-    able to bound and route work without ever paying for an alignment,
-    and its seeded heap bounds must stay provable from the exchange
-    matrix alone.  An ``align/`` import here would let alignment
-    results leak into routing decisions, silently turning the
-    "provably >= true top score" guarantee into a heuristic.  The tier
-    therefore only sees sequences, alphabets and exchange matrices;
-    anything needing an engine belongs in ``repro.core``.  A deliberate
-    exception carries a waiver: ``# repro-lint: allow[RPR017] reason``.
+def _subpackage_imports(
+    tree: ast.Module, path: str, name: str
+) -> list[tuple[ast.AST, str]]:
+    """Every import of ``repro.<name>`` in ``tree``, absolute or relative.
+
+    A relative import counts when it climbs to the package root: two or
+    more dots from a subpackage module, one from a module that sits in
+    ``repro/`` itself.
     """
-    if not _in_dir(path, "index") or _is_test_file(path):
-        return []
-    findings: list[Diagnostic] = []
-
-    def flag(node: ast.AST, imported: str) -> None:
-        findings.append(
-            Diagnostic(
-                rule="RPR017",
-                path=path,
-                line=node.lineno,
-                message=f"import of {imported} inside the repro.index layer; "
-                "the index tier routes work *before* any alignment runs and "
-                "must depend only on sequences/scoring — move "
-                "engine-dependent logic to repro.core (or waive with "
-                "`# repro-lint: allow[RPR017] reason`)",
-            )
-        )
-
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == "repro.align" or alias.name.startswith(
-                    "repro.align."
-                ):
-                    flag(node, alias.name)
-        elif isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            if node.level == 0 and (
-                module == "repro.align" or module.startswith("repro.align.")
-            ):
-                flag(node, module)
-            elif node.level >= 2 and (
-                module == "align" or module.startswith("align.")
-            ):
-                flag(node, f"{'.' * node.level}{module}")
-            elif node.level >= 2 and not module:
-                for alias in node.names:
-                    if alias.name == "align":
-                        flag(node, f"{'.' * node.level} align")
-    return findings
-
-
-# ---------------------------------------------------------------------------
-# RPR020 — layering: the annotation layer must not reach into align/
-# ---------------------------------------------------------------------------
-
-
-def _align_imports(tree: ast.Module) -> list[tuple[ast.AST, str]]:
-    """Every ``repro.align`` import in ``tree`` (absolute or relative)."""
+    root_level = 1 if Path(path).resolve().parent.name == "repro" else 2
+    dotted = f"repro.{name}"
     hits: list[tuple[ast.AST, str]] = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                if alias.name == "repro.align" or alias.name.startswith(
-                    "repro.align."
-                ):
+                if alias.name == dotted or alias.name.startswith(dotted + "."):
                     hits.append((node, alias.name))
         elif isinstance(node, ast.ImportFrom):
             module = node.module or ""
-            if node.level == 0 and (
-                module == "repro.align" or module.startswith("repro.align.")
-            ):
-                hits.append((node, module))
-            elif node.level >= 2 and (
-                module == "align" or module.startswith("align.")
-            ):
-                hits.append((node, f"{'.' * node.level}{module}"))
-            elif node.level >= 2 and not module:
-                for alias in node.names:
-                    if alias.name == "align":
-                        hits.append((node, f"{'.' * node.level} align"))
+            if node.level == 0:
+                if module == dotted or module.startswith(dotted + "."):
+                    hits.append((node, module))
+            elif node.level >= root_level:
+                if module == name or module.startswith(name + "."):
+                    hits.append((node, f"{'.' * node.level}{module}"))
+                elif not module and any(a.name == name for a in node.names):
+                    hits.append((node, f"{'.' * node.level} {name}"))
     return hits
 
 
-def rule_annot_layer_imports(tree: ast.Module, path: str) -> list[Diagnostic]:
-    """RPR020: ``repro.align`` imports inside ``repro/annot/``.
-
-    The annotation layer is a pure *renderer*: it turns finished scan
-    results and the structured family models of ``repro.core.report``
-    into GFF3 / profile / HTML artifacts.  It must never be able to
-    re-run or re-score an alignment — the service serves reports
-    straight from the result cache, and an ``align/`` import here would
-    let a render path silently pay O(n^3) (or drift from the cached
-    result it claims to describe).  Anything needing alignment data
-    must receive it through ``FamilyModel`` / ``RepeatResult``.  A
-    deliberate exception carries a waiver:
-    ``# repro-lint: allow[RPR020] reason``.
-    """
-    if not _in_dir(path, "annot") or _is_test_file(path):
+def rule_import_boundaries(tree: ast.Module, path: str) -> list[Diagnostic]:
+    """RPR017/RPR020: an import that crosses a row of :data:`IMPORT_BOUNDARIES`."""
+    if _is_test_file(path):
         return []
-    return [
-        Diagnostic(
-            rule="RPR020",
-            path=path,
-            line=node.lineno,
-            message=f"import of {imported} inside the repro.annot layer; "
-            "annotation renders cached results and must consume "
-            "repro.core report models only — never the alignment "
-            "kernels (or waive with `# repro-lint: allow[RPR020] "
-            "reason`)",
+    findings: list[Diagnostic] = []
+    for rule, layer, banned, why in IMPORT_BOUNDARIES:
+        if layer == "*":
+            if not _inside_package(path) or _in_dir(path, banned):
+                continue
+            where = "the repro package"
+        elif _in_dir(path, layer):
+            where = f"the repro.{layer} layer"
+        else:
+            continue
+        findings.extend(
+            Diagnostic(
+                rule=rule,
+                path=path,
+                line=node.lineno,
+                message=f"import of {imported} inside {where}; {why} "
+                f"(or waive with `# repro-lint: allow[{rule}] reason`)",
+            )
+            for node, imported in _subpackage_imports(tree, path, banned)
         )
-        for node, imported in _align_imports(tree)
-    ]
+    return findings
 
 
 # ---------------------------------------------------------------------------
@@ -1077,13 +1007,7 @@ FILE_RULES: tuple[tuple[str, Rule], ...] = (
     ("RPR010", rule_blocking_in_handler),
     ("RPR011", rule_wall_clock_in_hot_path),
     ("RPR012", rule_socket_discipline),
-    ("RPR017", rule_index_layer_imports),
+    ("RPR017", rule_import_boundaries),  # and RPR020: one table, two ids
     ("RPR018", rule_direct_queue_write),
     ("RPR019", rule_ad_hoc_prune_branch),
-    ("RPR020", rule_annot_layer_imports),
 )
-
-
-def iter_file_rules() -> Iterator[tuple[str, Rule]]:
-    """The registered per-file rules (id, callable)."""
-    yield from FILE_RULES

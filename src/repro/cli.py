@@ -1,455 +1,209 @@
 """Command-line interface: ``python -m repro`` / the ``repro`` script.
 
-Subcommands
------------
-``find``       run repeat detection on a FASTA file (or stdin)
-``scan``       rank the records of a FASTA file by repeat content
-``annotate``   render scan results as GFF3 + profile JSON + HTML report
-``align``      align two sequences and render the superposition (§2.1 style)
-``search``     rank FASTA records by best local alignment to a query
-``generate``   emit synthetic workloads (pseudo-titin, implanted repeats)
-``bench``      regenerate one of the paper's evaluation artifacts
-``simulate``   run the DAS-2 cluster simulator at a given processor count
-``report``     full analysis report (alignments, families, MSA, dot plot)
-``lint``       run the project's static-analysis rules (see ANALYSIS.md)
-``serve``      run the job-queue service (HTTP JSON API + worker pool)
-``submit``     submit FASTA records to a running service
-``status``     show a service job's record (and optionally its events)
-``fetch``      fetch a cached result by digest or job id
+One table, :data:`COMMANDS`: a row per subcommand with its name, help
+line, flag declarations and handler.  Handlers import what they need
+when they run, so ``import repro.cli`` loads no service, cluster,
+gateway or analysis code.
+
+The five commands that run a repeat search — ``find``, ``scan``,
+``annotate``, ``cluster scan``, ``submit`` — declare their search flags
+through one group (:func:`_search_flags`) and describe the search with
+one :class:`~repro.service.protocol.JobSpec` (:func:`spec_from_args`):
+the same flags mean the same search whichever command runs it.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence as Seq
+from typing import Callable, Sequence as Seq
 
 from . import __version__
 from .align.base import DEFAULT_ENGINE, DEFAULT_GROUP, ENGINE_NAMES
-from .core.api import RepeatFinder
-from .scoring.blosum import blosum50, blosum62
-from .scoring.exchange import match_mismatch
-from .scoring.gaps import GapPenalties
-from .scoring.pam import pam120, pam250
-from .sequences.alphabet import alphabet_for
-from .sequences.fasta import read_fasta, write_fasta
-from .sequences.workloads import RepeatSpec, implant_repeats, pseudo_titin
+from .scoring.named import MATRIX_NAMES
 
-__all__ = ["main", "build_parser"]
+__all__ = ["COMMANDS", "CLUSTER_COMMANDS", "main", "build_parser", "spec_from_args"]
 
-_MATRICES = {
-    "blosum62": blosum62,
-    "blosum50": blosum50,
-    "pam250": pam250,
-    "pam120": pam120,
-}
+_ALPHABETS = ("protein", "dna", "rna")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The argparse tree (exposed for tests and docs)."""
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Internal-repeat detection via parallel top alignments "
-        "(Romein, Heringa & Bal, SC 2003 reproduction).",
+# -- Flag groups -----------------------------------------------------------
+
+
+def _fasta_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "fasta", nargs="?", default="-", help="FASTA path or '-' for stdin"
     )
-    parser.add_argument("--version", action="version", version=f"repro {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    find = sub.add_parser("find", help="detect repeats in FASTA sequences")
-    find.add_argument("fasta", nargs="?", default="-", help="FASTA path or '-' for stdin")
-    find.add_argument("-k", "--top-alignments", type=int, default=20)
-    find.add_argument("--alphabet", default="protein", choices=["protein", "dna", "rna"])
-    find.add_argument(
+
+def _alphabet_flag(parser: argparse.ArgumentParser, default: str = "protein") -> None:
+    parser.add_argument("--alphabet", default=default, choices=_ALPHABETS)
+
+
+def _matrix_flag(parser: argparse.ArgumentParser, default: str | None = None) -> None:
+    parser.add_argument(
         "--matrix",
-        default=None,
-        choices=sorted(_MATRICES) + ["simple"],
-        help="exchange matrix (default: blosum62 for protein, simple +2/-1 otherwise)",
+        default=default,
+        choices=MATRIX_NAMES,
+        help="exchange matrix (default: "
+        + (default or "blosum62 for protein, simple +2/-1 otherwise")
+        + ")",
     )
-    find.add_argument("--gap-open", type=float, default=8.0)
-    find.add_argument("--gap-extend", type=float, default=1.0)
-    find.add_argument("--engine", default=DEFAULT_ENGINE, choices=ENGINE_NAMES)
-    find.add_argument(
-        "--group",
-        type=int,
-        default=DEFAULT_GROUP,
-        help="stale tasks realigned per engine batch (1 = sequential best-first)",
-    )
-    find.add_argument("--min-score", type=float, default=0.0)
-    find.add_argument(
-        "--prune",
-        action=argparse.BooleanOptionalAction,
-        default=True,
+
+
+def _gap_flags(
+    parser: argparse.ArgumentParser, gap_open: float = 8.0, gap_extend: float = 1.0
+) -> None:
+    parser.add_argument("--gap-open", type=float, default=gap_open)
+    parser.add_argument("--gap-extend", type=float, default=gap_extend)
+
+
+def _search_flags(parser: argparse.ArgumentParser, *, k: int) -> None:
+    """Every ``JobSpec`` field that has a flag; ``k`` is the command's
+    ``-k`` default, the one thing the commands differ in."""
+    add = parser.add_argument
+    add("-k", "--top-alignments", type=int, default=k)
+    _alphabet_flag(parser)
+    _matrix_flag(parser)
+    _gap_flags(parser)
+    add("--engine", default=DEFAULT_ENGINE, choices=ENGINE_NAMES)
+    add("--group", type=int, default=DEFAULT_GROUP,
+        help="stale tasks realigned per engine batch (1 = sequential best-first)")
+    add("--min-score", type=float, default=0.0,
+        help="alignments scoring at or below this are not reported")
+    add("--max-gap", type=int, default=0)
+    add("--index", action=argparse.BooleanOptionalAction, default=False,
+        help="use the k-mer index tier: seeded heap bounds per record, plus "
+        "skip/defer/full routing in scans (accepted tops unchanged)")
+    add("--index-k", type=int, default=0, help="k-mer width (0 = per-alphabet default)")
+
+
+def _prune_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--prune", action=argparse.BooleanOptionalAction, default=True,
         help="exact in-fill pruning bounds (bit-identical results; "
         "--no-prune computes every matrix in full)",
     )
-    find.add_argument(
-        "--index",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="seed the best-first heap from the k-mer index tier "
-        "(bit-identical results, fewer alignments)",
+
+
+def _scanner_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--mask", action="store_true", help="mask low-complexity tracts")
+    parser.add_argument("--min-length", type=int, default=10)
+
+
+def _client_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--url", default="http://127.0.0.1:8765")
+    parser.add_argument(
+        "--api-key", default=None,
+        help="tenant API key (default: the REPRO_API_KEY environment "
+        "variable); required when the service runs with --tenants",
     )
-    find.add_argument(
-        "--index-k", type=int, default=0,
-        help="k-mer width (0 = per-alphabet default)",
+
+
+# -- Shared steps ----------------------------------------------------------
+
+
+def _read_records(path: str, alphabet: str) -> list:
+    from .sequences.alphabet import alphabet_for
+    from .sequences.fasta import read_fasta
+
+    records = read_fasta(sys.stdin if path == "-" else path, alphabet_for(alphabet))
+    if not records:
+        raise SystemExit("no FASTA records found")
+    return records
+
+
+def _from_flags(cls, args: argparse.Namespace, **fields):
+    """An instance of dataclass ``cls`` from the flags named after its fields."""
+    known = cls.__dataclass_fields__
+    return cls(**{k: v for k, v in vars(args).items() if k in known}, **fields)
+
+
+def spec_from_args(
+    args: argparse.Namespace, sequence: str | None = None, seq_id: str = ""
+):
+    """The :class:`JobSpec` the search flags (and ``--priority``) describe.
+
+    Without a ``sequence`` the spec describes the search alone (what
+    ``find``/``scan``/``annotate`` run locally and ``cluster scan``
+    ships with its records).  An invalid combination is a usage error.
+    """
+    from .service.protocol import SCAN_PLACEHOLDER, JobSpec, SpecError
+
+    if sequence is None:
+        sequence = SCAN_PLACEHOLDER
+    try:
+        return _from_flags(JobSpec, args, sequence=sequence, seq_id=seq_id)
+    except SpecError as exc:
+        raise SystemExit(str(exc)) from None
+
+
+def _finder(args: argparse.Namespace):
+    from .service.protocol import finder_for
+
+    return finder_for(spec_from_args(args), prune=getattr(args, "prune", True))
+
+
+def _scanner(args: argparse.Namespace, index_cache: str | None = None):
+    """The ``DatabaseScanner`` behind ``scan`` and ``annotate``."""
+    from .core.scan import DatabaseScanner
+
+    index_config = index_store = None
+    if args.index:
+        from .index import IndexConfig, IndexStore
+
+        index_config = IndexConfig(k=args.index_k)
+        if index_cache:
+            index_store = IndexStore(index_cache)
+    return DatabaseScanner(
+        finder=_finder(args),
+        mask=args.mask,
+        min_length=args.min_length,
+        index=index_config,
+        index_store=index_store,
     )
-    find.add_argument("--show-alignments", action="store_true")
-    find.add_argument(
-        "--msa",
-        action="store_true",
+
+
+def _exchange(args: argparse.Namespace):
+    from .scoring.named import exchange_for
+    from .sequences.alphabet import alphabet_for
+
+    try:
+        return exchange_for(args.matrix, alphabet_for(args.alphabet))
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+
+
+def _print_rank_table(rows: list[dict], *, routed: bool = False) -> int:
+    """Print the rank table of report rows; exit code 1 if any failed."""
+    from .core.scan import render_rank_table
+
+    print(render_rank_table(rows, routed=routed))
+    failures = sum(1 for row in rows if row["result"] is None)
+    if failures:
+        print(f"{failures} of {len(rows)} record(s) failed", file=sys.stderr)
+    return 1 if failures else 0
+
+
+# -- find / scan / annotate ------------------------------------------------
+
+
+def _find_flags(parser: argparse.ArgumentParser) -> None:
+    _fasta_arg(parser)
+    _search_flags(parser, k=20)
+    _prune_flag(parser)
+    parser.add_argument("--show-alignments", action="store_true")
+    parser.add_argument(
+        "--msa", action="store_true",
         help="render a multiple alignment of each repeat family's copies",
     )
-    find.add_argument("--max-gap", type=int, default=0)
-
-    gen = sub.add_parser("generate", help="emit a synthetic workload as FASTA")
-    gen.add_argument("kind", choices=["titin", "implanted"])
-    gen.add_argument("--length", type=int, default=1000)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--unit-length", type=int, default=40)
-    gen.add_argument("--copies", type=int, default=4)
-    gen.add_argument("--divergence", type=float, default=0.3)
-    gen.add_argument("--output", default="-")
-
-    bench = sub.add_parser("bench", help="regenerate a paper artifact")
-    bench.add_argument(
-        "artifact",
-        choices=["table1", "table2", "figure8", "realign"],
-    )
-    bench.add_argument("--length", type=int, default=None)
-    bench.add_argument("-k", "--top-alignments", type=int, default=None)
-    bench.add_argument(
-        "--emit-metrics",
-        default=None,
-        metavar="PATH",
-        help="enable repro.obs collection and dump the registry snapshot "
-        "+ trace trees as JSON after the run",
-    )
-
-    scan = sub.add_parser("scan", help="rank FASTA records by repeat content")
-    scan.add_argument("fasta", nargs="?", default="-")
-    scan.add_argument("-k", "--top-alignments", type=int, default=10)
-    scan.add_argument("--alphabet", default="protein", choices=["protein", "dna", "rna"])
-    scan.add_argument("--mask", action="store_true", help="mask low-complexity tracts")
-    scan.add_argument("--min-length", type=int, default=10)
-    scan.add_argument("--engine", default=DEFAULT_ENGINE, choices=ENGINE_NAMES)
-    scan.add_argument(
-        "--group",
-        type=int,
-        default=DEFAULT_GROUP,
-        help="stale tasks realigned per engine batch (1 = sequential best-first)",
-    )
-    scan.add_argument(
-        "--prune",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="exact in-fill pruning bounds (bit-identical results; "
-        "--no-prune computes every matrix in full)",
-    )
-    scan.add_argument("--limit", type=int, default=0, help="print only the top N")
-    scan.add_argument(
-        "--index",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="route records through the k-mer index tier "
-        "(skip / defer / full-scan classes; accepted tops unchanged)",
-    )
-    scan.add_argument(
-        "--index-k", type=int, default=0,
-        help="k-mer width (0 = per-alphabet default)",
-    )
-    scan.add_argument(
-        "--index-threshold",
-        type=float,
-        default=0.0,
-        help="significance threshold: alignments below it are discarded and "
-        "records the index proves below it are skipped entirely",
-    )
-    scan.add_argument(
-        "--index-cache",
-        default=None,
-        metavar="DIR",
-        help="content-addressed index store (warm reruns rebuild nothing)",
-    )
-    scan.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help="also write the machine-readable scan document (copy "
-        "coordinates, scores, routing, residues) — the input that "
-        "'repro annotate' consumes offline",
-    )
-
-    annotate = sub.add_parser(
-        "annotate",
-        help="render scan results as GFF3 + profile JSON + HTML report",
-    )
-    annotate.add_argument(
-        "source",
-        help="a 'repro scan --json' document, or a FASTA file to scan "
-        "first ('-' = FASTA on stdin)",
-    )
-    annotate.add_argument(
-        "--prefix",
-        default="repro-annot",
-        help="output prefix: writes <prefix>.gff3, <prefix>.profile.json, "
-        "<prefix>.html and <prefix>.wig",
-    )
-    annotate.add_argument(
-        "--window",
-        type=int,
-        default=0,
-        help="profile window width in residues (0 = auto, ~120 windows)",
-    )
-    annotate.add_argument(
-        "--title", default="repro repeat annotation", help="HTML report title"
-    )
-    annotate.add_argument(
-        "--no-msa",
-        action="store_true",
-        help="skip per-family multiple alignments in the HTML report",
-    )
-    annotate.add_argument("-k", "--top-alignments", type=int, default=10)
-    annotate.add_argument(
-        "--alphabet", default="protein", choices=["protein", "dna", "rna"]
-    )
-    annotate.add_argument(
-        "--mask", action="store_true", help="mask low-complexity tracts"
-    )
-    annotate.add_argument("--min-length", type=int, default=10)
-    annotate.add_argument("--engine", default=DEFAULT_ENGINE, choices=ENGINE_NAMES)
-
-    align = sub.add_parser("align", help="align two sequences and render them")
-    align.add_argument("seq1", help="first sequence (text, vertical)")
-    align.add_argument("seq2", help="second sequence (text, horizontal)")
-    align.add_argument("--alphabet", default="dna", choices=["protein", "dna", "rna"])
-    align.add_argument("--matrix", default=None, choices=sorted(_MATRICES) + ["simple"])
-    align.add_argument("--gap-open", type=float, default=2.0)
-    align.add_argument("--gap-extend", type=float, default=1.0)
-
-    search = sub.add_parser(
-        "search", help="rank FASTA records by best local alignment to a query"
-    )
-    search.add_argument("query", help="query sequence text")
-    search.add_argument("fasta", nargs="?", default="-")
-    search.add_argument("--alphabet", default="protein", choices=["protein", "dna", "rna"])
-    search.add_argument("--matrix", default=None, choices=sorted(_MATRICES) + ["simple"])
-    search.add_argument("--gap-open", type=float, default=8.0)
-    search.add_argument("--gap-extend", type=float, default=1.0)
-    search.add_argument("--lanes", type=int, default=8)
-    search.add_argument("--top", type=int, default=10)
-
-    simulate = sub.add_parser(
-        "simulate", help="simulate a DAS-2 cluster run (Figure 8 style)"
-    )
-    simulate.add_argument("--length", type=int, default=300)
-    simulate.add_argument("-k", "--top-alignments", type=int, default=5)
-    simulate.add_argument("-P", "--processors", type=int, default=16)
-    simulate.add_argument("--machine", default="pentium3", choices=["pentium3", "pentium4"])
-    simulate.add_argument("--tier", default="sse")
-    simulate.add_argument("--gantt", action="store_true", help="print a CPU timeline")
-
-    report = sub.add_parser(
-        "report", help="full analysis report for FASTA sequences"
-    )
-    report.add_argument("fasta", nargs="?", default="-")
-    report.add_argument("-k", "--top-alignments", type=int, default=15)
-    report.add_argument("--alphabet", default="protein", choices=["protein", "dna", "rna"])
-    report.add_argument("--gap-open", type=float, default=8.0)
-    report.add_argument("--gap-extend", type=float, default=1.0)
-    report.add_argument("--max-gap", type=int, default=1)
-    report.add_argument(
-        "--shuffles", type=int, default=0,
-        help="shuffle-null significance (0 = skip)",
-    )
-    report.add_argument("--no-dotplot", action="store_true")
-
-    # Listed for --help only: main() hands everything after "lint" to
-    # repro.analysis.linter.main, which owns the flags.
-    sub.add_parser(
-        "lint",
-        help="project-specific static analysis (invariant-guarding rules; "
-        "'repro lint --help' lists its flags)",
-    )
-
-    serve = sub.add_parser(
-        "serve", help="run the repeat-finder job service (HTTP + worker pool)"
-    )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8765, help="0 = ephemeral")
-    serve.add_argument("--workers", type=int, default=2, help="0 = no in-process pool")
-    serve.add_argument("--queue-capacity", type=int, default=64, help="0 = unbounded")
-    serve.add_argument("--data-dir", default="repro-service-data")
-    serve.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=1,
-        help="top alignments accepted between checkpoints",
-    )
-    serve.add_argument(
-        "--cluster-port",
-        type=int,
-        default=None,
-        help="also run a cluster coordinator on this port (0 = ephemeral); "
-        "jobs route cluster-wide while worker nodes are alive",
-    )
-    serve.add_argument(
-        "--tenants",
-        default=None,
-        metavar="FILE",
-        help="tenant config JSON (API keys, weights, quotas); omitted = "
-        "open mode, every request is the unlimited public tenant. "
-        "SIGHUP hot-reloads the file",
-    )
-    serve.add_argument(
-        "--dispatch-window",
-        type=int,
-        default=0,
-        help="jobs the gateway keeps in the spool at once "
-        "(0 = auto: max(4, 2 x workers))",
-    )
-
-    cluster = sub.add_parser(
-        "cluster", help="multi-node sharded execution (coordinator / node / scan)"
-    )
-    cluster_sub = cluster.add_subparsers(dest="cluster_command", required=True)
-
-    coord = cluster_sub.add_parser(
-        "coordinator", help="run a standalone cluster coordinator"
-    )
-    coord.add_argument("--host", default="127.0.0.1")
-    coord.add_argument("--port", type=int, default=9410, help="0 = ephemeral")
-    coord.add_argument(
-        "--scan-shard-size", type=int, default=4, help="records per scan shard"
-    )
-    coord.add_argument(
-        "--lease-seconds", type=float, default=60.0, help="shard lease deadline"
-    )
-    coord.add_argument(
-        "--node-timeout", type=float, default=6.0, help="heartbeat staleness bound"
-    )
-
-    node = cluster_sub.add_parser("node", help="run a worker node agent")
-    node.add_argument(
-        "--join", required=True, metavar="HOST:PORT", help="coordinator address"
-    )
-    node.add_argument("--node-id", default="", help="default: hostname-pid")
-    node.add_argument(
-        "--max-shards", type=int, default=0, help="exit after N shards (0 = unbounded)"
-    )
-
-    cscan = cluster_sub.add_parser(
-        "scan", help="rank FASTA records by repeat content, sharded over a cluster"
-    )
-    cscan.add_argument("fasta", nargs="?", default="-")
-    cscan.add_argument(
-        "--join", required=True, metavar="HOST:PORT", help="coordinator address"
-    )
-    cscan.add_argument("-k", "--top-alignments", type=int, default=10)
-    cscan.add_argument(
-        "--alphabet", default="protein", choices=["protein", "dna", "rna"]
-    )
-    cscan.add_argument("--mask", action="store_true", help="mask low-complexity tracts")
-    cscan.add_argument("--min-length", type=int, default=10)
-    cscan.add_argument("--engine", default=DEFAULT_ENGINE, choices=ENGINE_NAMES)
-    cscan.add_argument(
-        "--index",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="enable the k-mer index tier on every shard (and order shards "
-        "most-promising-first)",
-    )
-    cscan.add_argument(
-        "--index-k", type=int, default=0,
-        help="k-mer width (0 = per-alphabet default)",
-    )
-    cscan.add_argument("--timeout", type=float, default=600.0)
-
-    submit = sub.add_parser("submit", help="submit FASTA records to a service")
-    submit.add_argument("fasta", nargs="?", default="-", help="FASTA path or '-' for stdin")
-    submit.add_argument("--url", default="http://127.0.0.1:8765")
-    submit.add_argument("-k", "--top-alignments", type=int, default=20)
-    submit.add_argument("--alphabet", default="protein", choices=["protein", "dna", "rna"])
-    submit.add_argument(
-        "--matrix", default=None, choices=sorted(_MATRICES) + ["simple"]
-    )
-    submit.add_argument("--gap-open", type=float, default=8.0)
-    submit.add_argument("--gap-extend", type=float, default=1.0)
-    submit.add_argument("--engine", default=DEFAULT_ENGINE, choices=ENGINE_NAMES)
-    submit.add_argument("--group", type=int, default=DEFAULT_GROUP)
-    submit.add_argument("--min-score", type=float, default=0.0)
-    submit.add_argument("--max-gap", type=int, default=0)
-    submit.add_argument("--priority", type=int, default=0, help="higher runs earlier")
-    submit.add_argument(
-        "--index",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="workers seed the best-first heap from the k-mer index tier",
-    )
-    submit.add_argument(
-        "--index-k", type=int, default=0,
-        help="k-mer width (0 = per-alphabet default)",
-    )
-    submit.add_argument(
-        "--wait", action="store_true", help="block until every job finishes"
-    )
-    submit.add_argument(
-        "--follow", action="store_true", help="stream progress events (implies --wait)"
-    )
-    submit.add_argument("--timeout", type=float, default=600.0)
-    submit.add_argument(
-        "--idempotency-key",
-        default=None,
-        help="replay-safe submission key (single-record submits only): a "
-        "duplicate POST returns the original job instead of a new one",
-    )
-
-    status = sub.add_parser("status", help="show a service job record")
-    status.add_argument("job_id")
-    status.add_argument("--url", default="http://127.0.0.1:8765")
-    status.add_argument(
-        "--events", action="store_true", help="also print the job's event lines"
-    )
-
-    fetch = sub.add_parser("fetch", help="fetch a cached result by digest or job id")
-    fetch.add_argument("ref", help="result digest (full or unique prefix) or job id")
-    fetch.add_argument("--url", default="http://127.0.0.1:8765")
-    fetch.add_argument(
-        "--summary", action="store_true", help="render a summary instead of raw JSON"
-    )
-    for client_cmd in (submit, status, fetch):
-        client_cmd.add_argument(
-            "--api-key",
-            default=None,
-            help="tenant API key (default: the REPRO_API_KEY environment "
-            "variable); required when the service runs with --tenants",
-        )
-    return parser
 
 
 def _cmd_find(args: argparse.Namespace) -> int:
-    alphabet = alphabet_for(args.alphabet)
-    if args.matrix is None:
-        exchange = None
-    elif args.matrix == "simple":
-        exchange = match_mismatch(alphabet, 2.0, -1.0)
-    else:
-        exchange = _MATRICES[args.matrix]()
-        if alphabet.name != "protein":
-            raise SystemExit(f"matrix {args.matrix} requires --alphabet protein")
-    source = sys.stdin if args.fasta == "-" else args.fasta
-    records = read_fasta(source, alphabet)
-    if not records:
-        raise SystemExit("no FASTA records found")
-    finder = RepeatFinder(
-        exchange=exchange,
-        gaps=GapPenalties(args.gap_open, args.gap_extend),
-        top_alignments=args.top_alignments,
-        engine=args.engine,
-        group=args.group,
-        min_score=args.min_score,
-        prune=args.prune,
-        max_gap=args.max_gap,
-    )
+    from .core.result import render_summary
+
+    records = _read_records(args.fasta, args.alphabet)
+    finder = _finder(args)
     for record in records:
         seed_bounds = None
         if args.index:
@@ -457,20 +211,11 @@ def _cmd_find(args: argparse.Namespace) -> int:
 
             seed_bounds = seed_score_bounds(record, finder.resolve_exchange(record))
         result = finder.find(record, seed_bounds=seed_bounds)
-        name = record.id or "<unnamed>"
-        print(f">{name} length={len(record)}")
         print(
-            f"  top alignments: {len(result.top_alignments)}  "
-            f"repeat families: {len(result.repeats)}  "
-            f"alignments computed: {result.stats.alignments}"
-        )
-        for repeat in result.repeats:
-            spans = ", ".join(f"{s}-{e}" for s, e in repeat.copies)
-            print(
-                f"  family {repeat.family}: {repeat.n_copies} copies "
-                f"(~{repeat.unit_length:.0f} aa, {repeat.columns} conserved cols): "
-                f"{spans}"
+            render_summary(
+                {"sequence_id": record.id, "length": len(record), **result.to_dict()}
             )
+        )
         if args.show_alignments:
             for aln in result.top_alignments:
                 p0, p1 = aln.prefix_interval
@@ -496,127 +241,43 @@ def _cmd_find(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
-    if args.kind == "titin":
-        seq = pseudo_titin(args.length, seed=args.seed)
-    else:
-        workload = implant_repeats(
-            args.length,
-            RepeatSpec(
-                unit_length=args.unit_length,
-                copies=args.copies,
-                substitution_rate=args.divergence,
-            ),
-            seed=args.seed,
-        )
-        seq = workload.sequence
-    target = sys.stdout if args.output == "-" else args.output
-    write_fasta(seq, target)
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .bench.harness import (
-        figure8_series,
-        realignment_rows,
-        table1_rows,
-        table2_rows,
-    )
-
-    if args.emit_metrics:
-        from . import obs
-
-        obs.enable()
-
-    if args.artifact == "table1":
-        kwargs = {}
-        if args.top_alignments:
-            kwargs["k"] = args.top_alignments
-        print(table1_rows(**kwargs).render())
-    elif args.artifact == "table2":
-        print(table2_rows(size=args.length or 300).render())
-    elif args.artifact == "realign":
-        kwargs = {}
-        if args.top_alignments:
-            kwargs["k"] = args.top_alignments
-        print(realignment_rows(**kwargs).render())
-    else:
-        series = figure8_series(
-            length=args.length or 360,
-            ks=(1, 2, 5, 10, 25) if args.top_alignments is None else (args.top_alignments,),
-        )
-        print("Figure 8 — speed improvement vs processors (simulated DAS-2)")
-        for k, points in sorted(series.items()):
-            row = "  ".join(f"P={p}:{s:.0f}" for p, s, _ in points)
-            print(f"k={k:3d}  {row}")
-    if args.emit_metrics:
-        from . import obs
-
-        obs.write_snapshot(args.emit_metrics)
-        print(f"wrote {args.emit_metrics}")
-    return 0
+def _scan_flags(parser: argparse.ArgumentParser) -> None:
+    _fasta_arg(parser)
+    _search_flags(parser, k=10)
+    _prune_flag(parser)
+    _scanner_flags(parser)
+    add = parser.add_argument
+    add("--limit", type=int, default=0, help="print only the top N")
+    add("--index-threshold", dest="min_score", type=float, default=argparse.SUPPRESS,
+        help="older spelling of --min-score: with --index, records the index "
+        "proves below it are skipped entirely")
+    add("--index-cache", default=None, metavar="DIR",
+        help="content-addressed index store (warm reruns rebuild nothing)")
+    add("--json", default=None, metavar="PATH",
+        help="also write the machine-readable scan document (copy "
+        "coordinates, scores, routing, residues) — the input that "
+        "'repro annotate' consumes offline")
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    from .core.scan import DatabaseScanner
+    from .core.scan import scan_to_payload
 
-    alphabet = alphabet_for(args.alphabet)
-    source = sys.stdin if args.fasta == "-" else args.fasta
-    records = read_fasta(source, alphabet)
-    if not records:
-        raise SystemExit("no FASTA records found")
-    index_config = None
-    index_store = None
-    if args.index:
-        from .index import IndexConfig, IndexStore
-
-        index_config = IndexConfig(k=args.index_k)
-        if args.index_cache:
-            index_store = IndexStore(args.index_cache)
-    scanner = DatabaseScanner(
-        finder=RepeatFinder(
-            top_alignments=args.top_alignments,
-            min_score=args.index_threshold,
-            engine=args.engine,
-            group=args.group,
-            prune=args.prune,
-        ),
-        mask=args.mask,
-        min_length=args.min_length,
-        index=index_config,
-        index_store=index_store,
+    records = _read_records(args.fasta, args.alphabet)
+    scanner = _scanner(args, index_cache=args.index_cache)
+    payload = scan_to_payload(
+        scanner.rank(records),
+        records,
+        alphabet=args.alphabet,
+        index_stats=scanner.index_stats or None,
     )
-    reports = scanner.rank(records)
     if args.json:
         import json
 
-        from .core.scan import scan_to_payload
-
-        payload = scan_to_payload(
-            reports,
-            records,
-            alphabet=args.alphabet,
-            index_stats=scanner.index_stats or None,
-        )
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
         print(f"wrote {args.json}", file=sys.stderr)
-    if args.limit:
-        reports = reports[: args.limit]
-    routed_col = "  routed" if args.index else ""
-    print(
-        f"{'rank':>4}  {'id':<24} {'len':>6} {'best':>7} "
-        f"{'families':>8} {'repeat%':>8}{routed_col}"
-    )
-    for rank, rep in enumerate(reports, 1):
-        if rep.failed:
-            print(f"{rank:>4}  {rep.id[:24]:<24} {rep.length:>6} FAILED: {rep.error}")
-            continue
-        routed = f"  {rep.routed or '-'}" if args.index else ""
-        print(
-            f"{rank:>4}  {rep.id[:24]:<24} {rep.length:>6} {rep.best_score:>7g} "
-            f"{rep.n_families:>8} {rep.repeat_fraction:>8.1%}{routed}"
-        )
+    rows = payload["records"]
+    code = _print_rank_table(rows[: args.limit or len(rows)], routed=args.index)
     if args.index and scanner.index_stats:
         s = scanner.index_stats
         print(
@@ -625,57 +286,51 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             f"loads={s.get('index_loads', 0)}",
             file=sys.stderr,
         )
-    failures = [rep for rep in reports if rep.failed]
-    if failures:
-        print(f"{len(failures)} of {len(reports)} record(s) failed", file=sys.stderr)
-        return 1
-    return 0
+    return code
+
+
+def _annotate_flags(parser: argparse.ArgumentParser) -> None:
+    add = parser.add_argument
+    add("source",
+        help="a 'repro scan --json' document, or a FASTA file to scan "
+        "first ('-' = FASTA on stdin)")
+    add("--prefix", default="repro-annot",
+        help="output prefix: writes <prefix>.gff3, <prefix>.profile.json, "
+        "<prefix>.html and <prefix>.wig")
+    add("--window", type=int, default=0,
+        help="profile window width in residues (0 = auto, ~120 windows)")
+    add("--title", default="repro repeat annotation", help="HTML report title")
+    add("--no-msa", action="store_true",
+        help="skip per-family multiple alignments in the HTML report")
+    _search_flags(parser, k=10)
+    _scanner_flags(parser)
 
 
 def _cmd_annotate(args: argparse.Namespace) -> int:
     import json
 
-    from .annot import annotate_document, annotate_scan, validate_gff3
-    from .core.scan import DatabaseScanner, load_scan_payload
+    from .annot import annotate_document, validate_gff3
+    from .core.scan import load_scan_payload
 
     # A scan document starts with '{'; anything else is treated as FASTA.
-    is_json = False
+    document = None
     if args.source != "-":
         with open(args.source, "r", encoding="utf-8") as fh:
-            head = fh.read(64).lstrip()
-        is_json = head.startswith("{")
-    if is_json:
-        with open(args.source, "r", encoding="utf-8") as fh:
-            try:
-                document = load_scan_payload(json.load(fh))
-            except (ValueError, KeyError) as exc:
-                raise SystemExit(f"bad scan document {args.source}: {exc}")
+            if fh.read(64).lstrip().startswith("{"):
+                fh.seek(0)
+                try:
+                    document = load_scan_payload(json.load(fh))
+                except (ValueError, KeyError) as exc:
+                    raise SystemExit(f"bad scan document {args.source}: {exc}")
+    if document is not None:
         annotation = annotate_document(
             document, window=args.window, msa=not args.no_msa
         )
     else:
-        alphabet = alphabet_for(args.alphabet)
-        source = sys.stdin if args.source == "-" else args.source
-        records = read_fasta(source, alphabet)
-        if not records:
-            raise SystemExit("no FASTA records found")
-        scanner = DatabaseScanner(
-            finder=RepeatFinder(
-                top_alignments=args.top_alignments, engine=args.engine
-            ),
-            mask=args.mask,
-            min_length=args.min_length,
-        )
-        reports = scanner.scan(records)
-        by_id: dict[str, list] = {}
-        for record in records:
-            by_id.setdefault(record.id, []).append(record)
-        ordered = [
-            (by_id[rep.id].pop(0) if by_id.get(rep.id) else None)
-            for rep in reports
-        ]
-        annotation = annotate_scan(
-            reports, ordered, window=args.window, msa=not args.no_msa
+        annotation = _scanner(args).annotate_scan(
+            _read_records(args.source, args.alphabet),
+            window=args.window,
+            msa=not args.no_msa,
         )
 
     gff_text = annotation.gff3()
@@ -704,20 +359,25 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
     return 0
 
 
+# -- align / search / generate / report ------------------------------------
+
+
+def _align_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("seq1", help="first sequence (text, vertical)")
+    parser.add_argument("seq2", help="second sequence (text, horizontal)")
+    _alphabet_flag(parser, "dna")
+    _matrix_flag(parser, "simple")
+    _gap_flags(parser, 2.0, 1.0)
+
+
 def _cmd_align(args: argparse.Namespace) -> int:
     import numpy as np
 
     from .align import AlignmentProblem, full_matrix, render_alignment, traceback
+    from .scoring.gaps import GapPenalties
 
-    alphabet = alphabet_for(args.alphabet)
-    if args.matrix in (None, "simple"):
-        exchange = match_mismatch(alphabet, 2.0, -1.0)
-    else:
-        if alphabet.name != "protein":
-            raise SystemExit(f"matrix {args.matrix} requires --alphabet protein")
-        exchange = _MATRICES[args.matrix]()
     problem = AlignmentProblem.from_sequences(
-        args.seq1.upper(), args.seq2.upper(), exchange,
+        args.seq1.upper(), args.seq2.upper(), _exchange(args),
         GapPenalties(args.gap_open, args.gap_extend),
     )
     matrix = full_matrix(problem)
@@ -734,26 +394,24 @@ def _cmd_align(args: argparse.Namespace) -> int:
     return 0
 
 
+def _search_cmd_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("query", help="query sequence text")
+    _fasta_arg(parser)
+    _alphabet_flag(parser)
+    _matrix_flag(parser)
+    _gap_flags(parser)
+    parser.add_argument("--lanes", type=int, default=8)
+    parser.add_argument("--top", type=int, default=10)
+
+
 def _cmd_search(args: argparse.Namespace) -> int:
     from .align.search import search_database
+    from .scoring.gaps import GapPenalties
     from .sequences.sequence import Sequence
 
-    alphabet = alphabet_for(args.alphabet)
-    if args.matrix in (None, "simple"):
-        exchange = (
-            _MATRICES["blosum62"]()
-            if alphabet.name == "protein" and args.matrix is None
-            else match_mismatch(alphabet, 2.0, -1.0)
-        )
-    else:
-        if alphabet.name != "protein":
-            raise SystemExit(f"matrix {args.matrix} requires --alphabet protein")
-        exchange = _MATRICES[args.matrix]()
-    source = sys.stdin if args.fasta == "-" else args.fasta
-    database = read_fasta(source, alphabet)
-    if not database:
-        raise SystemExit("no FASTA records found")
-    query = Sequence(args.query.upper(), alphabet, id="query")
+    exchange = _exchange(args)
+    database = _read_records(args.fasta, args.alphabet)
+    query = Sequence(args.query.upper(), args.alphabet, id="query")
     hits = search_database(
         query,
         database,
@@ -768,59 +426,53 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    from .scoring.gaps import GapPenalties as GP
-    from .sequences.workloads import pseudo_titin
-    from .simulate import (
-        AlignmentOracle,
-        ClusterConfig,
-        ClusterSimulator,
-        TraceRecorder,
-        pentium3,
-        pentium4,
-    )
+def _generate_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("kind", choices=["titin", "implanted"])
+    parser.add_argument("--length", type=int, default=1000)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--unit-length", type=int, default=40)
+    parser.add_argument("--copies", type=int, default=4)
+    parser.add_argument("--divergence", type=float, default=0.3)
+    parser.add_argument("--output", default="-")
 
-    machine = pentium3() if args.machine == "pentium3" else pentium4()
-    seq = pseudo_titin(args.length, seed=1912)
-    oracle = AlignmentOracle(seq, blosum62(), GP(8, 1))
-    base = ClusterSimulator(
-        oracle,
-        ClusterConfig(
-            processors=1, machine=machine, tier="conventional", dedicated_master=False
-        ),
-    ).run(args.top_alignments)
-    recorder = TraceRecorder()
-    sim = ClusterSimulator(
-        oracle,
-        ClusterConfig(processors=args.processors, machine=machine, tier=args.tier),
-        trace=recorder,
-    )
-    result = sim.run(args.top_alignments)
-    print(
-        f"pseudo-titin {args.length} aa, k={args.top_alignments}, "
-        f"P={args.processors} ({machine.name}, {args.tier} tier)"
-    )
-    print(f"  simulated makespan:     {result.makespan:.4f} s")
-    print(f"  sequential baseline:    {base.makespan:.4f} s (conventional tier)")
-    print(f"  speed improvement:      {base.makespan / result.makespan:.1f}x")
-    print(f"  alignments executed:    {result.alignments_executed}")
-    report = recorder.report(result.makespan, n_workers=args.processors - 1)
-    print(f"  mean worker utilisation {report.mean_utilisation:.1%}, "
-          f"traceback share {report.traceback_fraction:.1%}")
-    if args.gantt:
-        print(report.gantt())
+
+def _cmd_generate(args: argparse.Namespace) -> int:
+    from .sequences.fasta import write_fasta
+    from .sequences.workloads import RepeatSpec, implant_repeats, pseudo_titin
+
+    if args.kind == "titin":
+        seq = pseudo_titin(args.length, seed=args.seed)
+    else:
+        seq = implant_repeats(
+            args.length,
+            RepeatSpec(
+                unit_length=args.unit_length,
+                copies=args.copies,
+                substitution_rate=args.divergence,
+            ),
+            seed=args.seed,
+        ).sequence
+    write_fasta(seq, sys.stdout if args.output == "-" else args.output)
     return 0
+
+
+def _report_flags(parser: argparse.ArgumentParser) -> None:
+    _fasta_arg(parser)
+    parser.add_argument("-k", "--top-alignments", type=int, default=15)
+    _alphabet_flag(parser)
+    _gap_flags(parser)
+    parser.add_argument("--max-gap", type=int, default=1)
+    parser.add_argument(
+        "--shuffles", type=int, default=0, help="shuffle-null significance (0 = skip)"
+    )
+    parser.add_argument("--no-dotplot", action="store_true")
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from .core.report import analyze
+    from .scoring.gaps import GapPenalties
 
-    alphabet = alphabet_for(args.alphabet)
-    source = sys.stdin if args.fasta == "-" else args.fasta
-    records = read_fasta(source, alphabet)
-    if not records:
-        raise SystemExit("no FASTA records found")
-    for record in records:
+    for record in _read_records(args.fasta, args.alphabet):
         report = analyze(
             record,
             top_alignments=args.top_alignments,
@@ -832,53 +484,55 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+# -- serve / cluster -------------------------------------------------------
+
+
+def _serve_flags(parser: argparse.ArgumentParser) -> None:
+    """Each flag is named after the ``ServiceConfig`` field it sets."""
+    add = parser.add_argument
+    add("--host", default="127.0.0.1")
+    add("--port", type=int, default=8765, help="0 = ephemeral")
+    add("--workers", type=int, default=2, help="0 = no in-process pool")
+    add("--queue-capacity", type=int, default=64, help="0 = unbounded")
+    add("--data-dir", default="repro-service-data")
+    add("--checkpoint-every", type=int, default=1,
+        help="top alignments accepted between checkpoints")
+    add("--cluster-port", type=int, default=None,
+        help="also run a cluster coordinator on this port (0 = ephemeral); "
+        "jobs route cluster-wide while worker nodes are alive")
+    add("--tenants", dest="tenants_file", default=None, metavar="FILE",
+        help="tenant config JSON (API keys, weights, quotas); omitted = "
+        "open mode, every request is the unlimited public tenant. "
+        "SIGHUP hot-reloads the file")
+    add("--dispatch-window", type=int, default=0,
+        help="jobs the gateway keeps in the spool at once "
+        "(0 = auto: max(4, 2 x workers))")
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .service.server import ServiceConfig, serve
 
-    config = ServiceConfig(
-        data_dir=args.data_dir,
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        queue_capacity=args.queue_capacity,
-        checkpoint_every=args.checkpoint_every,
-        cluster_port=args.cluster_port,
-        tenants_file=args.tenants,
-        dispatch_window=args.dispatch_window,
-    )
-    return serve(config)
+    return serve(_from_flags(ServiceConfig, args))
 
 
-def _cmd_cluster(args: argparse.Namespace) -> int:
-    if args.cluster_command == "coordinator":
-        return _cluster_coordinator(args)
-    if args.cluster_command == "node":
-        from .cluster.node import node_main
-
-        return node_main(
-            args.join, node_id=args.node_id, max_shards=args.max_shards
-        )
-    return _cluster_scan(args)
+def _coordinator_flags(parser: argparse.ArgumentParser) -> None:
+    """Each flag is named after the ``CoordinatorConfig`` field it sets."""
+    add = parser.add_argument
+    add("--host", default="127.0.0.1")
+    add("--port", type=int, default=9410, help="0 = ephemeral")
+    add("--scan-shard-size", type=int, default=4, help="records per scan shard")
+    add("--lease-seconds", type=float, default=60.0, help="shard lease deadline")
+    add("--node-timeout", type=float, default=6.0, help="heartbeat staleness bound")
 
 
-def _cluster_coordinator(args: argparse.Namespace) -> int:
+def _cmd_coordinator(args: argparse.Namespace) -> int:
     import signal
     import threading
 
     from .cluster.coordinator import Coordinator, CoordinatorConfig
 
-    coordinator = Coordinator(
-        CoordinatorConfig(
-            host=args.host,
-            port=args.port,
-            scan_shard_size=args.scan_shard_size,
-            lease_seconds=args.lease_seconds,
-            node_timeout=args.node_timeout,
-        )
-    ).start()
-    print(
-        f"repro cluster coordinator listening on {coordinator.address}", flush=True
-    )
+    coordinator = Coordinator(_from_flags(CoordinatorConfig, args)).start()
+    print(f"repro cluster coordinator listening on {coordinator.address}", flush=True)
     done = threading.Event()
     signal.signal(signal.SIGTERM, lambda *_: done.set())
     signal.signal(signal.SIGINT, lambda *_: done.set())
@@ -888,24 +542,40 @@ def _cluster_coordinator(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cluster_scan(args: argparse.Namespace) -> int:
+def _join_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--join", required=True, metavar="HOST:PORT", help="coordinator address"
+    )
+
+
+def _node_flags(parser: argparse.ArgumentParser) -> None:
+    _join_flag(parser)
+    add = parser.add_argument
+    add("--node-id", default="", help="default: hostname-pid")
+    add("--max-shards", type=int, default=0, help="exit after N shards (0 = unbounded)")
+
+
+def _cmd_node(args: argparse.Namespace) -> int:
+    from .cluster.node import node_main
+
+    return node_main(args.join, node_id=args.node_id, max_shards=args.max_shards)
+
+
+def _cluster_scan_flags(parser: argparse.ArgumentParser) -> None:
+    _fasta_arg(parser)
+    _join_flag(parser)
+    _search_flags(parser, k=10)
+    _scanner_flags(parser)
+    parser.add_argument("--timeout", type=float, default=600.0)
+
+
+def _cmd_cluster_scan(args: argparse.Namespace) -> int:
     from .cluster.client import ClusterClient, ClusterError
-    from .service.protocol import JobSpec
 
     host, _sep, port = args.join.rpartition(":")
     if not host or not port.isdigit():
         raise SystemExit(f"--join expects host:port, got {args.join!r}")
-    alphabet = alphabet_for(args.alphabet)
-    source = sys.stdin if args.fasta == "-" else args.fasta
-    records = read_fasta(source, alphabet)
-    if not records:
-        raise SystemExit("no FASTA records found")
-    spec = JobSpec(
-        sequence="AA",
-        alphabet=args.alphabet,
-        top_alignments=args.top_alignments,
-        engine=args.engine,
-    )
+    records = _read_records(args.fasta, args.alphabet)
     payload = [{"id": rec.id, "sequence": rec.text} for rec in records]
     options = {"mask": args.mask, "min_length": args.min_length}
     if args.index:
@@ -913,52 +583,43 @@ def _cluster_scan(args: argparse.Namespace) -> int:
         options["index_k"] = args.index_k
     try:
         with ClusterClient(host, int(port)) as client:
-            reports = client.scan(spec, payload, options, timeout=args.timeout)
+            reports = client.scan(
+                spec_from_args(args), payload, options, timeout=args.timeout
+            )
     except (ClusterError, ConnectionError, TimeoutError) as exc:
         print(f"cluster scan failed: {exc}", file=sys.stderr)
         return 1
-    ranked = sorted(
-        reports,
-        key=lambda r: (r["result"] is None, -r["best_score"], r["id"]),
+    return _print_rank_table(reports)
+
+
+def _cluster_flags(parser: argparse.ArgumentParser) -> None:
+    _add_commands(
+        parser.add_subparsers(dest="cluster_command", required=True),
+        CLUSTER_COMMANDS,
     )
-    print(f"{'rank':>4}  {'id':<24} {'len':>6} {'best':>7} {'families':>8} {'repeat%':>8}")
-    for rank, rep in enumerate(ranked, 1):
-        if rep["result"] is None:
-            print(f"{rank:>4}  {rep['id'][:24]:<24} {rep['length']:>6} FAILED: {rep['error']}")
-            continue
-        print(
-            f"{rank:>4}  {rep['id'][:24]:<24} {rep['length']:>6} "
-            f"{rep['best_score']:>7g} {rep['n_families']:>8} "
-            f"{rep['repeat_fraction']:>8.1%}"
-        )
-    failures = sum(1 for rep in reports if rep["result"] is None)
-    if failures:
-        print(f"{failures} of {len(reports)} record(s) failed", file=sys.stderr)
-        return 1
-    return 0
 
 
-def _render_result_summary(payload: dict) -> str:
-    lines = [
-        f">{payload.get('sequence_id') or '<unnamed>'} length={payload['length']} "
-        f"digest={payload['digest'][:16]}",
-        f"  top alignments: {len(payload['top_alignments'])}  "
-        f"repeat families: {len(payload['repeats'])}  "
-        f"alignments computed: {payload['stats']['alignments']}",
-    ]
-    for repeat in payload["repeats"]:
-        spans = ", ".join(f"{s}-{e}" for s, e in repeat["copies"])
-        lines.append(
-            f"  family {repeat['family']}: {repeat['n_copies']} copies "
-            f"(~{repeat['unit_length']:.0f} aa, {repeat['columns']} conserved "
-            f"cols): {spans}"
-        )
-    return "\n".join(lines)
+# -- submit / status / fetch -----------------------------------------------
+
+
+def _submit_flags(parser: argparse.ArgumentParser) -> None:
+    _fasta_arg(parser)
+    _client_flags(parser)
+    _search_flags(parser, k=20)
+    add = parser.add_argument
+    add("--priority", type=int, default=0, help="higher runs earlier")
+    add("--wait", action="store_true", help="block until every job finishes")
+    add("--follow", action="store_true", help="stream progress events (implies --wait)")
+    add("--timeout", type=float, default=600.0)
+    add("--idempotency-key", default=None,
+        help="replay-safe submission key (single-record submits only): a "
+        "duplicate POST returns the original job instead of a new one")
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
     import json
 
+    from .core.result import render_summary
     from .service.client import (
         ClientBacklogFull,
         ServiceAuthError,
@@ -966,11 +627,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         ServiceError,
     )
 
-    alphabet = alphabet_for(args.alphabet)
-    source = sys.stdin if args.fasta == "-" else args.fasta
-    records = read_fasta(source, alphabet)
-    if not records:
-        raise SystemExit("no FASTA records found")
+    records = _read_records(args.fasta, args.alphabet)
     if args.idempotency_key and len(records) > 1:
         # One key maps to one job; reusing it across records would
         # replay the first record for all the rest.
@@ -978,24 +635,9 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     client = ServiceClient(args.url, api_key=args.api_key)
     job_ids: list[str] = []
     for record in records:
-        spec = {
-            "sequence": record.text,
-            "alphabet": args.alphabet,
-            "seq_id": record.id,
-            "top_alignments": args.top_alignments,
-            "matrix": args.matrix,
-            "gap_open": args.gap_open,
-            "gap_extend": args.gap_extend,
-            "engine": args.engine,
-            "group": args.group,
-            "min_score": args.min_score,
-            "max_gap": args.max_gap,
-            "priority": args.priority,
-            "index": args.index,
-            "index_k": args.index_k,
-        }
+        spec = spec_from_args(args, record.text, record.id)
         try:
-            job = client.submit(spec, idempotency_key=args.idempotency_key)
+            job = client.submit(spec.to_dict(), idempotency_key=args.idempotency_key)
         except ServiceAuthError as exc:
             print(_auth_error_message(exc), file=sys.stderr)
             return 77  # EX_NOPERM
@@ -1032,7 +674,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             continue
-        print(_render_result_summary(client.result(record["digest"])))
+        print(render_summary(client.result(record["digest"])))
     return 1 if failed else 0
 
 
@@ -1045,46 +687,120 @@ def _auth_error_message(exc) -> str:
     return f"access denied: {exc.message or 'tenant is disabled'}"
 
 
-def _cmd_status(args: argparse.Namespace) -> int:
-    import json
-
+def _service_call(args: argparse.Namespace, call: Callable) -> tuple[int, object]:
+    """``call(client)`` against the service at ``--url``: ``(exit code,
+    value)``, errors already reported on stderr."""
     from .service.client import ServiceAuthError, ServiceClient, ServiceError
 
     client = ServiceClient(args.url, api_key=args.api_key)
     try:
-        record = client.status(args.job_id)
+        return 0, call(client)
     except ServiceAuthError as exc:
         print(_auth_error_message(exc), file=sys.stderr)
-        return 77  # EX_NOPERM
+        return 77, None  # EX_NOPERM
     except ServiceError as exc:
         print(str(exc), file=sys.stderr)
-        return 1
-    print(json.dumps(record, indent=2, sort_keys=True))
-    if args.events:
-        for event in client.events(args.job_id):
-            print(json.dumps(event, sort_keys=True))
-    return 0
+        return 1, None
+
+
+def _status_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("job_id")
+    _client_flags(parser)
+    parser.add_argument(
+        "--events", action="store_true", help="also print the job's event lines"
+    )
+
+
+def _cmd_status(args: argparse.Namespace) -> int:
+    import json
+
+    def call(client):
+        print(json.dumps(client.status(args.job_id), indent=2, sort_keys=True))
+        if args.events:
+            for event in client.events(args.job_id):
+                print(json.dumps(event, sort_keys=True))
+
+    return _service_call(args, call)[0]
+
+
+def _fetch_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("ref", help="result digest (full or unique prefix) or job id")
+    _client_flags(parser)
+    parser.add_argument(
+        "--summary", action="store_true", help="render a summary instead of raw JSON"
+    )
 
 
 def _cmd_fetch(args: argparse.Namespace) -> int:
     import json
 
-    from .service.client import ServiceAuthError, ServiceClient, ServiceError
+    from .core.result import render_summary
 
-    client = ServiceClient(args.url, api_key=args.api_key)
-    try:
-        payload = client.result(args.ref)
-    except ServiceAuthError as exc:
-        print(_auth_error_message(exc), file=sys.stderr)
-        return 77  # EX_NOPERM
-    except ServiceError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    if args.summary:
-        print(_render_result_summary(payload))
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0
+    code, payload = _service_call(args, lambda client: client.result(args.ref))
+    if code == 0:
+        print(
+            render_summary(payload)
+            if args.summary
+            else json.dumps(payload, indent=2, sort_keys=True)
+        )
+    return code
+
+
+# -- The command table -----------------------------------------------------
+
+#: ``(name, help, add_flags, handler)`` per subcommand.
+COMMANDS = (
+    ("find", "detect repeats in FASTA sequences", _find_flags, _cmd_find),
+    ("scan", "rank FASTA records by repeat content", _scan_flags, _cmd_scan),
+    ("annotate", "render scan results as GFF3 + profile JSON + HTML report",
+     _annotate_flags, _cmd_annotate),
+    ("align", "align two sequences and render them", _align_flags, _cmd_align),
+    ("search", "rank FASTA records by best local alignment to a query",
+     _search_cmd_flags, _cmd_search),
+    ("generate", "emit a synthetic workload as FASTA", _generate_flags, _cmd_generate),
+    ("report", "full analysis report for FASTA sequences", _report_flags, _cmd_report),
+    # Listed for --help only: main() hands everything after "lint" to
+    # repro.analysis.linter.main, which owns the flags.
+    ("lint", "project-specific static analysis (invariant-guarding rules; "
+     "'repro lint --help' lists its flags)", None, None),
+    ("serve", "run the repeat-finder job service (HTTP + worker pool)",
+     _serve_flags, _cmd_serve),
+    ("cluster", "multi-node sharded execution (coordinator / node / scan)",
+     _cluster_flags, None),
+    ("submit", "submit FASTA records to a service", _submit_flags, _cmd_submit),
+    ("status", "show a service job record", _status_flags, _cmd_status),
+    ("fetch", "fetch a cached result by digest or job id", _fetch_flags, _cmd_fetch),
+)
+
+#: The rows under ``repro cluster``.
+CLUSTER_COMMANDS = (
+    ("coordinator", "run a standalone cluster coordinator",
+     _coordinator_flags, _cmd_coordinator),
+    ("node", "run a worker node agent", _node_flags, _cmd_node),
+    ("scan", "rank FASTA records by repeat content, sharded over a cluster",
+     _cluster_scan_flags, _cmd_cluster_scan),
+)
+
+
+def _add_commands(subparsers, table) -> None:
+    for name, help_text, add_flags, handler in table:
+        parser = subparsers.add_parser(name, help=help_text)
+        if add_flags is not None:
+            add_flags(parser)
+        if handler is not None:
+            parser.set_defaults(handler=handler)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree (exposed for tests and docs)."""
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Internal-repeat detection via parallel top alignments "
+        "(Romein, Heringa & Bal, SC 2003 reproduction).",
+    )
+    parser.add_argument("--version", action="version", version=f"repro {__version__}")
+    _add_commands(parser.add_subparsers(dest="command", required=True), COMMANDS)
+    return parser
 
 
 def main(argv: Seq[str] | None = None) -> int:
@@ -1095,23 +811,7 @@ def main(argv: Seq[str] | None = None) -> int:
 
         return lint_main(argv[1:])
     args = build_parser().parse_args(argv)
-    handlers = {
-        "find": _cmd_find,
-        "scan": _cmd_scan,
-        "annotate": _cmd_annotate,
-        "align": _cmd_align,
-        "search": _cmd_search,
-        "generate": _cmd_generate,
-        "bench": _cmd_bench,
-        "simulate": _cmd_simulate,
-        "report": _cmd_report,
-        "serve": _cmd_serve,
-        "cluster": _cmd_cluster,
-        "submit": _cmd_submit,
-        "status": _cmd_status,
-        "fetch": _cmd_fetch,
-    }
-    return handlers[args.command](args)
+    return args.handler(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

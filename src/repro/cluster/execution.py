@@ -34,8 +34,7 @@ import numpy as np
 from ..core.result import RepeatResult
 from ..core.scan import DatabaseScanner
 from ..sequences.sequence import Sequence
-from ..service.protocol import JobSpec
-from ..service.workers import build_finder
+from ..service.protocol import SCAN_PLACEHOLDER, JobSpec, finder_for
 from .protocol import report_to_dict
 
 __all__ = [
@@ -47,11 +46,6 @@ __all__ = [
     "scan_shard_priorities",
     "scan_spec_dict",
 ]
-
-#: Placeholder sequence for scan specs: :func:`build_finder` only reads
-#: scoring/search knobs, but :class:`JobSpec` validation requires one.
-SCAN_PLACEHOLDER = "AA"
-
 
 def scan_spec_dict(spec: JobSpec) -> dict[str, Any]:
     """A :class:`JobSpec` dict reusable across every record of a scan."""
@@ -75,19 +69,6 @@ def index_config_from_options(options: dict[str, Any]):
     return IndexConfig(k=int(options.get("index_k", 0) or 0))
 
 
-def _scanner_for(payload: dict[str, Any]) -> DatabaseScanner:
-    spec = JobSpec.from_dict(payload["spec"])
-    options = payload.get("options") or {}
-    return DatabaseScanner(
-        finder=build_finder(spec),
-        mask=bool(options.get("mask", False)),
-        mask_window=int(options.get("mask_window", 12)),
-        mask_threshold=float(options.get("mask_threshold", 1.5)),
-        min_length=int(options.get("min_length", 10)),
-        index=index_config_from_options(options),
-    )
-
-
 def run_scan_shard(payload: dict[str, Any]) -> dict[str, Any]:
     """Execute one ``scan`` shard; returns the wire-ready result.
 
@@ -96,7 +77,15 @@ def run_scan_shard(payload: dict[str, Any]) -> dict[str, Any]:
     the single-node scanner skips them).
     """
     spec = JobSpec.from_dict(payload["spec"])
-    scanner = _scanner_for(payload)
+    options = payload.get("options") or {}
+    scanner = DatabaseScanner(
+        finder=finder_for(spec),
+        mask=bool(options.get("mask", False)),
+        mask_window=int(options.get("mask_window", 12)),
+        mask_threshold=float(options.get("mask_threshold", 1.5)),
+        min_length=int(options.get("min_length", 10)),
+        index=index_config_from_options(options),
+    )
     sequences = [
         Sequence(rec["sequence"].upper(), spec.alphabet, id=rec.get("id", ""))
         for rec in payload["records"]
@@ -123,7 +112,7 @@ def run_rows_shard(payload: dict[str, Any]) -> dict[str, Any]:
     would have cached.
     """
     spec = JobSpec.from_dict(payload["spec"])
-    state = build_finder(spec).session(_spec_sequence(spec)).state
+    state = finder_for(spec).session(_spec_sequence(spec)).state
     rows = []
     for r in range(int(payload["r_start"]), int(payload["r_stop"])):
         row = state.engine.last_row(state.problem_for(r))
@@ -151,7 +140,7 @@ def scan_shard_priorities(
     from ..index.kmer import build_profile
     from ..index.routing import promise_score
 
-    finder = build_finder(spec)
+    finder = finder_for(spec)
     promises: list[float] = []
     for rec in records:
         try:
@@ -193,7 +182,7 @@ def finish_from_rows(
     deterministic ``(score, -r)`` heap replays the identical acceptance
     order.
     """
-    finder = build_finder(spec)
+    finder = finder_for(spec)
     sequence = _spec_sequence(spec)
     missing = [r for r in range(1, len(sequence)) if r not in rows]
     if missing:

@@ -10,7 +10,7 @@ results never get responses, the main loop's recv only ever sees
 replies to its own requests.
 
 Shard execution goes through :mod:`repro.cluster.execution`, i.e. the
-same ``build_finder``/engine path the service workers use, keeping the
+same ``finder_for``/engine path the service workers use, keeping the
 bit-identity contract in one place.
 
 **Drain.**  SIGTERM (and SIGINT) does not kill the node mid-shard: it

@@ -38,8 +38,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..core.result import RepeatResult
-from ..core.scan import SequenceReport
+from ..core import scan as core_scan
 
 __all__ = [
     "HELLO",
@@ -59,7 +58,6 @@ __all__ = [
     "OK",
     "ProtocolError",
     "report_to_dict",
-    "result_to_dict",
     "scan_shard",
     "rows_shard",
 ]
@@ -120,46 +118,12 @@ def rows_shard(shard_id: int, spec: dict[str, Any], r_start: int, r_stop: int
     }
 
 
-def result_to_dict(result: RepeatResult) -> dict[str, Any]:
-    """Canonical JSON form of a :class:`RepeatResult` (stats excluded).
+def report_to_dict(report: core_scan.SequenceReport) -> dict[str, Any]:
+    """Wire form of one scanned record's report: the scan's own report
+    form (:func:`repro.core.scan.report_to_dict`) without work counters.
 
-    Work counters are deliberately left out: sharded and local runs
-    must produce bit-identical *alignments and families*, while their
-    counters legitimately differ (the same contract checkpoint resume
-    documents).
+    Sharded and local runs must produce bit-identical *alignments and
+    families*, while their counters legitimately differ (the same
+    contract checkpoint resume documents).
     """
-    return {
-        "top_alignments": [
-            {
-                "index": int(a.index),
-                "r": int(a.r),
-                "score": float(a.score),
-                "pairs": [[int(i), int(j)] for i, j in a.pairs],
-            }
-            for a in result.top_alignments
-        ],
-        "repeats": [
-            {
-                "family": int(rep.family),
-                "copies": [[int(s), int(e)] for s, e in rep.copies],
-                "columns": int(rep.columns),
-                "n_copies": int(rep.n_copies),
-                "unit_length": float(rep.unit_length),
-            }
-            for rep in result.repeats
-        ],
-    }
-
-
-def report_to_dict(report: SequenceReport) -> dict[str, Any]:
-    """Canonical JSON form of one scanned record's report."""
-    return {
-        "id": report.id,
-        "length": int(report.length),
-        "error": report.error,
-        "routed": report.routed,
-        "result": None if report.result is None else result_to_dict(report.result),
-        "best_score": float(report.best_score),
-        "n_families": int(report.n_families),
-        "repeat_fraction": float(report.repeat_fraction),
-    }
+    return core_scan.report_to_dict(report, stats=False)

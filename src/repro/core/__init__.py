@@ -27,8 +27,6 @@ from .scan import (
     DatabaseScanner,
     SequenceReport,
     load_scan_payload,
-    result_from_dict,
-    result_to_dict,
     scan_fasta,
     scan_to_payload,
 )
@@ -87,8 +85,6 @@ __all__ = [
     "FamilyModel",
     "analyze",
     "extract_families",
-    "result_to_dict",
-    "result_from_dict",
     "scan_to_payload",
     "load_scan_payload",
 ]

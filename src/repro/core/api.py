@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..align.base import DEFAULT_ENGINE, DEFAULT_GROUP, AlignmentEngine, get_engine
-from ..scoring.blosum import blosum62
-from ..scoring.exchange import ExchangeMatrix, match_mismatch
+from ..scoring.exchange import ExchangeMatrix
 from ..scoring.gaps import GapPenalties
+from ..scoring.named import exchange_for
 from ..sequences.sequence import Sequence
 from .checkpoint import restore_checkpoint
 from .delineate import delineate_repeats
@@ -25,13 +25,6 @@ from .session import TopAlignmentSession
 from .topalign import TopAlignmentState
 
 __all__ = ["RepeatFinder", "find_repeats"]
-
-
-def _default_exchange(sequence: Sequence) -> ExchangeMatrix:
-    """BLOSUM62 for proteins, the paper's +2/-1 toy matrix for nucleotides."""
-    if sequence.alphabet.name == "protein":
-        return blosum62()
-    return match_mismatch(sequence.alphabet, 2.0, -1.0)
 
 
 @dataclass
@@ -114,7 +107,7 @@ class RepeatFinder:
         name = sequence.alphabet.name
         cached = self._exchange_cache.get(name)
         if cached is None:
-            cached = _default_exchange(sequence)
+            cached = exchange_for(None, sequence.alphabet)
             self._exchange_cache[name] = cached
         return cached
 

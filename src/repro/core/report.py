@@ -16,8 +16,9 @@ from ..align.matrix import full_matrix
 from ..align.traceback import alignment_identity, traceback
 from ..scoring.exchange import ExchangeMatrix
 from ..scoring.gaps import GapPenalties
+from ..scoring.named import exchange_for
 from ..sequences.sequence import Sequence
-from .api import RepeatFinder, _default_exchange
+from .api import find_repeats
 from .consensus import UnitChoice, consensus_of_copies, select_unit_length
 from .dotplot import render_dotplot
 from .msa import RepeatAlignment, align_family, render_msa
@@ -223,15 +224,15 @@ def analyze(
     if isinstance(sequence, str):
         sequence = Sequence(sequence, "protein")
     gaps = gaps if gaps is not None else GapPenalties()
-    resolved = exchange or _default_exchange(sequence)
-    finder = RepeatFinder(
+    resolved = exchange or exchange_for(None, sequence.alphabet)
+    result = find_repeats(
+        sequence,
+        top_alignments,
         exchange=resolved,
         gaps=gaps,
-        top_alignments=top_alignments,
         max_gap=max_gap,
         **finder_kwargs,
     )
-    result = finder.find(sequence)
 
     identities = []
     for aln in result.top_alignments:

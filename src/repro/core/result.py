@@ -1,11 +1,19 @@
-"""Result types: top alignments, repeats, statistics."""
+"""Result types: top alignments, repeats, statistics — and their one
+JSON form.
+
+:meth:`RepeatResult.to_dict` / :meth:`RepeatResult.from_dict` are the
+only encoder and decoder of a result; the scan document
+(:mod:`repro.core.scan`), the cluster report and the service's cache
+payload are envelopes that add their own keys around this body, and
+:func:`render_summary` is the one human rendering of it.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any
 
-__all__ = ["TopAlignment", "Repeat", "RunStats", "RepeatResult"]
+__all__ = ["TopAlignment", "Repeat", "RunStats", "RepeatResult", "render_summary"]
 
 
 @dataclass(frozen=True)
@@ -294,13 +302,6 @@ class RunStats:
         return self.realignments / naive
 
     @property
-    def cells_per_second(self) -> float:
-        """Engine throughput — the unit the batched benchmark compares."""
-        if self.engine_seconds <= 0.0:
-            return 0.0
-        return self.cells / self.engine_seconds
-
-    @property
     def waste_ratio(self) -> float:
         """Invalidated speculative realignments / all alignments."""
         if self.alignments <= 0:
@@ -315,3 +316,97 @@ class RepeatResult:
     top_alignments: list[TopAlignment]
     repeats: list[Repeat]
     stats: RunStats
+
+    def to_dict(self, *, stats: bool = True) -> dict[str, Any]:
+        """Plain-JSON form (inverse of :meth:`from_dict`).
+
+        Floats round-trip exactly through ``json`` (shortest-repr), so
+        two forms compare equal iff the results are bit-identical.
+        ``stats=False`` leaves the work counters out: they legitimately
+        differ between runs that must agree on every alignment and
+        family (sharded vs local, resumed vs uninterrupted), and
+        ``engine_seconds`` differs between any two runs.
+        """
+        body: dict[str, Any] = {
+            "top_alignments": [
+                {
+                    "index": int(a.index),
+                    "r": int(a.r),
+                    "score": float(a.score),
+                    "pairs": [[int(i), int(j)] for i, j in a.pairs],
+                }
+                for a in self.top_alignments
+            ],
+            "repeats": [
+                {
+                    "family": int(rep.family),
+                    "copies": [[int(s), int(e)] for s, e in rep.copies],
+                    "columns": int(rep.columns),
+                    "n_copies": int(rep.n_copies),
+                    "unit_length": float(rep.unit_length),
+                }
+                for rep in self.repeats
+            ],
+        }
+        if stats:
+            state = self.stats.__getstate__()
+            state["realignments_per_top"] = list(state["realignments_per_top"])
+            body["stats"] = state
+        return body
+
+    @classmethod
+    def from_dict(cls, payload: dict[str, Any]) -> "RepeatResult":
+        """Rebuild a result from its JSON form, bare or inside any of
+        its envelopes: unknown keys (an envelope's own, the derived
+        ``n_copies``/``unit_length``) are ignored and missing stats
+        counters default to 0.
+        """
+        known = {*RunStats._COUNTER_FIELDS, "realignments_per_top", "engine", "group"}
+        return cls(
+            top_alignments=[
+                TopAlignment(
+                    index=int(a["index"]),
+                    r=int(a["r"]),
+                    score=float(a["score"]),
+                    pairs=tuple((int(i), int(j)) for i, j in a["pairs"]),
+                )
+                for a in payload.get("top_alignments", [])
+            ],
+            repeats=[
+                Repeat(
+                    family=int(rep["family"]),
+                    copies=tuple((int(s), int(e)) for s, e in rep["copies"]),
+                    columns=int(rep["columns"]),
+                )
+                for rep in payload.get("repeats", [])
+            ],
+            stats=RunStats(
+                **{k: v for k, v in payload.get("stats", {}).items() if k in known}
+            ),
+        )
+
+
+def render_summary(payload: dict[str, Any]) -> str:
+    """The human summary of one result in its dict form.
+
+    ``payload`` is :meth:`RepeatResult.to_dict` plus the envelope keys
+    ``sequence_id`` and ``length`` (and ``digest``, shown when present)
+    — the service's cache payload as it is, or what ``repro find``
+    wraps around a fresh result.
+    """
+    digest = payload.get("digest")
+    lines = [
+        f">{payload.get('sequence_id') or '<unnamed>'} length={payload['length']}"
+        + (f" digest={digest[:16]}" if digest else ""),
+        f"  top alignments: {len(payload['top_alignments'])}  "
+        f"repeat families: {len(payload['repeats'])}  "
+        f"alignments computed: {payload['stats']['alignments']}",
+    ]
+    for repeat in payload["repeats"]:
+        spans = ", ".join(f"{s}-{e}" for s, e in repeat["copies"])
+        lines.append(
+            f"  family {repeat['family']}: {repeat['n_copies']} copies "
+            f"(~{repeat['unit_length']:.0f} aa, {repeat['columns']} conserved "
+            f"cols): {spans}"
+        )
+    return "\n".join(lines)

@@ -19,9 +19,9 @@ from ..sequences.fasta import iter_fasta
 from ..sequences.sequence import Sequence
 from ..sequences.stats import mask_low_complexity
 from .api import RepeatFinder
-from .result import Repeat, RepeatResult, RunStats, TopAlignment
+from .result import RepeatResult, RunStats
 
-if TYPE_CHECKING:  # imported lazily at runtime (see _scan_indexed)
+if TYPE_CHECKING:  # imported lazily at runtime (see DatabaseScanner.scan)
     from ..index.routing import IndexConfig
     from ..index.store import IndexStore
 
@@ -32,8 +32,9 @@ __all__ = [
     "DatabaseScanner",
     "ScanDocument",
     "scan_fasta",
-    "result_to_dict",
-    "result_from_dict",
+    "pair_by_id",
+    "report_to_dict",
+    "render_rank_table",
     "scan_to_payload",
     "load_scan_payload",
 ]
@@ -144,67 +145,21 @@ class DatabaseScanner:
         self.index_stats: dict[str, Any] = {}
 
     def scan(self, sequences: Iterable[Sequence]) -> list[SequenceReport]:
-        """Scan sequences in order; returns one report per scanned record.
+        """Scan sequences; returns one report per scanned record, in
+        input order.
+
+        One loop serves both modes.  With an index, every record is
+        profiled and routed first: skip-class records never reach the
+        finder, the rest run *full* class first (most promising by
+        estimate), then *defer*, each with seeded heap bounds.  Without
+        one, no profile is built, every record goes to the finder in
+        input order with no bounds, and ``routed`` stays ``None``.
 
         A record whose scan raises is recorded as a failed report
         (``result=None``, ``error`` set) and the scan continues with
         the remaining records.
         """
-        if self.index is not None:
-            return self._scan_indexed(sequences)
-        reports: list[SequenceReport] = []
-        for seq in sequences:
-            if len(seq) < self.min_length:
-                continue
-            try:
-                target = (
-                    mask_low_complexity(
-                        seq, self.mask_window, self.mask_threshold
-                    )
-                    if self.mask
-                    else seq
-                )
-                result = self.finder.find(target)
-            except Exception as exc:  # noqa: BLE001 - per-record isolation
-                reports.append(
-                    SequenceReport(
-                        id=seq.id,
-                        length=len(seq),
-                        result=None,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
-                continue
-            reports.append(
-                SequenceReport(id=seq.id, length=len(seq), result=result)
-            )
-        return reports
-
-    def _failed_report(self, seq: Sequence, exc: Exception) -> SequenceReport:
-        return SequenceReport(
-            id=seq.id,
-            length=len(seq),
-            result=None,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-
-    def _scan_indexed(
-        self, sequences: Iterable[Sequence]
-    ) -> list[SequenceReport]:
-        """The index-routed scan: profile, route, then align by promise.
-
-        Execution order is *full* class first (most promising by
-        estimate), then *defer*; skip-class records never reach the
-        finder.  The returned reports are re-assembled in input order,
-        so downstream consumers (ranking, cluster shard merging) see
-        exactly the layout of an unindexed scan.
-        """
-        from ..index.bounds import seed_score_bounds
-        from ..index.metrics import observe_tightness, record_route
-        from ..index.routing import ROUTE_FULL, ROUTE_SKIP, classify
-
         config = self.index
-        assert config is not None
         stats = {
             "records": 0,
             "skip": 0,
@@ -215,7 +170,12 @@ class DatabaseScanner:
             "index_loads": 0,
             "index_seconds": 0.0,
         }
-        self.index_stats = stats
+        if config is not None:
+            from ..index.bounds import seed_score_bounds
+            from ..index.metrics import observe_tightness
+            from ..index.routing import ROUTE_FULL, ROUTE_SKIP
+
+            self.index_stats = stats
         reports: dict[int, SequenceReport] = {}
         pending: list[tuple[int, Sequence, Sequence, Any]] = []
         for order, seq in enumerate(sequences):
@@ -230,23 +190,14 @@ class DatabaseScanner:
                     if self.mask
                     else seq
                 )
-                started = time.perf_counter()
-                profile, built = self._profile_for(target, config)
-                stats["index_seconds"] += time.perf_counter() - started
-                stats["index_builds" if built else "index_loads"] += 1
-                decision = classify(
-                    profile,
-                    self.finder.resolve_exchange(target),
-                    min_score=self.finder.min_score,
-                    config=config,
+                decision = (
+                    None if config is None else self._route(target, config, stats)
                 )
-                record_route(decision.route)
-                stats[decision.route] += 1
             except Exception as exc:  # noqa: BLE001 - per-record isolation
                 stats["failed"] += 1
                 reports[order] = self._failed_report(seq, exc)
                 continue
-            if decision.route == ROUTE_SKIP:
+            if decision is not None and decision.route == ROUTE_SKIP:
                 # O(n) exit: an empty result, not a missing one — the
                 # record was screened, and screening concluded nothing
                 # above min_score can exist here.
@@ -262,22 +213,26 @@ class DatabaseScanner:
                 )
             else:
                 pending.append((order, seq, target, decision))
-        pending.sort(
-            key=lambda entry: (
-                0 if entry[3].route == ROUTE_FULL else 1,
-                -entry[3].estimate,
-                entry[0],
+        if config is not None:
+            pending.sort(
+                key=lambda entry: (
+                    entry[3].route != ROUTE_FULL,
+                    -entry[3].estimate,
+                    entry[0],
+                )
             )
-        )
         for order, seq, target, decision in pending:
             try:
-                bounds = seed_score_bounds(
-                    target, self.finder.resolve_exchange(target)
-                )
+                bounds = None
+                if decision is not None:
+                    bounds = seed_score_bounds(
+                        target, self.finder.resolve_exchange(target)
+                    )
                 result = self.finder.find(target, seed_bounds=bounds)
-                for top in result.top_alignments:
-                    if top.score > 0:
-                        observe_tightness(bounds[top.r - 1] / top.score)
+                if bounds is not None:
+                    for top in result.top_alignments:
+                        if top.score > 0:
+                            observe_tightness(bounds[top.r - 1] / top.score)
             except Exception as exc:  # noqa: BLE001 - per-record isolation
                 stats["failed"] += 1
                 reports[order] = self._failed_report(seq, exc)
@@ -286,9 +241,36 @@ class DatabaseScanner:
                 id=seq.id,
                 length=len(seq),
                 result=result,
-                routed=decision.route,
+                routed=None if decision is None else decision.route,
             )
         return [reports[order] for order in sorted(reports)]
+
+    def _failed_report(self, seq: Sequence, exc: Exception) -> SequenceReport:
+        return SequenceReport(
+            id=seq.id,
+            length=len(seq),
+            result=None,
+            error=f"{type(exc).__name__}: {exc}",
+        )
+
+    def _route(self, target: Sequence, config: "IndexConfig", stats: dict[str, Any]):
+        """Profile ``target`` and classify it; counts into ``stats``."""
+        from ..index.metrics import record_route
+        from ..index.routing import classify
+
+        started = time.perf_counter()
+        profile, built = self._profile_for(target, config)
+        stats["index_seconds"] += time.perf_counter() - started
+        stats["index_builds" if built else "index_loads"] += 1
+        decision = classify(
+            profile,
+            self.finder.resolve_exchange(target),
+            min_score=self.finder.min_score,
+            config=config,
+        )
+        record_route(decision.route)
+        stats[decision.route] += 1
+        return decision
 
     def _profile_for(self, target: Sequence, config: "IndexConfig"):
         """(profile, built) from the store when present, else in-memory."""
@@ -328,14 +310,28 @@ class DatabaseScanner:
 
         sequence_list = list(sequences)
         reports = self.scan(sequence_list)
-        by_id: dict[str, list[Sequence]] = {}
-        for seq in sequence_list:
-            by_id.setdefault(seq.id, []).append(seq)
-        ordered: list[Sequence | None] = []
-        for report in reports:
-            pool = by_id.get(report.id)
-            ordered.append(pool.pop(0) if pool else None)
-        return _annotate(reports, ordered, window=window, msa=msa)
+        return _annotate(
+            reports, pair_by_id(reports, sequence_list), window=window, msa=msa
+        )
+
+
+def pair_by_id(
+    reports: Iterable[SequenceReport], sequences: Iterable[Sequence]
+) -> list[Sequence | None]:
+    """The record each report describes, matched by id.
+
+    Reports may be a reordered subset of the records (ranking, skipped
+    short records) and ids may repeat: the first unused record of a
+    report's id wins, ``None`` when there is none.
+    """
+    by_id: dict[str, list[Sequence]] = {}
+    for seq in sequences:
+        by_id.setdefault(seq.id, []).append(seq)
+    paired: list[Sequence | None] = []
+    for report in reports:
+        pool = by_id.get(report.id)
+        paired.append(pool.pop(0) if pool else None)
+    return paired
 
 
 # ---------------------------------------------------------------------------
@@ -343,68 +339,53 @@ class DatabaseScanner:
 # ---------------------------------------------------------------------------
 
 
-def result_to_dict(result: RepeatResult) -> dict[str, Any]:
-    """Plain-JSON form of a :class:`RepeatResult` (inverse of
-    :func:`result_from_dict`).
+def report_to_dict(report: SequenceReport, *, stats: bool = True) -> dict[str, Any]:
+    """JSON form of one scanned record's report: a row of the rank
+    table (:func:`render_rank_table`) around the result body.
 
-    Floats round-trip exactly through ``json`` (shortest-repr), so a
-    loaded result compares equal to the original.
+    The scan document adds each record's residue text to it; the
+    cluster ships it with ``stats=False`` (see
+    :meth:`RepeatResult.to_dict`).
     """
     return {
-        "top_alignments": [
-            {
-                "index": int(a.index),
-                "r": int(a.r),
-                "score": float(a.score),
-                "pairs": [[int(i), int(j)] for i, j in a.pairs],
-            }
-            for a in result.top_alignments
-        ],
-        "repeats": [
-            {
-                "family": int(rep.family),
-                "copies": [[int(s), int(e)] for s, e in rep.copies],
-                "columns": int(rep.columns),
-            }
-            for rep in result.repeats
-        ],
-        "stats": result.stats.__getstate__(),
+        "id": report.id,
+        "length": int(report.length),
+        "routed": report.routed,
+        "error": report.error,
+        "result": (
+            None if report.result is None else report.result.to_dict(stats=stats)
+        ),
+        "best_score": float(report.best_score),
+        "n_families": int(report.n_families),
+        "repeat_fraction": float(report.repeat_fraction),
     }
 
 
-def result_from_dict(payload: dict[str, Any]) -> RepeatResult:
-    """Rebuild a :class:`RepeatResult` from its JSON form.
+def render_rank_table(rows: list[dict[str, Any]], *, routed: bool = False) -> str:
+    """The ranked text table of report rows (:func:`report_to_dict`).
 
-    Accepts both the :func:`result_to_dict` shape and the service's
-    result-cache payload (:func:`repro.service.protocol.result_to_dict`)
-    — extra keys are ignored and missing stats counters default to 0,
-    so either source of truth feeds the annotation layer.
+    Rows sort by best score (descending), then id, failed records last
+    — :meth:`DatabaseScanner.rank`'s order.  ``routed`` adds the index
+    tier's routing class as a last column.
     """
-    alignments = [
-        TopAlignment(
-            index=int(a["index"]),
-            r=int(a["r"]),
-            score=float(a["score"]),
-            pairs=tuple((int(i), int(j)) for i, j in a["pairs"]),
-        )
-        for a in payload.get("top_alignments", [])
+    ranked = sorted(
+        rows, key=lambda r: (r["result"] is None, -r["best_score"], r["id"])
+    )
+    lines = [
+        f"{'rank':>4}  {'id':<24} {'len':>6} {'best':>7} "
+        f"{'families':>8} {'repeat%':>8}" + ("  routed" if routed else "")
     ]
-    repeats = [
-        Repeat(
-            family=int(rep["family"]),
-            copies=tuple((int(s), int(e)) for s, e in rep["copies"]),
-            columns=int(rep["columns"]),
+    for rank, row in enumerate(ranked, 1):
+        head = f"{rank:>4}  {row['id'][:24]:<24} {row['length']:>6}"
+        if row["result"] is None:
+            lines.append(f"{head} FAILED: {row['error']}")
+            continue
+        lines.append(
+            f"{head} {row['best_score']:>7g} {row['n_families']:>8} "
+            f"{row['repeat_fraction']:>8.1%}"
+            + (f"  {row['routed'] or '-'}" if routed else "")
         )
-        for rep in payload.get("repeats", [])
-    ]
-    raw_stats = payload.get("stats", {})
-    known = set(RunStats._COUNTER_FIELDS) | {
-        "realignments_per_top",
-        "engine",
-        "group",
-    }
-    stats = RunStats(**{k: v for k, v in raw_stats.items() if k in known})
-    return RepeatResult(top_alignments=alignments, repeats=repeats, stats=stats)
+    return "\n".join(lines)
 
 
 def scan_to_payload(
@@ -416,30 +397,17 @@ def scan_to_payload(
 ) -> dict[str, Any]:
     """The ``repro scan --json`` document for ``reports``.
 
-    ``sequences`` (matched to reports by record id, first-unused-wins)
-    embeds each record's residue text so ``repro annotate`` can rebuild
+    ``sequences`` (matched to reports by :func:`pair_by_id`) embeds each
+    record's residue text so ``repro annotate`` can rebuild
     consensus/MSA views offline, without the original FASTA.
     """
-    by_id: dict[str, list[Sequence]] = {}
-    for seq in sequences:
-        by_id.setdefault(seq.id, []).append(seq)
-    records = []
-    for report in reports:
-        pool = by_id.get(report.id)
-        seq = pool.pop(0) if pool else None
-        records.append(
-            {
-                "id": report.id,
-                "length": report.length,
-                "sequence": seq.text if seq is not None else None,
-                "routed": report.routed,
-                "error": report.error,
-                "result": (
-                    None if report.result is None
-                    else result_to_dict(report.result)
-                ),
-            }
-        )
+    records = [
+        {
+            **report_to_dict(report),
+            "sequence": seq.text if seq is not None else None,
+        }
+        for report, seq in zip(reports, pair_by_id(reports, sequences))
+    ]
     payload: dict[str, Any] = {
         "format": SCAN_FORMAT,
         "version": SCAN_FORMAT_VERSION,
@@ -484,7 +452,7 @@ def load_scan_payload(payload: dict[str, Any]) -> ScanDocument:
     for record in payload.get("records", []):
         result = (
             None if record.get("result") is None
-            else result_from_dict(record["result"])
+            else RepeatResult.from_dict(record["result"])
         )
         reports.append(
             SequenceReport(

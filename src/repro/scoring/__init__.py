@@ -3,6 +3,7 @@
 from .blosum import blosum50, blosum62
 from .exchange import ExchangeMatrix, from_triangle_text, match_mismatch
 from .gaps import GapPenalties
+from .named import MATRIX_NAMES, exchange_for
 from .pam import pam120, pam250
 
 __all__ = [
@@ -14,4 +15,6 @@ __all__ = [
     "blosum50",
     "pam250",
     "pam120",
+    "MATRIX_NAMES",
+    "exchange_for",
 ]

@@ -20,14 +20,6 @@ scheduled, cached and resumed under concurrent load:
   (``repro submit/status/fetch``).
 """
 
-from .cache import ResultCache
-from .client import (
-    ClientBacklogFull,
-    ServiceAuthError,
-    ServiceClient,
-    ServiceError,
-)
-from .jobstore import JobRecord, JobStore
 from .protocol import (
     ALGORITHM_VERSION,
     JobSpec,
@@ -36,9 +28,33 @@ from .protocol import (
     job_digest,
     result_to_dict,
 )
-from .queue import BacklogFull, SpoolQueue
-from .server import ReproService, ServiceConfig
-from .workers import WorkerPool, execute_job
+
+#: Name -> submodule, imported on first access: a process that only
+#: needs the wire protocol (``repro find``, a spawned worker, a cluster
+#: node) never imports the HTTP server, the client or the gateway.
+_LAZY = {
+    name: module
+    for module, names in {
+        "cache": ("ResultCache",),
+        "client": ("ClientBacklogFull", "ServiceAuthError", "ServiceClient", "ServiceError"),
+        "jobstore": ("JobRecord", "JobStore"),
+        "queue": ("BacklogFull", "SpoolQueue"),
+        "server": ("ReproService", "ServiceConfig"),
+        "workers": ("WorkerPool", "execute_job"),
+    }.items()
+    for name in names
+}
+
+
+def __getattr__(name):
+    from importlib import import_module
+
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f".{_LAZY[name]}", __name__)
+    value = globals()[name] = getattr(module, name)  # resolve once
+    return value
+
 
 __all__ = [
     "ALGORITHM_VERSION",

@@ -79,6 +79,14 @@ class JobRecord:
         return cls(**{k: v for k, v in payload.items() if k in known})
 
 
+def _unlink(*paths: Path) -> None:
+    for path in paths:
+        try:
+            path.unlink()
+        except OSError:
+            pass
+
+
 class JobStore:
     """File-backed job metadata under one service data directory."""
 
@@ -146,18 +154,34 @@ class JobStore:
         self.put(record)
         return record
 
+    def finish(
+        self,
+        job_id: str,
+        state: str,
+        *,
+        event: str | None = None,
+        event_data: dict[str, Any] | None = None,
+        **fields: Any,
+    ) -> JobRecord | None:
+        """The one terminal transition: record ``state`` (plus
+        ``fields``) with its finish time, append the event (named after
+        the state unless ``event`` says otherwise), and clear the job's
+        checkpoint and cancel marker — nothing but the record and its
+        event log outlives a finished job.
+        """
+        record = self.update(job_id, state=state, finished=time.time(), **fields)
+        self.append_event(job_id, event or state, **(event_data or {}))
+        _unlink(self.checkpoint_path(job_id), self.cancel_dir / job_id)
+        return record
+
     def delete(self, job_id: str) -> None:
         """Remove every trace of a job (admission rollback)."""
-        for path in (
+        _unlink(
             self._job_path(job_id),
             self.events_dir / f"{job_id}.jsonl",
             self.checkpoint_path(job_id),
             self.cancel_dir / job_id,
-        ):
-            try:
-                path.unlink()
-            except OSError:
-                pass
+        )
 
     def list_ids(self) -> list[str]:
         return sorted(p.stem for p in self.jobs_dir.glob("*.json"))
@@ -170,14 +194,6 @@ class JobStore:
             if record is not None:
                 counts[record.state] = counts.get(record.state, 0) + 1
         return counts
-
-    def find_active_by_digest(self, digest: str) -> JobRecord | None:
-        """A queued/running record with this digest, if any (dedup probe)."""
-        for job_id in self.list_ids():
-            record = self.get(job_id)
-            if record is not None and record.digest == digest and not record.terminal:
-                return record
-        return None
 
     # -- result ownership --------------------------------------------------
 
@@ -233,12 +249,6 @@ class JobStore:
         save_checkpoint(state, path)
         return path
 
-    def clear_checkpoint(self, job_id: str) -> None:
-        try:
-            self.checkpoint_path(job_id).unlink()
-        except OSError:
-            pass
-
     # -- cancellation ----------------------------------------------------
 
     def request_cancel(self, job_id: str) -> None:
@@ -246,12 +256,6 @@ class JobStore:
 
     def cancel_requested(self, job_id: str) -> bool:
         return (self.cancel_dir / job_id).exists()
-
-    def clear_cancel(self, job_id: str) -> None:
-        try:
-            (self.cancel_dir / job_id).unlink()
-        except OSError:
-            pass
 
     # -- worker stats ----------------------------------------------------
 

@@ -27,16 +27,20 @@ from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from ..align.base import DEFAULT_ENGINE, DEFAULT_GROUP, ENGINE_NAMES
+from ..core.api import RepeatFinder
 from ..core.result import RepeatResult
+from ..scoring.gaps import GapPenalties
+from ..scoring.named import exchange_for
 from ..sequences.alphabet import alphabet_for
 
 __all__ = [
     "ALGORITHM_VERSION",
-    "MATRIX_NAMES",
+    "SCAN_PLACEHOLDER",
     "JobState",
     "SpecError",
     "JobSpec",
     "ProgressEvent",
+    "finder_for",
     "job_digest",
     "result_to_dict",
 ]
@@ -45,9 +49,11 @@ __all__ = [
 #: Bump on any change that alters the results some spec produces.
 ALGORITHM_VERSION = 1
 
-#: Exchange-matrix names accepted over the wire (``None``/"default"
-#: resolves per alphabet exactly like :class:`repro.core.api.RepeatFinder`).
-MATRIX_NAMES = ("blosum62", "blosum50", "pam250", "pam120", "simple")
+#: Stand-in ``sequence`` of a spec that describes a *search* rather than
+#: one job (a scan's shared spec, the CLI's local commands):
+#: :func:`finder_for` reads only the scoring/search knobs, but
+#: validation wants residues, and these are valid in every alphabet.
+SCAN_PLACEHOLDER = "AA"
 
 _ALPHABETS = ("protein", "dna", "rna")
 
@@ -80,8 +86,9 @@ class JobSpec:
 
     Mirrors the knobs of :class:`repro.core.api.RepeatFinder` plus the
     scheduling-only ``priority`` (higher runs earlier).  ``matrix`` is
-    a name from :data:`MATRIX_NAMES` or ``None`` for the per-alphabet
-    default (BLOSUM62 for protein, +2/-1 otherwise).
+    a name :func:`repro.scoring.named.exchange_for` accepts, ``None``
+    being the alphabet's default.  :func:`finder_for` is the one way
+    from a spec to the finder that runs it.
     """
 
     sequence: str
@@ -121,20 +128,13 @@ class JobSpec:
             # Reject at admission, not in a worker — and never cache a
             # non-Equation-1 answer under an engine-blind digest.
             raise SpecError(f"engine must be one of {ENGINE_NAMES}")
-        if self.matrix is not None and self.matrix not in MATRIX_NAMES:
-            raise SpecError(f"matrix must be one of {MATRIX_NAMES} or null")
-        if self.matrix not in (None, "simple") and self.alphabet != "protein":
-            raise SpecError(f"matrix {self.matrix!r} requires alphabet 'protein'")
-        if self.top_alignments < 1:
-            raise SpecError("top_alignments must be >= 1")
-        if self.group < 1:
-            raise SpecError("group must be >= 1")
-        if self.gap_open < 0 or self.gap_extend < 0:
-            raise SpecError("gap penalties must be non-negative")
         if self.index_k < 0:
             raise SpecError("index_k must be >= 0 (0 = per-alphabet default)")
-        # Reject unencodable residues at admission, not in a worker.
+        # Reject at admission, not in a worker, what the finder itself
+        # rejects (matrix name, k, group, gap penalties) and residues
+        # the alphabet cannot encode.
         try:
+            finder_for(self)
             alphabet_for(self.alphabet).encode(self.normalized_sequence())
         except ValueError as exc:
             raise SpecError(str(exc)) from None
@@ -206,45 +206,39 @@ class ProgressEvent:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def finder_for(spec: JobSpec, *, prune: bool = True) -> RepeatFinder:
+    """The :class:`RepeatFinder` that runs ``spec``.
+
+    The one construction behind ``repro find``/``scan``/``annotate``,
+    the service workers and the cluster's shards, so a spec means the
+    same search wherever it runs.  ``prune`` is not a spec field —
+    results are identical either way — and only the local commands
+    offer it.
+    """
+    return RepeatFinder(
+        exchange=exchange_for(spec.matrix, alphabet_for(spec.alphabet)),
+        gaps=GapPenalties(spec.gap_open, spec.gap_extend),
+        top_alignments=spec.top_alignments,
+        engine=spec.engine,
+        group=spec.group,
+        min_score=spec.min_score,
+        prune=prune,
+        min_copy_length=spec.min_copy_length,
+        max_gap=spec.max_gap,
+        min_score_fraction=spec.min_score_fraction,
+    )
+
+
 def result_to_dict(
     result: RepeatResult, *, digest: str, spec: JobSpec
 ) -> dict[str, Any]:
-    """JSON payload stored in the result cache for one finished job.
-
-    Floats round-trip exactly through ``json`` (shortest-repr), so two
-    payloads compare bit-identical iff the underlying results do.
+    """JSON payload stored in the result cache for one finished job:
+    the result body (:meth:`RepeatResult.to_dict`) inside the job's
+    envelope — the form :func:`repro.core.result.render_summary` shows.
     """
-    stats = result.stats
     return {
         "digest": digest,
         "sequence_id": spec.seq_id,
         "length": len(spec.normalized_sequence()),
-        "top_alignments": [
-            {
-                "index": int(a.index),
-                "r": int(a.r),
-                "score": float(a.score),
-                "pairs": [[int(i), int(j)] for i, j in a.pairs],
-            }
-            for a in result.top_alignments
-        ],
-        "repeats": [
-            {
-                "family": int(rep.family),
-                "copies": [[int(s), int(e)] for s, e in rep.copies],
-                "columns": int(rep.columns),
-                "n_copies": int(rep.n_copies),
-                "unit_length": float(rep.unit_length),
-            }
-            for rep in result.repeats
-        ],
-        "stats": {
-            "alignments": int(stats.alignments),
-            "realignments": int(stats.realignments),
-            "cells": int(stats.cells),
-            "tracebacks": int(stats.tracebacks),
-            "engine": stats.engine,
-            "group": int(stats.group),
-            "speculative_waste": int(stats.speculative_waste),
-        },
+        **result.to_dict(),
     }

@@ -61,7 +61,7 @@ from .jobstore import JobRecord
 from .metrics import render_service_metrics
 from .protocol import JobSpec, JobState, SpecError
 from .queue import BacklogFull
-from .workers import WorkerPool, _finish, open_stores, recover
+from .workers import WorkerPool, finish_job, open_stores, recover
 
 __all__ = ["ServiceConfig", "ReproService", "serve"]
 
@@ -195,14 +195,16 @@ class ReproService:
         try:
             result = self.coordinator.execute_job_spec(spec, tenant=record.tenant)
         except Exception as exc:  # noqa: BLE001 - job failure, not server failure
-            self.store.update(
-                job_id, state=JobState.FAILED, finished=time.time(), error=str(exc)
+            self.store.finish(
+                job_id,
+                JobState.FAILED,
+                error=str(exc),
+                event_data={"error": str(exc)},
             )
-            self.store.append_event(job_id, "failed", error=str(exc))
             return
         record = self.store.get(job_id)
         if record is not None:
-            _finish(self.store, self.cache, record, spec, result)
+            finish_job(self.store, self.cache, record, spec, result)
 
     def status(self, job_id: str, *, tenant: str | None = None) -> JobRecord | None:
         """The job record — scoped: a foreign tenant sees ``None`` (404).
@@ -229,11 +231,7 @@ class ReproService:
             or self.gateway.discard(record.tenant, job_id)
             or self.queue.discard(job_id)
         ):
-            record = self.store.update(
-                job_id, state=JobState.CANCELLED, finished=time.time()
-            )
-            self.store.append_event(job_id, "cancelled")
-            self.store.clear_cancel(job_id)
+            record = self.store.finish(job_id, JobState.CANCELLED)
         return record
 
     def result(self, ref: str, *, tenant: str | None = None) -> dict | None:
@@ -293,7 +291,8 @@ class ReproService:
         """
         from ..annot import annotate_scan
         from ..annot.metrics import record_report_denied
-        from ..core.scan import SequenceReport, result_from_dict
+        from ..core.result import RepeatResult
+        from ..core.scan import SequenceReport
         from ..sequences.sequence import Sequence
 
         if fmt not in self.REPORT_FORMATS:
@@ -326,7 +325,7 @@ class ReproService:
             payload.get("length", 0)
         )
         seq_report = SequenceReport(
-            id=seq_id, length=length, result=result_from_dict(payload)
+            id=seq_id, length=length, result=RepeatResult.from_dict(payload)
         )
         annotation = annotate_scan([seq_report], [sequence])
         if fmt == "gff3":

@@ -35,24 +35,19 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 from ..core.api import RepeatFinder
-from ..obs import span as obs_span
 from ..core.result import RepeatResult
-from ..scoring.blosum import blosum50, blosum62
-from ..scoring.exchange import match_mismatch
-from ..scoring.gaps import GapPenalties
-from ..scoring.pam import pam120, pam250
-from ..sequences.alphabet import alphabet_for
+from ..obs import span as obs_span
 from ..sequences.sequence import Sequence
 from .cache import ResultCache
 from .jobstore import JobRecord, JobStore
-from .protocol import JobSpec, JobState, result_to_dict
+from .protocol import JobSpec, JobState, finder_for, result_to_dict
 from .queue import SpoolQueue
 
 __all__ = [
     "WorkerPool",
     "WorkerStats",
-    "build_finder",
     "execute_job",
+    "finish_job",
     "open_stores",
     "recover",
     "worker_main",
@@ -71,13 +66,6 @@ CHUNK_DELAY_ENV = "REPRO_SERVICE_CHUNK_DELAY"
 #: a 30 ms job, and how much depended only on the phase of the sleep.
 _IDLE_FLOOR = 0.001
 
-_NAMED_MATRICES = {
-    "blosum62": blosum62,
-    "blosum50": blosum50,
-    "pam250": pam250,
-    "pam120": pam120,
-}
-
 
 def open_stores(
     data_dir: str | os.PathLike, *, capacity: int = 64, memory_items: int = 64
@@ -88,27 +76,6 @@ def open_stores(
     queue = SpoolQueue(os.path.join(root, "spool"), capacity=capacity)
     cache = ResultCache(os.path.join(root, "cache"), memory_items=memory_items)
     return store, queue, cache
-
-
-def build_finder(spec: JobSpec) -> RepeatFinder:
-    """The :class:`RepeatFinder` a spec describes (matrix name resolved)."""
-    if spec.matrix is None:
-        exchange = None
-    elif spec.matrix == "simple":
-        exchange = match_mismatch(alphabet_for(spec.alphabet), 2.0, -1.0)
-    else:
-        exchange = _NAMED_MATRICES[spec.matrix]()
-    return RepeatFinder(
-        exchange=exchange,
-        gaps=GapPenalties(spec.gap_open, spec.gap_extend),
-        top_alignments=spec.top_alignments,
-        engine=spec.engine,
-        group=spec.group,
-        min_score=spec.min_score,
-        min_copy_length=spec.min_copy_length,
-        max_gap=spec.max_gap,
-        min_score_fraction=spec.min_score_fraction,
-    )
 
 
 @dataclass
@@ -145,31 +112,26 @@ def recover(store: JobStore, queue: SpoolQueue) -> list[str]:
     return requeued
 
 
-def _finish(
+def finish_job(
     store: JobStore,
     cache: ResultCache,
     record: JobRecord,
     spec: JobSpec,
     result: RepeatResult,
 ) -> None:
-    payload = result_to_dict(result, digest=record.digest, spec=spec)
-    cache.put(record.digest, payload)
-    store.update(
+    """Publish ``result`` under the job's digest and mark the job done."""
+    cache.put(record.digest, result_to_dict(result, digest=record.digest, spec=spec))
+    store.finish(
         record.id,
-        state=JobState.DONE,
-        finished=time.time(),
+        JobState.DONE,
         found=len(result.top_alignments),
         error="",
+        event_data={
+            "digest": record.digest,
+            "found": len(result.top_alignments),
+            "alignments": result.stats.alignments,
+        },
     )
-    store.append_event(
-        record.id,
-        "done",
-        digest=record.digest,
-        found=len(result.top_alignments),
-        alignments=result.stats.alignments,
-    )
-    store.clear_checkpoint(record.id)
-    store.clear_cancel(record.id)
 
 
 def execute_job(
@@ -194,35 +156,29 @@ def execute_job(
     try:
         spec = JobSpec.from_dict(record.spec)
     except ValueError as exc:
-        store.update(job_id, state=JobState.FAILED, finished=time.time(), error=str(exc))
-        store.append_event(job_id, "failed", error=str(exc))
+        _fail(store, job_id, exc)
         return "failed"
 
     # A duplicate of a finished job is served straight from the cache —
     # zero alignment work, visible in the worker counters.
     if cache.get(record.digest) is not None:
         stats.cache_hits += 1
-        store.update(
+        store.finish(
             job_id,
-            state=JobState.DONE,
-            finished=time.time(),
+            JobState.DONE,
+            event="cache-hit",
+            event_data={"digest": record.digest},
             served_from_cache=True,
             found=spec.top_alignments,
         )
-        store.append_event(job_id, "cache-hit", digest=record.digest)
-        store.clear_checkpoint(job_id)
-        store.clear_cancel(job_id)
         return "done"
 
     if store.cancel_requested(job_id):
-        store.update(job_id, state=JobState.CANCELLED, finished=time.time())
-        store.append_event(job_id, "cancelled")
-        store.clear_checkpoint(job_id)
-        store.clear_cancel(job_id)
+        store.finish(job_id, JobState.CANCELLED)
         return "cancelled"
 
     try:
-        finder = build_finder(spec)
+        finder = finder_for(spec)
         sequence = Sequence(
             spec.normalized_sequence(), spec.alphabet, id=spec.seq_id
         )
@@ -241,10 +197,7 @@ def execute_job(
             if result is None:
                 outcome = "cancelled" if store.cancel_requested(job_id) else "suspended"
                 if outcome == "cancelled":
-                    store.update(job_id, state=JobState.CANCELLED, finished=time.time())
-                    store.append_event(job_id, "cancelled")
-                    store.clear_checkpoint(job_id)
-                    store.clear_cancel(job_id)
+                    store.finish(job_id, JobState.CANCELLED)
                 else:
                     refreshed = store.get(job_id)
                     store.append_event(
@@ -255,15 +208,19 @@ def execute_job(
                 return outcome
         stats.alignments += result.stats.alignments
         stats.cells += result.stats.cells
-        _finish(store, cache, record, spec, result)
+        finish_job(store, cache, record, spec, result)
     except Exception as exc:  # noqa: BLE001 - a job must never kill its worker
-        store.update(job_id, state=JobState.FAILED, finished=time.time(), error=str(exc))
-        store.append_event(job_id, "failed", error=str(exc))
-        store.clear_checkpoint(job_id)
+        _fail(store, job_id, exc)
         stats.jobs_failed += 1
         return "failed"
     stats.jobs_done += 1
     return "done"
+
+
+def _fail(store: JobStore, job_id: str, exc: Exception) -> None:
+    store.finish(
+        job_id, JobState.FAILED, error=str(exc), event_data={"error": str(exc)}
+    )
 
 
 def _run_incremental(

@@ -753,6 +753,43 @@ def test_rpr017_clean_on_the_real_index_package(tmp_path):
         assert "RPR017" not in _rules_hit(module), module.name
 
 
+SIMULATE_IMPORTS = """
+    import repro.simulate
+    from repro.simulate.cluster import ClusterSimulator
+    from ..simulate import AlignmentOracle
+    from .. import simulate
+"""
+
+
+def _package_file(tmp_path, relpath, source):
+    """A module inside a package directory named ``repro``."""
+    _write(tmp_path, "repro/__init__.py", "")
+    return _write(tmp_path, f"repro/{relpath}", source)
+
+
+def test_rpr017_flags_simulate_imports_anywhere_in_the_package(tmp_path):
+    path = _package_file(tmp_path, "service/uses_sim.py", SIMULATE_IMPORTS)
+    findings = [d for d in lint_file(path) if d.rule == "RPR017"]
+    assert len(findings) == 4
+    assert all("figure code" in d.message for d in findings)
+    # A module of repro/ itself reaches the package root with one dot.
+    top = _package_file(tmp_path, "cli.py", "from .simulate import pentium3\n")
+    assert [d.rule for d in lint_file(top) if d.rule == "RPR017"] == ["RPR017"]
+
+
+def test_rpr017_simulate_row_spares_simulate_itself_and_outsiders(tmp_path):
+    inside = _package_file(tmp_path, "simulate/sweep.py", "from ..simulate import x\n")
+    assert "RPR017" not in _rules_hit(inside)
+    outside = _write(tmp_path, "benchmarks/figures.py", "import repro.simulate\n")
+    assert "RPR017" not in _rules_hit(outside)
+
+
+def test_rpr017_nothing_under_src_repro_imports_simulate():
+    package = Path(__file__).resolve().parents[2] / "src" / "repro"
+    for module in sorted(package.rglob("*.py")):
+        assert "RPR017" not in _rules_hit(module), module
+
+
 # ---------------------------------------------------------------------------
 # RPR018 — direct spool-queue writes in repro.service bypass the gateway
 # ---------------------------------------------------------------------------

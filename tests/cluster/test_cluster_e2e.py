@@ -25,12 +25,11 @@ from repro.cluster import (
     NodeConfig,
 )
 from repro.cluster.execution import merge_scan_reports
-from repro.cluster.protocol import report_to_dict, result_to_dict
+from repro.cluster.protocol import report_to_dict
 from repro.cluster.shards import merge_shard_results
 from repro.core.scan import DatabaseScanner
 from repro.sequences import Sequence, pseudo_titin
-from repro.service.protocol import JobSpec
-from repro.service.workers import build_finder
+from repro.service.protocol import JobSpec, finder_for
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -52,7 +51,7 @@ def _spec(**overrides):
 
 
 def _local_reports(spec, records, **options):
-    scanner = DatabaseScanner(finder=build_finder(spec), **options)
+    scanner = DatabaseScanner(finder=finder_for(spec), **options)
     sequences = [
         Sequence(rec["sequence"].upper(), spec.alphabet, id=rec["id"])
         for rec in records
@@ -139,10 +138,10 @@ class TestScanBitIdentity:
     def test_rows_job_matches_local_finder(self, cluster):
         spec = _spec(sequence=pseudo_titin(150, seed=11).text, top_alignments=5)
         result = cluster.execute_job_spec(spec, timeout=120.0)
-        local = build_finder(spec).find(
+        local = finder_for(spec).find(
             Sequence(spec.normalized_sequence(), spec.alphabet)
         )
-        assert result_to_dict(result) == result_to_dict(local)
+        assert result.to_dict(stats=False) == local.to_dict(stats=False)
 
 
 class TestClusterClient:

@@ -15,9 +15,8 @@ from repro.cluster import Coordinator, CoordinatorConfig
 from repro.sequences import Sequence, pseudo_titin
 from repro.service import ServiceClient
 from repro.service.metrics import render_service_metrics
-from repro.service.protocol import JobSpec, result_to_dict
+from repro.service.protocol import JobSpec, finder_for, result_to_dict
 from repro.service.server import ReproService, ServiceConfig, _Handler, _ServerState
-from repro.service.workers import build_finder
 
 from .test_cluster_e2e import _start_thread_nodes
 
@@ -84,7 +83,7 @@ def test_cluster_result_is_bit_identical_and_cached(cluster_service):
     fetched = client.result(done["id"])
 
     spec = JobSpec.from_dict(payload)
-    local = build_finder(spec).find(
+    local = finder_for(spec).find(
         Sequence(spec.normalized_sequence(), spec.alphabet)
     )
     expected = result_to_dict(local, digest=done["digest"], spec=spec)

@@ -69,10 +69,10 @@ class TestScanner:
 class _ExplodingFinder(RepeatFinder):
     """Raises on sequences whose id starts with 'bad'."""
 
-    def find(self, sequence):
+    def find(self, sequence, *, seed_bounds=None):
         if sequence.id.startswith("bad"):
             raise RuntimeError("boom on " + sequence.id)
-        return super().find(sequence)
+        return super().find(sequence, seed_bounds=seed_bounds)
 
 
 class TestPerRecordFailures:
@@ -169,11 +169,11 @@ class TestScanFasta:
 
 class TestScanPayloadRoundTrip:
     def test_result_round_trips(self, mixed_records):
-        from repro.core.scan import result_from_dict, result_to_dict
+        from repro.core.result import RepeatResult
 
         scanner = DatabaseScanner(finder=RepeatFinder(top_alignments=4))
         report = scanner.scan(mixed_records)[0]
-        rebuilt = result_from_dict(result_to_dict(report.result))
+        rebuilt = RepeatResult.from_dict(report.result.to_dict())
         assert rebuilt.top_alignments == report.result.top_alignments
         assert rebuilt.repeats == report.result.repeats
         assert rebuilt.stats.alignments == report.result.stats.alignments

@@ -11,11 +11,10 @@ import pytest
 
 from repro.sequences import Sequence, pseudo_titin
 from repro.service import JobSpec, JobState, job_digest
-from repro.service.protocol import result_to_dict
+from repro.service.protocol import finder_for, result_to_dict
 from repro.service.workers import (
     CHUNK_DELAY_ENV,
     WorkerPool,
-    build_finder,
     execute_job,
     open_stores,
     recover,
@@ -35,7 +34,7 @@ def _submit(store, queue, spec):
 
 
 def _baseline_payload(spec, digest):
-    result = build_finder(spec).find(
+    result = finder_for(spec).find(
         Sequence(spec.normalized_sequence(), spec.alphabet)
     )
     return result_to_dict(result, digest=digest, spec=spec)

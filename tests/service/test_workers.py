@@ -8,10 +8,9 @@ import pytest
 
 from repro.sequences import Sequence, pseudo_titin
 from repro.service import JobSpec, JobState, job_digest
-from repro.service.protocol import result_to_dict
+from repro.service.protocol import finder_for, result_to_dict
 from repro.service.workers import (
     WorkerStats,
-    build_finder,
     execute_job,
     open_stores,
     recover,
@@ -37,10 +36,10 @@ def _titin_spec(**overrides):
     return JobSpec(**payload)
 
 
-class TestBuildFinder:
+class TestBuildFinder:  # finder_for, the one spec→finder function
     def test_mirrors_spec_knobs(self):
         spec = _titin_spec(engine="lanes", group=8, min_score=3.0, matrix="pam250")
-        finder = build_finder(spec)
+        finder = finder_for(spec)
         assert finder.engine == "lanes"
         assert finder.group == 8
         assert finder.min_score == 3.0
@@ -48,7 +47,7 @@ class TestBuildFinder:
 
     def test_simple_matrix_for_dna(self):
         spec = JobSpec(sequence="ATGCATGCATGC", alphabet="dna", matrix="simple")
-        finder = build_finder(spec)
+        finder = finder_for(spec)
         result = finder.find(Sequence("ATGCATGCATGC", "dna"))
         assert result.top_alignments
 
@@ -65,7 +64,7 @@ class TestExecuteJob:
         assert execute_job(store, cache, record, checkpoint_every=1) == "done"
         served = cache.get(record.digest)["stats"]
 
-        direct = build_finder(spec).find(
+        direct = finder_for(spec).find(
             Sequence(spec.normalized_sequence(), spec.alphabet)
         )
         assert served["engine"] == direct.stats.engine
@@ -84,7 +83,7 @@ class TestExecuteJob:
         assert refreshed.found == 4
         payload = cache.get(record.digest)
         baseline = result_to_dict(
-            build_finder(spec).find(
+            finder_for(spec).find(
                 Sequence(spec.normalized_sequence(), spec.alphabet)
             ),
             digest=record.digest,
@@ -179,7 +178,7 @@ class TestExecuteJob:
         def boom(_spec):
             raise RuntimeError("engine exploded")
 
-        monkeypatch.setattr(workers_mod, "build_finder", boom)
+        monkeypatch.setattr(workers_mod, "finder_for", boom)
         record = _submit(store, queue, _titin_spec())
         stats = WorkerStats()
         assert execute_job(store, cache, record, stats=stats) == "failed"

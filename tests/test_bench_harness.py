@@ -1,8 +1,9 @@
-"""Tests for the benchmark harness itself (small parameters)."""
+"""Tests for the figure runner itself, ``benchmarks/figures.py`` (small
+parameters)."""
 
 import pytest
 
-from repro.bench import (
+from benchmarks.figures import (
     BenchTable,
     bench_sequence,
     default_scoring,

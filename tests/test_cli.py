@@ -2,6 +2,8 @@
 
 import pytest
 
+from benchmarks.figures import main as figures_main
+from repro import obs
 from repro.align import DEFAULT_ENGINE, DEFAULT_GROUP
 from repro.cli import build_parser, main
 from repro.sequences import DNA, Sequence, write_fasta
@@ -45,7 +47,11 @@ class TestParser:
         assert find_args.index_k == 0
         scan_args = build_parser().parse_args(["scan", "db.fasta"])
         assert scan_args.index is False
-        assert scan_args.index_threshold == 0.0
+        assert scan_args.min_score == 0.0
+        threshold = build_parser().parse_args(
+            ["scan", "db.fasta", "--index-threshold", "40"]
+        )
+        assert threshold.min_score == 40.0  # the older spelling of --min-score
         assert scan_args.index_cache is None
 
     @pytest.mark.parametrize("artifact", ["batched", "index", "pruning"])
@@ -328,14 +334,16 @@ class TestFindMsaFlag:
 
 
 class TestSimulateCommand:
+    """``repro simulate`` is ``benchmarks/figures.py simulate`` now."""
+
     def test_basic_run(self, capsys):
-        assert main(["simulate", "--length", "120", "-k", "2", "-P", "4"]) == 0
+        assert figures_main(["simulate", "--length", "120", "-k", "2", "-P", "4"]) == 0
         out = capsys.readouterr().out
         assert "speed improvement" in out
         assert "utilisation" in out
 
     def test_gantt(self, capsys):
-        assert main(
+        assert figures_main(
             ["simulate", "--length", "100", "-k", "1", "-P", "4", "--gantt"]
         ) == 0
         out = capsys.readouterr().out
@@ -343,10 +351,24 @@ class TestSimulateCommand:
 
 
 class TestBenchCommand:
-    def test_realign_artifact_runs(self, capsys):
-        assert main(["bench", "realign", "-k", "3"]) == 0
+    """``repro bench`` is ``benchmarks/figures.py`` now."""
+
+    def test_realign_artifact_runs(self, capsys, tmp_path):
+        snapshot = tmp_path / "metrics.json"
+        try:
+            assert figures_main(
+                ["realign", "-k", "3", "--emit-metrics", str(snapshot)]
+            ) == 0
+        finally:
+            obs.reset()
         out = capsys.readouterr().out
         assert "realignments avoided" in out
+        assert "repro_realignments_total" in snapshot.read_text()
+
+    @pytest.mark.parametrize("command", ["bench", "simulate"])
+    def test_left_the_package(self, command):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command])
 
 
 class TestAnnotate:
@@ -393,3 +415,117 @@ class TestAnnotate:
         bad.write_text('{"format": "other"}', encoding="utf-8")
         with pytest.raises(SystemExit, match="bad scan document"):
             main(["annotate", str(bad)])
+
+
+class TestOneSearchDescription:
+    """With default flags the five search commands describe one search
+    (``scan``/``annotate`` used to align with gaps 2/1, the rest 8/1)."""
+
+    @pytest.fixture(params=["protein", "dna"])
+    def record(self, request, tmp_path):
+        from repro.sequences import pseudo_titin
+        from repro.sequences.workloads import RepeatSpec, implant_repeats
+
+        if request.param == "protein":
+            seq = pseudo_titin(150, seed=1912)
+        else:
+            spec = RepeatSpec(unit_length=30, copies=3, substitution_rate=0.1)
+            seq = implant_repeats(140, spec, DNA, seed=5).sequence
+        path = tmp_path / "record.fasta"
+        write_fasta(seq, path)
+        return request.param, seq, str(path)
+
+    def test_five_commands_one_search(self, record, tmp_path, monkeypatch, capsys):
+        from repro.core.api import RepeatFinder
+        from repro.service.protocol import JobSpec, finder_for
+
+        alphabet, seq, path = record
+        monkeypatch.chdir(tmp_path)
+        searches = []  # (gaps, exchange, min_score, max_gap, first tops) per find()
+        real_find = RepeatFinder.find
+
+        def recording_find(finder, sequence, *, seed_bounds=None):
+            result = real_find(finder, sequence, seed_bounds=seed_bounds)
+            searches.append(
+                (
+                    (finder.gaps.open_, finder.gaps.extend),
+                    finder.resolve_exchange(sequence).name,
+                    finder.min_score,
+                    finder.max_gap,
+                    [(a.r, a.score, a.pairs) for a in result.top_alignments[:10]],
+                )
+            )
+            return result
+
+        monkeypatch.setattr(RepeatFinder, "find", recording_find)
+        shipped = []  # the specs the two remote commands send
+
+        class FakeCluster:
+            def __init__(self, host, port):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def scan(self, spec, payload, options, timeout):
+                shipped.append(spec)
+                return []
+
+        class FakeService:
+            def __init__(self, url, api_key=None):
+                pass
+
+            def submit(self, spec, idempotency_key=None):
+                shipped.append(JobSpec.from_dict(spec))
+                return {"id": "j1", "state": "queued", "digest": "0" * 64}
+
+        monkeypatch.setattr("repro.cluster.client.ClusterClient", FakeCluster)
+        monkeypatch.setattr("repro.service.client.ServiceClient", FakeService)
+
+        flags = [path, "--alphabet", alphabet]
+        assert main(["find", *flags]) == 0
+        assert main(["scan", *flags]) == 0
+        assert main(["annotate", *flags, "--prefix", "out"]) == 0
+        assert main(["cluster", "scan", *flags, "--join", "127.0.0.1:1"]) == 0
+        assert main(["submit", *flags]) == 0
+        capsys.readouterr()
+        assert len(searches) == 3 and len(shipped) == 2
+        for spec in shipped:
+            finder_for(spec).find(seq)
+        assert len(searches) == 5
+        assert searches[0][4], "the record must have top alignments to compare"
+        assert all(search == searches[0] for search in searches[1:])
+
+
+class TestCommandTable:
+    def _rows(self):
+        from repro.cli import CLUSTER_COMMANDS, COMMANDS
+
+        rows = [[name] for name, *_ in COMMANDS if name != "cluster"]
+        return rows + [["cluster", name] for name, *_ in CLUSTER_COMMANDS]
+
+    def test_every_command_has_help(self, capsys):
+        rows = self._rows()
+        assert len(rows) <= 16
+        for argv in rows:
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--help"])
+            assert exc.value.code == 0, argv
+            assert "usage:" in capsys.readouterr().out, argv
+
+    def test_import_loads_no_subsystem(self):
+        import subprocess
+        import sys
+
+        probe = (
+            "import sys, repro.cli; repro.cli.build_parser(); "
+            "print([m for m in sys.modules if m.startswith(('repro.simulate', "
+            "'repro.analysis', 'repro.service', 'repro.cluster', 'repro.gateway'))])"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
