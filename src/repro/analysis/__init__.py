@@ -4,9 +4,9 @@ Two halves:
 
 * ``repro lint`` (:mod:`repro.analysis.linter`) — project-specific
   AST lint rules guarding the paper's fragile fast paths: vectorised
-  kernels, lock discipline in the speculative schedulers, seeded
-  benchmarks, export hygiene.  Run via the CLI subcommand or
-  ``python -m repro.analysis``.
+  kernels, lock discipline in the speculative schedulers, bounded waits
+  in handlers and lease paths, monotonic clocks, layer order.  Run via
+  the CLI subcommand or ``python -m repro.analysis``.
 * Runtime invariant validators (:mod:`repro.analysis.invariants`) —
   debug-mode checks of the heap upper-bound, triangle-monotonicity and
   shadow-row properties, enabled with ``REPRO_CHECK_INVARIANTS=1`` (or

@@ -1,63 +1,24 @@
-"""Interprocedural rules RPR013-RPR016 over the program graph.
+"""The interprocedural rule RPR013 over the program graph.
 
-Each rule consumes the facts and resolution services of
-:class:`repro.analysis.graph.ProgramGraph`; none of them re-parses
-source.  Test modules never contribute entry points, producers or
-findings — tests exercise protocols deliberately half-open (a probe
-that sends a frame and never consumes the reply is the *point* of a
-transport test).
+It consumes the facts and resolution services of
+:class:`repro.analysis.graph.ProgramGraph` and re-parses no source.
+Test modules never contribute entry points, sinks or findings.
 
 ``RPR013`` blocking-call reachability
     a ``do_*``/``handle*``/``*Handler`` entry point, or a function
     holding a cluster lease (a ``lease`` parameter), *transitively*
     reaches ``time.sleep`` / an unbounded ``Queue.get`` / an unbounded
-    socket ``recv``/``accept``.  This upgrades RPR010/RPR012 from
-    syntactic to semantic: the per-file rules see only the entry
-    function's own body, this rule follows the call graph.
-``RPR014`` lock-order deadlock detection
-    a cycle in the cross-class lock-acquisition graph (built from the
-    same lockset facts RPR003 infers): thread A holding ``C._lock``
-    while acquiring ``D._cond`` deadlocks against thread B doing the
-    reverse.  Re-entrant same-lock nesting is not reported (RLock
-    territory, and RPR003 owns single-lock discipline).
-``RPR015`` message-protocol conformance
-    every ``kind`` literal / tag constant sent through the messaging
-    substrates must have a receiver-side dispatch arm somewhere in the
-    package, and a dispatch arm's field accesses without defaults must
-    be a subset of the keys some producer of that kind constructs.
-``RPR016`` exception-flow
-    (a) an ``InvariantViolation`` (or any ``AssertionError`` family
-    exception) caught and dropped — the invariant machinery exists to
-    fail loudly; (b) a package exception class that cannot survive a
-    pickle round-trip (custom ``__init__`` with more than one required
-    argument and no ``__reduce__``) raised in a module reachable from
-    the worker/node execution paths, where exceptions must cross a
-    process or socket boundary.
+    socket ``recv``/``accept``.  This upgrades RPR010 from syntactic to
+    semantic: the per-file rule sees only the entry function's own
+    body, this rule follows the call graph.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from .diagnostics import Diagnostic
-from .graph import ClassFacts, ModuleFacts, ProgramGraph
+from .graph import ProgramGraph
 
-__all__ = [
-    "INTERPROC_RULES",
-    "run_interproc_rules",
-    "rule_blocking_reachability",
-    "rule_lock_order",
-    "rule_message_protocol",
-    "rule_exception_flow",
-]
-
-#: Module basename stems that mark worker/node execution paths: code in
-#: these modules runs shards in child processes or remote nodes, so any
-#: exception escaping them must pickle across the boundary.
-_WORKER_MODULE_STEMS = frozenset({"workers", "worker", "node", "execution", "slave"})
-
-#: The assertion-family roots for RPR016a.
-_ASSERTION_ROOTS = frozenset({"AssertionError", "InvariantViolation"})
+__all__ = ["rule_blocking_reachability"]
 
 
 def _entry_kind(graph: ProgramGraph, node_id: str) -> str | None:
@@ -94,7 +55,7 @@ def rule_blocking_reachability(graph: ProgramGraph) -> list[Diagnostic]:
             if rmf.is_test or not rff.blocking:
                 continue
             if reached == node_id and kind == "handler":
-                continue  # a direct sink in a handler is RPR010/RPR012's call
+                continue  # a direct sink in a handler is RPR010's call
             chain = graph.path_to(node_id, reached, parents)
             chain_names = [n.split(":", 1)[1] for n in chain]
             for sink, sline in rff.blocking:
@@ -116,331 +77,4 @@ def rule_blocking_reachability(graph: ProgramGraph) -> list[Diagnostic]:
                         trace=tuple(chain),
                     )
                 )
-    return findings
-
-
-def rule_lock_order(graph: ProgramGraph) -> list[Diagnostic]:
-    """RPR014 — cycles in the cross-class lock-acquisition graph."""
-    # Tarjan SCC over lock nodes; any SCC with >= 2 nodes is a potential
-    # deadlock (same-lock self-edges are excluded at graph build time).
-    index_of: dict[tuple[str, str], int] = {}
-    lowlink: dict[tuple[str, str], int] = {}
-    on_stack: set[tuple[str, str]] = set()
-    stack: list[tuple[str, str]] = []
-    sccs: list[list[tuple[str, str]]] = []
-    counter = [0]
-
-    nodes = sorted(
-        set(graph.lock_edges)
-        | {dst for edges in graph.lock_edges.values() for dst, _ in edges}
-    )
-
-    def strongconnect(v: tuple[str, str]) -> None:
-        # Iterative Tarjan (the lock graph is tiny, but recursion limits
-        # are not a failure mode a linter should have).
-        work = [(v, iter(graph.lock_edges.get(v, ())))]
-        index_of[v] = lowlink[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack.add(v)
-        while work:
-            node, edges = work[-1]
-            advanced = False
-            for dst, _ in edges:
-                if dst not in index_of:
-                    index_of[dst] = lowlink[dst] = counter[0]
-                    counter[0] += 1
-                    stack.append(dst)
-                    on_stack.add(dst)
-                    work.append((dst, iter(graph.lock_edges.get(dst, ()))))
-                    advanced = True
-                    break
-                if dst in on_stack:
-                    lowlink[node] = min(lowlink[node], index_of[dst])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index_of[node]:
-                scc: list[tuple[str, str]] = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    scc.append(w)
-                    if w == node:
-                        break
-                if len(scc) > 1:
-                    sccs.append(sorted(scc))
-
-    for v in nodes:
-        if v not in index_of:
-            strongconnect(v)
-
-    findings: list[Diagnostic] = []
-    for scc in sorted(sccs):
-        members = set(scc)
-        member_facts = [graph._class_facts(cls) for cls, _ in scc]
-        if all(e is None or e[0].is_test for e in member_facts):
-            continue  # cycle entirely inside test code
-        evidence = sorted(
-            ev
-            for src, edges in graph.lock_edges.items()
-            if src in members
-            for dst, ev in edges
-            if dst in members
-        )
-        cycle = " -> ".join(f"{cls.split(':', 1)[1]}.{attr}" for cls, attr in scc)
-        anchor_cls, _ = scc[0]
-        entry = graph._class_facts(anchor_cls)
-        if entry is None:
-            continue
-        amf, acf = entry
-        findings.append(
-            Diagnostic(
-                rule="RPR014",
-                path=amf.path,
-                line=acf.line,
-                message=f"lock-order cycle {cycle} -> {scc[0][0].split(':', 1)[1]}"
-                f".{scc[0][1]}: two threads taking these locks in opposite "
-                "orders deadlock; impose a global acquisition order "
-                f"(acquisition sites: {'; '.join(evidence[:3])})",
-                trace=tuple(f"{cls}.{attr}" for cls, attr in scc),
-            )
-        )
-    return findings
-
-
-def rule_message_protocol(graph: ProgramGraph) -> list[Diagnostic]:
-    """RPR015 — sent kinds/tags need dispatch arms; arm reads need keys."""
-    findings: list[Diagnostic] = []
-
-    def domain_modules() -> Iterable[ModuleFacts]:
-        for mf in graph.modules.values():
-            if mf.msg_domain and not mf.is_test:
-                yield mf
-
-    # Aggregate producers and consumers package-wide.
-    produced: dict[object, list[tuple[ModuleFacts, dict]]] = {}
-    produced_keys: dict[object, set[str]] = {}
-    consumed: set[object] = set()
-    for mf in domain_modules():
-        for entry in mf.dict_kinds:
-            value = graph.resolve_constant(mf.module, entry)
-            if value is None:
-                continue
-            produced.setdefault(value, []).append((mf, entry))
-            produced_keys.setdefault(value, set()).update(entry["keys"])
-        for entry in mf.kind_compares:
-            value = graph.resolve_constant(mf.module, entry)
-            if value is not None:
-                consumed.add(value)
-    sent_tags: dict[object, list[tuple[ModuleFacts, dict]]] = {}
-    consumed_tags: set[object] = set()
-    for mf in domain_modules():
-        for entry in mf.tag_sends:
-            value = graph.resolve_constant(mf.module, entry)
-            if isinstance(value, int):
-                sent_tags.setdefault(value, []).append((mf, entry))
-        for entry in mf.tag_consumes:
-            value = graph.resolve_constant(mf.module, entry)
-            if value is not None:
-                consumed_tags.add(value)
-
-    # (a) every produced kind needs a receiver-side dispatch arm.
-    for value, sites in sorted(produced.items(), key=lambda kv: str(kv[0])):
-        if value in consumed:
-            continue
-        for mf, entry in sites:
-            findings.append(
-                Diagnostic(
-                    rule="RPR015",
-                    path=mf.path,
-                    line=entry["line"],
-                    message=f"message kind {value!r} is sent here but no "
-                    "receiver in the package compares against it "
-                    "(missing dispatch arm, or a dead frame kind)",
-                )
-            )
-    for value, sites in sorted(sent_tags.items(), key=lambda kv: str(kv[0])):
-        if value in consumed_tags:
-            continue
-        for mf, entry in sites:
-            findings.append(
-                Diagnostic(
-                    rule="RPR015",
-                    path=mf.path,
-                    line=entry["line"],
-                    message=f"message tag {value!r} is sent here but no "
-                    "recv(tag=...) filter or .tag comparison consumes it",
-                )
-            )
-
-    # (b) dispatch-arm field reads must be producible.
-    for mf in domain_modules():
-        for arm in mf.kind_arms:
-            value = graph.resolve_constant(mf.module, arm)
-            if value is None or value not in produced_keys:
-                continue
-            allowed = produced_keys[value] | {"kind"}
-            for fname, has_default, line in arm["fields"]:
-                if has_default or fname in allowed:
-                    continue
-                findings.append(
-                    Diagnostic(
-                        rule="RPR015",
-                        path=mf.path,
-                        line=line,
-                        message=f"consumer reads field {fname!r} of a "
-                        f"kind-{value!r} message, but no producer of that "
-                        f"kind sets it (producers set: "
-                        f"{sorted(allowed)})",
-                    )
-                )
-    return findings
-
-
-def _assertion_family(graph: ProgramGraph) -> set[str]:
-    """Class ids (``module:Class``) in the AssertionError family."""
-    family: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for mf in graph.modules.values():
-            for cf in mf.classes.values():
-                cid = f"{mf.module}:{cf.name}"
-                if cid in family or not cf.is_exception:
-                    continue
-                for base in cf.bases:
-                    tail = base.split(".")[-1]
-                    resolved = graph.resolve_class_expr(mf.module, base)
-                    if tail in _ASSERTION_ROOTS or (
-                        resolved is not None and resolved in family
-                    ):
-                        family.add(cid)
-                        changed = True
-                        break
-    return family
-
-
-def _resolves_to_assertion(
-    graph: ProgramGraph, mf: ModuleFacts, expr: str, family: set[str]
-) -> bool:
-    tail = expr.split(".")[-1]
-    if tail in _ASSERTION_ROOTS:
-        return True
-    resolved = graph.resolve_class_expr(mf.module, expr)
-    return resolved is not None and resolved in family
-
-
-def _unpicklable_exceptions(
-    graph: ProgramGraph,
-) -> list[tuple[ModuleFacts, ClassFacts]]:
-    out = []
-    for mf in graph.modules.values():
-        if mf.is_test:
-            continue
-        for cf in mf.classes.values():
-            if cf.is_exception and cf.init_required > 1 and not cf.has_reduce:
-                out.append((mf, cf))
-    return out
-
-
-def rule_exception_flow(graph: ProgramGraph) -> list[Diagnostic]:
-    """RPR016 — dropped invariant violations; unpicklable worker errors."""
-    findings: list[Diagnostic] = []
-    family = _assertion_family(graph)
-
-    # (a) assertion-family exceptions caught and dropped.
-    for mf in graph.modules.values():
-        if mf.is_test:
-            continue
-        for types, reraises, func, line in mf.catches:
-            if reraises:
-                continue
-            dropped = [
-                t
-                for t in types
-                if _resolves_to_assertion(graph, mf, t, family)
-            ]
-            if dropped:
-                findings.append(
-                    Diagnostic(
-                        rule="RPR016",
-                        path=mf.path,
-                        line=line,
-                        message=f"{func} catches {'/'.join(sorted(dropped))} "
-                        "without re-raising: an invariant violation exists "
-                        "to fail loudly — handle it upstream or re-raise "
-                        "after cleanup",
-                    )
-                )
-
-    # (b) unpicklable exception classes in worker/node execution paths.
-    worker_roots = [
-        mf.module
-        for mf in graph.modules.values()
-        if not mf.is_test
-        and mf.module.rpartition(".")[2] in _WORKER_MODULE_STEMS
-    ]
-    if worker_roots:
-        reachable_modules = graph.import_closure(worker_roots)
-        raise_sites: dict[str, list[str]] = {}
-        for mf in graph.modules.values():
-            if mf.is_test or mf.module not in reachable_modules:
-                continue
-            for exc_expr, func, line in mf.raises:
-                tail = exc_expr.split(".")[-1]
-                raise_sites.setdefault(tail, []).append(
-                    f"{mf.path}:{line} ({func})"
-                )
-        for mf, cf in sorted(
-            _unpicklable_exceptions(graph), key=lambda e: (e[0].path, e[1].line)
-        ):
-            if mf.module not in reachable_modules:
-                continue
-            sites = raise_sites.get(cf.name)
-            if not sites:
-                continue
-            findings.append(
-                Diagnostic(
-                    rule="RPR016",
-                    path=mf.path,
-                    line=cf.line,
-                    message=f"exception {cf.name} has an __init__ with "
-                    f"{cf.init_required} required arguments and no "
-                    "__reduce__, so it cannot survive the pickle round-trip "
-                    "across the worker/node process boundary (raised at "
-                    f"e.g. {sites[0]}); add __reduce__ returning the "
-                    "constructor arguments",
-                )
-            )
-    return findings
-
-
-#: (rule id, rule callable) in reporting order.
-INTERPROC_RULES: tuple = (
-    ("RPR013", rule_blocking_reachability),
-    ("RPR014", rule_lock_order),
-    ("RPR015", rule_message_protocol),
-    ("RPR016", rule_exception_flow),
-)
-
-
-def run_interproc_rules(
-    graph: ProgramGraph,
-    timings: dict[str, float] | None = None,
-) -> list[Diagnostic]:
-    """Run every interprocedural rule; waivers are applied by the caller."""
-    import time as _time
-
-    findings: list[Diagnostic] = []
-    for rule_id, rule in INTERPROC_RULES:
-        start = _time.perf_counter()
-        findings.extend(rule(graph))
-        if timings is not None:
-            timings[rule_id] = timings.get(rule_id, 0.0) + (
-                _time.perf_counter() - start
-            )
     return findings

@@ -3,19 +3,19 @@
 Two analysis layers share one driver:
 
 * **per-file rules** — each file is parsed once and dispatched through
-  the registered AST rules (RPR001..RPR012 and RPR017, including the
-  RPR003 lock-discipline detector and the RPR005 export checker);
-* **whole-program rules** — the same parse also feeds
+  the registered AST rules (RPR001, RPR010, RPR011, RPR017/RPR020) and
+  the RPR003 lock-discipline detector;
+* **the whole-program rule** — the same parse also feeds
   :func:`repro.analysis.graph.extract_module_facts`; the resulting
   facts build a :class:`~repro.analysis.graph.ProgramGraph` over which
-  the interprocedural rules RPR013..RPR016 run
+  the interprocedural rule RPR013 runs
   (:mod:`repro.analysis.interproc`).
 
 Every run is cold: all four trees lint in a few seconds, an order of
 magnitude under the CI budget, so nothing is cached between runs.
 
 Extra driver modes: ``--format sarif`` (GitHub code scanning),
-``--graph callers|callees|locks <symbol>`` (interactive call/lock-graph
+``--graph callers|callees <symbol>`` (interactive call-graph
 queries), ``--changed`` (git-diff files plus reverse import
 dependencies), ``--stats`` (machine-readable timing/size JSON).
 
@@ -37,9 +37,8 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .diagnostics import Diagnostic, parse_waivers
-from .exports import check_exports
 from .graph import ModuleFacts, ProgramGraph, extract_module_facts
-from .interproc import run_interproc_rules
+from .interproc import rule_blocking_reachability
 from .locks import check_lock_discipline
 from .rules import FILE_RULES
 
@@ -70,23 +69,11 @@ _SKIP_DIRS = {
 RULE_DOC: dict[str, str] = {
     "RPR000": "malformed waiver comment (missing reason / misplaced)",
     "RPR001": "per-cell Python loop in an align/ kernel (keep kernels vectorised)",
-    "RPR002": "numpy matrix constructor without explicit dtype=",
     "RPR003": "mutation of lock-guarded shared state outside the lock (race)",
-    "RPR004": "unseeded randomness in benchmarks/ or simulate/",
-    "RPR005": "__all__ / re-export drift",
-    "RPR006": "bare except:",
-    "RPR007": "PYTHONPATH-unsafe absolute self-import inside the package",
-    "RPR008": "O(n) list.insert(0,..)/in-on-list in a loop",
     "RPR010": "blocking call (time.sleep / unbounded Queue.get) in a service request-handling path",
     "RPR011": "wall-clock time.time() in an instrumented path (use time.perf_counter)",
-    "RPR012": "raw socket / unbounded recv/accept outside cluster/transport.py",
     "RPR013": "service handler / lease-holding path transitively reaches a blocking call",
-    "RPR014": "lock-order cycle across classes (potential deadlock)",
-    "RPR015": "message kind/tag sent without a receiver dispatch arm, or consumer reads an unproduced field",
-    "RPR016": "invariant violation caught-and-dropped / unpicklable exception in a worker path",
     "RPR017": "import boundary: repro.align inside the repro.index layer (index routes before alignment); repro.simulate anywhere else in the package (figure code)",
-    "RPR018": "direct spool-queue write in repro.service (bypasses gateway admission)",
-    "RPR019": "ad-hoc threshold early-exit in align/ (skips must consult a PruneGate bound)",
     "RPR020": "repro.align import inside the repro.annot layer (annotation renders cached results only)",
 }
 
@@ -132,12 +119,6 @@ def _per_file_findings(
     findings.extend(check_lock_discipline(tree, source, path))
     if timings is not None:
         timings["RPR003"] = timings.get("RPR003", 0.0) + (
-            time.perf_counter() - start
-        )
-    start = time.perf_counter()
-    findings.extend(check_exports(tree, path))
-    if timings is not None:
-        timings["RPR005"] = timings.get("RPR005", 0.0) + (
             time.perf_counter() - start
         )
     unsuppressed = [d for d in findings if not waivers.is_waived(d.rule, d.line)]
@@ -231,7 +212,9 @@ def analyze_paths(paths: Iterable[str | Path]) -> AnalysisResult:
     start = time.perf_counter()
     graph = ProgramGraph(facts_by_path.values())
     timings["graph"] = time.perf_counter() - start
-    interproc = run_interproc_rules(graph, timings)
+    start = time.perf_counter()
+    interproc = rule_blocking_reachability(graph)
+    timings["RPR013"] = time.perf_counter() - start
     unsuppressed: list[Diagnostic] = []
     seen: set[tuple[str, str, int, str]] = set()
     for diag in sorted(interproc, key=lambda d: (d.path, d.line, d.rule)):
@@ -251,9 +234,6 @@ def analyze_paths(paths: Iterable[str | Path]) -> AnalysisResult:
         "modules_analyzed": n_analyzed,
         "functions": graph_stats["functions"],
         "call_edges": graph_stats["call_edges"],
-        "locks_seen": graph_stats["locks_seen"],
-        "lock_nodes": graph_stats["lock_nodes"],
-        "lock_edges": graph_stats["lock_edges"],
         "findings": len(findings),
         "rules_active": len(active_rules()),
         "rule_timings_ms": {
@@ -333,21 +313,6 @@ def _render(findings: Sequence[Diagnostic], fmt: str) -> str:
 def _print_graph_query(
     graph: ProgramGraph, query: str, symbol: str
 ) -> int:
-    if query == "locks":
-        edges = [
-            (src, dst, ev)
-            for src, dsts in sorted(graph.lock_edges.items())
-            for dst, ev in dsts
-            if symbol == "all"
-            or symbol in src[0].rsplit(":", 1)[-1]
-            or symbol in dst[0].rsplit(":", 1)[-1]
-        ]
-        if not edges:
-            print(f"repro lint: no lock edges match {symbol!r}")
-            return 0
-        for (scls, sattr), (dcls, dattr), ev in edges:
-            print(f"{scls}.{sattr} -> {dcls}.{dattr}  [{ev}]")
-        return 0
     nodes = graph.find_nodes(symbol)
     if not nodes:
         print(f"repro lint: no function matches {symbol!r}", file=sys.stderr)
@@ -394,8 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--graph",
         nargs=2,
         metavar=("QUERY", "SYMBOL"),
-        help="query the program graph: callers|callees|locks <symbol> "
-        "(locks accepts a class name or 'all')",
+        help="query the call graph: callers|callees <symbol>",
     )
     return parser
 
@@ -407,13 +371,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         for rule in active_rules():
             print(f"{rule}  {RULE_DOC[rule]}")
         return 0
-    if args.graph is not None and args.graph[0] not in (
-        "callers",
-        "callees",
-        "locks",
-    ):
+    if args.graph is not None and args.graph[0] not in ("callers", "callees"):
         print(
-            f"repro lint: --graph query must be callers|callees|locks, "
+            f"repro lint: --graph query must be callers|callees, "
             f"got {args.graph[0]!r}",
             file=sys.stderr,
         )

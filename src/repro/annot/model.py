@@ -23,12 +23,12 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Iterable, Sequence as SequenceT
 
+from .. import obs
 from ..core.report import FamilyModel, extract_families
 from ..core.result import RepeatResult
 from ..core.scan import ScanDocument, SequenceReport
 from ..sequences.sequence import Sequence
 from .gff import render_gff3, validate_gff3
-from .metrics import observe_render_seconds, record_report
 from .report_html import render_html
 from .tracks import ProfileTrack, build_track, render_wig
 
@@ -44,6 +44,11 @@ __all__ = [
 
 PROFILE_FORMAT = "repro-profile"
 PROFILE_FORMAT_VERSION = 1
+
+
+def _rendered(fmt: str, start: float) -> None:
+    obs.record("repro_annot_render_seconds", perf_counter() - start, format=fmt)
+    obs.record("repro_annot_reports_total", format=fmt)
 
 
 @dataclass(frozen=True)
@@ -84,8 +89,7 @@ class Annotation:
             for entry in self.sequences
             if entry.ok
         )
-        observe_render_seconds("gff3", perf_counter() - start)
-        record_report("gff3")
+        _rendered("gff3", start)
         return text
 
     def profile_payload(self) -> dict[str, Any]:
@@ -111,8 +115,7 @@ class Annotation:
             "sequences": records,
             "total_copy_residues": total_copy_residues,
         }
-        observe_render_seconds("json", perf_counter() - start)
-        record_report("json")
+        _rendered("json", start)
         return payload
 
     def profile_json(self) -> str:
@@ -134,8 +137,7 @@ class Annotation:
             ),
             title=title,
         )
-        observe_render_seconds("html", perf_counter() - start)
-        record_report("html")
+        _rendered("html", start)
         return text
 
     def wig(self) -> str:

@@ -31,6 +31,7 @@ from typing import Any
 
 import numpy as np
 
+from ..align.lanes import OWED_LANES
 from ..core.result import RepeatResult
 from ..core.scan import DatabaseScanner
 from ..sequences.sequence import Sequence
@@ -106,17 +107,21 @@ def _spec_sequence(spec: JobSpec) -> Sequence:
 def run_rows_shard(payload: dict[str, Any]) -> dict[str, Any]:
     """Execute one ``rows`` shard: version-0 bottom rows for a split range.
 
-    Uses the finder's own session state and the same
-    ``engine.last_row(problem_for(r))`` call the sequential first pass
-    makes, so each row is bit-identical to the one the single-node loop
-    would have cached.
+    Uses the finder's own session state and goes out
+    :data:`~repro.align.lanes.OWED_LANES` splits per engine batch, as
+    the local first pass does; engines agree bit-for-bit across batch
+    widths, so each row is byte-equal to
+    ``engine.last_row(problem_for(r))`` and to the one the single-node
+    loop would have cached.
     """
     spec = JobSpec.from_dict(payload["spec"])
     state = finder_for(spec).session(_spec_sequence(spec)).state
+    splits = range(int(payload["r_start"]), int(payload["r_stop"]))
     rows = []
-    for r in range(int(payload["r_start"]), int(payload["r_stop"])):
-        row = state.engine.last_row(state.problem_for(r))
-        rows.append((int(r), np.asarray(row)))
+    for at in range(0, len(splits), OWED_LANES):
+        chunk = splits[at : at + OWED_LANES]
+        filled, _seconds = state.fill([state.problem_for(r) for r in chunk])
+        rows.extend((int(r), np.asarray(row)) for r, row in zip(chunk, filled))
     return {"shard_id": payload["shard_id"], "rows": rows}
 
 

@@ -1,8 +1,8 @@
 """Socket transport: length-prefixed JSON frames over framed channels.
 
 This is the **only** module in :mod:`repro.cluster` that touches raw
-sockets (lint rule RPR012 enforces that); everything above it speaks
-:class:`Channel` objects and plain Python payloads.
+sockets; everything above it speaks :class:`Channel` objects and plain
+Python payloads.
 
 Wire format
 -----------
@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 #: Every socket this package creates carries an explicit timeout — a
-#: silent distributed hang is worse than a loud failure (RPR012).
+#: silent distributed hang is worse than a loud failure.
 DEFAULT_TIMEOUT = 30.0
 
 #: Frames larger than this are protocol bugs, not payloads.

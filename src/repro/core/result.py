@@ -290,24 +290,6 @@ class RunStats:
         parts = ", ".join(f"{k}={v!r}" for k, v in self.__getstate__().items())
         return f"RunStats({parts})"
 
-    def realignment_fraction(self, m: int, k: int) -> float:
-        """Realignments performed / realignments a full-rescan strategy
-        (the old algorithm) would perform, ``(k - 1) * (m - 1)``.
-
-        The §3 claim is that this is 0.03–0.10.
-        """
-        naive = (k - 1) * (m - 1)
-        if naive <= 0:
-            return 0.0
-        return self.realignments / naive
-
-    @property
-    def waste_ratio(self) -> float:
-        """Invalidated speculative realignments / all alignments."""
-        if self.alignments <= 0:
-            return 0.0
-        return self.speculative_waste / self.alignments
-
 
 @dataclass
 class RepeatResult:

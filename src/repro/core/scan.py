@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Any, Iterable
 
 import numpy as np
 
+from .. import obs
 from ..sequences.fasta import iter_fasta
 from ..sequences.sequence import Sequence
 from ..sequences.stats import mask_low_complexity
@@ -172,7 +173,6 @@ class DatabaseScanner:
         }
         if config is not None:
             from ..index.bounds import seed_score_bounds
-            from ..index.metrics import observe_tightness
             from ..index.routing import ROUTE_FULL, ROUTE_SKIP
 
             self.index_stats = stats
@@ -232,7 +232,10 @@ class DatabaseScanner:
                 if bounds is not None:
                     for top in result.top_alignments:
                         if top.score > 0:
-                            observe_tightness(bounds[top.r - 1] / top.score)
+                            obs.record(
+                                "repro_index_bound_tightness",
+                                bounds[top.r - 1] / top.score,
+                            )
             except Exception as exc:  # noqa: BLE001 - per-record isolation
                 stats["failed"] += 1
                 reports[order] = self._failed_report(seq, exc)
@@ -255,7 +258,6 @@ class DatabaseScanner:
 
     def _route(self, target: Sequence, config: "IndexConfig", stats: dict[str, Any]):
         """Profile ``target`` and classify it; counts into ``stats``."""
-        from ..index.metrics import record_route
         from ..index.routing import classify
 
         started = time.perf_counter()
@@ -268,7 +270,7 @@ class DatabaseScanner:
             min_score=self.finder.min_score,
             config=config,
         )
-        record_route(decision.route)
+        obs.record("repro_index_routed_total", route=decision.route)
         stats[decision.route] += 1
         return decision
 
@@ -277,11 +279,10 @@ class DatabaseScanner:
         if self.index_store is not None:
             return self.index_store.build_or_load(target, config)
         from ..index.kmer import build_profile
-        from ..index.metrics import observe_build_seconds
 
         started = time.perf_counter()
         profile = build_profile(target, **config.profile_params())
-        observe_build_seconds(time.perf_counter() - started)
+        obs.record("repro_index_build_seconds", time.perf_counter() - started)
         return profile, True
 
     def rank(self, sequences: Iterable[Sequence]) -> list[SequenceReport]:

@@ -423,22 +423,3 @@ class TopAlignmentSession:
                 self.absorb(batch, *state.fill(batch.problems))
         return list(state.found[start:])
 
-    def extend_until(self, min_score: float, *, max_alignments: int = 10_000) -> list[TopAlignment]:
-        """Accept alignments while they score above ``min_score``.
-
-        A convenience for "give me everything meaningful"; bounded by
-        ``max_alignments`` as a safety stop.
-        """
-        start = len(self)
-        saved = self.min_score
-        raised = min_score > saved and not self._exhausted
-        self.min_score = max(saved, min_score)
-        try:
-            self.extend(max_alignments)
-        finally:
-            self.min_score = saved
-            if raised:
-                # Exhausted above the raised bar only: weaker alignments
-                # may remain reachable at the restored threshold.
-                self._exhausted = False
-        return list(self._state.found[start:])

@@ -29,8 +29,8 @@ The gateway deliberately takes its stores (job store, spool queue,
 result cache) as constructor arguments and defers every
 ``repro.service`` import into the call paths: ``service.server``
 imports this module at module scope, and the one-way import rule
-(RPR007's spirit, ``serve()``'s cluster pattern) is what keeps the
-package graph acyclic.
+(``serve()``'s cluster pattern) is what keeps the package graph
+acyclic.
 """
 
 from __future__ import annotations
@@ -363,10 +363,15 @@ class Gateway:
 
         Queued records without a spool marker were waiting in a lane
         when the previous server died; they re-enter their tenant's
-        lane.  Every other non-terminal record just re-occupies quota.
+        lane.  So does a running record without one: a cluster-routed
+        job is driven by a thread of the server that died with it
+        (``workers.recover`` has already requeued every claimed spool
+        marker), so nothing would ever finish it.  Every other
+        non-terminal record just re-occupies quota.
         """
         _JobSpec, JobState, _job_digest = self._protocol()
         restored = 0
+        stranded: list[str] = []
         with self._lock:
             for job_id in self.store.list_ids():
                 record = self.store.get(job_id)
@@ -379,7 +384,9 @@ class Gateway:
                 active[job_id] = len(
                     json.dumps(record.spec, sort_keys=True).encode("utf-8")
                 )
-                if record.state == JobState.QUEUED and not self.queue.contains(job_id):
+                if not self.queue.contains(job_id):
+                    if record.state == JobState.RUNNING:
+                        stranded.append(job_id)
                     tenant = self.directory.get(tenant_name)
                     if tenant is not None:
                         self.drr.set_weight(tenant_name, tenant.weight)
@@ -387,6 +394,11 @@ class Gateway:
                         tenant_name, LaneItem(job_id, priority=record.priority)
                     )
                     restored += 1
+        # Before the pump below: a lane item only reaches a worker
+        # through it, and the worker must claim a queued record.
+        for job_id in stranded:
+            self.store.update(job_id, state=JobState.QUEUED, worker="")
+            self.store.append_event(job_id, "requeued", reason="server restarted")
         self.pump()
         return restored
 

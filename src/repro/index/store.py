@@ -27,10 +27,10 @@ import os
 import time
 from typing import Any
 
+from .. import obs
 from ..sequences.sequence import Sequence
 from ..service.cache import ResultCache
 from .kmer import KmerProfile, build_profile
-from .metrics import observe_build_seconds, record_store_hit, record_store_miss
 from .routing import IndexConfig
 
 __all__ = ["INDEX_VERSION", "IndexStore", "index_digest", "sequence_digest"]
@@ -79,16 +79,16 @@ class IndexStore:
         payload = self.cache.get(index_digest(sequence, config))
         if payload is None or payload.get("version") != INDEX_VERSION:
             self.misses += 1
-            record_store_miss()
+            obs.record("repro_index_store_misses_total")
             return None
         try:
             profile = KmerProfile.from_dict(payload["profile"])
         except (KeyError, TypeError, ValueError):
             self.misses += 1
-            record_store_miss()
+            obs.record("repro_index_store_misses_total")
             return None
         self.hits += 1
-        record_store_hit()
+        obs.record("repro_index_store_hits_total")
         return profile
 
     def store(
@@ -119,7 +119,7 @@ class IndexStore:
         elapsed = time.perf_counter() - start
         self.builds += 1
         self.build_seconds += elapsed
-        observe_build_seconds(elapsed)
+        obs.record("repro_index_build_seconds", elapsed)
         self.store(sequence, config, profile)
         return profile, True
 

@@ -20,9 +20,12 @@ Typical use::
   and the (no-op) registries that hold them;
 * :mod:`~repro.obs.tracing` — nesting spans exported as JSON trees;
 * :mod:`~repro.obs.prometheus` — text-exposition rendering;
+* :mod:`~repro.obs.families` — the declared families of the service,
+  index and annotation tiers, and :func:`record` onto them;
 * :mod:`~repro.obs.state` — the process-wide pair + env gating.
 """
 
+from .families import FAMILIES, Family, instrument, record
 from .prometheus import CONTENT_TYPE, render_prometheus
 from .registry import (
     LATENCY_BUCKETS,
@@ -50,6 +53,8 @@ from .tracing import Span, Tracer
 __all__ = [
     "CONTENT_TYPE",
     "Counter",
+    "FAMILIES",
+    "Family",
     "Gauge",
     "Histogram",
     "LATENCY_BUCKETS",
@@ -64,6 +69,8 @@ __all__ = [
     "enabled",
     "get_registry",
     "get_tracer",
+    "instrument",
+    "record",
     "render_prometheus",
     "reset",
     "set_registry",

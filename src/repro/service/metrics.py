@@ -18,24 +18,13 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING
 
-from ..obs import LATENCY_BUCKETS, MetricsRegistry, get_registry, render_prometheus
+from ..obs import MetricsRegistry, get_registry, instrument, render_prometheus
+from ..obs.families import WORKER_COUNTERS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .server import ReproService
 
 __all__ = ["build_service_registry", "render_service_metrics"]
-
-#: WorkerStats counters republished per worker tag.
-_WORKER_COUNTERS = (
-    ("jobs_done", "Jobs this worker ran to completion"),
-    ("jobs_failed", "Jobs this worker failed"),
-    ("jobs_cancelled", "Jobs this worker observed cancelled mid-run"),
-    ("jobs_suspended", "Jobs this worker drained to a checkpoint"),
-    ("cache_hits", "Jobs this worker served from the result cache"),
-    ("alignments", "Bottom-row alignments this worker computed"),
-    ("cells", "Matrix cells this worker evaluated"),
-    ("index_seeded", "Jobs this worker started with index-seeded heap bounds"),
-)
 
 
 def build_service_registry(
@@ -44,63 +33,33 @@ def build_service_registry(
     """A scrape-time registry filled from the service's durable stores."""
     registry = MetricsRegistry()
 
-    registry.gauge(
-        "repro_service_uptime_seconds", help="Seconds since the service started"
-    ).set(time.time() - service.started)
+    def family(name: str, **labels):
+        return instrument(registry, name, **labels)
+
+    family("repro_service_uptime_seconds").set(time.time() - service.started)
 
     # -- queue -----------------------------------------------------------
-    registry.gauge(
-        "repro_service_queue_depth", help="Jobs waiting in the spool queue"
-    ).set(service.queue.depth())
-    registry.gauge(
-        "repro_service_queue_in_flight", help="Jobs claimed by workers right now"
-    ).set(service.queue.in_flight())
-    registry.gauge(
-        "repro_service_queue_capacity",
-        help="Backlog bound above which submissions shed load (0 = unbounded)",
-    ).set(service.queue.capacity)
+    family("repro_service_queue_depth").set(service.queue.depth())
+    family("repro_service_queue_in_flight").set(service.queue.in_flight())
+    family("repro_service_queue_capacity").set(service.queue.capacity)
 
     # -- result cache ----------------------------------------------------
     cache_stats = service.cache.stats()
-    hits = registry.counter(
-        "repro_service_cache_hits_total",
-        help="Result-cache hits by tier",
-        tier="memory",
+    family("repro_service_cache_hits_total", tier="memory").inc(
+        cache_stats["hits_memory"]
     )
-    hits.inc(cache_stats["hits_memory"])
-    registry.counter("repro_service_cache_hits_total", tier="disk").inc(
-        cache_stats["hits_disk"]
-    )
-    registry.counter(
-        "repro_service_cache_misses_total", help="Result-cache misses"
-    ).inc(cache_stats["misses"])
-    registry.counter(
-        "repro_service_cache_stores_total", help="Result payloads written to the cache"
-    ).inc(cache_stats["stores"])
-    registry.gauge(
-        "repro_service_cache_memory_entries", help="Payloads in the in-memory LRU front"
-    ).set(cache_stats["memory_entries"])
-    registry.gauge(
-        "repro_service_cache_disk_entries", help="Digests stored on disk"
-    ).set(service.cache.entries())
+    family("repro_service_cache_hits_total", tier="disk").inc(cache_stats["hits_disk"])
+    family("repro_service_cache_misses_total").inc(cache_stats["misses"])
+    family("repro_service_cache_stores_total").inc(cache_stats["stores"])
+    family("repro_service_cache_memory_entries").set(cache_stats["memory_entries"])
+    family("repro_service_cache_disk_entries").set(service.cache.entries())
 
     # -- jobs ------------------------------------------------------------
     for state, count in sorted(service.store.states().items()):
-        registry.gauge(
-            "repro_service_jobs", help="Job records by lifecycle state", state=state
-        ).set(count)
-    latency = registry.histogram(
-        "repro_service_job_seconds",
-        buckets=LATENCY_BUCKETS,
-        help="Submission-to-terminal latency of computed (non-cache-born) jobs",
-    )
-    attempts = registry.counter(
-        "repro_service_job_attempts_total", help="Worker claims across all jobs"
-    )
-    retries = registry.counter(
-        "repro_service_job_retries_total",
-        help="Re-claims beyond each job's first attempt (worker restarts/requeues)",
-    )
+        family("repro_service_jobs", state=state).set(count)
+    latency = family("repro_service_job_seconds")
+    attempts = family("repro_service_job_attempts_total")
+    retries = family("repro_service_job_retries_total")
     tenant_states: dict[tuple[str, str], int] = {}
     for job_id in service.store.list_ids():
         record = service.store.get(job_id)
@@ -113,23 +72,14 @@ def build_service_registry(
         if record.terminal and not record.served_from_cache and record.finished > 0:
             latency.observe(max(0.0, record.finished - record.created))
     for (tenant, state), count in sorted(tenant_states.items()):
-        registry.gauge(
-            "repro_service_tenant_jobs",
-            help="Job records by owning tenant and lifecycle state",
-            tenant=tenant,
-            state=state,
-        ).set(count)
+        family("repro_service_tenant_jobs", tenant=tenant, state=state).set(count)
 
     # -- workers ---------------------------------------------------------
     if workers_alive is not None:
-        registry.gauge(
-            "repro_service_workers_alive", help="Live worker processes in this pool"
-        ).set(workers_alive)
+        family("repro_service_workers_alive").set(workers_alive)
     for tag, stats in sorted(service.store.worker_stats().items()):
-        for key, help_text in _WORKER_COUNTERS:
-            registry.counter(
-                f"repro_worker_{key}_total", help=help_text, worker=tag
-            ).inc(stats.get(key, 0))
+        for key in WORKER_COUNTERS:
+            family(f"repro_worker_{key}_total", worker=tag).inc(stats.get(key, 0))
 
     return registry
 

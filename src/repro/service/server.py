@@ -290,7 +290,6 @@ class ReproService:
         residue text are everything the annotation layer needs.
         """
         from ..annot import annotate_scan
-        from ..annot.metrics import record_report_denied
         from ..core.result import RepeatResult
         from ..core.scan import SequenceReport
         from ..sequences.sequence import Sequence
@@ -306,7 +305,7 @@ class ReproService:
         if tenant is not None and record.tenant != tenant and not (
             self.store.result_access(record.digest, tenant)
         ):
-            record_report_denied()
+            obs.record("repro_annot_reports_denied_total")
             raise ForbiddenError(
                 f"tenant {tenant!r} does not own job {job_id}"
             )

@@ -1,13 +1,14 @@
-"""Service half of the fixture protocol.
+"""Service half of the fixture.
 
-Seeds RPR013 (``do_fetch`` reaches ``time.sleep`` through a helper,
-so the per-file direct-sink rule cannot see it) and produces the
-``pong`` kind consumed by :mod:`minipkg.node`.
+Seeds RPR013: ``do_fetch`` reaches ``time.sleep`` through a helper, so
+the per-file direct-sink rule cannot see it.  The call into
+:mod:`minipkg.worker` gives the graph a module-alias edge and the
+import the reverse-closure query follows.
 """
 
 import time
 
-from . import protocol
+from . import worker
 
 
 def _tail_wait():
@@ -17,4 +18,4 @@ def _tail_wait():
 class RequestHandler:
     def do_fetch(self, channel):
         _tail_wait()
-        channel.send({"kind": protocol.PONG, "value": 1, "payload": "x"})
+        channel.send(worker.execute({"id": 1}))

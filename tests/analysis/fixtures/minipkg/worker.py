@@ -1,14 +1,12 @@
-"""Shard executor in a worker-stem module.
+"""Shard executor half of the fixture.
 
 Seeds RPR013's lease-path case (``run_lease`` blocks while holding a
-lease), RPR016a (``execute`` catches ``AssertionError`` and drops it),
-and provides the raise site that makes :class:`minipkg.errors.BadShard`
-an RPR016b finding (unpicklable exception on a worker path).
+lease).  ``Executor`` gives the call graph one edge of each remaining
+resolution shape: a constructor, a ``self.<attr>.method`` call through
+a typed attribute, and a module-local function.
 """
 
 import time
-
-from .errors import BadShard
 
 
 def run_lease(lease, budget=1.0):
@@ -17,14 +15,26 @@ def run_lease(lease, budget=1.0):
 
 
 def execute(shard):
-    try:
-        _check(shard)
-    except AssertionError:
-        return None
-    if shard.get("bad"):
-        raise BadShard(shard["id"], "unusable")
+    _check(shard)
     return shard
 
 
 def _check(shard):
     assert shard, "empty shard"
+
+
+class Ledger:
+    def __init__(self):
+        self.seen = []
+
+    def note(self, shard):
+        self.seen.append(shard)
+
+
+class Executor:
+    def __init__(self):
+        self.ledger = Ledger()
+
+    def run(self, shard):
+        self.ledger.note(shard)
+        return execute(shard)

@@ -23,10 +23,13 @@ SRC = REPO / "src" / "repro"
 
 
 def test_at_least_eight_rules_active():
-    rules = active_rules()
-    assert len(rules) >= 8
-    assert {"RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006",
-            "RPR007", "RPR008", "RPR010"} <= set(rules)
+    # Exactly the rules that fire on the tree with its waivers stripped
+    # (ANALYSIS.md, "Which rules exist"), plus waiver hygiene and the
+    # layer-order table.
+    assert active_rules() == [
+        "RPR000", "RPR001", "RPR003", "RPR010", "RPR011", "RPR013",
+        "RPR017", "RPR020",
+    ]
 
 
 def test_repo_is_lint_clean():
@@ -58,21 +61,23 @@ class TestLintMain:
         assert lint_main([str(SRC / "analysis")]) == 0
         err = capsys.readouterr().err
         assert "0 finding(s)" in err
-        assert "20 rules active" in err
+        assert "8 rules active" in err
 
     def test_violations_exit_one_with_rendered_findings(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text("try:\n    x()\nexcept:\n    pass\n")
+        bad = tmp_path / "core" / "bad.py"
+        bad.parent.mkdir()
+        bad.write_text("import time\n\nstamp = time.time()\n")
         assert lint_main([str(bad)]) == 1
         out = capsys.readouterr().out
-        assert "RPR006" in out and "bad.py:3" in out
+        assert "RPR011" in out and "bad.py:3" in out
 
     def test_json_format(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text("try:\n    x()\nexcept:\n    pass\n")
+        bad = tmp_path / "core" / "bad.py"
+        bad.parent.mkdir()
+        bad.write_text("import time\n\nstamp = time.time()\n")
         assert lint_main(["--format", "json", str(bad)]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload[0]["rule"] == "RPR006"
+        assert payload[0]["rule"] == "RPR011"
         assert payload[0]["line"] == 3
 
     def test_missing_path_exits_two(self, capsys):
@@ -89,16 +94,15 @@ class TestLintMain:
 class TestCliIntegration:
     def test_repro_lint_subcommand(self, capsys):
         assert cli_main(["lint", str(SRC / "analysis")]) == 0
-        assert "20 rules active" in capsys.readouterr().err
+        assert "8 rules active" in capsys.readouterr().err
 
     def test_repro_lint_propagates_failure(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text("import numpy as np\n")
-        (tmp_path / "align").mkdir()
-        kernel = tmp_path / "align" / "k.py"
-        kernel.write_text("import numpy as np\nM = np.zeros((3, 3))\n")
+        (tmp_path / "ok.py").write_text("import numpy as np\n")
+        (tmp_path / "core").mkdir()
+        timer = tmp_path / "core" / "t.py"
+        timer.write_text("import time\nstamp = time.time()\n")
         assert cli_main(["lint", str(tmp_path)]) == 1
-        assert "RPR002" in capsys.readouterr().out
+        assert "RPR011" in capsys.readouterr().out
 
     def test_repro_lint_list_rules(self, capsys):
         assert cli_main(["lint", "--list-rules"]) == 0
@@ -113,4 +117,4 @@ class TestCliIntegration:
             env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
         )
         assert proc.returncode == 0, proc.stderr
-        assert "20 rules active" in proc.stderr
+        assert "8 rules active" in proc.stderr

@@ -77,9 +77,8 @@ class TestCli:
     def test_stats_flag_emits_json(self, minipkg, capsys):
         lint_main(["--stats", str(minipkg)])
         stats = json.loads(capsys.readouterr().out)
-        assert stats["files"] == 7
+        assert stats["files"] == 3
         assert stats["rules_active"] == len(RULE_DOC)
         assert "rule_timings_ms" in stats and "total_ms" in stats
-        # Locks the facts pass identified, beside the cross-class subset.
-        assert stats["locks_seen"] == 2 and stats["lock_nodes"] == 2
+        assert stats["functions"] == 9 and stats["call_edges"] == 6
         assert "modules_cached" not in stats  # every run is cold

@@ -24,7 +24,7 @@ from repro.cluster import (
     NodeAgent,
     NodeConfig,
 )
-from repro.cluster.execution import merge_scan_reports
+from repro.cluster.execution import merge_scan_reports, run_rows_shard
 from repro.cluster.protocol import report_to_dict
 from repro.cluster.shards import merge_shard_results
 from repro.core.scan import DatabaseScanner
@@ -142,6 +142,20 @@ class TestScanBitIdentity:
             Sequence(spec.normalized_sequence(), spec.alphabet)
         )
         assert result.to_dict(stats=False) == local.to_dict(stats=False)
+
+    def test_rows_shard_chunks_are_byte_equal_to_single_fills(self):
+        # 149 splits: three engine batches (OWED_LANES = 64), the last short.
+        spec = _spec(sequence=pseudo_titin(150, seed=11).text, top_alignments=5)
+        shard = run_rows_shard(
+            {"spec": spec.to_dict(), "shard_id": 0, "r_start": 1, "r_stop": 150}
+        )
+        state = finder_for(spec).session(
+            Sequence(spec.normalized_sequence(), spec.alphabet)
+        ).state
+        assert [r for r, _ in shard["rows"]] == list(range(1, 150))
+        for r, row in shard["rows"]:
+            single = state.engine.last_row(state.problem_for(r))
+            assert row.dtype == single.dtype and row.tobytes() == single.tobytes(), r
 
 
 class TestClusterClient:

@@ -107,8 +107,7 @@ class TestWasteAccounting:
         seq = pseudo_titin(120, seed=11)
         exchange, gaps = blosum62(), GapPenalties(8, 1)
         _, stats = _reference(seq, 6, exchange, gaps)
-        assert stats.speculative_waste == 0
-        assert stats.waste_ratio == 0.0
+        assert stats.speculative_waste == 0 < stats.alignments
         assert stats.group == 1
 
     def test_batched_waste_is_bounded(self):
@@ -134,7 +133,7 @@ class TestWasteAccounting:
         stats = session.stats
         assert 0 < stats.speculative_waste <= session.speculative_lanes
         assert stats.speculative_waste <= 2 * stats.tracebacks
-        assert stats.waste_ratio == stats.speculative_waste / stats.alignments
+        assert stats.speculative_waste < 0.1 * stats.alignments
         # Wasted lanes are the only alignments the sequential run lacks
         # (and some of them tighten bounds that save later work).
         extra = stats.alignments - sequential.alignments

@@ -82,15 +82,15 @@ class TestSession:
         with pytest.raises(ValueError):
             session.extend(0)
 
-    def test_extend_until_score(self, tandem_dna, dna_scoring):
+    def test_min_score_bar_stops_before_weaker_alignments(self, tandem_dna, dna_scoring):
         ex, gaps = dna_scoring
-        session = TopAlignmentSession(tandem_dna, ex, gaps)
-        got = session.extend_until(7.0)
+        barred = TopAlignmentSession(tandem_dna, ex, gaps, min_score=7.0)
+        got = barred.extend(10_000)
         assert [a.score for a in got] == [8.0, 8.0, 8.0]
-        # Original threshold restored: weaker alignments still reachable.
-        assert session.min_score == 0.0
-        more = session.extend(2)
-        assert all(a.score <= 8.0 for a in more)
+        # The bar is that session's: an open one finds the same three first.
+        session = TopAlignmentSession(tandem_dna, ex, gaps)
+        assert _key(session.extend(3)) == _key(got)
+        assert all(a.score <= 8.0 for a in session.extend(2))
 
     def test_min_score_constructor(self, tandem_dna, dna_scoring):
         ex, gaps = dna_scoring
@@ -142,14 +142,19 @@ class TestOneDriver:
         assert session.stats.pruned_lanes == one_shot.pruned_lanes
         assert session.stats.cells == one_shot.cells
 
-    def test_extend_until_leaves_weaker_alignments_reachable(self):
+    def test_min_score_run_is_a_prefix_of_the_open_run(self):
         seq = pseudo_titin(80, seed=3)
         ex, gaps = blosum62(), GapPenalties(8, 1)
         expected, _ = find_top_alignments(seq, 4, ex, gaps)
         bar = expected[1].score  # strictly above: only the first clears it
-        session = TopAlignmentSession(seq, ex, gaps)
-        strong = session.extend_until(bar)
+        barred = TopAlignmentSession(seq, ex, gaps, min_score=bar)
+        strong = barred.extend(4)
         assert 1 <= len(strong) < 4 and all(a.score > bar for a in strong)
+        assert barred.exhausted
+        # Exhausted above the bar only: an open session finds the same
+        # alignments first and the weaker ones after them.
+        session = TopAlignmentSession(seq, ex, gaps)
+        assert _key(session.extend(len(strong))) == _key(strong)
         assert not session.exhausted
         session.extend(4 - len(strong))
         assert _key(session.alignments) == _key(expected)
