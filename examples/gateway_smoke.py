@@ -4,7 +4,8 @@
 Two phases, both running real subprocesses on loopback:
 
 **Tenant service drill** — ``repro serve --tenants`` with one worker
-and a dispatch window of 1, so fair share is observable:
+and nothing else set, so fair share is shown on the default
+configuration:
 
 * anonymous and wrong-key requests are rejected (401) while
   ``/healthz`` and ``/metrics`` stay open;
@@ -13,9 +14,10 @@ and a dispatch window of 1, so fair share is observable:
 * a duplicate ``POST /jobs`` with the same ``Idempotency-Key`` replays
   the original job — byte-identical job id, no second record;
 * a light tenant (weight 4) submitting *behind* a saturating heavy
-  tenant (weight 1, 8 queued jobs) completes while most of the heavy
-  backlog is still pending — deficit-round-robin overtakes arrival
-  order;
+  tenant (weight 1, 8 spooled jobs) is started ahead of most of that
+  backlog — its spool key carries the backlog head's fair-share tag,
+  not its tail's — and ``repro_service_tenant_jobs`` still counts the
+  heavy jobs as queued when it is done;
 * SIGHUP hot-reloads the tenant file (a tenant added mid-flight can
   submit) and ``/metrics`` carries per-tenant gateway families;
 * SIGTERM shuts the service down cleanly.
@@ -163,6 +165,18 @@ def check_idempotency(url: str) -> None:
     print(f"idempotency: duplicate POST replayed job {first['id']} byte-identical")
 
 
+def _metrics_text(url: str) -> str:
+    with urllib.request.urlopen(f"{url}/metrics", timeout=10) as resp:
+        return resp.read().decode("utf-8")
+
+
+def _metric_value(url: str, sample: str) -> float:
+    for line in _metrics_text(url).splitlines():
+        if line.startswith(sample + " "):
+            return float(line.rsplit(" ", 1)[1])
+    return 0.0
+
+
 def check_fair_share(url: str) -> None:
     heavy = _client(url, "smoke-heavy-key")
     light = _client(url, "smoke-light-key")
@@ -170,20 +184,24 @@ def check_fair_share(url: str) -> None:
     light_record = light.submit(_spec(seed=9))
     done = light.wait(light_record["id"], timeout=120)
     assert done["state"] == "done", done
-    pending = [
-        jid for jid in heavy_ids
-        if heavy.status(jid)["state"] not in ("done", "failed", "cancelled")
-    ]
-    assert len(pending) >= 4, (
-        f"light tenant finished with only {len(pending)}/8 heavy jobs "
-        "pending — fair share did not overtake the backlog"
+    queued = _metric_value(
+        url, 'repro_service_tenant_jobs{state="queued",tenant="heavy"}'
+    )
+    assert queued >= 4, (
+        f"light tenant finished with only {queued:g}/8 heavy jobs queued "
+        "— fair share did not overtake the backlog"
+    )
+    # The order workers started the jobs in is the claim order.
+    started = [heavy.wait(jid, timeout=300)["started"] for jid in heavy_ids]
+    ahead = sum(1 for t in started if t < done["started"])
+    assert ahead <= 2, (
+        f"{ahead}/8 heavy jobs were started before the light job "
+        "submitted behind them"
     )
     print(
-        f"fair share: light job done while {len(pending)}/8 heavy jobs "
-        "still pending (weight 4 vs 1)"
+        f"fair share: light job started behind {ahead}/8 heavy jobs and "
+        f"was done with {queued:g} still queued (weight 4 vs 1)"
     )
-    for jid in heavy_ids:  # drain the backlog before shutdown
-        heavy.wait(jid, timeout=300)
 
 
 def check_sighup_reload(url: str, proc: subprocess.Popen, tenants_file: Path) -> None:
@@ -202,14 +220,12 @@ def check_sighup_reload(url: str, proc: subprocess.Popen, tenants_file: Path) ->
 
 
 def check_metrics(url: str) -> None:
-    with urllib.request.urlopen(f"{url}/metrics", timeout=10) as resp:
-        text = resp.read().decode("utf-8")
+    text = _metrics_text(url)
     required = (
         'repro_gateway_admissions_total{route="spool",tenant="heavy"}',
         'repro_gateway_admissions_total{route="replay",tenant="heavy"}',
         'repro_gateway_rejections_total{reason="rate",tenant="capped"}',
-        'repro_gateway_grants_total{tenant="light"}',
-        'repro_gateway_lane_depth{tenant="heavy"}',
+        'repro_gateway_active_jobs{tenant="heavy"}',
         "repro_gateway_config_reloads 1",
         'repro_service_tenant_jobs{state="done",tenant="light"}',
     )
@@ -229,7 +245,6 @@ def phase_tenant_service(log_dir: Path, data_dir: Path, tenants_file: Path) -> N
             "--queue-capacity", "32",
             "--data-dir", str(data_dir),
             "--tenants", str(tenants_file),
-            "--dispatch-window", "1",
         ],
         serve_log,
         # Slow every job down so the heavy backlog is still pending

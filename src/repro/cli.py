@@ -504,9 +504,6 @@ def _serve_flags(parser: argparse.ArgumentParser) -> None:
         help="tenant config JSON (API keys, weights, quotas); omitted = "
         "open mode, every request is the unlimited public tenant. "
         "SIGHUP hot-reloads the file")
-    add("--dispatch-window", type=int, default=0,
-        help="jobs the gateway keeps in the spool at once "
-        "(0 = auto: max(4, 2 x workers))")
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:

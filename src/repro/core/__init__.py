@@ -27,7 +27,6 @@ from .scan import (
     DatabaseScanner,
     SequenceReport,
     load_scan_payload,
-    scan_fasta,
     scan_to_payload,
 )
 from .session import TopAlignmentSession
@@ -67,7 +66,6 @@ __all__ = [
     "block_identity",
     "DatabaseScanner",
     "SequenceReport",
-    "scan_fasta",
     "TopAlignmentSession",
     "RecomputingBottomRowStore",
     "NullDistribution",

@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Any, Iterable
 import numpy as np
 
 from .. import obs
-from ..sequences.fasta import iter_fasta
 from ..sequences.sequence import Sequence
 from ..sequences.stats import mask_low_complexity
 from .api import RepeatFinder
@@ -32,7 +31,6 @@ __all__ = [
     "SequenceReport",
     "DatabaseScanner",
     "ScanDocument",
-    "scan_fasta",
     "pair_by_id",
     "report_to_dict",
     "render_rank_table",
@@ -474,24 +472,3 @@ def load_scan_payload(payload: dict[str, Any]) -> ScanDocument:
         reports=tuple(reports),
         sequences=tuple(sequences),
     )
-
-
-def scan_fasta(
-    path,
-    *,
-    alphabet: str = "protein",
-    finder: RepeatFinder | None = None,
-    mask: bool = False,
-    min_length: int = 10,
-    index: "IndexConfig | None" = None,
-    index_store: "IndexStore | None" = None,
-) -> list[SequenceReport]:
-    """Rank the records of a FASTA file by repeat content."""
-    scanner = DatabaseScanner(
-        finder=finder or RepeatFinder(),
-        mask=mask,
-        min_length=min_length,
-        index=index,
-        index_store=index_store,
-    )
-    return scanner.rank(iter_fasta(path, alphabet))

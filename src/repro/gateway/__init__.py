@@ -7,13 +7,12 @@ spool/cluster executors, which none of the existing layers own:
   (constant-time compare, file-backed config, SIGHUP hot reload);
 * :mod:`~repro.gateway.quota` — per-tenant token bucket, in-flight and
   spool-byte budgets (→ 429 + Retry-After);
-* :mod:`~repro.gateway.fairshare` — deficit-round-robin lanes so a
-  heavy tenant cannot starve a light one;
 * :mod:`~repro.gateway.idempotency` — per-tenant idempotency keys on
   ``POST /jobs`` (replay returns the original job, exactly once under
   concurrent duplicates);
 * :mod:`~repro.gateway.admission` — the :class:`Gateway` tying those
-  together and pumping lane grants into the bounded spool queue.
+  together and stamping each job's spool key with a weighted
+  fair-share tag, so a heavy tenant cannot starve a light one.
 
 The package is stdlib-only (plus :mod:`repro.obs`) and takes its
 stores by injection, so ``repro.service`` can import it at module
@@ -21,7 +20,6 @@ scope without a cycle.
 """
 
 from .admission import Admission, Gateway
-from .fairshare import DeficitRoundRobin, LaneItem
 from .idempotency import IdempotencyConflict, IdempotencyStore
 from .quota import QuotaExceeded, TokenBucket
 from .tenants import (
@@ -35,12 +33,10 @@ from .tenants import (
 __all__ = [
     "Admission",
     "AuthError",
-    "DeficitRoundRobin",
     "ForbiddenError",
     "Gateway",
     "IdempotencyConflict",
     "IdempotencyStore",
-    "LaneItem",
     "PUBLIC_TENANT",
     "QuotaExceeded",
     "TenantDirectory",

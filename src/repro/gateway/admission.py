@@ -11,19 +11,34 @@ individually lack — *who* may submit (tenant resolution), *how much*
 3. charge the tenant's token bucket, in-flight and spool-byte budgets
    (:class:`~repro.gateway.quota.QuotaExceeded` → 429 + Retry-After);
 4. serve cache-born-done jobs straight from the result cache;
-5. route to the cluster when worker nodes are alive, otherwise place
-   the job in the tenant's **lane** and let deficit-round-robin decide
-   release order.
+5. route to the cluster when worker nodes are alive, otherwise stamp
+   the job with a fair-share **tag** and submit it to the spool queue.
 
-**Lazy dispatch is what makes fair share real.**  The spool queue
-serializes jobs the moment they are submitted, so draining lanes
-eagerly would freeze arrival order — FIFO with extra steps.  Instead
-the gateway keeps at most ``dispatch_window`` jobs in the spool
-(enough to keep every worker busy plus a small runway) and *pumps* one
-DRR grant at a time as slots free up.  A heavy tenant's backlog waits
-in its lane, where the scheduler — not arrival time — decides what
-runs next, so a light tenant's job overtakes hundreds of queued heavy
-jobs without preemption.
+**Fair share is a sort key.**  The spool hands out the smallest key
+first, and the key is ``(priority, tag, arrival)``; the tag is a
+start-time fair-queueing stamp.  Each priority level has a virtual
+clock ``v`` — the smallest tag still waiting at that level, or the
+largest ever issued there once nothing waits — and each tenant a
+finish tag per level::
+
+    start = max(v, finish[tenant])
+    finish[tenant] = start + TICK / weight
+
+so a tenant's own jobs stay FIFO ``TICK / weight`` apart, a tenant that
+was idle starts at ``v`` (no banked credit) and a light tenant's job
+lands beside the *head* of a heavy tenant's backlog, not behind its
+tail — it overtakes hundreds of queued heavy jobs without preemption
+and without a second queue.  ``v`` never falls and no tag is issued
+below it, so between a job becoming its tenant's oldest and its claim
+only tags within ``TICK / weight`` of ``v`` are claimed: at most
+``weight_u / weight + 1`` jobs of any tenant ``u``, hence with weights
+≥ 1 **at most** ``sum(weights) + n_tenants`` **claims**, for any
+number of workers and any job durations (the hypothesis property in
+``tests/gateway/test_fairshare.py``).  ``v`` is read from ``queue/``
+alone: a clock taken from ``claimed/`` steps back whenever the newest
+claim finishes before an older one and lets a burst in under the
+backlog.  Nothing but the markers is state: :meth:`Gateway.recover`
+reads finish tags back from them.
 
 The gateway deliberately takes its stores (job store, spool queue,
 result cache) as constructor arguments and defers every
@@ -42,14 +57,16 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from ..obs import MetricsRegistry
-from ..obs.prometheus import render_prometheus
-from .fairshare import DeficitRoundRobin, LaneItem
+from ..obs import MetricsRegistry, instrument, render_prometheus
 from .idempotency import IdempotencyStore
 from .quota import QuotaExceeded, TokenBucket
 from .tenants import AuthError, ForbiddenError, TenantDirectory, TenantSpec
 
 __all__ = ["Admission", "Gateway"]
+
+#: Tag distance between two jobs of a weight-1 tenant; weights resolve
+#: to a millionth, and a 20-digit key field holds ~10¹⁴ such jobs.
+TICK = 1_000_000
 
 
 @dataclass
@@ -72,54 +89,34 @@ class Gateway:
         cache,
         *,
         directory: TenantDirectory | None = None,
-        dispatch_window: int = 0,
-        workers: int = 0,
     ) -> None:
         self.store = store
         self.queue = queue
         self.cache = cache
         self.directory = directory or TenantDirectory()
-        #: Spool occupancy target.  Auto (0) keeps every worker busy
-        #: with one queued job of runway each, floored at 4 so the
-        #: workerless test configuration still drains.
-        self.window = int(dispatch_window) or max(4, 2 * int(workers))
         self.idempotency = IdempotencyStore(store.root / "gateway" / "idempotency")
-        self.drr = DeficitRoundRobin()
         self._lock = threading.Lock()
         #: tenant name -> {job_id: payload bytes} for every non-terminal
-        #: admitted job (lane, spool, running, or cluster-routed).
+        #: admitted job (spool, running, or cluster-routed).
         self._active: dict[str, dict[str, int]] = {}
+        #: (tenant name, priority) -> the tag its next job may not precede.
+        self._finish: dict[tuple[str, int], int] = {}
+        #: priority -> largest tag issued: the clock of an empty level.
+        self._issued: dict[int, int] = {}
         self._buckets: dict[str, tuple[tuple[float, float], TokenBucket]] = {}
         #: Cluster hooks installed by the service: ``cluster_route()``
         #: says whether live nodes exist, ``cluster_spawn(job_id, spec)``
         #: starts the routed job.  Both optional.
         self.cluster_route: Callable[[], bool] | None = None
         self.cluster_spawn: Callable[[str, Any], None] | None = None
-        self._pump_thread: threading.Thread | None = None
-        self._pump_stop = threading.Event()
         #: Tenants that ever admitted work — keeps their gauges
         #: published (at zero) after their backlog drains.
         self._tenants_seen: set[str] = set()
         # Private always-on registry, the coordinator's discipline: a
         # gateway whose tenants are invisible is not operable.
         self.metrics = MetricsRegistry()
-        self._c_admissions = self.metrics.counter(
-            "repro_gateway_admissions_total",
-            help="Jobs admitted, by tenant and route",
-            tenant="public",
-            route="spool",
-        )
-        self.metrics.counter(
-            "repro_gateway_rejections_total",
-            help="Submissions refused at admission, by tenant and reason",
-            tenant="public",
-            reason="rate",
-        )
-        self.metrics.counter(
-            "repro_gateway_grants_total",
-            help="Lane items released into the spool queue, by tenant",
-            tenant="public",
-        )
+        self._metric("repro_gateway_admissions_total", tenant="public", route="spool")
+        self._metric("repro_gateway_rejections_total", tenant="public", reason="rate")
 
     # -- deferred service imports (see module docstring) -------------------
 
@@ -128,12 +125,6 @@ class Gateway:
         from ..service.protocol import JobSpec, JobState, job_digest
 
         return JobSpec, JobState, job_digest
-
-    @staticmethod
-    def _backlog_full():
-        from ..service.queue import BacklogFull
-
-        return BacklogFull
 
     # -- admission ---------------------------------------------------------
 
@@ -199,6 +190,8 @@ class Gateway:
         return Admission(record, record.served_from_cache, True, tenant)
 
     def _admit(self, tenant: TenantSpec, payload: dict, spec, digest: str) -> Admission:
+        from ..service.queue import BacklogFull  # deferred: module docstring
+
         wait = self._bucket(tenant).take()
         if wait > 0:
             self._reject(tenant.name, "rate")
@@ -212,7 +205,7 @@ class Gateway:
 
         if self.cache.get(digest) is not None:
             # Born done: the content-addressed cache already holds the
-            # answer, so the job never occupies quota or a lane slot.
+            # answer, so the job never occupies quota or a spool slot.
             record = self._born_done(tenant, spec, digest)
             self._admit_count(tenant.name, "cache")
             return Admission(record, True, False, tenant)
@@ -223,34 +216,45 @@ class Gateway:
             active = self._active.setdefault(tenant.name, {})
             self._check_quotas(tenant, active, cost)
             to_cluster = self.cluster_route is not None and self.cluster_route()
-            if not to_cluster:
-                self._check_backlog(tenant)
             record = self.store.new_job(
                 spec.to_dict(), digest, spec.priority, tenant=tenant.name
             )
+            # The event precedes the marker: a worker may claim at once.
+            self.store.append_event(
+                record.id, "queued", digest=digest, priority=spec.priority,
+                tenant=tenant.name, **({"route": "cluster"} if to_cluster else {}),
+            )
+            if not to_cluster:
+                try:
+                    self._spool(record)
+                except BacklogFull:
+                    # Shed before any worker could see it: no trace stays.
+                    self.store.delete(record.id)
+                    self._reject(tenant.name, "backlog")
+                    raise
             self.store.grant_result_access(digest, tenant.name)
             active[record.id] = cost
-            if to_cluster:
-                self.store.append_event(
-                    record.id, "queued", digest=digest, priority=spec.priority,
-                    route="cluster", tenant=tenant.name,
-                )
-            else:
-                self.drr.set_weight(tenant.name, tenant.weight)
-                self.drr.enqueue(
-                    tenant.name, LaneItem(record.id, priority=spec.priority)
-                )
-                self.store.append_event(
-                    record.id, "queued", digest=digest, priority=spec.priority,
-                    tenant=tenant.name,
-                )
         if to_cluster:
             self.cluster_spawn(record.id, spec)
-            self._admit_count(tenant.name, "cluster")
-        else:
-            self.pump()
-            self._admit_count(tenant.name, "spool")
+        self._admit_count(tenant.name, "cluster" if to_cluster else "spool")
         return Admission(record, False, False, tenant)
+
+    def _spool(self, record) -> None:
+        """Stamp ``record`` with its fair-share tag and spool it (locked)."""
+        priority = self.queue.clamp(record.priority)
+        flow = (record.tenant or "public", priority)
+        waiting = self.queue.head_tag(priority)
+        clock = self._issued.get(priority, 0) if waiting is None else waiting
+        tag = max(clock, self._finish.get(flow, 0))
+        self.queue.submit(record.id, priority, tag)
+        self._issue(flow, tag)
+
+    def _issue(self, flow: tuple[str, int], tag: int) -> None:
+        """Account a spooled tag: its flow's finish tag, its level's clock."""
+        tenant = self.directory.get(flow[0])
+        step = max(1, round(TICK / (tenant.weight if tenant else 1.0)))
+        self._finish[flow] = max(self._finish.get(flow, 0), tag + step)
+        self._issued[flow[1]] = max(self._issued.get(flow[1], 0), tag)
 
     def _born_done(self, tenant: TenantSpec, spec, digest: str):
         _JobSpec, JobState, _job_digest = self._protocol()
@@ -288,18 +292,6 @@ class Gateway:
                     retry_after=self.queue.retry_after_hint(len(active)),
                 )
 
-    def _check_backlog(self, tenant: TenantSpec) -> None:
-        """The service-wide load valve: lanes + spool count as backlog."""
-        if not self.queue.capacity:
-            return
-        total = sum(len(jobs) for jobs in self._active.values())
-        if total >= self.queue.capacity:
-            self._reject(tenant.name, "backlog")
-            BacklogFull = self._backlog_full()
-            raise BacklogFull(
-                total, self.queue.capacity, self.queue.retry_after_hint(total)
-            )
-
     def _bucket(self, tenant: TenantSpec) -> TokenBucket:
         with self._lock:
             shape = (tenant.rate, tenant.burst)
@@ -310,147 +302,84 @@ class Gateway:
                 self._buckets[tenant.name] = entry
             return entry[1]
 
-    # -- dispatch ----------------------------------------------------------
+    # -- quota ledgers / restart -------------------------------------------
 
-    def pump(self) -> int:
-        """Grant lane items into the spool while it has window room."""
-        BacklogFull = self._backlog_full()
-        moved = 0
-        with self._lock:
-            window = self.window
-            if self.queue.capacity:
-                window = min(window, self.queue.capacity)
-            while self.queue.depth() + self.queue.in_flight() < max(1, window):
-                granted = self.drr.grant()
-                if granted is None:
-                    break
-                tenant_name, item = granted
-                try:
-                    self.queue.submit(item.job_id, item.priority)
-                except BacklogFull:
-                    self.drr.requeue_front(tenant_name, item)
-                    break
-                self.metrics.counter(
-                    "repro_gateway_grants_total", tenant=tenant_name
-                ).inc()
-                moved += 1
-        return moved
-
-    def reap(self) -> int:
+    def _reap_locked(self) -> None:  # repro-lint: holds-lock
         """Release quota held by jobs that reached a terminal state."""
-        with self._lock:
-            return self._reap_locked()
-
-    def _reap_locked(self) -> int:  # repro-lint: holds-lock
-        reaped = 0
         for tenant_name in list(self._active):
             jobs = self._active[tenant_name]
             for job_id in list(jobs):
                 record = self.store.get(job_id)
                 if record is None or record.terminal:
                     del jobs[job_id]
-                    reaped += 1
             if not jobs:
                 del self._active[tenant_name]
-        return reaped
-
-    def discard(self, tenant_name: str, job_id: str) -> bool:
-        """Drop a lane-queued job (cancellation before it reached the spool)."""
-        return self.drr.remove(tenant_name or "public", job_id)
 
     def recover(self) -> int:
-        """Rebuild lanes and quota ledgers from the job store (restart).
+        """Rebuild quota ledgers and finish tags from the durable state.
 
-        Queued records without a spool marker were waiting in a lane
-        when the previous server died; they re-enter their tenant's
-        lane.  So does a running record without one: a cluster-routed
-        job is driven by a thread of the server that died with it
-        (``workers.recover`` has already requeued every claimed spool
-        marker), so nothing would ever finish it.  Every other
-        non-terminal record just re-occupies quota.
+        Every non-terminal record re-occupies quota, and a spool marker
+        hands its tag back to its tenant's finish tag.  A record
+        without a marker is spooled again, oldest first: a crash fell
+        between ``new_job`` and ``submit``, or the job was
+        cluster-routed — that one is driven by a thread of the server
+        that died with it (``workers.recover`` has already requeued
+        every claimed spool marker), so nothing would ever finish it.
+        Returns how many were spooled again.
         """
         _JobSpec, JobState, _job_digest = self._protocol()
-        restored = 0
-        stranded: list[str] = []
+        lost = []
         with self._lock:
+            tags = self.queue.tags()
             for job_id in self.store.list_ids():
                 record = self.store.get(job_id)
                 if record is None or record.terminal:
                     continue
                 tenant_name = record.tenant or "public"
-                active = self._active.setdefault(tenant_name, {})
-                if job_id in active:
-                    continue
-                active[job_id] = len(
+                self._active.setdefault(tenant_name, {})[job_id] = len(
                     json.dumps(record.spec, sort_keys=True).encode("utf-8")
                 )
-                if not self.queue.contains(job_id):
-                    if record.state == JobState.RUNNING:
-                        stranded.append(job_id)
-                    tenant = self.directory.get(tenant_name)
-                    if tenant is not None:
-                        self.drr.set_weight(tenant_name, tenant.weight)
-                    self.drr.enqueue(
-                        tenant_name, LaneItem(job_id, priority=record.priority)
-                    )
-                    restored += 1
-        # Before the pump below: a lane item only reaches a worker
-        # through it, and the worker must claim a queued record.
-        for job_id in stranded:
-            self.store.update(job_id, state=JobState.QUEUED, worker="")
-            self.store.append_event(job_id, "requeued", reason="server restarted")
-        self.pump()
-        return restored
-
-    # -- pump thread -------------------------------------------------------
-
-    def start_pump(self, interval: float = 0.05) -> None:
-        """Run reap+pump on a timer (the server process owns exactly one)."""
-        if self._pump_thread is not None:
-            return
-        self._pump_stop.clear()
-
-        def _loop() -> None:
-            while not self._pump_stop.wait(interval):
-                self.reap()
-                self.pump()
-
-        self._pump_thread = threading.Thread(
-            target=_loop, name="gateway-pump", daemon=True
-        )
-        self._pump_thread.start()
-
-    def stop_pump(self, timeout: float = 5.0) -> None:
-        if self._pump_thread is None:
-            return
-        self._pump_stop.set()
-        self._pump_thread.join(timeout=timeout)
-        self._pump_thread = None
+                if job_id in tags:
+                    priority, tag = tags[job_id]
+                    self._issue((tenant_name, priority), tag)
+                else:
+                    lost.append(record)
+        for record in sorted(lost, key=lambda record: record.created):
+            if record.state != JobState.QUEUED:
+                self.store.update(record.id, state=JobState.QUEUED, worker="")
+                self.store.append_event(
+                    record.id, "requeued", reason="server restarted"
+                )
+            with self._lock:
+                self._spool(record)
+        return len(lost)
 
     # -- bookkeeping / introspection ---------------------------------------
 
+    def _metric(self, name: str, **labels: str):
+        return instrument(self.metrics, name, **labels)
+
     def _admit_count(self, tenant_name: str, route: str) -> None:
         self._tenants_seen.add(tenant_name)
-        self.metrics.counter(
+        self._metric(
             "repro_gateway_admissions_total", tenant=tenant_name, route=route
         ).inc()
 
     def _reject(self, tenant_name: str, reason: str) -> None:
-        self.metrics.counter(
+        self._metric(
             "repro_gateway_rejections_total", tenant=tenant_name, reason=reason
         ).inc()
 
     def snapshot(self) -> dict:
         """Gateway state for ``/stats`` (no API keys, ever)."""
         with self._lock:
+            self._reap_locked()
             active = {
                 name: {"jobs": len(jobs), "spool_bytes": sum(jobs.values())}
                 for name, jobs in sorted(self._active.items())
             }
         return {
             "mode": "open" if self.directory.open else "tenants",
-            "dispatch_window": self.window,
-            "lanes": self.drr.snapshot(),
             "active": active,
             "tenants": self.directory.snapshot(),
             "idempotency_keys": self.idempotency.entries(),
@@ -460,13 +389,8 @@ class Gateway:
 
     def render_metrics(self) -> str:
         """The ``repro_gateway_*`` exposition block for ``/metrics``."""
-        for tenant_name, lane in self.drr.snapshot().items():
-            self.metrics.gauge(
-                "repro_gateway_lane_depth",
-                help="Jobs waiting in each tenant's fair-share lane",
-                tenant=tenant_name,
-            ).set(lane["depth"])
         with self._lock:
+            self._reap_locked()
             ledgers = {
                 name: (len(jobs), sum(jobs.values()))
                 for name, jobs in self._active.items()
@@ -474,18 +398,9 @@ class Gateway:
         for tenant_name in self._tenants_seen - set(ledgers):
             ledgers[tenant_name] = (0, 0)
         for tenant_name, (jobs, spool_bytes) in sorted(ledgers.items()):
-            self.metrics.gauge(
-                "repro_gateway_active_jobs",
-                help="Admitted, non-terminal jobs per tenant",
-                tenant=tenant_name,
-            ).set(jobs)
-            self.metrics.gauge(
-                "repro_gateway_spool_bytes",
-                help="Serialized payload bytes held by each tenant's active jobs",
-                tenant=tenant_name,
-            ).set(spool_bytes)
-        self.metrics.gauge(
-            "repro_gateway_config_reloads",
-            help="Successful tenant-config hot reloads (SIGHUP)",
-        ).set(self.directory.reloads)
+            self._metric("repro_gateway_active_jobs", tenant=tenant_name).set(jobs)
+            self._metric("repro_gateway_spool_bytes", tenant=tenant_name).set(
+                spool_bytes
+            )
+        self._metric("repro_gateway_config_reloads").set(self.directory.reloads)
         return render_prometheus(self.metrics)

@@ -68,9 +68,10 @@ class TenantSpec:
     Quota semantics (0 = unlimited everywhere):
 
     ``weight``
-        fair-share weight in the deficit-round-robin scheduler;
+        fair-share weight: a job advances the tenant's spool tag by
+        ``TICK / weight`` (:mod:`repro.gateway.admission`);
     ``max_in_flight``
-        jobs admitted but not yet terminal (lane + spool + running);
+        jobs admitted but not yet terminal (spool + running);
     ``rate`` / ``burst``
         requests-per-second token bucket over *all* ``POST /jobs``
         traffic, cache hits and replays included;

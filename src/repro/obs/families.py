@@ -1,4 +1,4 @@
-"""The declared metric families of the service, index and annotation tiers.
+"""The declared metric families of the service, gateway, index and annotation tiers.
 
 One table says what each family is — name, kind, help text, label
 names, histogram buckets — so a call site says only *which* family and
@@ -90,6 +90,19 @@ FAMILIES: dict[str, Family] = {
             Family(f"repro_worker_{key}_total", "counter", help_text, ("worker",))
             for key, help_text in WORKER_COUNTERS.items()
         ),
+        # -- gateway: its own always-on registry -------------------------
+        Family("repro_gateway_admissions_total", "counter",
+               "Jobs admitted, by tenant and route", ("tenant", "route")),
+        Family("repro_gateway_rejections_total", "counter",
+               "Submissions refused at admission, by tenant and reason",
+               ("tenant", "reason")),
+        Family("repro_gateway_active_jobs", "gauge",
+               "Admitted, non-terminal jobs per tenant", ("tenant",)),
+        Family("repro_gateway_spool_bytes", "gauge",
+               "Serialized payload bytes held by each tenant's active jobs",
+               ("tenant",)),
+        Family("repro_gateway_config_reloads", "gauge",
+               "Successful tenant-config hot reloads (SIGHUP)"),
         # -- index tier --------------------------------------------------
         Family("repro_index_build_seconds", "histogram",
                "Wall time spent building one k-mer index profile",

@@ -93,7 +93,7 @@ def render_service_metrics(
     families (node gauges, lease counters, shard latency) are appended
     from the coordinator's private always-on registry; the gateway's
     ``repro_gateway_*`` families (per-tenant admissions, rejections,
-    lane depths) likewise — distinct prefixes, so none of the
+    quota ledgers) likewise — distinct prefixes, so none of the
     renderings collide.
     """
     text = render_prometheus(

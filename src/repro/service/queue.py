@@ -4,9 +4,12 @@ The queue is a maildir-style spool of marker files, so it needs no
 broker process and survives kills of either side:
 
 * ``queue/<key>`` — one empty marker per waiting job.  The key encodes
-  ``(inverted priority, submission nanotime, job id)``, so a plain
-  lexicographic directory sort yields "highest priority first, FIFO
-  within a priority";
+  ``(inverted priority, fair-share tag, submission nanotime, job id)``,
+  so a plain lexicographic directory sort yields "highest priority
+  first, smallest tag first within a priority, FIFO within a tag".
+  The queue only sorts by the tag; the gateway issues it
+  (:mod:`repro.gateway.admission`), and with every tag 0 the order is
+  plain FIFO;
 * ``claimed/<key>`` — markers atomically ``os.rename``-ed here by the
   worker that won the job.  Rename is atomic on POSIX: exactly one
   claimant succeeds, losers see ``FileNotFoundError`` and move on.
@@ -53,9 +56,19 @@ class BacklogFull(RuntimeError):
         return (type(self), (self.depth, self.capacity, self.retry_after))
 
 
-def _key_for(job_id: str, priority: int) -> str:
-    clamped = max(-_PRIORITY_LIMIT, min(_PRIORITY_LIMIT, int(priority)))
-    return f"{_PRIORITY_LIMIT - clamped + 10_000:05d}.{time.time_ns():020d}.{job_id}"
+def _clamp(priority: int) -> int:
+    return max(-_PRIORITY_LIMIT, min(_PRIORITY_LIMIT, int(priority)))
+
+
+def _parse(key: str) -> tuple[int, int, str]:
+    """``(priority, tag, job id)`` of a marker name.
+
+    A marker written before tags existed has three fields, its nanotime
+    where the tag now is: it reads as a (large) tag, which is exactly
+    how it sorts against four-field keys.
+    """
+    fields = key.split(".")
+    return _PRIORITY_LIMIT + 10_000 - int(fields[0]), int(fields[1]), fields[-1]
 
 
 class SpoolQueue:
@@ -80,6 +93,9 @@ class SpoolQueue:
 
     # -- producer side ---------------------------------------------------
 
+    #: ``priority`` as a marker key carries it (what :meth:`tags` reports).
+    clamp = staticmethod(_clamp)
+
     def depth(self) -> int:
         """Jobs waiting in the queue."""
         return sum(1 for _ in self.queued_dir.iterdir())
@@ -92,14 +108,31 @@ class SpoolQueue:
         """Crude drain-time estimate used for the 429 Retry-After header."""
         return min(60, max(1, depth // 2))
 
-    def submit(self, job_id: str, priority: int = 0) -> str:
+    def submit(self, job_id: str, priority: int = 0, tag: int = 0) -> str:
         """Enqueue ``job_id``; raises :class:`BacklogFull` at capacity."""
         depth = self.depth() + self.in_flight()
         if self.capacity and depth >= self.capacity:
             raise BacklogFull(depth, self.capacity, self.retry_after_hint(depth))
-        key = _key_for(job_id, priority)
+        # The first field sorts ascending as priority falls.
+        level = _PRIORITY_LIMIT - _clamp(priority) + 10_000
+        key = f"{level:05d}.{tag:020d}.{time.time_ns():020d}.{job_id}"
         (self.queued_dir / key).touch()
         return key
+
+    def head_tag(self, priority: int = 0) -> int | None:
+        """The smallest tag waiting at ``priority`` (what :meth:`claim`
+        hands out next at that level), or ``None`` when none waits."""
+        waiting = map(_parse, os.listdir(self.queued_dir))
+        level = _clamp(priority)
+        return min((tag for at, tag, _ in waiting if at == level), default=None)
+
+    def tags(self) -> dict[str, tuple[int, int]]:
+        """``job id -> (priority, tag)`` of every marker, queued or claimed."""
+        return {
+            job_id: (priority, tag)
+            for directory in (self.queued_dir, self.claimed_dir)
+            for priority, tag, job_id in map(_parse, os.listdir(directory))
+        }
 
     # -- consumer side ---------------------------------------------------
 
@@ -123,13 +156,6 @@ class SpoolQueue:
             if key.endswith(suffix):
                 return directory / key
         return None
-
-    def contains(self, job_id: str) -> bool:
-        """True while the job has a marker (queued or claimed)."""
-        return (
-            self._find(self.queued_dir, job_id) is not None
-            or self._find(self.claimed_dir, job_id) is not None
-        )
 
     def release(self, job_id: str) -> bool:
         """Move a claimed job back to the queue (drain / crash requeue)."""

@@ -91,9 +91,6 @@ class ServiceConfig:
     #: runs the gateway open: every request is the unlimited ``public``
     #: tenant and no endpoint requires an API key.
     tenants_file: str | None = None
-    #: How many jobs the gateway keeps in the spool at once (its
-    #: fair-share dispatch window).  0 = auto: ``max(4, 2 × workers)``.
-    dispatch_window: int = 0
 
 
 class ReproService:
@@ -128,8 +125,6 @@ class ReproService:
             self.queue,
             self.cache,
             directory=TenantDirectory(config.tenants_file),
-            dispatch_window=config.dispatch_window,
-            workers=config.workers,
         )
         # The hooks read self.coordinator at call time, so attaching a
         # coordinator after construction routes subsequent jobs too.
@@ -153,7 +148,7 @@ class ReproService:
         """Admit one job; returns ``(record, from_cache)``.
 
         Every submission goes through the gateway: tenant resolution,
-        quotas, idempotency and fair-share lane placement (see
+        quotas, idempotency and the fair-share tag (see
         :meth:`admit` for the full admission object).  Raises
         :class:`SpecError` (400), ``AuthError`` (401),
         ``ForbiddenError`` (403), ``QuotaExceeded`` /
@@ -223,14 +218,7 @@ class ReproService:
         if record is None or record.terminal:
             return record
         self.store.request_cancel(job_id)
-        # A queued job is either already in the spool, still in its
-        # gateway lane, or mid-pump between the two — the second spool
-        # probe closes that race.
-        if record.state == JobState.QUEUED and (
-            self.queue.discard(job_id)
-            or self.gateway.discard(record.tenant, job_id)
-            or self.queue.discard(job_id)
-        ):
+        if record.state == JobState.QUEUED and self.queue.discard(job_id):
             record = self.store.finish(job_id, JobState.CANCELLED)
         return record
 
@@ -641,14 +629,13 @@ def serve(config: ServiceConfig) -> int:
         # anything a dead pool left claimed.
         recover(service.store, service.queue)
 
-    # Lanes/quota ledgers rebuild from the job store, then the pump
-    # thread keeps granting lane items as spool slots free up.  SIGHUP
-    # hot-reloads the tenant file without dropping a request.
-    restored = service.gateway.recover()
-    if restored:
-        print(f"restored {restored} lane-queued job(s)", flush=True)
+    # Quota ledgers and fair-share tags rebuild from the job store and
+    # the spool markers.  SIGHUP hot-reloads the tenant file without
+    # dropping a request.
+    respooled = service.gateway.recover()
+    if respooled:
+        print(f"spooled {respooled} job(s) that had no marker", flush=True)
     service.gateway.directory.install_sighup()
-    service.gateway.start_pump(config.poll_interval)
 
     httpd = ThreadingHTTPServer((config.host, config.port), _Handler)
     httpd.daemon_threads = True
@@ -680,7 +667,6 @@ def serve(config: ServiceConfig) -> int:
         httpd.serve_forever(poll_interval=0.1)
     finally:
         httpd.server_close()
-        service.gateway.stop_pump()
         if coordinator is not None:
             coordinator.stop()
         if pool is not None:

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.core import DatabaseScanner, RepeatFinder, scan_fasta
+from repro.core import DatabaseScanner, RepeatFinder
 from repro.sequences import (
     DNA,
     Sequence,
+    iter_fasta,
     pseudo_titin,
     random_sequence,
     tandem_repeat_sequence,
@@ -152,8 +153,8 @@ class TestScanFasta:
     def test_end_to_end(self, tmp_path, mixed_records):
         path = tmp_path / "db.fasta"
         write_fasta(mixed_records, path)
-        reports = scan_fasta(
-            path, alphabet="dna", finder=RepeatFinder(top_alignments=4)
+        reports = DatabaseScanner(finder=RepeatFinder(top_alignments=4)).rank(
+            iter_fasta(path, "dna")
         )
         assert reports[0].id == "tandem"
 
@@ -162,7 +163,9 @@ class TestScanFasta:
         write_fasta(
             [Sequence(pseudo_titin(80, seed=2).codes, id="t80")], path
         )
-        reports = scan_fasta(path, finder=RepeatFinder(top_alignments=3))
+        reports = DatabaseScanner(finder=RepeatFinder(top_alignments=3)).rank(
+            iter_fasta(path, "protein")
+        )
         assert len(reports) == 1
         assert reports[0].length == 80
 

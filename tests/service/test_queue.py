@@ -31,6 +31,42 @@ class TestOrdering:
         assert queue.claim() is None
 
 
+class TestTags:
+    def test_smaller_tag_first_within_a_priority(self, queue):
+        queue.submit("late-tag", tag=2_000_000)
+        queue.submit("early-tag", tag=1_000_000)
+        queue.submit("urgent", priority=1, tag=9_000_000)
+        assert [queue.claim() for _ in range(3)] == ["urgent", "early-tag", "late-tag"]
+
+    def test_head_tag_is_per_priority_and_ignores_claimed(self, queue):
+        assert queue.head_tag() is None
+        queue.submit("a", tag=5)
+        queue.submit("b", tag=7)
+        queue.submit("c", priority=2, tag=9)
+        assert (queue.head_tag(), queue.head_tag(2), queue.head_tag(1)) == (5, 9, None)
+        assert queue.claim() == "c" and queue.claim() == "a"
+        assert (queue.head_tag(), queue.head_tag(2)) == (7, None)
+        assert queue.tags() == {"a": (0, 5), "b": (0, 7), "c": (2, 9)}
+
+    def test_a_marker_from_before_tags_is_still_claimed_and_discarded(self, queue):
+        """The parent's three-field key (priority, nanotime, id) after
+        an upgrade: its nanotime reads as a large tag, so it sorts —
+        as it did — behind nothing older and is found by job id."""
+        (queue.queued_dir / "19999.01790985600000000000.oldqueued").touch()
+        (queue.queued_dir / "19996.01790985600000000001.oldurgent").touch()
+        (queue.claimed_dir / "19999.01790985500000000000.oldclaimed").touch()
+        assert set(queue.tags()) == {"oldqueued", "oldurgent", "oldclaimed"}
+        assert queue.tags()["oldurgent"] == (3, 1790985600000000001)
+        assert queue.head_tag() == 1790985600000000000
+        assert queue.recover() == ["oldclaimed"]
+        assert [queue.claim() for _ in range(3)] == [
+            "oldurgent", "oldclaimed", "oldqueued",
+        ]
+        assert queue.release("oldqueued") and queue.discard("oldqueued")
+        assert queue.discard("oldclaimed") and queue.discard("oldurgent")
+        assert queue.depth() == 0 and queue.in_flight() == 0
+
+
 class TestBackpressure:
     def test_submit_raises_at_capacity(self, queue):
         for i in range(4):

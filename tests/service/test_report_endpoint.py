@@ -71,7 +71,6 @@ def _submit_and_run(svc, api_key="owner-key", sequence=REPETITIVE):
     )
     job_id = admission.record.id
     if not admission.from_cache:
-        svc.gateway.pump()
         claimed = svc.queue.claim()
         execute_job(svc.store, svc.cache, svc.store.get(claimed))
         svc.queue.discard(claimed)

@@ -253,9 +253,10 @@ class TestRestart:
             assert stalled.entered.wait(10)
             record = before.store.get(job_id)
             assert (record.state, record.worker) == ("running", "cluster")
-            assert not before.queue.contains(job_id)
+            assert job_id not in before.queue.tags()
 
-            # The restart sequence of serve(): spool markers, then lanes.
+            # The restart sequence of serve(): claimed markers, then the
+            # records that have no marker.
             after = ReproService(config)
             assert recover(after.store, after.queue) == []
             assert after.gateway.recover() == 1

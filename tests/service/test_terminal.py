@@ -116,7 +116,6 @@ def service(tmp_path):
 
 def test_service_cancel_of_a_queued_job_that_was_suspended(service):
     record, _ = service.submit(_spec().to_dict())
-    service.gateway.pump()  # lane -> spool, as the pump thread would
     # A drained worker left its checkpoint and requeued the job.
     service.store.checkpoint_path(record.id).write_bytes(b"suspended here")
     cancelled = service.cancel(record.id)
