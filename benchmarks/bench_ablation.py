@@ -249,9 +249,9 @@ def test_ablation_index_tier(benchmark, results_dir):
 
 
 def test_ablation_pruning(benchmark, results_dir):
-    """Ablate the exact pruning bounds: the same high-min_score search
-    with the PruneContext threaded vs disabled must accept identical
-    tops while evaluating strictly fewer cells."""
+    """Ablate the exact block bounds: the same high-min_score search
+    with bounds on vs off must accept identical tops while evaluating
+    strictly fewer cells, block fills included."""
     from repro.core.api import RepeatFinder
     from repro.scoring import GapPenalties, match_mismatch
     from repro.sequences.alphabet import DNA
@@ -286,11 +286,11 @@ def test_ablation_pruning(benchmark, results_dir):
     save_table(
         results_dir,
         "ablation-pruning",
-        "Ablation — exact pruning bounds (DNA 240 bp, min_score=100)\n"
-        f"cells evaluated, pruning off:  {off.stats.cells}\n"
-        f"cells evaluated, pruning on:   {on.stats.cells}\n"
-        f"cells provably skipped:        {on.stats.pruned_cells} "
-        f"({on.stats.pruned_lanes} lanes)\n"
+        "Ablation — exact block bounds (DNA 240 bp, min_score=100)\n"
+        f"cells evaluated, bounds off:   {off.stats.cells}\n"
+        f"cells evaluated, bounds on:    {on.stats.cells}\n"
+        f"cells of splits retired:       {on.stats.pruned_cells} "
+        f"({on.stats.pruned_lanes} splits)\n"
         "both variants return identical accepted tops",
     )
 

@@ -4,9 +4,9 @@ Three evaluations of a local-alignment matrix that exist only so the
 paper's §4.1/§5.1 design-space claims can be measured.  None is in
 ``repro.align``'s closed engine table (``scalar``/``vector``/``lanes``);
 each is an :class:`~repro.align.AlignmentEngine` subclass, so a bench or
-test passes an *instance* wherever an engine is accepted.  They ignore
-prune gates (pruning is an optimisation, never a correctness
-requirement).
+test passes an *instance* wherever an engine is accepted.  They answer
+no harvest request (block bounds are an optimisation, never a
+correctness requirement), so a search over one starts at ``+inf``.
 
 * :class:`StripedEngine` — cache-aware vertical striping (§4.1, last
   part; ``bench_striping.py``).  Bit-identical to ``vector``.

@@ -91,10 +91,10 @@ class AlignmentProblem:
     substitution gather for ``seq2`` (see :mod:`repro.align.profile`);
     engines that honour it slice views instead of re-gathering
     ``exchange.scores[:, seq2]`` on every call.  The optional ``prune``
-    gate (see :mod:`repro.align.pruning`) lets engines stop the fill
-    the moment its score upper bound sinks below the acceptance
-    threshold; engines that ignore it simply compute the full matrix
-    (pruning is an optimisation, never a correctness requirement).
+    gate (see :mod:`repro.align.pruning`) asks the engine to also leave
+    the maxima of some matrix rows on the gate — the exact bounds of a
+    block of splits; an engine that ignores it just returns the bottom
+    row (bounds are an optimisation, never a correctness requirement).
     """
 
     seq1: np.ndarray

@@ -40,10 +40,10 @@ conformance mode), promoted to the narrowest that is exact for the
 sub-batch's score bound (:func:`~repro.align.rowstep.work_dtype`), so
 nothing saturates and nothing reruns; **one scratch block** per thread,
 grown to the widest sub-batch seen (``MAX_ROW_CELLS`` bounds it); **one
-prune compare per row** — the
-lanes' :class:`PruneGate` cutoffs form a ``(rows, lanes)`` matrix
-(:meth:`PruneGate.lane_cutoffs`); a batch whose gates cannot fire runs
-ungated.
+reduction per harvested row** — a batch of block problems
+(:mod:`repro.align.pruning`) leaves every lane's row maxima on its
+:class:`~repro.align.pruning.PruneGate`; a batch without requests runs
+the bare row step, and no fill is ever cut short.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ import numpy as np
 from ..obs import get_registry
 from .base import AlignmentEngine, AlignmentProblem
 from .profile import NEG
-from .pruning import PruneGate
 from .rowstep import WIDTHS, lockstep_rows, same_scoring, work_dtype
 
 __all__ = ["LanesEngine"]
@@ -91,6 +90,13 @@ MAX_ROW_CELLS = 4096
 #: few enough that a first pass is still several batches for threads or
 #: slaves to share.
 OWED_LANES = 64
+
+#: Neighbouring splits one block problem bounds
+#: (:mod:`repro.align.pruning`).  Wider blocks are fewer fills but
+#: looser bounds: a block's rows see every column from its first split
+#: on.  Measured over the benchmark records (EXPERIMENTS.md, PR 24):
+#: cells of a whole search, blocks included, at 16 / 32 / 64.
+BLOCK_SPLITS = 32
 
 
 def _partition(shapes: list[tuple[int, int]]) -> list[int]:
@@ -236,50 +242,29 @@ class LanesEngine(AlignmentEngine):
             self.used = dtype
 
         results: list[np.ndarray | None] = [None] * group
-        pending = group
         done_at: dict[int, list[int]] = {}
         for g, rows in enumerate(rows_l):
             done_at.setdefault(rows, []).append(g)
 
-        # Prune gates (repro.align.pruning): one cutoff column per lane;
-        # a lane whose running best sinks to its cutoff is never
-        # harvested, and the batch ends once every lane is harvested or
-        # pruned.  Cells outside a lane's own columns hold the floor, so
-        # a grid row's maximum per lane is the lane's true row maximum
-        # and the recorded bounds stay exact.
-        gates = [p.prune for p in problems]
-        cutoffs = PruneGate.lane_cutoffs(gates, max_rows)
-        if cutoffs is not None:
-            best = np.zeros(group, dtype=dtype)
-            lane_max = np.empty(group, dtype=dtype)
-            hit = np.empty(group, dtype=bool)
+        # Harvest requests (repro.align.pruning): from the first wanted
+        # row on, one reduction per row takes every lane's row maximum.
+        # Cells outside a lane's own columns hold the floor, so a grid
+        # row's maximum per lane is the lane's true row maximum.
+        gates = [(g, p.prune) for g, p in enumerate(problems) if p.prune is not None]
+        if gates:
+            first = min(gate.first for _, gate in gates)
+            maxima = np.zeros((max_rows + 1 - first, group), dtype=dtype)
+            floors = np.zeros((max_rows + 1 - first, 1), dtype=dtype)
 
         for y, row, floor in lockstep_rows(problems, dtype, self._scratch):
             for g in done_at.get(y, ()):
-                if results[g] is None:
-                    results[g] = np.subtract(
-                        row[g, : cols_l[g] + 1], floor, dtype=np.float64
-                    )
-                    pending -= 1
+                results[g] = np.subtract(row[g, : cols_l[g] + 1], floor, dtype=np.float64)
+            if gates and y >= first:
+                np.maximum.reduce(row, 1, None, maxima[y - first])
+                floors[y - first] = floor
 
-            if cutoffs is not None and pending:
-                np.maximum.reduce(row, 1, None, lane_max)
-                np.subtract(lane_max, floor, lane_max)
-                np.fmax(best, lane_max, best)
-                np.less_equal(best, cutoffs[y], hit)
-                if np.count_nonzero(hit):
-                    for g in np.flatnonzero(hit).tolist():
-                        # Provably below the floor: never harvested; the
-                        # driver records gate.bound for the lane's task.
-                        gates[g].record_row_prune(y, float(best[g]))
-                        results[g] = np.zeros(cols_l[g] + 1, dtype=np.float64)
-                        cutoffs[:, g] = -np.inf
-                        pending -= 1
-                    # Skip the tail no surviving lane needs.
-                    max_rows = max(
-                        (rows_l[g] for g in range(group) if results[g] is None),
-                        default=0,
-                    )
-            if y >= max_rows:
-                break
-        return results  # every lane harvested or pruned
+        if gates:
+            bounds = np.subtract(maxima, floors, dtype=np.float64)
+            for g, gate in gates:
+                gate.bounds = bounds[gate.first - first : gate.stop - first, g]
+        return results

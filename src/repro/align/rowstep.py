@@ -30,6 +30,7 @@ import numpy as np
 
 from .base import AlignmentProblem
 from .profile import NEG, QueryProfile
+from .pruning import Staircase
 
 __all__ = ["WIDTHS", "same_scoring", "work_dtype", "lockstep_rows"]
 
@@ -174,10 +175,12 @@ def lockstep_rows(
     # Overrides: when every overridden lane windows one triangle over
     # the shared profile (the realignment batch, first-pass lanes mixed
     # in or not), row y masks the one profile row before the gather and
-    # the first-pass lanes take their unmasked values back.  Any other
-    # mix asks each overridden lane for its row mask.
+    # the first-pass lanes take their unmasked values back.  Staircase
+    # lanes (block problems) are stepped together, below.  Any other mix
+    # asks each overridden lane for its row mask.
     overrides = [p.override for p in problems]
     plain = [g for g, o in enumerate(overrides) if o is None]
+    stairs = [g for g, o in enumerate(overrides) if isinstance(o, Staircase)]
     triangle = next((o.triangle for o in overrides if hasattr(o, "triangle")), None)
     fold = (
         shared
@@ -188,7 +191,22 @@ def lockstep_rows(
             for o, start in zip(overrides, starts)
         )
     )
-    masked = [] if fold else [g for g in range(group) if g not in plain]
+    masked = [] if fold else sorted(set(range(group)) - set(plain) - set(stairs))
+    if stairs:
+        # Block lanes (repro.align.pruning): lane g zeroes columns
+        # 1..y - first_g of row y.  A step is never wider than the
+        # block, so the whole batch is one masked store per row into the
+        # leading ``reach`` columns, from a table built here at once.
+        firsts = np.array([overrides[g].first for g in stairs])
+        stair_from = int(firsts.min())  # rows up to here have no step
+        reach = min(
+            max(problems[g].rows - overrides[g].first for g in stairs), width - 1
+        )
+        steps = np.zeros((deepest.rows - stair_from, group, reach), dtype=bool)
+        steps[:, stairs] = (
+            np.arange(1, reach + 1) + firsts[:, None]
+            <= np.arange(stair_from + 1, deepest.rows + 1)[:, None, None]
+        )
 
     for y in range(1, deepest.rows + 1):
         diag, row = prev[1], curr[0]  # diag[x] = M'[y-1][x-1]
@@ -219,6 +237,8 @@ def lockstep_rows(
             mask = overrides[g].row_mask(y) if y <= problems[g].rows else None
             if mask is not None:
                 row[g, 1 : mask.size + 1][mask] = floor
+        if stairs and y > stair_from:
+            np.copyto(row[:, 1 : reach + 1], floor, where=steps[y - stair_from - 1])
         fmax(yq, diag, yq)
         yield y, row, floor
         prev, curr = curr, prev

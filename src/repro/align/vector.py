@@ -41,15 +41,11 @@ class VectorEngine(AlignmentEngine):
 
     def last_row(self, problem: AlignmentProblem) -> np.ndarray:
         gate = problem.prune
-        cutoffs = gate.row_cutoffs() if gate is not None else None
         row = np.zeros(problem.cols + 1, dtype=np.float64)
-        best = 0.0
+        maxima = np.zeros(problem.rows + 1, dtype=np.float64)
         for y, row in iter_rows(problem):
-            if cutoffs is not None:
-                best = max(best, float(row.max()))
-                if best <= cutoffs[y]:
-                    # Provably below the floor: the unfilled rows stay
-                    # unfilled and the driver records gate.bound instead.
-                    gate.record_row_prune(y, best)
-                    return np.zeros(problem.cols + 1, dtype=np.float64)
+            if gate is not None and y >= gate.first:
+                maxima[y] = row.max()
+        if gate is not None:
+            gate.bounds = maxima[gate.first : gate.stop]
         return row.copy()

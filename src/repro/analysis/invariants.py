@@ -19,7 +19,9 @@ None of these fail loudly on their own — they fail as silently wrong
 top alignments.  Setting ``REPRO_CHECK_INVARIANTS=1`` (cheap checks)
 or ``REPRO_CHECK_INVARIANTS=full`` (adds O(n·cells) fresh-score
 re-verification after each acceptance: every queued upper bound still
-dominates, and every score the span rule left current is still exact)
+dominates, every score the span rule left current is still exact, and
+the starting bounds of a sample of the splits no fill has touched
+dominate the first-pass scores they stand in for)
 makes every execution mode — sequential, lane-grouped, threaded,
 distributed — self-verifying; violations raise
 :class:`InvariantViolation`.
@@ -57,6 +59,9 @@ ENV_FLAG = "REPRO_CHECK_INVARIANTS"
 #: Absolute tolerance for score comparisons.  Scores are integral under
 #: the recommended matrices, so any tolerance well under 1 is safe.
 _TOL = 1e-6
+
+#: Every how-many-th never-filled split a ``full`` sweep recomputes.
+NEVER_FILLED_STRIDE = 5
 
 _OFF = {"", "0", "off", "false", "no"}
 _FULL = {"full", "2", "all"}
@@ -202,16 +207,17 @@ def check_heap_upper_bound(
 ) -> float:
     """Check one task's cached score against its fresh score.
 
-    Recomputes the split under the *current* triangle (with shadow
-    rejection, exactly as :meth:`TopAlignmentState.align_task` would)
-    and raises unless ``task.score >= fresh``.  Returns the fresh
-    score.  O(cells) — debug/fuzzing use only.
+    Recomputes the split exactly as
+    :meth:`TopAlignmentState.align_task` would — under the *current*
+    triangle with shadow rejection, or, for a split that has never been
+    filled, its first pass under the empty triangle, the score a
+    starting bound stands in for — and raises unless ``task.score >=
+    fresh``.  Returns the fresh score.  O(cells) — debug/fuzzing use
+    only.
     """
-    row = state.engine.last_row(state.problem_for(task.r))
-    if task.r in state.bottom_rows:
-        fresh = state.bottom_rows.score_of(task.r, row)
-    else:
-        fresh = float(row.max())
+    filled = task.r in state.bottom_rows
+    row = state.engine.last_row(state.problem_for(task.r, with_override=filled))
+    fresh = state.bottom_rows.score_of(task.r, row) if filled else float(row.max())
     if task.score + tol < fresh:
         raise InvariantViolation(
             "heap-upper-bound",
@@ -236,11 +242,11 @@ class InvariantChecker:
 
     * :meth:`guard_task` — structural checks on every queue insert;
     * :meth:`after_align` — score monotonicity + shadow-row validity;
-    * :meth:`after_prune` — pruned-bound dominance (sampled exhaustive
-      refill of the skipped matrix);
     * :meth:`after_accept` — triangle monotonicity + non-overlap;
     * :meth:`verify_upper_bounds` — full-mode fresh-score sweep after
-      every acceptance: stale scores dominate, current scores are exact.
+      every acceptance and at exhaustion: stale scores dominate,
+      current scores are exact, and a sample of the never-filled splits'
+      starting bounds dominate their first-pass scores.
     """
 
     def __init__(self, state: "TopAlignmentState", mode: str = "cheap") -> None:
@@ -251,8 +257,6 @@ class InvariantChecker:
         self.triangle_validator = TriangleMonotonicityValidator(state.triangle)
         #: Number of individual invariant checks executed (observability).
         self.checks = 0
-        #: Prune events seen, for the cheap-mode sampling stride.
-        self._prunes_seen = 0
 
     # -- queue guard (wired into TaskQueue) --------------------------------
 
@@ -310,44 +314,6 @@ class InvariantChecker:
                 self.state.bottom_rows, task.r, row, claimed_score=task.score
             )
 
-    # -- prune hook --------------------------------------------------------
-
-    def after_prune(self, task: "Task", gate, *, prev_score: float) -> None:
-        """Validate one pruned fill (see :mod:`repro.align.pruning`).
-
-        The cheap check — a prune may only *lower* the task's heap
-        score — always runs.  The expensive check refills the skipped
-        matrix exhaustively (gate-free, under the same triangle view
-        the pruned fill would have used) and asserts the recorded
-        bound dominates the true score; it runs on every prune in
-        ``full`` mode and on a deterministic 1-in-7 sample otherwise.
-        """
-        self.checks += 1
-        self._prunes_seen += 1
-        if task.score > prev_score + _TOL:
-            raise InvariantViolation(
-                "prune-bound",
-                f"task r={task.r}: prune raised the score {prev_score} -> "
-                f"{task.score}; a recorded bound must never exceed the "
-                "previous upper bound",
-            )
-        if self.mode != "full" and self._prunes_seen % 7 != 1:
-            return
-        state = self.state
-        first = task.r not in state.bottom_rows
-        row = state.engine.last_row(state.problem_for(task.r, with_override=not first))
-        true_score = (
-            float(row.max()) if first else state.bottom_rows.score_of(task.r, row)
-        )
-        if task.score + _TOL < true_score:
-            raise InvariantViolation(
-                "prune-bound",
-                f"task r={task.r}: recorded prune bound {task.score} is "
-                f"below the true fill score {true_score} (triangle version "
-                f"{state.n_found}); prune bounds must dominate the scores "
-                "they skip",
-            )
-
     # -- acceptance hook ---------------------------------------------------
 
     def after_accept(self, alignment: "TopAlignment") -> None:
@@ -395,13 +361,20 @@ class InvariantChecker:
         A stale score must dominate it; a score the span rule
         (:meth:`~repro.core.tasks.Task.is_current`) calls current must
         equal it — no acceptance since touched that split's matrix, so
-        realigning it changes nothing.  Returns the number of tasks
-        checked.  O(n·cells); only wired up in ``full`` mode.
+        realigning it changes nothing.  Of the never-filled splits with
+        a finite starting bound (a block bound, a seed) every
+        :data:`NEVER_FILLED_STRIDE`-th is given its first pass here —
+        a different residue class each sweep, so a run of sweeps covers
+        them all — and the bound must dominate it.  Returns the number
+        of tasks checked.  O(n·cells); only wired up in ``full`` mode.
         """
         n = 0
+        sampled = self.state.n_found % NEVER_FILLED_STRIDE
         for task in tasks:
-            if task.aligned_with == NEVER_ALIGNED:
-                continue  # +inf placeholder, trivially an upper bound
+            if task.aligned_with == NEVER_ALIGNED and (
+                math.isinf(task.score) or task.r % NEVER_FILLED_STRIDE != sampled
+            ):
+                continue
             fresh = check_heap_upper_bound(self.state, task)
             if task.is_current(self.state.spans) and task.score > fresh + _TOL:
                 raise InvariantViolation(

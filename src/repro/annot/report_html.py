@@ -143,7 +143,9 @@ def render_html(
                 f"(max depth {track.max_depth}, window {track.window})"
             )
         section = [f"<h2>{name}</h2>", f'<p class="meta">{meta}</p>']
-        if track is not None:
+        if track is not None and track.max_depth:
+            # A record without a copy has a flat profile: the line below
+            # says so, and a database scan is mostly such records.
             section.append(_sparkline(track))
         if families:
             section.append(

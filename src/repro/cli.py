@@ -81,8 +81,8 @@ def _search_flags(parser: argparse.ArgumentParser, *, k: int) -> None:
 def _prune_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--prune", action=argparse.BooleanOptionalAction, default=True,
-        help="exact in-fill pruning bounds (bit-identical results; "
-        "--no-prune computes every matrix in full)",
+        help="exact block bounds on the first passes (bit-identical "
+        "results; --no-prune gives every split a first pass)",
     )
 
 

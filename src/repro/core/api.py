@@ -60,9 +60,11 @@ class RepeatFinder:
     min_score:
         Alignments scoring at or below this are not reported.
     prune:
-        Enable the exact in-fill pruning bounds (default ``True``; see
-        :mod:`repro.align.pruning`).  Reported repeats are identical
-        either way — pruning only skips provably-losing fill work.
+        Use the exact block bounds (default ``True``; see
+        :mod:`repro.align.pruning`): a handful of block fills bound
+        every split's first-pass score, and a split whose bound never
+        tops the heap is never filled.  Reported repeats are identical
+        either way.
     min_copy_length, max_gap, min_score_fraction:
         Delineation knobs (see
         :func:`repro.core.delineate.delineate_repeats`).
@@ -178,8 +180,9 @@ class RepeatFinder:
 
         ``seed_bounds`` optionally seeds the best-first heap with
         finite per-split upper bounds (see
-        :func:`repro.index.bounds.seed_score_bounds`); results are
-        identical, low-promise splits are just never aligned.
+        :func:`repro.index.bounds.seed_score_bounds`) on top of the
+        block bounds ``prune`` computes; results are identical,
+        low-promise splits are just never aligned.
         """
         session = self.session(sequence, seed_bounds=seed_bounds)
         session.extend(self.top_alignments)

@@ -88,10 +88,8 @@ class RecomputingBottomRowStore:
         return sum(row.nbytes for row in self._cache.values())
 
     def _compute(self, r: int) -> np.ndarray:
-        # Deliberately gate-free (no ``prune=``): a recomputed first-pass
-        # row feeds the shadow-validity test cell-for-cell, so it must be
-        # the exact override-free bottom row — a prune bound is useless
-        # here and truncating the fill would corrupt the mask.
+        # A recomputed first-pass row feeds the shadow-validity test
+        # cell-for-cell: the exact override-free bottom row.
         problem = AlignmentProblem(
             self._codes[:r],
             self._codes[r:],

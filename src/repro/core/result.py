@@ -240,12 +240,14 @@ class RunStats:
             self._mirrors = None
 
     #: Bottom-row alignments computed by the engine (first passes and
-    #: realignments; excludes traceback recomputations).
+    #: realignments; excludes traceback recomputations and the block
+    #: fills that bound the first passes — those are no split's
+    #: alignment and show in ``cells`` and ``engine_seconds`` only).
     alignments = _stat_property("alignments")
     #: Alignments beyond the first per task (i.e. with a non-empty
     #: override triangle history).
     realignments = _stat_property("realignments")
-    #: Matrix cells evaluated across all alignments.
+    #: Matrix cells evaluated across all alignments and block fills.
     cells = _stat_property("cells")
     #: Full-matrix traceback recomputations (one per accepted alignment).
     tracebacks = _stat_property("tracebacks")
@@ -254,11 +256,15 @@ class RunStats:
     #: Speculative lane realignments invalidated by an acceptance before
     #: their fresh score was ever consumed (§5.1-style waste).
     speculative_waste = _stat_property("speculative_waste")
-    #: Matrix cells never evaluated because a prune bound proved the
-    #: fill could not beat the acceptance threshold (align.pruning).
+    #: The whole matrices (``r * (m - r)`` cells) of the splits counted
+    #: in ``pruned_lanes``.
     pruned_cells = _stat_property("pruned_cells")
-    #: Fills cut short by a bound — skipped outright (lane-level) or
-    #: terminated mid-fill (row/column-level).
+    #: Splits retired for good without a fill: their exact bound
+    #: (align.pruning) was at or below the run's ``min_score`` when the
+    #: session attached — a fill stopped at row 0.  Counted once per
+    #: search, not per ``extend``, chunk or policy thread.  (Splits whose
+    #: bound merely never topped the heap are not counted: they are
+    #: ``m - 1`` less the first passes, ``alignments - realignments``.)
     pruned_lanes = _stat_property("pruned_lanes")
 
     # -- serialisation support (checkpoints, multiprocessing) -------------

@@ -176,6 +176,12 @@ class DatabaseScanner:
             self.index_stats = stats
         reports: dict[int, SequenceReport] = {}
         pending: list[tuple[int, Sequence, Sequence, Any]] = []
+        # Every skipped record of this scan reports the same (empty)
+        # result object: most of a sparse database is skipped, and a
+        # caller that keeps the reports keeps one result, not thousands.
+        skipped = RepeatResult(
+            top_alignments=[], repeats=[], stats=RunStats(engine="index-skip")
+        )
         for order, seq in enumerate(sequences):
             if len(seq) < self.min_length:
                 continue
@@ -200,14 +206,7 @@ class DatabaseScanner:
                 # record was screened, and screening concluded nothing
                 # above min_score can exist here.
                 reports[order] = SequenceReport(
-                    id=seq.id,
-                    length=len(seq),
-                    result=RepeatResult(
-                        top_alignments=[],
-                        repeats=[],
-                        stats=RunStats(engine="index-skip"),
-                    ),
-                    routed=decision.route,
+                    id=seq.id, length=len(seq), result=skipped, routed=decision.route
                 )
             else:
                 pending.append((order, seq, target, decision))

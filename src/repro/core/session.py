@@ -247,6 +247,10 @@ class TopAlignmentSession:
         state.stats.group = group
         checker = state.invariants
         self._queue = TaskQueue(guard=checker.guard_task if checker is not None else None)
+        if state.prune_context is not None:
+            # A split whose bound cannot beat min_score is retired here,
+            # unfilled (see TopAlignmentState.make_tasks).
+            state.prune_context.configure(min_score)
         for task in state.make_tasks():
             self._queue.insert(task)
         self._exhausted = False
@@ -354,8 +358,6 @@ class TopAlignmentSession:
         or everything is in flight).
         """
         state, queue, inflight = self._state, self._queue, self._inflight
-        if state.prune_context is not None:
-            state.prune_context.configure(self.min_score)
         while queue and not self.finished(target):
             head = queue.pop_highest()
             if head.score <= self.min_score:
@@ -366,6 +368,10 @@ class TopAlignmentSession:
                 self._exhausted = all(
                     -key[0] <= self.min_score for key in inflight.values()
                 )
+                checker = state.invariants
+                if self._exhausted and checker is not None and checker.mode == "full":
+                    # The splits retired unfilled: their bounds must hold.
+                    checker.verify_upper_bounds(queue.tasks())
                 return None
             key = (-head.score, head.r)
             if head.is_current(state.spans):
@@ -397,9 +403,8 @@ class TopAlignmentSession:
         for lane, task in enumerate(batch.tasks):
             key = self._inflight.pop(task.r)  # the stale key it went out with
             self._queue.insert(task)
-            # Speculation concerns lanes that really realigned: pruned
-            # lanes keep their old stamp, first passes are stamped 0 and
-            # are every mode's work.
+            # Speculation concerns realignments: first passes are
+            # stamped 0 and are every mode's work.
             if task.aligned_with != batch.version or not batch.version:
                 continue
             if lane >= batch.speculative_from:

@@ -33,9 +33,10 @@ import time
 import numpy as np
 
 from ..align.base import DEFAULT_ENGINE, DEFAULT_GROUP, AlignmentProblem, get_engine
+from ..align.lanes import BLOCK_SPLITS
 from ..align.matrix import full_matrix
 from ..align.profile import QueryProfile
-from ..align.pruning import PruneContext, PruneGate
+from ..align.pruning import PruneContext, Staircase
 from ..align.traceback import traceback
 from ..scoring.exchange import ExchangeMatrix
 from ..scoring.gaps import GapPenalties
@@ -81,16 +82,19 @@ class TopAlignmentState:
         first-pass score of splits ``r = 1..m-1`` (entry ``i`` bounds
         split ``i + 1``), typically from
         :func:`repro.index.bounds.seed_score_bounds`.  Tasks start at
-        these bounds instead of ``+inf``, so splits whose bound never
-        tops the heap are never aligned — accepted tops are unchanged
-        because acceptance always compares freshly-aligned scores.
-        Bounds **must** dominate the true first-pass scores; the
-        invariant checker verifies this on every alignment.
+        these bounds (or the block bound, whichever is tighter) instead
+        of ``+inf``, so splits whose bound never tops the heap are never
+        aligned — accepted tops are unchanged because acceptance always
+        compares freshly-aligned scores.  Bounds **must** dominate the
+        true first-pass scores; the invariant checker verifies this on
+        every alignment.
     prune:
-        Enable the exact in-fill pruning bounds (default ``True``; see
-        :mod:`repro.align.pruning`).  Accepted tops are bit-identical
-        either way — pruned fills only ever record provable upper
-        bounds as *stale* heap scores, never fresh alignments.
+        Use the exact block bounds (default ``True``; see
+        :mod:`repro.align.pruning`): every never-aligned split starts at
+        a bound taken from a handful of block fills, and one that never
+        tops the heap is never filled.  Accepted tops are bit-identical
+        either way — a bound is only a starting heap score, never a
+        fresh alignment.
     """
 
     def __init__(
@@ -123,9 +127,10 @@ class TopAlignmentState:
         # computed once here so every problem's seq2 block is a zero-copy
         # suffix view (the SSW-style precomputation; see align.profile).
         self.profile = QueryProfile(self.codes, exchange)
-        # Exact-pruning bound tables (align.pruning); None disables all
-        # pruning and every fill runs to completion.
+        # Exact block bounds (align.pruning); None starts every unseeded
+        # task at +inf, the paper's schedule.
         self.prune_context = PruneContext(self.profile) if prune else None
+        self._start_bounds: np.ndarray | None = None
         if triangle == "dense":
             self.triangle: OverrideTriangle = DenseOverrideTriangle(self.m)
         elif triangle == "sparse":
@@ -182,13 +187,7 @@ class TopAlignmentState:
         """Number of accepted top alignments (== triangle version)."""
         return len(self.found)
 
-    def problem_for(
-        self,
-        r: int,
-        *,
-        with_override: bool = True,
-        prune: PruneGate | None = None,
-    ) -> AlignmentProblem:
+    def problem_for(self, r: int, *, with_override: bool = True) -> AlignmentProblem:
         """The alignment problem of split ``r`` under the current triangle."""
         override = self.triangle.view_for_split(r) if with_override else None
         return AlignmentProblem(
@@ -198,7 +197,21 @@ class TopAlignmentState:
             self.gaps,
             override,
             profile=self.profile.suffix(r),
-            prune=prune,
+        )
+
+    def block_problem(self, first: int, stop: int) -> AlignmentProblem:
+        """The block problem whose rows ``first..stop-1`` bound those
+        splits (:mod:`repro.align.pruning`): rows ``S[1..stop-1]``
+        against columns ``S[first+1..m]`` under the staircase, the
+        harvest request riding as its gate."""
+        return AlignmentProblem(
+            self.codes[: stop - 1],
+            self.codes[first:],
+            self.exchange,
+            self.gaps,
+            Staircase(first, self.m - first),
+            profile=self.profile.suffix(first),
+            prune=self.prune_context.gate_for(first, stop),
         )
 
     # -- Figure 5 operations ----------------------------------------------
@@ -207,8 +220,8 @@ class TopAlignmentState:
         """One task per split point, at its best known upper bound.
 
         A fresh search starts every task never-aligned at ``+inf``
-        (lines 2–7) — or, with :attr:`seed_bounds` and/or pruning's
-        per-split lane bounds available, at the tighter of those: still
+        (lines 2–7) — or, with block bounds (``prune``) and/or
+        :attr:`seed_bounds` available, at the tighter of those: still
         never-aligned (acceptance requires a fresh alignment first),
         but sortable below already aligned work, so hopeless splits
         sink in the heap unaligned.  A split whose first-pass row is
@@ -217,10 +230,7 @@ class TopAlignmentState:
         version 0 — which is an upper bound under any later triangle,
         so resuming repays no first pass.
         """
-        bounds = self.seed_bounds
-        if self.prune_context is not None:
-            lane = self.prune_context.lane_bounds[1 : self.m]
-            bounds = lane if bounds is None else np.minimum(bounds, lane)
+        bounds = self.start_bounds()
         tasks = []
         for r in range(1, self.m):
             if r in self.bottom_rows:
@@ -232,6 +242,51 @@ class TopAlignmentState:
                 tasks.append(Task(r))
         return tasks
 
+    def start_bounds(self) -> np.ndarray | None:
+        """Starting bounds of the splits without a cached row (entry
+        ``r - 1`` bounds split ``r``), or ``None`` for ``+inf`` throughout.
+
+        With ``prune``, the first call sends the block problems of those
+        splits — :data:`~repro.align.lanes.BLOCK_SPLITS` neighbours each,
+        trimmed to the splits a block still has to bound — through
+        :meth:`fill` as one lockstep batch (engine time and cells, but
+        no split's alignment), and counts the splits a bound retires
+        for good: at or below the run's ``min_score`` (the context's
+        floor), never to be filled.  The bounds hold for the whole
+        search, so later calls (another session over this state) reuse
+        them and count nothing twice.  The scalar engine, the unbounded
+        reference, and any other that leaves a request unanswered keep
+        ``+inf`` (or the seeds).
+        """
+        ctx = self.prune_context
+        if ctx is None or self.engine.name == "scalar":
+            return self.seed_bounds
+        if self._start_bounds is not None:
+            return self._start_bounds
+        bounds = np.full(self.m - 1, np.inf)
+        if self.seed_bounds is not None:
+            bounds[:] = self.seed_bounds
+        owed, problems = [], []
+        for at in range(1, self.m, BLOCK_SPLITS):
+            block = range(at, min(at + BLOCK_SPLITS, self.m))
+            block = [r for r in block if r not in self.bottom_rows]
+            if block:
+                owed += block
+                problems.append(self.block_problem(block[0], block[-1] + 1))
+        if problems:
+            _rows, seconds = self.fill(problems)
+            self.stats.engine_seconds += seconds
+            self.stats.cells += sum(problem.cells for problem in problems)
+        for gate in (problem.prune for problem in problems):
+            if gate.bounds is not None:
+                span = slice(gate.first - 1, gate.stop - 1)
+                np.minimum(bounds[span], gate.bounds, out=bounds[span])
+        retired = [r for r in owed if bounds[r - 1] <= ctx.floor]
+        self.stats.pruned_lanes += len(retired)
+        self.stats.pruned_cells += sum(r * (self.m - r) for r in retired)
+        self._start_bounds = bounds
+        return bounds
+
     def align_task(self, task: Task) -> float:
         """``AlignWithoutTraceback``: score split ``task.r`` now.
 
@@ -240,37 +295,6 @@ class TopAlignmentState:
         score returned.
         """
         return self.align_tasks_batch([task])[0]
-
-    def _gate_for(self, task: Task) -> PruneGate | None:
-        """A per-fill prune gate for ``task``, or ``None``.
-
-        In-fill prunes compare against the floor only, so without one
-        (pruning off, ``min_score`` 0) there is nothing to gate.  Tasks
-        at or below the floor get no gate either: they are about to be
-        retired by the drivers' exhaustion test, and an unprunable full
-        fill is the only transition guaranteed to make progress on them
-        (a prune could leave their score unchanged).
-        """
-        ctx = self.prune_context
-        if ctx is None or task.score <= ctx.floor or ctx.floor <= 0.0:
-            return None
-        return ctx.gate_for(task.r, cap=task.score)
-
-    def _record_pruned(self, task: Task, gate: PruneGate) -> float:
-        """Record a pruned fill: the bound becomes the stale heap score.
-
-        ``aligned_with`` is untouched and no bottom row is cached, so
-        acceptance — which requires a fresh alignment — can never fire
-        on a bound; accepted tops stay bit-identical (see
-        :mod:`repro.align.pruning`).
-        """
-        prev_score = task.score
-        task.score = min(gate.bound, prev_score)
-        self.stats.pruned_lanes += 1
-        self.stats.pruned_cells += gate.pruned_cells
-        if self.invariants is not None:
-            self.invariants.after_prune(task, gate, prev_score=prev_score)
-        return task.score
 
     def _record_row(self, task: Task, row: np.ndarray, version: int) -> float:
         """Put-or-shadow-score bookkeeping of one completed fill.
@@ -401,7 +425,7 @@ class TopAlignmentState:
         return rows, time.perf_counter() - start
 
     def problems_for(self, tasks: list[Task]) -> list[AlignmentProblem]:
-        """The (gated) alignment problems of ``tasks``, as of now.
+        """The alignment problems of ``tasks``, as of now.
 
         A task's *first* alignment is always computed under the empty
         triangle, whatever the current version: the cached row is the
@@ -414,11 +438,7 @@ class TopAlignmentState:
         stay bit-identical to an unseeded run.
         """
         return [
-            self.problem_for(
-                task.r,
-                with_override=task.r in self.bottom_rows,
-                prune=self._gate_for(task),
-            )
+            self.problem_for(task.r, with_override=task.r in self.bottom_rows)
             for task in tasks
         ]
 
@@ -438,8 +458,7 @@ class TopAlignmentState:
         happened while the fills ran elsewhere (the score is then a
         stale upper bound, exactly like any other).  Caches the bottom
         row on a first alignment, applies the Appendix A shadow-validity
-        rule on realignments, records a stopped fill's bound, and
-        returns the new scores.
+        rule on realignments, and returns the new scores.
         """
         self.stats.engine_seconds += seconds
         self.stats.alignments += len(problems)
@@ -447,17 +466,8 @@ class TopAlignmentState:
         # run in (over the engine's lifetime: a reused engine may name a
         # type an earlier search needed).
         self.stats.engine = self.engine.describe()
-        scores = []
-        for task, problem, row in zip(tasks, problems, rows):
-            gate = problem.prune
-            if gate is not None and gate.pruned:
-                # The fill stopped early; only the evaluated rows count.
-                self.stats.cells += gate.cells_filled
-                scores.append(self._record_pruned(task, gate))
-            else:
-                self.stats.cells += problem.cells
-                scores.append(self._record_row(task, row, version))
-        return scores
+        self.stats.cells += sum(problem.cells for problem in problems)
+        return [self._record_row(task, row, version) for task, row in zip(tasks, rows)]
 
     def restore(self, alignments=(), rows=None) -> None:
         """Adopt the durable products of an earlier or remote run.
@@ -496,7 +506,7 @@ def find_top_alignments(
     ``<= min_score``).
 
     The defaults are the fast path: the lockstep ``lanes`` engine fed
-    batches of ``group=8`` stale tasks, pruning on.  ``group`` selects
+    batches of ``group=8`` stale tasks, block bounds on.  ``group`` selects
     the scheduling grain of the one best-first driver
     (:class:`~repro.core.session.TopAlignmentSession`): 1 aligns one
     task per engine call (the strictly sequential loop), larger values
@@ -511,7 +521,7 @@ def find_top_alignments(
     (ignored when ``state`` is passed) seeds the heap with finite
     per-split upper bounds — see :class:`TopAlignmentState`.  ``prune``
     (also ignored when ``state`` is passed, which carries its own
-    context) toggles the exact in-fill pruning bounds of
+    context) toggles the exact block bounds of
     :mod:`repro.align.pruning`.
     """
     from .session import TopAlignmentSession

@@ -1,8 +1,8 @@
-"""The lane engine as the default path: packing, gates, batch of one.
+"""The lane engine as the default path: packing, harvests, batch of one.
 
 ``LanesEngine.last_rows_batch`` may sort, partition and pad a batch any
 way it likes; what it returns must not depend on any of it.  The oracle
-is the row-vectorised engine run on each problem alone, gate and all.
+is the row-vectorised engine run on each problem alone, harvest and all.
 """
 
 import time
@@ -21,12 +21,13 @@ from repro.align import (
     get_engine,
 )
 from repro.align.lanes import MAX_ROW_CELLS, ROW_OVERHEAD, _partition
+from repro.core import TopAlignmentState
 from repro.scoring import GapPenalties, blosum62, match_mismatch
 from repro.sequences import DNA, RepeatSpec, implant_repeats, pseudo_titin
 
 
-def _split_problems(codes, exchange, gaps, profile, context, splits, caps):
-    """Fresh problems (gates are per-fill state) for ``splits``."""
+def _split_problems(codes, exchange, gaps, profile, context, splits):
+    """Fresh problems (a gate holds one fill's harvest) for ``splits``."""
     return [
         AlignmentProblem(
             codes[:r],
@@ -34,9 +35,9 @@ def _split_problems(codes, exchange, gaps, profile, context, splits, caps):
             exchange,
             gaps,
             profile=None if profile is None else profile.suffix(r),
-            prune=None if context is None else context.gate_for(r, cap=cap),
+            prune=None if context is None else context.gate_for(r),
         )
-        for r, cap in zip(splits, caps)
+        for r in splits
     ]
 
 
@@ -46,12 +47,12 @@ def _split_problems(codes, exchange, gaps, profile, context, splits, caps):
     dtype=st.sampled_from(["float64", "int16"]),
     gated=st.booleans(),
     with_profile=st.booleans(),
-    floor=st.sampled_from([10.0, 30.0, 60.0]),
 )
-def test_any_subset_of_splits_matches_vector(data, dtype, gated, with_profile, floor):
+def test_any_subset_of_splits_matches_vector(data, dtype, gated, with_profile):
     """Rows byte-equal to per-problem ``vector.last_row`` — and the same
-    gate outcomes — for any subset/permutation of one sequence's splits:
-    mixed shapes, with and without gates and shared profile."""
+    harvested bounds — for any subset/permutation of one sequence's
+    splits: mixed shapes, with and without gates and shared profile.
+    (Block problems in a batch: ``test_block_bounds.py``.)"""
     sequence = implant_repeats(
         90,
         RepeatSpec(unit_length=25, copies=2, substitution_rate=0.05),
@@ -64,16 +65,10 @@ def test_any_subset_of_splits_matches_vector(data, dtype, gated, with_profile, f
     splits = data.draw(
         st.lists(st.integers(1, m - 1), min_size=1, max_size=12, unique=True)
     )
-    caps = [
-        data.draw(st.sampled_from([np.inf, floor + 1.0, 4.0 * floor])) for _ in splits
-    ]
     profile = QueryProfile(codes, exchange) if with_profile or gated else None
-    context = None
-    if gated:
-        context = PruneContext(profile)
-        context.configure(floor)
+    context = PruneContext(profile) if gated else None
     make = lambda: _split_problems(  # noqa: E731
-        codes, exchange, gaps, profile if with_profile else None, context, splits, caps
+        codes, exchange, gaps, profile if with_profile else None, context, splits
     )
 
     expected, vector = make(), VectorEngine()
@@ -85,28 +80,35 @@ def test_any_subset_of_splits_matches_vector(data, dtype, gated, with_profile, f
         assert row.dtype == np.float64
         assert row.tobytes() == want.tobytes()
         if gated:
-            g_want, g_got = p_want.prune, p_got.prune
-            assert (g_got.pruned, g_got.bound, g_got.cells_filled) == (
-                g_want.pruned, g_want.bound, g_want.cells_filled,
-            )
+            # A block of one is the split's own problem: its one
+            # harvested row maximum is the first-pass score.
+            assert p_got.prune.bounds.tolist() == [want.max()]
+            assert p_want.prune.bounds.tolist() == [want.max()]
 
 
 def test_gates_fire_in_a_mixed_batch():
-    """The property above is not vacuous: on this input gates do prune."""
+    """Block problems (staircase, many harvested rows) packed with plain
+    splits in one batch: every gate is answered as if its lane ran alone."""
     sequence = implant_repeats(
         120, RepeatSpec(unit_length=30, copies=2, substitution_rate=0.05), DNA, seed=1
     ).sequence
     exchange, gaps = match_mismatch(DNA, 2.0, -1.0), GapPenalties(2.0, 1.0)
-    profile = QueryProfile(sequence.codes, exchange)
-    context = PruneContext(profile)
-    context.configure(40.0)
-    splits = [5, 30, 31, 60, 61, 62, 90, 115]
-    problems = _split_problems(
-        sequence.codes, exchange, gaps, profile, context, splits, [np.inf] * 8
-    )
-    LanesEngine(lanes=8).last_rows_batch(problems)
-    pruned = [p.prune.pruned for p in problems]
-    assert any(pruned) and not all(pruned)
+    state = TopAlignmentState(sequence, exchange, gaps)
+    blocks = [(1, 20), (20, 61), (61, 64), (64, 120)]
+
+    def make():
+        problems = [state.problem_for(r) for r in (5, 60, 115)]
+        problems[1:1] = [state.block_problem(*block) for block in blocks]
+        return problems
+
+    alone, together = make(), make()
+    rows = LanesEngine(lanes=8).last_rows_batch(together)
+    for p_alone, p_got, row in zip(alone, together, rows):
+        assert row.tobytes() == VectorEngine().last_row(p_alone).tobytes()
+        if p_got.prune is not None:
+            assert p_got.prune.bounds.tolist() == p_alone.prune.bounds.tolist()
+            assert p_got.prune.bounds.size == p_got.prune.stop - p_got.prune.first
+    assert max(p.prune.bounds.max() for p in together if p.prune) >= 40.0
 
 
 def test_partition_separates_incompatible_shapes():

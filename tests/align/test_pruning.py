@@ -1,11 +1,13 @@
-"""Tests for the exact in-fill pruning bounds (:mod:`repro.align.pruning`).
+"""Tests for the exact block bounds (:mod:`repro.align.pruning`).
 
-The contract under test is absolute: pruning may only skip work it can
-*prove* is irrelevant, so accepted top alignments must be byte-identical
-with pruning on or off — across engines, group widths, integer work
-types, wildcard-bearing sequences and the linear-memory store —
-and every bound the gate ever computes must dominate the exhaustively
-computed true score of the fill it skipped.
+The contract under test is absolute: a bound may only keep a fill from
+happening when it *proves* the fill irrelevant, so accepted top
+alignments must be byte-identical with bounds on or off — across
+engines, group widths, integer work types, wildcard-bearing sequences
+and the linear-memory store — and every harvested bound must dominate
+the exhaustively computed first-pass score of the split it stands for.
+(The search-level property — every split, realignments, restored
+sessions — is ``test_block_bounds.py``.)
 """
 
 import numpy as np
@@ -14,11 +16,13 @@ from benchmarks.comparators import StripedEngine
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.align import LanesEngine, PruneContext, PruneGate, ScalarEngine
-from repro.align.vector import iter_rows
+from repro.align import LanesEngine, ScalarEngine, VectorEngine
+from repro.align.pruning import Staircase
 from repro.core import TopAlignmentState, find_top_alignments
 from repro.scoring import GapPenalties, match_mismatch
-from repro.sequences import DNA, RepeatSpec, Sequence, implant_repeats, pseudo_titin
+from repro.sequences import DNA, RepeatSpec, Sequence, implant_repeats
+
+from ..conftest import brute_force_matrix
 
 INT16_MAX = 32767
 
@@ -33,9 +37,16 @@ def _sse():
     return LanesEngine(lanes=4, dtype="int16")
 
 
+def _first_pass_scores(state):
+    rows = VectorEngine().last_rows_batch(
+        [state.problem_for(r, with_override=False) for r in range(1, state.m)]
+    )
+    return np.array([row.max() for row in rows])
+
+
 @pytest.fixture(scope="module")
 def repeat_dna():
-    """DNA with one strong implanted repeat — the pruning-friendly regime."""
+    """DNA with one strong implanted repeat — the bound-friendly regime."""
     return implant_repeats(
         200,
         RepeatSpec(unit_length=60, copies=2, substitution_rate=0.05),
@@ -45,11 +56,12 @@ def repeat_dna():
 
 
 class TestByteEquality:
-    """Pruning must change the work done, never the answer."""
+    """Bounds must change the work done, never the answer."""
 
     @pytest.mark.parametrize(
         "engine",
-        # The striped comparator ignores gates: lane bounds still apply.
+        # The striped comparator and the scalar reference answer no
+        # harvest request: their tasks start at +inf (or the seeds).
         ["vector", pytest.param(StripedEngine(), id="striped"), "lanes", "scalar"],
     )
     @pytest.mark.parametrize("group", [1, 4])
@@ -67,18 +79,24 @@ class TestByteEquality:
             engine=engine, group=group, min_score=min_score, prune=True,
         )
         assert _key(on) == _key(off)
-        # Skipped + evaluated work must never lose cells relative to the
-        # exhaustive run (a pruned lane accounts for its whole matrix).
-        assert stats.pruned_cells >= 0
-        assert stats.pruned_lanes >= 0
+        if engine in ("vector", "lanes"):
+            # Every split is either filled or was left unfilled by a bound.
+            assert stats.alignments - stats.realignments < len(repeat_dna) - 1
+            assert stats.pruned_lanes > 0 or not min_score
+        else:
+            assert stats.pruned_lanes == stats.pruned_cells == 0
 
     def test_pruning_actually_fires(self, repeat_dna, dna_scoring):
         exchange, gaps = dna_scoring
+        _, off = find_top_alignments(
+            repeat_dna, 5, exchange, gaps, min_score=60.0, prune=False
+        )
         _, stats = find_top_alignments(
             repeat_dna, 5, exchange, gaps, min_score=60.0, prune=True
         )
         assert stats.pruned_lanes > 0
         assert stats.pruned_cells > 0
+        assert stats.cells < off.cells  # block fills included
         # The counters are mirrored into the repro_prune_* metric family.
         from repro.core.result import _STAT_MIRRORS
 
@@ -92,6 +110,7 @@ class TestByteEquality:
         )
         assert stats.pruned_lanes == 0
         assert stats.pruned_cells == 0
+        assert stats.alignments - stats.realignments == len(repeat_dna) - 1
 
 
 class TestSaturation:
@@ -121,49 +140,40 @@ class TestSaturation:
 
     def test_bounds_dominate_saturated_scores(self):
         # +30000 per match: every deep cell is far past 32767.  The
-        # requested int16 is promoted, the fill is exact, and the bound
-        # tables dominate it — a gate with its floor above the true
-        # maximum prunes, and its bound covers the true row.
+        # requested int16 is promoted, the block fill is exact, and its
+        # harvested bounds dominate the true first-pass scores.
         exchange = match_mismatch(DNA, 30000.0, -1.0, wildcard_score=None)
         gaps = GapPenalties(2.0, 1.0)
         seq = Sequence("AAAAAAAA", DNA, id="sat")
         state = TopAlignmentState(seq, exchange, gaps, engine=_sse())
-        r = 4
-        truth = ScalarEngine().last_row(state.problem_for(r, with_override=False))
+        truth = ScalarEngine().last_row(state.problem_for(4, with_override=False))
         assert truth.max() == 4 * 30000.0
-        assert np.array_equal(
-            state.engine.last_row(state.problem_for(r, with_override=False)), truth
-        )
-        ctx = state.prune_context
-        ctx.configure(truth.max() + 1.0)
-        gate = ctx.gate_for(r)
-        assert ctx.lane_bounds[r] >= truth.max()
-        row = state.engine.last_row(
-            state.problem_for(r, with_override=False, prune=gate)
-        )
-        if gate.pruned:
-            assert gate.bound >= truth.max()
-        else:
-            assert np.array_equal(row, truth)
+        bounds = state.start_bounds()
+        assert np.all(bounds >= _first_pass_scores(state))
+        assert bounds[4 - 1] >= truth.max()
+        assert state.engine.describe() == "lanes[int32]"
 
 
 class TestWildcards:
-    """Wildcard columns (all entries <= 0) contribute zero gain, not noise."""
+    """Wildcard pairings (score <= 0) contribute zero gain, not noise."""
 
     def test_wildcard_columns_have_zero_gain(self, dna_scoring):
         exchange, gaps = dna_scoring  # wildcard pairings score 0.0
+        # Nothing but wildcards: no cell of any block matrix rises above
+        # zero, so every bound is 0 and every split retires unfilled.
+        state = TopAlignmentState(Sequence("N" * 24, DNA, id="wc"), exchange, gaps)
+        tops, stats = find_top_alignments(state.sequence, 4, exchange, gaps, state=state)
+        assert tops == [] and stats.alignments == 0
+        assert np.all(state.start_bounds() == 0.0)
+        assert stats.pruned_lanes == 23
+        # A wildcard run between two repeats adds nothing to the bounds
+        # of the splits inside it beyond what the flanks align to.
         seq = Sequence("ATGCATGC" + "N" * 24 + "ATGCATGC" * 3, DNA, id="wc")
         state = TopAlignmentState(seq, exchange, gaps)
-        ctx = state.prune_context
-        wc = DNA.wildcard_code
-        wildcard_cols = seq.codes == wc
-        assert wildcard_cols.any()
-        # max(P[a, x], 0) is 0 everywhere in a wildcard column, so the
-        # per-column gain — and hence its term in every bound — is 0.
-        assert np.all(ctx.gain[wildcard_cols] == 0.0)
-        # col_suffix is flat across the wildcard run (no gain accrues).
-        run = np.flatnonzero(wildcard_cols)
-        assert ctx.col_suffix[run[0]] == ctx.col_suffix[run[0] + 1] + 0.0
+        bounds, scores = state.start_bounds(), _first_pass_scores(state)
+        inside = slice(8, 8 + 24 - 1)
+        assert np.all(bounds[inside] >= scores[inside])
+        assert bounds[inside].max() <= 16.0  # ATGCATGC against itself
 
     def test_tops_identical_with_wildcards(self, dna_scoring):
         exchange, gaps = dna_scoring
@@ -174,7 +184,7 @@ class TestWildcards:
 
 
 class TestLinearMemory:
-    """Pruned tasks cache no bottom row; the linear store must cope."""
+    """Unfilled splits cache no bottom row; the linear store must cope."""
 
     def test_linear_space_recompute_of_pruned_search(self, repeat_dna, dna_scoring):
         exchange, gaps = dna_scoring
@@ -192,118 +202,112 @@ class TestLinearMemory:
         assert stats.pruned_lanes > 0
         assert state.bottom_rows.resident_rows <= 2
         # The store's gate-free recompute path produced exact rows even
-        # though the first pass pruned some of the splits it re-derives.
+        # though the search never filled some of the splits around them.
         assert state.bottom_rows.recomputations >= 0
 
 
 class TestGateMechanics:
-    def _context(self, text="ATGCATGCATGC", match=2.0, mismatch=-1.0):
-        seq = Sequence(text, DNA)
-        exchange = match_mismatch(DNA, match, mismatch)
-        state = TopAlignmentState(seq, exchange, GapPenalties(2.0, 1.0))
-        return state.prune_context
+    def _state(self, text="ATGCATGCATGC", **kwargs):
+        return TopAlignmentState(
+            Sequence(text, DNA),
+            match_mismatch(DNA, 2.0, -1.0),
+            GapPenalties(2.0, 1.0),
+            **kwargs,
+        )
 
     def test_invalid_split_rejected(self):
-        ctx = self._context()
+        ctx = self._state().prune_context
         with pytest.raises(ValueError, match="split"):
             ctx.gate_for(0)
         with pytest.raises(ValueError, match="split"):
             ctx.gate_for(12)
+        with pytest.raises(ValueError, match="split"):
+            ctx.gate_for(6, 13)
+        gate = ctx.gate_for(6)
+        assert (gate.first, gate.stop, gate.bounds, gate.pruned) == (6, 7, None, False)
 
-    def test_lane_bounds_seed_the_tasks(self):
-        # B0 depends on the split alone, so it is every task's starting
-        # heap score (never-aligned, like an index seed bound) instead
-        # of a per-pop deferral against a live threshold.
-        seq = Sequence("ATGCATGCATGC", DNA)
-        exchange = match_mismatch(DNA, 2.0, -1.0)
-        state = TopAlignmentState(seq, exchange, GapPenalties(2.0, 1.0))
-        ctx = state.prune_context
-        for task in state.make_tasks():
-            gate = ctx.gate_for(task.r)
-            assert task.aligned_with == -1
-            assert task.score == ctx.lane_bounds[task.r]
-            assert task.score == min(gate.rem[0], ctx.col_suffix[task.r])
+    def test_block_bounds_seed_the_tasks(self):
+        # A block bound depends on the sequence alone, so it is every
+        # task's starting heap score (never-aligned, like an index seed
+        # bound), computed once per state.
+        state = self._state()
+        tasks = state.make_tasks()
+        assert all(task.aligned_with == -1 for task in tasks)
+        bounds = np.array([task.score for task in tasks])
+        assert np.all(np.isfinite(bounds))
+        assert np.all(bounds >= _first_pass_scores(state))
+        cells = state.stats.cells
+        assert cells == 11 * 11  # one block: rows S[1..11], columns S[2..12]
+        assert [task.score for task in state.make_tasks()] == bounds.tolist()
+        assert state.stats.cells == cells
         # Index seeds only ever tighten them.
-        seeded = TopAlignmentState(
-            seq, exchange, GapPenalties(2.0, 1.0), seed_bounds=np.full(11, 5.0)
-        )
-        assert [t.score for t in seeded.make_tasks()] == [
-            min(5.0, b) for b in ctx.lane_bounds[1:12]
-        ]
-        unpruned = TopAlignmentState(seq, exchange, GapPenalties(2.0, 1.0), prune=False)
+        seeded = self._state(seed_bounds=np.full(11, 5.0))
+        assert [t.score for t in seeded.make_tasks()] == np.minimum(bounds, 5.0).tolist()
+        unpruned = self._state(prune=False)
         assert all(t.score == float("inf") for t in unpruned.make_tasks())
-
-    def test_prune_requires_strict_progress(self):
-        # A prune may never leave a task's heap score where it was (the
-        # search would repeat it forever): a recorded bound is capped by
-        # the previous score, and a task already at or below the floor
-        # gets no gate at all — only a full fill is sure to move it.
-        from repro.core import Task
-
-        seq = Sequence("ATGCATGCATGC", DNA)
-        state = TopAlignmentState(
-            seq, match_mismatch(DNA, 2.0, -1.0), GapPenalties(2.0, 1.0)
-        )
-        ctx = state.prune_context
-        ctx.configure(10.0)
-        gate = ctx.gate_for(6, cap=7.0)
-        gate.record_row_prune(2, 1.0)
-        assert gate.bound <= 7.0
-        assert state._gate_for(Task(6, score=10.0)) is None
-        assert state._gate_for(Task(6, score=10.5)) is not None
-        ctx.configure(0.0)  # nothing can sink to a zero floor: no gates
-        assert state._gate_for(Task(6, score=10.5)) is None
-
-    def test_row_cutoffs_opt_out_at_zero_floor(self):
-        # floor=0 makes every cutoff negative (best >= 0 always), so
-        # gating a fill could never fire — the gate must opt out.
-        ctx = self._context()
-        ctx.configure(0.0)
-        assert ctx.gate_for(6).row_cutoffs() is None
+        assert unpruned.stats.cells == 0
+        # The scalar engine is the unbounded reference.
+        assert all(t.score == float("inf") for t in self._state(engine="scalar").make_tasks())
 
     def test_counters_cover_the_matrix(self):
-        ctx = self._context()
-        ctx.configure(10.0)
-        gate = ctx.gate_for(6)
-        gate.record_row_prune(2, 1.0)
-        assert gate.pruned
-        assert gate.cells_filled == 2 * gate.cols
-        assert gate.cells_filled + gate.pruned_cells == gate.rows * gate.cols
+        # A split retired at the floor accounts for its whole matrix,
+        # once per search however many sessions attach.
+        state = self._state()
+        state.prune_context.configure(7.0)
+        bounds = state.start_bounds()
+        retired = [r for r in range(1, 12) if bounds[r - 1] <= 7.0]
+        assert retired and len(retired) < 11
+        assert state.stats.pruned_lanes == len(retired)
+        assert state.stats.pruned_cells == sum(r * (12 - r) for r in retired)
+        state.make_tasks()
+        assert state.stats.pruned_lanes == len(retired)
+
+    @pytest.mark.parametrize("engine", [ScalarEngine(), VectorEngine(), LanesEngine()])
+    def test_engines_fill_the_staircase_alike(self, engine):
+        state = self._state("ATGCATTGCAGC")
+        problem = state.block_problem(3, 9)
+        assert (problem.rows, problem.cols) == (8, 9)
+        assert problem.cells == 8 * 9
+        assert isinstance(problem.override, Staircase)
+        assert problem.override.row_mask(3) is None
+        assert problem.override.row_mask(5).tolist() == [True, True] + [False] * 7
+        matrix = brute_force_matrix(problem)
+        assert np.array_equal(engine.last_row(problem), matrix[-1])
+        if not isinstance(engine, ScalarEngine):
+            assert problem.prune.bounds.tolist() == matrix[3:9].max(axis=1).tolist()
 
 
 # No max_examples pin: the nightly ci-deep profile deepens this sweep.
 @given(
-    codes=st.lists(st.integers(0, 3), min_size=8, max_size=36),
-    r_frac=st.floats(0.05, 0.95),
+    codes=st.lists(st.integers(0, 3), min_size=6, max_size=20),
+    cut=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
     match=st.integers(1, 5),
     mismatch=st.integers(-4, 0),
+    gap=st.tuples(st.integers(0, 6), st.integers(0, 3)),
 )
 @settings(deadline=None)
-def test_every_bound_dominates_the_true_score(codes, r_frac, match, mismatch):
-    """Exhaustively fill each sampled block; every gate bound dominates.
+def test_every_bound_dominates_the_true_score(codes, cut, match, mismatch, gap):
+    """Exhaustively fill a random block; every harvested bound dominates.
 
-    This is the pruning soundness theorem stated as a property: for a
-    random sequence, scoring and split, the pre-fill bound and every
-    per-row bound is >= the true task score (the bottom-row maximum of
-    the fully computed matrix).
+    This is the soundness theorem stated as a property: for a random
+    sequence, scoring and block, the lane engine's harvest is exactly
+    the row maxima of the brute-force staircase matrix (which shares no
+    code with the engines), and each dominates the true first-pass
+    score of its split cell for cell along the bottom row.
     """
     seq = Sequence("".join("ACGT"[c] for c in codes), DNA)
     exchange = match_mismatch(DNA, float(match), float(mismatch))
-    state = TopAlignmentState(seq, exchange, GapPenalties(2.0, 1.0))
-    ctx = state.prune_context
+    state = TopAlignmentState(seq, exchange, GapPenalties(float(gap[0]), float(gap[1])))
     m = len(seq)
-    r = min(m - 1, max(1, round(r_frac * m)))
-    gate = ctx.gate_for(r)
+    first, stop = sorted(1 + round(f * (m - 2)) for f in cut)
+    stop += 1
 
-    problem = state.problem_for(r, with_override=False)
-    filled = [row.copy() for _, row in iter_rows(problem)]
-    matrix = np.stack(filled)  # matrix[y - 1] is row y, cols 0..m-r
-    true_score = float(matrix[r - 1].max())
+    problem = state.block_problem(first, stop)
+    matrix = brute_force_matrix(problem)
+    LanesEngine().last_row(problem)
+    assert problem.prune.bounds.tolist() == matrix[first:stop].max(axis=1).tolist()
 
-    assert ctx.lane_bounds[r] >= true_score - 1e-9
-
-    best = 0.0
-    for y in range(1, r + 1):
-        best = max(best, float(matrix[y - 1].max()))
-        row_bound = max(best, 0.0) + float(gate.rem[y])
-        assert row_bound >= true_score - 1e-9
+    for r in range(first, stop):
+        own = brute_force_matrix(state.problem_for(r, with_override=False))[-1]
+        # Split r's column x is block column x + (r - first).
+        assert np.all(matrix[r, 1 + r - first :] >= own[1:])

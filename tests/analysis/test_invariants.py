@@ -216,7 +216,10 @@ def test_verify_upper_bounds_sweep(tandem_state):
     fresh = check_heap_upper_bound(state, Task(r=r, score=math.inf, aligned_with=0))
     good = Task(r=r, score=fresh + 2.0, aligned_with=0)
     never = Task(r=5)  # NEVER_ALIGNED +inf placeholder: skipped
-    assert checker.verify_upper_bounds([good, never]) == 1
+    bounded = Task(r=5, score=40.0)  # never filled, finite: 5 % 5 is not
+    assert checker.verify_upper_bounds([good, never, bounded]) == 1  # n_found % 5
+    sampled = Task(r=6, score=40.0)
+    assert checker.verify_upper_bounds([good, never, sampled]) == 2
     bad = Task(r=r, score=max(fresh - 1.0, 0.0), aligned_with=0)
     with pytest.raises(InvariantViolation):
         checker.verify_upper_bounds([good, bad])
@@ -354,6 +357,24 @@ def test_checker_catches_engine_that_forgets_shadow_rejection(tandem_state):
         find_top_alignments(seq, 4, state.exchange, state.gaps, state=state)
 
 
+def test_full_mode_catches_seeded_low_block_bound(tandem_state):
+    """End-to-end seeded bug: one block bound 1 below the first-pass
+    score it stands for.  The split never tops the heap, so nothing ever
+    fills it and the run would just report other tops — the full-mode
+    sweep recomputes a sample of the never-filled splits and must object."""
+    seq, state = tandem_state
+    state.invariants = InvariantChecker(state, mode="full")
+    r = 6  # sampled by the sweep after the first acceptance (6 % 5 == 1)
+    true = float(state.engine.last_row(state.problem_for(r)).max())
+    bounds = state.start_bounds()
+    assert bounds[r - 1] >= true > 1.0
+    bounds[r - 1] = true - 1.0
+    with pytest.raises(InvariantViolation, match="heap-upper-bound"):
+        # group=1: one fill at a time, so nothing below the top is filled.
+        find_top_alignments(seq, 1, state.exchange, state.gaps, state=state, group=1)
+    assert r not in state.bottom_rows and state.n_found == 1
+
+
 def test_checker_catches_triangle_corruption_after_run(tandem_state):
     seq, state = tandem_state
     state.invariants = InvariantChecker(state, mode="cheap")
@@ -401,9 +422,9 @@ def test_property_stale_scores_dominate_fresh_scores(data, dna_scoring):
     best-first loop depends on)."""
     exchange, gaps = dna_scoring
     seq = _random_sequence(data, min_size=8)
-    # prune=False: this property is about genuine first-pass scores; a
-    # pruned fill stays NEVER_ALIGNED (its bound-dominance is covered by
-    # tests/align/test_pruning.py) and would be skipped by the sweep.
+    # prune=False: this property is about genuine first-pass scores, so
+    # every task starts at +inf (bound dominance is the subject of
+    # tests/align/test_block_bounds.py).
     state = TopAlignmentState(seq, exchange, gaps, prune=False)
     tasks = state.make_tasks()
     for task in tasks:

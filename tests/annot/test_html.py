@@ -48,6 +48,11 @@ class TestSelfContainment:
         assert html_text.count("<style>") == 1
         assert "<svg" in html_text
         assert "<polyline" in html_text
+        # A record without a copy gets the sentence, not a flat chart.
+        empty = build_track("e", 40, [], window=5)
+        html_text = render_html([("e", 40, empty, [], None)])
+        assert "<svg" not in html_text
+        assert "no repeat families detected" in html_text
 
     def test_sparkline_keeps_the_ends_of_flat_runs_only(self):
         """Dropping the interior of a flat run leaves the drawn line

@@ -1,5 +1,7 @@
 """Profile tracks: the weighted-sum consistency contract and friends."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -78,6 +80,8 @@ class TestBuildTrack:
         assert payload["id"] == "s"
         assert payload["values"] == list(track.values)
         assert payload["window"] == 4
+        # Whole window means are written as integers, fractions as is.
+        assert json.dumps(payload["values"]) == "[1, 0.5, 0]"
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())

@@ -126,8 +126,12 @@ class TestWasteAccounting:
         """
         seq = pseudo_titin(150, seed=11)
         exchange, gaps = blosum62(), GapPenalties(8, 1)
-        _, sequential = _reference(seq, 8, exchange, gaps)
-        state = TopAlignmentState(seq, exchange, gaps, engine="lanes")
+        # prune=False on both sides: the shares below are of a schedule
+        # that owes every first pass, not of what block bounds leave.
+        _, sequential = find_top_alignments(
+            seq, 8, exchange, gaps, engine="vector", group=1, prune=False
+        )
+        state = TopAlignmentState(seq, exchange, gaps, engine="lanes", prune=False)
         session = TopAlignmentSession.from_state(state, group=8)
         session.extend(8)
         stats = session.stats

@@ -103,6 +103,8 @@ class TestRoutingLabels:
             assert rep.result.repeats == []
             assert rep.result.stats.engine == "index-skip"
             assert rep.result.stats.cells == 0
+        # One empty result per scan, however many records it skips.
+        assert len({id(rep.result) for rep in skipped}) == 1
 
 
 class TestWarmStore:

@@ -120,9 +120,9 @@ class TestOneDriver:
 
     @pytest.mark.parametrize("group", [1, 8])
     def test_session_prunes_against_min_score(self, group, dna_scoring):
-        """A session configures the prune floor and keeps the live
-        threshold exactly as a one-shot run does: same cells, same
-        pruned lanes (it used to prune against floor 0)."""
+        """A session configures the bound floor exactly as a one-shot
+        run does: same cells, the same splits retired unfilled — counted
+        once, when the session attaches, not again per ``extend``."""
         ex, gaps = dna_scoring
         seq = implant_repeats(
             260,
@@ -141,6 +141,13 @@ class TestOneDriver:
         assert one_shot.pruned_lanes > 0
         assert session.stats.pruned_lanes == one_shot.pruned_lanes
         assert session.stats.cells == one_shot.cells
+        chunked = TopAlignmentSession(
+            seq, ex, gaps, engine="vector", group=group, min_score=140.0
+        )
+        for _ in range(4):
+            chunked.extend(1)
+        assert chunked.stats.pruned_lanes == one_shot.pruned_lanes
+        assert chunked.stats.pruned_cells == one_shot.pruned_cells
 
     def test_min_score_run_is_a_prefix_of_the_open_run(self):
         seq = pseudo_titin(80, seed=3)
@@ -338,8 +345,9 @@ class TestFirstPassDispatch:
         whose bound cannot beat a score already seen stays unaligned."""
         exchange, gaps = protein_scoring
         bounds = seed_score_bounds(small_repeat_protein, exchange)
+        # prune=False: the seeds alone (block bounds would tighten them).
         state = TopAlignmentState(
-            small_repeat_protein, exchange, gaps, seed_bounds=bounds
+            small_repeat_protein, exchange, gaps, seed_bounds=bounds, prune=False
         )
         session = TopAlignmentSession.from_state(state)
         checkout = session.checkout

@@ -103,15 +103,15 @@ class TestInvariants:
         seq, _, _, tops, stats, state = run
         m = len(seq)
         assert stats.tracebacks == len(tops)
-        # alignments/realignments count *executed* fills.  A split is
-        # first-aligned at most once, and only a split whose lane bound
-        # never topped the heap — it cannot beat the last accepted
+        # alignments/realignments count *executed* split fills.  A split
+        # is first-aligned at most once, and only a split whose block
+        # bound never topped the heap — it cannot beat the last accepted
         # score — is never aligned at all.
         first_pass = stats.alignments - stats.realignments
-        assert first_pass == len(state.bottom_rows) <= m - 1
-        for r in range(1, m):
-            if r not in state.bottom_rows:
-                assert state.prune_context.lane_bounds[r] <= tops[-1].score
+        assert first_pass == len(state.bottom_rows) < m - 1
+        for task in state.make_tasks():
+            if task.r not in state.bottom_rows:
+                assert task.score <= tops[-1].score
         assert len(stats.realignments_per_top) == len(tops) + 1
         assert stats.cells > 0 and stats.engine_seconds > 0
 
