@@ -73,17 +73,30 @@ class ClusterClient:
         })
         return reply["job_id"]
 
-    def job_status(self, job_id: str) -> dict[str, Any]:
-        reply = self._request({"kind": protocol.JOB_STATUS, "job_id": job_id})
-        return reply["status"]
+    def job_status(self, job_id: str, wait: float = 0.0) -> dict[str, Any]:
+        """A job's status; with ``wait`` > 0 the coordinator answers when
+        the job finishes or ``wait`` seconds pass, whichever is first
+        (at most :data:`~repro.cluster.protocol.JOB_STATUS_WAIT_MAX`)."""
+        frame: dict[str, Any] = {"kind": protocol.JOB_STATUS, "job_id": job_id}
+        if wait > 0:
+            frame["wait"] = wait
+        return self._request(frame)["status"]
 
     def wait_scan(
         self, job_id: str, *, timeout: float = 300.0, poll: float = 0.1
     ) -> list[dict[str, Any]]:
-        """Poll until a scan job finishes; returns its merged reports."""
+        """Block until a scan job finishes; returns its merged reports.
+
+        Each status request waits on the coordinator for the job's end,
+        bounded by what is left of ``timeout``.  ``poll`` is still
+        accepted from callers written for the polling client; nothing
+        sleeps, so it paces nothing.
+        """
         deadline = time.monotonic() + timeout
         while True:
-            status = self.job_status(job_id)
+            status = self.job_status(
+                job_id, wait=max(0.0, deadline - time.monotonic())
+            )
             if status["state"] == "done":
                 return status["reports"]
             if status["state"] == "failed":
@@ -92,7 +105,6 @@ class ClusterClient:
                 )
             if time.monotonic() >= deadline:
                 raise TimeoutError(f"cluster job {job_id} still running")
-            time.sleep(poll)
 
     def scan(
         self,

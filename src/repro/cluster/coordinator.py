@@ -10,9 +10,11 @@ address.  Its moving parts:
   the *fast path* — its TCP connection drops and the handler thread
   releases its leases immediately — with stale-heartbeat expiry as the
   slow-path backstop;
-* per-job **lease schedulers** (:mod:`repro.cluster.shards`), polled
-  by nodes: a ``ready`` frame returns a lease, a ``wait`` hint, or a
-  ``shutdown``.  Leases that expire or belong to dead nodes go back to
+* per-job **lease schedulers** (:mod:`repro.cluster.shards`), asked
+  by nodes: a ``ready`` frame returns a lease or a ``shutdown``, and
+  when nothing is leasable the request *parks* on the coordinator until
+  something is (or ``heartbeat_interval`` passes, then ``wait``: "ask
+  again now").  Leases that expire or belong to dead nodes go back to
   pending, so no shard is ever lost with a node;
 * a **monitor thread** driving heartbeat expiry, lease deadlines and
   the registered/alive gauges;
@@ -73,7 +75,6 @@ class CoordinatorConfig:
     backoff_cap: float = 10.0
     max_duplicates: int = 2
     monitor_interval: float = 0.25
-    wait_hint: float = 0.2  # how long an idle node should sleep
 
 
 class ClusterJob:
@@ -118,6 +119,9 @@ class Coordinator:
         self.registry = NodeRegistry()
         self.metrics = MetricsRegistry()
         self._jobs_lock = threading.Lock()
+        #: Parked lease requests wait here; notified on every change
+        #: that can make a lease (see :meth:`_lease_for`).
+        self._work = threading.Condition(self._jobs_lock)
         self._jobs: dict[str, ClusterJob] = {}
         self._job_seq = 0
         self._stopping = threading.Event()
@@ -205,15 +209,14 @@ class Coordinator:
 
     def stop(self, timeout: float = 10.0) -> None:
         self._stopping.set()
+        self._wake()  # parked lease requests answer ``shutdown``
         self._listener.close()
         for thread in self._threads:
             thread.join(timeout=timeout)
         with self._jobs_lock:
-            for job in self._jobs.values():
-                if job.state == "running":
-                    job.state = "failed"
-                    job.error = "coordinator stopped"
-                    job.done.set()
+            running = [job for job in self._jobs.values() if job.state == "running"]
+        for job in running:
+            self._finish(job, "coordinator stopped")
 
     def __enter__(self) -> "Coordinator":
         return self.start()
@@ -282,6 +285,7 @@ class Coordinator:
             for old_id in finished[:-FINISHED_JOBS_KEPT]:
                 del self._jobs[old_id]
             self._jobs[job_id] = job
+            self._work.notify_all()
         return job
 
     def wait(self, job: ClusterJob, timeout: float | None = None) -> ClusterJob:
@@ -417,6 +421,9 @@ class Coordinator:
                 job = self.get_job(frame["job_id"])
                 if job is None:
                     return {"kind": protocol.ERROR, "error": "no such job"}
+                wait = float(frame.get("wait") or 0.0)
+                if wait > 0:
+                    job.done.wait(min(wait, protocol.JOB_STATUS_WAIT_MAX))
                 status = job.status()
                 if job.state == "done" and job.kind == "scan":
                     status["reports"] = job.result
@@ -431,28 +438,46 @@ class Coordinator:
 
     # -- scheduling ------------------------------------------------------
 
+    def _wake(self) -> None:
+        """Wake every parked lease request: the lease picture changed."""
+        with self._work:
+            self._work.notify_all()
+
     def _lease_for(self, node_id: str) -> dict:
-        if self._stopping.is_set():
-            return {"kind": protocol.SHUTDOWN}
-        now = time.monotonic()
-        with self._jobs_lock:
-            jobs = [j for j in self._jobs.values() if j.state == "running"]
-        for job in jobs:
-            lease = job.scheduler.next_lease(node_id, now)
-            if lease is not None:
-                self._c_issued.inc()
-                if lease.stolen:
-                    self._c_stolen.inc()
-                with self._jobs_lock:
-                    self._lease_issued_at[(job.job_id, lease.lease_id)] = now
-                return {
-                    "kind": protocol.LEASE,
-                    "job_id": job.job_id,
-                    "lease_id": lease.lease_id,
-                    "attempt": lease.attempt,
-                    "shard": lease.shard.payload,
-                }
-        return {"kind": protocol.WAIT, "delay": self.config.wait_hint}
+        """The reply to a node's ``ready``: a lease as soon as one exists.
+
+        With nothing leasable the request parks on ``_work`` until a
+        state change that can make a lease notifies it, the earliest
+        backoff among running jobs passes, or ``heartbeat_interval``
+        does.  The cap matters: this handler is the only reader of the
+        node's channel, so the node's heartbeats and ``goodbye`` queue
+        unread while it parks.  Only then ``wait`` ("ask again now").
+        """
+        deadline = time.monotonic() + self.config.heartbeat_interval
+        with self._work:
+            while not self._stopping.is_set():
+                now = time.monotonic()
+                running = [j for j in self._jobs.values() if j.state == "running"]
+                for job in running:
+                    lease = job.scheduler.next_lease(node_id, now)
+                    if lease is not None:
+                        self._c_issued.inc()
+                        if lease.stolen:
+                            self._c_stolen.inc()
+                        self._lease_issued_at[(job.job_id, lease.lease_id)] = now
+                        self._work.notify_all()  # a new steal candidate
+                        return {
+                            "kind": protocol.LEASE,
+                            "job_id": job.job_id,
+                            "lease_id": lease.lease_id,
+                            "attempt": lease.attempt,
+                            "shard": lease.shard.payload,
+                        }
+                if now >= deadline:
+                    return {"kind": protocol.WAIT}
+                wake = min([deadline, *(j.scheduler.backoff_until(now) for j in running)])
+                self._work.wait(wake - now)
+        return {"kind": protocol.SHUTDOWN}
 
     def _handle_result(self, node_id: str, frame: dict) -> None:
         job = self.get_job(str(frame.get("job_id", "")))
@@ -480,7 +505,7 @@ class Coordinator:
                     node_id, records=int(frame.get("records", 0))
                 )
                 if job.scheduler.done:
-                    self._finalize(job)
+                    self._finish(job)
             else:
                 self.metrics.counter(
                     "repro_cluster_results_total", status="duplicate"
@@ -494,27 +519,34 @@ class Coordinator:
                 lease_id, str(frame.get("error", "shard failed")), time.monotonic()
             )
             if not retrying:
-                job.state = "failed"
-                job.error = job.scheduler.failure
-                job.done.set()
+                self._finish(job, job.scheduler.failure)
+        self._wake()  # a requeued shard, or a new backoff to wake at
 
-    def _finalize(self, job: ClusterJob) -> None:
-        if job.done.is_set():
-            return
-        if job.kind == "scan":
-            shard_results = merge_shard_results(
-                job.scheduler.results(), job.n_shards
+    def _finish(self, job: ClusterJob, error: str | None = None) -> None:
+        """Move a running ``job`` to ``done``, or to ``failed`` with ``error``.
+
+        The one place a job stops running, so it is where the issue
+        stamps of its leases still out (late duplicates, a dead node's
+        lease) are dropped: they will never resolve, and the map must
+        not grow without bound.
+        """
+        result = None
+        if error is None and job.kind == "scan":
+            result = merge_scan_reports(
+                merge_shard_results(job.scheduler.results(), job.n_shards)
             )
-            job.result = merge_scan_reports(shard_results)
         # rows jobs: the waiting execute_job_spec() call does the finish —
         # handler threads must never run a best-first loop.
-        job.state = "done"
-        job.done.set()
         with self._jobs_lock:
-            # Late duplicates of a finished job never resolve; drop
-            # their issue stamps so the map cannot grow without bound.
+            if job.state != "running":
+                return
+            if error is None:
+                job.result, job.state = result, "done"
+            else:
+                job.error, job.state = error, "failed"
             for key in [k for k in self._lease_issued_at if k[0] == job.job_id]:
                 del self._lease_issued_at[key]
+        job.done.set()
 
     # -- failover --------------------------------------------------------
 
@@ -530,6 +562,7 @@ class Coordinator:
             released = job.scheduler.release_node(node_id)
             if released:
                 self._c_released.inc(len(released))
+        self._wake()
 
     def _monitor_loop(self) -> None:
         while not self._stopping.is_set():
@@ -542,6 +575,7 @@ class Coordinator:
                 expired = job.scheduler.expire(now)
                 if expired:
                     self._c_expired.inc(len(expired))
+                    self._wake()
             self._refresh_node_gauges()
             self._stopping.wait(self.config.monitor_interval)
 

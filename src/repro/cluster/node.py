@@ -7,7 +7,9 @@ frames over the *same* channel (sends are mutex-protected in
 :class:`~repro.cluster.transport.Channel`, the "protect all MPI calls
 with a mutex" workaround §4.3 describes).  Because heartbeats and
 results never get responses, the main loop's recv only ever sees
-replies to its own requests.
+replies to its own requests.  The coordinator holds a ``ready`` until
+there is work, so the node never sleeps: it answers ``wait`` with the
+next ``ready`` at once, like §4.3's slave blocked on a receive.
 
 Shard execution goes through :mod:`repro.cluster.execution`, i.e. the
 same ``finder_for``/engine path the service workers use, keeping the
@@ -139,8 +141,7 @@ class NodeAgent:
             if kind == protocol.SHUTDOWN:
                 return
             if kind == protocol.WAIT:
-                time.sleep(float(reply.get("delay", 0.2)))
-                continue
+                continue  # the coordinator already held this request: ask again now
             if kind != protocol.LEASE:
                 raise protocol.ProtocolError(
                     f"expected lease/wait/shutdown, got {kind!r}"

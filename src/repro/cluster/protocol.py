@@ -3,13 +3,24 @@
 Every frame is a JSON object with a ``kind`` field, carried over the
 :mod:`repro.cluster.transport` framing.  Nodes *pull*: a node sends
 ``ready`` whenever it has a free slot and the coordinator answers with
-exactly one of ``lease`` / ``wait`` / ``shutdown``.  ``heartbeat`` and
-``result`` frames are one-way (no response), which keeps the node's
-request/response loop trivially race-free while a background thread
-heartbeats over the same channel.  A draining node (SIGTERM) finishes
-its current shard, then sends a one-way ``goodbye`` instead of another
-``ready`` — the coordinator marks it drained (a clean exit, not a
-death) and stops counting it toward capacity.
+exactly one of ``lease`` / ``wait`` / ``shutdown``.  The coordinator
+holds a ``ready`` it cannot serve until a lease exists, so the answer
+comes the moment work does; ``wait`` only means the hold reached its
+cap (the node's ``heartbeat_interval``) and carries nothing: "ask
+again now".  ``heartbeat`` and ``result`` frames are one-way (no
+response), which keeps the node's request/response loop trivially
+race-free while a background thread heartbeats over the same channel.
+A draining node (SIGTERM) finishes its current shard, then sends a
+one-way ``goodbye`` instead of another ``ready`` — the coordinator
+marks it drained (a clean exit, not a death) and stops counting it
+toward capacity.
+
+Clients ask ``job_status`` with a ``job_id`` and an optional ``wait``
+(seconds): with it the coordinator holds the reply until the job
+reaches a terminal state or ``wait`` passes, capped at
+:data:`JOB_STATUS_WAIT_MAX` so the reply always beats the client's
+request timeout.  A client that waits for a job loops on that, never
+on a sleep.
 
 Shards
 ------
@@ -56,6 +67,7 @@ __all__ = [
     "METRICS",
     "ERROR",
     "OK",
+    "JOB_STATUS_WAIT_MAX",
     "ProtocolError",
     "report_to_dict",
     "scan_shard",
@@ -80,6 +92,11 @@ WAIT = "wait"
 SHUTDOWN = "shutdown"
 ERROR = "error"
 OK = "ok"
+
+#: Longest a ``job_status`` reply is held for its ``wait`` (seconds),
+#: well below :class:`~repro.cluster.client.ClusterClient`'s 60 s
+#: request timeout.
+JOB_STATUS_WAIT_MAX = 30.0
 
 
 class ProtocolError(RuntimeError):

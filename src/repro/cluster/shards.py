@@ -26,6 +26,7 @@ properties unit-testable without a cluster.
 
 from __future__ import annotations
 
+import math
 import random
 import threading
 from collections import deque
@@ -334,6 +335,16 @@ class ShardScheduler:
                 for shard_id, state in self._states.items()
                 if state.done
             }
+
+    def backoff_until(self, now: float) -> float:
+        """When the earliest pending shard still backing off at ``now``
+        becomes leasable again (``inf`` when none is backing off)."""
+        with self._lock:
+            pending = [self._states[shard_id] for shard_id in self._pending]
+            return min(
+                (s.not_before for s in pending if not s.done and s.not_before > now),
+                default=math.inf,
+            )
 
     def in_flight(self) -> int:
         with self._lock:

@@ -92,7 +92,6 @@ def cluster():
         lease_seconds=30.0,
         scan_shard_size=2,
         monitor_interval=0.05,
-        wait_hint=0.02,
     )
     with Coordinator(config) as coordinator:
         agents, threads = _start_thread_nodes(coordinator, 3)
@@ -206,30 +205,32 @@ class TestClusterClient:
                 client.job_status(evicted)
 
 
-class TestFailover:
-    def _spawn_node(self, port, node_id, delay=0.0):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO / "src")
-        if delay:
-            env["REPRO_CLUSTER_SHARD_DELAY"] = str(delay)
-        return subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro.cli",
-                "cluster",
-                "node",
-                "--join",
-                f"127.0.0.1:{port}",
-                "--node-id",
-                node_id,
-            ],
-            env=env,
-            cwd=REPO,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-        )
+def _spawn_node(port, node_id, delay=0.0):
+    """A ``repro cluster node`` process; ``delay`` seconds held per lease."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO / "src")
+    if delay:
+        env["REPRO_CLUSTER_SHARD_DELAY"] = str(delay)
+    return subprocess.Popen(
+        [
+            sys.executable,
+            "-m",
+            "repro.cli",
+            "cluster",
+            "node",
+            "--join",
+            f"127.0.0.1:{port}",
+            "--node-id",
+            node_id,
+        ],
+        env=env,
+        cwd=REPO,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
 
+
+class TestFailover:
     def test_sigkilled_node_mid_shard_is_bit_identical(self):
         config = CoordinatorConfig(
             port=0,
@@ -238,14 +239,13 @@ class TestFailover:
             lease_seconds=60.0,  # deadlines never fire: death detection does
             scan_shard_size=1,
             monitor_interval=0.05,
-            wait_hint=0.05,
         )
         spec = _spec()
         records = _records(n=6)
         with Coordinator(config) as coordinator:
             # The victim sleeps 30s holding each lease: it will *never*
             # finish a shard, so every record it touches must be re-run.
-            victim = self._spawn_node(coordinator.port, "victim", delay=30.0)
+            victim = _spawn_node(coordinator.port, "victim", delay=30.0)
             try:
                 deadline = time.monotonic() + 15.0
                 while coordinator.registry.alive_count() < 1:
@@ -288,12 +288,11 @@ class TestFailover:
             node_timeout=0.8,
             scan_shard_size=2,
             monitor_interval=0.05,
-            wait_hint=0.05,
         )
         spec = _spec()
         records = _records(n=4)
         with Coordinator(config) as coordinator:
-            victim = self._spawn_node(coordinator.port, "victim", delay=30.0)
+            victim = _spawn_node(coordinator.port, "victim", delay=30.0)
             try:
                 deadline = time.monotonic() + 15.0
                 while coordinator.registry.alive_count() < 1:

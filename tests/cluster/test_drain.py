@@ -40,7 +40,6 @@ def _config(**overrides):
         lease_seconds=60.0,  # deadlines never fire: drain must not need them
         scan_shard_size=1,
         monitor_interval=0.05,
-        wait_hint=0.02,
     )
     defaults.update(overrides)
     return CoordinatorConfig(**defaults)
@@ -48,7 +47,8 @@ def _config(**overrides):
 
 class TestInThreadDrain:
     def test_idle_node_drains_cleanly(self):
-        with Coordinator(_config()) as coordinator:
+        config = _config()
+        with Coordinator(config) as coordinator:
             agent = NodeAgent(
                 NodeConfig(host="127.0.0.1", port=coordinator.port, node_id="idle")
             )
@@ -61,8 +61,12 @@ class TestInThreadDrain:
             while coordinator.registry.alive_count() < 1:
                 assert time.monotonic() < deadline, "node never registered"
                 time.sleep(0.02)
+            drain_started = time.monotonic()
             agent.request_drain()
             thread.join(10)
+            # The node's pending ``ready`` is parked on the coordinator
+            # for at most one heartbeat interval; then it says goodbye.
+            assert time.monotonic() - drain_started < config.heartbeat_interval + 0.2
             assert not thread.is_alive()
             assert exit_codes == [0]
             assert agent.drained

@@ -29,7 +29,6 @@ def cluster_service(tmp_path):
         heartbeat_interval=0.2,
         node_timeout=2.0,
         monitor_interval=0.05,
-        wait_hint=0.02,
     )
     with Coordinator(coordinator_config) as coordinator:
         agents, _ = _start_thread_nodes(coordinator, 1)

@@ -4,6 +4,8 @@ Every scheduler method takes ``now`` explicitly, so these tests drive
 the lease clock by hand — no sleeps, no flakes.
 """
 
+import math
+
 import pytest
 
 from repro.cluster.shards import (
@@ -96,6 +98,17 @@ class TestLeasing:
         retry = sched.next_lease("n1", now=2.0)  # jitter <= base * 2^0 = 1s
         assert retry is not None
         assert retry.attempt == 2
+
+    def test_backoff_until_is_when_the_retry_becomes_leasable(self):
+        sched = _scheduler(1, backoff_base=1.0, backoff_cap=10.0)
+        assert sched.backoff_until(now=0.0) == math.inf  # nothing backing off
+        lease = sched.next_lease("n1", now=0.0)
+        sched.fail(lease.lease_id, "boom", now=0.0)
+        wake = sched.backoff_until(now=0.0)
+        assert 0.5 < wake <= 1.0  # full jitter over base * 2^0
+        assert sched.next_lease("n2", now=wake - 1e-6) is None
+        assert sched.next_lease("n2", now=wake) is not None
+        assert sched.backoff_until(now=wake) == math.inf
 
     def test_exhausted_attempts_fail_the_job(self):
         sched = _scheduler(1, max_attempts=2, backoff_base=0.0)
