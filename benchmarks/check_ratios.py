@@ -24,6 +24,9 @@ does not:
   fills and lane speculation included, a pass evaluates at least a
   tenth fewer cells than the unbounded sequential schedule;
   ``core.find.alignments <= 450`` (593 before block bounds);
+  ``core.find.cells <= 10.7e6`` — a realignment resumes from the saved
+  row above the first row an acceptance changed (10.17 M; 12.06 M when
+  every realignment refilled its whole matrix);
 * ``dna_scan_sparse``: ``index.route_skip_share > 0`` — routing skips;
 * ``dna_scan_dense``: ``core.find.pruned_lanes > 0`` and
   ``core.find.cells_avoided_share > 0`` — bounds retire splits
@@ -63,6 +66,7 @@ GATES = {
         **_KERNEL,
         "core.find.cells_avoided_share": (">=", 0.10),
         "core.find.alignments": ("<=", 450),
+        "core.find.cells": ("<=", 10.7e6),
     },
     "dna_scan_sparse": {"index.route_skip_share": (">", 0.0)},
     "dna_scan_dense": {

@@ -8,6 +8,7 @@ from .base import (
     AlignmentEngine,
     AlignmentProblem,
     OverrideProvider,
+    Resume,
     get_engine,
 )
 from .lanes import LanesEngine
@@ -32,6 +33,7 @@ __all__ = [
     "AlignmentEngine",
     "AlignmentProblem",
     "OverrideProvider",
+    "Resume",
     "get_engine",
     "ScalarEngine",
     "VectorEngine",

@@ -39,6 +39,7 @@ __all__ = [
     "DEFAULT_GROUP",
     "NEG_INF",
     "OverrideProvider",
+    "Resume",
     "AlignmentProblem",
     "AlignmentEngine",
     "ENGINE_NAMES",
@@ -80,6 +81,30 @@ class OverrideProvider(Protocol):
     def row_mask(self, y: int) -> np.ndarray | None: ...
 
 
+class Resume:
+    """A request to fill a matrix from row ``start + 1`` on.
+
+    ``saved`` holds the fill's state after row ``start`` over the local
+    columns ``1..cols`` as a ``(2, cols)`` array: the row in row-shifted
+    coordinates and the column running maximum
+    (:mod:`repro.align.rowstep`) — ``None`` when ``start`` is 0,
+    a fill from the top.  An engine that honours the request fills rows
+    ``start + 1..rows`` only and leaves in :attr:`snapshots` the same two
+    vectors of every ``SNAPSHOT_ROWS``-th row between ``start`` and the
+    bottom row, an ``(n, 2, cols)`` array; an engine that ignores it
+    fills every row and leaves ``None`` (resuming is an optimisation,
+    never a correctness requirement).  DESIGN.md, "Resuming a
+    realignment", says which rows a caller may skip.
+    """
+
+    __slots__ = ("start", "saved", "snapshots")
+
+    def __init__(self, start: int = 0, saved: np.ndarray | None = None) -> None:
+        self.start = start
+        self.saved = saved
+        self.snapshots: np.ndarray | None = None
+
+
 @dataclass(frozen=True)
 class AlignmentProblem:
     """One local-alignment instance: two code arrays plus scoring model.
@@ -95,6 +120,8 @@ class AlignmentProblem:
     the maxima of some matrix rows on the gate — the exact bounds of a
     block of splits; an engine that ignores it just returns the bottom
     row (bounds are an optimisation, never a correctness requirement).
+    The optional ``resume`` request (:class:`Resume`) lets an engine
+    skip the rows above a saved one and asks it for saved rows back.
     """
 
     seq1: np.ndarray
@@ -104,6 +131,7 @@ class AlignmentProblem:
     override: OverrideProvider | None = None
     profile: ProfileView | None = None
     prune: PruneGate | None = None
+    resume: Resume | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "seq1", np.ascontiguousarray(self.seq1, dtype=np.int8))
@@ -112,6 +140,16 @@ class AlignmentProblem:
             raise ValueError(
                 f"profile window spans {self.profile.cols} columns but seq2 "
                 f"has {self.seq2.size}"
+            )
+        resume = self.resume
+        if resume is not None and resume.start and not (
+            resume.start < self.rows
+            and resume.saved is not None
+            and resume.saved.shape == (2, self.seq2.size)
+        ):
+            raise ValueError(
+                f"resume row {resume.start} needs (2, {self.seq2.size}) saved "
+                f"vectors and a row below it (the matrix has {self.rows})"
             )
 
     def substitution_rows(self) -> np.ndarray:
@@ -151,8 +189,18 @@ class AlignmentProblem:
         return self.seq2.size
 
     @property
+    def resume_row(self) -> int:
+        """The last row a fill may skip: the resume request's, else 0."""
+        return 0 if self.resume is None else self.resume.start
+
+    @property
     def cells(self) -> int:
-        """Matrix size — the unit of the engines' cost model."""
+        """Cells filled — the unit of the engines' cost model: the whole
+        matrix, less the skipped rows once an engine has honoured the
+        resume request."""
+        resume = self.resume
+        if resume is not None and resume.snapshots is not None:
+            return (self.rows - resume.start) * self.cols
         return self.rows * self.cols
 
 

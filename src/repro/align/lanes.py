@@ -21,10 +21,12 @@ heap yields therefore pays for a ``max_rows x max_cols`` rectangle per
 lane: a 20x380 split next to a 380x20 one fills 19x the cells either
 needs.  So this engine keeps each lane's row contiguous (working rows
 are ``(lanes, columns)`` grids: the prefix-max scan and the per-lane
-row maximum are unit-stride), sorts a batch by row count and cuts it
-into *shape-compatible sub-batches*, contiguous in that order,
-minimising the modelled cost ``sum(max_rows * (ROW_OVERHEAD + max_cols *
-lanes))`` with no row wider than ``MAX_ROW_CELLS`` cells — neighbouring
+row maximum are unit-stride), sorts a batch by the rows each lane steps
+(a realignment that resumes from a saved row steps only those below it;
+:mod:`repro.align.rowstep`) and cuts it into *shape-compatible
+sub-batches*, contiguous in that order, minimising the modelled cost
+``sum(rows_stepped * (ROW_OVERHEAD + max_cols * lanes))`` with no row
+wider than ``MAX_ROW_CELLS`` cells — neighbouring
 splits share a sub-batch, a left-edge and a right-edge split do not, a
 64-lane first-pass chunk of a 400-residue search becomes a handful of
 ~20-lane sub-batches; a batch of one is simply a one-lane sub-batch.
@@ -43,7 +45,9 @@ grown to the widest sub-batch seen (``MAX_ROW_CELLS`` bounds it); **one
 reduction per harvested row** — a batch of block problems
 (:mod:`repro.align.pruning`) leaves every lane's row maxima on its
 :class:`~repro.align.pruning.PruneGate`; a batch without requests runs
-the bare row step, and no fill is ever cut short.
+the bare row step, and no fill is ever cut short.  The rows a resume
+request gets back are copied out of the row step into an array of their
+own, never into the scratch block.
 """
 
 from __future__ import annotations
@@ -99,31 +103,40 @@ OWED_LANES = 64
 BLOCK_SPLITS = 32
 
 
-def _partition(shapes: list[tuple[int, int]]) -> list[int]:
-    """Cut row-sorted ``(rows, cols)`` shapes into sub-batches.
+def _partition(shapes: list[tuple[int, int, int]]) -> list[int]:
+    """Cut ``(top, rows, cols)`` shapes into sub-batches.
 
-    Returns the end index of every sub-batch of the cheapest contiguous
-    partition under ``max_rows * (ROW_OVERHEAD + max_cols * lanes)``
-    (``shapes`` ascending in rows, so ``max_rows`` is the last member's)
-    among those whose rows hold at most ``MAX_ROW_CELLS`` cells (a lane
-    wider than that runs alone).  The bound ends the look-back, so the
-    work is linear in ``len(shapes)``.
+    ``shapes`` come ascending in the rows a lane steps, ``rows - top``
+    (``top`` is the last row it may skip, its resume row).  Returns the
+    end index of every sub-batch of the cheapest contiguous partition
+    under ``(max_rows - min_top) * (ROW_OVERHEAD + max_cols * lanes)`` —
+    a sub-batch steps from its earliest lane's start to its deepest
+    lane's bottom — among those whose rows hold at most
+    ``MAX_ROW_CELLS`` cells (a lane wider than that runs alone).  The
+    bound ends the look-back, so the work is linear in ``len(shapes)``.
     """
     n = len(shapes)
     best = [0.0] * (n + 1)
     cut = [0] * (n + 1)
     for stop in range(1, n + 1):
-        rows, widest = shapes[stop - 1]
+        first, deepest, widest = shapes[stop - 1]
         start = stop - 1
-        best[stop], cut[stop] = best[start] + rows * (ROW_OVERHEAD + widest), start
+        best[stop] = best[start] + (deepest - first) * (ROW_OVERHEAD + widest)
+        cut[stop] = start
         while start:
             start -= 1
-            cols = shapes[start][1]
+            top, rows, cols = shapes[start]
             if cols > widest:
                 widest = cols
             if (widest + 1) * (stop - start) > MAX_ROW_CELLS:
                 break
-            cost = best[start] + rows * (ROW_OVERHEAD + widest * (stop - start))
+            if top < first:
+                first = top
+            if rows > deepest:
+                deepest = rows
+            cost = best[start] + (deepest - first) * (
+                ROW_OVERHEAD + widest * (stop - start)
+            )
             if cost < best[stop]:
                 best[stop], cut[stop] = cost, start
     ends = []
@@ -209,9 +222,10 @@ class LanesEngine(AlignmentEngine):
                 results[i] = np.zeros(p.cols + 1, dtype=np.float64)
             else:
                 live.append(i)
-        live.sort(key=lambda i: problems[i].rows)
+        live.sort(key=lambda i: problems[i].rows - problems[i].resume_row)
         start = 0
-        for stop in _partition([(problems[i].rows, problems[i].cols) for i in live]):
+        shapes = [(p.resume_row, p.rows, p.cols) for p in (problems[i] for i in live)]
+        for stop in _partition(shapes):
             members = live[start:stop]
             start = stop
             rows = self._fill([problems[i] for i in members])
@@ -232,11 +246,11 @@ class LanesEngine(AlignmentEngine):
         return block[:words].view(dtype)[:need].reshape(count, cells)
 
     def _fill(self, problems: list[AlignmentProblem]) -> list[np.ndarray]:
-        """One shape-compatible sub-batch, rows ascending, none empty."""
+        """One shape-compatible sub-batch, none empty."""
         group = len(problems)
         rows_l = [p.rows for p in problems]
         cols_l = [p.cols for p in problems]
-        max_rows = rows_l[-1]
+        max_rows = max(rows_l)
         dtype = work_dtype(self.dtype, problems[0], max_rows, max(cols_l))
         if WIDTHS.index(dtype) > WIDTHS.index(self.used):
             self.used = dtype

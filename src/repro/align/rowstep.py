@@ -18,6 +18,18 @@ forced-zero cell — column 0, the columns past a lane's own, overridden
 cells — is just ``max(inner + NEG, floor)``.  Ten calls per row, all
 ``out=``, in the narrowest exact work type (:func:`work_dtype`).
 
+**Start rows.**  A row depends on nothing above it but two vectors: the
+previous row ``M'[y-1]`` and ``yq``.  A lane whose problem carries a
+:class:`~repro.align.base.Resume` request from row ``s`` has both loaded
+into its slots at row ``s + 1``; whatever it stepped before that is
+discarded, and a batch starts at its earliest lane's row.  Every
+:data:`SNAPSHOT_ROWS`-th row the two vectors of the whole batch are
+copied out (one copy per grid, not per lane) and each requesting lane
+gets its own rows of them back on its request — what a later resume of
+that matrix starts from (DESIGN.md, "Resuming a realignment").  They
+are kept in the narrowest exact type (:func:`work_dtype` from int16),
+which is int16 at every size the benchmark runs.
+
 :mod:`repro.align.lanes` drives it over packed batches;
 :mod:`repro.align.vector` is its one-lane instance.
 """
@@ -32,10 +44,17 @@ from .base import AlignmentProblem
 from .profile import NEG, QueryProfile
 from .pruning import Staircase
 
-__all__ = ["WIDTHS", "same_scoring", "work_dtype", "lockstep_rows"]
+__all__ = ["SNAPSHOT_ROWS", "WIDTHS", "same_scoring", "work_dtype", "lockstep_rows"]
 
 #: Work types, narrowest first (the keys of ``profile.NEG``).
 WIDTHS = tuple(NEG)
+
+#: Rows between two saved states of a fill that was asked for them (a
+#: :class:`~repro.align.base.Resume` request): a realignment resumes
+#: from a multiple of this.  8, 16 and 32 were measured on the benchmark
+#: records (EXPERIMENTS.md, "Resuming a realignment"): a finer grid skips
+#: more rows and keeps more bytes per filled split.
+SNAPSHOT_ROWS = 16
 
 
 def same_scoring(problems: list[AlignmentProblem]) -> None:
@@ -59,13 +78,12 @@ def work_dtype(requested: str, problem: AlignmentProblem, rows: int, cols: int) 
     stays below ``-NEG`` of the type.  Fractional scoring, or a bound
     past int32's, runs in float64.
     """
-    if requested != "float64":
+    peak = problem.exchange.integral_peak
+    if requested != "float64" and peak is not None:
         try:
             open_, ext = problem.gaps.as_integers()
-            problem.exchange.as_integers()
         except ValueError:
             return "float64"
-        peak = int(np.abs(problem.exchange.scores).max())
         bound = peak * (min(rows, cols) + 1) + ext * (rows + cols + 1) + open_
         for name in WIDTHS[WIDTHS.index(requested) :]:
             if bound < -NEG[name]:
@@ -78,7 +96,7 @@ def lockstep_rows(
     dtype: str | None = None,
     scratch: Callable[[int, int, str], np.ndarray] | None = None,
 ) -> Iterator[tuple[int, np.ndarray, float]]:
-    """Yield ``(y, row, floor)`` for ``y = 1..`` the deepest lane's rows.
+    """Yield ``(y, row, floor)`` for ``y = top + 1..`` the deepest lane's rows.
 
     ``problems`` (none empty, one scoring model) advance together;
     ``row`` is the reused ``(lanes, max_cols + 1)`` grid of row ``y`` in
@@ -87,6 +105,13 @@ def lockstep_rows(
     is ``row - floor``.  Column 0 and the columns past a lane's own
     hold ``floor``.  A lane keeps stepping past its last row (values
     nobody reads); consumers stop when they have what they need.
+    ``top`` is the smallest start row (:attr:`AlignmentProblem.resume_row`)
+    of the batch — 0 unless every lane resumes — and a resumed lane's
+    rows up to its own start are not its matrix's (module docstring), so
+    a caller that wants every row passes no resume request.  Every
+    requesting lane's :attr:`Resume.snapshots` is set, an array of its
+    own, once the deepest lane's last row has been stepped; a consumer
+    that stops early leaves the requests unanswered.
     ``scratch(count, cells, dtype)`` supplies the working buffers
     (default: fresh arrays).
     """
@@ -97,6 +122,8 @@ def lockstep_rows(
     if dtype is None:
         dtype = work_dtype("int32", deepest, deepest.rows, width - 1)
     neg = NEG[dtype]
+    step = SNAPSHOT_ROWS
+    top = min(p.resume_row for p in problems)
     gaps = problems[0].gaps
     open_, ext = (gaps.open_, gaps.extend) if dtype == "float64" else gaps.as_integers()
 
@@ -208,7 +235,30 @@ def lockstep_rows(
             <= np.arange(stair_from + 1, deepest.rows + 1)[:, None, None]
         )
 
-    for y in range(1, deepest.rows + 1):
+    # Resume requests: lane g's saved row s_g goes into its slots at row
+    # s_g + 1.  The batch's rows S, 2S, .. below ``top`` and above the
+    # deepest bottom row are copied out in the narrowest exact type; once
+    # the last row is stepped each requesting lane gets its own copy of
+    # its share — its columns of the rows between its start and its bottom.
+    loads: dict[int, list[int]] = {}
+    next_save = 0  # the next row copied out; 0 once there is none
+    requests = [(g, p.resume) for g, p in enumerate(problems) if p.resume is not None]
+    if requests:
+        for g, resume in requests:
+            if resume.start:
+                loads.setdefault(resume.start + 1, []).append(g)
+        skip = top // step  # saved rows 1..skip lie above the batch
+        narrow = work_dtype("int16", deepest, deepest.rows, width - 1)
+        snaps = np.empty(((deepest.rows - 1) // step - skip, 2, group, width), narrow)
+        if len(snaps):
+            next_save = (skip + 1) * step
+
+    for y in range(top + 1, deepest.rows + 1):
+        for g in loads.pop(y, ()) if loads else ():
+            saved, cols = problems[g].resume.saved, cols_l[g]
+            prev[0][g, 0] = ext * (y - 1)  # column 0 holds the floor
+            prev[0][g, 1 : cols + 1] = saved[0]
+            yq[g, 1 : cols + 1] = saved[1]
         diag, row = prev[1], curr[0]  # diag[x] = M'[y-1][x-1]
         if shared:
             erow = gathered.get(code := codes[y - 1])
@@ -240,5 +290,14 @@ def lockstep_rows(
         if stairs and y > stair_from:
             np.copyto(row[:, 1 : reach + 1], floor, where=steps[y - stair_from - 1])
         fmax(yq, diag, yq)
+        if y == next_save:
+            k = y // step - skip - 1
+            np.copyto(snaps[k, 0], row, casting="unsafe")
+            np.copyto(snaps[k, 1], yq, casting="unsafe")
+            next_save = y + step if k + 1 < len(snaps) else 0
         yield y, row, floor
         prev, curr = curr, prev
+
+    for g, resume in requests:
+        rows = slice(resume.start // step - skip, (problems[g].rows - 1) // step - skip)
+        resume.snapshots = snaps[rows, :, g, 1 : cols_l[g] + 1].copy()

@@ -19,6 +19,7 @@ diagonal (boundary or zero cell).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -71,13 +72,19 @@ def traceback(
     matrix: np.ndarray,
     end_y: int,
     end_x: int,
+    *,
+    top: int = 0,
+    extend: Callable[[], int] | None = None,
 ) -> AlignmentPath:
     """Reconstruct the alignment ending at ``matrix[end_y, end_x]``.
 
     Ties are broken deterministically: diagonal first, then the
     shortest horizontal gap, then the shortest vertical gap — so
     equivalent optima (like the paper's top alignments 1 and 2 in
-    Figure 4) always resolve the same way.
+    Figure 4) always resolve the same way.  Rows above ``top`` are not
+    filled yet: the walk calls ``extend()``, which fills more of them
+    and returns the new top, before it reads one
+    (:class:`~repro.align.matrix.SavedRowsMatrix`).
     """
     exchange = problem.exchange.scores
     open_, ext = problem.gaps.open_, problem.gaps.extend
@@ -99,6 +106,8 @@ def traceback(
             # Started here: the diagonal contribution was a zero
             # (boundary, overridden or genuinely zero cell).
             break
+        while y - 1 < top:
+            top = extend()
 
         # 1. Diagonal (no gap).
         if matrix[y - 1, x - 1] == target:
@@ -125,6 +134,8 @@ def traceback(
         # 3. Vertical gap: predecessor (r, x-1) with r <= y-2,
         #    penalty open + ext * (y - 1 - r); shortest gap first.
         for r in range(y - 2, -1, -1):
+            while r < top:
+                top = extend()
             if matrix[r, x - 1] - (open_ + ext * (y - 1 - r)) == target:
                 y, x = r, x - 1
                 found = True

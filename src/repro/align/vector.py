@@ -20,11 +20,13 @@ __all__ = ["VectorEngine", "iter_rows"]
 def iter_rows(problem: AlignmentProblem):
     """Yield matrix rows ``(y, M[y, 0..cols])`` for ``y = 1..rows``.
 
-    The workhorse shared by :class:`VectorEngine` (which keeps only the
-    last row) and :func:`repro.align.matrix.full_matrix` (which stacks
-    them).  Rows are emitted as float64 arrays of length ``cols + 1``
-    with the boundary column at index 0; the yielded array is reused
-    between iterations, so callers that keep rows must copy.
+    The workhorse of :class:`VectorEngine` (which keeps only the last
+    row) and :func:`~repro.align.search.best_local_score`.  Rows are
+    emitted as float64 arrays of length ``cols + 1`` with the boundary
+    column at index 0; the yielded array is reused between iterations,
+    so callers that keep rows must copy.  A problem with a resume
+    request starts after its resume row
+    (:func:`~repro.align.rowstep.lockstep_rows`).
     """
     if problem.rows == 0:
         return

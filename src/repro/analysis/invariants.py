@@ -15,13 +15,18 @@ The algorithm's million-fold speedup rests on three fragile claims:
   cached row; changed cells are shadow alignments rerouted around an
   accepted path.
 
+A fourth makes realignments cheap: a realignment **resumes** from a
+saved row above every row an acceptance since the save changed, so the
+rows it skips are the ones a full fill would repeat byte for byte.
+
 None of these fail loudly on their own — they fail as silently wrong
 top alignments.  Setting ``REPRO_CHECK_INVARIANTS=1`` (cheap checks)
 or ``REPRO_CHECK_INVARIANTS=full`` (adds O(n·cells) fresh-score
 re-verification after each acceptance: every queued upper bound still
-dominates, every score the span rule left current is still exact, and
-the starting bounds of a sample of the splits no fill has touched
-dominate the first-pass scores they stand in for)
+dominates, every score the span rule left current is still exact, the
+starting bounds of a sample of the splits no fill has touched
+dominate the first-pass scores they stand in for, and a sample of the
+resumed fills equals the same fill from the top)
 makes every execution mode — sequential, lane-grouped, threaded,
 distributed — self-verifying; violations raise
 :class:`InvariantViolation`.
@@ -35,6 +40,8 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
+from ..align.base import Resume
+from ..align.vector import VectorEngine
 from ..core.tasks import NEVER_ALIGNED
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -62,6 +69,9 @@ _TOL = 1e-6
 
 #: Every how-many-th never-filled split a ``full`` sweep recomputes.
 NEVER_FILLED_STRIDE = 5
+
+#: Every how-many-th resumed fill ``full`` mode repeats from the top.
+RESUMED_STRIDE = 5
 
 _OFF = {"", "0", "off", "false", "no"}
 _FULL = {"full", "2", "all"}
@@ -242,6 +252,7 @@ class InvariantChecker:
 
     * :meth:`guard_task` — structural checks on every queue insert;
     * :meth:`after_align` — score monotonicity + shadow-row validity;
+    * :meth:`after_resume` — a fill skipped only rows nothing changed;
     * :meth:`after_accept` — triangle monotonicity + non-overlap;
     * :meth:`verify_upper_bounds` — full-mode fresh-score sweep after
       every acceptance and at exhaustion: stale scores dominate,
@@ -257,6 +268,8 @@ class InvariantChecker:
         self.triangle_validator = TriangleMonotonicityValidator(state.triangle)
         #: Number of individual invariant checks executed (observability).
         self.checks = 0
+        #: Fills resumed below row 0 so far (``full`` mode samples them).
+        self.resumed = 0
 
     # -- queue guard (wired into TaskQueue) --------------------------------
 
@@ -312,6 +325,50 @@ class InvariantChecker:
         if task.r in self.state.bottom_rows:
             validate_shadow_rows(
                 self.state.bottom_rows, task.r, row, claimed_score=task.score
+            )
+
+    def after_resume(
+        self, r: int, resume: Resume, row: np.ndarray, stamp: int, version: int
+    ) -> None:
+        """Validate a fill of split ``r`` that honoured ``resume``.
+
+        The rows it skipped were saved under triangle version ``stamp``
+        and it ran under ``version``: every acceptance in between that
+        spans ``r`` must start strictly below the resume row.  In
+        ``full`` mode every :data:`RESUMED_STRIDE`-th fill that skipped
+        rows is repeated from the top (by ``vector``, while the triangle
+        is still at ``version``), and its bottom row and saved rows must
+        equal the resumed fill's and the rows the state now keeps.
+        """
+        self.checks += 1
+        start = resume.start
+        if not start:
+            return
+        for i_min, j_max in self.state.spans[stamp:version]:
+            if i_min <= r < j_max and i_min <= start:
+                raise InvariantViolation(
+                    "resume-row",
+                    f"split r={r} resumed from row {start}, but an acceptance "
+                    f"since the saved rows' version {stamp} changed row "
+                    f"{i_min} and below",
+                )
+        self.resumed += 1
+        if (
+            self.mode != "full"
+            or self.resumed % RESUMED_STRIDE
+            or self.state.n_found != version
+        ):
+            return
+        full = self.state.problem_for(r, resume=Resume())
+        fresh = VectorEngine().last_row(full)
+        kept = self.state.snapshots[r][1]
+        if fresh.tobytes() != row.tobytes() or not np.array_equal(
+            full.resume.snapshots, kept
+        ):
+            raise InvariantViolation(
+                "resume-row",
+                f"split r={r} resumed from row {start} under triangle version "
+                f"{version}, but the same fill from the top differs",
             )
 
     # -- acceptance hook ---------------------------------------------------

@@ -125,7 +125,7 @@ _STAT_MIRRORS: dict[str, tuple[str, str]] = {
     ),
     "pruned_lanes": (
         "repro_prune_lanes_total",
-        "Fills cut short (or skipped outright) by the exact pruning bounds",
+        "Splits retired unfilled by their exact block bound",
     ),
 }
 
@@ -247,7 +247,9 @@ class RunStats:
     #: Alignments beyond the first per task (i.e. with a non-empty
     #: override triangle history).
     realignments = _stat_property("realignments")
-    #: Matrix cells evaluated across all alignments and block fills.
+    #: Matrix cells filled across all alignments and block fills.  A
+    #: realignment that resumed from a saved row counts only the rows it
+    #: filled below it (``AlignmentProblem.cells``).
     cells = _stat_property("cells")
     #: Full-matrix traceback recomputations (one per accepted alignment).
     tracebacks = _stat_property("tracebacks")

@@ -29,14 +29,22 @@ from __future__ import annotations
 
 import os
 import time
+from typing import Callable
 
 import numpy as np
 
-from ..align.base import DEFAULT_ENGINE, DEFAULT_GROUP, AlignmentProblem, get_engine
+from ..align.base import (
+    DEFAULT_ENGINE,
+    DEFAULT_GROUP,
+    AlignmentProblem,
+    Resume,
+    get_engine,
+)
 from ..align.lanes import BLOCK_SPLITS
-from ..align.matrix import full_matrix
+from ..align.matrix import SavedRowsMatrix, full_matrix
 from ..align.profile import QueryProfile
 from ..align.pruning import PruneContext, Staircase
+from ..align.rowstep import SNAPSHOT_ROWS
 from ..align.traceback import traceback
 from ..scoring.exchange import ExchangeMatrix
 from ..scoring.gaps import GapPenalties
@@ -74,9 +82,10 @@ class TopAlignmentState:
         ``"dense"`` (default) or ``"sparse"`` override-triangle storage.
     memory:
         ``"full"`` (default) caches every first-pass bottom row — the
-        paper's O(n²) store; ``"linear"`` uses the Appendix A on-demand
-        recomputation scheme with at most ``linear_capacity`` resident
-        rows.
+        paper's O(n²) store — and the saved rows a realignment resumes
+        from (:attr:`snapshots`); ``"linear"`` uses the Appendix A
+        on-demand recomputation scheme with at most ``linear_capacity``
+        resident rows, and keeps no saved rows.
     seed_bounds:
         Optional array of ``m - 1`` finite upper bounds on the
         first-pass score of splits ``r = 1..m-1`` (entry ``i`` bounds
@@ -137,8 +146,17 @@ class TopAlignmentState:
             self.triangle = SparseOverrideTriangle(self.m)
         else:
             raise ValueError("triangle must be 'dense' or 'sparse'")
+        #: ``snapshots[r] = (stamp, saved)``: rows ``S, 2S, ..`` above
+        #: split ``r``'s bottom row (``S`` = ``SNAPSHOT_ROWS``), ``saved[k]``
+        #: the two vectors a fill resumes from at row ``(k + 1) * S``
+        #: (:class:`~repro.align.base.Resume`), exact under triangle
+        #: version ``stamp`` (DESIGN.md, "Resuming a realignment").  Live
+        #: and die with the state: no checkpoint stores them.  ``None``
+        #: keeps none (``memory="linear"``).
+        self.snapshots: dict[int, tuple[int, np.ndarray]] | None = None
         if memory == "full":
             self.bottom_rows = BottomRowStore(self.m)
+            self.snapshots = {}
         elif memory == "linear":
             from .linearspace import RecomputingBottomRowStore
 
@@ -187,7 +205,9 @@ class TopAlignmentState:
         """Number of accepted top alignments (== triangle version)."""
         return len(self.found)
 
-    def problem_for(self, r: int, *, with_override: bool = True) -> AlignmentProblem:
+    def problem_for(
+        self, r: int, *, with_override: bool = True, resume: Resume | None = None
+    ) -> AlignmentProblem:
         """The alignment problem of split ``r`` under the current triangle."""
         override = self.triangle.view_for_split(r) if with_override else None
         return AlignmentProblem(
@@ -197,6 +217,7 @@ class TopAlignmentState:
             self.gaps,
             override,
             profile=self.profile.suffix(r),
+            resume=resume,
         )
 
     def block_problem(self, first: int, stop: int) -> AlignmentProblem:
@@ -296,15 +317,18 @@ class TopAlignmentState:
         """
         return self.align_tasks_batch([task])[0]
 
-    def _record_row(self, task: Task, row: np.ndarray, version: int) -> float:
+    def _record_row(
+        self, task: Task, problem: AlignmentProblem, row: np.ndarray, version: int
+    ) -> float:
         """Put-or-shadow-score bookkeeping of one completed fill.
 
         First alignments cache the bottom row; realignments apply the
         Appendix A shadow-validity rule and are stamped with ``version``,
-        the triangle version the fill observed.  The task's ``score``
-        and ``aligned_with`` are updated in place, the invariant checker
-        (if armed) validates the transition, and the new score is
-        returned.
+        the triangle version the fill observed.  The rows the fill saved
+        are folded into :attr:`snapshots` under the same stamp.  The
+        task's ``score`` and ``aligned_with`` are updated in place, the
+        invariant checker (if armed) validates the transition, and the
+        new score is returned.
         """
         prev_score, prev_version = task.score, task.aligned_with
         if task.r not in self.bottom_rows:
@@ -324,17 +348,69 @@ class TopAlignmentState:
             score = self.bottom_rows.score_of(task.r, row)
         task.score = score
         task.aligned_with = version
+        resume = problem.resume
+        stamp = None
+        if resume is not None and resume.snapshots is not None:
+            stamp = self._keep_snapshots(task.r, resume, version)
         if self.invariants is not None:
             self.invariants.after_align(
                 task, row, prev_score=prev_score, prev_version=prev_version
             )
+            if stamp is not None:
+                self.invariants.after_resume(task.r, resume, row, stamp, version)
         return score
+
+    def _keep_snapshots(self, r: int, resume: Resume, version: int) -> int:
+        """Fold a fill's saved rows into :attr:`snapshots`, stamped
+        ``version``; returns the stamp the rows it resumed from had.
+
+        Rows above the resume row are the ones the fill started from,
+        exact under ``version`` too (that is how the resume row was
+        chosen, :meth:`_resume_for`); rows below it are the fill's own.
+        """
+        held = self.snapshots.get(r)
+        if held is None:
+            self.snapshots[r] = (version, resume.snapshots)
+            return version
+        stamp, saved = held
+        saved[resume.start // SNAPSHOT_ROWS :] = resume.snapshots
+        self.snapshots[r] = (version, saved)
+        return stamp
+
+    def _exact_snapshots(self, r: int) -> tuple[int, np.ndarray | None]:
+        """``(k, saved)``: split ``r``'s saved rows, of which the first
+        ``k`` — rows ``S, 2S, .. kS`` (``S`` = ``SNAPSHOT_ROWS``) — lie
+        above every row an acceptance since the rows' stamp changed, so
+        they are exact now.
+
+        The acceptance with pairs from ``(i_min, ·)`` marks cells of split
+        ``r`` (``i_min <= r < j_max``) in rows ``i_min`` and below only,
+        and Equation 1 looks only up and to the left, so rows above
+        ``i_min`` — and the two vectors a fill carries out of them — are
+        unchanged.
+        """
+        held = None if self.snapshots is None else self.snapshots.get(r)
+        if held is None:
+            return 0, None
+        stamp, saved = held
+        limit = r - 1
+        for i_min, j_max in self.spans[stamp:]:
+            if i_min <= r < j_max and i_min <= limit:
+                limit = i_min - 1
+        return limit // SNAPSHOT_ROWS, saved
+
+    def _resume_for(self, r: int) -> Resume:
+        """Split ``r``'s resume request: from the deepest exact saved row
+        (:meth:`_exact_snapshots`).  Without one the fill starts at the
+        top and saves rows."""
+        k, saved = self._exact_snapshots(r)
+        return Resume(k * SNAPSHOT_ROWS, saved[k - 1]) if k else Resume()
 
     def accept_task(self, task: Task) -> TopAlignment:
         """Accept ``task`` as the next top alignment (lines 13–14).
 
         Recomputes the split's matrix under the *same* triangle the
-        task was last scored with (:meth:`_traceback_matrix`: as much of
+        task was last scored with (:meth:`_traceback_rows`: as much of
         it as the path can touch), picks the best valid bottom-row cell
         (ties: leftmost), traces the path back, converts it to global
         pairs and marks the override triangle.
@@ -347,7 +423,7 @@ class TopAlignmentState:
         if task.score <= 0:
             raise ValueError("cannot accept a non-positive top alignment")
         problem = self.problem_for(task.r)
-        matrix = self._traceback_matrix(task, problem)
+        matrix, top, extend = self._traceback_rows(task, problem)
         self.stats.tracebacks += 1
         bottom = np.asarray(matrix[-1], dtype=np.float64)
         valid = bottom == self.bottom_rows.get(task.r)[: bottom.size]
@@ -359,7 +435,7 @@ class TopAlignmentState:
                 f"accepted score {best} does not match task score {task.score} "
                 f"for split r={task.r}"
             )
-        path = traceback(problem, matrix, problem.rows, end_x)
+        path = traceback(problem, matrix, problem.rows, end_x, top=top, extend=extend)
         pairs = tuple((step.y, task.r + step.x) for step in path.pairs)
         alignment = TopAlignment(
             index=self.n_found, r=task.r, score=task.score, pairs=pairs
@@ -375,6 +451,25 @@ class TopAlignmentState:
         self.found.append(alignment)
         self.spans.append((alignment.pairs[0][0], alignment.pairs[-1][1]))
         self.stats.realignments_per_top.append(0)
+
+    def _traceback_rows(
+        self, task: Task, problem: AlignmentProblem
+    ) -> tuple[np.ndarray, int, Callable[[], int] | None]:
+        """Split ``task.r``'s matrix under the current triangle, as much
+        of it as the accepted path can touch: ``(matrix, top, extend)``
+        for :func:`~repro.align.traceback.traceback`.
+
+        With exact saved rows (:meth:`_exact_snapshots`) only the rows
+        below the deepest of them are filled, and the traceback fills
+        the rows above, a block at a time, as far as its path climbs
+        (:class:`~repro.align.matrix.SavedRowsMatrix`).  Otherwise
+        :meth:`_traceback_matrix` is filled whole.
+        """
+        k, saved = self._exact_snapshots(task.r)
+        if k:
+            rows = SavedRowsMatrix(problem, saved, k)
+            return rows.matrix, rows.top, rows.extend
+        return self._traceback_matrix(task, problem), 0, None
 
     def _traceback_matrix(self, task: Task, problem: AlignmentProblem) -> np.ndarray:
         """Split ``task.r``'s matrix under the current triangle, as far
@@ -436,11 +531,22 @@ class TopAlignmentState:
         after acceptances, and the override view must be withheld so
         later shadow decisions — and therefore the accepted tops —
         stay bit-identical to an unseeded run.
+
+        With :attr:`snapshots` kept, every problem carries a resume
+        request (:meth:`_resume_for`): a realignment skips the rows no
+        acceptance since its saved rows changed, and every fill saves
+        rows for the next one.
         """
-        return [
-            self.problem_for(task.r, with_override=task.r in self.bottom_rows)
-            for task in tasks
-        ]
+        problems = []
+        for task in tasks:
+            filled = task.r in self.bottom_rows
+            resume = None
+            if self.snapshots is not None:
+                resume = self._resume_for(task.r) if filled else Resume()
+            problems.append(
+                self.problem_for(task.r, with_override=filled, resume=resume)
+            )
+        return problems
 
     def record_rows(
         self,
@@ -458,7 +564,9 @@ class TopAlignmentState:
         happened while the fills ran elsewhere (the score is then a
         stale upper bound, exactly like any other).  Caches the bottom
         row on a first alignment, applies the Appendix A shadow-validity
-        rule on realignments, and returns the new scores.
+        rule on realignments, folds in the rows the fills saved, and
+        returns the new scores.  ``cells`` counts the rows each fill
+        filled: all of them unless the engine honoured a resume request.
         """
         self.stats.engine_seconds += seconds
         self.stats.alignments += len(problems)
@@ -467,7 +575,10 @@ class TopAlignmentState:
         # type an earlier search needed).
         self.stats.engine = self.engine.describe()
         self.stats.cells += sum(problem.cells for problem in problems)
-        return [self._record_row(task, row, version) for task, row in zip(tasks, rows)]
+        return [
+            self._record_row(task, problem, row, version)
+            for task, problem, row in zip(tasks, problems, rows)
+        ]
 
     def restore(self, alignments=(), rows=None) -> None:
         """Adopt the durable products of an earlier or remote run.

@@ -67,13 +67,17 @@ class Communicator:
         self._channels = channels
         self._pending: list[Message] = []
         self._inbox: queue_mod.Queue[Message] = queue_mod.Queue()
-        for peer, channel in channels.items():
+        self._readers = [
             threading.Thread(
                 target=self._drain,
                 args=(channel,),
                 name=f"msgpass-{rank}-reader-{peer}",
                 daemon=True,
-            ).start()
+            )
+            for peer, channel in channels.items()
+        ]
+        for reader in self._readers:
+            reader.start()
 
     def _drain(self, channel: Channel) -> None:
         while True:
@@ -133,8 +137,12 @@ class Communicator:
             self.send(payload, dest, tag)
 
     def close(self) -> None:
+        """Close every channel and wait for its reader: closing wakes a
+        blocked ``recv``, so no reader outlives its communicator."""
         for channel in self._channels.values():
             channel.close()
+        for reader in self._readers:
+            reader.join(timeout=DEFAULT_TIMEOUT)
 
     @staticmethod
     def _matches(msg: Message, source: int, tag: int) -> bool:

@@ -12,6 +12,7 @@ exchange lookup.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -79,6 +80,17 @@ class ExchangeMatrix:
         if not np.array_equal(ints, self.scores):
             raise ValueError(f"exchange matrix {self.name!r} is not integral")
         return ints
+
+    @cached_property
+    def integral_peak(self) -> int | None:
+        """``max |E|`` when every entry is an integer, else ``None``: what
+        an exact integer work type needs (``repro.align.rowstep.work_dtype``),
+        computed once per matrix."""
+        try:
+            self.as_integers()
+        except ValueError:
+            return None
+        return int(np.abs(self.scores).max())
 
     @property
     def max_score(self) -> float:

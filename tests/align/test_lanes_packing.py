@@ -114,12 +114,17 @@ def test_gates_fire_in_a_mixed_batch():
 def test_partition_separates_incompatible_shapes():
     # Left-edge and right-edge splits of one 400-residue sequence: one
     # rectangle would be 19x the cells either side needs.
-    left = [(20 + i, 380 - i) for i in range(4)]
-    right = [(377 + i, 23 - i) for i in range(4)]
+    left = [(0, 20 + i, 380 - i) for i in range(4)]
+    right = [(0, 377 + i, 23 - i) for i in range(4)]
     assert _partition(left + right) == [4, 8]
     # Neighbouring middle splits share one sub-batch.
-    assert _partition([(196 + i, 204 - i) for i in range(8)]) == [8]
+    assert _partition([(0, 196 + i, 204 - i) for i in range(8)]) == [8]
     assert _partition([]) == []
+    # One matrix shape, but one lane resumes near its bottom: stepping it
+    # from the other lane's start would cost it 180 rows for nothing.
+    assert _partition([(180, 200, 200), (0, 200, 200)]) == [1, 2]
+    # Resumed at neighbouring rows, they step together.
+    assert _partition([(176, 200, 200), (160, 200, 200)]) == [2]
 
 
 def _exhaustive_partition(shapes):
@@ -129,11 +134,10 @@ def _exhaustive_partition(shapes):
     best = [0.0] + [np.inf] * n
     cut = [0] * (n + 1)
     for stop in range(1, n + 1):
-        rows = shapes[stop - 1][0]
-        widest = 0
         for start in range(stop - 1, -1, -1):
-            widest = max(widest, shapes[start][1])
-            cost = best[start] + rows * (ROW_OVERHEAD + widest * (stop - start))
+            tops, rows, cols = zip(*shapes[start:stop])
+            stepped = max(rows) - min(tops)
+            cost = best[start] + stepped * (ROW_OVERHEAD + max(cols) * (stop - start))
             if cost < best[stop]:
                 best[stop], cut[stop] = cost, start
     ends = []
@@ -143,26 +147,36 @@ def _exhaustive_partition(shapes):
     return ends[::-1]
 
 
-_shape = st.tuples(st.integers(1, 400), st.integers(1, 300))
+def _by_rows_stepped(shapes):
+    """``(rows, cols, top fraction)`` draws as packer input: ``(top, rows,
+    cols)`` ascending in ``rows - top``."""
+    triples = [(int(rows * frac), rows, cols) for rows, cols, frac in shapes]
+    return sorted(triples, key=lambda t: (t[1] - t[0], t))
+
+
+_top = st.sampled_from([0.0, 0.0, 0.3, 0.9])
+_shape = st.tuples(st.integers(1, 400), st.integers(1, 300), _top)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_shape, max_size=MAX_ROW_CELLS // 301))
 def test_partition_equals_the_exhaustive_dp_when_the_bound_cannot_bind(shapes):
     """At most 13 lanes of at most 301 cells: no row reaches the bound."""
-    shapes.sort()
+    shapes = _by_rows_stepped(shapes)
     assert _partition(shapes) == _exhaustive_partition(shapes)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.integers(1, 400), st.integers(1, 6000)), max_size=150))
+@given(
+    st.lists(st.tuples(st.integers(1, 400), st.integers(1, 6000), _top), max_size=150)
+)
 def test_partition_keeps_rows_within_the_cell_bound(shapes):
     """Only a lane that is too wide on its own may exceed it, alone."""
-    shapes.sort()
+    shapes = _by_rows_stepped(shapes)
     start = 0
     for stop in _partition(shapes):
         lanes = stop - start
-        width = max(cols for _, cols in shapes[start:stop]) + 1
+        width = max(cols for _, _, cols in shapes[start:stop]) + 1
         assert lanes == 1 or lanes * width <= MAX_ROW_CELLS
         start = stop
     assert start == len(shapes)
@@ -181,7 +195,7 @@ def test_partition_is_linear_in_the_batch():
             return super().__getitem__(index)
 
     m = 4001
-    shapes = Counting((r, m - r) for r in range(1, m))
+    shapes = Counting((0, r, m - r) for r in range(1, m))
     ends = _partition(shapes)
     assert ends[-1] == len(shapes)
     assert Counting.reads <= 16 * len(shapes)

@@ -7,15 +7,22 @@ lane width, pruning and heap seeding, the accepted tops must be
 byte-equal to the plainest run there is: ``engine="scalar"``,
 ``group=1``, ``prune=False``, no seeds.
 
+Whatever the policy, ``RunStats.cells`` is also the cells the engines
+filled: the realignments that resumed from a saved row count only the
+rows below it, and the master/slave policy, whose slaves rebuild their
+problems without the request, counts whole matrices.
+
 Also green under ``REPRO_CHECK_INVARIANTS=full``.
 """
 
 import functools
+import multiprocessing
 import sys
 import threading
 
 import pytest
 
+from repro.align import AlignmentEngine, get_engine
 from repro.core import (
     TopAlignmentSession,
     TopAlignmentState,
@@ -81,7 +88,7 @@ def _master(threads_per_slave):
             m=len(sequence),
             exchange=scoring[0],
             gaps=scoring[1],
-            engine="lanes",
+            engine=session.state.engine,  # forked: each slave runs a copy
             n_threads=threads_per_slave,
         )
         with World(3) as world:
@@ -124,6 +131,45 @@ def test_tops_equal_the_plain_sequential_run(policy, prune, seeded, name):
     assert session.stats.tracebacks == len(session)
     if name == "exhausting":
         assert session.exhausted and len(session) < k
+
+
+class _CountingEngine(AlignmentEngine):
+    """Delegates to ``inner`` and adds up, after every batch, each
+    problem's ``cells`` — the benchmark's ``TracedEngine`` rule — and its
+    whole matrix, into counters that forked slaves share.  ``last_row``
+    is the invariant sweeps' path, not the search's, and counts nothing.
+    """
+
+    def __init__(self, inner: AlignmentEngine) -> None:
+        self.inner, self.name = inner, inner.name
+        fork = multiprocessing.get_context("fork")
+        self.cells, self.matrices = fork.Value("q", 0), fork.Value("q", 0)
+
+    def last_row(self, problem):
+        return self.inner.last_row(problem)
+
+    def last_rows_batch(self, problems):
+        rows = self.inner.last_rows_batch(problems)
+        with self.cells.get_lock():
+            self.cells.value += sum(p.cells for p in problems)
+            self.matrices.value += sum(p.rows * p.cols for p in problems)
+        return rows
+
+
+@pytest.mark.parametrize("name", INPUTS)
+@pytest.mark.parametrize("policy", POLICIES)
+def test_cells_are_the_cells_the_engine_filled(policy, name):
+    sequence, k, scoring = INPUTS[name]
+    group, run = POLICIES[policy]
+    engine = _CountingEngine(get_engine("lanes"))
+    state = TopAlignmentState(sequence, *scoring, engine=engine)
+    session = TopAlignmentSession.from_state(state, group=group)
+    assert _key(run(session, k, sequence, scoring)) == _reference(name)
+    assert session.stats.cells == engine.cells.value
+    if policy.startswith("master"):
+        assert engine.cells.value == engine.matrices.value
+    elif name == "repeat-protein":  # long enough to save rows: some resume
+        assert engine.cells.value < engine.matrices.value
 
 
 def test_min_score_floor_under_every_policy():

@@ -220,12 +220,15 @@ class TestEngineAndTriangleChoices:
 def test_traceback_matrix_is_the_left_block_of_the_full_matrix(
     triangle, small_repeat_protein, protein_scoring, monkeypatch
 ):
-    """What an acceptance fills — the split's matrix up to the last
-    column its path can end in, through the transpose when that is the
-    shorter way — equals those columns of the plain full matrix, under
-    every triangle the search passes through."""
+    """What an acceptance fills without saved rows — the split's matrix
+    up to the last column its path can end in, through the transpose
+    when that is the shorter way — equals those columns of the plain
+    full matrix, under every triangle the search passes through.  (With
+    saved rows it fills upward from them: tests/align/test_resume.py.)"""
     ex, gaps = protein_scoring
-    state = TopAlignmentState(small_repeat_protein, ex, gaps, triangle=triangle)
+    state = TopAlignmentState(
+        small_repeat_protein, ex, gaps, triangle=triangle, memory="linear"
+    )
     shapes = []
     inner = TopAlignmentState._traceback_matrix
 

@@ -1,8 +1,12 @@
 """Tests for the message-passing substrate."""
 
+import socket
+import threading
+
 import numpy as np
 import pytest
 
+from repro.cluster.transport import Channel
 from repro.parallel import ANY, Communicator, World
 
 
@@ -45,6 +49,17 @@ class TestCommunicatorLocal:
         comm = Communicator(0, 1, {})
         with pytest.raises(TimeoutError):
             comm.recv(timeout=0.05)
+
+    def test_close_stops_the_readers(self):
+        """A reader blocked on a live peer is gone once ``close`` returns."""
+        ours, theirs = socket.socketpair()
+        try:
+            comm = Communicator(0, 2, {1: Channel(ours)})
+            comm.close()
+            names = [thread.name for thread in threading.enumerate()]
+            assert not [name for name in names if name.startswith("msgpass-")]
+        finally:
+            theirs.close()
 
 
 class TestWorld:
