@@ -4,14 +4,15 @@
 Everything runs as real subprocesses on loopback, the way an operator
 would run it:
 
-* ``repro serve --cluster-port 0`` — the service with an attached
-  coordinator — plus three ``repro cluster node`` workers;
+* ``repro serve --cluster-port 0 --workers 1`` — the service with an
+  attached coordinator and one local worker — plus three
+  ``repro cluster node`` workers;
 * a sharded multi-record scan through :class:`ClusterClient` must be
   **bit-identical** (JSON byte equality) to the single-process
   :class:`DatabaseScanner` over the same records;
-* ``POST /jobs`` on the service routes cluster-wide (the ``queued``
-  event carries ``route=cluster``) and the result matches an
-  in-process library run;
+* ``POST /jobs`` on the service still goes to the spool with nodes
+  alive (the ``queued`` event carries no ``route``), is run by the
+  local worker, and the result matches an in-process library run;
 * ``GET /metrics`` exposes ``repro_cluster_*`` families and shows at
   least 3 registered nodes;
 * a standalone ``repro cluster coordinator`` then runs the failover
@@ -121,13 +122,13 @@ def _stop(procs: list[subprocess.Popen]) -> None:
 
 
 def phase_service_cluster(log_dir: Path, data_dir: Path, options: dict) -> None:
-    """Service + coordinator + 3 nodes: scan, routing, metrics."""
+    """Service + coordinator + 3 nodes: scan, a spooled job, metrics."""
     serve_log = log_dir / "serve.log"
     proc, cluster_address = _spawn_banner(
         [
             "serve",
             "--port", "0",
-            "--workers", "0",
+            "--workers", "1",
             "--cluster-port", "0",
             "--data-dir", str(data_dir),
         ],
@@ -178,8 +179,8 @@ def phase_service_cluster(log_dir: Path, data_dir: Path, options: dict) -> None:
             queued = [
                 e for e in service.events(record["id"]) if e["event"] == "queued"
             ]
-            assert queued and queued[0].get("route") == "cluster", (
-                "submission did not route to the cluster"
+            assert queued and "route" not in queued[0], (
+                f"submission was routed: {queued[0]}"
             )
             spec = JobSpec.from_dict(payload)
             expected = finder_for(spec).find(
@@ -188,8 +189,8 @@ def phase_service_cluster(log_dir: Path, data_dir: Path, options: dict) -> None:
             fetched = service.result(done["id"])
             got = [(a["r"], a["score"]) for a in fetched["top_alignments"]]
             want = [(a.r, a.score) for a in expected.top_alignments]
-            assert got == want, f"cluster job diverged: {got} != {want}"
-            print("POST /jobs routed cluster-wide, result identical to library run")
+            assert got == want, f"spooled job diverged: {got} != {want}"
+            print("POST /jobs ran on the local worker, result identical to library run")
 
             with urllib.request.urlopen(f"{http_url}/metrics", timeout=10) as resp:
                 text = resp.read().decode("utf-8")

@@ -498,8 +498,8 @@ def _serve_flags(parser: argparse.ArgumentParser) -> None:
     add("--checkpoint-every", type=int, default=1,
         help="top alignments accepted between checkpoints")
     add("--cluster-port", type=int, default=None,
-        help="also run a cluster coordinator on this port (0 = ephemeral); "
-        "jobs route cluster-wide while worker nodes are alive")
+        help="also run a cluster coordinator on this port (0 = ephemeral) "
+        "for `repro cluster scan`; POST /jobs still runs on the local workers")
     add("--tenants", dest="tenants_file", default=None, metavar="FILE",
         help="tenant config JSON (API keys, weights, quotas); omitted = "
         "open mode, every request is the unlimited public tenant. "

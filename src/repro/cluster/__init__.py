@@ -17,10 +17,10 @@ survives.
 
 from .client import ClusterClient, ClusterError
 from .coordinator import ClusterJob, Coordinator, CoordinatorConfig
-from .execution import finish_from_rows, merge_scan_reports, run_rows_shard, run_scan_shard
+from .execution import merge_scan_reports, run_scan_shard
 from .node import NodeAgent, NodeConfig, node_main
 from .registry import NodeInfo, NodeRegistry
-from .shards import Lease, Shard, ShardScheduler, plan_record_shards, plan_row_shards
+from .shards import Lease, Shard, ShardScheduler, plan_record_shards
 
 __all__ = [
     "ClusterClient",
@@ -35,11 +35,8 @@ __all__ = [
     "NodeRegistry",
     "Shard",
     "ShardScheduler",
-    "finish_from_rows",
     "merge_scan_reports",
     "node_main",
     "plan_record_shards",
-    "plan_row_shards",
-    "run_rows_shard",
     "run_scan_shard",
 ]

@@ -31,21 +31,13 @@ import time
 from dataclasses import dataclass
 from typing import Any
 
-import numpy as np
-
-from ..core.result import RepeatResult
 from ..obs import LATENCY_BUCKETS, MetricsRegistry
 from ..obs.prometheus import render_prometheus
 from ..service.protocol import JobSpec
 from . import protocol
-from .execution import (
-    finish_from_rows,
-    merge_scan_reports,
-    scan_shard_priorities,
-    scan_spec_dict,
-)
+from .execution import merge_scan_reports, scan_shard_priorities, scan_spec_dict
 from .registry import NodeRegistry
-from .shards import Shard, ShardScheduler, merge_shard_results, plan_record_shards, plan_row_shards
+from .shards import Shard, ShardScheduler, merge_shard_results, plan_record_shards
 from .transport import Channel, FrameError, Listener
 
 __all__ = ["ClusterJob", "Coordinator", "CoordinatorConfig"]
@@ -69,7 +61,6 @@ class CoordinatorConfig:
     node_timeout: float = 6.0  # stale-heartbeat expiry (slow path)
     lease_seconds: float = 60.0
     scan_shard_size: int = 4  # records per scan shard
-    rows_shards_per_node: int = 2  # rows shards per alive node
     max_attempts: int = 4
     backoff_base: float = 0.25
     backoff_cap: float = 10.0
@@ -78,12 +69,11 @@ class CoordinatorConfig:
 
 
 class ClusterJob:
-    """One cluster-wide job: a shard scheduler plus completion state."""
+    """One cluster-wide scan: a shard scheduler plus completion state."""
 
-    def __init__(self, job_id: str, kind: str, scheduler: ShardScheduler,
+    def __init__(self, job_id: str, scheduler: ShardScheduler,
                  n_shards: int, spec: JobSpec, tenant: str = "") -> None:
         self.job_id = job_id
-        self.kind = kind  # "scan" | "rows"
         self.scheduler = scheduler
         self.n_shards = n_shards
         self.spec = spec
@@ -93,13 +83,13 @@ class ClusterJob:
         self.done = threading.Event()
         self.state = "running"
         self.error: str | None = None
-        self.result: Any = None  # scan: merged report dicts
+        self.result: Any = None  # merged report dicts
 
     def status(self) -> dict[str, Any]:
         stats = self.scheduler.stats()
         return {
             "job_id": self.job_id,
-            "kind": self.kind,
+            "kind": "scan",
             "state": self.state,
             "tenant": self.tenant,
             "error": self.error,
@@ -248,25 +238,6 @@ class Coordinator:
             )
             for i, (start, stop) in enumerate(ranges)
         ]
-        return self._register_job("scan", shards, spec, tenant)
-
-    def submit_rows_job(self, spec: JobSpec, tenant: str = "") -> ClusterJob:
-        """Shard one large single-sequence job's first pass over the cluster."""
-        m = len(spec.normalized_sequence())
-        n_shards = max(1, self.registry.alive_count()) * self.config.rows_shards_per_node
-        ranges = plan_row_shards(m, n_shards)
-        spec_payload = spec.to_dict()
-        shards = [
-            Shard(
-                shard_id=i,
-                payload=protocol.rows_shard(i, spec_payload, r_start, r_stop),
-            )
-            for i, (r_start, r_stop) in enumerate(ranges)
-        ]
-        return self._register_job("rows", shards, spec, tenant)
-
-    def _register_job(self, kind: str, shards: list[Shard], spec: JobSpec,
-                      tenant: str = "") -> ClusterJob:
         scheduler = ShardScheduler(
             shards,
             lease_seconds=self.config.lease_seconds,
@@ -278,7 +249,7 @@ class Coordinator:
         with self._jobs_lock:
             self._job_seq += 1
             job_id = f"cj-{self._job_seq:06d}"
-            job = ClusterJob(job_id, kind, scheduler, len(shards), spec, tenant)
+            job = ClusterJob(job_id, scheduler, len(shards), spec, tenant)
             finished = [
                 old_id for old_id, old in self._jobs.items() if old.state != "running"
             ]
@@ -293,24 +264,6 @@ class Coordinator:
         if not job.done.wait(timeout):
             raise TimeoutError(f"cluster job {job.job_id} still running")
         return job
-
-    def execute_job_spec(self, spec: JobSpec, timeout: float | None = None,
-                         tenant: str = "") -> RepeatResult:
-        """Run one single-sequence job cluster-wide, bit-identical to local.
-
-        The nodes compute the version-0 bottom rows; the coordinator
-        finishes the best-first loop locally (it is cheap relative to
-        the first pass, which dominates §3's cost model).
-        """
-        job = self.wait(self.submit_rows_job(spec, tenant), timeout)
-        if job.state != "done":
-            raise RuntimeError(f"cluster job {job.job_id} failed: {job.error}")
-        shard_results = merge_shard_results(job.scheduler.results(), job.n_shards)
-        rows: dict[int, np.ndarray] = {}
-        for shard in shard_results:
-            for r, row in shard["rows"]:
-                rows[int(r)] = np.asarray(row)
-        return finish_from_rows(spec, rows)
 
     def get_job(self, job_id: str) -> ClusterJob | None:
         with self._jobs_lock:
@@ -425,7 +378,7 @@ class Coordinator:
                 if wait > 0:
                     job.done.wait(min(wait, protocol.JOB_STATUS_WAIT_MAX))
                 status = job.status()
-                if job.state == "done" and job.kind == "scan":
+                if job.state == "done":
                     status["reports"] = job.result
                 return {"kind": protocol.OK, "status": status}
             if kind == protocol.STATS:
@@ -531,12 +484,10 @@ class Coordinator:
         not grow without bound.
         """
         result = None
-        if error is None and job.kind == "scan":
+        if error is None:
             result = merge_scan_reports(
                 merge_shard_results(job.scheduler.results(), job.n_shards)
             )
-        # rows jobs: the waiting execute_job_spec() call does the finish —
-        # handler threads must never run a best-first loop.
         with self._jobs_lock:
             if job.state != "running":
                 return

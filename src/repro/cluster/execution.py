@@ -1,48 +1,26 @@
-"""Shard execution (node side) and job completion (coordinator side).
+"""Shard execution (node side) and scan merging (coordinator side).
 
-Bit-identity is the contract of this module, in both shard kinds:
-
-``scan`` shards
-    Records of a database scan are searched independently, so a node
-    running :class:`~repro.core.scan.DatabaseScanner` over its record
-    slice produces exactly the reports the single-node scanner would
-    have produced for those records.  Concatenating shard reports in
-    shard order therefore reproduces the full single-node scan — the
-    equivalence the acceptance tests assert byte-for-byte.
-
-``rows`` shards
-    In :func:`~repro.core.topalign.find_top_alignments`, every task
-    starts at ``score = +inf``, so each split is aligned once under the
-    *empty* (version-0) override triangle before anything is accepted.
-    Those version-0 bottom rows are embarrassingly parallel; nodes
-    compute them with the same engine call the sequential loop makes
-    and ship them back bit-exact (dtype + raw bytes).
-    :func:`finish_from_rows` then opens the finder's session over the
-    rows — tasks carry ``score = row.max(), aligned_with = 0``,
-    precisely the state a single-node run reaches after its first pass
-    — and runs the same best-first driver, so the acceptance order,
-    alignments and families match the single-node run exactly.  Work
-    counters legitimately differ (the checkpoint-resume contract).
+Bit-identity is the contract of this module.  Records of a database
+scan are searched independently, so a node running
+:class:`~repro.core.scan.DatabaseScanner` over its record slice
+produces exactly the reports the single-node scanner would have
+produced for those records.  Concatenating shard reports in shard
+order therefore reproduces the full single-node scan — the
+equivalence the acceptance tests assert byte-for-byte.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-import numpy as np
-
-from ..align.lanes import OWED_LANES
-from ..core.result import RepeatResult
 from ..core.scan import DatabaseScanner
 from ..sequences.sequence import Sequence
 from ..service.protocol import SCAN_PLACEHOLDER, JobSpec, finder_for
 from .protocol import report_to_dict
 
 __all__ = [
-    "finish_from_rows",
     "index_config_from_options",
     "merge_scan_reports",
-    "run_rows_shard",
     "run_scan_shard",
     "scan_shard_priorities",
     "scan_spec_dict",
@@ -100,32 +78,6 @@ def run_scan_shard(payload: dict[str, Any]) -> dict[str, Any]:
     }
 
 
-def _spec_sequence(spec: JobSpec) -> Sequence:
-    return Sequence(spec.normalized_sequence(), spec.alphabet, id=spec.seq_id)
-
-
-def run_rows_shard(payload: dict[str, Any]) -> dict[str, Any]:
-    """Execute one ``rows`` shard: version-0 bottom rows for a split range.
-
-    Uses the finder's own session state and goes out
-    :data:`~repro.align.lanes.OWED_LANES` splits per engine batch, as
-    the local first pass does; engines agree bit-for-bit across batch
-    widths, so each row is byte-equal to
-    ``engine.last_row(problem_for(r))`` and to the one the single-node
-    loop would have cached.
-    """
-    spec = JobSpec.from_dict(payload["spec"])
-    # A rows job owes every first pass, so it buys no bounds.
-    state = finder_for(spec, prune=False).session(_spec_sequence(spec)).state
-    splits = range(int(payload["r_start"]), int(payload["r_stop"]))
-    rows = []
-    for at in range(0, len(splits), OWED_LANES):
-        chunk = splits[at : at + OWED_LANES]
-        filled, _seconds = state.fill([state.problem_for(r) for r in chunk])
-        rows.extend((int(r), np.asarray(row)) for r, row in zip(chunk, filled))
-    return {"shard_id": payload["shard_id"], "rows": rows}
-
-
 def scan_shard_priorities(
     spec: JobSpec,
     records: list[dict[str, str]],
@@ -171,29 +123,3 @@ def merge_scan_reports(shard_results: list[dict[str, Any]]) -> list[dict[str, An
     for shard in shard_results:
         merged.extend(shard["reports"])
     return merged
-
-
-def finish_from_rows(
-    spec: JobSpec, rows: dict[int, np.ndarray]
-) -> RepeatResult:
-    """Finish a sharded single-sequence job from its version-0 rows.
-
-    Opens the finder's session over the node-computed bottom rows and
-    runs it to ``spec.top_alignments``.  Seeding is sound because in a
-    single-node run every task (score ``+inf``) is aligned exactly once
-    at triangle version 0 before the first acceptance: the cached rows
-    are byte-for-byte what those first alignments leave behind, and
-    :meth:`~repro.core.topalign.TopAlignmentState.make_tasks` starts
-    each task at ``score = row.max(), aligned_with = 0`` — so the
-    deterministic ``(score, -r)`` heap replays the identical acceptance
-    order.
-    """
-    finder = finder_for(spec)
-    sequence = _spec_sequence(spec)
-    missing = [r for r in range(1, len(sequence)) if r not in rows]
-    if missing:
-        raise ValueError(f"missing version-0 rows for split(s) {missing[:8]}")
-    session = finder.session(sequence, rows=rows)
-    session.stats.alignments += len(sequence) - 1  # the rows the nodes computed
-    session.extend(spec.top_alignments)
-    return finder.result(session)

@@ -32,7 +32,7 @@ import threading
 import time
 from dataclasses import dataclass
 
-from .execution import run_rows_shard, run_scan_shard
+from .execution import run_scan_shard
 from . import protocol
 from .transport import Channel, FrameError, connect
 
@@ -175,8 +175,6 @@ class NodeAgent:
             if shard["kind"] == "scan":
                 value = run_scan_shard(shard)
                 result["records"] = value["n_records"]
-            elif shard["kind"] == "rows":
-                value = run_rows_shard(shard)
             else:
                 raise protocol.ProtocolError(
                     f"unknown shard kind {shard['kind']!r}"

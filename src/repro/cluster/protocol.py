@@ -24,20 +24,12 @@ on a sleep.
 
 Shards
 ------
-A shard is the unit of leased work, one of two kinds:
-
-``scan``
-    a contiguous slice of a multi-record database scan — each record
-    is searched independently, so any partition of the records merges
-    back bit-identically (the :class:`~repro.core.scan.DatabaseScanner`
-    equivalence the acceptance tests assert);
-``rows``
-    a contiguous range of split points ``r`` of one large sequence —
-    the version-0 bottom rows of §3's first pass, which dominate the
-    new algorithm's work.  The coordinator seeds a
-    :class:`~repro.core.topalign.TopAlignmentState` with the returned
-    rows and finishes the best-first loop locally, reproducing the
-    sequential acceptance order exactly.
+A shard is the unit of leased work, of one kind, ``scan``: a
+contiguous slice of a multi-record database scan.  Each record is
+searched independently, so any partition of the records merges back
+bit-identically (the :class:`~repro.core.scan.DatabaseScanner`
+equivalence the acceptance tests assert).  A node answers a lease of
+any other kind with a failed result.
 
 Results are serialized with shortest-repr floats (plain ``json``), so
 two payloads compare equal iff the underlying results are
@@ -71,7 +63,6 @@ __all__ = [
     "ProtocolError",
     "report_to_dict",
     "scan_shard",
-    "rows_shard",
 ]
 
 # node / client -> coordinator
@@ -120,18 +111,6 @@ def scan_shard(shard_id: int, spec: dict[str, Any], records: list[dict[str, str]
         "records": records,
         "first_index": first_index,
         "options": dict(options or {}),
-    }
-
-
-def rows_shard(shard_id: int, spec: dict[str, Any], r_start: int, r_stop: int
-               ) -> dict[str, Any]:
-    """A ``rows`` shard: version-0 bottom rows for ``r in [r_start, r_stop)``."""
-    return {
-        "kind": "rows",
-        "shard_id": shard_id,
-        "spec": spec,
-        "r_start": r_start,
-        "r_stop": r_stop,
     }
 
 

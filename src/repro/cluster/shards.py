@@ -39,7 +39,6 @@ __all__ = [
     "ShardScheduler",
     "merge_shard_results",
     "plan_record_shards",
-    "plan_row_shards",
 ]
 
 
@@ -88,25 +87,6 @@ def plan_record_shards(n_records: int, shard_size: int) -> list[tuple[int, int]]
     return [
         (start, min(start + shard_size, n_records))
         for start in range(0, n_records, shard_size)
-    ]
-
-
-def plan_row_shards(m: int, n_shards: int) -> list[tuple[int, int]]:
-    """Split the split-point range ``1..m-1`` into ``n_shards`` even ranges.
-
-    Work per split r is proportional to ``r * (m - r)``, but even
-    ranges keep the plan trivial and work stealing absorbs the skew —
-    the same argument §4.3 makes for its dynamic distribution.
-    """
-    total = m - 1
-    if total < 1:
-        raise ValueError("sequence must have at least 2 residues")
-    n_shards = max(1, min(n_shards, total))
-    bounds = [1 + (total * i) // n_shards for i in range(n_shards + 1)]
-    return [
-        (bounds[i], bounds[i + 1])
-        for i in range(n_shards)
-        if bounds[i] < bounds[i + 1]
     ]
 
 

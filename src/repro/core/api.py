@@ -132,7 +132,6 @@ class RepeatFinder:
         sequence: Sequence | str,
         *,
         seed_bounds=None,
-        rows=None,
         checkpoint=None,
     ) -> TopAlignmentSession:
         """A live best-first search over ``sequence`` under this finder.
@@ -140,13 +139,12 @@ class RepeatFinder:
         The one place a configured finder becomes a search: scoring
         model, the cached engine instance, ``group``, ``prune`` and
         ``min_score`` all come from here, so every executor —
-        :meth:`find`, the checkpointing service worker, the cluster's
-        row shards — searches exactly what :meth:`find` would.
+        :meth:`find` and the checkpointing service worker — searches
+        exactly what :meth:`find` would.
 
         ``seed_bounds`` seeds the heap (see :meth:`find`).
         ``checkpoint`` is a :func:`~repro.core.checkpoint.save_checkpoint`
-        file to continue from (:class:`ValueError` when it is unusable);
-        ``rows`` maps split → already-computed version-0 bottom row.
+        file to continue from (:class:`ValueError` when it is unusable).
         """
         if isinstance(sequence, str):
             sequence = Sequence(sequence, "protein")
@@ -160,8 +158,6 @@ class RepeatFinder:
         )
         if checkpoint is not None:
             restore_checkpoint(state, checkpoint)
-        if rows is not None:
-            state.restore(rows=rows)
         return TopAlignmentSession.from_state(
             state, group=self.group, min_score=self.min_score
         )

@@ -246,10 +246,10 @@ class TopAlignmentState:
         never-aligned (acceptance requires a fresh alignment first),
         but sortable below already aligned work, so hopeless splits
         sink in the heap unaligned.  A split whose first-pass row is
-        already cached (a restored checkpoint, node-computed rows)
-        starts where that pass left it — the row's maximum, stamped
-        version 0 — which is an upper bound under any later triangle,
-        so resuming repays no first pass.
+        already cached (a restored checkpoint) starts where that pass
+        left it — the row's maximum, stamped version 0 — which is an
+        upper bound under any later triangle, so resuming repays no
+        first pass.
         """
         bounds = self.start_bounds()
         tasks = []
@@ -581,13 +581,12 @@ class TopAlignmentState:
         ]
 
     def restore(self, alignments=(), rows=None) -> None:
-        """Adopt the durable products of an earlier or remote run.
+        """Adopt the durable products of an earlier run (a checkpoint).
 
         ``alignments`` are re-accepted in order (marking the triangle);
         ``rows`` maps split → version-0 bottom row.  :meth:`make_tasks`
         then starts every restored split at its row's maximum, so the
-        continuation is exactly the original run's — a checkpoint
-        resume, or a search finished from node-computed first passes.
+        continuation is exactly the original run's.
         """
         for alignment in alignments:
             self._adopt(alignment)

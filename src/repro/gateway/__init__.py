@@ -1,7 +1,7 @@
 """``repro.gateway`` — multi-tenant admission over the service stack.
 
-The traffic-shaping contract between the HTTP server and the
-spool/cluster executors, which none of the existing layers own:
+The traffic-shaping contract between the HTTP server and the spool
+workers, which none of the existing layers own:
 
 * :mod:`~repro.gateway.tenants` — API-key → tenant resolution
   (constant-time compare, file-backed config, SIGHUP hot reload);

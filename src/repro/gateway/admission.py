@@ -11,8 +11,8 @@ individually lack — *who* may submit (tenant resolution), *how much*
 3. charge the tenant's token bucket, in-flight and spool-byte budgets
    (:class:`~repro.gateway.quota.QuotaExceeded` → 429 + Retry-After);
 4. serve cache-born-done jobs straight from the result cache;
-5. route to the cluster when worker nodes are alive, otherwise stamp
-   the job with a fair-share **tag** and submit it to the spool queue.
+5. stamp the job with a fair-share **tag** and submit it to the spool
+   queue.
 
 **Fair share is a sort key.**  The spool hands out the smallest key
 first, and the key is ``(priority, tag, arrival)``; the tag is a
@@ -55,7 +55,7 @@ import math
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from ..obs import MetricsRegistry, instrument, render_prometheus
 from .idempotency import IdempotencyStore
@@ -97,18 +97,13 @@ class Gateway:
         self.idempotency = IdempotencyStore(store.root / "gateway" / "idempotency")
         self._lock = threading.Lock()
         #: tenant name -> {job_id: payload bytes} for every non-terminal
-        #: admitted job (spool, running, or cluster-routed).
+        #: admitted job (spooled or running).
         self._active: dict[str, dict[str, int]] = {}
         #: (tenant name, priority) -> the tag its next job may not precede.
         self._finish: dict[tuple[str, int], int] = {}
         #: priority -> largest tag issued: the clock of an empty level.
         self._issued: dict[int, int] = {}
         self._buckets: dict[str, tuple[tuple[float, float], TokenBucket]] = {}
-        #: Cluster hooks installed by the service: ``cluster_route()``
-        #: says whether live nodes exist, ``cluster_spawn(job_id, spec)``
-        #: starts the routed job.  Both optional.
-        self.cluster_route: Callable[[], bool] | None = None
-        self.cluster_spawn: Callable[[str, Any], None] | None = None
         #: Tenants that ever admitted work — keeps their gauges
         #: published (at zero) after their backlog drains.
         self._tenants_seen: set[str] = set()
@@ -215,28 +210,24 @@ class Gateway:
             self._reap_locked()
             active = self._active.setdefault(tenant.name, {})
             self._check_quotas(tenant, active, cost)
-            to_cluster = self.cluster_route is not None and self.cluster_route()
             record = self.store.new_job(
                 spec.to_dict(), digest, spec.priority, tenant=tenant.name
             )
             # The event precedes the marker: a worker may claim at once.
             self.store.append_event(
                 record.id, "queued", digest=digest, priority=spec.priority,
-                tenant=tenant.name, **({"route": "cluster"} if to_cluster else {}),
+                tenant=tenant.name,
             )
-            if not to_cluster:
-                try:
-                    self._spool(record)
-                except BacklogFull:
-                    # Shed before any worker could see it: no trace stays.
-                    self.store.delete(record.id)
-                    self._reject(tenant.name, "backlog")
-                    raise
+            try:
+                self._spool(record)
+            except BacklogFull:
+                # Shed before any worker could see it: no trace stays.
+                self.store.delete(record.id)
+                self._reject(tenant.name, "backlog")
+                raise
             self.store.grant_result_access(digest, tenant.name)
             active[record.id] = cost
-        if to_cluster:
-            self.cluster_spawn(record.id, spec)
-        self._admit_count(tenant.name, "cluster" if to_cluster else "spool")
+        self._admit_count(tenant.name, "spool")
         return Admission(record, False, False, tenant)
 
     def _spool(self, record) -> None:
@@ -320,12 +311,12 @@ class Gateway:
 
         Every non-terminal record re-occupies quota, and a spool marker
         hands its tag back to its tenant's finish tag.  A record
-        without a marker is spooled again, oldest first: a crash fell
-        between ``new_job`` and ``submit``, or the job was
-        cluster-routed — that one is driven by a thread of the server
-        that died with it (``workers.recover`` has already requeued
-        every claimed spool marker), so nothing would ever finish it.
-        Returns how many were spooled again.
+        without a marker is spooled again, oldest first.  Either a
+        crash fell between ``new_job`` and ``submit``, or the record is
+        ``running`` with nothing left to finish it: ``workers.recover``
+        has already requeued every claimed marker, so it was run
+        outside the spool by an older server, and it goes back to
+        ``queued`` first.  Returns how many were spooled again.
         """
         _JobSpec, JobState, _job_digest = self._protocol()
         lost = []

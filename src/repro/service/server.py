@@ -59,9 +59,9 @@ from ..gateway import (
 )
 from .jobstore import JobRecord
 from .metrics import render_service_metrics
-from .protocol import JobSpec, JobState, SpecError
+from .protocol import JobState, SpecError
 from .queue import BacklogFull
-from .workers import WorkerPool, finish_job, open_stores, recover
+from .workers import WorkerPool, open_stores, recover
 
 __all__ = ["ServiceConfig", "ReproService", "serve"]
 
@@ -84,8 +84,8 @@ class ServiceConfig:
     poll_interval: float = 0.05
     cache_memory_items: int = 64
     #: When set, ``serve`` also runs a cluster coordinator on this port
-    #: (0 = ephemeral) and routes jobs cluster-wide while worker nodes
-    #: are alive.  ``None`` disables clustering entirely.
+    #: (0 = ephemeral) for ``repro cluster scan``; jobs still go to the
+    #: spool.  ``None`` disables clustering entirely.
     cluster_port: int | None = None
     #: Tenant config file (JSON; see repro.gateway.tenants).  ``None``
     #: runs the gateway open: every request is the unlimited ``public``
@@ -99,14 +99,10 @@ class ReproService:
     The HTTP handler below is a thin JSON shim over these methods, so
     tests (and the smoke script) can also drive the service in-process.
 
-    With a cluster coordinator attached, submissions are routed
-    cluster-wide whenever at least one worker node is alive: the nodes
-    compute the job's first-pass bottom rows, the coordinator finishes
-    the best-first loop, and the result lands in the same
-    content-addressed cache local workers fill — bit-identical by the
-    :mod:`repro.cluster.execution` contract.  With no live nodes the
-    job falls back to the local spool queue, so attaching a coordinator
-    never makes a service less available.
+    Every admitted job goes to the spool and is run by a local worker.
+    A cluster coordinator, when attached, serves sharded scans to its
+    worker nodes and shows up in ``/stats`` and ``/metrics``; it never
+    runs a ``POST /jobs`` submission.
     """
 
     def __init__(self, config: ServiceConfig, coordinator=None) -> None:
@@ -126,13 +122,6 @@ class ReproService:
             self.cache,
             directory=TenantDirectory(config.tenants_file),
         )
-        # The hooks read self.coordinator at call time, so attaching a
-        # coordinator after construction routes subsequent jobs too.
-        self.gateway.cluster_route = lambda: (
-            self.coordinator is not None
-            and self.coordinator.registry.alive_count() > 0
-        )
-        self.gateway.cluster_spawn = self._spawn_cluster_job
         self.started = time.time()
         #: An optional :class:`repro.cluster.Coordinator` (duck-typed to
         #: avoid a hard import; the cluster package imports service).
@@ -165,41 +154,6 @@ class ReproService:
         return self.gateway.submit(
             payload, api_key=api_key, idempotency_key=idempotency_key
         )
-
-    def _spawn_cluster_job(self, job_id: str, spec: JobSpec) -> None:
-        threading.Thread(
-            target=self._run_cluster_job,
-            args=(job_id, spec),
-            name=f"cluster-job-{job_id}",
-            daemon=True,
-        ).start()
-
-    def _run_cluster_job(self, job_id: str, spec: JobSpec) -> None:
-        """Drive one cluster-routed job to a terminal state."""
-        record = self.store.get(job_id)
-        if record is None:
-            return
-        self.store.update(
-            job_id,
-            state=JobState.RUNNING,
-            started=time.time(),
-            worker="cluster",
-            attempts=record.attempts + 1,
-        )
-        self.store.append_event(job_id, "claimed", worker="cluster")
-        try:
-            result = self.coordinator.execute_job_spec(spec, tenant=record.tenant)
-        except Exception as exc:  # noqa: BLE001 - job failure, not server failure
-            self.store.finish(
-                job_id,
-                JobState.FAILED,
-                error=str(exc),
-                event_data={"error": str(exc)},
-            )
-            return
-        record = self.store.get(job_id)
-        if record is not None:
-            finish_job(self.store, self.cache, record, spec, result)
 
     def status(self, job_id: str, *, tenant: str | None = None) -> JobRecord | None:
         """The job record — scoped: a foreign tenant sees ``None`` (404).

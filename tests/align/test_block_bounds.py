@@ -6,7 +6,8 @@ storage and block width, the bound every never-aligned split starts at
 first-pass score and every score it realigns to afterwards — for
 **every** split, since one that is bounded too low is simply never
 filled and the run just reports different tops.  Restored sessions
-(a checkpoint, node-computed ``rows=``) must bound only what they still
+(a checkpoint, or any subset of first-pass rows put back with
+:meth:`TopAlignmentState.restore`) must bound only what they still
 owe.  The oracle is the lane engine run on every split outright.
 """
 
@@ -147,7 +148,9 @@ def test_restored_sessions_bound_only_what_they_owe(search, accept, data):
     assert len(resumed.state.bottom_rows) == len(original.state.bottom_rows)
     check(resumed)
 
-    # Node-computed rows for any subset of the splits (all: no block at all).
+    # Restored rows for any subset of the splits (all: no block at all).
     have = data.draw(st.sets(st.integers(1, m - 1)) | st.just(set(range(1, m))))
     finder.engine.problems.clear()
-    check(finder.session(sequence, rows={r: first_rows[r - 1] for r in have}))
+    state = TopAlignmentState(sequence, exchange, gaps, engine=finder.engine)
+    state.restore(rows={r: first_rows[r - 1] for r in have})
+    check(TopAlignmentSession.from_state(state))

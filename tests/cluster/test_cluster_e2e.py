@@ -24,7 +24,7 @@ from repro.cluster import (
     NodeAgent,
     NodeConfig,
 )
-from repro.cluster.execution import merge_scan_reports, run_rows_shard
+from repro.cluster.execution import merge_scan_reports
 from repro.cluster.protocol import report_to_dict
 from repro.cluster.shards import merge_shard_results
 from repro.core.scan import DatabaseScanner
@@ -133,28 +133,6 @@ class TestScanBitIdentity:
             spec, records, min_length=40, mask=True, mask_window=10
         )
         assert json.dumps(merged, sort_keys=True) == json.dumps(local, sort_keys=True)
-
-    def test_rows_job_matches_local_finder(self, cluster):
-        spec = _spec(sequence=pseudo_titin(150, seed=11).text, top_alignments=5)
-        result = cluster.execute_job_spec(spec, timeout=120.0)
-        local = finder_for(spec).find(
-            Sequence(spec.normalized_sequence(), spec.alphabet)
-        )
-        assert result.to_dict(stats=False) == local.to_dict(stats=False)
-
-    def test_rows_shard_chunks_are_byte_equal_to_single_fills(self):
-        # 149 splits: three engine batches (OWED_LANES = 64), the last short.
-        spec = _spec(sequence=pseudo_titin(150, seed=11).text, top_alignments=5)
-        shard = run_rows_shard(
-            {"spec": spec.to_dict(), "shard_id": 0, "r_start": 1, "r_stop": 150}
-        )
-        state = finder_for(spec).session(
-            Sequence(spec.normalized_sequence(), spec.alphabet)
-        ).state
-        assert [r for r, _ in shard["rows"]] == list(range(1, 150))
-        for r, row in shard["rows"]:
-            single = state.engine.last_row(state.problem_for(r))
-            assert row.dtype == single.dtype and row.tobytes() == single.tobytes(), r
 
 
 class TestClusterClient:

@@ -1,9 +1,9 @@
-"""The service/cluster seam: POST /jobs routed cluster-wide.
+"""The service/cluster seam: one live node, and POST /jobs stays local.
 
 An in-process HTTP server with an attached coordinator and one
-in-thread node: submissions must run on the cluster (no spool queue,
-no worker pool), land in the content-addressed result cache, and show
-up in ``/stats`` and ``/metrics``.
+in-thread node: the coordinator shows up in ``/stats`` and
+``/metrics``, and a submission still goes to the spool and is run by
+a local worker, with the tops :meth:`RepeatFinder.find` gives.
 """
 
 import threading
@@ -17,13 +17,14 @@ from repro.service import ServiceClient
 from repro.service.metrics import render_service_metrics
 from repro.service.protocol import JobSpec, finder_for, result_to_dict
 from repro.service.server import ReproService, ServiceConfig, _Handler, _ServerState
+from repro.service.workers import execute_job
 
 from .test_cluster_e2e import _start_thread_nodes
 
 
 @pytest.fixture()
 def cluster_service(tmp_path):
-    """A live HTTP service whose jobs route to a one-node cluster."""
+    """A live HTTP service with a one-node cluster and no worker pool."""
     coordinator_config = CoordinatorConfig(
         port=0,
         heartbeat_interval=0.2,
@@ -60,42 +61,6 @@ def _payload(**overrides):
     return payload
 
 
-def test_submission_routes_to_the_cluster(cluster_service):
-    svc, client, _ = cluster_service
-    record = client.submit(_payload())
-    assert record["state"] == "queued"
-    done = client.wait(record["id"], timeout=120.0)
-    assert done["state"] == "done"
-    # The cluster route bypassed the spool queue entirely.
-    assert svc.queue.depth() == 0
-    events = [e["event"] for e in client.events(record["id"])]
-    assert "claimed" in events
-    queued = [e for e in client.events(record["id"]) if e["event"] == "queued"]
-    assert queued[0]["route"] == "cluster"
-
-
-def test_cluster_result_is_bit_identical_and_cached(cluster_service):
-    svc, client, _ = cluster_service
-    payload = _payload()
-    record = client.submit(payload)
-    done = client.wait(record["id"], timeout=120.0)
-    fetched = client.result(done["id"])
-
-    spec = JobSpec.from_dict(payload)
-    local = finder_for(spec).find(
-        Sequence(spec.normalized_sequence(), spec.alphabet)
-    )
-    expected = result_to_dict(local, digest=done["digest"], spec=spec)
-    # Alignments/repeats bit-identical; work counters legitimately differ
-    # (the nodes' first pass is counted once, not per-realignment replay).
-    assert fetched["top_alignments"] == expected["top_alignments"]
-    assert fetched["repeats"] == expected["repeats"]
-
-    # Same digest resubmitted: born done from the content-addressed cache.
-    again = client.submit(payload)
-    assert again["from_cache"] is True
-
-
 def test_stats_and_metrics_expose_the_cluster(cluster_service):
     svc, client, _ = cluster_service
     stats = client.stats()
@@ -107,11 +72,28 @@ def test_stats_and_metrics_expose_the_cluster(cluster_service):
     assert "repro_service_queue_depth" in text
 
 
-def test_no_live_nodes_falls_back_to_the_spool_queue(tmp_path):
-    """Attaching a coordinator never makes the service less available."""
-    with Coordinator(CoordinatorConfig(port=0)) as coordinator:
-        config = ServiceConfig(data_dir=str(tmp_path / "data"), port=0, workers=0)
-        svc = ReproService(config, coordinator=coordinator)
-        record, from_cache = svc.submit(_payload())
-        assert not from_cache
-        assert svc.queue.depth() == 1  # spooled, not routed to the empty cluster
+def test_with_a_live_node_a_job_is_still_spooled_and_run_locally(cluster_service):
+    svc, client, coordinator = cluster_service
+    assert coordinator.registry.alive_count() == 1
+    payload = _payload()
+    record = client.submit(payload)
+    assert record["state"] == "queued"
+    assert svc.queue.depth() == 1
+    queued = [e for e in client.events(record["id"]) if e["event"] == "queued"]
+    assert "route" not in queued[0]
+
+    # An inline stand-in for a local worker: claim, execute, discard.
+    job_id = svc.queue.claim()
+    assert job_id == record["id"]
+    assert execute_job(svc.store, svc.cache, svc.store.get(job_id)) == "done"
+    svc.queue.discard(job_id)
+    assert coordinator.stats()["jobs"] == {}  # the cluster never saw it
+
+    spec = JobSpec.from_dict(payload)
+    local = finder_for(spec).find(
+        Sequence(spec.normalized_sequence(), spec.alphabet)
+    )
+    expected = result_to_dict(local, digest=record["digest"], spec=spec)
+    fetched = client.result(job_id)
+    assert fetched["top_alignments"] == expected["top_alignments"]
+    assert fetched["repeats"] == expected["repeats"]

@@ -13,7 +13,6 @@ from repro.cluster.shards import (
     ShardScheduler,
     merge_shard_results,
     plan_record_shards,
-    plan_row_shards,
 )
 
 
@@ -24,18 +23,6 @@ class TestPlanning:
 
     def test_single_shard_when_fewer_records_than_size(self):
         assert plan_record_shards(3, 100) == [(0, 3)]
-
-    def test_row_shards_partition_splits_evenly(self):
-        ranges = plan_row_shards(101, 4)
-        assert ranges[0][0] == 1
-        assert ranges[-1][1] == 101
-        for (_, stop), (start, _) in zip(ranges, ranges[1:]):
-            assert stop == start
-        sizes = [stop - start for start, stop in ranges]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_row_shards_never_exceed_split_count(self):
-        assert len(plan_row_shards(4, 100)) <= 3
 
     def test_merge_requires_every_shard(self):
         with pytest.raises(Exception):

@@ -6,7 +6,13 @@ from http.server import ThreadingHTTPServer
 import pytest
 
 from repro.sequences import pseudo_titin
-from repro.service import ClientBacklogFull, ServiceClient, ServiceError
+from repro.service import (
+    ClientBacklogFull,
+    JobSpec,
+    ServiceClient,
+    ServiceError,
+    job_digest,
+)
 from repro.service.server import ReproService, ServiceConfig, _Handler, _ServerState
 from repro.service.workers import execute_job, recover
 
@@ -226,47 +232,30 @@ class TestStats:
         assert "workers" in stats and "uptime" in stats
 
 
-class _StalledCoordinator:
-    """One live node whose job never comes back (the server dies first)."""
-
-    def __init__(self):
-        self.registry = self
-        self.entered = threading.Event()
-        self.release = threading.Event()
-
-    def alive_count(self):
-        return 1
-
-    def execute_job_spec(self, spec, tenant=""):
-        self.entered.set()
-        self.release.wait(30)
-        raise RuntimeError("driver thread outlived its server")
-
-
 class TestRestart:
     def test_cluster_routed_running_job_requeues_on_restart(self, tmp_path):
+        # What an older server left in its data dir when it died while
+        # its coordinator ran a job: the record is ``running`` on the
+        # cluster, and no spool marker holds it.
         config = ServiceConfig(data_dir=str(tmp_path / "data"), port=0, workers=0)
-        stalled = _StalledCoordinator()
-        try:
-            before = ReproService(config, coordinator=stalled)
-            job_id = before.submit(_spec())[0].id
-            assert stalled.entered.wait(10)
-            record = before.store.get(job_id)
-            assert (record.state, record.worker) == ("running", "cluster")
-            assert job_id not in before.queue.tags()
+        before = ReproService(config)
+        spec = JobSpec.from_dict(_spec())
+        job_id = before.store.new_job(spec.to_dict(), job_digest(spec)).id
+        before.store.append_event(job_id, "queued", route="cluster")
+        before.store.update(job_id, state="running", worker="cluster", attempts=1)
+        before.store.append_event(job_id, "claimed", worker="cluster")
+        assert job_id not in before.queue.tags()
 
-            # The restart sequence of serve(): claimed markers, then the
-            # records that have no marker.
-            after = ReproService(config)
-            assert recover(after.store, after.queue) == []
-            assert after.gateway.recover() == 1
-            record = after.store.get(job_id)
-            assert (record.state, record.worker) == ("queued", "")
-            requeued = [
-                e for e in after.store.read_events(job_id) if e["event"] == "requeued"
-            ]
-            assert [e["reason"] for e in requeued] == ["server restarted"]
-            assert run_one(after) == (job_id, "done")
-            assert after.store.get(job_id).state == "done"
-        finally:
-            stalled.release.set()
+        # The restart sequence of serve(): claimed markers, then the
+        # records that have no marker.
+        after = ReproService(config)
+        assert recover(after.store, after.queue) == []
+        assert after.gateway.recover() == 1
+        record = after.store.get(job_id)
+        assert (record.state, record.worker) == ("queued", "")
+        requeued = [
+            e for e in after.store.read_events(job_id) if e["event"] == "requeued"
+        ]
+        assert [e["reason"] for e in requeued] == ["server restarted"]
+        assert run_one(after) == (job_id, "done")
+        assert after.store.get(job_id).state == "done"

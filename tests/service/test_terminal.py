@@ -122,17 +122,3 @@ def test_service_cancel_of_a_queued_job_that_was_suspended(service):
     assert cancelled.state == JobState.CANCELLED
     _assert_clean(service.store, record.id, JobState.CANCELLED)
 
-
-def test_cluster_job_failure(service):
-    class Exploding:
-        def execute_job_spec(self, spec, tenant=""):
-            raise RuntimeError("no node survived")
-
-    service.attach_coordinator(Exploding())
-    spec = _spec()
-    record = _job(
-        service.store, service.queue, spec.to_dict(), job_digest(spec), cancel=True
-    )
-    service._run_cluster_job(record.id, spec)
-    _assert_clean(service.store, record.id, JobState.FAILED)
-    assert "no node survived" in service.store.get(record.id).error
