@@ -12,7 +12,8 @@ their product, this bench isolates each:
   expensive" alternative.
 
 All variants must produce identical top alignments (asserted).  A third
-ablation compares dense vs. sparse override-triangle storage.
+ablation times the dense and the sparse override-triangle classes on the
+acceptances of one search.
 """
 
 import numpy as np
@@ -20,6 +21,7 @@ import pytest
 
 from repro.align.base import AlignmentProblem
 from repro.core import TaskQueue, TopAlignmentState, find_top_alignments
+from repro.core.override import DenseOverrideTriangle, SparseOverrideTriangle
 
 from conftest import save_table
 from figures import bench_sequence, default_scoring
@@ -295,17 +297,43 @@ def test_ablation_pruning(benchmark, results_dir):
     )
 
 
-@pytest.mark.parametrize("triangle", ["dense", "sparse"])
-def test_triangle_storage(benchmark, seq_mod, scoring_mod, triangle):
-    """Dense vs sparse override triangle: same results, different
-    memory/speed trade-off (the paper's 'can be compressed' remark)."""
-    exchange, gaps = scoring_mod
-    benchmark.group = "ablation-triangle"
-    tops = benchmark.pedantic(
-        lambda: find_top_alignments(
-            seq_mod, K, exchange, gaps, triangle=triangle
-        )[0],
-        rounds=2,
-        iterations=1,
+def _replay_triangle(kind, m, accepted):
+    """What a search asks of its triangle: one ``mark`` per acceptance,
+    and after each, every row the next lockstep fills read."""
+    triangle = kind(m)
+    for alignment in accepted:
+        triangle.mark(alignment.pairs)
+        for i in range(1, m + 1):
+            triangle.row_flags(i)
+    return triangle
+
+
+def _same_rows(a, b):
+    return all(
+        (x is None and y is None) or np.array_equal(x, y)
+        for x, y in zip(
+            (a.row_flags(i) for i in range(1, a.m + 1)),
+            (b.row_flags(i) for i in range(1, b.m + 1)),
+        )
     )
+
+
+@pytest.mark.parametrize(
+    "kind", [DenseOverrideTriangle, SparseOverrideTriangle], ids=["dense", "sparse"]
+)
+def test_triangle_storage(benchmark, seq_mod, scoring_mod, kind):
+    """Dense vs sparse override triangle: same rows, different
+    memory/speed trade-off (the paper's 'can be compressed' remark).
+    A search picks one by its length (``TopAlignmentState``); this times
+    both classes on the acceptances of one search."""
+    exchange, gaps = scoring_mod
+    tops, _ = find_top_alignments(seq_mod, K, exchange, gaps)
     assert len(tops) == K
+    m = len(seq_mod)
+    benchmark.group = "ablation-triangle"
+    benchmark.pedantic(lambda: _replay_triangle(kind, m, tops), rounds=5, iterations=1)
+    triangle, dense = kind(m), DenseOverrideTriangle(m)
+    for alignment in tops:
+        triangle.mark(alignment.pairs)
+        dense.mark(alignment.pairs)
+        assert _same_rows(triangle, dense)

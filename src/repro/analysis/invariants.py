@@ -42,6 +42,7 @@ import numpy as np
 
 from ..align.base import Resume
 from ..align.vector import VectorEngine
+from ..core.override import DenseOverrideTriangle
 from ..core.tasks import NEVER_ALIGNED
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -227,7 +228,12 @@ def check_heap_upper_bound(
     """
     filled = task.r in state.bottom_rows
     row = state.engine.last_row(state.problem_for(task.r, with_override=filled))
-    fresh = state.bottom_rows.score_of(task.r, row) if filled else float(row.max())
+    fresh = float(row.max())
+    if filled:  # not via the store: a refill there would count in the stats
+        first = state.bottom_rows.resident().get(task.r)
+        if first is None:
+            first = state.engine.last_row(state.problem_for(task.r, with_override=False))
+        fresh = float(row[row == first].max(initial=0.0))
     if task.score + tol < fresh:
         raise InvariantViolation(
             "heap-upper-bound",
@@ -252,6 +258,8 @@ class InvariantChecker:
 
     * :meth:`guard_task` — structural checks on every queue insert;
     * :meth:`after_align` — score monotonicity + shadow-row validity;
+    * :meth:`within_budget` — every store within its share of
+      :data:`~repro.core.topalign.STATE_BYTES`;
     * :meth:`after_resume` — a fill skipped only rows nothing changed;
     * :meth:`after_accept` — triangle monotonicity + non-overlap;
     * :meth:`verify_upper_bounds` — full-mode fresh-score sweep after
@@ -326,6 +334,31 @@ class InvariantChecker:
             validate_shadow_rows(
                 self.state.bottom_rows, task.r, row, claimed_score=task.score
             )
+
+    def within_budget(self, r: int, *, kept: bool) -> None:
+        """After split ``r``'s fill was recorded: every store is within
+        its share of the state's budget — or holds just the one item it
+        was last given, which no store evicts — and, if the fill kept
+        saved rows, ``r`` still has them (:meth:`after_resume` reads
+        them)."""
+        self.checks += 1
+        state, shares, rows = self.state, self.state.shares, self.state.bottom_rows
+        saved = sum(held.nbytes for _, held in state.snapshots.values())
+        dense = isinstance(state.triangle, DenseOverrideTriangle)
+        for broken, message in (
+            (saved != state.snapshot_bytes,
+             f"saved rows hold {saved} bytes, counted {state.snapshot_bytes}"),
+            (kept and r not in state.snapshots,
+             f"split r={r} lost the saved rows its fill kept"),
+            (saved > shares.saved and len(state.snapshots) > 1,
+             f"saved rows hold {saved} bytes, past {shares.saved}"),
+            (rows.nbytes > shares.rows and len(rows.resident()) > 1,
+             f"bottom rows hold {rows.nbytes} bytes, past {shares.rows}"),
+            (dense and (state.m + 1) ** 2 > shares.triangle,
+             f"a dense triangle is past {shares.triangle} bytes"),
+        ):
+            if broken:
+                raise InvariantViolation("state-budget", message)
 
     def after_resume(
         self, r: int, resume: Resume, row: np.ndarray, stamp: int, version: int

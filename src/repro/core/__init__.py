@@ -12,7 +12,6 @@ from .consensus import (
 from .checkpoint import load_checkpoint, save_checkpoint
 from .delineate import column_classes, delineate_repeats
 from .dotplot import dotplot_matrix, render_dotplot
-from .linearspace import RecomputingBottomRowStore
 from .msa import RepeatAlignment, align_family, render_msa
 from .oldalgo import old_find_top_alignments
 from .override import (
@@ -67,7 +66,6 @@ __all__ = [
     "DatabaseScanner",
     "SequenceReport",
     "TopAlignmentSession",
-    "RecomputingBottomRowStore",
     "NullDistribution",
     "estimate_null",
     "score_pvalue",

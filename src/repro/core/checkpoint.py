@@ -4,10 +4,12 @@ Titin-scale runs take hours even on the cluster; a crash should not
 repay the first pass.  A checkpoint captures the durable products of a
 :class:`~repro.core.topalign.TopAlignmentState` — the accepted
 alignments (hence the override triangle) and the first-pass bottom rows
-— in a single ``.npz`` file of eight arrays whatever the length of the
-search: paths and rows are stored end to end, each next to an index of
-their sizes.  Restoring rebuilds a state whose continuation is exactly
-the continuation of the original run, which the tests verify.
+it holds — in a single ``.npz`` file of eight arrays whatever the length
+of the search: paths and rows are stored end to end, each next to an
+index of their sizes.  Restoring rebuilds a state whose continuation
+accepts exactly the original run's tops, which the tests verify.  A
+split whose row the state had evicted is simply never aligned after a
+restore, and its version-0 first pass is exact whenever it comes.
 
 Scores/rows are stored losslessly (float64); the scoring model itself
 is *not* serialised — the caller must restore with the same sequence,
@@ -59,8 +61,9 @@ def save_checkpoint(state: TopAlignmentState, path: str | os.PathLike) -> None:
     # A handful of flat arrays, not one archive member per alignment and
     # per bottom row: a member costs ~0.1 ms of zip bookkeeping, and a
     # service worker checkpoints after every acceptance.
-    stored = sorted(r for r in range(1, state.m) if r in state.bottom_rows)
-    rows = [np.asarray(state.bottom_rows.get(r), dtype=np.float64) for r in stored]
+    resident = state.bottom_rows.resident()
+    stored = sorted(resident)
+    rows = [resident[r] for r in stored]
     pairs = [np.array(a.pairs, dtype=np.int64).reshape(-1, 2) for a in state.found]
     arrays: dict[str, np.ndarray] = {
         "format": np.array([_FORMAT_VERSION]),
@@ -151,11 +154,9 @@ def load_checkpoint(
     gaps: GapPenalties = GapPenalties(),
     *,
     engine: str = DEFAULT_ENGINE,
-    triangle: str = "dense",
 ) -> TopAlignmentState:
-    """Rebuild a state ready to continue exactly where it stopped."""
-    state = TopAlignmentState(
-        sequence, exchange, gaps, engine=engine, triangle=triangle
-    )
+    """Rebuild a state ready to continue exactly where it stopped; it
+    sizes its stores itself, as the one that saved the checkpoint did."""
+    state = TopAlignmentState(sequence, exchange, gaps, engine=engine)
     restore_checkpoint(state, path)
     return state

@@ -200,6 +200,8 @@ class TopAlignmentSession:
     batch (the paper's G: 4 for SSE, 8 for SSE2; 1 = sequential, one
     problem per engine call).  First passes are not speculation and go
     out in chunks sized by the lane engine (see the module docstring).
+    The state sizes its stores itself (no memory or triangle option:
+    :class:`~repro.core.topalign.TopAlignmentState`).
     """
 
     def __init__(
@@ -210,12 +212,9 @@ class TopAlignmentSession:
         *,
         engine: str = DEFAULT_ENGINE,
         group: int = DEFAULT_GROUP,
-        triangle: str = "dense",
         min_score: float = 0.0,
     ) -> None:
-        state = TopAlignmentState(
-            sequence, exchange, gaps, engine=engine, triangle=triangle
-        )
+        state = TopAlignmentState(sequence, exchange, gaps, engine=engine)
         self._attach(state, group, min_score)
 
     @classmethod

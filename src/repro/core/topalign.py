@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Callable
+import weakref
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -59,11 +60,47 @@ from .override import (
 from .result import RunStats, TopAlignment
 from .tasks import Task
 
-__all__ = ["TopAlignmentState", "find_top_alignments"]
+__all__ = [
+    "STATE_BYTES",
+    "TopAlignmentState",
+    "budget_shares",
+    "find_top_alignments",
+]
+
+#: The bytes one search keeps in its stores — saved rows, resident
+#: bottom rows and the override triangle — whatever the sequence length
+#: (:func:`budget_shares`).  A constant, not an option.
+STATE_BYTES = 256 * 2**20
+
+
+class Shares(NamedTuple):
+    """The bytes each store of a search may hold."""
+
+    saved: int
+    rows: int
+    triangle: int
+
+
+def budget_shares() -> Shares:
+    """How :data:`STATE_BYTES` is shared among a search's stores: half
+    for the saved rows, which grow as m³, a quarter each for the
+    resident bottom rows and the triangle, which grow as m²."""
+    return Shares(STATE_BYTES // 2, STATE_BYTES // 4, STATE_BYTES // 4)
 
 
 class TopAlignmentState:
     """Mutable search state shared by all execution modes.
+
+    The state sizes its own stores from ``m`` and :data:`STATE_BYTES`
+    (:func:`budget_shares`; none of it is an option): the override
+    triangle is dense while its ``(m+1)²`` bytes fit the triangle's
+    share and sparse past it; the first-pass bottom rows
+    (:attr:`bottom_rows`) stay resident up to their share and are
+    refilled on demand — counted in :attr:`stats` like any other fill —
+    past it; and the saved rows a realignment resumes from
+    (:attr:`snapshots`) drop whole splits, lowest last score first, past
+    theirs.  None of it changes an accepted top: a split without saved
+    rows realigns from row 0.
 
     Parameters
     ----------
@@ -78,14 +115,6 @@ class TopAlignmentState:
         Alignment engine name or instance (default
         :data:`~repro.align.base.DEFAULT_ENGINE`, the lockstep lane
         engine).
-    triangle:
-        ``"dense"`` (default) or ``"sparse"`` override-triangle storage.
-    memory:
-        ``"full"`` (default) caches every first-pass bottom row — the
-        paper's O(n²) store — and the saved rows a realignment resumes
-        from (:attr:`snapshots`); ``"linear"`` uses the Appendix A
-        on-demand recomputation scheme with at most ``linear_capacity``
-        resident rows, and keeps no saved rows.
     seed_bounds:
         Optional array of ``m - 1`` finite upper bounds on the
         first-pass score of splits ``r = 1..m-1`` (entry ``i`` bounds
@@ -113,9 +142,6 @@ class TopAlignmentState:
         gaps: GapPenalties = GapPenalties(),
         *,
         engine: str = DEFAULT_ENGINE,
-        triangle: str = "dense",
-        memory: str = "full",
-        linear_capacity: int = 32,
         seed_bounds: np.ndarray | None = None,
         prune: bool = True,
     ) -> None:
@@ -140,36 +166,30 @@ class TopAlignmentState:
         # task at +inf, the paper's schedule.
         self.prune_context = PruneContext(self.profile) if prune else None
         self._start_bounds: np.ndarray | None = None
-        if triangle == "dense":
+        self.shares = budget_shares()
+        if (self.m + 1) ** 2 <= self.shares.triangle:
             self.triangle: OverrideTriangle = DenseOverrideTriangle(self.m)
-        elif triangle == "sparse":
-            self.triangle = SparseOverrideTriangle(self.m)
         else:
-            raise ValueError("triangle must be 'dense' or 'sparse'")
+            self.triangle = SparseOverrideTriangle(self.m)
+        # The store reaches back through a weak reference: a cycle would
+        # keep every finished state's rows alive until the cyclic GC ran.
+        state = weakref.ref(self)
+        self.bottom_rows = BottomRowStore(
+            self.m, capacity=self.shares.rows, refill=lambda r: state()._refill(r)
+        )
         #: ``snapshots[r] = (stamp, saved)``: rows ``S, 2S, ..`` above
         #: split ``r``'s bottom row (``S`` = ``SNAPSHOT_ROWS``), ``saved[k]``
         #: the two vectors a fill resumes from at row ``(k + 1) * S``
         #: (:class:`~repro.align.base.Resume`), exact under triangle
         #: version ``stamp`` (DESIGN.md, "Resuming a realignment").  Live
-        #: and die with the state: no checkpoint stores them.  ``None``
-        #: keeps none (``memory="linear"``).
-        self.snapshots: dict[int, tuple[int, np.ndarray]] | None = None
-        if memory == "full":
-            self.bottom_rows = BottomRowStore(self.m)
-            self.snapshots = {}
-        elif memory == "linear":
-            from .linearspace import RecomputingBottomRowStore
-
-            self.bottom_rows = RecomputingBottomRowStore(
-                self.codes,
-                exchange,
-                gaps,
-                self.engine,
-                capacity=linear_capacity,
-                profile=self.profile,
-            )
-        else:
-            raise ValueError("memory must be 'full' or 'linear'")
+        #: and die with the state: no checkpoint stores them.
+        self.snapshots: dict[int, tuple[int, np.ndarray]] = {}
+        #: Bytes of :attr:`snapshots`, and each split's last recorded
+        #: score: the splits that go first when the bytes pass their share.
+        self.snapshot_bytes = 0
+        self._snapshot_scores: dict[int, float] = {}
+        #: Splits whose saved rows were dropped to stay in the share.
+        self.snapshots_dropped = 0
         if seed_bounds is not None:
             seed_bounds = np.asarray(seed_bounds, dtype=np.float64)
             if seed_bounds.shape != (self.m - 1,):
@@ -255,7 +275,7 @@ class TopAlignmentState:
         tasks = []
         for r in range(1, self.m):
             if r in self.bottom_rows:
-                score = float(self.bottom_rows.get(r).max())
+                score = self.bottom_rows.max_of(r)
                 tasks.append(Task(r, score=score, aligned_with=0))
             elif bounds is not None:
                 tasks.append(Task(r, score=float(bounds[r - 1])))
@@ -340,7 +360,7 @@ class TopAlignmentState:
             # under the live triangle (with the shadow rule) before it
             # can be accepted.
             self.bottom_rows.put(task.r, row)
-            score = float(row.max())
+            score = self.bottom_rows.max_of(task.r)
             version = 0
         else:
             self.stats.realignments += 1
@@ -351,31 +371,54 @@ class TopAlignmentState:
         resume = problem.resume
         stamp = None
         if resume is not None and resume.snapshots is not None:
-            stamp = self._keep_snapshots(task.r, resume, version)
+            stamp = self._keep_snapshots(task.r, resume, version, score)
         if self.invariants is not None:
             self.invariants.after_align(
                 task, row, prev_score=prev_score, prev_version=prev_version
             )
+            self.invariants.within_budget(task.r, kept=stamp is not None)
             if stamp is not None:
                 self.invariants.after_resume(task.r, resume, row, stamp, version)
         return score
 
-    def _keep_snapshots(self, r: int, resume: Resume, version: int) -> int:
+    def _keep_snapshots(
+        self, r: int, resume: Resume, version: int, score: float
+    ) -> int | None:
         """Fold a fill's saved rows into :attr:`snapshots`, stamped
-        ``version``; returns the stamp the rows it resumed from had.
+        ``version``; returns the stamp the rows it resumed from had, or
+        ``None`` when they were dropped while the fill ran (it then
+        keeps nothing: the rows above its resume row are gone).
 
         Rows above the resume row are the ones the fill started from,
         exact under ``version`` too (that is how the resume row was
         chosen, :meth:`_resume_for`); rows below it are the fill's own.
         """
         held = self.snapshots.get(r)
-        if held is None:
-            self.snapshots[r] = (version, resume.snapshots)
-            return version
-        stamp, saved = held
-        saved[resume.start // SNAPSHOT_ROWS :] = resume.snapshots
+        if held is not None:
+            stamp, saved = held
+            saved[resume.start // SNAPSHOT_ROWS :] = resume.snapshots
+        elif resume.start:
+            return None
+        else:
+            stamp, saved = version, resume.snapshots
+            self.snapshot_bytes += saved.nbytes
         self.snapshots[r] = (version, saved)
+        self._snapshot_scores[r] = score
+        if self.snapshot_bytes > self.shares.saved:
+            self._drop_snapshots(keep=r)
         return stamp
+
+    def _drop_snapshots(self, keep: int) -> None:
+        """Drop whole splits' saved rows, lowest last score first, until
+        the rest fit their share; split ``keep`` stays."""
+        scores = self._snapshot_scores
+        for r in sorted(scores, key=scores.get):
+            if self.snapshot_bytes <= self.shares.saved:
+                break
+            if r != keep:
+                self.snapshot_bytes -= self.snapshots.pop(r)[1].nbytes
+                del scores[r]
+                self.snapshots_dropped += 1
 
     def _exact_snapshots(self, r: int) -> tuple[int, np.ndarray | None]:
         """``(k, saved)``: split ``r``'s saved rows, of which the first
@@ -389,7 +432,7 @@ class TopAlignmentState:
         ``i_min`` — and the two vectors a fill carries out of them — are
         unchanged.
         """
-        held = None if self.snapshots is None else self.snapshots.get(r)
+        held = self.snapshots.get(r)
         if held is None:
             return 0, None
         stamp, saved = held
@@ -510,6 +553,15 @@ class TopAlignmentState:
         rows, seconds = self.fill(problems)
         return self.record_rows(tasks, problems, rows, self.n_found, seconds)
 
+    def _refill(self, r: int) -> np.ndarray:
+        """Split ``r``'s first-pass row again, for :attr:`bottom_rows`
+        once it has evicted it: a fill like any other, counted as one."""
+        problem = self.problem_for(r, with_override=False)
+        (row,), seconds = self.fill([problem])
+        self.stats.engine_seconds += seconds
+        self.stats.cells += problem.cells
+        return row
+
     def fill(self, problems: list[AlignmentProblem]) -> tuple[list[np.ndarray], float]:
         """One timed engine batch: ``(bottom rows, seconds)``.
 
@@ -532,17 +584,14 @@ class TopAlignmentState:
         later shadow decisions — and therefore the accepted tops —
         stay bit-identical to an unseeded run.
 
-        With :attr:`snapshots` kept, every problem carries a resume
-        request (:meth:`_resume_for`): a realignment skips the rows no
-        acceptance since its saved rows changed, and every fill saves
-        rows for the next one.
+        Every problem carries a resume request (:meth:`_resume_for`): a
+        realignment skips the rows no acceptance since its saved rows
+        changed, and every fill saves rows for the next one.
         """
         problems = []
         for task in tasks:
             filled = task.r in self.bottom_rows
-            resume = None
-            if self.snapshots is not None:
-                resume = self._resume_for(task.r) if filled else Resume()
+            resume = self._resume_for(task.r) if filled else Resume()
             problems.append(
                 self.problem_for(task.r, with_override=filled, resume=resume)
             )
@@ -601,7 +650,6 @@ def find_top_alignments(
     gaps: GapPenalties = GapPenalties(),
     *,
     engine: str = DEFAULT_ENGINE,
-    triangle: str = "dense",
     min_score: float = 0.0,
     group: int = DEFAULT_GROUP,
     state: TopAlignmentState | None = None,
@@ -623,7 +671,9 @@ def find_top_alignments(
     realign the head with its nearest stale neighbours in one lockstep
     batch and send first passes out in engine-sized chunks.  Accepted
     alignments are bit-identical for every engine, ``group`` and
-    ``prune`` setting.
+    ``prune`` setting.  Memory is not a setting: the search keeps its
+    stores within :data:`STATE_BYTES` whatever the sequence length (see
+    :class:`TopAlignmentState`).
 
     Passing a pre-built ``state`` lets callers (tests, the simulator)
     inspect internals afterwards — and continue a partial search: the
@@ -644,7 +694,6 @@ def find_top_alignments(
             exchange,
             gaps,
             engine=engine,
-            triangle=triangle,
             seed_bounds=seed_bounds,
             prune=prune,
         )

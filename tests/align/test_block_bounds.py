@@ -66,18 +66,15 @@ class _Recording(AlignmentEngine):
 @settings(deadline=None)
 @given(
     search=searches(),
-    triangle=st.sampled_from(["dense", "sparse"]),
     width=st.sampled_from([1, 32, None]),
     group=st.sampled_from([1, 8]),
     accept=st.integers(1, 3),
 )
-def test_bounds_dominate_first_passes_and_realignments(
-    search, triangle, width, group, accept
-):
+def test_bounds_dominate_first_passes_and_realignments(search, width, group, accept):
     sequence, exchange, gaps = search
     m = len(sequence)
     width = m if width is None else width
-    state = TopAlignmentState(sequence, exchange, gaps, triangle=triangle)
+    state = TopAlignmentState(sequence, exchange, gaps)
     with mock.patch.object(topalign, "BLOCK_SPLITS", width):
         tasks = state.make_tasks()
     bounds = np.array([task.score for task in tasks])

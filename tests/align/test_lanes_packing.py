@@ -202,9 +202,9 @@ def test_partition_is_linear_in_the_batch():
 
 
 def test_batch_of_one_costs_what_vector_costs():
-    """``RecomputingBottomRowStore``, cluster first-pass shards and the
-    significance shuffles call ``last_row`` singly: through the default
-    engine that must stay within 10 % of ``vector.last_row`` (same-run
+    """A bottom row the state refills after evicting it, the cluster
+    simulator's splits and the invariant sweeps are fills of one
+    problem: through the default engine that must stay within 10 % of ``vector.last_row`` (same-run
     ratio of best-of-N times, so machine phases cancel)."""
     sequence = pseudo_titin(400, seed=7)
     exchange, gaps = blosum62(), GapPenalties(8, 1)

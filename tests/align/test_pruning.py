@@ -4,7 +4,7 @@ The contract under test is absolute: a bound may only keep a fill from
 happening when it *proves* the fill irrelevant, so accepted top
 alignments must be byte-identical with bounds on or off — across
 engines, group widths, integer work types, wildcard-bearing sequences
-and the linear-memory store — and every harvested bound must dominate
+and a state budget that evicts bottom rows — and every harvested bound must dominate
 the exhaustively computed first-pass score of the split it stands for.
 (The search-level property — every split, realignments, restored
 sessions — is ``test_block_bounds.py``.)
@@ -22,7 +22,7 @@ from repro.core import TopAlignmentState, find_top_alignments
 from repro.scoring import GapPenalties, match_mismatch
 from repro.sequences import DNA, RepeatSpec, Sequence, implant_repeats
 
-from ..conftest import brute_force_matrix
+from ..conftest import brute_force_matrix, shrink_state_budget
 
 INT16_MAX = 32767
 
@@ -184,26 +184,27 @@ class TestWildcards:
 
 
 class TestLinearMemory:
-    """Unfilled splits cache no bottom row; the linear store must cope."""
+    """Unfilled splits cache no bottom row; a store that evicts and
+    refills rows must cope."""
 
-    def test_linear_space_recompute_of_pruned_search(self, repeat_dna, dna_scoring):
+    def test_linear_space_recompute_of_pruned_search(
+        self, repeat_dna, dna_scoring, monkeypatch
+    ):
         exchange, gaps = dna_scoring
         baseline, _ = find_top_alignments(
             repeat_dna, 5, exchange, gaps, min_score=60.0, prune=False
         )
-        state = TopAlignmentState(
-            repeat_dna, exchange, gaps,
-            memory="linear", linear_capacity=2, prune=True,
-        )
+        shrink_state_budget(monkeypatch)
+        state = TopAlignmentState(repeat_dna, exchange, gaps, prune=True)
         linear, stats = find_top_alignments(
             repeat_dna, 5, exchange, gaps, min_score=60.0, state=state
         )
         assert _key(linear) == _key(baseline)
         assert stats.pruned_lanes > 0
-        assert state.bottom_rows.resident_rows <= 2
-        # The store's gate-free recompute path produced exact rows even
-        # though the search never filled some of the splits around them.
-        assert state.bottom_rows.recomputations >= 0
+        assert len(state.bottom_rows.resident()) < len(state.bottom_rows)
+        # The refills are gate-free first passes, exact even though the
+        # search never filled some of the splits around them.
+        assert state.bottom_rows.refills > 0
 
 
 class TestGateMechanics:

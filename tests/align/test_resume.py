@@ -7,8 +7,8 @@ acceptance since its saved rows changed
 (:meth:`TopAlignmentState.problems_for`).  After every acceptance of a
 random search, each filled split's resumed fill must leave the bottom
 row and the saved rows a fill from the top leaves, byte for byte — for
-both triangle stores, every work type, ``lanes`` and ``vector``, and
-lanes of different start rows packed with first passes in one batch.
+every work type, ``lanes`` and ``vector``, and lanes of different start
+rows packed with first passes in one batch.
 ``scalar`` ignores the request and counts the whole matrix.  An
 acceptance's traceback, filled upward from the same saved rows, must
 follow the path it follows on the whole matrix.
@@ -114,15 +114,14 @@ class TestResumedFill:
     @given(
         data=st.data(),
         protein=st.booleans(),
-        triangle=st.sampled_from(["dense", "sparse"]),
         engine_id=st.sampled_from(sorted(ENGINES)),
     )
     def test_resumed_rows_equal_a_full_fill_after_every_acceptance(
-        self, data, protein, triangle, engine_id
+        self, data, protein, engine_id
     ):
         sequence, scoring = _tandem_sequence(data, protein)
         engine = ENGINES[engine_id]()
-        state = TopAlignmentState(sequence, *scoring, engine=engine, triangle=triangle)
+        state = TopAlignmentState(sequence, *scoring, engine=engine)
         session = TopAlignmentSession.from_state(
             state, group=data.draw(st.sampled_from([1, 8]))
         )
@@ -182,16 +181,13 @@ class TestResumedTraceback:
     @given(
         data=st.data(),
         protein=st.booleans(),
-        triangle=st.sampled_from(["dense", "sparse"]),
         engine_id=st.sampled_from(sorted(ENGINES)),
     )
     def test_a_traceback_from_saved_rows_follows_the_full_matrix_path(
-        self, data, protein, triangle, engine_id
+        self, data, protein, engine_id
     ):
         sequence, scoring = _tandem_sequence(data, protein)
-        state = TopAlignmentState(
-            sequence, *scoring, engine=ENGINES[engine_id](), triangle=triangle
-        )
+        state = TopAlignmentState(sequence, *scoring, engine=ENGINES[engine_id]())
         with pytest.MonkeyPatch.context() as monkeypatch:
             _traced_against_the_full_matrix(monkeypatch)
             TopAlignmentSession.from_state(state).extend(5)
@@ -247,15 +243,6 @@ class TestWhatIsCounted:
             (a.r, a.score, a.pairs) for a in reference
         ]
         assert stats.cells == engine.cells < engine.matrices
-        # Resuming moves no count but the cells: a state that keeps no
-        # saved rows makes the same fills, each over its whole matrix.
-        state = TopAlignmentState(sequence, *scoring, memory="linear")
-        TopAlignmentSession.from_state(state).extend(8)
-        assert (state.stats.alignments, state.stats.realignments) == (
-            stats.alignments,
-            stats.realignments,
-        )
-        assert state.stats.cells == engine.matrices
 
     def test_scalar_ignores_the_request_and_counts_the_whole_matrix(self):
         state = _searched()
@@ -281,14 +268,44 @@ class TestWhatIsCounted:
             assert saved.shape == ((r - 1) // SNAPSHOT_ROWS, 2, state.m - r)
         assert sum(saved.nbytes for _, (_, saved) in held) <= 1.5e6
 
-    def test_linear_memory_and_checkpoints_keep_none(self, tmp_path):
-        sequence = pseudo_titin(120, seed=5)
-        scoring = (blosum62(), GapPenalties(8.0, 1.0))
-        linear = TopAlignmentState(sequence, *scoring, memory="linear")
-        TopAlignmentSession.from_state(linear).extend(3)
-        assert linear.snapshots is None
-        assert all(p.resume is None for p in linear.problems_for([Task(40)]))
+    def test_past_their_share_the_lowest_scoring_splits_drop_theirs(self):
+        state = _searched(length=200, k=8)
+        held = {r: saved.nbytes for r, (_, saved) in state.snapshots.items()}
+        assert state.snapshot_bytes == sum(held.values())
+        assert state.snapshots_dropped == 0
+        scores = dict(state._snapshot_scores)
+        # Half the bytes: the last-kept split stays whatever its score.
+        keep = min(scores, key=scores.get)
+        share = state.snapshot_bytes // 2
+        state.shares = state.shares._replace(saved=share)
+        state._drop_snapshots(keep=keep)
+        assert keep in state.snapshots
+        assert state.snapshot_bytes <= share
+        dropped = set(held) - set(state.snapshots)
+        assert state.snapshots_dropped == len(dropped) > 0
+        kept = set(state.snapshots) - {keep}
+        assert max(scores[r] for r in dropped) <= min(scores[r] for r in kept)
+        # A split without saved rows realigns from row 0.
+        r = min(dropped)
+        assert state.problems_for([Task(r)])[0].resume.start == 0
 
+    def test_a_search_past_its_share_keeps_the_tops(self, monkeypatch):
+        """Dropping saved rows moves no count but the cells."""
+        unbounded = _searched(length=200, k=8)
+        monkeypatch.setattr(
+            topalign, "STATE_BYTES", 2 * unbounded.snapshot_bytes // 3
+        )
+        state = _searched(length=200, k=8)
+        assert state.snapshots_dropped > 0
+        assert state.found == unbounded.found
+        assert (state.stats.alignments, state.stats.realignments) == (
+            unbounded.stats.alignments,
+            unbounded.stats.realignments,
+        )
+        assert state.stats.cells > unbounded.stats.cells
+
+    def test_checkpoints_keep_no_saved_rows(self, tmp_path):
+        scoring = (blosum62(), GapPenalties(8.0, 1.0))
         state = _searched(length=120, k=3)
         assert state.snapshots
         save_checkpoint(state, tmp_path / "ckpt.npz")

@@ -57,6 +57,20 @@ def brute_force_matrix(problem) -> np.ndarray:
     return M
 
 
+#: A ``repro.core.topalign.STATE_BYTES`` so small that a search over any
+#: input here spills every store: the triangle is sparse, bottom rows are
+#: evicted and refilled, and saved rows are dropped.
+TINY_STATE_BYTES = 256
+
+
+def shrink_state_budget(monkeypatch) -> None:
+    """Make every state built from now on in this test spill
+    (:data:`TINY_STATE_BYTES`)."""
+    from repro.core import topalign
+
+    monkeypatch.setattr(topalign, "STATE_BYTES", TINY_STATE_BYTES)
+
+
 @pytest.fixture(scope="session")
 def dna_scoring():
     """The paper's worked-example scoring: +2/-1, gap open 2 extend 1."""

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core import TopAlignmentState, find_top_alignments
+from repro.core import TopAlignmentSession, TopAlignmentState, find_top_alignments
 from repro.core.checkpoint import load_checkpoint, save_checkpoint
 from repro.scoring import GapPenalties, blosum62, pam250
 from repro.sequences import pseudo_titin
+from tests.conftest import shrink_state_budget
 
 
 @pytest.fixture()
@@ -51,6 +52,38 @@ class TestRoundTrip:
         restored = load_checkpoint(path, seq, ex, gaps)
         resumed, _ = find_top_alignments(seq, 6, ex, gaps, state=restored)
         assert [(a.index, a.r, a.score, a.pairs) for a in resumed] == [
+            (a.index, a.r, a.score, a.pairs) for a in full
+        ]
+
+
+class TestSpilledState:
+    """A state past its budget holds only some of its bottom rows."""
+
+    def test_round_trip_refills_nothing_and_continues_exactly(
+        self, tmp_path, protein_scoring, monkeypatch
+    ):
+        ex, gaps = protein_scoring
+        seq = pseudo_titin(110, seed=13)
+        full, _ = find_top_alignments(seq, 6, ex, gaps)
+        shrink_state_budget(monkeypatch)
+        state = TopAlignmentState(seq, ex, gaps)
+        find_top_alignments(seq, 3, ex, gaps, state=state)
+        held = state.bottom_rows.resident()
+        assert 0 < len(held) < len(state.bottom_rows)
+        refills = state.bottom_rows.refills
+        save_checkpoint(state, tmp_path / "run.npz")
+        assert state.bottom_rows.refills == refills  # saves what it holds
+
+        restored = load_checkpoint(tmp_path / "run.npz", seq, ex, gaps)
+        assert [r for r in range(1, len(seq)) if r in restored.bottom_rows] == sorted(
+            held
+        )
+        session = TopAlignmentSession.from_state(restored)
+        assert restored.bottom_rows.refills == 0
+        # A split whose row was not saved is never aligned: its first
+        # pass, whenever it comes, is the version-0 row it had.
+        session.extend(3)
+        assert [(a.index, a.r, a.score, a.pairs) for a in session.alignments] == [
             (a.index, a.r, a.score, a.pairs) for a in full
         ]
 

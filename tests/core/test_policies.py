@@ -3,14 +3,17 @@
 The inline loop, the §4.2 thread scheduler and the §4.3 master/slave
 protocol are dispatch policies of one
 :class:`~repro.core.session.TopAlignmentSession`.  Whatever the policy,
-lane width, pruning and heap seeding, the accepted tops must be
-byte-equal to the plainest run there is: ``engine="scalar"``,
-``group=1``, ``prune=False``, no seeds.
+lane width, pruning, heap seeding and state budget, the accepted tops
+must be byte-equal to the plainest run there is: ``engine="scalar"``,
+``group=1``, ``prune=False``, no seeds.  The tiny budget
+(``tests.conftest.TINY_STATE_BYTES``) makes every state spill: a sparse
+triangle, bottom rows evicted and refilled, saved rows dropped.
 
 Whatever the policy, ``RunStats.cells`` is also the cells the engines
 filled: the realignments that resumed from a saved row count only the
-rows below it, and the master/slave policy, whose slaves rebuild their
-problems without the request, counts whole matrices.
+rows below it, the master/slave policy, whose slaves rebuild their
+problems without the request, counts whole matrices, and a state that
+spills counts every row it refills.
 
 Also green under ``REPRO_CHECK_INVARIANTS=full``.
 """
@@ -30,12 +33,14 @@ from repro.core import (
     load_checkpoint,
     save_checkpoint,
 )
+from repro.core.override import SparseOverrideTriangle
 from repro.index import seed_score_bounds
 from repro.parallel import MasterRunner, SlaveConfig, ThreadedTopAlignmentRunner, World
 from repro.parallel.slave import slave_main
 from repro.scoring import GapPenalties, blosum62, match_mismatch
 from repro.sequences import DNA, RepeatSpec, Sequence, implant_repeats
 from repro.sequences import tandem_repeat_sequence
+from tests.conftest import shrink_state_budget
 from tests.parallel.test_master_logic import FakeSlaveComm
 
 
@@ -113,13 +118,19 @@ POLICIES = {
 }
 
 
+@pytest.mark.parametrize("budget", ["default", "tiny"])
 @pytest.mark.parametrize("name", INPUTS)
 @pytest.mark.parametrize("seeded", [False, True], ids=["unseeded", "seeded"])
 @pytest.mark.parametrize("prune", [True, False], ids=["prune", "noprune"])
 @pytest.mark.parametrize("policy", POLICIES)
-def test_tops_equal_the_plain_sequential_run(policy, prune, seeded, name):
+def test_tops_equal_the_plain_sequential_run(
+    policy, prune, seeded, name, budget, monkeypatch
+):
     sequence, k, scoring = INPUTS[name]
     group, run = POLICIES[policy]
+    _reference(name)  # cached under the default budget
+    if budget == "tiny":
+        shrink_state_budget(monkeypatch)
     state = TopAlignmentState(
         sequence,
         *scoring,
@@ -131,6 +142,11 @@ def test_tops_equal_the_plain_sequential_run(policy, prune, seeded, name):
     assert session.stats.tracebacks == len(session)
     if name == "exhausting":
         assert session.exhausted and len(session) < k
+    if budget == "tiny":
+        assert isinstance(state.triangle, SparseOverrideTriangle)
+        # Master slaves save no rows; every other policy's must spill.
+        if name == "repeat-protein" and not policy.startswith("master"):
+            assert state.snapshots_dropped > 0
 
 
 class _CountingEngine(AlignmentEngine):
@@ -158,18 +174,25 @@ class _CountingEngine(AlignmentEngine):
 
 @pytest.mark.parametrize("name", INPUTS)
 @pytest.mark.parametrize("policy", POLICIES)
-def test_cells_are_the_cells_the_engine_filled(policy, name):
+def test_cells_are_the_cells_the_engine_filled(policy, name, monkeypatch):
+    """Under the default budget, and then under the tiny one, where the
+    bottom rows a realignment needs are refilled."""
     sequence, k, scoring = INPUTS[name]
     group, run = POLICIES[policy]
-    engine = _CountingEngine(get_engine("lanes"))
-    state = TopAlignmentState(sequence, *scoring, engine=engine)
-    session = TopAlignmentSession.from_state(state, group=group)
-    assert _key(run(session, k, sequence, scoring)) == _reference(name)
-    assert session.stats.cells == engine.cells.value
-    if policy.startswith("master"):
-        assert engine.cells.value == engine.matrices.value
-    elif name == "repeat-protein":  # long enough to save rows: some resume
-        assert engine.cells.value < engine.matrices.value
+    _reference(name)
+    for spill in (False, True):
+        if spill:
+            shrink_state_budget(monkeypatch)
+        engine = _CountingEngine(get_engine("lanes"))
+        state = TopAlignmentState(sequence, *scoring, engine=engine)
+        session = TopAlignmentSession.from_state(state, group=group)
+        assert _key(run(session, k, sequence, scoring)) == _reference(name)
+        assert session.stats.cells == engine.cells.value
+        if policy.startswith("master"):
+            assert engine.cells.value == engine.matrices.value
+        elif name == "repeat-protein" and not spill:  # some resume
+            assert engine.cells.value < engine.matrices.value
+        assert (state.bottom_rows.refills > 0) == spill
 
 
 def test_min_score_floor_under_every_policy():

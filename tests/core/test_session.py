@@ -23,6 +23,7 @@ from repro.sequences import (
     pseudo_titin,
     tandem_repeat_sequence,
 )
+from tests.conftest import shrink_state_budget
 
 
 def _key(alignments):
@@ -195,14 +196,8 @@ class TestSpanRule:
     splits ``i_min <= r < j_max``; every other score stays current."""
 
     @settings(max_examples=25, deadline=None)
-    @given(
-        data=st.data(),
-        protein=st.booleans(),
-        triangle=st.sampled_from(["dense", "sparse"]),
-    )
-    def test_scores_left_current_equal_a_fresh_realignment(
-        self, data, protein, triangle
-    ):
+    @given(data=st.data(), protein=st.booleans())
+    def test_scores_left_current_equal_a_fresh_realignment(self, data, protein):
         if protein:
             unit = data.draw(st.lists(st.integers(0, 19), min_size=4, max_size=9))
             alphabet = PROTEIN
@@ -223,7 +218,7 @@ class TestSpanRule:
         codes += data.draw(st.lists(st.integers(0, nsym - 1), min_size=0, max_size=10))
         sequence = Sequence(np.array(codes, dtype=np.int8), alphabet)
         session = TopAlignmentSession(
-            sequence, exchange, gaps, triangle=triangle, group=data.draw(st.sampled_from([1, 8]))
+            sequence, exchange, gaps, group=data.draw(st.sampled_from([1, 8]))
         )
         state = session.state
         for _ in range(6):
@@ -234,13 +229,17 @@ class TestSpanRule:
                     assert task.score == _fresh_scalar_score(state, task.r)
 
     @pytest.mark.parametrize("triangle", ["dense", "sparse"])
-    def test_the_rule_keeps_scores_current(self, triangle, small_repeat_protein, protein_scoring):
+    def test_the_rule_keeps_scores_current(
+        self, triangle, small_repeat_protein, protein_scoring, monkeypatch
+    ):
         """Not vacuous: acceptances do leave older scores current, those
         scores are exact, and a later acceptance *inside* such a split's
-        matrix makes it stale again."""
-        session = TopAlignmentSession(
-            small_repeat_protein, *protein_scoring, triangle=triangle
-        )
+        matrix makes it stale again — on the triangle the default budget
+        picks, and on the sparse one a tiny budget picks, which also
+        evicts rows and drops saved ones."""
+        if triangle == "sparse":
+            shrink_state_budget(monkeypatch)
+        session = TopAlignmentSession(small_repeat_protein, *protein_scoring)
         state = session.state
         kept_total = 0
         for _ in range(5):

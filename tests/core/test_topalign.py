@@ -1,5 +1,9 @@
 """Tests for the new O(n³) top-alignment algorithm."""
 
+import gc
+import os
+import weakref
+
 import numpy as np
 import pytest
 from benchmarks.comparators import StripedEngine
@@ -8,8 +12,10 @@ from hypothesis import strategies as st
 
 from repro.align import AlignmentProblem, full_matrix
 from repro.core import TopAlignmentState, find_top_alignments
+from repro.core.override import DenseOverrideTriangle, SparseOverrideTriangle
 from repro.scoring import GapPenalties, match_mismatch
 from repro.sequences import DNA, Sequence, tandem_repeat_sequence
+from tests.conftest import shrink_state_budget
 
 
 def _np_seq(codes):
@@ -153,6 +159,27 @@ class TestTermination:
         assert all(a.score > 0 for a in tops)
 
 
+@pytest.mark.skipif(
+    bool(os.environ.get("REPRO_CHECK_INVARIANTS")),
+    reason="the invariant checker holds its state",
+)
+def test_a_finished_state_is_freed_without_the_cyclic_gc(
+    small_repeat_protein, protein_scoring
+):
+    """A service worker or a scan runs search after search: a reference
+    cycle through the state would keep every finished search's stores
+    alive until the cyclic collector ran."""
+    state = TopAlignmentState(small_repeat_protein, *protein_scoring)
+    find_top_alignments(small_repeat_protein, 3, *protein_scoring, state=state)
+    gone = weakref.ref(state)
+    gc.disable()
+    try:
+        del state
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
 class TestValidation:
     def test_k_must_be_positive(self, tandem_dna, dna_scoring):
         ex, gaps = dna_scoring
@@ -168,11 +195,6 @@ class TestValidation:
         ex, gaps = protein_scoring
         with pytest.raises(ValueError, match="alphabet"):
             TopAlignmentState(tandem_dna, ex, gaps)
-
-    def test_invalid_triangle_kind(self, tandem_dna, dna_scoring):
-        ex, gaps = dna_scoring
-        with pytest.raises(ValueError):
-            TopAlignmentState(tandem_dna, ex, gaps, triangle="magic")
 
     def test_accept_requires_current(self, tandem_dna, dna_scoring):
         ex, gaps = dna_scoring
@@ -206,13 +228,17 @@ class TestEngineAndTriangleChoices:
 
     @pytest.mark.parametrize("triangle", ["dense", "sparse"])
     def test_same_result_any_triangle(
-        self, triangle, small_repeat_protein, protein_scoring
+        self, triangle, small_repeat_protein, protein_scoring, monkeypatch
     ):
+        """The budget picks the triangle: a tiny one picks the sparse."""
         ex, gaps = protein_scoring
         base, _ = find_top_alignments(small_repeat_protein, 5, ex, gaps)
-        other, _ = find_top_alignments(
-            small_repeat_protein, 5, ex, gaps, triangle=triangle
-        )
+        if triangle == "sparse":
+            shrink_state_budget(monkeypatch)
+        state = TopAlignmentState(small_repeat_protein, ex, gaps)
+        kind = DenseOverrideTriangle if triangle == "dense" else SparseOverrideTriangle
+        assert type(state.triangle) is kind
+        other, _ = find_top_alignments(small_repeat_protein, 5, ex, gaps, state=state)
         assert [(a.r, a.pairs) for a in other] == [(a.r, a.pairs) for a in base]
 
 
@@ -224,11 +250,13 @@ def test_traceback_matrix_is_the_left_block_of_the_full_matrix(
     up to the last column its path can end in, through the transpose
     when that is the shorter way — equals those columns of the plain
     full matrix, under every triangle the search passes through.  (With
-    saved rows it fills upward from them: tests/align/test_resume.py.)"""
+    saved rows it fills upward from them: tests/align/test_resume.py.)
+    ``scalar`` saves none; under the tiny budget its bottom rows are
+    refilled as well."""
     ex, gaps = protein_scoring
-    state = TopAlignmentState(
-        small_repeat_protein, ex, gaps, triangle=triangle, memory="linear"
-    )
+    if triangle == "sparse":
+        shrink_state_budget(monkeypatch)
+    state = TopAlignmentState(small_repeat_protein, ex, gaps, engine="scalar")
     shapes = []
     inner = TopAlignmentState._traceback_matrix
 
