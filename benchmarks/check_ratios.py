@@ -5,7 +5,8 @@ Runs the end-to-end benchmark's traced pass on the two workloads that
 pin the kernel from both sides — ``titin_find`` (``min_score`` 0: bounds
 order the first passes, none retires) and ``dna_scan_dense`` (bounds
 retire splits unfilled) — on ``dna_scan_sparse`` (index routing skips
-records) and on ``cluster_scan`` (two nodes share a scan), three times
+records), on ``cluster_scan`` (two nodes share a scan) and on
+``serve_mixed`` (jobs through ``repro serve``), three times
 each, and checks the median
 of same-run ratios and shares (one ~0.2 s pass over another spreads
 +-8 %), which hold on any machine where an absolute cells/s baseline
@@ -37,6 +38,13 @@ does not:
   get work the moment it exists (median 0.77 with the parked lease
   request, 0.48 when idle nodes slept 0.2 s between asks; one in-process
   scan per run is the numerator, so single runs spread 0.64–1.05);
+* ``serve_mixed``: ``service.queue_wait_s / service.miss_latency_s <=
+  0.075`` — a spooled job reaches an idle worker through its wake pipe,
+  not the worker's next look at the spool.  Six traced 5 s runs per
+  side, alternating: 0.114, 0.116, 0.080, 0.097, 0.093, 0.084 when idle
+  workers slept 1 → 50 ms between looks; 0.041, 0.040, 0.050, 0.053,
+  0.062, 0.069 with the hand-off (queue wait 2.6–4.9 ms of a 65–76 ms
+  miss, on a 2-CPU machine whose load moved both sides together);
 * every run is ``correct`` (tops byte-equal to the golden keys with the
   tiers on, self-checks, no failures).
 
@@ -77,6 +85,7 @@ GATES = {
         "core.find.engine_calls": ("<=", 45),
     },
     "cluster_scan": {"cluster.parallel_efficiency": (">=", 0.70)},
+    "serve_mixed": {"service.queue_wait_s / service.miss_latency_s": ("<=", 0.075)},
 }
 WORKLOADS = tuple(GATES)
 #: Runs per workload; a gate reads the median.

@@ -174,8 +174,7 @@ def rule_blocking_in_handler(tree: ast.Module, path: str) -> list[Diagnostic]:
     The HTTP server handles each request on a pool thread; a handler
     that parks in ``time.sleep`` or an unbounded ``Queue.get()`` ties
     up a thread indefinitely and turns slow clients into denial of
-    service.  Intentional bounded waits (e.g. the event-stream tail
-    poll, which re-checks a deadline every iteration) carry a waiver:
+    service.  Intentional bounded waits carry a waiver:
     ``# repro-lint: allow[RPR010] reason``.
     """
     if not _in_dir(path, "service") or _is_test_file(path):

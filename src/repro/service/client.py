@@ -31,6 +31,8 @@ import urllib.error
 import urllib.request
 from typing import Any, Callable, Iterator
 
+from .protocol import MAX_WAIT_S
+
 __all__ = [
     "ServiceError",
     "ServiceAuthError",
@@ -111,6 +113,7 @@ class ServiceClient:
         path: str,
         body: dict[str, Any] | None = None,
         headers: dict[str, str] | None = None,
+        timeout: float | None = None,
     ) -> dict[str, Any]:
         data = None
         all_headers = self._headers(headers)
@@ -121,7 +124,9 @@ class ServiceClient:
             f"{self.base_url}{path}", data=data, headers=all_headers, method=method
         )
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
+            with urllib.request.urlopen(
+                request, timeout=timeout or self.timeout
+            ) as response:
                 return json.loads(response.read().decode("utf-8"))
         except urllib.error.HTTPError as exc:
             raise self._to_error(exc) from None
@@ -207,14 +212,26 @@ class ServiceClient:
     def wait(
         self, job_id: str, *, timeout: float = 300.0, poll: float = 0.2
     ) -> dict[str, Any]:
-        """Poll until the job reaches a terminal state; returns the record."""
+        """Block until the job reaches a terminal state; returns the record.
+
+        Each request parks on the server (``GET /jobs/<id>?wait=``) for
+        what is left of ``timeout``.  Only a server that answers sooner
+        with a live record — one without a worker pool, or one that
+        predates ``?wait=`` — is asked again every ``poll`` seconds.
+        """
         deadline = time.monotonic() + timeout
         while True:
-            record = self.status(job_id)
+            asked = round(min(max(0.0, deadline - time.monotonic()), MAX_WAIT_S), 3)
+            sent = time.monotonic()
+            record = self._request(
+                "GET", f"/jobs/{job_id}?wait={asked}", timeout=self.timeout + asked
+            )
             if record.get("state") in ("done", "failed", "cancelled"):
                 return record
-            if time.monotonic() > deadline:
+            now = time.monotonic()
+            if now > deadline:
                 raise TimeoutError(
                     f"job {job_id} still {record.get('state')!r} after {timeout}s"
                 )
-            time.sleep(poll)
+            if now - sent < asked:
+                self._sleep(min(poll, deadline - now))

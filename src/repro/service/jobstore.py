@@ -34,7 +34,7 @@ import time
 import uuid
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from ..core.checkpoint import save_checkpoint
 from .protocol import JobState, ProgressEvent
@@ -107,6 +107,10 @@ class JobStore:
             self.owners_dir,
         ):
             d.mkdir(parents=True, exist_ok=True)
+        #: Called with the job id after every :meth:`append_event` and
+        #: :meth:`finish` — every lifecycle transition is one of them —
+        #: so a process can tell a waiter without it polling the files.
+        self.on_event: Callable[[str], None] | None = None
 
     # -- records ---------------------------------------------------------
 
@@ -163,15 +167,21 @@ class JobStore:
         event_data: dict[str, Any] | None = None,
         **fields: Any,
     ) -> JobRecord | None:
-        """The one terminal transition: record ``state`` (plus
-        ``fields``) with its finish time, append the event (named after
-        the state unless ``event`` says otherwise), and clear the job's
+        """The one terminal transition: append the event (named after
+        the state unless ``event`` says otherwise), record ``state``
+        (plus ``fields``) with its finish time, and clear the job's
         checkpoint and cancel marker — nothing but the record and its
         event log outlives a finished job.
+
+        The event goes first, so whoever reads a terminal record and
+        then the log has every event; ``on_event`` fires once, after
+        the record.
         """
+        self._append(job_id, event or state, event_data or {})
         record = self.update(job_id, state=state, finished=time.time(), **fields)
-        self.append_event(job_id, event or state, **(event_data or {}))
         _unlink(self.checkpoint_path(job_id), self.cancel_dir / job_id)
+        if self.on_event is not None:
+            self.on_event(job_id)
         return record
 
     def delete(self, job_id: str) -> None:
@@ -219,6 +229,11 @@ class JobStore:
 
     def append_event(self, job_id: str, event: str, **data: Any) -> None:
         """Append one progress line (atomic for short O_APPEND writes)."""
+        self._append(job_id, event, data)
+        if self.on_event is not None:
+            self.on_event(job_id)
+
+    def _append(self, job_id: str, event: str, data: dict[str, Any]) -> None:
         line = ProgressEvent(event=event, t=time.time(), data=data).to_line()
         with open(self.events_dir / f"{job_id}.jsonl", "a", encoding="utf-8") as fh:
             fh.write(line + "\n")

@@ -35,6 +35,7 @@ from ..sequences.alphabet import alphabet_for
 
 __all__ = [
     "ALGORITHM_VERSION",
+    "MAX_WAIT_S",
     "SCAN_PLACEHOLDER",
     "JobState",
     "SpecError",
@@ -48,6 +49,11 @@ __all__ = [
 #: Version of the alignment/delineation semantics baked into digests.
 #: Bump on any change that alters the results some spec produces.
 ALGORITHM_VERSION = 1
+
+#: Longest ``GET /jobs/<id>?wait=<s>`` parks before it answers with a
+#: record that is still live; a client asks for at most this much, so
+#: an answer before the time it asked for means nothing will wake it.
+MAX_WAIT_S = 30.0
 
 #: Stand-in ``sequence`` of a spec that describes a *search* rather than
 #: one job (a scan's shared spec, the CLI's local commands):

@@ -30,6 +30,7 @@ from __future__ import annotations
 import os
 import time
 from pathlib import Path
+from typing import Callable
 
 __all__ = ["BacklogFull", "SpoolQueue"]
 
@@ -90,6 +91,9 @@ class SpoolQueue:
         self.queued_dir.mkdir(parents=True, exist_ok=True)
         self.claimed_dir.mkdir(parents=True, exist_ok=True)
         self.capacity = int(capacity)
+        #: Called after :meth:`submit` writes a marker (the server wakes
+        #: its parked workers with it).
+        self.on_submit: Callable[[], None] | None = None
 
     # -- producer side ---------------------------------------------------
 
@@ -117,6 +121,8 @@ class SpoolQueue:
         level = _PRIORITY_LIMIT - _clamp(priority) + 10_000
         key = f"{level:05d}.{tag:020d}.{time.time_ns():020d}.{job_id}"
         (self.queued_dir / key).touch()
+        if self.on_submit is not None:
+            self.on_submit()
         return key
 
     def head_tag(self, priority: int = 0) -> int | None:

@@ -10,6 +10,10 @@ Endpoints
     malformed spec.
 ``GET /jobs/<id>``
     the job record (lifecycle state, attempts, progress counter).
+    ``?wait=S`` parks the request until the job is terminal, ``S``
+    seconds (at most :data:`~repro.service.protocol.MAX_WAIT_S`) pass
+    or the server shuts down, then answers with the record; a server
+    without a worker pool answers at once.
 ``GET /jobs/<id>/events``
     the job's progress stream as JSON lines.  ``?since=N`` skips the
     first N lines; ``?follow=1`` keeps the connection open, tailing new
@@ -31,7 +35,11 @@ Endpoints
     liveness probe.
 
 The server is a ``ThreadingHTTPServer`` over the same on-disk stores
-the worker processes use, so it holds no job state worth losing.
+the worker processes use, so it holds no job state worth losing.  What
+it holds is a generation counter under one condition, bumped for every
+event the server appends itself and every event a pool worker reports
+(:mod:`repro.service.workers`, "The hand-off"): a parked ``?wait=`` or
+a followed event stream wakes on it instead of polling the files.
 SIGTERM/SIGINT shut it down gracefully: the pool drains running jobs to
 checkpoints and requeues them, then the listener closes.
 """
@@ -43,7 +51,7 @@ import os
 import signal
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
@@ -59,16 +67,14 @@ from ..gateway import (
 )
 from .jobstore import JobRecord
 from .metrics import render_service_metrics
-from .protocol import JobState, SpecError
+from .protocol import MAX_WAIT_S, JobState, SpecError
 from .queue import BacklogFull
 from .workers import WorkerPool, open_stores, recover
 
 __all__ = ["ServiceConfig", "ReproService", "serve"]
 
-#: How long a followed event stream may stay open, and how often it
-#: polls the append-only event log for new lines.
+#: How long a followed event stream may stay open.
 _FOLLOW_TIMEOUT = 3600.0
-_FOLLOW_POLL = 0.1
 
 
 @dataclass
@@ -91,6 +97,40 @@ class ServiceConfig:
     #: runs the gateway open: every request is the unlimited ``public``
     #: tenant and no endpoint requires an API key.
     tenants_file: str | None = None
+
+
+class _Changes:
+    """Every job change this server hears of, as a generation counter.
+
+    A waiter reads :attr:`generation`, then the store, then parks in
+    :meth:`wait` until the counter moves: a change that lands between
+    its read and its park has already moved it, so no wake-up is lost.
+    """
+
+    def __init__(self) -> None:
+        self._cond = threading.Condition()
+        self.generation = 0
+        self.closed = False
+
+    def bump(self, _job_id: str) -> None:
+        with self._cond:
+            self.generation += 1
+            self._cond.notify_all()
+
+    def close(self) -> None:
+        """Release every waiter now and any later one at once."""
+        with self._cond:
+            self.closed = True
+            self._cond.notify_all()
+
+    def wait(self, seen: int, timeout: float) -> bool:
+        """Park until the generation moves past ``seen`` or ``timeout``
+        passes; False once the server is shutting down."""
+        with self._cond:
+            self._cond.wait_for(
+                lambda: self.generation != seen or self.closed, timeout
+            )
+            return not self.closed
 
 
 class ReproService:
@@ -126,9 +166,29 @@ class ReproService:
         #: An optional :class:`repro.cluster.Coordinator` (duck-typed to
         #: avoid a hard import; the cluster package imports service).
         self.coordinator = coordinator
+        self.changes = _Changes()
+        self.store.on_event = self.changes.bump
+        #: The worker pool this service started (:meth:`start_pool`).
+        self.pool: WorkerPool | None = None
 
     def attach_coordinator(self, coordinator) -> None:
         self.coordinator = coordinator
+
+    def start_pool(self) -> list[str]:
+        """Spawn the worker pool, wired to this service both ways: each
+        marker the service spools wakes the workers, and each event a
+        worker appends wakes this service's waiters.  Returns the job
+        ids the pool's recovery requeued."""
+        config = self.config
+        self.pool = WorkerPool(
+            config.data_dir,
+            workers=config.workers,
+            poll_interval=config.poll_interval,
+            checkpoint_every=config.checkpoint_every,
+            on_report=self.changes.bump,
+        )
+        self.queue.on_submit = self.pool.wake
+        return self.pool.start()
 
     # -- operations ------------------------------------------------------
 
@@ -155,16 +215,29 @@ class ReproService:
             payload, api_key=api_key, idempotency_key=idempotency_key
         )
 
-    def status(self, job_id: str, *, tenant: str | None = None) -> JobRecord | None:
+    def status(
+        self, job_id: str, *, tenant: str | None = None, wait: float = 0.0
+    ) -> JobRecord | None:
         """The job record — scoped: a foreign tenant sees ``None`` (404).
 
         ``tenant=None`` means *unscoped* (open mode / internal callers),
-        not "a tenant with no name".
+        not "a tenant with no name".  With ``wait`` > 0 and a pool to
+        report its workers' transitions, the call parks until the job
+        is terminal, ``wait`` (at most ``MAX_WAIT_S``) seconds pass or
+        ``changes`` is closed (the server is shutting down); without a pool
+        it answers at once.
         """
-        record = self.store.get(job_id)
-        if record is not None and tenant is not None and record.tenant != tenant:
-            return None
-        return record
+        deadline = time.monotonic() + min(wait, MAX_WAIT_S)
+        while True:
+            seen = self.changes.generation
+            record = self.store.get(job_id)
+            if record is not None and tenant is not None and record.tenant != tenant:
+                return None
+            if record is None or record.terminal or self.pool is None:
+                return record
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not self.changes.wait(seen, remaining):
+                return record
 
     def cancel(self, job_id: str, *, tenant: str | None = None) -> JobRecord | None:
         """Flag a job for cancellation; queued jobs die immediately."""
@@ -303,10 +376,6 @@ class _ServerState:
     """What the request handler needs (attached to the HTTP server)."""
 
     service: ReproService
-    shutting_down: threading.Event = field(default_factory=threading.Event)
-    #: The in-process worker pool, when this server owns one — lets
-    #: ``/metrics`` report live worker processes.
-    pool: WorkerPool | None = None
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -466,7 +535,7 @@ class _Handler(BaseHTTPRequestHandler):
         elif parts == ["stats"]:
             self._send_json(200, self.svc.stats())
         elif parts == ["metrics"]:
-            pool = self.server.state.pool  # type: ignore[attr-defined]
+            pool = self.svc.pool
             self._send_text(
                 200,
                 render_service_metrics(
@@ -476,7 +545,16 @@ class _Handler(BaseHTTPRequestHandler):
                 obs.CONTENT_TYPE,
             )
         elif len(parts) == 2 and parts[0] == "jobs":
-            record = self.svc.status(parts[1], tenant=self._tenant_name())
+            try:
+                wait = float((query.get("wait") or ["0"])[0])
+            except ValueError:
+                wait = -1.0
+            if not wait >= 0:  # also rejects nan
+                self._error(400, "wait must be a non-negative number of seconds")
+                return
+            record = self.svc.status(
+                parts[1], tenant=self._tenant_name(), wait=wait
+            )
             if record is None:
                 self._error(404, f"no such job: {parts[1]}")
             else:
@@ -510,7 +588,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_text(200, body, content_type)
 
     def _get_events(self, job_id: str, query: dict) -> None:
-        store = self.svc.store
+        store, changes = self.svc.store, self.svc.changes
         if self.svc.status(job_id, tenant=self._tenant_name()) is None:
             self._error(404, f"no such job: {job_id}")
             return
@@ -521,8 +599,15 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         offset = since
         deadline = time.monotonic() + _FOLLOW_TIMEOUT
-        shutting_down = self.server.state.shutting_down  # type: ignore[attr-defined]
+        # Re-read at least every poll_interval: a server without a pool
+        # hears nothing of an outside worker's appends.
+        recheck = self.svc.config.poll_interval
         while True:
+            seen = changes.generation
+            # The record before the log: a terminal transition appends
+            # its event first (JobStore.finish), so the read below then
+            # holds the job's last event.
+            record = store.get(job_id)
             events = store.read_events(job_id, offset)
             for event in events:
                 self.wfile.write(
@@ -531,25 +616,15 @@ class _Handler(BaseHTTPRequestHandler):
             if events:
                 offset += len(events)
                 self.wfile.flush()
-            if not follow:
+            if not follow or record is None or record.terminal:
                 break
-            record = store.get(job_id)
-            if record is None or record.terminal:
-                # Drain whatever the terminal transition appended last.
-                if not store.read_events(job_id, offset):
-                    break
-                continue
-            if shutting_down.is_set() or time.monotonic() > deadline:
+            if time.monotonic() > deadline or not changes.wait(seen, recheck):
                 break
-            # Tailing an append-only file has no wakeup to wait on; a
-            # short poll bounds added latency at ~100 ms per event.
-            time.sleep(_FOLLOW_POLL)  # repro-lint: allow[RPR010] bounded follow-mode tail poll, exits on terminal state/shutdown/deadline
 
 
 def serve(config: ServiceConfig) -> int:
     """Run the full service (pool + HTTP) until SIGTERM/SIGINT; returns exit code."""
     service = ReproService(config)
-    state = _ServerState(service=service)
 
     coordinator = None
     if config.cluster_port is not None:
@@ -566,16 +641,8 @@ def serve(config: ServiceConfig) -> int:
             flush=True,
         )
 
-    pool: WorkerPool | None = None
     if config.workers > 0:
-        pool = WorkerPool(
-            config.data_dir,
-            workers=config.workers,
-            poll_interval=config.poll_interval,
-            checkpoint_every=config.checkpoint_every,
-        )
-        requeued = pool.start()
-        state.pool = pool
+        requeued = service.start_pool()
         if requeued:
             print(f"recovered {len(requeued)} interrupted job(s)", flush=True)
     else:
@@ -593,7 +660,7 @@ def serve(config: ServiceConfig) -> int:
 
     httpd = ThreadingHTTPServer((config.host, config.port), _Handler)
     httpd.daemon_threads = True
-    httpd.state = state  # type: ignore[attr-defined]
+    httpd.state = _ServerState(service=service)  # type: ignore[attr-defined]
     host, port = httpd.server_address[:2]
     mode = "open" if service.gateway.directory.open else (
         f"tenants={','.join(service.gateway.directory.names())}"
@@ -608,9 +675,9 @@ def serve(config: ServiceConfig) -> int:
     exit_code = {"value": 0}
 
     def _shutdown(_signum=None, _frame=None) -> None:
-        if state.shutting_down.is_set():
+        if service.changes.closed:
             return
-        state.shutting_down.set()
+        service.changes.close()
         # shutdown() must come from another thread than serve_forever's.
         threading.Thread(target=httpd.shutdown, daemon=True).start()
 
@@ -623,6 +690,7 @@ def serve(config: ServiceConfig) -> int:
         httpd.server_close()
         if coordinator is not None:
             coordinator.stop()
+        pool = service.pool
         if pool is not None:
             clean = pool.stop(graceful=True, timeout=30.0)
             if not clean:

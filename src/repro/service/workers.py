@@ -23,16 +23,30 @@ That one structure buys all three durability features:
 Before aligning anything, a worker probes the result cache: a duplicate
 of an already-finished job is answered with zero alignment work, which
 the per-worker counters published via the job store make auditable.
+
+**The hand-off.**  Nobody waits on a clock.  :class:`WorkerPool` gives
+each worker two pipes: the server writes one byte to every worker's
+*wake* pipe after each spool marker it writes, and an idle worker parks
+on its pipe; a worker writes the job id to its *report* pipe after each
+event it appends (every lifecycle transition and every progress chunk
+appends one), and one reader thread in the server hands those to a
+callback.  Plain pipes, not ``multiprocessing`` locks or events: a
+SIGKILLed worker can die holding a lock, but its pipes just close.  A
+parked worker still rescans the spool every ``poll_interval`` for the
+markers nobody signals: a requeue by :func:`recover`, a draining
+worker's release, a spool written by another process.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import select
 import signal
+import threading
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from ..core.api import RepeatFinder
 from ..core.result import RepeatResult
@@ -42,6 +56,9 @@ from .cache import ResultCache
 from .jobstore import JobRecord, JobStore
 from .protocol import JobSpec, JobState, finder_for, result_to_dict
 from .queue import SpoolQueue
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
 
 __all__ = [
     "WorkerPool",
@@ -57,14 +74,6 @@ __all__ = [
 #: run can be made arbitrarily slow without changing its results (used
 #: by the kill/resume tests to guarantee a mid-job signal lands).
 CHUNK_DELAY_ENV = "REPRO_SERVICE_CHUNK_DELAY"
-
-#: A worker's first sleep on an empty queue, at start and after every
-#: job; it doubles per empty claim up to ``poll_interval``.  A client
-#: that waits for one result before it submits the next arrives a few
-#: milliseconds after the worker went idle: at a flat ``poll_interval``
-#: its job waited out whatever was left of that sleep, up to 50 ms for
-#: a 30 ms job, and how much depended only on the phase of the sleep.
-_IDLE_FLOOR = 0.001
 
 
 def open_stores(
@@ -286,18 +295,33 @@ def _run_incremental(
     return finder.result(session)
 
 
+def _park(wake: Connection, timeout: float) -> bool:
+    """Block until the server signals a spooled marker or ``timeout``
+    passes; False when the server has gone (its end of the pipe closed).
+
+    One read drains every signal sent while the worker was busy: they
+    all said "look at the spool", which the next claim does anyway.
+    """
+    ready, _, _ = select.select([wake], [], [], timeout)
+    return not ready or os.read(wake.fileno(), 4096) != b""
+
+
 def worker_main(
     data_dir: str,
     index: int = 0,
     *,
     poll_interval: float = 0.05,
     checkpoint_every: int = 1,
+    wake: Connection,
+    report: Connection,
 ) -> int:
     """One worker process: claim → execute → repeat until signalled.
 
     SIGTERM/SIGINT request a graceful stop: the current chunk finishes,
     the job is checkpointed and released back to the queue, the final
-    counters are published, and the process exits 0.
+    counters are published, and the process exits 0.  ``wake`` and
+    ``report`` are the pool's pipes (see the module docstring); when
+    the server's end of ``wake`` closes, the worker stops the same way.
     """
     stop = {"flag": False}
 
@@ -308,6 +332,14 @@ def worker_main(
     signal.signal(signal.SIGINT, _request_stop)
 
     store, queue, cache = open_stores(data_dir, capacity=0)
+
+    def _report(job_id: str) -> None:
+        try:
+            report.send_bytes(job_id.encode())
+        except OSError:
+            pass  # the server has gone; whoever restarts it recovers the job
+
+    store.on_event = _report
     tag = f"worker-{index}"
     stats = WorkerStats(pid=os.getpid())
     chunk_delay = float(os.environ.get(CHUNK_DELAY_ENV, "0") or 0)
@@ -317,14 +349,12 @@ def worker_main(
         store.write_worker_stats(tag, asdict(stats))
 
     publish()
-    idle = _IDLE_FLOOR
     while not stop["flag"]:
         job_id = queue.claim()
         if job_id is None:
-            time.sleep(idle)
-            idle = min(poll_interval, idle * 2)
+            if not _park(wake, poll_interval):
+                stop["flag"] = True
             continue
-        idle = _IDLE_FLOOR
         record = store.get(job_id)
         if record is None or record.terminal:
             queue.discard(job_id)
@@ -361,13 +391,16 @@ def worker_main(
     return 0
 
 
-def _worker_entry(data_dir: str, index: int, poll_interval: float, checkpoint_every: int) -> None:
+def _worker_entry(data_dir: str, index: int, poll_interval: float,
+                  checkpoint_every: int, wake, report) -> None:
     raise SystemExit(
         worker_main(
             data_dir,
             index,
             poll_interval=poll_interval,
             checkpoint_every=checkpoint_every,
+            wake=wake,
+            report=report,
         )
     )
 
@@ -380,6 +413,10 @@ class WorkerPool:
     gracefully by default: SIGTERM, join, escalate to SIGKILL only
     after ``timeout`` — a killed worker loses at most its current
     chunk, never the job.
+
+    :meth:`wake` tells every worker that a marker was spooled, and
+    ``on_report`` is called (on the pool's reader thread) with the job
+    id of every event a worker appends.
     """
 
     def __init__(
@@ -389,6 +426,7 @@ class WorkerPool:
         workers: int = 2,
         poll_interval: float = 0.05,
         checkpoint_every: int = 1,
+        on_report: Callable[[str], None] = lambda job_id: None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -396,8 +434,14 @@ class WorkerPool:
         self.workers = workers
         self.poll_interval = poll_interval
         self.checkpoint_every = checkpoint_every
+        self.on_report = on_report
         self._ctx = multiprocessing.get_context("spawn")
         self._procs: list[multiprocessing.process.BaseProcess] = []
+        #: The server's ends of the wake pipes; the lock keeps a
+        #: :meth:`wake` on an HTTP thread off a descriptor ``stop`` closed.
+        self._wake_lock = threading.Lock()
+        self._wakes: list[Connection] = []
+        self._reader: threading.Thread | None = None
 
     def start(self) -> list[str]:
         """Recover stranded jobs, then spawn the workers; returns requeued ids."""
@@ -405,7 +449,12 @@ class WorkerPool:
             raise RuntimeError("pool already started")
         store, queue, _ = open_stores(self.data_dir, capacity=0)
         requeued = recover(store, queue)
+        wakes, reports = [], []
         for index in range(self.workers):
+            wake_r, wake_w = self._ctx.Pipe(duplex=False)
+            report_r, report_w = self._ctx.Pipe(duplex=False)
+            # A worker busy with a long job must never block the server.
+            os.set_blocking(wake_w.fileno(), False)
             proc = self._ctx.Process(
                 target=_worker_entry,
                 args=(
@@ -413,13 +462,51 @@ class WorkerPool:
                     index,
                     self.poll_interval,
                     self.checkpoint_every,
+                    wake_r,
+                    report_w,
                 ),
                 name=f"repro-worker-{index}",
                 daemon=True,
             )
             proc.start()
+            # Only the child holds its ends now, so its death closes them.
+            wake_r.close()
+            report_w.close()
             self._procs.append(proc)
+            wakes.append(wake_w)
+            reports.append(report_r)
+        with self._wake_lock:
+            self._wakes = wakes
+        self._reader = threading.Thread(
+            target=self._read_reports, args=(reports,),
+            name="repro-worker-reports", daemon=True,
+        )
+        self._reader.start()
         return requeued
+
+    def _read_reports(self, reports: list[Connection]) -> None:
+        """Hand every worker report to ``on_report`` until each worker's
+        pipe has closed (it exited or was killed)."""
+        from multiprocessing.connection import wait
+
+        while reports:
+            for conn in wait(reports):
+                try:
+                    job_id = conn.recv_bytes().decode()
+                except (EOFError, OSError):
+                    reports.remove(conn)
+                    conn.close()
+                    continue
+                self.on_report(job_id)
+
+    def wake(self) -> None:
+        """Signal every worker that a marker was spooled."""
+        with self._wake_lock:
+            for conn in self._wakes:
+                try:
+                    os.write(conn.fileno(), b"\0")
+                except (BlockingIOError, BrokenPipeError):
+                    pass  # a full pipe already says so; a broken one, nobody left to tell
 
     @property
     def processes(self) -> list[multiprocessing.process.BaseProcess]:
@@ -447,6 +534,13 @@ class WorkerPool:
             elif proc.exitcode != 0:
                 clean = False
         self._procs = []
+        with self._wake_lock:
+            wakes, self._wakes = self._wakes, []
+        for conn in wakes:
+            conn.close()
+        if self._reader is not None:
+            self._reader.join(5.0)
+            self._reader = None
         return clean
 
     def join(self, timeout: float | None = None) -> None:

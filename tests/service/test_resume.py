@@ -5,9 +5,12 @@ uninterrupted run (a resumed run only counts post-resume work), so the
 bit-identical comparisons cover ``top_alignments`` and ``repeats``.
 """
 
+import functools
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sequences import Sequence, pseudo_titin
 from repro.service import JobSpec, JobState, job_digest
@@ -142,6 +145,47 @@ class TestSuspendResume:
         baseline = _baseline_payload(spec, record.digest)
         assert payload["top_alignments"] == baseline["top_alignments"]
         assert payload["repeats"] == baseline["repeats"]
+
+
+@functools.lru_cache(maxsize=None)
+def _suspended_checkpoint():
+    """``(spec, checkpoint bytes, baseline tops)`` of a job suspended
+    after one chunk: a real stored checkpoint to damage."""
+    spec = _spec(k=3, length=60, seed=2)
+    with tempfile.TemporaryDirectory() as root:
+        store, queue, cache = open_stores(root)
+        record = _submit(store, queue, spec)
+        stops = iter([False, True])
+        outcome = execute_job(store, cache, record, should_stop=lambda: next(stops))
+        assert outcome == "suspended"
+        raw = store.checkpoint_path(record.id).read_bytes()
+    return spec, raw, _baseline_payload(spec, job_digest(spec))["top_alignments"]
+
+
+class TestDamageSweep:
+    @settings(deadline=None)  # no example count: the ci-deep profile sets it
+    @given(data=st.data())
+    def test_any_torn_or_flipped_checkpoint_ends_in_the_baseline_tops(self, data):
+        """Truncate the checkpoint at any byte, or flip any one bit of
+        it: the job either rejects the file (``checkpoint-invalid``)
+        and starts over, or resumes from it — and ends with the
+        uninterrupted run's tops either way, never with another
+        exception or other tops."""
+        spec, raw, tops = _suspended_checkpoint()
+        at = data.draw(st.integers(0, len(raw) - 1), label="byte")
+        if data.draw(st.booleans(), label="truncate"):
+            damaged = raw[:at]
+        else:
+            bit = data.draw(st.integers(0, 7), label="bit")
+            damaged = raw[:at] + bytes([raw[at] ^ (1 << bit)]) + raw[at + 1 :]
+        with tempfile.TemporaryDirectory() as root:
+            store, queue, cache = open_stores(root)
+            record = _submit(store, queue, spec)
+            store.checkpoint_path(record.id).write_bytes(damaged)
+            assert execute_job(store, cache, record) == "done"
+            events = [e["event"] for e in store.read_events(record.id)]
+            assert ("checkpoint-invalid" in events) != ("resumed" in events), events
+            assert cache.get(record.digest)["top_alignments"] == tops
 
 
 class TestKilledWorker:

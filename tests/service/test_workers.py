@@ -1,9 +1,5 @@
 """The job executor: equivalence with the library, cache hits, failures."""
 
-import os
-import signal
-import time
-
 import pytest
 
 from repro.sequences import Sequence, pseudo_titin
@@ -14,7 +10,6 @@ from repro.service.workers import (
     execute_job,
     open_stores,
     recover,
-    worker_main,
 )
 
 
@@ -231,27 +226,3 @@ class TestRecover:
         assert events and events[-1]["reason"] == "worker lost"
         assert queue.claim() == record.id  # claimable again
 
-
-def test_idle_worker_backs_off_and_restarts_after_a_job(stores, tmp_path, monkeypatch):
-    """An empty queue is polled at 1, 2, 4 ... ms up to ``poll_interval``,
-    from 1 ms again after every job."""
-    store, queue, _ = stores
-    sleeps = []
-
-    def fake_sleep(seconds):
-        sleeps.append(seconds)
-        if len(sleeps) == 8:
-            _submit(store, queue, _titin_spec(top_alignments=1))
-        elif len(sleeps) == 10:
-            os.kill(os.getpid(), signal.SIGTERM)
-
-    monkeypatch.setattr(time, "sleep", fake_sleep)
-    handlers = {s: signal.getsignal(s) for s in (signal.SIGTERM, signal.SIGINT)}
-    try:
-        assert worker_main(tmp_path / "data", poll_interval=0.05) == 0
-    finally:
-        for signum, handler in handlers.items():
-            signal.signal(signum, handler)
-    assert sleeps[:8] == [0.001, 0.002, 0.004, 0.008, 0.016, 0.032, 0.05, 0.05]
-    assert sleeps[8:] == [0.001, 0.002]
-    assert store.worker_stats()["worker-0"]["jobs_done"] == 1
