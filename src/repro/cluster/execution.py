@@ -107,7 +107,7 @@ def scan_shard_priorities(
             )
             profile = build_profile(seq, **config.profile_params())
             promises.append(
-                promise_score(profile, finder.resolve_exchange(seq), config)
+                promise_score(profile, finder.resolve_exchange(seq))
             )
         except Exception:  # noqa: BLE001 - promise is advisory only
             promises.append(0.0)

@@ -20,6 +20,7 @@ mismatches loudly rather than corrupting results silently.
 from __future__ import annotations
 
 import os
+import zipfile
 
 import numpy as np
 
@@ -104,45 +105,54 @@ def restore_checkpoint(state: TopAlignmentState, path: str | os.PathLike) -> Non
     """
     try:
         # The file is opened here, not by np.load: an archive that
-        # zipfile rejects would leave np.load's own handle open.
-        with open(os.fspath(path), "rb") as fh, np.load(fh) as data:
-            if int(data["format"][0]) != _FORMAT_VERSION:
-                raise ValueError(
-                    f"unsupported checkpoint format {int(data['format'][0])}"
+        # zipfile rejects would leave np.load's own handle open.  np.load
+        # stops reading a member where its npy header says the array
+        # ends, so zip's CRC-32 is only checked if every member is read
+        # to its end first: a flipped header byte would otherwise shift
+        # the rows silently.
+        with open(os.fspath(path), "rb") as fh:
+            damaged = zipfile.ZipFile(fh).testzip()
+            if damaged is not None:
+                raise ValueError(f"checkpoint member {damaged} is damaged")
+            fh.seek(0)
+            with np.load(fh) as data:
+                if int(data["format"][0]) != _FORMAT_VERSION:
+                    raise ValueError(
+                        f"unsupported checkpoint format {int(data['format'][0])}"
+                    )
+                if not np.array_equal(data["codes"], state.codes):
+                    raise ValueError("checkpoint was written for a different sequence")
+                expected = _fingerprint((state.sequence, state.exchange, state.gaps))
+                if not np.allclose(data["fingerprint"], expected):
+                    raise ValueError(
+                        "checkpoint was written under a different scoring model"
+                    )
+                meta = data["alignment_meta"].reshape(-1, 3)
+                pairs = np.split(data["pairs"], np.cumsum(meta[:, 2])[:-1])
+                # Plain-int pairs: a restored alignment must be
+                # indistinguishable from a freshly computed one (which uses
+                # Python ints), down to JSON serialisability of downstream
+                # result payloads.
+                alignments = [
+                    TopAlignment(
+                        index=int(index),
+                        r=int(r),
+                        score=float(score),
+                        pairs=tuple((int(i), int(j)) for i, j in path_pairs),
+                    )
+                    for (index, r, _), score, path_pairs in zip(
+                        meta, data["alignment_scores"], pairs
+                    )
+                ]
+                stored = data["stored_rows"].reshape(-1, 2)
+                if stored[:, 1].sum() != data["rows"].size:
+                    raise ValueError("checkpoint rows do not match their index")
+                rows = dict(
+                    zip(
+                        stored[:, 0].tolist(),
+                        np.split(data["rows"], np.cumsum(stored[:, 1])[:-1]),
+                    )
                 )
-            if not np.array_equal(data["codes"], state.codes):
-                raise ValueError("checkpoint was written for a different sequence")
-            expected = _fingerprint((state.sequence, state.exchange, state.gaps))
-            if not np.allclose(data["fingerprint"], expected):
-                raise ValueError(
-                    "checkpoint was written under a different scoring model"
-                )
-            meta = data["alignment_meta"].reshape(-1, 3)
-            pairs = np.split(data["pairs"], np.cumsum(meta[:, 2])[:-1])
-            # Plain-int pairs: a restored alignment must be
-            # indistinguishable from a freshly computed one (which uses
-            # Python ints), down to JSON serialisability of downstream
-            # result payloads.
-            alignments = [
-                TopAlignment(
-                    index=int(index),
-                    r=int(r),
-                    score=float(score),
-                    pairs=tuple((int(i), int(j)) for i, j in path_pairs),
-                )
-                for (index, r, _), score, path_pairs in zip(
-                    meta, data["alignment_scores"], pairs
-                )
-            ]
-            stored = data["stored_rows"].reshape(-1, 2)
-            if stored[:, 1].sum() != data["rows"].size:
-                raise ValueError("checkpoint rows do not match their index")
-            rows = dict(
-                zip(
-                    stored[:, 0].tolist(),
-                    np.split(data["rows"], np.cumsum(stored[:, 1])[:-1]),
-                )
-            )
     except ValueError:
         raise
     except Exception as exc:  # noqa: BLE001 - see below

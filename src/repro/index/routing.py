@@ -18,14 +18,14 @@ scoring model:
 
 The estimate is::
 
-    smax⁺ × (background_beta × log2(n + 1) + chain_slack × peak_band)
+    smax⁺ × (BACKGROUND_BETA × log2(n + 1) + CHAIN_SLACK × peak_band)
 
 The first term covers the *background*: even a featureless random
 sequence reaches a self-alignment score that grows roughly
 logarithmically with length under affine gaps (Gumbel-type extremes),
 with zero shared k-mers — so a threshold below that background never
 skips anything.  The second term covers genuine copy structure: the
-peak diagonal band (scaled by ``chain_slack`` to allow for
+peak diagonal band (scaled by ``CHAIN_SLACK`` to allow for
 mismatch-interrupted chains on the same diagonal).  Diverged repeats
 concentrate their surviving shared k-mers on the band of the copy
 spacing, while random duplicate hits scatter across all bands — which
@@ -34,7 +34,7 @@ is why the *peak* band, not the total hit count, is the signal.
 The skip class is a calibrated heuristic, not a proof — no o(n²)
 statistic can bound a gapped local alignment score tightly (isolated
 single-residue matches carry positive score with zero shared k-mers).
-``margin`` widens the estimate for safety, skipping only ever fires
+``MARGIN`` widens the estimate for safety, skipping only ever fires
 when ``min_score > 0``, and the benchmark *measures* byte-equality of
 accepted tops rather than asserting it axiomatically.  Callers that
 need exactness (the service job path) use seeded bounds only and never
@@ -65,35 +65,38 @@ ROUTE_DEFER = "defer"
 ROUTE_SKIP = "skip"
 
 
+#: The index tier's calibration: constants, not options.  ``WINDOW``,
+#: ``HOT_FRACTION``, ``BAND_WIDTH`` (0: ``max(8, k)``) and ``MAX_OCC``
+#: shape the profile itself, and therefore the store key;
+#: ``CHAIN_SLACK``, ``BACKGROUND_BETA``, ``MARGIN`` and ``FULL_THRESHOLD``
+#: only shape the routing decision and can change without invalidating
+#: stored artifacts.
+WINDOW = 32
+HOT_FRACTION = 0.3
+BAND_WIDTH = 0
+MAX_OCC = DEFAULT_MAX_OCC
+CHAIN_SLACK = 3.0
+BACKGROUND_BETA = 4.0
+MARGIN = 1.25
+FULL_THRESHOLD = 0.05
+
+
 @dataclass(frozen=True)
 class IndexConfig:
-    """Knobs of the k-mer index tier.
-
-    ``k``, ``window``, ``hot_fraction``, ``band_width`` and ``max_occ``
-    shape the profile itself (and therefore the store key);
-    ``chain_slack``, ``margin`` and ``full_threshold`` only shape the
-    routing decision and can change without invalidating stored
-    artifacts.
-    """
+    """The one setting of the k-mer index tier: the word length ``k``
+    (0: the alphabet's default).  The rest is the module's calibration
+    constants."""
 
     k: int = 0
-    window: int = 32
-    hot_fraction: float = 0.3
-    band_width: int = 0
-    max_occ: int = DEFAULT_MAX_OCC
-    chain_slack: float = 3.0
-    background_beta: float = 4.0
-    margin: float = 1.25
-    full_threshold: float = 0.05
 
     def profile_params(self) -> dict[str, Any]:
         """The profile-shaping parameters (the store-key subset)."""
         return {
             "k": self.k,
-            "window": self.window,
-            "hot_fraction": self.hot_fraction,
-            "band_width": self.band_width,
-            "max_occ": self.max_occ,
+            "window": WINDOW,
+            "hot_fraction": HOT_FRACTION,
+            "band_width": BAND_WIDTH,
+            "max_occ": MAX_OCC,
         }
 
 
@@ -105,27 +108,20 @@ class RouteDecision:
     estimate: float
 
 
-def _estimate(
-    profile: KmerProfile, exchange: ExchangeMatrix, config: IndexConfig
-) -> float:
+def _estimate(profile: KmerProfile, exchange: ExchangeMatrix) -> float:
     smax = max(exchange.max_score, 0.0)
-    background = config.background_beta * math.log2(profile.length + 1)
-    signal = config.chain_slack * profile.peak_band
+    background = BACKGROUND_BETA * math.log2(profile.length + 1)
+    signal = CHAIN_SLACK * profile.peak_band
     return smax * (background + signal)
 
 
-def promise_score(
-    profile: KmerProfile,
-    exchange: ExchangeMatrix,
-    config: IndexConfig | None = None,
-) -> float:
+def promise_score(profile: KmerProfile, exchange: ExchangeMatrix) -> float:
     """Raw (margin-free) score estimate used for shard prioritisation."""
-    config = config or IndexConfig()
     if profile.overflowed:
         # An overflowed bucket means a massively repeated word — promise
         # saturates rather than paying the pair expansion.
         return max(exchange.max_score, 0.0) * float(profile.length)
-    return _estimate(profile, exchange, config)
+    return _estimate(profile, exchange)
 
 
 def classify(
@@ -135,16 +131,16 @@ def classify(
     min_score: float,
     config: IndexConfig | None = None,
 ) -> RouteDecision:
-    """Route one sequence given its profile and the scoring model."""
-    config = config or IndexConfig()
+    """Route one sequence given its profile and the scoring model
+    (``config`` is accepted and unread: routing is calibration only)."""
     smax = max(exchange.max_score, 0.0)
-    if profile.overflowed or profile.max_count > config.max_occ:
+    if profile.overflowed or profile.max_count > MAX_OCC:
         return RouteDecision(ROUTE_FULL, smax * float(profile.length))
-    estimate = _estimate(profile, exchange, config)
-    if min_score > 0.0 and config.margin * estimate < min_score:
+    estimate = _estimate(profile, exchange)
+    if min_score > 0.0 and MARGIN * estimate < min_score:
         return RouteDecision(ROUTE_SKIP, estimate)
     if (
-        profile.dup_fraction >= config.full_threshold
+        profile.dup_fraction >= FULL_THRESHOLD
         or profile.peak_band >= 3
         or profile.hotspots
     ):

@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
+from numbers import Integral, Real
 from typing import Any
 
 from ..align.base import DEFAULT_ENGINE, DEFAULT_GROUP, ENGINE_NAMES
@@ -62,6 +64,14 @@ MAX_WAIT_S = 30.0
 SCAN_PLACEHOLDER = "AA"
 
 _ALPHABETS = ("protein", "dna", "rna")
+
+#: Field types admission enforces before anything reads a value: a
+#: ``bool`` is neither an integer nor a real here, and a real is finite.
+_INTEGER_FIELDS = (
+    "top_alignments", "group", "min_copy_length", "max_gap", "priority", "index_k"
+)
+_REAL_FIELDS = ("gap_open", "gap_extend", "min_score", "min_score_fraction")
+_TEXT_FIELDS = ("alphabet", "seq_id", "engine", "algorithm")
 
 
 class JobState:
@@ -124,6 +134,23 @@ class JobSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.sequence, str) or not self.sequence:
             raise SpecError("sequence must be a non-empty string")
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or isinstance(value, bool):
+                raise SpecError(f"{name} must be an integer")
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, Real) or isinstance(value, bool):
+                raise SpecError(f"{name} must be a number")
+            if not math.isfinite(value):
+                raise SpecError(f"{name} must be finite")
+        for name in _TEXT_FIELDS:
+            if not isinstance(getattr(self, name), str):
+                raise SpecError(f"{name} must be a string")
+        if not isinstance(self.matrix, (str, type(None))):
+            raise SpecError("matrix must be a string or null")
+        if not isinstance(self.index, bool):
+            raise SpecError("index must be a boolean")
         if self.alphabet not in _ALPHABETS:
             raise SpecError(f"alphabet must be one of {_ALPHABETS}")
         if self.algorithm != "new":

@@ -49,8 +49,10 @@ from __future__ import annotations
 import json
 import os
 import signal
+import sys
 import threading
 import time
+import traceback
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
@@ -384,6 +386,8 @@ class _Handler(BaseHTTPRequestHandler):
     #: HTTP/1.0 keeps streamed (close-delimited) bodies trivially correct.
     protocol_version = "HTTP/1.0"
     server_version = "repro-service"
+    #: Whether this request's status line has gone out (a 500 cannot follow).
+    _responded = False
 
     @property
     def svc(self) -> ReproService:
@@ -407,6 +411,20 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _error(self, code: int, message: str, headers: dict | None = None) -> None:
         self._send_json(code, {"error": message}, headers)
+
+    def send_response(self, code: int, message: str | None = None) -> None:
+        self._responded = True
+        super().send_response(code, message)
+
+    def _internal_error(self, exc: Exception) -> None:
+        """Record the traceback and answer a JSON 500 naming the
+        exception, unless a response has begun (a stream cut short):
+        then the connection just closes."""
+        if self._responded:
+            raise exc
+        sys.stderr.write(f"{self.command} {self.path} failed:\n")
+        traceback.print_exception(exc)
+        self._error(500, f"internal error: {type(exc).__name__}")
 
     def _send_text(self, code: int, body: str, content_type: str) -> None:
         data = body.encode("utf-8")
@@ -438,7 +456,10 @@ class _Handler(BaseHTTPRequestHandler):
         ).inc()
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            raise SpecError("Content-Length must be an integer") from None
         if length <= 0:
             raise SpecError("request body required")
         if length > 64 * 1024 * 1024:
@@ -493,6 +514,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(
                 429, str(exc), headers={"Retry-After": str(exc.retry_after)}
             )
+        except Exception as exc:  # noqa: BLE001 - any other bug answers 500
+            self._internal_error(exc)
 
     def _post_job(self) -> None:
         body = self._read_body()
@@ -528,6 +551,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(401, str(exc), headers={"WWW-Authenticate": "Bearer"})
         except ForbiddenError as exc:
             self._error(403, str(exc))
+        except Exception as exc:  # noqa: BLE001 - any other bug answers 500
+            self._internal_error(exc)
 
     def _get_route(self, url, parts: list[str], query: dict) -> None:
         if parts == ["healthz"]:

@@ -1,50 +1,61 @@
 """The exact block bounds, as a property of whole searches.
 
-For a drawn sequence (protein or DNA), integral scoring model, triangle
-storage and block width, the bound every never-aligned split starts at
+The bound every never-aligned split starts at
 (:meth:`TopAlignmentState.make_tasks`) must dominate that split's
 first-pass score and every score it realigns to afterwards — for
 **every** split, since one that is bounded too low is simply never
-filled and the run just reports different tops.  Restored sessions
+filled and the run just reports different tops.  The conformance
+harness draws that property (``tests/conformance/test_fills.py``,
+through :func:`tests.conformance.lattice.check_fills`); below are its
+named points, what a block fill counts, and restored sessions, which
 (a checkpoint, or any subset of first-pass rows put back with
-:meth:`TopAlignmentState.restore`) must bound only what they still
-owe.  The oracle is the lane engine run on every split outright.
+:meth:`TopAlignmentState.restore`) must bound only what they still owe.
 """
 
 import tempfile
 from pathlib import Path
 from unittest import mock
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.align import AlignmentEngine, LanesEngine
 from repro.core import RepeatFinder, TopAlignmentSession, TopAlignmentState, topalign
 from repro.core.checkpoint import save_checkpoint
-from repro.scoring import ExchangeMatrix, GapPenalties
-from repro.sequences import DNA, PROTEIN, Sequence
+from tests.conformance.lattice import BLOSUM62, Scoring, Search, check_fills, searches
 
-
-@st.composite
-def searches(draw):
-    """``(sequence, exchange, gaps)``: a few letters, so repeats abound."""
-    alphabet = draw(st.sampled_from([PROTEIN, DNA]))
-    letters = draw(st.integers(2, 4))
-    codes = draw(st.lists(st.integers(0, letters - 1), min_size=6, max_size=40))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    scores = rng.integers(-4, 3, size=(alphabet.size, alphabet.size))
-    scores = np.triu(scores) + np.triu(scores, 1).T
-    np.fill_diagonal(scores, rng.integers(1, 7, size=alphabet.size))
-    exchange = ExchangeMatrix("drawn", alphabet, scores)
-    gaps = GapPenalties(draw(st.integers(0, 8)), draw(st.integers(0, 2)))
-    return Sequence(np.array(codes, dtype=np.int8), alphabet), exchange, gaps
+#: A tandem DNA family in noise, and a protein under a drawn matrix.
+_SEARCHES = [
+    Search("TTACGTACGGACGTACGTTACGTACGAACGTAC", k=3),
+    Search("MKVLAMKVLAMKVIAMKVLAW", True, Scoring("drawn", gap_open=3.0, seed=7), k=3),
+    Search("MKVLAMKVLAMKVIAMKVLAW", True, BLOSUM62, k=2),
+]
 
 
 def _rows(state, *, with_override):
     return LanesEngine().last_rows_batch(
         [state.problem_for(r, with_override=with_override) for r in range(1, state.m)]
     )
+
+
+def test_bounds_dominate_first_passes_and_realignments():
+    for search in _SEARCHES:
+        m = len(search.text)
+        for width in (1, 32, None):
+            for group in (1, 8):
+                check_fills(search, LanesEngine(), group=group, width=width)
+            # Block problems are ordinary problems, counted at rows x cols.
+            state = TopAlignmentState(search.sequence, search.exchange, search.gaps)
+            with mock.patch.object(topalign, "BLOCK_SPLITS", width or m):
+                state.make_tasks()
+            blocks = [(at, min(at + (width or m), m)) for at in range(1, m, width or m)]
+            assert [state.block_problem(*b).cells for b in blocks] == [
+                (stop - 1) * (m - first) for first, stop in blocks
+            ]
+            assert state.stats.cells == sum(
+                (stop - 1) * (m - first) for first, stop in blocks
+            )
+            assert state.stats.alignments == 0
 
 
 class _Recording(AlignmentEngine):
@@ -64,52 +75,9 @@ class _Recording(AlignmentEngine):
 
 
 @settings(deadline=None)
-@given(
-    search=searches(),
-    width=st.sampled_from([1, 32, None]),
-    group=st.sampled_from([1, 8]),
-    accept=st.integers(1, 3),
-)
-def test_bounds_dominate_first_passes_and_realignments(search, width, group, accept):
-    sequence, exchange, gaps = search
-    m = len(sequence)
-    width = m if width is None else width
-    state = TopAlignmentState(sequence, exchange, gaps)
-    with mock.patch.object(topalign, "BLOCK_SPLITS", width):
-        tasks = state.make_tasks()
-    bounds = np.array([task.score for task in tasks])
-    assert all(task.aligned_with == -1 for task in tasks)
-
-    # Block problems are ordinary problems, counted at rows x cols.
-    blocks = [(at, min(at + width, m)) for at in range(1, m, width)]
-    assert [state.block_problem(*b).cells for b in blocks] == [
-        (stop - 1) * (m - first) for first, stop in blocks
-    ]
-    assert state.stats.cells == sum((stop - 1) * (m - first) for first, stop in blocks)
-    assert state.stats.alignments == 0
-
-    first_rows = _rows(state, with_override=False)
-    first_scores = np.array([row.max() for row in first_rows])
-    assert np.all(bounds >= first_scores), (bounds - first_scores).min()
-    if width == 1:
-        assert bounds.tolist() == first_scores.tolist()
-
-    # ... and every realignment, after 1-3 acceptances: the fresh row
-    # under the live triangle, shadow cells (changed since the first
-    # pass) rejected.
-    session = TopAlignmentSession.from_state(state, group=group)
-    for _ in session.extend(accept):
-        for r, (fresh, first) in enumerate(
-            zip(_rows(state, with_override=True), first_rows), start=1
-        ):
-            valid = fresh[fresh == first]
-            assert bounds[r - 1] >= (valid.max() if valid.size else 0.0)
-
-
-@settings(deadline=None)
-@given(search=searches(), accept=st.integers(1, 3), data=st.data())
+@given(search=searches(max_size=40), accept=st.integers(1, 3), data=st.data())
 def test_restored_sessions_bound_only_what_they_owe(search, accept, data):
-    sequence, exchange, gaps = search
+    sequence, exchange, gaps = search.sequence, search.exchange, search.gaps
     m = len(sequence)
     finder = RepeatFinder(exchange=exchange, gaps=gaps, engine=_Recording())
     first_rows = _rows(finder.session(sequence).state, with_override=False)

@@ -1,12 +1,13 @@
-"""The engine conformance suite: every engine reproduces the scalar reference.
+"""The engine table at named points: every engine reproduces ``scalar``.
 
-This is the correctness core of the SIMD reproduction — the paper's
-lane-parallel kernels compute "exactly the same" matrices as the
-conventional code, and so must ours, bit for bit on integral scores.
-:class:`TestClosedTable` is the contract of ``repro.align``'s three-name
-engine table: byte-equal bottom rows against ``scalar`` and byte-equal
-top alignments against the O(n⁴) oracle, at every batch width and
-requested lane work type, on both sides of every width promotion.  The striped comparator (figure code in
+The paper's lane-parallel kernels compute "exactly the same" matrices as
+the conventional code, and so must ours, bit for bit on integral
+scores.  The conformance harness (``tests/conformance``) draws batches
+and searches for this; :class:`TestClosedTable` keeps the contract of
+``repro.align``'s three-name table at fixed points — byte-equal bottom
+rows against ``scalar`` and byte-equal tops against the O(n⁴) oracle, at
+every batch width and requested lane work type, on both sides of every
+width promotion.  The striped comparator (figure code in
 ``benchmarks/comparators.py``) is held to the same rows.
 """
 
@@ -22,18 +23,26 @@ from repro.align import (
     LanesEngine,
     ScalarEngine,
     VectorEngine,
-    get_engine,
 )
 from repro.align.profile import QueryProfile
 from repro.core import (
     DenseOverrideTriangle,
     SparseOverrideTriangle,
-    find_top_alignments,
     old_find_top_alignments,
 )
-from repro.scoring import GapPenalties, blosum62, match_mismatch
-from repro.sequences import DNA, PROTEIN, Sequence
+from repro.scoring import GapPenalties, match_mismatch
+from repro.sequences import DNA, RepeatSpec, implant_repeats
 from repro.sequences.workloads import pseudo_titin
+from tests.conformance.lattice import (
+    BLOSUM62,
+    Config,
+    Scoring,
+    Search,
+    assert_rows_equal_scalar,
+    check,
+    key,
+    reference,
+)
 
 ENGINES = [
     VectorEngine(),
@@ -63,13 +72,7 @@ TABLE = [(name, None) for name in ENGINE_NAMES] + [
 
 
 def _table_engine(name, dtype, group):
-    if dtype is None:
-        return get_engine(name)
-    return LanesEngine(lanes=group, dtype=dtype)
-
-
-def _tops(alignments):
-    return [(a.index, a.r, a.score, a.pairs) for a in alignments]
+    return Config(engine=name, dtype=dtype, group=group).make_engine()
 
 
 def _random_problem(rng, ex, gaps, max_len=40):
@@ -81,23 +84,17 @@ def _random_problem(rng, ex, gaps, max_len=40):
 @pytest.mark.parametrize("engine", ENGINES, ids=lambda e: repr(e))
 class TestAgainstScalar:
     def test_figure2(self, engine, figure2_problem):
-        expected = ScalarEngine().last_row(figure2_problem)
-        assert np.array_equal(engine.last_row(figure2_problem), expected)
+        assert_rows_equal_scalar(engine, [figure2_problem])
 
     def test_random_dna(self, engine, dna_scoring):
-        ex, gaps = dna_scoring
         rng = np.random.default_rng(42)
         for _ in range(10):
-            p = _random_problem(rng, ex, gaps)
-            expected = ScalarEngine().last_row(p)
-            assert np.array_equal(engine.last_row(p), expected)
+            assert_rows_equal_scalar(engine, [_random_problem(rng, *dna_scoring)])
 
     def test_protein_blosum(self, engine, protein_scoring):
-        ex, gaps = protein_scoring
         seq = pseudo_titin(70, seed=3)
-        p = AlignmentProblem(seq.codes[:30], seq.codes[30:], ex, gaps)
-        expected = ScalarEngine().last_row(p)
-        assert np.array_equal(engine.last_row(p), expected)
+        problem = AlignmentProblem(seq.codes[:30], seq.codes[30:], *protein_scoring)
+        assert_rows_equal_scalar(engine, [problem])
 
     def test_empty_sequences(self, engine, dna_scoring):
         ex, gaps = dna_scoring
@@ -107,25 +104,32 @@ class TestAgainstScalar:
         assert np.array_equal(engine.last_row(p), np.zeros(4))
 
 
-@pytest.fixture(scope="module")
-def oracle_cases(tandem_dna, small_repeat_protein, dna_scoring, protein_scoring):
-    """(sequence, k, exchange, gaps, tops) per conformance input.
+#: The searches every table entry must answer with the O(n⁴) oracle's tops.
+CASES = {
+    "reproducer": Search(REPRODUCER, k=3),
+    "tandem_dna": Search("ATGCATGCATGC", k=3),
+    "repeat_protein": Search(
+        implant_repeats(
+            120, RepeatSpec(unit_length=25, copies=3, substitution_rate=0.3), seed=7
+        ).sequence.text,
+        protein=True,
+        scoring=BLOSUM62,
+        k=4,
+    ),
+}
 
-    The tops are the O(n⁴) oracle's, which the sequential ``scalar``
-    search must reproduce before any other engine is compared.
-    """
-    cases = {
-        "reproducer": (Sequence(REPRODUCER, DNA), 3, *dna_scoring),
-        "tandem_dna": (tandem_dna, 3, *dna_scoring),
-        "repeat_protein": (small_repeat_protein, 4, *protein_scoring),
-    }
-    oracles = {}
-    for key, case in cases.items():
-        oracle = _tops(old_find_top_alignments(*case, engine="scalar")[0])
-        scalar, _ = find_top_alignments(*case, engine="scalar", group=1)
-        assert _tops(scalar) == oracle
-        oracles[key] = (*case, oracle)
-    return oracles
+
+@pytest.fixture(scope="module")
+def oracle_cases():
+    """The plainest search reproduces the O(n⁴) oracle on every case
+    before any other engine is compared with it (the oracle fills with
+    the default engine, whose rows this module holds to ``scalar``)."""
+    for search in CASES.values():
+        old, _ = old_find_top_alignments(
+            search.sequence, search.k, search.exchange, search.gaps
+        )
+        assert key(old) == reference(search)
+    return CASES
 
 
 @pytest.mark.parametrize("group", [1, 4, 8])
@@ -134,23 +138,16 @@ def oracle_cases(tandem_dna, small_repeat_protein, dna_scoring, protein_scoring)
 )
 class TestClosedTable:
     def test_bottom_rows_byte_equal_scalar(self, name, dtype, group, protein_scoring):
-        ex, gaps = protein_scoring
         seq = pseudo_titin(64, seed=11)
         problems = [
-            AlignmentProblem(seq.codes[:r], seq.codes[r:], ex, gaps)
+            AlignmentProblem(seq.codes[:r], seq.codes[r:], *protein_scoring)
             for r in range(20, 20 + group)
         ]
-        rows = _table_engine(name, dtype, group).last_rows_batch(problems)
-        scalar = ScalarEngine()
-        for problem, row in zip(problems, rows):
-            assert row.tobytes() == scalar.last_row(problem).tobytes()
+        assert_rows_equal_scalar(_table_engine(name, dtype, group), problems)
 
     @pytest.mark.parametrize("case", ["reproducer", "tandem_dna", "repeat_protein"])
     def test_tops_byte_equal_oracle(self, name, dtype, group, case, oracle_cases):
-        seq, k, ex, gaps, oracle = oracle_cases[case]
-        engine = _table_engine(name, dtype, group)
-        tops, _ = find_top_alignments(seq, k, ex, gaps, engine=engine, group=group)
-        assert _tops(tops) == oracle
+        check(oracle_cases[case], Config(engine=name, dtype=dtype, group=group))
 
     @pytest.mark.parametrize(
         "match,used",
@@ -167,25 +164,20 @@ class TestClosedTable:
     def test_width_bound_crossings(self, name, dtype, group, match, used):
         """Scores around the width limits: the requested type is promoted
         exactly when the bound says so, and rows and tops stay byte-equal
-        to ``scalar`` and the O(n^4) oracle on either side."""
-        seq = Sequence("ACGTTGCAACGT" * 2, DNA)
-        ex, gaps = match_mismatch(DNA, float(match), -1.0), GapPenalties(2, 1)
+        to ``scalar`` and the O(n^4) oracle (m = 24) on either side."""
+        search = Search("ACGTTGCAACGT" * 2, scoring=Scoring(match=float(match)), k=3)
+        codes = search.sequence.codes
         engine = _table_engine(name, dtype, group)
         problems = [
-            AlignmentProblem(seq.codes[:r], seq.codes[r:], ex, gaps)
+            AlignmentProblem(codes[:r], codes[r:], search.exchange, search.gaps)
             for r in range(12, 12 + group)
         ]
-        scalar = ScalarEngine()
-        for problem, row in zip(problems, engine.last_rows_batch(problems[:1])):
-            assert row.tobytes() == scalar.last_row(problem).tobytes()
+        assert_rows_equal_scalar(engine, problems[:1])
         if name == "lanes":
             want = used.get(dtype, dtype or "int32")
             assert engine.describe() == f"lanes[{want}]"
-        for problem, row in zip(problems, engine.last_rows_batch(problems)):
-            assert row.tobytes() == scalar.last_row(problem).tobytes()
-        oracle = _tops(old_find_top_alignments(seq, 3, ex, gaps, engine="scalar")[0])
-        tops, _ = find_top_alignments(seq, 3, ex, gaps, engine=engine, group=group)
-        assert _tops(tops) == oracle
+        assert_rows_equal_scalar(engine, problems)
+        check(search, Config(engine=name, dtype=dtype, group=group))
 
 
 class TestLaneBatches:
@@ -196,11 +188,7 @@ class TestLaneBatches:
             AlignmentProblem(seq.codes[:r], seq.codes[r:], ex, gaps)
             for r in range(20, 28)
         ]
-        engine = LanesEngine(lanes=8, dtype="float64")
-        batch = engine.last_rows_batch(problems)
-        scalar = ScalarEngine()
-        for p, row in zip(problems, batch):
-            assert np.array_equal(row, scalar.last_row(p))
+        assert_rows_equal_scalar(LanesEngine(lanes=8, dtype="float64"), problems)
 
     def test_mixed_sizes_padding(self, dna_scoring):
         """Lanes of wildly different shapes must not contaminate each other."""
@@ -215,10 +203,7 @@ class TestLaneBatches:
             )
             for n1, n2 in [(3, 40), (40, 3), (1, 1), (17, 17), (2, 30)]
         ]
-        batch = LanesEngine(dtype="float64").last_rows_batch(problems)
-        scalar = ScalarEngine()
-        for p, row in zip(problems, batch):
-            assert np.array_equal(row, scalar.last_row(p))
+        assert_rows_equal_scalar(LanesEngine(dtype="float64"), problems)
 
     def test_batch_with_empty_lane(self, dna_scoring):
         ex, gaps = dna_scoring
@@ -319,9 +304,7 @@ class TestLaneOverrides:
         return codes, ex, gaps, pairs
 
     def _check(self, problems, dtype):
-        rows = LanesEngine(lanes=8, dtype=dtype).last_rows_batch(problems)
-        for problem, row in zip(problems, rows):
-            assert row.tobytes() == ScalarEngine().last_row(problem).tobytes()
+        assert_rows_equal_scalar(LanesEngine(lanes=8, dtype=dtype), problems)
 
     @pytest.mark.parametrize("dtype", ["int16", "int32", "float64"])
     @pytest.mark.parametrize("cls", [DenseOverrideTriangle, SparseOverrideTriangle])
@@ -446,7 +429,4 @@ def test_lanes_batch_equals_scalar_property(data, group, dtype):
         )
         for _ in range(group)
     ]
-    batch = LanesEngine(dtype=dtype).last_rows_batch(problems)
-    scalar = ScalarEngine()
-    for p, row in zip(problems, batch):
-        assert np.array_equal(row, scalar.last_row(p))
+    assert_rows_equal_scalar(LanesEngine(dtype=dtype), problems)

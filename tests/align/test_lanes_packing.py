@@ -2,7 +2,8 @@
 
 ``LanesEngine.last_rows_batch`` may sort, partition and pad a batch any
 way it likes; what it returns must not depend on any of it.  The oracle
-is the row-vectorised engine run on each problem alone, harvest and all.
+is ``scalar`` run on each problem alone
+(:func:`tests.conformance.lattice.assert_rows_equal_scalar`).
 """
 
 import time
@@ -24,6 +25,7 @@ from repro.align.lanes import MAX_ROW_CELLS, ROW_OVERHEAD, _partition
 from repro.core import TopAlignmentState
 from repro.scoring import GapPenalties, blosum62, match_mismatch
 from repro.sequences import DNA, RepeatSpec, implant_repeats, pseudo_titin
+from tests.conformance.lattice import assert_rows_equal_scalar
 
 
 def _split_problems(codes, exchange, gaps, profile, context, splits):
@@ -49,10 +51,10 @@ def _split_problems(codes, exchange, gaps, profile, context, splits):
     with_profile=st.booleans(),
 )
 def test_any_subset_of_splits_matches_vector(data, dtype, gated, with_profile):
-    """Rows byte-equal to per-problem ``vector.last_row`` — and the same
-    harvested bounds — for any subset/permutation of one sequence's
-    splits: mixed shapes, with and without gates and shared profile.
-    (Block problems in a batch: ``test_block_bounds.py``.)"""
+    """Rows byte-equal to ``scalar`` on each problem alone — and each
+    harvest the row's maximum — for any subset/permutation of one
+    sequence's splits: mixed shapes, with and without gates and shared
+    profile.  (Block problems in a batch: ``tests/conformance``.)"""
     sequence = implant_repeats(
         90,
         RepeatSpec(unit_length=25, copies=2, substitution_rate=0.05),
@@ -67,23 +69,16 @@ def test_any_subset_of_splits_matches_vector(data, dtype, gated, with_profile):
     )
     profile = QueryProfile(codes, exchange) if with_profile or gated else None
     context = PruneContext(profile) if gated else None
-    make = lambda: _split_problems(  # noqa: E731
+    got = _split_problems(
         codes, exchange, gaps, profile if with_profile else None, context, splits
     )
-
-    expected, vector = make(), VectorEngine()
-    expected_rows = [vector.last_row(p) for p in expected]
-    got = make()
-    got_rows = LanesEngine(lanes=8, dtype=dtype).last_rows_batch(got)
-
-    for want, row, p_want, p_got in zip(expected_rows, got_rows, expected, got):
+    rows = assert_rows_equal_scalar(LanesEngine(lanes=8, dtype=dtype), got)
+    for row, problem in zip(rows, got):
         assert row.dtype == np.float64
-        assert row.tobytes() == want.tobytes()
         if gated:
             # A block of one is the split's own problem: its one
             # harvested row maximum is the first-pass score.
-            assert p_got.prune.bounds.tolist() == [want.max()]
-            assert p_want.prune.bounds.tolist() == [want.max()]
+            assert problem.prune.bounds.tolist() == [row.max()]
 
 
 def test_gates_fire_in_a_mixed_batch():

@@ -4,31 +4,22 @@ An acceptance marks cells of split ``r`` only in the rows from its
 first pair's row ``i_min`` down, and Equation 1 looks only up and to
 the left, so a realignment may skip every row above the first one an
 acceptance since its saved rows changed
-(:meth:`TopAlignmentState.problems_for`).  After every acceptance of a
-random search, each filled split's resumed fill must leave the bottom
-row and the saved rows a fill from the top leaves, byte for byte — for
-every work type, ``lanes`` and ``vector``, and lanes of different start
-rows packed with first passes in one batch.
-``scalar`` ignores the request and counts the whole matrix.  An
-acceptance's traceback, filled upward from the same saved rows, must
-follow the path it follows on the whole matrix.
+(:meth:`TopAlignmentState.problems_for`).  After every acceptance, each
+filled split's resumed fill must leave the bottom row and the saved
+rows a fill from the top leaves, byte for byte, and an acceptance's
+traceback, filled upward from the same saved rows, must follow the path
+it follows on the whole matrix.  The conformance harness draws that
+(:func:`tests.conformance.lattice.check_fills`); below are its named
+points — every work type, ``lanes`` and ``vector``, and lanes of
+different start rows packed with first passes in one batch — and what
+is counted.  ``scalar`` ignores the request and counts the whole matrix.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.align import (
-    AlignmentEngine,
-    LanesEngine,
-    Resume,
-    ScalarEngine,
-    VectorEngine,
-)
-from repro.align.matrix import full_matrix
+from repro.align import LanesEngine, Resume, ScalarEngine, VectorEngine
 from repro.align.rowstep import SNAPSHOT_ROWS
-from repro.align.traceback import traceback
 from repro.analysis.invariants import (
     RESUMED_STRIDE,
     InvariantChecker,
@@ -43,8 +34,17 @@ from repro.core import (
 )
 from repro.core.session import TopAlignmentSession
 from repro.core.tasks import Task
-from repro.scoring import GapPenalties, blosum62, match_mismatch
-from repro.sequences import DNA, PROTEIN, Sequence, pseudo_titin
+from repro.scoring import GapPenalties, blosum62
+from repro.sequences import pseudo_titin
+from tests.conformance.lattice import (
+    BLOSUM62,
+    CountingEngine,
+    Scoring,
+    Search,
+    check_fills,
+    checked_traceback,
+    key,
+)
 
 #: id -> engine factory: every work type of the lane engine, and vector.
 ENGINES = {
@@ -54,146 +54,40 @@ ENGINES = {
     "vector": VectorEngine,
 }
 
-
-def _exact(values) -> bytes:
-    """Saved rows as bytes of one type: fills packed differently may
-    keep them in different (exact) work types."""
-    return np.asarray(values, dtype=np.float64).tobytes()
-
-
-def _tandem_sequence(data, protein: bool) -> tuple[Sequence, tuple]:
-    """Noisy tandem copies between random flanks, long enough that
-    acceptances start below the first saved rows."""
-    if protein:
-        nsym, alphabet = 20, PROTEIN
-        # Half-integral gaps run (and save rows) in float64 whatever the
-        # requested work type.
-        gaps = data.draw(
-            st.sampled_from([GapPenalties(8.0, 1.0), GapPenalties(7.5, 0.5)])
-        )
-        scoring = (blosum62(), gaps)
-    else:
-        nsym, alphabet = 4, DNA
-        scoring = (match_mismatch(DNA, 2.0, -1.0), GapPenalties(2.0, 1.0))
-    unit = data.draw(st.lists(st.integers(0, nsym - 1), min_size=8, max_size=20))
-    codes = data.draw(st.lists(st.integers(0, nsym - 1), max_size=20))
-    for _ in range(data.draw(st.integers(3, 5))):
-        codes = codes + [
-            data.draw(st.integers(0, nsym - 1)) if data.draw(st.integers(0, 9)) == 0
-            else c
-            for c in unit
-        ]
-    codes += data.draw(st.lists(st.integers(0, nsym - 1), max_size=20))
-    return Sequence(np.array(codes, dtype=np.int8), alphabet), scoring
-
-
-def _from_the_top(state, engine, r, *, first_pass=False):
-    """Split ``r`` filled from row 0 under the current triangle (or, for
-    a first pass, none): ``(bottom row, saved rows)``."""
-    problem = state.problem_for(r, with_override=not first_pass, resume=Resume())
-    row = engine.last_rows_batch([problem])[0]
-    return row, problem.resume.snapshots
-
-
-def _assert_resumed_is_full(state, engine, problem, row):
-    """``problem`` (split ``problem.rows``, a realignment) was filled
-    from its resume row into ``row``."""
-    r, start = problem.rows, problem.resume.start
-    full_row, full_saved = _from_the_top(state, engine, r)
-    assert row.tobytes() == full_row.tobytes()
-    above = start // SNAPSHOT_ROWS
-    assert _exact(problem.resume.snapshots) == _exact(full_saved[above:])
-    # The rows it resumed from are the state's, saved under older
-    # triangles: the stamp rule says they still hold.
-    assert _exact(state.snapshots[r][1][:above]) == _exact(full_saved[:above])
-    assert problem.cells == (r - start) * problem.cols
+#: Noisy tandem copies between flanks, long enough that acceptances
+#: start below the first saved rows; half-integral gaps run (and save
+#: rows) in float64 whatever the requested work type.
+_PROTEIN = "GHW" + "MKVLAYTRGD" + "MKVLSYTRGD" + "MKVLAYTRGE" + "MKWLAYTRGD" + "PQ"
+_TANDEMS = [
+    Search(_PROTEIN, True, BLOSUM62, k=5),
+    Search(_PROTEIN, True, Scoring("blosum62", gap_open=7.5, gap_extend=0.5), k=5),
+    Search("TTG" + "ACGTTGCAAC" + "ACGTAGCAAC" + "ACGTTGCATC" + "ACCTTGCAAC", k=5),
+]
 
 
 class TestResumedFill:
-    @settings(max_examples=20, deadline=None)
-    @given(
-        data=st.data(),
-        protein=st.booleans(),
-        engine_id=st.sampled_from(sorted(ENGINES)),
-    )
-    def test_resumed_rows_equal_a_full_fill_after_every_acceptance(
-        self, data, protein, engine_id
-    ):
-        sequence, scoring = _tandem_sequence(data, protein)
-        engine = ENGINES[engine_id]()
-        state = TopAlignmentState(sequence, *scoring, engine=engine)
-        session = TopAlignmentSession.from_state(
-            state, group=data.draw(st.sampled_from([1, 8]))
-        )
-        for _ in range(5):
-            if not session.extend(1):
-                break
-            for r in sorted(state.snapshots):
-                [problem] = state.problems_for([Task(r)])
-                [row] = engine.last_rows_batch([problem])
-                _assert_resumed_is_full(state, engine, problem, row)
-
-        # One batch: every filled split at its own start row, packed with
-        # first passes of splits no fill has touched yet.
-        filled = sorted(state.snapshots)
-        fresh = [r for r in range(1, state.m) if r not in state.bottom_rows][:4]
-        batch = state.problems_for([Task(r) for r in filled + fresh])
-        order = data.draw(st.permutations(range(len(batch))))
-        rows = engine.last_rows_batch([batch[i] for i in order])
-        by_problem = {i: row for i, row in zip(order, rows)}
-        for i, problem in enumerate(batch):
-            if i < len(filled):
-                _assert_resumed_is_full(state, engine, problem, by_problem[i])
-            else:
-                row, saved = _from_the_top(state, engine, problem.rows, first_pass=True)
-                assert by_problem[i].tobytes() == row.tobytes()
-                assert _exact(problem.resume.snapshots) == _exact(saved)
-
-
-def _traced_against_the_full_matrix(monkeypatch):
-    """Make every acceptance also trace back on the whole matrix and
-    demand the same path from the same rows; returns, per acceptance,
-    ``(first row filled, rows)``."""
-    seen = []
-
-    def checked(problem, matrix, end_y, end_x, *, top=0, extend=None):
-        tops = [top]
-
-        def climbing():
-            tops.append(extend())
-            return tops[-1]
-
-        path = traceback(
-            problem, matrix, end_y, end_x, top=top, extend=climbing if extend else None
-        )
-        whole = full_matrix(problem)[:, : matrix.shape[1]]
-        assert path == traceback(problem, whole, end_y, end_x)
-        assert matrix[tops[-1] :].tobytes() == whole[tops[-1] :].tobytes()
-        seen.append((tops, problem.rows))
-        return path
-
-    monkeypatch.setattr(topalign, "traceback", checked)
-    return seen
+    def test_resumed_rows_equal_a_full_fill_after_every_acceptance(self):
+        engines = list(ENGINES.values())
+        for i, search in enumerate(_TANDEMS):
+            m = len(search.text)
+            # Every other split in one batch, deepest first: filled splits
+            # at their own start rows, packed with first passes of others.
+            batch = ([("split", r, 1) for r in range(m - 1, 0, -2)], True)
+            for group, engine in zip((1, 8), engines[i % 2 :: 2]):
+                check_fills(search, engine(), group=group, batch=batch)
 
 
 class TestResumedTraceback:
-    @settings(max_examples=20, deadline=None)
-    @given(
-        data=st.data(),
-        protein=st.booleans(),
-        engine_id=st.sampled_from(sorted(ENGINES)),
-    )
-    def test_a_traceback_from_saved_rows_follows_the_full_matrix_path(
-        self, data, protein, engine_id
-    ):
-        sequence, scoring = _tandem_sequence(data, protein)
-        state = TopAlignmentState(sequence, *scoring, engine=ENGINES[engine_id]())
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            _traced_against_the_full_matrix(monkeypatch)
-            TopAlignmentSession.from_state(state).extend(5)
+    def test_a_traceback_from_saved_rows_follows_the_full_matrix_path(self):
+        """Through the harness's traceback check, with the saved rows a
+        search keeps and none."""
+        for search in _TANDEMS:
+            for tiny in (False, True):
+                check_fills(search, LanesEngine(lanes=8), tiny=tiny)
 
     def test_it_fills_only_the_rows_the_path_climbs_through(self, monkeypatch):
-        seen = _traced_against_the_full_matrix(monkeypatch)
+        seen = []
+        monkeypatch.setattr(topalign, "traceback", checked_traceback(seen))
         state = _searched(length=400, k=20)
         assert len(seen) == 20
         assert all(tops[0] > 0 for tops, _ in seen)  # every split saved rows
@@ -211,37 +105,16 @@ def _searched(engine="lanes", length=200, k=8):
     return state
 
 
-class _Cells(AlignmentEngine):
-    """Delegates to ``inner``; adds up ``problem.cells`` after each batch
-    (the benchmark's ``TracedEngine`` rule) and the whole matrices.
-    ``last_row`` is the invariant sweeps' path, not the search's."""
-
-    def __init__(self, inner: AlignmentEngine) -> None:
-        self.inner, self.name = inner, inner.name
-        self.cells = self.matrices = 0
-
-    def last_row(self, problem):
-        return self.inner.last_row(problem)
-
-    def last_rows_batch(self, problems):
-        rows = self.inner.last_rows_batch(problems)
-        self.cells += sum(p.cells for p in problems)
-        self.matrices += sum(p.rows * p.cols for p in problems)
-        return rows
-
-
 class TestWhatIsCounted:
     def test_realignments_resume_and_count_only_the_rows_they_fill(self):
         sequence = pseudo_titin(200, seed=3)
         scoring = (blosum62(), GapPenalties(8.0, 1.0))
-        engine = _Cells(LanesEngine(lanes=8))
+        engine = CountingEngine(LanesEngine(lanes=8))
         tops, stats = find_top_alignments(sequence, 8, *scoring, engine=engine)
         reference, _ = find_top_alignments(
-            sequence, 8, *scoring, engine="scalar", group=1, prune=False
+            sequence, 8, *scoring, engine="vector", group=1, prune=False
         )
-        assert [(a.r, a.score, a.pairs) for a in tops] == [
-            (a.r, a.score, a.pairs) for a in reference
-        ]
+        assert key(tops) == key(reference)
         assert stats.cells == engine.cells < engine.matrices
 
     def test_scalar_ignores_the_request_and_counts_the_whole_matrix(self):
@@ -255,9 +128,10 @@ class TestWhatIsCounted:
             row = ScalarEngine().last_row(problem)
             assert problem.resume.snapshots is None
             assert problem.cells == problem.rows * problem.cols
-            full_row, _ = _from_the_top(state, VectorEngine(), problem.rows)
+            full = state.problem_for(problem.rows, resume=Resume())
+            full_row = VectorEngine().last_row(full)
             assert row.tobytes() == full_row.tobytes()
-        scalar = _searched(engine="scalar")
+        scalar = _searched(engine="scalar", length=80, k=4)
         assert scalar.snapshots == {}
 
     def test_snapshots_stay_in_budget_and_narrow(self):

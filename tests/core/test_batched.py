@@ -1,19 +1,31 @@
-"""Tests for the speculative lane-batched best-first driver."""
+"""The speculative lane-batched best-first driver.
 
-import numpy as np
+That every lane width and requested work type finds the sequential
+tops is a point of the conformance lattice (``tests/conformance``);
+the cases below are named points of it.  Speculation accounting and
+validation are this module's own.
+"""
+
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.align import LanesEngine
 from repro.core import TopAlignmentSession, TopAlignmentState, find_top_alignments
-from repro.scoring import GapPenalties, match_mismatch
+from repro.scoring import GapPenalties
 from repro.scoring.blosum import blosum62
-from repro.sequences import PROTEIN, Sequence, pseudo_titin, tandem_repeat_sequence
-
-
-def _key(alignments):
-    return [(a.index, a.r, a.score, a.pairs) for a in alignments]
+from repro.sequences import PROTEIN, pseudo_titin, tandem_repeat_sequence
+from tests.conformance.lattice import (
+    BLOSUM62,
+    DTYPES,
+    Config,
+    Scoring,
+    Search,
+    check,
+    key,
+    searches,
+)
 
 
 def _reference(seq, k, exchange, gaps, min_score=0.0):
@@ -22,83 +34,50 @@ def _reference(seq, k, exchange, gaps, min_score=0.0):
     )
 
 
-def _random_protein(data, min_size=6, max_size=24):
-    codes = data.draw(
-        st.lists(st.integers(0, 19), min_size=min_size, max_size=max_size)
-    )
-    return Sequence(np.array(codes, dtype=np.int8), PROTEIN)
+def _titin(length, seed, k, min_score=0.0):
+    return Search(pseudo_titin(length, seed=seed).text, True, BLOSUM62, k, min_score)
 
 
 class TestEquivalence:
     @pytest.mark.parametrize("group", [2, 4, 8])
     @pytest.mark.parametrize("dtype", ["float64", "int32", "int16"])
     def test_titin_identical_to_sequential(self, group, dtype):
-        seq = pseudo_titin(150, seed=7)
-        exchange, gaps = blosum62(), GapPenalties(8, 1)
-        expected, _ = _reference(seq, 8, exchange, gaps)
-        engine = LanesEngine(lanes=group, dtype=dtype)
-        got, stats = find_top_alignments(
-            seq, 8, exchange, gaps, group=group, engine=engine
-        )
-        assert _key(got) == _key(expected)
+        stats = check(_titin(150, 7, 8), Config(dtype=dtype, group=group)).session.stats
         assert stats.group == group
         assert stats.engine == f"lanes[{dtype}]"
 
     def test_group_kwarg_delegates(self):
-        seq = tandem_repeat_sequence("MKTAYIAK", 5, alphabet=PROTEIN)
-        exchange, gaps = blosum62(), GapPenalties(8, 1)
-        expected, _ = _reference(seq, 4, exchange, gaps)
-        got, stats = find_top_alignments(
-            seq, 4, exchange, gaps, engine="lanes", group=4
-        )
-        assert _key(got) == _key(expected)
-        assert stats.group == 4
+        text = tandem_repeat_sequence("MKTAYIAK", 5, alphabet=PROTEIN).text
+        out = check(Search(text, True, BLOSUM62, k=4), Config(group=4))
+        assert out.session.stats.group == 4
 
     def test_min_score_respected(self):
-        seq = pseudo_titin(120, seed=3)
-        exchange, gaps = blosum62(), GapPenalties(8, 1)
-        expected, _ = _reference(seq, 30, exchange, gaps, min_score=25.0)
-        got, _ = find_top_alignments(
-            seq, 30, exchange, gaps, group=8, min_score=25.0
-        )
-        assert _key(got) == _key(expected)
-        assert all(a.score > 25.0 for a in got)
+        check(_titin(120, 3, 30, min_score=25.0), Config(group=8))
 
     @settings(max_examples=20, deadline=None)
     @given(
-        data=st.data(),
-        k=st.integers(1, 5),
+        search=searches(max_size=24, max_k=5),
         group=st.sampled_from([2, 4, 8]),
-        dtype=st.sampled_from(["float64", "int32", "int16"]),
+        dtype=st.sampled_from(DTYPES),
     )
-    def test_random_sequences(self, data, k, group, dtype):
-        """Arbitrary proteins: batched == sequential, lane for lane."""
-        seq = _random_protein(data)
-        exchange = match_mismatch(PROTEIN, 2.0, -1.0)
-        gaps = GapPenalties(2.0, 1.0)
-        expected, _ = _reference(seq, k, exchange, gaps)
-        engine = LanesEngine(lanes=group, dtype=dtype)
-        got, _ = find_top_alignments(
-            seq, k, exchange, gaps, group=group, engine=engine
-        )
-        assert _key(got) == _key(expected)
+    def test_random_sequences(self, search, group, dtype):
+        """Arbitrary inputs: batched == sequential, lane for lane."""
+        check(search, Config(dtype=dtype, group=group))
 
     @settings(max_examples=15, deadline=None)
-    @given(data=st.data(), match=st.sampled_from([1000, 2500, 9000]))
-    def test_near_int16_saturation(self, data, match):
+    @given(
+        search=searches(max_size=20, max_k=3),
+        match=st.sampled_from([1000, 2500, 9000]),
+    )
+    def test_near_int16_saturation(self, search, match):
         """Scores toward and past 32767, where SSE shorts would saturate:
         a requested int16 is promoted per sub-batch and stays exact."""
-        seq = _random_protein(data, min_size=8, max_size=20)
-        exchange = match_mismatch(PROTEIN, float(match), -1.0)
-        gaps = GapPenalties(2.0, 1.0)
-        expected, _ = _reference(seq, 3, exchange, gaps)
-        engine = LanesEngine(lanes=4, dtype="int16")
-        got, stats = find_top_alignments(
-            seq, 3, exchange, gaps, group=4, engine=engine
+        search = dataclasses.replace(
+            search, scoring=Scoring(match=float(match)), min_score=0.0
         )
-        assert _key(got) == _key(expected)
+        stats = check(search, Config(dtype="int16", group=4)).session.stats
         # 9000 per match fits no split of >= 8 residues in int16.
-        if match == 9000 and stats.alignments:
+        if match == 9000 and len(search.text) >= 8 and stats.alignments:
             assert stats.engine == "lanes[int32]"
 
 
@@ -174,7 +153,7 @@ class TestValidation:
         got, stats = find_top_alignments(
             seq, 5, exchange, gaps, group=1, engine="vector"
         )
-        assert _key(got) == _key(expected)
+        assert key(got) == key(expected)
         assert stats.alignments == seq_stats.alignments
         assert stats.realignments == seq_stats.realignments
         assert stats.speculative_waste == 0

@@ -137,6 +137,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="do not match their index"):
             load_checkpoint(torn, seq, ex, gaps)
 
+    def test_a_flipped_npy_header_length_is_caught(self, halfway, tmp_path):
+        """A shorter header length shifts where numpy reads the rows
+        from, and numpy then stops short of the member's end, where zip
+        would check its CRC-32: every member is read to its end first."""
+        seq, ex, gaps, _, path = halfway
+        raw = bytearray(path.read_bytes())
+        header_length = raw.rindex(b"\x93NUMPY") + 8  # the last member: rows
+        raw[header_length] ^= 2
+        flipped = tmp_path / "flipped.npz"
+        flipped.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="rows.npy is damaged"):
+            load_checkpoint(flipped, seq, ex, gaps)
+
 
 def test_archive_members_do_not_grow_with_the_search(halfway):
     """A member per row or alignment made a 100-residue checkpoint 5 ms."""

@@ -1,49 +1,41 @@
-"""The paper's central claim: every execution mode computes *exactly the
-same top alignments* as the original algorithm.
+"""The paper's central claim at named points: the O(n³) search computes
+*exactly the same top alignments* as the original O(n⁴) algorithm.
 
-``new sequential == old quartic`` is §3's correctness statement; the
-parallel modes are covered in ``tests/parallel``.
+``new == old quartic`` is §3's correctness statement.  The conformance
+harness (``tests/conformance``) checks it on every short input it
+draws, through :func:`tests.conformance.lattice.reference`; these are
+the historical fixed cases.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core import find_top_alignments, old_find_top_alignments
-from repro.scoring import GapPenalties, match_mismatch
-from repro.sequences import DNA, Sequence, tandem_repeat_sequence
+from repro.sequences import DNA, Sequence
+from tests.conformance.lattice import BLOSUM62, Config, Search, check, key, searches
 
 
-def _key(alignments):
-    return [(a.index, a.r, a.score, a.pairs) for a in alignments]
+def _old(search):
+    tops, _ = old_find_top_alignments(
+        search.sequence, search.k, search.exchange, search.gaps,
+        min_score=search.min_score,
+    )
+    return key(tops)
 
 
 class TestNewEqualsOld:
-    def test_figure4(self, tandem_dna, dna_scoring):
-        ex, gaps = dna_scoring
-        new, _ = find_top_alignments(tandem_dna, 3, ex, gaps)
-        old, _ = old_find_top_alignments(tandem_dna, 3, ex, gaps)
-        assert _key(new) == _key(old)
+    def test_figure4(self):
+        check(Search("ATGCATGCATGC", k=3), Config())
 
-    def test_protein_workload(self, small_repeat_protein, protein_scoring):
-        ex, gaps = protein_scoring
-        new, _ = find_top_alignments(small_repeat_protein, 6, ex, gaps)
-        old, _ = old_find_top_alignments(small_repeat_protein, 6, ex, gaps)
-        assert _key(new) == _key(old)
+    def test_protein_workload(self, small_repeat_protein):
+        search = Search(small_repeat_protein.text, True, BLOSUM62, k=6)
+        assert _old(search) == key(check(search, Config()).tops)
 
-    def test_exhaustion_matches(self, dna_scoring):
-        ex, gaps = dna_scoring
-        seq = tandem_repeat_sequence("ACG", 3)
-        new, _ = find_top_alignments(seq, 50, ex, gaps)
-        old, _ = old_find_top_alignments(seq, 50, ex, gaps)
-        assert _key(new) == _key(old)
+    def test_exhaustion_matches(self):
+        check(Search("ACGACGACG", k=50), Config())
 
-    def test_min_score_matches(self, tandem_dna, dna_scoring):
-        ex, gaps = dna_scoring
-        new, _ = find_top_alignments(tandem_dna, 10, ex, gaps, min_score=5.0)
-        old, _ = old_find_top_alignments(tandem_dna, 10, ex, gaps, min_score=5.0)
-        assert _key(new) == _key(old)
+    def test_min_score_matches(self):
+        check(Search("ATGCATGCATGC", k=10, min_score=5.0), Config())
 
     def test_old_validates_inputs(self, tandem_dna, dna_scoring):
         ex, gaps = dna_scoring
@@ -60,40 +52,14 @@ class TestNewEqualsOld:
         assert new_stats.alignments < old_stats.alignments / 2
 
     @settings(max_examples=15, deadline=None)
-    @given(data=st.data())
-    def test_property_random_dna(self, data):
-        """Randomised new == old, the strongest form of the §3 claim."""
-        ex = match_mismatch(DNA, 2.0, -1.0, wildcard_score=None)
-        gaps = GapPenalties(2.0, 1.0)
-        m = data.draw(st.integers(6, 24))
-        codes = np.array(
-            data.draw(st.lists(st.integers(0, 3), min_size=m, max_size=m)),
-            dtype=np.int8,
-        )
-        k = data.draw(st.integers(1, 6))
-        seq = Sequence(codes, DNA)
-        new, _ = find_top_alignments(seq, k, ex, gaps)
-        old, _ = old_find_top_alignments(seq, k, ex, gaps)
-        assert _key(new) == _key(old)
+    @given(search=searches(max_size=24, max_k=6))
+    def test_property_random_dna(self, search):
+        """Randomised new == old at the default configuration (any
+        alphabet and scoring the harness draws, short enough for old)."""
+        check(search, Config())
 
     @settings(max_examples=10, deadline=None)
-    @given(
-        data=st.data(),
-        open_=st.integers(0, 5),
-        ext=st.integers(1, 3),
-        match=st.integers(1, 5),
-        mismatch=st.integers(-4, 0),
-    )
-    def test_property_random_scoring(self, data, open_, ext, match, mismatch):
-        """new == old holds for arbitrary integral scoring models too."""
-        ex = match_mismatch(DNA, float(match), float(mismatch), wildcard_score=None)
-        gaps = GapPenalties(float(open_), float(ext))
-        m = data.draw(st.integers(6, 18))
-        codes = np.array(
-            data.draw(st.lists(st.integers(0, 3), min_size=m, max_size=m)),
-            dtype=np.int8,
-        )
-        seq = Sequence(codes, DNA)
-        new, _ = find_top_alignments(seq, 4, ex, gaps)
-        old, _ = old_find_top_alignments(seq, 4, ex, gaps)
-        assert _key(new) == _key(old)
+    @given(search=searches(max_size=18, max_k=4))
+    def test_property_random_scoring(self, search):
+        """new == old for the plainest configuration too."""
+        check(search, Config(engine="scalar", group=1, prune=False))

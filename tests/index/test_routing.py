@@ -13,7 +13,16 @@ from repro.index import (
 )
 from repro.scoring import match_mismatch
 from repro.sequences import DNA, Sequence, random_sequence
+from repro.index import routing
 from repro.sequences.workloads import RepeatSpec, implant_repeats
+
+
+def recalibrate_routing(monkeypatch):
+    """Move every routing-only calibration constant."""
+    monkeypatch.setattr(routing, "CHAIN_SLACK", 9.0)
+    monkeypatch.setattr(routing, "MARGIN", 5.0)
+    monkeypatch.setattr(routing, "FULL_THRESHOLD", 0.5)
+    monkeypatch.setattr(routing, "BACKGROUND_BETA", 1.0)
 
 
 def _exchange():
@@ -61,10 +70,9 @@ class TestClassify:
 
     def test_skip_only_when_margin_clears_threshold(self):
         profile = build_profile(random_sequence(240, DNA, seed=1))
-        config = IndexConfig()
-        decision = classify(profile, _exchange(), min_score=80.0, config=config)
+        decision = classify(profile, _exchange(), min_score=80.0)
         if decision.route == ROUTE_SKIP:
-            assert config.margin * decision.estimate < 80.0
+            assert routing.MARGIN * decision.estimate < 80.0
 
     def test_overflowed_profile_routes_full(self):
         profile = build_profile(Sequence("A" * 300, DNA))
@@ -93,9 +101,10 @@ class TestPromise:
 
 
 class TestConfig:
-    def test_profile_params_exclude_routing_knobs(self):
-        calibrated = IndexConfig(chain_slack=9.0, margin=5.0, full_threshold=0.5)
-        assert calibrated.profile_params() == IndexConfig().profile_params()
+    def test_profile_params_exclude_routing_knobs(self, monkeypatch):
+        before = IndexConfig().profile_params()
+        recalibrate_routing(monkeypatch)
+        assert IndexConfig().profile_params() == before
 
     def test_profile_params_cover_profile_knobs(self):
         assert set(IndexConfig().profile_params()) == {

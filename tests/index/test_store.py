@@ -3,8 +3,10 @@
 import pytest
 
 from repro.index import INDEX_VERSION, IndexConfig, IndexStore, index_digest
+from repro.index import routing
 from repro.index.store import sequence_digest
 from repro.sequences import DNA, Sequence, random_sequence
+from tests.index.test_routing import recalibrate_routing
 
 
 @pytest.fixture()
@@ -28,21 +30,19 @@ class TestDigests:
             Sequence("ACAC", RNA)
         )
 
-    def test_key_includes_profile_params(self):
+    def test_key_includes_profile_params(self, monkeypatch):
         seq = _seq(0)
-        assert index_digest(seq, IndexConfig()) != index_digest(
-            seq, IndexConfig(k=4)
-        )
-        assert index_digest(seq, IndexConfig()) != index_digest(
-            seq, IndexConfig(window=64)
-        )
+        default = index_digest(seq, IndexConfig())
+        assert default != index_digest(seq, IndexConfig(k=4))
+        monkeypatch.setattr(routing, "WINDOW", 64)
+        assert default != index_digest(seq, IndexConfig())
 
-    def test_key_excludes_routing_knobs(self):
+    def test_key_excludes_routing_knobs(self, monkeypatch):
         # Routing calibration must not invalidate stored artifacts.
         seq = _seq(0)
-        assert index_digest(seq, IndexConfig()) == index_digest(
-            seq, IndexConfig(chain_slack=9.0, margin=5.0, full_threshold=0.5)
-        )
+        default = index_digest(seq, IndexConfig())
+        recalibrate_routing(monkeypatch)
+        assert index_digest(seq, IndexConfig()) == default
 
 
 class TestBuildOrLoad:

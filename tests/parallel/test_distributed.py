@@ -1,9 +1,9 @@
 """End-to-end tests of the distributed master/slave driver.
 
 Kept small: each test spawns real processes on what may be a
-single-core machine.  Equality with the sequential tops (two slaves,
-SMP slaves, exhaustion) is in ``tests/core/test_policies.py`` with the
-other dispatch policies.
+single-core machine.  Equality with the sequential tops is a point of
+the conformance lattice (``tests/conformance``; forked slaves in
+``tests/core/test_policies.py``).
 """
 
 import pytest

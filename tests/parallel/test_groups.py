@@ -12,7 +12,8 @@ import sys
 import pytest
 
 from repro.align import LanesEngine
-from repro.core import TopAlignmentState, find_top_alignments
+from repro.core import TopAlignmentState
+from tests.conformance.lattice import BLOSUM62, Search, key, reference
 
 _BENCHMARKS = str(pathlib.Path(__file__).resolve().parents[2] / "benchmarks")
 
@@ -27,27 +28,27 @@ def schedule():
         sys.path.remove(_BENCHMARKS)
 
 
-def _key(alignments):
-    return [(a.index, a.r, a.score, a.pairs) for a in alignments]
-
-
-def _grouped(schedule, sequence, k, exchange, gaps, *, engine="lanes", **kwargs):
-    state = TopAlignmentState(sequence, exchange, gaps, engine=engine)
-    wasted = schedule(state, k, **kwargs)
+def _grouped(schedule, search, *, engine="lanes", **kwargs):
+    state = TopAlignmentState(
+        search.sequence, search.exchange, search.gaps, engine=engine
+    )
+    wasted = schedule(state, search.k, **kwargs)
     return state, wasted
+
+
+_FIGURE4 = Search("ATGCATGCATGC", k=3)
+
+
+@pytest.fixture(scope="module")
+def protein(small_repeat_protein):
+    return Search(small_repeat_protein.text, True, BLOSUM62, k=6)
 
 
 class TestGroupedEquivalence:
     @pytest.mark.parametrize("group_size", [1, 2, 4, 8])
-    def test_matches_sequential(
-        self, schedule, group_size, small_repeat_protein, protein_scoring
-    ):
-        ex, gaps = protein_scoring
-        expected, _ = find_top_alignments(small_repeat_protein, 6, ex, gaps)
-        state, _ = _grouped(
-            schedule, small_repeat_protein, 6, ex, gaps, group_size=group_size
-        )
-        assert _key(state.found) == _key(expected)
+    def test_matches_sequential(self, schedule, group_size, protein):
+        state, _ = _grouped(schedule, protein, group_size=group_size)
+        assert key(state.found) == reference(protein)
 
     @pytest.mark.parametrize(
         "engine",
@@ -58,29 +59,19 @@ class TestGroupedEquivalence:
             "vector",
         ],
     )
-    def test_matches_sequential_any_engine(
-        self, schedule, engine, tandem_dna, dna_scoring
-    ):
-        ex, gaps = dna_scoring
-        expected, _ = find_top_alignments(tandem_dna, 3, ex, gaps)
-        state, _ = _grouped(
-            schedule, tandem_dna, 3, ex, gaps, group_size=4, engine=engine
-        )
-        assert _key(state.found) == _key(expected)
+    def test_matches_sequential_any_engine(self, schedule, engine):
+        state, _ = _grouped(schedule, _FIGURE4, group_size=4, engine=engine)
+        assert key(state.found) == reference(_FIGURE4)
 
-    def test_speculation_counter(self, schedule, small_repeat_protein, protein_scoring):
+    def test_speculation_counter(self, schedule, protein):
         """Groups recompute already-current members — counted as waste."""
-        ex, gaps = protein_scoring
-        state, wasted = _grouped(
-            schedule, small_repeat_protein, 6, ex, gaps, group_size=4
-        )
+        state, wasted = _grouped(schedule, protein, group_size=4)
         # Waste exists but is a small fraction of total work (§5.1's
         # <0.70 % holds only at titin scale; here we just bound it).
         assert 0 <= wasted < state.stats.alignments
 
-    def test_min_score(self, schedule, tandem_dna, dna_scoring):
-        ex, gaps = dna_scoring
-        state, _ = _grouped(
-            schedule, tandem_dna, 10, ex, gaps, group_size=4, min_score=5.0
-        )
+    def test_min_score(self, schedule):
+        search = Search("ATGCATGCATGC", k=10, min_score=5.0)
+        state, _ = _grouped(schedule, search, group_size=4, min_score=5.0)
+        assert key(state.found) == reference(search)
         assert len(state.found) == 3

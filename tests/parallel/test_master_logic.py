@@ -1,82 +1,17 @@
 """Unit tests of the master's dispatch with an in-process fake
 communicator (no processes: deterministic, fast, failure-injectable).
 
-That the master policy returns the sequential tops, and that it stops
-its slaves on every exit path, is asserted with every other policy in
-``tests/core/test_policies.py`` (which borrows :class:`FakeSlaveComm`).
+That the master policy returns the sequential tops is a point of the
+conformance lattice (``tests/conformance``), whose in-process slaves
+(:class:`~tests.conformance.lattice.InProcessSlaves`) these tests drive.
 """
 
-import numpy as np
 import pytest
 
-from repro.align import AlignmentProblem, VectorEngine
 from repro.align.lanes import OWED_LANES
-from repro.core import DenseOverrideTriangle, TopAlignmentSession, TopAlignmentState
-from repro.parallel.master import T_ALIGN, T_MARK, T_ROW, T_STOP, MasterRunner
-from repro.parallel.msgpass import ANY, Message
-
-
-class FakeSlaveComm:
-    """Communicator double: executes slave work synchronously in-process.
-
-    ALIGN requests are computed immediately with a local engine+triangle
-    replica and queued as ROW replies; MARK updates the replica; recv
-    pops pending replies.  This exercises every master code path without
-    multiprocessing nondeterminism.
-    """
-
-    def __init__(self, codes, exchange, gaps, n_slaves=2):
-        self.rank = 0
-        self.size = n_slaves + 1
-        self._codes = codes
-        self._exchange = exchange
-        self._gaps = gaps
-        self._engine = VectorEngine()
-        self._triangles = {
-            rank: DenseOverrideTriangle(codes.size)
-            for rank in range(1, self.size)
-        }
-        self._pending: list[Message] = []
-        self.align_requests: list[tuple[int, int, int]] = []  # (slave, r, version)
-        self.marks_sent = 0
-        self.stops = 0
-
-    def send(self, payload, dest, tag=0):
-        if tag == T_ALIGN:
-            version, splits = payload
-            triangle = self._triangles[dest]
-            assert triangle.version == version, "slave replica out of sync"
-            rows = []
-            for r, with_override in splits:
-                self.align_requests.append((dest, r, version))
-                problem = AlignmentProblem(
-                    self._codes[:r],
-                    self._codes[r:],
-                    self._exchange,
-                    self._gaps,
-                    triangle.view_for_split(r) if with_override else None,
-                )
-                rows.append(np.array(self._engine.last_row(problem)))
-            self._pending.append(Message(dest, T_ROW, (splits[0][0], rows, 0.0)))
-        elif tag == T_MARK:
-            self._triangles[dest].mark(payload)
-            self.marks_sent += 1
-        elif tag == T_STOP:
-            self.stops += 1
-        else:  # pragma: no cover
-            raise AssertionError(f"unexpected tag {tag}")
-
-    def bcast_from(self, payload, tag=0):
-        for dest in range(1, self.size):
-            self.send(payload, dest, tag)
-
-    def recv(self, source=ANY, tag=ANY, timeout=None):
-        for idx, msg in enumerate(self._pending):
-            if (source == ANY or msg.source == source) and (
-                tag == ANY or msg.tag == tag
-            ):
-                return self._pending.pop(idx)
-        raise TimeoutError("no pending message (protocol deadlock)")
+from repro.core import TopAlignmentSession, TopAlignmentState
+from repro.parallel.master import T_ALIGN, MasterRunner
+from tests.conformance.lattice import InProcessSlaves
 
 
 @pytest.fixture()
@@ -86,7 +21,7 @@ def setup(small_repeat_protein, protein_scoring):
     # version-0 first pass, one split per message, before anything else.
     state = TopAlignmentState(small_repeat_protein, ex, gaps, prune=False)
     session = TopAlignmentSession.from_state(state, group=1)
-    comm = FakeSlaveComm(small_repeat_protein.codes, ex, gaps, n_slaves=3)
+    comm = InProcessSlaves(small_repeat_protein.codes, ex, gaps, n_slaves=3)
     return small_repeat_protein, session, comm
 
 
@@ -132,7 +67,7 @@ class TestMasterLogic:
         passes (owed whatever the order, so not speculation)."""
         ex, gaps = protein_scoring
         session = TopAlignmentSession(small_repeat_protein, ex, gaps, group=4)
-        comm = FakeSlaveComm(small_repeat_protein.codes, ex, gaps, n_slaves=2)
+        comm = InProcessSlaves(small_repeat_protein.codes, ex, gaps, n_slaves=2)
         sizes = {True: [], False: []}  # keyed by "the head is a realignment"
         real_send = comm.send
 

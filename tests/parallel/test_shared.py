@@ -1,18 +1,15 @@
 """Tests for the shared-memory speculative scheduler.
 
-Equality with the sequential tops under every thread count, error
-propagation and checkpoint resume are in ``tests/core/test_policies.py``
-with the other dispatch policies.
+Equality with the sequential tops under every thread count is a point
+of the conformance lattice (``tests/conformance``); error propagation
+and checkpoint resume are in ``tests/core/test_policies.py``.
 """
 
 import pytest
 
 from repro.core import TopAlignmentSession
 from repro.parallel import ThreadedTopAlignmentRunner, find_top_alignments_threaded
-
-
-def _key(alignments):
-    return [(a.index, a.r, a.score, a.pairs) for a in alignments]
+from tests.conformance.lattice import key
 
 
 class TestThreadedEquivalence:
@@ -27,7 +24,7 @@ class TestThreadedEquivalence:
         """Thread scheduling noise must never change the output."""
         ex, gaps = protein_scoring
         runs = [
-            _key(
+            key(
                 find_top_alignments_threaded(
                     small_repeat_protein, 5, ex, gaps, n_threads=4
                 )[0]

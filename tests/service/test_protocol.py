@@ -4,9 +4,11 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.service import ALGORITHM_VERSION, JobSpec, SpecError, job_digest
-from repro.service.protocol import result_to_dict
+from repro.service.protocol import finder_for, result_to_dict
 
 
 def _spec(**overrides):
@@ -58,6 +60,63 @@ class TestSpecValidation:
     def test_from_dict_requires_sequence(self):
         with pytest.raises(SpecError, match="sequence"):
             JobSpec.from_dict({"alphabet": "protein"})
+
+
+_FIELDS = sorted(JobSpec.__dataclass_fields__)
+_HOSTILE = [None, True, "hi", [], [1], {}, float("nan"), float("inf"), -float("inf"), 2.5]
+
+
+def _spec_or_spec_error(field, value):
+    """A spec with ``field`` set to ``value`` is either refused with a
+    :class:`SpecError` or valid all the way: digestible, runnable, and
+    plain JSON (no NaN or infinity)."""
+    payload = {"sequence": "ACDEFGHIKLMNPQRSTVWY" * 3, field: value}
+    try:
+        spec = JobSpec.from_dict(payload)
+    except SpecError:
+        return
+    job_digest(spec)
+    finder_for(spec)
+    json.dumps(spec.to_dict(), allow_nan=False)
+
+
+class TestHostileFields:
+    def test_every_field_and_hostile_value(self):
+        for field in _FIELDS:
+            for value in _HOSTILE:
+                _spec_or_spec_error(field, value)
+
+    @given(
+        field=st.sampled_from(_FIELDS),
+        value=st.one_of(
+            st.none(),
+            st.booleans(),
+            st.integers(),
+            st.floats(),
+            st.text(max_size=8),
+            st.lists(st.integers(), max_size=2),
+            st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+        ),
+    )
+    def test_any_json_value_in_any_field(self, field, value):
+        _spec_or_spec_error(field, value)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("min_score", None),
+            ("priority", "hi"),
+            ("group", 2.5),
+            ("group", True),
+            ("gap_extend", float("inf")),
+            ("gap_open", float("nan")),
+            ("index", 1),
+            ("seq_id", None),
+        ],
+    )
+    def test_refused(self, field, value):
+        with pytest.raises(SpecError, match=field):
+            JobSpec.from_dict({"sequence": "ACDEFG", field: value})
 
 
 class TestDigest:

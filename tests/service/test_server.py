@@ -1,7 +1,10 @@
 """The HTTP JSON API, driven through the real client over a socket."""
 
+import http.client
+import json
 import threading
 from http.server import ThreadingHTTPServer
+from urllib.parse import urlparse
 
 import pytest
 
@@ -230,6 +233,79 @@ class TestStats:
         assert stats["cache"]["disk_entries"] == 1
         assert stats["queue"]["capacity"] == 4
         assert "workers" in stats and "uptime" in stats
+
+
+def _raw(client, method, path, body=b"", headers=None):
+    """One request with a hand-made body and headers: ``(status, JSON)``."""
+    url = urlparse(client.base_url)
+    conn = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+    try:
+        conn.putrequest(method, path)
+        for name, value in {"Content-Length": str(len(body)), **(headers or {})}.items():
+            conn.putheader(name, value)
+        conn.endheaders(body)
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
+class TestMalformedRequests:
+    """Every malformed request gets an answer; nothing reaches a worker."""
+
+    def _post(self, client, text):
+        return _raw(client, "POST", "/jobs", text.encode())
+
+    def _assert_nothing_queued(self, svc):
+        assert svc.queue.claim() is None
+
+    def test_wrong_types_are_400(self, service):
+        svc, client = service
+        for field, value in (("min_score", "null"), ("priority", '"hi"')):
+            body = f'{{"sequence": "ACDEFG", "{field}": {value}}}'
+            status, answer = self._post(client, body)
+            assert status == 400 and field in answer["error"]
+        self._assert_nothing_queued(svc)
+
+    def test_a_non_numeric_content_length_is_400(self, service):
+        _, client = service
+        status, answer = _raw(
+            client, "POST", "/jobs", b"{}", headers={"Content-Length": "lots"}
+        )
+        assert status == 400 and "Content-Length" in answer["error"]
+
+    def test_values_a_worker_would_fail_on_are_400(self, service):
+        svc, client = service
+        for field, value in (("group", "2.5"), ("gap_extend", "Infinity")):
+            status, answer = self._post(
+                client, f'{{"sequence": "ACDEFG", "{field}": {value}}}'
+            )
+            assert status == 400 and field in answer["error"]
+        self._assert_nothing_queued(svc)
+
+    def test_nan_is_400_and_nothing_is_cached(self, service):
+        svc, client = service
+        status, answer = self._post(client, '{"sequence": "ACDEFG", "gap_open": NaN}')
+        assert status == 400 and "gap_open" in answer["error"]
+        self._assert_nothing_queued(svc)
+
+    def test_any_other_failure_is_a_json_500(self, service, monkeypatch):
+        svc, client = service
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(svc, "admit", boom)
+        monkeypatch.setattr(svc, "stats", boom)
+        assert self._post(client, '{"sequence": "ACDEFG"}') == (
+            500,
+            {"error": "internal error: RuntimeError"},
+        )
+        assert _raw(client, "GET", "/stats") == (
+            500,
+            {"error": "internal error: RuntimeError"},
+        )
+        assert client.healthz() == {"ok": True}
 
 
 class TestRestart:

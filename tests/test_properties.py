@@ -1,18 +1,23 @@
 """Cross-cutting property tests: end-to-end invariants under random inputs.
 
-These complement the per-module property tests with whole-pipeline
-invariants that must hold for *any* input, not just curated examples.
+What every top list looks like, and ``extend`` splits, are checked on
+every input of the conformance harness
+(:func:`tests.conformance.lattice.check`);
+:func:`test_top_alignment_invariants` and
+:func:`test_session_split_invariance` run it here.  The others relate
+whole runs to each other and to delineation.
 """
 
+import dataclasses
+
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import delineate_repeats, find_top_alignments
-from repro.core.session import TopAlignmentSession
 from repro.scoring import GapPenalties, match_mismatch
 from repro.sequences import DNA, Sequence
+from tests.conformance.lattice import Config, check, searches
 
 
 def _scoring():
@@ -27,29 +32,11 @@ def _random_seq(data, min_size=6, max_size=26):
 
 
 @settings(max_examples=25, deadline=None)
-@given(data=st.data(), k=st.integers(1, 6))
-def test_top_alignment_invariants(data, k):
+@given(search=searches(max_size=26, max_k=6))
+def test_top_alignment_invariants(search):
     """Nonoverlap, monotone scores, split-straddling, bottom-row ends —
     for arbitrary sequences and k."""
-    ex, gaps = _scoring()
-    seq = _random_seq(data)
-    tops, stats = find_top_alignments(seq, k, ex, gaps)
-    seen_pairs = set()
-    prev_score = float("inf")
-    for aln in tops:
-        assert aln.score > 0
-        assert aln.score <= prev_score
-        prev_score = aln.score
-        assert not (set(aln.pairs) & seen_pairs)
-        seen_pairs.update(aln.pairs)
-        for i, j in aln.pairs:
-            assert 1 <= i <= aln.r < j <= len(seq)
-        assert aln.pairs[-1][0] == aln.r  # ends in the bottom row
-        ys = [i for i, _ in aln.pairs]
-        xs = [j for _, j in aln.pairs]
-        assert ys == sorted(ys) and len(set(ys)) == len(ys)
-        assert xs == sorted(xs) and len(set(xs)) == len(xs)
-    assert stats.tracebacks == len(tops)
+    check(search, Config())
 
 
 @settings(max_examples=20, deadline=None)
@@ -72,20 +59,11 @@ def test_delineation_invariants(data, k):
 
 
 @settings(max_examples=15, deadline=None)
-@given(data=st.data(), k=st.integers(2, 6), split=st.integers(1, 5))
-def test_session_split_invariance(data, k, split):
+@given(search=searches(max_size=22, max_k=6), split=st.integers(1, 5))
+def test_session_split_invariance(search, split):
     """extend(a) + extend(b) == find_top_alignments(a + b) for any split."""
-    ex, gaps = _scoring()
-    seq = _random_seq(data, min_size=8, max_size=22)
-    first = min(split, k)
-    batch, _ = find_top_alignments(seq, k, ex, gaps)
-    session = TopAlignmentSession(seq, ex, gaps)
-    got = session.extend(first)
-    if first < k:
-        got += session.extend(k - first)
-    assert [(a.r, a.score, a.pairs) for a in got] == [
-        (a.r, a.score, a.pairs) for a in batch
-    ]
+    k = max(search.k, 2)
+    check(dataclasses.replace(search, k=k), Config(policy="extend", at=split))
 
 
 @settings(max_examples=15, deadline=None)
