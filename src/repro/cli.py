@@ -107,7 +107,13 @@ def _read_records(path: str, alphabet: str) -> list:
     from .sequences.alphabet import alphabet_for
     from .sequences.fasta import read_fasta
 
-    records = read_fasta(sys.stdin if path == "-" else path, alphabet_for(alphabet))
+    letters = alphabet_for(alphabet)
+    try:
+        records = read_fasta(sys.stdin if path == "-" else path, letters)
+    except (ValueError, OSError, EOFError) as exc:
+        # Not ASCII (a BOM, a stray byte), unreadable, or a truncated
+        # .gz: the file's fault, so one line naming it, not a traceback.
+        raise SystemExit(f"cannot read FASTA {path}: {exc}") from None
     if not records:
         raise SystemExit("no FASTA records found")
     return records

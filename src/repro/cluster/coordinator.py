@@ -321,6 +321,8 @@ class Coordinator:
         try:
             while not self._stopping.is_set():
                 frame = channel.recv(timeout=3600.0)
+                if not isinstance(frame, dict):
+                    raise FrameError(f"a node sent a {type(frame).__name__} frame")
                 kind = frame.get("kind")
                 if kind == protocol.READY:
                     channel.send(self._lease_for(node_id))
@@ -341,8 +343,10 @@ class Coordinator:
                         "error": f"unexpected frame kind {kind!r} from a node",
                     })
         except (FrameError, TimeoutError, OSError):
-            pass  # connection gone — the fast failover path below
-        self._node_lost(node_id)
+            pass  # connection gone, or the node broke the protocol
+        finally:
+            # However the loop ends, the node's leases go back at once.
+            self._node_lost(node_id)
 
     def _serve_client(self, channel: Channel) -> None:
         channel.send({"kind": protocol.WELCOME, "role": "client"})
@@ -357,6 +361,8 @@ class Coordinator:
                 return
 
     def _client_response(self, frame: dict) -> dict:
+        if not isinstance(frame, dict):
+            return {"kind": protocol.ERROR, "error": "a request is a JSON object"}
         kind = frame.get("kind")
         try:
             if kind == protocol.SUBMIT_SCAN:

@@ -175,8 +175,10 @@ class Channel:
             raise TimeoutError("no complete frame within the timeout") from None
         try:
             return decode_payload(json.loads(body.decode("utf-8")))
-        except ValueError as exc:
-            raise FrameError(f"malformed frame: {exc}") from None
+        except Exception as exc:  # noqa: BLE001 - peer bytes fail the codec anywhere
+            # Bad UTF-8 or JSON, or a codec tag with missing or mistyped
+            # fields: each layer raises its own type, all mean this.
+            raise FrameError(f"malformed frame: {exc!r}") from None
 
     def _recv_exact(self, n: int) -> bytes:
         chunks: list[bytes] = []

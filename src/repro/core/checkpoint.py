@@ -24,6 +24,7 @@ import zipfile
 
 import numpy as np
 
+from .. import durable
 from ..align.base import DEFAULT_ENGINE
 from ..scoring.exchange import ExchangeMatrix
 from ..scoring.gaps import GapPenalties
@@ -53,7 +54,7 @@ def _fingerprint(state_or_args) -> np.ndarray:
 def save_checkpoint(state: TopAlignmentState, path: str | os.PathLike) -> None:
     """Write ``state``'s durable products to ``path`` (.npz).
 
-    The write is atomic (temp file + ``os.replace``): service workers
+    The write is atomic (:func:`repro.durable.atomic_write`): service workers
     checkpoint after every accepted chunk and may be SIGKILLed at any
     instant, and a torn write must never replace the last good
     checkpoint.  Unlike ``np.savez``'s path form, ``path`` is used
@@ -84,15 +85,7 @@ def save_checkpoint(state: TopAlignmentState, path: str | os.PathLike) -> None:
         ).reshape(-1, 2),
         "rows": np.concatenate(rows) if rows else np.empty(0, dtype=np.float64),
     }
-    target = os.fspath(path)
-    tmp = f"{target}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, **arrays)
-        os.replace(tmp, target)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    durable.atomic_write(path, lambda fh: np.savez(fh, **arrays))
 
 
 def restore_checkpoint(state: TopAlignmentState, path: str | os.PathLike) -> None:

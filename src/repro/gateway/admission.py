@@ -336,14 +336,21 @@ class Gateway:
                 else:
                     lost.append(record)
         for record in sorted(lost, key=lambda record: record.created):
-            if record.state != JobState.QUEUED:
-                self.store.update(record.id, state=JobState.QUEUED, worker="")
-                self.store.append_event(
-                    record.id, "requeued", reason="server restarted"
-                )
-            with self._lock:
-                self._spool(record)
+            self.respool(record, "server restarted")
         return len(lost)
+
+    def respool(self, record, reason: str) -> None:
+        """Spool ``record``'s job again: a record that is not ``queued``
+        goes back to it first, with a ``requeued`` event naming
+        ``reason``.  May raise ``BacklogFull``; the record then waits
+        for :meth:`recover`, which spools every record without a marker.
+        """
+        _JobSpec, JobState, _job_digest = self._protocol()
+        if record.state != JobState.QUEUED:
+            self.store.update(record.id, state=JobState.QUEUED, worker="")
+            self.store.append_event(record.id, "requeued", reason=reason)
+        with self._lock:
+            self._spool(record)
 
     # -- bookkeeping / introspection ---------------------------------------
 

@@ -35,6 +35,8 @@ import os
 import time
 from pathlib import Path
 
+from .. import durable
+
 __all__ = ["IdempotencyConflict", "IdempotencyStore", "PendingTicket"]
 
 
@@ -43,15 +45,8 @@ class IdempotencyConflict(RuntimeError):
 
 
 def _write_final(final: Path, job_id: str, digest: str) -> None:
-    tmp = final.parent / f".{final.name}.{os.getpid()}.tmp"
-    tmp.write_text(
-        json.dumps(
-            {"job_id": job_id, "digest": digest, "created": time.time()},
-            sort_keys=True,
-        ),
-        encoding="utf-8",
-    )
-    os.replace(tmp, final)
+    record = {"job_id": job_id, "digest": digest, "created": time.time()}
+    durable.atomic_write(final, json.dumps(record, sort_keys=True).encode("utf-8"))
 
 
 class PendingTicket:
@@ -67,8 +62,11 @@ class PendingTicket:
         """Bind the key to the admitted job (atomic rename, then unlock)."""
         if self.settled:
             return
-        _write_final(self._final, job_id, digest)
-        self._unlock()
+        try:
+            _write_final(self._final, job_id, digest)
+        finally:
+            # A failed write must not hold the key until the lock is stale.
+            self._unlock()
 
     def abort(self) -> None:
         """Release the key unbound (admission failed; a retry may win it)."""
@@ -115,10 +113,8 @@ class IdempotencyStore:
 
     @staticmethod
     def _read(final: Path) -> dict | None:
-        try:
-            return json.loads(final.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return None
+        record = durable.read_json(final)
+        return record if isinstance(record, dict) else None
 
     def claim(self, tenant: str, key: str) -> dict | PendingTicket:
         """Resolve ``key``: a replay record (dict) or a winner's ticket.

@@ -8,9 +8,9 @@ digest and are served without realignment.
 Two layers:
 
 * **disk** — one JSON file per digest under ``root/<aa>/<digest>.json``
-  (sharded by the first two hex characters), written atomically via a
-  temp file + ``os.replace`` so a killed worker can never leave a
-  half-written entry;
+  (sharded by the first two hex characters), written and read through
+  :mod:`repro.durable`, so a killed worker can never leave a
+  half-written entry and a damaged one reads as a miss;
 * **memory** — a small per-process LRU over parsed payloads, so the
   server answers repeat hits without re-reading or re-parsing.
 
@@ -28,6 +28,8 @@ import threading
 from collections import OrderedDict
 from pathlib import Path
 from typing import Any
+
+from .. import durable
 
 __all__ = ["ResultCache"]
 
@@ -89,22 +91,8 @@ class ResultCache:
                 self._mem.move_to_end(digest)
                 self.hits_memory += 1
                 return payload
-        path = self.path_for(digest)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError:
-            with self._lock:
-                self.misses += 1
-            return None
-        try:
-            payload = json.loads(text)
-        except ValueError:
-            # A corrupt entry (torn disk, manual edit) must read as a
-            # miss, not poison every future hit; drop it.
-            try:
-                path.unlink()
-            except OSError:
-                pass
+        payload = durable.read_json(self.path_for(digest))
+        if payload is None:
             with self._lock:
                 self.misses += 1
             return None
@@ -117,12 +105,10 @@ class ResultCache:
         """Store ``payload`` under ``digest`` (atomic); returns the path."""
         path = self.path_for(digest)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.parent / f".{digest}.{os.getpid()}.tmp"
-        tmp.write_text(
-            json.dumps(payload, sort_keys=True, separators=(",", ":")),
-            encoding="utf-8",
+        durable.atomic_write(
+            path,
+            json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8"),
         )
-        os.replace(tmp, path)
         with self._lock:
             self.stores += 1
             self._remember(digest, payload)

@@ -30,12 +30,14 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import time
 import uuid
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable
 
+from .. import durable
 from ..core.checkpoint import save_checkpoint
 from .protocol import JobState, ProgressEvent
 
@@ -75,8 +77,18 @@ class JobRecord:
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "JobRecord":
+        """The record ``payload`` holds; raises ``TypeError`` or
+        ``ValueError`` when it holds none (not an object, a field
+        missing, an unknown state, a digest that is not SHA-256 hex)."""
+        if not isinstance(payload, dict):
+            raise ValueError("a job record is a JSON object")
         known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in payload.items() if k in known})
+        record = cls(**{k: v for k, v in payload.items() if k in known})
+        if record.state not in JobState.ALL or not re.fullmatch(
+            "[0-9a-f]{64}", record.digest
+        ):
+            raise ValueError(f"not a job record: {record.state!r}, {record.digest!r}")
+        return record
 
 
 def _unlink(*paths: Path) -> None:
@@ -136,17 +148,18 @@ class JobStore:
 
     def put(self, record: JobRecord) -> None:
         """Atomically (re)write ``record``."""
-        path = self._job_path(record.id)
-        tmp = path.parent / f".{record.id}.{os.getpid()}.tmp"
-        tmp.write_text(json.dumps(record.to_dict(), sort_keys=True), encoding="utf-8")
-        os.replace(tmp, path)
+        durable.atomic_write(
+            self._job_path(record.id),
+            json.dumps(record.to_dict(), sort_keys=True).encode("utf-8"),
+        )
 
     def get(self, job_id: str) -> JobRecord | None:
+        """The record, or ``None`` when it is missing or is not one."""
         try:
-            text = self._job_path(job_id).read_text(encoding="utf-8")
-        except (OSError, ValueError):
+            record = JobRecord.from_dict(durable.read_json(self._job_path(job_id)))
+        except (TypeError, ValueError):
             return None
-        return JobRecord.from_dict(json.loads(text))
+        return record if record.id == job_id else None
 
     def update(self, job_id: str, **fields: Any) -> JobRecord | None:
         """Read-modify-write ``fields`` into the record (last write wins)."""
@@ -276,17 +289,16 @@ class JobStore:
 
     def write_worker_stats(self, tag: str, stats: dict[str, Any]) -> None:
         """Publish one worker's counters (atomic rewrite)."""
-        path = self.workers_dir / f"{tag}.json"
-        tmp = path.parent / f".{tag}.tmp"
-        tmp.write_text(json.dumps(stats, sort_keys=True), encoding="utf-8")
-        os.replace(tmp, path)
+        durable.atomic_write(
+            self.workers_dir / f"{tag}.json",
+            json.dumps(stats, sort_keys=True).encode("utf-8"),
+        )
 
     def worker_stats(self) -> dict[str, dict[str, Any]]:
         """Every published worker's counters, keyed by worker tag."""
         out: dict[str, dict[str, Any]] = {}
         for path in sorted(self.workers_dir.glob("*.json")):
-            try:
-                out[path.stem] = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, ValueError):
-                continue
+            stats = durable.read_json(path)
+            if isinstance(stats, dict):
+                out[path.stem] = stats
         return out

@@ -61,15 +61,21 @@ def _clamp(priority: int) -> int:
     return max(-_PRIORITY_LIMIT, min(_PRIORITY_LIMIT, int(priority)))
 
 
-def _parse(key: str) -> tuple[int, int, str]:
-    """``(priority, tag, job id)`` of a marker name.
+def _parse(key: str) -> tuple[int, int, str] | None:
+    """``(priority, tag, job id)`` of a marker name, or ``None`` for a
+    name that is not a marker (a stray file in the spool).
 
     A marker written before tags existed has three fields, its nanotime
     where the tag now is: it reads as a (large) tag, which is exactly
     how it sorts against four-field keys.
     """
     fields = key.split(".")
-    return _PRIORITY_LIMIT + 10_000 - int(fields[0]), int(fields[1]), fields[-1]
+    if len(fields) < 3:
+        return None
+    try:
+        return _PRIORITY_LIMIT + 10_000 - int(fields[0]), int(fields[1]), fields[-1]
+    except ValueError:
+        return None
 
 
 class SpoolQueue:
@@ -128,7 +134,7 @@ class SpoolQueue:
     def head_tag(self, priority: int = 0) -> int | None:
         """The smallest tag waiting at ``priority`` (what :meth:`claim`
         hands out next at that level), or ``None`` when none waits."""
-        waiting = map(_parse, os.listdir(self.queued_dir))
+        waiting = filter(None, map(_parse, os.listdir(self.queued_dir)))
         level = _clamp(priority)
         return min((tag for at, tag, _ in waiting if at == level), default=None)
 
@@ -137,7 +143,9 @@ class SpoolQueue:
         return {
             job_id: (priority, tag)
             for directory in (self.queued_dir, self.claimed_dir)
-            for priority, tag, job_id in map(_parse, os.listdir(directory))
+            for priority, tag, job_id in filter(
+                None, map(_parse, os.listdir(directory))
+            )
         }
 
     # -- consumer side ---------------------------------------------------
@@ -149,6 +157,8 @@ class SpoolQueue:
         each marker to exactly one claimant.
         """
         for key in sorted(os.listdir(self.queued_dir)):
+            if _parse(key) is None:
+                continue
             try:
                 os.rename(self.queued_dir / key, self.claimed_dir / key)
             except FileNotFoundError:

@@ -272,7 +272,7 @@ class ReproService:
             if record is not None:
                 if tenant is not None and record.tenant != tenant:
                     return None
-                payload = self.cache.get(record.digest)
+                payload = self._cached(record)
                 digest = record.digest
             else:
                 full = self.cache.resolve(ref)
@@ -283,6 +283,18 @@ class ReproService:
             return None
         if tenant is not None and not self.store.result_access(digest, tenant):
             return None
+        return payload
+
+    def _cached(self, record: JobRecord) -> dict | None:
+        """The cached result of ``record``'s job.  A done job whose
+        result is gone (a damaged entry reads as missing and is dropped)
+        is spooled again, so a worker computes it anew."""
+        payload = self.cache.get(record.digest)
+        if payload is None and record.state == JobState.DONE:
+            try:
+                self.gateway.respool(record, "result lost")
+            except BacklogFull:
+                pass  # still spooled by the next gateway recover()
         return payload
 
     #: Report formats and the content type each is served under.
@@ -326,7 +338,7 @@ class ReproService:
             raise ForbiddenError(
                 f"tenant {tenant!r} does not own job {job_id}"
             )
-        payload = self.cache.get(record.digest)
+        payload = self._cached(record)
         if payload is None:
             return None
         spec = record.spec or {}

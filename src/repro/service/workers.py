@@ -43,6 +43,7 @@ import multiprocessing
 import os
 import select
 import signal
+import sys
 import threading
 import time
 from dataclasses import asdict, dataclass
@@ -54,7 +55,7 @@ from ..obs import span as obs_span
 from ..sequences.sequence import Sequence
 from .cache import ResultCache
 from .jobstore import JobRecord, JobStore
-from .protocol import JobSpec, JobState, finder_for, result_to_dict
+from .protocol import JobSpec, JobState, finder_for, job_digest, result_to_dict
 from .queue import SpoolQueue
 
 if TYPE_CHECKING:
@@ -110,14 +111,20 @@ def recover(store: JobStore, queue: SpoolQueue) -> list[str]:
 
     Claimed spool markers go back to the queue and their records flip
     ``running → queued``; checkpoints are kept, so the re-run resumes
-    instead of restarting.
+    instead of restarting.  The marker of a job that is finished, or
+    whose record is gone, is dropped instead: its worker ended between
+    the last record write and dropping the marker.  Returns the ids of
+    the jobs requeued.
     """
-    requeued = queue.recover()
-    for job_id in requeued:
+    requeued = []
+    for job_id in queue.recover():
         record = store.get(job_id)
-        if record is not None and not record.terminal:
-            store.update(job_id, state=JobState.QUEUED, worker="")
-            store.append_event(job_id, "requeued", reason="worker lost")
+        if record is None or record.terminal:
+            queue.discard(job_id)
+            continue
+        store.update(job_id, state=JobState.QUEUED, worker="")
+        store.append_event(job_id, "requeued", reason="worker lost")
+        requeued.append(job_id)
     return requeued
 
 
@@ -164,6 +171,10 @@ def execute_job(
     job_id = record.id
     try:
         spec = JobSpec.from_dict(record.spec)
+        if job_digest(spec) != record.digest:
+            # A damaged record: its result would be cached under the
+            # digest of another spec.
+            raise ValueError("the job's spec does not hash to its digest")
     except ValueError as exc:
         _fail(store, job_id, exc)
         return "failed"
@@ -346,7 +357,10 @@ def worker_main(
 
     def publish() -> None:
         stats.updated = time.time()
-        store.write_worker_stats(tag, asdict(stats))
+        try:
+            store.write_worker_stats(tag, asdict(stats))
+        except OSError as exc:
+            _store_failed(tag, "publishing counters", exc)
 
     publish()
     while not stop["flag"]:
@@ -355,40 +369,63 @@ def worker_main(
             if not _park(wake, poll_interval):
                 stop["flag"] = True
             continue
-        record = store.get(job_id)
-        if record is None or record.terminal:
-            queue.discard(job_id)
-            continue
-        store.update(
+        try:
+            _run_claimed(
+                store, queue, cache, job_id, tag,
+                should_stop=lambda: stop["flag"],
+                checkpoint_every=checkpoint_every,
+                chunk_delay=chunk_delay,
+                stats=stats,
+            )
+        except OSError as exc:
+            # A store that cannot be read or written (a full disk, a lost
+            # permission) must not end the worker.  The claim stays in
+            # ``claimed/``, so the next pool's recover() requeues the job.
+            _store_failed(tag, f"running job {job_id}", exc)
+        publish()
+    publish()
+    return 0
+
+
+def _store_failed(tag: str, doing: str, exc: OSError) -> None:
+    print(f"repro {tag}: store error while {doing}: {exc}", file=sys.stderr, flush=True)
+
+
+def _run_claimed(
+    store: JobStore,
+    queue: SpoolQueue,
+    cache: ResultCache,
+    job_id: str,
+    tag: str,
+    *,
+    stats: WorkerStats,
+    **execute,
+) -> None:
+    """Run the job whose marker this worker claimed, then settle the
+    marker: released when the run was suspended, dropped otherwise."""
+    record = store.get(job_id)
+    if record is not None and not record.terminal:
+        record = store.update(
             job_id,
             state=JobState.RUNNING,
             started=time.time(),
             worker=tag,
             attempts=record.attempts + 1,
         )
-        store.append_event(job_id, "claimed", worker=tag, attempt=record.attempts + 1)
-        record = store.get(job_id)
-        outcome = execute_job(
-            store,
-            cache,
-            record,
-            should_stop=lambda: stop["flag"],
-            checkpoint_every=checkpoint_every,
-            chunk_delay=chunk_delay,
-            stats=stats,
-        )
-        if outcome == "suspended":
-            stats.jobs_suspended += 1
-            store.update(job_id, state=JobState.QUEUED, worker="")
-            queue.release(job_id)
-            store.append_event(job_id, "requeued", reason="worker draining")
-        else:
-            if outcome == "cancelled":
-                stats.jobs_cancelled += 1
-            queue.discard(job_id)
-        publish()
-    publish()
-    return 0
+    if record is None or record.terminal:
+        queue.discard(job_id)
+        return
+    store.append_event(job_id, "claimed", worker=tag, attempt=record.attempts)
+    outcome = execute_job(store, cache, record, stats=stats, **execute)
+    if outcome == "suspended":
+        stats.jobs_suspended += 1
+        store.update(job_id, state=JobState.QUEUED, worker="")
+        queue.release(job_id)
+        store.append_event(job_id, "requeued", reason="worker draining")
+    else:
+        if outcome == "cancelled":
+            stats.jobs_cancelled += 1
+        queue.discard(job_id)
 
 
 def _worker_entry(data_dir: str, index: int, poll_interval: float,

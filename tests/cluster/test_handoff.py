@@ -9,6 +9,7 @@ a few tens of milliseconds, which a 0.2 s poll would miss.
 """
 
 import queue
+import struct
 import sys
 import threading
 import time
@@ -23,7 +24,9 @@ from repro.cluster import (
     NodeAgent,
     NodeConfig,
 )
+from repro.cluster import protocol
 from repro.cluster.node import SHARD_DELAY_ENV
+from repro.cluster.transport import connect
 from repro.sequences import pseudo_titin
 
 from .test_cluster_e2e import _spawn_node, _spec
@@ -283,3 +286,30 @@ class TestLeaseStamps:
                     agent.stop()
                 victim.kill()
                 victim.wait(10)
+
+
+class TestMalformedFrame:
+    @pytest.mark.parametrize("body", [b'{"__nd__":{}}', b'{"__tuple__":5}', b"[1]"])
+    def test_a_garbled_frame_releases_the_nodes_lease_at_once(self, body):
+        # The node timeout (10 s) is far away: only the fast failover
+        # path can free the shard within the bound.
+        with _Observed(_config(max_duplicates=1)) as coordinator:
+            rogue = connect("127.0.0.1", coordinator.port, timeout=PATIENCE_S)
+            peer = None
+            try:
+                rogue.send({"kind": protocol.HELLO, "role": "node", "node_id": "rogue"})
+                assert rogue.recv()["kind"] == protocol.WELCOME
+                job = coordinator.submit_scan(_spec(), _records())
+                rogue.send({"kind": protocol.READY})
+                assert rogue.recv()["kind"] == protocol.LEASE
+                garbled = time.monotonic()
+                rogue._sock.sendall(struct.pack(">I", len(body)) + body)
+                assert coordinator.lost.get(timeout=PATIENCE_S) == "rogue"
+                assert time.monotonic() - garbled < 1.0
+                peer, _, _ = _start_node(coordinator, "peer")
+                coordinator.wait(job, timeout=PATIENCE_S)
+                assert job.state == "done"
+            finally:
+                if peer is not None:
+                    peer.stop()
+                rogue.close()

@@ -1,10 +1,14 @@
 """The socket transport: codec, framed channels, and the envelope
 matching ``repro.parallel.msgpass`` layers on a channel pair."""
 
+import json
+import struct
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.transport import (
     Channel,
@@ -66,6 +70,21 @@ class TestCodec:
             encode_payload(object())
 
 
+#: Any JSON value, with the codec's tags and their fields as likely keys.
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["__nd__", "__bytes__", "__tuple__", "dtype", "shape", "b64"])
+        | st.text(max_size=4),
+        inner,
+        max_size=4,
+    ),
+    max_leaves=12,
+)
+
+
 @pytest.fixture()
 def channel_pair():
     """A connected (client, server) pair of framed channels."""
@@ -119,6 +138,17 @@ class TestChannel:
         server.close()
         with pytest.raises(FrameError):
             client.recv(timeout=5.0)
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(value=_json_values)
+    def test_any_json_frame_is_a_payload_or_a_frame_error(self, channel_pair, value):
+        client, server = channel_pair
+        body = json.dumps(value).encode("utf-8")
+        client._sock.sendall(struct.pack(">I", len(body)) + body)
+        try:
+            server.recv(timeout=5.0)
+        except FrameError:
+            pass
 
     def test_nan_rejected_not_smuggled(self, channel_pair):
         client, _ = channel_pair

@@ -1,11 +1,13 @@
 """Idempotency store: claim/commit/replay, races, stale locks."""
 
+import errno
 import os
 import threading
 import time
 
 import pytest
 
+from repro import durable
 from repro.gateway import IdempotencyConflict, IdempotencyStore
 from repro.gateway.idempotency import PendingTicket
 
@@ -47,6 +49,20 @@ class TestClaimCommit:
         ticket.commit("job-1", "d")
         ticket.commit("job-2", "d")  # settled — must not overwrite
         assert store.peek("acme", "run-1")["job_id"] == "job-1"
+
+    def test_a_failed_commit_releases_the_key(self, tmp_path, monkeypatch):
+        store = IdempotencyStore(tmp_path / "idem", wait_timeout=0.2)
+        ticket = store.claim("acme", "run-1")
+
+        def full(path, data):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(durable, "atomic_write", full)
+        with pytest.raises(OSError):
+            ticket.commit("job-1", "d")
+        monkeypatch.undo()
+        # Not a 409 after wait_timeout: the lock went with the failure.
+        assert isinstance(store.claim("acme", "run-1"), PendingTicket)
 
     def test_peek_without_claim(self, store):
         assert store.peek("acme", "nope") is None

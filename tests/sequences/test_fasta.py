@@ -123,3 +123,13 @@ class TestRoundTrips:
         again = parse_fasta_text(format_fasta(records, width=width), DNA)
         assert [r.text for r in again] == [r.text for r in records]
         assert [r.id for r in again] == [r.id for r in records]
+
+
+class TestHostileText:
+    @given(st.text(), st.sampled_from(["protein", "dna"]), st.booleans())
+    def test_any_text_parses_or_raises_value_error(self, text, alphabet, strict):
+        try:
+            records = parse_fasta_text(text, alphabet, strict=strict)
+        except ValueError:
+            return
+        assert all(isinstance(record, Sequence) for record in records)

@@ -2,8 +2,10 @@
 
 import http.client
 import json
+import shutil
 import threading
 from http.server import ThreadingHTTPServer
+from pathlib import Path
 from urllib.parse import urlparse
 
 import pytest
@@ -335,3 +337,34 @@ class TestRestart:
         assert [e["reason"] for e in requeued] == ["server restarted"]
         assert run_one(after) == (job_id, "done")
         assert after.store.get(job_id).state == "done"
+
+    def test_a_data_directory_written_before_the_durable_module_is_served(
+        self, tmp_path
+    ):
+        # ``olddata`` was written by the service before its stores shared
+        # repro.durable: job "500f…" done with its result cached under an
+        # idempotency key, job "38dd…" suspended after one chunk with its
+        # checkpoint and marker, and one worker's counters.
+        data = tmp_path / "data"
+        shutil.copytree(Path(__file__).parent / "olddata", data)
+        config = ServiceConfig(data_dir=str(data), port=0, workers=0)
+        svc = ReproService(config)
+        assert recover(svc.store, svc.queue) == []
+        assert svc.gateway.recover() == 0
+        assert svc.store.worker_stats()["worker-0"]["jobs_suspended"] == 1
+        spec = {"sequence": pseudo_titin(40, seed=5).text, "top_alignments": 3}
+        replay = svc.admit(spec, idempotency_key="first")
+        assert replay.replayed and replay.record.id == "500fbff8f0bf4e3e"
+        suspended = "38dd237ac98c4e56"
+        assert run_one(svc) == (suspended, "done")
+        assert "resumed" in [e["event"] for e in svc.store.read_events(suspended)]
+
+        fresh = ReproService(
+            ServiceConfig(data_dir=str(tmp_path / "fresh"), workers=0)
+        )
+        for job_id, seed in (("500fbff8f0bf4e3e", 5), (suspended, 6)):
+            record = fresh.submit({**spec, "sequence": pseudo_titin(40, seed=seed).text})[0]
+            run_one(fresh)
+            served, expected = svc.result(job_id), fresh.result(record.id)
+            assert served["top_alignments"] == expected["top_alignments"]
+            assert served["repeats"] == expected["repeats"]

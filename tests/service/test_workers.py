@@ -226,3 +226,13 @@ class TestRecover:
         assert events and events[-1]["reason"] == "worker lost"
         assert queue.claim() == record.id  # claimable again
 
+    def test_drops_the_marker_of_a_finished_job(self, stores):
+        # The worker died after the job's last record write, before it
+        # dropped the marker: nothing is left to run.
+        store, queue, cache = stores
+        record = _submit(store, queue, _titin_spec())
+        assert queue.claim() == record.id
+        assert execute_job(store, cache, record) == "done"
+        assert recover(store, queue) == []
+        assert queue.depth() == queue.in_flight() == 0
+

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import gzip
+
 import pytest
 
 from benchmarks.figures import main as figures_main
@@ -160,6 +162,24 @@ class TestFindCommand:
         empty.write_text("")
         with pytest.raises(SystemExit, match="no FASTA records"):
             main(["find", str(empty)])
+
+    @pytest.mark.parametrize(
+        "name, data",
+        [
+            ("bom.fasta", b"\xef\xbb\xbf>s\nATGCATGC\n"),
+            ("latin1.fasta", b">s\nATGC\xffATGC\n"),
+            # Its 8-byte trailer cut off: gzip raises EOFError.
+            ("torn.fasta.gz", gzip.compress(b">s\nATGCATGCATGC\n" * 50)[:-8]),
+        ],
+        ids=["bom", "non-ascii", "truncated-gz"],
+    )
+    def test_unreadable_fasta_is_one_line_naming_the_file(self, tmp_path, name, data):
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(SystemExit) as exc:
+            main(["find", str(path)])
+        assert str(exc.value).startswith(f"cannot read FASTA {path}: ")
+        assert "\n" not in str(exc.value)
 
     def test_stdin_input(self, capsys, monkeypatch):
         import io
