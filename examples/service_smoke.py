@@ -10,6 +10,9 @@ submits two jobs — the second a duplicate of the first — and asserts:
   move — zero realignment work;
 * the service result matches an in-process run of the same spec
   through the library bit-for-bit (top alignments and repeat families);
+* a finished job's record counts the tops its result holds, also when
+  the search finds fewer than asked for and the job is born done from
+  the cache;
 * ``GET /metrics`` serves valid Prometheus text exposition covering
   queue depth, cache hits and job latency (``--metrics-out`` saves the
   parsed samples as a JSON artifact for CI);
@@ -38,6 +41,8 @@ from repro.service.protocol import finder_for
 
 K = 6
 SEQUENCE = pseudo_titin(90, seed=11)
+#: A protein with no local alignment scoring 30: its search finds no top.
+SPARSE = {"sequence": "MKTAYIAKQRQISFVKSHFSRQ", "top_alignments": 5, "min_score": 30}
 
 
 def start_service(data_dir: str) -> tuple[subprocess.Popen, str]:
@@ -127,6 +132,15 @@ def check_metrics(url: str, metrics_out: str | None) -> None:
         print(f"metrics artifact written to {metrics_out}")
 
 
+def check_found(client: ServiceClient, job_ids: list[str]) -> None:
+    """Each job is done and its record's ``found`` is its result's top count."""
+    for job_id in job_ids:
+        record = client.status(job_id)
+        assert record["state"] == "done", record
+        tops = len(client.result(job_id)["top_alignments"])
+        assert record["found"] == tops, f"job {job_id}: found={record['found']}, {tops} tops"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -175,6 +189,14 @@ def main(argv: list[str] | None = None) -> int:
             want_families = [tuple(r.copies) for r in expected.repeats]
             assert got_families == want_families, "repeat families diverged"
             print(f"results identical to the in-process library run ({K} alignments)")
+
+            check_found(client, [first["id"], duplicate["id"]])
+            sparse = client.submit(SPARSE)
+            client.wait(sparse["id"], timeout=120)
+            sparse_duplicate = client.submit(SPARSE)
+            assert sparse_duplicate["from_cache"], "duplicate must be served from cache"
+            check_found(client, [sparse["id"], sparse_duplicate["id"]])
+            print("every finished record counts the tops its result holds")
 
             check_metrics(url, args.metrics_out)
         finally:

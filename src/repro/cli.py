@@ -501,8 +501,6 @@ def _serve_flags(parser: argparse.ArgumentParser) -> None:
     add("--workers", type=int, default=2, help="0 = no in-process pool")
     add("--queue-capacity", type=int, default=64, help="0 = unbounded")
     add("--data-dir", default="repro-service-data")
-    add("--checkpoint-every", type=int, default=1,
-        help="top alignments accepted between checkpoints")
     add("--cluster-port", type=int, default=None,
         help="also run a cluster coordinator on this port (0 = ephemeral) "
         "for `repro cluster scan`; POST /jobs still runs on the local workers")

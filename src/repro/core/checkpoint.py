@@ -55,14 +55,13 @@ def save_checkpoint(state: TopAlignmentState, path: str | os.PathLike) -> None:
     """Write ``state``'s durable products to ``path`` (.npz).
 
     The write is atomic (:func:`repro.durable.atomic_write`): service workers
-    checkpoint after every accepted chunk and may be SIGKILLed at any
-    instant, and a torn write must never replace the last good
-    checkpoint.  Unlike ``np.savez``'s path form, ``path`` is used
+    checkpoint mid-job and may be SIGKILLed at any instant, and a torn
+    write must never replace the last good checkpoint.  Unlike ``np.savez``'s path form, ``path`` is used
     verbatim — no ``.npz`` suffix is appended.
     """
     # A handful of flat arrays, not one archive member per alignment and
-    # per bottom row: a member costs ~0.1 ms of zip bookkeeping, and a
-    # service worker checkpoints after every acceptance.  Stored, not
+    # per bottom row: a member costs ~0.1 ms of zip bookkeeping, paid on
+    # every checkpoint of a long job.  Stored, not
     # deflated: deflating took most of the write (2.7 against 1.1 ms
     # stored at 85 residues, 13 against 1.7 ms at m = 400) to make a
     # file 7-11x smaller that is deleted when its job ends, and zip's

@@ -198,10 +198,11 @@ class Gateway:
                 retry_after=math.ceil(wait),
             )
 
-        if self.cache.get(digest) is not None:
+        cached = self.cache.get(digest)
+        if cached is not None:
             # Born done: the content-addressed cache already holds the
             # answer, so the job never occupies quota or a spool slot.
-            record = self._born_done(tenant, spec, digest)
+            record = self._born_done(tenant, spec, digest, cached)
             self._admit_count(tenant.name, "cache")
             return Admission(record, True, False, tenant)
 
@@ -247,7 +248,7 @@ class Gateway:
         self._finish[flow] = max(self._finish.get(flow, 0), tag + step)
         self._issued[flow[1]] = max(self._issued.get(flow[1], 0), tag)
 
-    def _born_done(self, tenant: TenantSpec, spec, digest: str):
+    def _born_done(self, tenant: TenantSpec, spec, digest: str, cached: dict):
         _JobSpec, JobState, _job_digest = self._protocol()
         record = self.store.new_job(
             spec.to_dict(), digest, spec.priority, tenant=tenant.name
@@ -255,7 +256,7 @@ class Gateway:
         record.state = JobState.DONE
         record.served_from_cache = True
         record.finished = time.time()
-        record.found = spec.top_alignments
+        record.found = len(cached.get("top_alignments", ()))
         self.store.put(record)
         self.store.grant_result_access(digest, tenant.name)
         self.store.append_event(record.id, "cache-hit", digest=digest)

@@ -11,10 +11,10 @@ durable:
     append-only progress stream (one JSON object per line) — what
     ``GET /jobs/<id>/events`` tails;
 ``checkpoints/<id>.npz``
-    the search state, written via :mod:`repro.core.checkpoint` after
-    every accepted chunk, so a resumed job continues mid-run;
+    the search state, written via :mod:`repro.core.checkpoint` every
+    ``workers.CHECKPOINT_SECONDS``, so a resumed job continues mid-run;
 ``cancel/<id>``
-    a flag file; workers poll it between chunks;
+    a flag file; workers poll it between acceptances;
 ``owners/<digest>.<tenant>``
     a grant marker: the tenant was admitted for a job with this result
     digest, so ``GET /results/<digest>`` may serve it (the gateway's
@@ -33,7 +33,7 @@ import os
 import re
 import time
 import uuid
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
@@ -73,7 +73,8 @@ class JobRecord:
         return self.state in JobState.TERMINAL
 
     def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
+        """The fields, shallow: every record write calls this."""
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "JobRecord":
@@ -271,11 +272,11 @@ class JobStore:
     def checkpoint_path(self, job_id: str) -> Path:
         return self.checkpoints_dir / f"{job_id}.npz"
 
-    def save_job_checkpoint(self, job_id: str, state) -> Path:
-        """Checkpoint ``state`` for ``job_id`` (atomic via core.checkpoint)."""
-        path = self.checkpoint_path(job_id)
-        save_checkpoint(state, path)
-        return path
+    def save_job_checkpoint(self, job_id: str, state) -> None:
+        """Checkpoint ``state`` for ``job_id`` (atomic via core.checkpoint),
+        and write the tops it holds into the record's ``found``."""
+        save_checkpoint(state, self.checkpoint_path(job_id))
+        self.update(job_id, found=state.n_found)
 
     # -- cancellation ----------------------------------------------------
 
