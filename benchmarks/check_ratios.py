@@ -38,18 +38,20 @@ does not:
   get work the moment it exists (median 0.77 with the parked lease
   request, 0.48 when idle nodes slept 0.2 s between asks; one in-process
   scan per run is the numerator, so single runs spread 0.64–1.05);
-* ``serve_mixed``: ``service.queue_wait_s / service.miss_latency_s <=
-  0.075`` — a spooled job reaches an idle worker through its wake pipe,
-  not the worker's next look at the spool.  Six traced 5 s runs per
-  side, alternating: 0.114, 0.116, 0.080, 0.097, 0.093, 0.084 when idle
-  workers slept 1 → 50 ms between looks; 0.041, 0.040, 0.050, 0.053,
-  0.062, 0.069 with the hand-off.  Since jobs checkpoint by the clock
-  the miss is a third shorter and the queue wait is not, so the ratio
-  sits at the bound on a 2-CPU machine shared with other load: four
-  alternating gate runs read 0.049, 0.080, 0.094, 0.056 (two fail)
-  against 0.045, 0.061, 0.053, 0.049 before; single traced runs read
-  0.039–0.080 (queue wait 1.5–3.9 ms of a 37–55 ms miss) against
-  0.039–0.062 (2.1–4.9 ms of a 53–79 ms miss);
+* ``serve_mixed``: ``service.queue_wait_s / service.http_roundtrip_s <=
+  5.0`` — a spooled job reaches an idle worker through its wake pipe,
+  not the worker's next look at the spool (``poll_interval``, 50 ms).
+  Both sides of the ratio are a hand-off between processes on the same
+  machine (a pipe wake-up and a claim; a request through the HTTP
+  server), so it does not fall as the search or the job gets faster,
+  which the earlier gate on the miss latency did: once jobs
+  checkpointed by the clock the miss was a third shorter and
+  ``queue_wait / miss <= 0.075`` failed about half its runs.  Single
+  traced 5 s runs, alternating on a 2-CPU machine: 1.35–2.43 with the
+  hand-off (queue wait 1.2–1.9 ms), 8.6–23.8 with a worker that ignores
+  its wake pipe and waits out ``poll_interval`` (10.6–19.9 ms).  Eight
+  alternating gate runs (medians of three) read 1.49–3.77 with the
+  hand-off and 13.1–17.8 without;
 * every run is ``correct`` (tops byte-equal to the golden keys with the
   tiers on, self-checks, no failures); a failure names the run's
   failed self-checks and problems.
@@ -91,7 +93,7 @@ GATES = {
         "core.find.engine_calls": ("<=", 45),
     },
     "cluster_scan": {"cluster.parallel_efficiency": (">=", 0.70)},
-    "serve_mixed": {"service.queue_wait_s / service.miss_latency_s": ("<=", 0.075)},
+    "serve_mixed": {"service.queue_wait_s / service.http_roundtrip_s": ("<=", 5.0)},
 }
 WORKLOADS = tuple(GATES)
 #: Runs per workload; a gate reads the median.

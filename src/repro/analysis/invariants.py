@@ -452,7 +452,7 @@ class InvariantChecker:
         (:meth:`~repro.core.tasks.Task.is_current`) calls current must
         equal it — no acceptance since touched that split's matrix, so
         realigning it changes nothing.  Of the never-filled splits with
-        a finite starting bound (a block bound, a seed) every
+        a finite starting bound (a block bound) every
         :data:`NEVER_FILLED_STRIDE`-th is given its first pass here —
         a different residue class each sweep, so a run of sweeps covers
         them all — and the bound must dominate it.  Returns the number

@@ -301,9 +301,9 @@ def rule_wall_clock_in_hot_path(tree: ast.Module, path: str) -> list[Diagnostic]
 #: directory (``"*"``: of any ``repro`` subpackage but ``banned`` itself)
 #: may import ``repro.<banned>``; ``why`` ends the finding's message.  A
 #: deliberate exception carries ``# repro-lint: allow[<rule id>] reason``.
-#: The index tier's seeded bounds must stay provable from the exchange
-#: matrix alone (an alignment leaking into routing would make "provably
-#: >= the true top score" a heuristic); the annotation layer renders
+#: The index tier's routing must stay computable from the exchange
+#: matrix and k-mer counts alone (an alignment leaking into it would
+#: make the screen cost what it screens for); the annotation layer renders
 #: cached results and must never be able to re-run, or drift from, the
 #: alignment it describes; ``repro.simulate`` is the Figure 8 model.
 IMPORT_BOUNDARIES: tuple[tuple[str, str, str, str], ...] = (

@@ -9,7 +9,9 @@ The five commands that run a repeat search — ``find``, ``scan``,
 ``annotate``, ``cluster scan``, ``submit`` — declare their search flags
 through one group (:func:`_search_flags`) and describe the search with
 one :class:`~repro.service.protocol.JobSpec` (:func:`spec_from_args`):
-the same flags mean the same search whichever command runs it.
+the same flags mean the same search whichever command runs it.  The
+three that scan many records also take the index tier's flags
+(:func:`_index_flags`), which choose the records searched, not how.
 """
 
 from __future__ import annotations
@@ -72,9 +74,13 @@ def _search_flags(parser: argparse.ArgumentParser, *, k: int) -> None:
     add("--min-score", type=float, default=0.0,
         help="alignments scoring at or below this are not reported")
     add("--max-gap", type=int, default=0)
+
+
+def _index_flags(parser: argparse.ArgumentParser) -> None:
+    add = parser.add_argument
     add("--index", action=argparse.BooleanOptionalAction, default=False,
-        help="use the k-mer index tier: seeded heap bounds per record, plus "
-        "skip/defer/full routing in scans (accepted tops unchanged)")
+        help="use the k-mer index tier: skip records it proves below "
+        "--min-score, search the most promising first (tops unchanged)")
     add("--index-k", type=int, default=0, help="k-mer width (0 = per-alphabet default)")
 
 
@@ -211,12 +217,7 @@ def _cmd_find(args: argparse.Namespace) -> int:
     records = _read_records(args.fasta, args.alphabet)
     finder = _finder(args)
     for record in records:
-        seed_bounds = None
-        if args.index:
-            from .index import seed_score_bounds
-
-            seed_bounds = seed_score_bounds(record, finder.resolve_exchange(record))
-        result = finder.find(record, seed_bounds=seed_bounds)
+        result = finder.find(record)
         print(
             render_summary(
                 {"sequence_id": record.id, "length": len(record), **result.to_dict()}
@@ -250,6 +251,7 @@ def _cmd_find(args: argparse.Namespace) -> int:
 def _scan_flags(parser: argparse.ArgumentParser) -> None:
     _fasta_arg(parser)
     _search_flags(parser, k=10)
+    _index_flags(parser)
     _prune_flag(parser)
     _scanner_flags(parser)
     add = parser.add_argument
@@ -309,6 +311,7 @@ def _annotate_flags(parser: argparse.ArgumentParser) -> None:
     add("--no-msa", action="store_true",
         help="skip per-family multiple alignments in the HTML report")
     _search_flags(parser, k=10)
+    _index_flags(parser)
     _scanner_flags(parser)
 
 
@@ -566,6 +569,7 @@ def _cluster_scan_flags(parser: argparse.ArgumentParser) -> None:
     _fasta_arg(parser)
     _join_flag(parser)
     _search_flags(parser, k=10)
+    _index_flags(parser)
     _scanner_flags(parser)
     parser.add_argument("--timeout", type=float, default=600.0)
 

@@ -37,9 +37,8 @@ def scan_spec_dict(spec: JobSpec) -> dict[str, Any]:
 def index_config_from_options(options: dict[str, Any]):
     """The :class:`~repro.index.IndexConfig` an options dict asks for.
 
-    Returns ``None`` when indexing is off.  Only the wire-safe knobs
-    (``index_k``) are plumbed; the calibration knobs keep their
-    defaults so every node routes identically.
+    Returns ``None`` when indexing is off; ``index_k`` is the config's
+    one field.
     """
     if not options.get("index"):
         return None

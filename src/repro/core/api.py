@@ -131,7 +131,6 @@ class RepeatFinder:
         self,
         sequence: Sequence | str,
         *,
-        seed_bounds=None,
         checkpoint=None,
     ) -> TopAlignmentSession:
         """A live best-first search over ``sequence`` under this finder.
@@ -142,7 +141,6 @@ class RepeatFinder:
         :meth:`find` and the checkpointing service worker — searches
         exactly what :meth:`find` would.
 
-        ``seed_bounds`` seeds the heap (see :meth:`find`).
         ``checkpoint`` is a :func:`~repro.core.checkpoint.save_checkpoint`
         file to continue from (:class:`ValueError` when it is unusable).
         """
@@ -153,7 +151,6 @@ class RepeatFinder:
             self.resolve_exchange(sequence),
             self.gaps,
             engine=self._engine_for_run(),
-            seed_bounds=seed_bounds,
             prune=self.prune,
         )
         if checkpoint is not None:
@@ -174,13 +171,13 @@ class RepeatFinder:
     def find(self, sequence: Sequence | str, *, seed_bounds=None) -> RepeatResult:
         """Run both Repro phases on ``sequence`` and return everything.
 
-        ``seed_bounds`` optionally seeds the best-first heap with
-        finite per-split upper bounds (see
-        :func:`repro.index.bounds.seed_score_bounds`) on top of the
-        block bounds ``prune`` computes; results are identical,
-        low-promise splits are just never aligned.
+        ``seed_bounds`` is accepted only as ``None`` and is unread: the
+        block bounds of ``prune`` are a search's only starting bounds.
+        It stays because the benchmark's traced finder passes it.
         """
-        session = self.session(sequence, seed_bounds=seed_bounds)
+        if seed_bounds is not None:
+            raise ValueError("seed_bounds must be None: block bounds seed the heap")
+        session = self.session(sequence)
         session.extend(self.top_alignments)
         return self.result(session)
 
@@ -198,7 +195,6 @@ def find_repeats(
     min_copy_length: int = 2,
     max_gap: int = 0,
     min_score_fraction: float = 0.25,
-    seed_bounds=None,
 ) -> RepeatResult:
     """One-shot repeat detection (see :class:`RepeatFinder`)."""
     finder = RepeatFinder(
@@ -213,4 +209,4 @@ def find_repeats(
         max_gap=max_gap,
         min_score_fraction=min_score_fraction,
     )
-    return finder.find(sequence, seed_bounds=seed_bounds)
+    return finder.find(sequence)

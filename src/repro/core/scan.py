@@ -122,9 +122,9 @@ class DatabaseScanner:
         record is profiled by the k-mer tier first: *skip*-class
         records (estimate below the finder's ``min_score``) report
         zero alignments in O(n) without entering the O(n³) pipeline,
-        and the rest run with seeded heap bounds, *full*-class
-        (repeat-promising) records first.  Reports keep input order
-        regardless of execution order.
+        and the rest run the same search as without an index,
+        *full*-class (repeat-promising) records first.  Reports keep
+        input order regardless of execution order.
     index_store:
         Optional :class:`repro.index.IndexStore`; profiles are then
         loaded from / persisted to the content-addressed store, so a
@@ -150,9 +150,12 @@ class DatabaseScanner:
         One loop serves both modes.  With an index, every record is
         profiled and routed first: skip-class records never reach the
         finder, the rest run *full* class first (most promising by
-        estimate), then *defer*, each with seeded heap bounds.  Without
-        one, no profile is built, every record goes to the finder in
-        input order with no bounds, and ``routed`` stays ``None``.
+        estimate), then *defer*.  Without one, no profile is built,
+        every record goes to the finder in input order, and ``routed``
+        stays ``None``.  Either way a record that reaches the finder
+        gets the search :meth:`RepeatFinder.find` runs on its own: the
+        index decides which records are searched and in what order,
+        never how.
 
         A record whose scan raises is recorded as a failed report
         (``result=None``, ``error`` set) and the scan continues with
@@ -170,7 +173,6 @@ class DatabaseScanner:
             "index_seconds": 0.0,
         }
         if config is not None:
-            from ..index.bounds import seed_score_bounds
             from ..index.routing import ROUTE_FULL, ROUTE_SKIP
 
             self.index_stats = stats
@@ -220,19 +222,7 @@ class DatabaseScanner:
             )
         for order, seq, target, decision in pending:
             try:
-                bounds = None
-                if decision is not None:
-                    bounds = seed_score_bounds(
-                        target, self.finder.resolve_exchange(target)
-                    )
-                result = self.finder.find(target, seed_bounds=bounds)
-                if bounds is not None:
-                    for top in result.top_alignments:
-                        if top.score > 0:
-                            obs.record(
-                                "repro_index_bound_tightness",
-                                bounds[top.r - 1] / top.score,
-                            )
+                result = self.finder.find(target)
             except Exception as exc:  # noqa: BLE001 - per-record isolation
                 stats["failed"] += 1
                 reports[order] = self._failed_report(seq, exc)

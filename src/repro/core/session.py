@@ -53,7 +53,7 @@ the queue.  The output stays the sequential algorithm's exactly:
 * first-pass bottom rows are computed under the empty triangle
   (:meth:`~repro.core.topalign.TopAlignmentState.problems_for`), so they
   are the same rows whatever is accepted while they are in flight — and
-  nothing can be while one is in flight at an unseeded ``+inf``.
+  nothing can be while one is in flight at ``+inf``.
 
 The loop merges the two ideas the paper combines for its headline
 speedup:

@@ -115,17 +115,6 @@ class TopAlignmentState:
         Alignment engine name or instance (default
         :data:`~repro.align.base.DEFAULT_ENGINE`, the lockstep lane
         engine).
-    seed_bounds:
-        Optional array of ``m - 1`` finite upper bounds on the
-        first-pass score of splits ``r = 1..m-1`` (entry ``i`` bounds
-        split ``i + 1``), typically from
-        :func:`repro.index.bounds.seed_score_bounds`.  Tasks start at
-        these bounds (or the block bound, whichever is tighter) instead
-        of ``+inf``, so splits whose bound never tops the heap are never
-        aligned — accepted tops are unchanged because acceptance always
-        compares freshly-aligned scores.  Bounds **must** dominate the
-        true first-pass scores; the invariant checker verifies this on
-        every alignment.
     prune:
         Use the exact block bounds (default ``True``; see
         :mod:`repro.align.pruning`): every never-aligned split starts at
@@ -142,7 +131,6 @@ class TopAlignmentState:
         gaps: GapPenalties = GapPenalties(),
         *,
         engine: str = DEFAULT_ENGINE,
-        seed_bounds: np.ndarray | None = None,
         prune: bool = True,
     ) -> None:
         if len(sequence) < 2:
@@ -162,8 +150,8 @@ class TopAlignmentState:
         # computed once here so every problem's seq2 block is a zero-copy
         # suffix view (the SSW-style precomputation; see align.profile).
         self.profile = QueryProfile(self.codes, exchange)
-        # Exact block bounds (align.pruning); None starts every unseeded
-        # task at +inf, the paper's schedule.
+        # Exact block bounds (align.pruning); None starts every
+        # never-aligned task at +inf, the paper's schedule.
         self.prune_context = PruneContext(self.profile) if prune else None
         self._start_bounds: np.ndarray | None = None
         self.shares = budget_shares()
@@ -190,19 +178,6 @@ class TopAlignmentState:
         self._snapshot_scores: dict[int, float] = {}
         #: Splits whose saved rows were dropped to stay in the share.
         self.snapshots_dropped = 0
-        if seed_bounds is not None:
-            seed_bounds = np.asarray(seed_bounds, dtype=np.float64)
-            if seed_bounds.shape != (self.m - 1,):
-                raise ValueError(
-                    f"seed_bounds must have shape ({self.m - 1},), "
-                    f"got {seed_bounds.shape}"
-                )
-            if not np.isfinite(seed_bounds).all():
-                raise ValueError("seed_bounds must be finite")
-            # The task guard requires non-negative scores; a negative
-            # bound means "cannot score above zero", which 0 expresses.
-            seed_bounds = np.maximum(seed_bounds, 0.0)
-        self.seed_bounds = seed_bounds
         self.found: list[TopAlignment] = []
         #: ``spans[v] = (i_min, j_max)`` of ``found[v]``: the splits
         #: ``i_min <= r < j_max`` are the ones whose matrices that
@@ -261,11 +236,10 @@ class TopAlignmentState:
         """One task per split point, at its best known upper bound.
 
         A fresh search starts every task never-aligned at ``+inf``
-        (lines 2–7) — or, with block bounds (``prune``) and/or
-        :attr:`seed_bounds` available, at the tighter of those: still
-        never-aligned (acceptance requires a fresh alignment first),
-        but sortable below already aligned work, so hopeless splits
-        sink in the heap unaligned.  A split whose first-pass row is
+        (lines 2–7) — or, with block bounds (``prune``), at its block
+        bound: still never-aligned (acceptance requires a fresh
+        alignment first), but sortable below already aligned work, so
+        hopeless splits sink in the heap unaligned.  A split whose first-pass row is
         already cached (a restored checkpoint) starts where that pass
         left it — the row's maximum, stamped version 0 — which is an
         upper bound under any later triangle, so resuming repays no
@@ -297,16 +271,14 @@ class TopAlignmentState:
         search, so later calls (another session over this state) reuse
         them and count nothing twice.  The scalar engine, the unbounded
         reference, and any other that leaves a request unanswered keep
-        ``+inf`` (or the seeds).
+        ``+inf``.
         """
         ctx = self.prune_context
         if ctx is None or self.engine.name == "scalar":
-            return self.seed_bounds
+            return None
         if self._start_bounds is not None:
             return self._start_bounds
         bounds = np.full(self.m - 1, np.inf)
-        if self.seed_bounds is not None:
-            bounds[:] = self.seed_bounds
         owed, problems = [], []
         for at in range(1, self.m, BLOCK_SPLITS):
             block = range(at, min(at + BLOCK_SPLITS, self.m))
@@ -320,8 +292,7 @@ class TopAlignmentState:
             self.stats.cells += sum(problem.cells for problem in problems)
         for gate in (problem.prune for problem in problems):
             if gate.bounds is not None:
-                span = slice(gate.first - 1, gate.stop - 1)
-                np.minimum(bounds[span], gate.bounds, out=bounds[span])
+                bounds[gate.first - 1 : gate.stop - 1] = gate.bounds
         retired = [r for r in owed if bounds[r - 1] <= ctx.floor]
         self.stats.pruned_lanes += len(retired)
         self.stats.pruned_cells += sum(r * (self.m - r) for r in retired)
@@ -577,12 +548,12 @@ class TopAlignmentState:
         A task's *first* alignment is always computed under the empty
         triangle, whatever the current version: the cached row is the
         shadow-validity reference, and the Appendix A rule is defined
-        against the version-0 row.  Without heap seeding this is moot
+        against the version-0 row.  Without start bounds this is moot
         (every first pass happens before the first acceptance); with
-        finite seed bounds a task may be popped for the first time
+        finite block bounds a task may be popped for the first time
         after acceptances, and the override view must be withheld so
         later shadow decisions — and therefore the accepted tops —
-        stay bit-identical to an unseeded run.
+        stay bit-identical to a run that starts at ``+inf``.
 
         Every problem carries a resume request (:meth:`_resume_for`): a
         realignment skips the rows no acceptance since its saved rows
@@ -653,7 +624,6 @@ def find_top_alignments(
     min_score: float = 0.0,
     group: int = DEFAULT_GROUP,
     state: TopAlignmentState | None = None,
-    seed_bounds: np.ndarray | None = None,
     prune: bool = True,
 ) -> tuple[list[TopAlignment], RunStats]:
     """Compute up to ``k`` nonoverlapping top alignments (Figure 5).
@@ -677,10 +647,8 @@ def find_top_alignments(
 
     Passing a pre-built ``state`` lets callers (tests, the simulator)
     inspect internals afterwards — and continue a partial search: the
-    run accepts until ``state`` holds ``k`` alignments.  ``seed_bounds``
-    (ignored when ``state`` is passed) seeds the heap with finite
-    per-split upper bounds — see :class:`TopAlignmentState`.  ``prune``
-    (also ignored when ``state`` is passed, which carries its own
+    run accepts until ``state`` holds ``k`` alignments.  ``prune``
+    (ignored when ``state`` is passed, which carries its own
     context) toggles the exact block bounds of
     :mod:`repro.align.pruning`.
     """
@@ -694,7 +662,6 @@ def find_top_alignments(
             exchange,
             gaps,
             engine=engine,
-            seed_bounds=seed_bounds,
             prune=prune,
         )
     session = TopAlignmentSession.from_state(state, group=group, min_score=min_score)

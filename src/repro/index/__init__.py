@@ -1,4 +1,4 @@
-"""``repro.index`` — the k-mer candidate-seeding tier.
+"""``repro.index`` — the k-mer screening tier of database scans.
 
 Every sequence in a database scan used to pay the full O(n³)
 top-alignment cost even when it carries no repeat signal.  This package
@@ -8,9 +8,9 @@ adds a linear-time screening pass in front of the exact pipeline:
   (duplicate fraction, diagonal-band hit concentration, hotspot
   intervals) computed in one pass over the encoded sequence;
 * :mod:`~repro.index.bounds` — provable per-split upper bounds on the
-  first-pass top-alignment score, used to seed the best-first heap so
-  accepted tops stay bit-identical while low-promise splits are never
-  aligned;
+  first-pass top-alignment score from residue counts alone.  No search
+  reads them (the exact block bounds of :mod:`repro.align.pruning`
+  start every split); the benchmark measures their tightness;
 * :mod:`~repro.index.routing` — the *skip / defer / full* classifier
   driven by the profile;
 * :mod:`~repro.index.store` — content-addressed persistence of index

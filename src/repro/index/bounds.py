@@ -1,13 +1,13 @@
 """Provable per-split upper bounds on first-pass top-alignment scores.
 
-The best-first heap of :mod:`repro.core.tasks` is normally seeded with
-``+inf`` for every split, forcing one full alignment per split before
-the first acceptance.  This module computes, in O(n·|Σ|) total, a
-finite bound ``B(r)`` for every split ``r`` that provably dominates the
-true first-pass score, so splits whose bound never reaches the top of
-the heap are never aligned at all — and the accepted tops stay
-bit-identical (a task can only be accepted after a fresh alignment,
-and fresh scores are what acceptance compares).
+This module computes, in O(n·|Σ|) total, a finite bound ``B(r)`` for
+every split ``r`` that provably dominates the true first-pass score.
+No search starts from these bounds: the exact block bounds of
+:mod:`repro.align.pruning` seed the best-first heap, and under them
+these saved no cell on the benchmark's DNA scans and 0.035 % of the
+cells of indexed protein searches (EXPERIMENTS.md, "Composition seeds
+under block bounds").  The function stays for the benchmark's
+tightness probe.
 
 Two bounds are combined (ALAE-style: cheap precomputed maxima that the
 exact search can trust):
@@ -31,8 +31,7 @@ times, each occurrence scoring at most ``max(s(a, a), 0)``::
     score(r)  <=  sum_a min(c_a(prefix), c_a(suffix)) * max(s(a,a), 0)
 
 The final bound is the minimum of the applicable bounds, clamped to 0
-(scores of accepted alignments are strictly positive, and the task
-guard requires non-negative seeds).
+(scores of accepted alignments are strictly positive).
 
 No :mod:`repro.align` import happens here (lint rule RPR017): bounds
 are pure counting, never a kernel call.

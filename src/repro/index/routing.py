@@ -5,16 +5,19 @@ KmerProfile` into a per-sequence routing decision under a concrete
 scoring model:
 
 * ``full`` — strong repeat signal (dense duplicate k-mers or a
-  concentrated diagonal band).  Scanned first, with seeded heap
-  bounds.
+  concentrated diagonal band).  Scanned first.
 * ``defer`` — no strong signal, but skipping cannot be justified.
-  Scanned after the full class (down-prioritised), also with seeded
-  bounds.  With a zero significance threshold every quiet sequence
-  lands here — routing never discards work it cannot rule out.
+  Scanned after the full class (down-prioritised).  With a zero
+  significance threshold every quiet sequence lands here — routing
+  never discards work it cannot rule out.
 * ``skip`` — the k-mer upper *estimate* of the best attainable
   alignment score falls below the caller's significance threshold
   (``min_score``), so the O(n³) pipeline is not entered at all and the
   sequence reports zero alignments in O(n).
+
+A record that is not skipped gets exactly the search it would get
+without the index: routing chooses which records are searched and in
+what order, never how.
 
 The estimate is::
 
@@ -37,8 +40,7 @@ single-residue matches carry positive score with zero shared k-mers).
 ``MARGIN`` widens the estimate for safety, skipping only ever fires
 when ``min_score > 0``, and the benchmark *measures* byte-equality of
 accepted tops rather than asserting it axiomatically.  Callers that
-need exactness (the service job path) use seeded bounds only and never
-skip.
+need exactness (the service job path) never route at all.
 """
 
 from __future__ import annotations

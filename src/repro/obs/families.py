@@ -33,10 +33,6 @@ class Family(NamedTuple):
 #: MSA blocks land well under a second.
 _SUBSECOND_BUCKETS = (0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0)
 
-#: Seeded-bound tightness (bound / accepted score): 1.0 is a perfect
-#: bound, large ratios mean the composition bound was loose.
-_TIGHTNESS_BUCKETS = (1.0, 1.25, 1.5, 2.0, 3.0, 5.0, 10.0, 25.0, 100.0)
-
 #: ``WorkerStats`` counters republished per worker tag as
 #: ``repro_worker_<key>_total``, with their help text.
 WORKER_COUNTERS = {
@@ -47,7 +43,6 @@ WORKER_COUNTERS = {
     "cache_hits": "Jobs this worker served from the result cache",
     "alignments": "Bottom-row alignments this worker computed",
     "cells": "Matrix cells this worker evaluated",
-    "index_seeded": "Jobs this worker started with index-seeded heap bounds",
 }
 
 FAMILIES: dict[str, Family] = {
@@ -113,9 +108,6 @@ FAMILIES: dict[str, Family] = {
                "Index-store lookups that required a fresh profile build"),
         Family("repro_index_routed_total", "counter",
                "Sequences routed by the index tier, by class", ("route",)),
-        Family("repro_index_bound_tightness", "histogram",
-               "Seeded bound / accepted top score (1.0 = tight)",
-               buckets=_TIGHTNESS_BUCKETS),
         # -- annotation layer --------------------------------------------
         Family("repro_annot_reports_total", "counter",
                "Annotation reports rendered, by output format", ("format",)),

@@ -122,12 +122,10 @@ class JobSpec:
     max_gap: int = 0
     min_score_fraction: float = 0.25
     priority: int = 0
-    #: Execution knobs like engine/group: seed the best-first heap from
-    #: the k-mer index tier.  Results are bit-identical either way, so
-    #: neither field enters the digest (indexed and unindexed runs of
-    #: one spec share a cache entry).  The single-job path only *seeds*
-    #: — it never skip-routes, which is what keeps this a pure
-    #: execution knob.
+    #: The k-mer index tier of a scan (``cluster scan`` ships them with
+    #: its spec).  The single-job search does not read them: they stay
+    #: accepted and validated so records written while ``submit`` had
+    #: ``--index`` still load.  Neither enters the digest.
     index: bool = False
     index_k: int = 0
 

@@ -107,9 +107,6 @@ class WorkerStats:
     cache_hits: int = 0
     alignments: int = 0
     cells: int = 0
-    #: Jobs whose fresh search started with index-seeded heap bounds
-    #: (``spec.index``); checkpoint resumes keep their restored heap.
-    index_seeded: int = 0
     updated: float = 0.0
 
 
@@ -217,7 +214,6 @@ def execute_job(
                 job_id,
                 should_stop=should_stop,
                 chunk_delay=chunk_delay,
-                stats=stats,
             )
             if result is None:
                 outcome = "cancelled" if store.cancel_requested(job_id) else "suspended"
@@ -263,7 +259,6 @@ def _run_incremental(
     *,
     should_stop: Callable[[], bool],
     chunk_delay: float,
-    stats: WorkerStats | None = None,
 ) -> RepeatResult | None:
     """Figure 5 loop, one acceptance at a time, checkpointed by the clock.
 
@@ -280,20 +275,7 @@ def _run_incremental(
         except ValueError as exc:
             store.append_event(job_id, "checkpoint-invalid", error=str(exc))
     if session is None:
-        seed_bounds = None
-        if spec.index:
-            # Execution knob, not a result knob: seeded heap bounds keep
-            # the accepted tops bit-identical while splits whose bound
-            # never tops the heap are never aligned.  The single-job
-            # path deliberately has no skip class.
-            from ..index.bounds import seed_score_bounds
-
-            seed_bounds = seed_score_bounds(
-                sequence, finder.resolve_exchange(sequence)
-            )
-            if stats is not None:
-                stats.index_seeded += 1
-        session = finder.session(sequence, seed_bounds=seed_bounds)
+        session = finder.session(sequence)
 
     # One live session for the whole job: the heap, with every stale
     # bound the search has earned, survives across acceptances, so a

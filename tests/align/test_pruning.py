@@ -229,8 +229,8 @@ class TestGateMechanics:
 
     def test_block_bounds_seed_the_tasks(self):
         # A block bound depends on the sequence alone, so it is every
-        # task's starting heap score (never-aligned, like an index seed
-        # bound), computed once per state.
+        # task's starting heap score (never-aligned), computed once per
+        # state.
         state = self._state()
         tasks = state.make_tasks()
         assert all(task.aligned_with == -1 for task in tasks)
@@ -241,9 +241,6 @@ class TestGateMechanics:
         assert cells == 11 * 11  # one block: rows S[1..11], columns S[2..12]
         assert [task.score for task in state.make_tasks()] == bounds.tolist()
         assert state.stats.cells == cells
-        # Index seeds only ever tighten them.
-        seeded = self._state(seed_bounds=np.full(11, 5.0))
-        assert [t.score for t in seeded.make_tasks()] == np.minimum(bounds, 5.0).tolist()
         unpruned = self._state(prune=False)
         assert all(t.score == float("inf") for t in unpruned.make_tasks())
         assert unpruned.stats.cells == 0

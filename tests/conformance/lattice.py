@@ -2,10 +2,10 @@
 
 A :class:`Search` is an input: a sequence, a scoring model, ``k`` and
 ``min_score``.  A :class:`Config` is one point of the lattice that runs
-it: engine × lane work type × group × ``prune`` × seeded × state budget
-× policy.  :func:`check` runs the point and asserts the invariant the
+it: engine × lane work type × group × ``prune`` × state budget ×
+policy.  :func:`check` runs the point and asserts the invariant the
 whole repository rests on — the accepted tops are byte-equal to the
-plainest run (``scalar``, ``group=1``, ``prune=False``, unseeded), which
+plainest run (``scalar``, ``group=1``, ``prune=False``), which
 on short inputs is itself checked against the O(n⁴) algorithm — plus
 ``RunStats.cells`` equal to the cells the engine filled.
 
@@ -52,7 +52,6 @@ from repro.core import (
 from repro.core.checkpoint import restore_checkpoint
 from repro.core.override import DenseOverrideTriangle
 from repro.core.tasks import Task
-from repro.index import seed_score_bounds
 from repro.parallel import MasterRunner, SlaveConfig, ThreadedTopAlignmentRunner, World
 from repro.parallel.master import T_ALIGN, T_MARK, T_ROW, T_STOP
 from repro.parallel.msgpass import ANY, Message
@@ -219,7 +218,6 @@ class Config:
     dtype: str | None = None
     group: int = 8
     prune: bool = True
-    seeded: bool = False
     tiny: bool = False
     policy: str = "inline"
     width: int = 2
@@ -241,7 +239,6 @@ def configs(draw) -> Config:
         dtype=draw(st.sampled_from(DTYPES)) if engine == "lanes" else None,
         group=draw(st.sampled_from([1, 2, 4, 8])),
         prune=draw(st.booleans()),
-        seeded=draw(st.booleans()),
         tiny=draw(st.booleans()),
         policy=draw(st.sampled_from(POLICIES)),
         width=draw(st.integers(1, 4)),
@@ -364,14 +361,8 @@ def _master(session, search, config):
 
 
 def _state(search: Search, config: Config, engine: AlignmentEngine) -> TopAlignmentState:
-    seeds = seed_score_bounds(search.sequence, search.exchange) if config.seeded else None
     return TopAlignmentState(
-        search.sequence,
-        search.exchange,
-        search.gaps,
-        engine=engine,
-        seed_bounds=seeds,
-        prune=config.prune,
+        search.sequence, search.exchange, search.gaps, engine=engine, prune=config.prune
     )
 
 

@@ -31,7 +31,7 @@ _FIGURE4 = Search("ATGCATGCATGC", k=3)
     search=Search("ACDEFACDEFACDEF", True, Scoring("blosum62", 0, 0, 7.5, 0.5), k=4),
     config=Config(dtype="int16", policy="checkpoint", at=2),
 )
-@example(search=_FIGURE4, config=Config(seeded=True, tiny=True, policy="extend"))
+@example(search=_FIGURE4, config=Config(tiny=True, policy="extend"))
 @example(  # shrunk from a master that sent T_ALIGN before the T_MARKs
     search=Search("AA", scoring=Scoring("match", 1.0, 0.0, 0.0, 0.0), k=2),
     config=Config(engine="scalar", group=1, prune=False, policy="master", width=1),

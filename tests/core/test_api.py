@@ -68,6 +68,15 @@ class TestRepeatFinder:
         with pytest.raises(ValueError):
             RepeatFinder(top_alignments=0)
 
+    def test_seed_bounds_accepted_only_as_none(self):
+        # Kept for callers that pass it through; block bounds are the
+        # search's only start bounds.
+        seq = tandem_repeat_sequence("ATGC", 3)
+        finder = RepeatFinder(top_alignments=1)
+        assert finder.find(seq, seed_bounds=None).top_alignments[0].score == 8.0
+        with pytest.raises(ValueError, match="seed_bounds"):
+            finder.find(seq, seed_bounds=[0.0] * (len(seq) - 1))
+
     def test_engine_selection(self):
         seq = tandem_repeat_sequence("ATGC", 3)
         for engine in ("scalar", "vector", "lanes"):

@@ -4,8 +4,8 @@ The inline loop, the §4.2 thread scheduler and the §4.3 master/slave
 protocol are dispatch policies of one
 :class:`~repro.core.session.TopAlignmentSession`; the conformance
 harness (``tests/conformance``) draws their configurations.  These are
-its fixed points: three inputs under every policy, lane width, pruning,
-heap seeding and state budget, each checked by the harness's one
+its fixed points: three inputs under every policy, lane width, pruning
+and state budget, each checked by the harness's one
 oracle path (:func:`tests.conformance.lattice.check`), plus what the
 policies do when a worker or the master fails.  The ``master`` points
 of :func:`test_cells_are_the_cells_the_engine_filled` under the default
@@ -63,13 +63,10 @@ POLICIES = {
 
 @pytest.mark.parametrize("budget", ["default", "tiny"])
 @pytest.mark.parametrize("name", INPUTS)
-@pytest.mark.parametrize("seeded", [False, True], ids=["unseeded", "seeded"])
 @pytest.mark.parametrize("prune", [True, False], ids=["prune", "noprune"])
 @pytest.mark.parametrize("policy", POLICIES)
-def test_tops_equal_the_plain_sequential_run(policy, prune, seeded, name, budget):
-    config = dataclasses.replace(
-        POLICIES[policy], prune=prune, seeded=seeded, tiny=budget == "tiny"
-    )
+def test_tops_equal_the_plain_sequential_run(policy, prune, name, budget):
+    config = dataclasses.replace(POLICIES[policy], prune=prune, tiny=budget == "tiny")
     out = check(INPUTS[name], config)
     state = out.session.state
     if name == "exhausting":

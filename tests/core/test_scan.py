@@ -70,10 +70,10 @@ class TestScanner:
 class _ExplodingFinder(RepeatFinder):
     """Raises on sequences whose id starts with 'bad'."""
 
-    def find(self, sequence, *, seed_bounds=None):
+    def find(self, sequence):
         if sequence.id.startswith("bad"):
             raise RuntimeError("boom on " + sequence.id)
-        return super().find(sequence, seed_bounds=seed_bounds)
+        return super().find(sequence)
 
 
 class TestPerRecordFailures:

@@ -1,11 +1,13 @@
 """Index-routed database scans: equivalence, routing labels, warm stores."""
 
 import pytest
+from benchmarks.e2e import inputs
 
 from repro.core.api import RepeatFinder
 from repro.core.scan import DatabaseScanner
 from repro.index import IndexConfig, IndexStore
-from repro.sequences import DNA, random_sequence
+from repro.scoring import GapPenalties
+from repro.sequences import DNA, Sequence, random_sequence
 from repro.sequences.workloads import RepeatSpec, implant_repeats
 
 
@@ -69,6 +71,22 @@ class TestEquivalence:
         indexed = scanner.scan(database)
         assert scanner.index_stats["skip"] == 0
         assert _tops(indexed) == _tops(plain)
+
+    def test_index_routes_records_and_never_steers_a_search(self):
+        # A benchmark protein record (read-only from its generator) whose
+        # search the index's composition bounds once trimmed: a record
+        # the index lets through gets the unindexed search, cell for cell.
+        name, text = inputs.protein_records(1, 6, 32, 80, 111)[13]
+        record = Sequence(text, "protein", id=name)
+
+        def scan(index):
+            finder = RepeatFinder(top_alignments=20, gaps=GapPenalties(8.0, 1.0))
+            return DatabaseScanner(finder=finder, index=index).scan([record])[0]
+
+        plain, indexed = scan(None), scan(IndexConfig())
+        assert (name, indexed.routed) == ("prot013", "defer")
+        assert _tops([indexed]) == _tops([plain])
+        assert indexed.result.stats.cells == plain.result.stats.cells
 
 
 class TestRoutingLabels:

@@ -11,7 +11,6 @@ from repro.align import get_engine
 from repro.align.lanes import OWED_LANES
 from repro.core import TopAlignmentState, find_top_alignments
 from repro.core.session import TopAlignmentSession
-from repro.index import seed_score_bounds
 from repro.parallel import ThreadedTopAlignmentRunner
 from repro.scoring import GapPenalties, blosum62, match_mismatch
 from repro.sequences import (
@@ -341,13 +340,11 @@ class TestFirstPassDispatch:
         self, small_repeat_protein, protein_scoring
     ):
         """Owed means "the sequential schedule fills it too": a split
-        whose bound cannot beat a score already seen stays unaligned."""
+        whose block bound (its starting heap score) cannot beat a score
+        already seen stays unaligned."""
         exchange, gaps = protein_scoring
-        bounds = seed_score_bounds(small_repeat_protein, exchange)
-        # prune=False: the seeds alone (block bounds would tighten them).
-        state = TopAlignmentState(
-            small_repeat_protein, exchange, gaps, seed_bounds=bounds, prune=False
-        )
+        state = TopAlignmentState(small_repeat_protein, exchange, gaps)
+        bounds = state.start_bounds()
         session = TopAlignmentSession.from_state(state)
         checkout = session.checkout
 

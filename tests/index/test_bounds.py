@@ -1,4 +1,6 @@
-"""Seeded heap bounds: provably >= the true first-pass scores."""
+"""The index tier's per-split bounds: provably >= the true first-pass
+scores.  No search starts from them (block bounds do); the benchmark
+measures how tight they are."""
 
 import numpy as np
 import pytest
@@ -114,14 +116,12 @@ class TestSeededEquivalence:
         ).sequence
         exchange, gaps = _dna_scoring()
         bounds = seed_score_bounds(seq, exchange)
-        plain, plain_stats = find_top_alignments(seq, k, exchange, gaps)
-        seeded, seeded_stats = find_top_alignments(
-            seq, k, exchange, gaps, seed_bounds=bounds
-        )
-        assert [(a.index, a.r, a.score, a.pairs) for a in plain] == [
-            (a.index, a.r, a.score, a.pairs) for a in seeded
-        ]
-        assert seeded_stats.alignments <= plain_stats.alignments
+        tops, _ = find_top_alignments(seq, k, exchange, gaps)
+        assert len(tops) == k
+        # An accepted score is a true realigned score: its split's bound
+        # dominates it.
+        for top in tops:
+            assert top.score <= bounds[top.r - 1] + 1e-9
 
     def test_seeding_prunes_first_pass_work(self):
         seq = implant_repeats(
@@ -132,11 +132,8 @@ class TestSeededEquivalence:
         ).sequence
         exchange, gaps = _dna_scoring()
         bounds = seed_score_bounds(seq, exchange)
-        # prune=False isolates the seeding effect: exact in-kernel pruning
-        # (repro.align.pruning) also skips fills and would otherwise
-        # shrink the plain run's alignment count too.
-        _, plain_stats = find_top_alignments(seq, 10, exchange, gaps, prune=False)
-        _, seeded_stats = find_top_alignments(
-            seq, 10, exchange, gaps, seed_bounds=bounds, prune=False
-        )
-        assert seeded_stats.alignments < plain_stats.alignments
+        tops, _ = find_top_alignments(seq, 10, exchange, gaps, prune=False)
+        # Informative, not just sound: some splits are bounded below the
+        # tenth top, so a heap started at these bounds would never
+        # align them.
+        assert (bounds < tops[-1].score).any()

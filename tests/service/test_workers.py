@@ -115,7 +115,7 @@ class TestExecuteJob:
         store, queue, cache = stores
         plain = _titin_spec()
         seeded = _titin_spec(index=True)
-        # index/index_k are execution knobs, not semantics: same digest.
+        # The single-job search does not read index/index_k: same digest.
         assert job_digest(plain) == job_digest(seeded)
         r1 = _submit(store, queue, plain)
         assert execute_job(store, cache, r1) == "done"
@@ -123,12 +123,10 @@ class TestExecuteJob:
         cache.path_for(r1.digest).unlink()
         fresh_cache = type(cache)(cache.root)
         r2 = _submit(store, queue, seeded)
-        stats = WorkerStats()
-        assert execute_job(store, fresh_cache, r2, stats=stats) == "done"
+        assert execute_job(store, fresh_cache, r2) == "done"
         second = fresh_cache.get(r2.digest)
         assert second["top_alignments"] == first["top_alignments"]
         assert second["repeats"] == first["repeats"]
-        assert stats.index_seeded == 1
 
     def test_old_algorithm_record_fails_cleanly(self, stores):
         """A record spooled by a release that still served the O(n^4)

@@ -44,9 +44,6 @@ class TestParser:
         assert args.group == 8
 
     def test_index_defaults_off(self):
-        find_args = build_parser().parse_args(["find", "x.fasta"])
-        assert find_args.index is False
-        assert find_args.index_k == 0
         scan_args = build_parser().parse_args(["scan", "db.fasta"])
         assert scan_args.index is False
         assert scan_args.min_score == 0.0
@@ -130,22 +127,6 @@ class TestFindCommand:
         sequential = capsys.readouterr().out
         assert main(base + ["--engine", "lanes", "--group", "4"]) == 0
         assert results_only(capsys.readouterr().out) == results_only(sequential)
-
-    def test_find_index_seeding_matches_sequential(self, tandem_fasta, capsys):
-        def results_only(text):
-            # Seeding legitimately changes "alignments computed";
-            # every reported alignment and family must be identical.
-            return [
-                line for line in text.splitlines()
-                if "alignments computed" not in line
-            ]
-
-        base = ["find", tandem_fasta, "-k", "3", "--alphabet", "dna",
-                "--gap-open", "2", "--gap-extend", "1", "--show-alignments"]
-        assert main(base) == 0
-        plain = capsys.readouterr().out
-        assert main(base + ["--index"]) == 0
-        assert results_only(capsys.readouterr().out) == results_only(plain)
 
     def test_find_protein_matrix_choice(self, tmp_path, capsys):
         path = tmp_path / "p.fasta"
@@ -464,8 +445,8 @@ class TestOneSearchDescription:
         searches = []  # (gaps, exchange, min_score, max_gap, first tops) per find()
         real_find = RepeatFinder.find
 
-        def recording_find(finder, sequence, *, seed_bounds=None):
-            result = real_find(finder, sequence, seed_bounds=seed_bounds)
+        def recording_find(finder, sequence):
+            result = real_find(finder, sequence)
             searches.append(
                 (
                     (finder.gaps.open_, finder.gaps.extend),
